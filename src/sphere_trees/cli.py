@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -23,21 +22,6 @@ from .limits import limit_cover, limit_tree, numeric_limit_tree
 from .moduli import embed, project, spheres_iso
 from .plumbing import plumb_family, sample_family
 from .trees import trees_isomorphic, validate_tree
-
-
-def _threads_cap() -> int:
-    """Parallelism cap from SPHERE_TREES_THREADS; 0 means sequential.
-
-    All pipelines are pure and run sequentially, which respects any cap.
-    """
-    raw = os.environ.get("SPHERE_TREES_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SchemaError(f"SPHERE_TREES_THREADS must be an integer: {raw!r}")
-    if cap < 0:
-        raise SchemaError("SPHERE_TREES_THREADS must be nonnegative")
-    return cap
 
 
 def _load(path: str) -> Any:
@@ -296,7 +280,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _threads_cap()
         if args.exact:
             _reject_numeric_flags(args)
         return args.func(args)

@@ -1,17 +1,19 @@
 """Limit stable trees of degenerating families, exactly and numerically.
 
 A degenerating one-parameter configuration is a Laurent family: one Laurent
-point per label.  Its limit tree is computed triple by triple: the chart
-values of every quadruple are Laurent cross-ratios, their leading values
-cluster the labels into one partition per triple, and the distinct
-partitions assemble into the stable limit tree with the chart markings as
-vertex markings.  A degenerating marked rational map is handled the same
-way, with a rescaling normalization on the target picking out one fiber map
-per source vertex.
+point per label.  Laurent polynomials over Q(i) form a domain, so the limit
+of a cross-ratio depends only on the valuation and leading coefficient of
+the pairwise brackets [p_x, p_y], each expanded once: valuations add and
+leading coefficients multiply.  The limit chart values of each triple
+cluster the labels into one partition, and the distinct partitions assemble
+into the stable limit tree with the chart markings as vertex markings.  A
+degenerating marked rational map is handled through the limit trees of
+source and target, with a rescaling normalization on the target picking out
+one fiber map per source vertex.
 
 The numeric mode runs the same pipeline on sampled snapshots, accepting a
 quadruple once its rational extrapolant to the limit has settled within
-tolerance.
+tolerance, and refusing snapshots in which two labels coincide.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from .laurent import (
     LaurentMap,
     LaurentMoebius,
     LaurentPoint,
+    laurent_bracket,
     laurent_points_equal,
 )
 from .moduli import MarkedSphere, TreeOfSpheres, marking_dict
-from .projective import Moebius, ProjPoint, moebius_from_three
+from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint, moebius_from_three
 from .rational import RationalMap
 from .trees import (
     MarkedTree,
@@ -97,34 +100,36 @@ class LaurentFamily:
         return MarkedSphere.make(points)
 
 
-def _leading_ratio(u, v) -> ProjPoint:
-    if u.is_zero():
-        return ProjPoint.of(0)
-    if v.is_zero():
-        return ProjPoint.infinity()
-    vu, vv = u.valuation(), v.valuation()
-    if vu > vv:
-        return ProjPoint.of(0)
-    if vu < vv:
-        return ProjPoint.infinity()
-    return ProjPoint.make(u.leading(), v.leading())
+def _pair_leads(fam: LaurentFamily) -> dict:
+    """(valuation, leading coefficient) of [p_x, p_y]; [p_y, p_x] = -[p_x, p_y]."""
+    lead = {}
+    for (x, p), (y, q) in combinations(fam.paths, 2):
+        b = laurent_bracket(p, q)
+        val, c = b.valuation(), b.leading()
+        lead[(x, y)] = (val, c)
+        lead[(y, x)] = (val, -c)
+    return lead
 
 
-def _limit_chart(fam: LaurentFamily, triple: tuple[str, str, str]) -> dict:
-    from .laurent import laurent_bracket
-
-    paths = dict(fam.paths)
-    p0, p1, pinf = (paths[x] for x in triple)
-    k_num = laurent_bracket(p1, pinf)
-    k_den = laurent_bracket(p1, p0)
-    out = {triple[0]: ProjPoint.of(0), triple[1]: ProjPoint.of(1),
-           triple[2]: ProjPoint.infinity()}
-    for x in paths:
+def _limit_chart(labels: Sequence[str], lead: dict, triple: tuple[str, str, str]) -> dict:
+    """Limits of the cross-ratios [x, t0][t1, tinf] : [x, tinf][t1, t0] of the
+    chart sending the triple to (0, 1, inf), from the brackets' leading terms."""
+    t0, t1, tinf = triple
+    v_num, c_num = lead[(t1, tinf)]
+    v_den, c_den = lead[(t1, t0)]
+    out = {t0: P_ZERO, t1: P_ONE, tinf: P_INF}
+    for x in labels:
         if x in out:
             continue
-        p = paths[x]
-        out[x] = _leading_ratio(laurent_bracket(p, p0) * k_num,
-                                laurent_bracket(p, pinf) * k_den)
+        v0, c0 = lead[(x, t0)]
+        vi, ci = lead[(x, tinf)]
+        vu, vv = v0 + v_num, vi + v_den
+        if vu > vv:
+            out[x] = P_ZERO
+        elif vu < vv:
+            out[x] = P_INF
+        else:
+            out[x] = ProjPoint.make(c0 * c_num, ci * c_den)
     return out
 
 
@@ -136,10 +141,11 @@ def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
     each vertex is marked by the chart of its representative triple.
     """
     labels = sorted(fam.labels)
+    lead = _pair_leads(fam)
     partitions: dict[Partition, tuple[str, str, str]] = {}
     charts: dict[tuple[str, str, str], dict] = {}
     for triple in combinations(labels, 3):
-        alpha = _limit_chart(fam, triple)
+        alpha = _limit_chart(labels, lead, triple)
         fibers: dict[ProjPoint, set] = {}
         for x, q in alpha.items():
             fibers.setdefault(q, set()).add(x)
@@ -154,8 +160,7 @@ def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
     parts = sorted(partitions.keys(), key=partition_sort_key)
     marking = {}
     for i, part in enumerate(parts):
-        rep = representative_triple(part)
-        alpha = charts.get(rep) or _limit_chart(fam, rep)
+        alpha = charts[representative_triple(part)]
         row = {}
         for n in neighbors(shape, i):
             b = branch(shape, i, n)
@@ -309,6 +314,18 @@ def _ladder_nodes(eps: Sequence[float], skip: int) -> list[int]:
     return nodes
 
 
+def _refuse_coincident(seq: NumericConfigSequence, used: set[int]) -> None:
+    """Refuse a used snapshot where labels y, z coincide: with any third label
+    w, the cross-ratio of the quadruple (y, z, w; y) is (0 : 0) there."""
+    for i in sorted(used, key=lambda i: seq.eps[i]):
+        for (y, p), (z, q) in combinations(zip(seq.labels, seq.snapshots[i]), 2):
+            if p[0] * q[1] - q[0] * p[1] == 0:
+                w = next(x for x in seq.labels if x not in (y, z))
+                raise NotStabilized(
+                    "two labels coincide in a snapshot; its cross-ratios are undefined",
+                    witness={"quadruple": sorted((y, z, w)) + [y], "eps": seq.eps[i]})
+
+
 def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     """Numeric counterpart of limit_tree on sampled snapshots.
 
@@ -316,7 +333,8 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     ladder; the last stability_window anchor choices give one estimate each,
     and the quadruple is settled when those values agree within tolerance in
     the chordal metric.  Label clustering at the tolerance must then be an
-    equivalence relation.
+    equivalence relation.  A used snapshot in which two labels coincide is
+    refused before any extrapolation.
     """
     w = seq.stability_window
     labels = seq.labels
@@ -324,11 +342,10 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     if len(seq.snapshots) < w + 1:
         raise NotStabilized("not enough snapshots for the stability window",
                             witness={"snapshots": len(seq.snapshots), "window": w})
-    ladders = []
-    for skip in range(w):
-        node_idx = _ladder_nodes(seq.eps, skip)
-        ladders.append(([seq.eps[i] for i in node_idx],
-                        [seq.snapshots[i] for i in node_idx]))
+    nodes = [_ladder_nodes(seq.eps, skip) for skip in range(w)]
+    _refuse_coincident(seq, {i for node_idx in nodes for i in node_idx})
+    ladders = [([seq.eps[i] for i in node_idx], [seq.snapshots[i] for i in node_idx])
+               for node_idx in nodes]
 
     unsettled = []
     limits: dict[tuple, NumericPoint] = {}

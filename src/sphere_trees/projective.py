@@ -9,7 +9,6 @@ scale, canonicalized so the first nonzero entry (in a, b, c, d order) is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DegenerateTriple
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, Rationalish, gr
@@ -132,12 +131,3 @@ def moebius_from_three(p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint) -> Moebius
 def cross_ratio(p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint, p: ProjPoint) -> ProjPoint:
     """Image of p under the chart normalizing (p0, p1, pinf) to (0, 1, inf)."""
     return moebius_from_three(p0, p1, pinf).apply(p)
-
-
-def distinct_points(points: Iterable[ProjPoint]) -> bool:
-    seen = set()
-    for p in points:
-        if p in seen:
-            return False
-        seen.add(p)
-    return True

@@ -213,14 +213,6 @@ class RationalMap:
         return Moebius.make(a, b, c, e)
 
 
-def identity_map() -> RationalMap:
-    return RationalMap.from_coeffs([GR_ZERO, GR_ONE], [GR_ONE])
-
-
-def moebius_as_map(m: Moebius) -> RationalMap:
-    return RationalMap.from_coeffs([m.b, m.a], [m.d, m.c])
-
-
 def local_degree(f: RationalMap, p: ProjPoint) -> int:
     """Multiplicity of p in the fiber of f over f(p).
 

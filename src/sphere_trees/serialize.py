@@ -47,6 +47,12 @@ def fraction_from_json(s: Any) -> Fraction:
         raise SchemaError(f"not a rational number: {s!r}") from exc
 
 
+def int_from_json(x: Any, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaError(f"{what} must be a JSON integer: {x!r}")
+    return x
+
+
 def complex_to_json(c: GaussianRational) -> dict:
     return {"re": fraction_to_json(c.re), "im": fraction_to_json(c.im)}
 
@@ -122,7 +128,7 @@ def tree_to_json(t: MarkedTree) -> dict:
 def tree_from_json(obj: Any, check: bool = True) -> MarkedTree:
     try:
         leaves = [check_label(x) for x in obj["leaves"]]
-        internal = [int(v) for v in obj["internal"]]
+        internal = [int_from_json(v, "internal vertex") for v in obj["internal"]]
         edges = [tuple(vertex_from_json(x) for x in e) for e in obj["edges"]]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed tree object: {exc}") from exc
@@ -189,7 +195,8 @@ def laurent_poly_from_json(obj: Any) -> LaurentPoly:
     for item in obj:
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"bad Laurent term: {item!r}")
-        terms.append((int(item[0]), complex_from_json(item[1])))
+        terms.append((int_from_json(item[0], "Laurent exponent"),
+                      complex_from_json(item[1])))
     return LaurentPoly.make(terms)
 
 
@@ -233,7 +240,10 @@ def laurent_map_from_json(obj: Any) -> LaurentMap:
         for item in rows:
             if not isinstance(item, list) or len(item) != 2:
                 raise SchemaError(f"bad Laurent map coefficient: {item!r}")
-            coeffs[int(item[0])] = laurent_poly_from_json(item[1])
+            k = int_from_json(item[0], "coefficient index")
+            if k < 0:
+                raise SchemaError(f"negative coefficient index: {k}")
+            coeffs[k] = laurent_poly_from_json(item[1])
         top = max(coeffs, default=-1)
         from .laurent import LP_ZERO
         return [coeffs.get(i, LP_ZERO) for i in range(top + 1)]
@@ -261,8 +271,9 @@ def portrait_to_json(p: Portrait) -> dict:
 def portrait_from_json(obj: Any) -> Portrait:
     try:
         fmap = {check_label(a): check_label(b) for a, b in obj["F"].items()}
-        degmap = {check_label(a): int(k) for a, k in obj["deg"].items()}
-        d = int(obj["d"])
+        degmap = {check_label(a): int_from_json(k, "local degree")
+                  for a, k in obj["deg"].items()}
+        d = int_from_json(obj["d"], "degree")
     except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"malformed portrait: {exc}") from exc
     return Portrait.make(fmap, degmap, d)

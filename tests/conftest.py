@@ -19,7 +19,7 @@ from sphere_trees.limits import CoverFamily, LaurentFamily, limit_cover
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres
 from sphere_trees.projective import Moebius, ProjPoint
 from sphere_trees.rational import RationalMap
-from sphere_trees.trees import MarkedTree, enumerate_stable_trees, neighbors
+from sphere_trees.trees import MarkedTree, edge_of, enumerate_stable_trees, neighbors
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "data"
 
@@ -60,6 +60,25 @@ def random_marking(shape: MarkedTree, rng: random.Random) -> TreeOfSpheres:
         pts = rng.sample(POINT_POOL, len(ns))
         marking[v] = dict(zip(ns, pts))
     return TreeOfSpheres.make(shape, marking)
+
+
+def random_stable_shape(n: int, rng: random.Random) -> MarkedTree:
+    """A stable tree on labels "1".."n" grown by random leaf insertion: each
+    new label attaches at an internal vertex or subdivides an edge."""
+    labels = [str(i) for i in range(1, n + 1)]
+    internal, edges = {0}, {edge_of(x, 0) for x in labels[:3]}
+    for x in labels[3:]:
+        options = sorted(internal) + sorted(edges, key=lambda e: sorted(map(str, e)))
+        pick = options[rng.randrange(len(options))]
+        if isinstance(pick, int):
+            edges.add(edge_of(x, pick))
+        else:
+            a, b = tuple(pick)
+            fresh = max(internal) + 1
+            edges = (edges - {pick}) | {edge_of(a, fresh), edge_of(fresh, b),
+                                        edge_of(x, fresh)}
+            internal.add(fresh)
+    return MarkedTree.make(labels, internal, edges)
 
 
 def relabel_internal_ids(cover, source_shift: int = 10, target_shift: int = 20):

@@ -7,6 +7,7 @@ lines; every tolerance is fixed here and nothing is calibrated elsewhere.
 from __future__ import annotations
 
 import json
+import pathlib
 import random
 import subprocess
 import sys
@@ -359,21 +360,49 @@ CLI_COMMANDS = [
 ]
 
 
+GOLDEN_DIR = DATA_DIR.parent / "tests" / "golden"
+
+
+def _golden_path(command: tuple) -> pathlib.Path:
+    """tests/golden/<command words>.out, e.g. sample_family_eps_eps_1-100.out."""
+    words = [a.removesuffix(".json").lstrip("-") for a in command]
+    return GOLDEN_DIR / ("_".join(words).replace("/", "-").replace(",", "-") + ".out")
+
+
+def _run_cli(command: tuple) -> subprocess.CompletedProcess:
+    argv = [command[0]] + [
+        str(DATA_DIR / a) if a.endswith(".json") else a for a in command[1:]]
+    return subprocess.run([sys.executable, "-m", "sphere_trees.cli", *argv],
+                          capture_output=True,
+                          env={"PYTHONPATH": str(DATA_DIR.parent / "src"),
+                               "PATH": "/usr/bin:/bin"})
+
+
 def test_criterion_10_cli_determinism():
     started = time.perf_counter()
-    src = str(DATA_DIR.parent / "src")
     for command in CLI_COMMANDS:
-        argv = [command[0]] + [
-            str(DATA_DIR / a) if a.endswith(".json") else a for a in command[1:]]
-        runs = [
-            subprocess.run([sys.executable, "-m", "sphere_trees.cli", *argv],
-                           capture_output=True, text=True,
-                           env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"})
-            for _ in range(2)
-        ]
-        assert runs[0].returncode == 0, (command, runs[0].stderr)
+        runs = [_run_cli(command) for _ in range(2)]
+        assert runs[0].returncode == 0, (command, runs[0].stderr.decode())
         assert runs[0].returncode == runs[1].returncode
         assert runs[0].stdout == runs[1].stdout
         json.loads(runs[0].stdout)  # canonical output parses
     assert time.perf_counter() - started < 10
     report(10, f"byte-identical output for {len(CLI_COMMANDS)} CLI commands", started)
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS, ids=lambda c: _golden_path(c).stem)
+def test_cli_output_matches_golden(command):
+    """Each command's stdout equals, byte for byte, the output recorded in
+    tests/golden/ (rewrite them with `python tests/test_acceptance.py`)."""
+    run = _run_cli(command)
+    assert run.returncode == 0, (command, run.stderr.decode())
+    assert run.stdout == _golden_path(command).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for command in CLI_COMMANDS:
+        run = _run_cli(command)
+        if run.returncode != 0:
+            sys.exit(f"{command}: exit {run.returncode}\n{run.stderr.decode()}")
+        _golden_path(command).write_bytes(run.stdout)

@@ -118,6 +118,16 @@ class TestErrors:
         payload = json.loads(r.stdout)
         assert payload["error"] == "NotASubset"
 
+    def test_non_integer_internal_vertex_is_schema_error(self, tmp_path):
+        blob = json.loads((DATA_DIR / "star_tree.json").read_text())
+        blob["internal"] = ["x"]
+        bad = tmp_path / "bad_tree.json"
+        bad.write_text(json.dumps(blob))
+        r = run_cli("validate", str(bad))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("schema error:")
+
     def test_numeric_flags_rejected_on_exact(self):
         r = run_cli("validate", data("star_tree.json"), "--tolerance", "1e-3")
         assert r.returncode == 2

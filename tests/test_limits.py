@@ -15,7 +15,9 @@ from conftest import (
     lconst,
     lpoly,
     pt,
+    random_marking,
     random_moebius,
+    random_stable_shape,
 )
 from sphere_trees.covers import extract_portrait, reconstruct_cover, validate_cover
 from sphere_trees.errors import NotStabilized
@@ -31,6 +33,7 @@ from sphere_trees.limits import (
 )
 from sphere_trees.moduli import embed, marking_dict, sphere_as_tree, spheres_iso
 from sphere_trees.moduli import MarkedSphere
+from sphere_trees.plumbing import plumb_family
 from sphere_trees.trees import tree_partitions
 
 
@@ -70,17 +73,50 @@ class TestLimitTree:
         t = limit_tree(fam)
         assert len(t.shape.internal) == 3
 
-    def test_embedding_agrees_with_quadruple_limits(self, eps_family):
+    @staticmethod
+    def assert_embedding_is_quadruple_limits(fam):
+        """The oracle: every embedding value of the limit tree is the leading
+        value of the full Laurent cross-ratio of that quadruple."""
         from itertools import permutations
         from sphere_trees.laurent import laurent_cross_ratio, laurent_leading_value
-        t = limit_tree(eps_family)
-        e = embed(t)
-        paths = dict(eps_family.paths)
+        values = embed(limit_tree(fam)).mapping
+        paths = dict(fam.paths)
         for triple in permutations(sorted(paths), 3):
             for x in sorted(paths):
                 cr = laurent_cross_ratio(paths[triple[0]], paths[triple[1]],
                                          paths[triple[2]], paths[x])
-                assert e.value(triple, x) == laurent_leading_value(cr)
+                assert values[(triple, x)] == laurent_leading_value(cr), (triple, x)
+
+    def test_embedding_agrees_with_quadruple_limits(self, eps_family):
+        self.assert_embedding_is_quadruple_limits(eps_family)
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    @pytest.mark.parametrize("form", ["plain", "twist", "reparametrize"])
+    def test_embedding_agrees_with_quadruple_limits_on_plumbed_families(self, n, form):
+        rng = random.Random(f"{n}-{form}")
+        fam = plumb_family(random_marking(random_stable_shape(n, rng), rng))
+        if form == "twist":
+            fam = fam.twist(random_moebius(rng))
+        elif form == "reparametrize":
+            fam = fam.reparametrize(2)
+        self.assert_embedding_is_quadruple_limits(fam)
+
+    def test_laurent_products_grow_with_pairs_not_quadruples(self, monkeypatch):
+        # each of the n(n-1)/2 brackets is expanded once, at two products each
+        n = 12
+        rng = random.Random(12)
+        fam = plumb_family(random_marking(random_stable_shape(n, rng), rng))
+        fam = fam.twist(random_moebius(rng))
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counted(self, other):
+            calls.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        limit_tree(fam)
+        assert 0 < len(calls) <= n * (n - 1)
 
     def test_reparametrization_invariance(self, eps_family):
         assert spheres_iso(limit_tree(eps_family),
@@ -114,6 +150,15 @@ class TestNumericLimit:
         with pytest.raises(NotStabilized):
             numeric_limit_tree(NumericConfigSequence.make(
                 snaps, [1.0 / (i + 10) for i in range(30)]))
+
+    def test_coincident_labels_refused(self):
+        # labels 2 and 4 round to the same float in the snapshot nearest the limit
+        snaps = [{"1": 0j, "2": 1 + 0j, "3": None, "4": 5 + 0j} for _ in range(10)]
+        snaps[9]["4"] = 1 + 0j
+        eps = [1.0 / (i + 2) for i in range(10)]
+        with pytest.raises(NotStabilized) as info:
+            numeric_limit_tree(NumericConfigSequence.make(snaps, eps))
+        assert info.value.witness == {"quadruple": ["1", "2", "4", "2"], "eps": eps[9]}
 
     def test_non_transitive_clustering(self):
         from sphere_trees.errors import InconsistentClustering

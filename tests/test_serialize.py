@@ -82,6 +82,41 @@ class TestFamilies:
         assert ser.cover_family_from_json(blob) == fam
 
 
+ONE = {"re": "1", "im": "0"}
+
+
+def _portrait(**changes) -> dict:
+    _, portrait = z_squared_cover()
+    return {**ser.portrait_to_json(portrait), **changes}
+
+
+def _portrait_with_local_degree(value) -> dict:
+    blob = _portrait()
+    first = sorted(blob["deg"])[0]
+    return {**blob, "deg": {**blob["deg"], first: value}}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("parse, blob", [
+        (ser.tree_from_json, {"leaves": ["1", "2", "3"], "internal": ["x"],
+                              "edges": [["1", 0], ["2", 0], ["3", 0]]}),
+        (ser.tree_from_json, {"leaves": ["1", "2", "3"], "internal": [0.5],
+                              "edges": [["1", 0], ["2", 0], ["3", 0]]}),
+        (ser.laurent_poly_from_json, [["1/2", ONE]]),
+        (ser.laurent_poly_from_json, [[True, ONE]]),
+        (ser.laurent_map_from_json, {"num": [["x", [[0, ONE]]]], "den": [[0, [[0, ONE]]]]}),
+        (ser.laurent_map_from_json, {"num": [[-1, [[0, ONE]]]], "den": [[0, [[0, ONE]]]]}),
+        (ser.portrait_from_json, _portrait(d="2")),
+        (ser.portrait_from_json, _portrait(d=2.0)),
+        (ser.portrait_from_json, _portrait_with_local_degree("two")),
+    ], ids=["internal-str", "internal-float", "exponent-str", "exponent-bool",
+            "map-index-str", "map-index-negative", "degree-str", "degree-float",
+            "local-degree-str"])
+    def test_non_integer_is_schema_error(self, parse, blob):
+        with pytest.raises(SchemaError):
+            parse(blob)
+
+
 class TestCovers:
     def test_cover_round_trip(self):
         cover, _ = z_squared_cover()
