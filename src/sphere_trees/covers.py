@@ -668,7 +668,7 @@ def cover_iso(c1: TreeCover, c2: TreeCover) -> bool:
         return False
     iso = iso_of_spheres(c1.source, c2.source)
     if iso is None:
-        raise InvariantBreach("equal embeddings without an explicit isomorphism")
+        raise InvariantBreach("equal canonical forms without an explicit isomorphism")
     yvmap, ymoeb = iso
 
     wmap: dict = {z: z for z in c1.target.labels}

@@ -116,9 +116,6 @@ class GaussianRational:
             self.c * n,
         )
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self.a, -self.b, self.c)
-
     def to_complex(self) -> complex:
         return complex(self.a / self.c, self.b / self.c)
 

@@ -140,10 +140,6 @@ class LaurentPoint:
         return cls(u.scale(inv), v.scale(inv))
 
     @classmethod
-    def from_point(cls, p: ProjPoint) -> "LaurentPoint":
-        return cls.make(LaurentPoly.constant(p.u), LaurentPoly.constant(p.v))
-
-    @classmethod
     def from_poly(cls, u: LaurentPoly) -> "LaurentPoint":
         return cls.make(u, LP_ONE)
 

@@ -18,9 +18,10 @@ tolerance, and refusing snapshots in which two labels coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .covers import Portrait, TreeCover, validate_cover
@@ -66,6 +67,10 @@ from .trees import (
 class LaurentFamily:
     labels: frozenset
     paths: tuple  # sorted (label, LaurentPoint) pairs
+    mapping: Mapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mapping", MappingProxyType(dict(self.paths)))
 
     @classmethod
     def make(cls, paths: Mapping[str, LaurentPoint]) -> "LaurentFamily":
@@ -78,7 +83,7 @@ class LaurentFamily:
         return cls(frozenset(paths), tuple(items))
 
     def path(self, x: str) -> LaurentPoint:
-        return dict(self.paths)[x]
+        return self.mapping[x]
 
     def reparametrize(self, k: int) -> "LaurentFamily":
         """Substitute eps -> eps^k in every path."""

@@ -11,8 +11,9 @@ here.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -41,6 +42,10 @@ from .trees import (
 class MarkedSphere:
     labels: frozenset
     points: tuple  # sorted (label, ProjPoint) pairs
+    mapping: Mapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mapping", MappingProxyType(dict(self.points)))
 
     @classmethod
     def make(cls, points: Mapping[str, ProjPoint]) -> "MarkedSphere":
@@ -54,15 +59,16 @@ class MarkedSphere:
     def point(self, x: str) -> ProjPoint:
         return self.mapping[x]
 
-    @property
-    def mapping(self) -> dict:
-        return dict(self.points)
-
 
 @dataclass(frozen=True, slots=True)
 class TreeOfSpheres:
     shape: MarkedTree
     marking: tuple  # sorted (vertex id, ((neighbor, ProjPoint), ...)) pairs
+    rows: Mapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", MappingProxyType({
+            v: MappingProxyType(dict(row)) for v, row in self.marking}))
 
     @classmethod
     def make(cls, shape: MarkedTree, marking: Mapping[int, Mapping] ) -> "TreeOfSpheres":
@@ -86,11 +92,8 @@ class TreeOfSpheres:
     def labels(self) -> frozenset:
         return self.shape.leaves
 
-    def edge_points(self, v: int) -> dict:
-        for w, row in self.marking:
-            if w == v:
-                return dict(row)
-        raise KeyError(v)
+    def edge_points(self, v: int) -> Mapping:
+        return self.rows[v]
 
 
 @functools.lru_cache(maxsize=None)
@@ -138,13 +141,13 @@ class Embedding:
     """
 
     values: tuple  # sorted (((x0, x1, xinf), x), ProjPoint)
+    mapping: Mapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mapping", MappingProxyType(dict(self.values)))
 
     def value(self, triple: tuple[str, str, str], x: str) -> ProjPoint:
         return self.mapping[(triple, x)]
-
-    @property
-    def mapping(self) -> dict:
-        return dict(self.values)
 
 
 # chart changes induced by permuting a normalized triple, on (u : v)
@@ -158,7 +161,6 @@ _ANHARMONIC = {
 }
 
 
-@functools.lru_cache(maxsize=8192)
 def embed(t: TreeOfSpheres) -> Embedding:
     labels = sorted(t.labels)
     out = {}
@@ -173,12 +175,12 @@ def embed(t: TreeOfSpheres) -> Embedding:
 
 
 def spheres_iso(t1: TreeOfSpheres, t2: TreeOfSpheres) -> bool:
-    """Isomorphism of trees of spheres, decided by embedding equality."""
+    """Isomorphism of trees of spheres, decided by equal canonical forms."""
     if t1.labels != t2.labels:
         raise LeafSetMismatch("trees of spheres are marked by different label sets")
     if tree_partitions(t1.shape) != tree_partitions(t2.shape):
         return False
-    return embed(t1) == embed(t2)
+    return canonical_form(t1) == canonical_form(t2)
 
 
 def canonical_form(t: TreeOfSpheres) -> TreeOfSpheres:

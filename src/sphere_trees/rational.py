@@ -202,16 +202,6 @@ class RationalMap:
                 new_den = new_den + piece.scale(self.den.coeffs[i])
         return RationalMap.make(new_num, new_den)
 
-    def to_moebius(self) -> Moebius:
-        if self.degree != 1:
-            raise ValueError("only degree-1 maps are Moebius transformations")
-        n, d = self.num.coeffs, self.den.coeffs
-        a = n[1] if len(n) > 1 else GR_ZERO
-        b = n[0] if len(n) > 0 else GR_ZERO
-        c = d[1] if len(d) > 1 else GR_ZERO
-        e = d[0] if len(d) > 0 else GR_ZERO
-        return Moebius.make(a, b, c, e)
-
 
 def local_degree(f: RationalMap, p: ProjPoint) -> int:
     """Multiplicity of p in the fiber of f over f(p).

@@ -28,6 +28,13 @@ from .rational import Polynomial, RationalMap
 from .trees import MarkedTree, Vertex, vertex_key
 
 
+# Largest |exponent| of eps a parsed Laurent polynomial may carry.  Sampling
+# at eps = p/q raises q to that power exactly, so a huge exponent runs long
+# and then overflows the interpreter's int-to-str digit limit; the shipped
+# data, the tests and the benchmark stay far below it.
+MAX_EXPONENT = 1000
+
+
 def canonical_dumps(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -37,7 +44,10 @@ def canonical_dumps(payload: Any) -> str:
 
 
 def fraction_to_json(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:
+        raise SchemaError("a result exceeds the int-to-str digit limit") from exc
 
 
 def fraction_from_json(s: Any) -> Fraction:
@@ -82,10 +92,6 @@ def check_label(x: Any) -> str:
     if not isinstance(x, str) or not x or x[0] in "#@":
         raise SchemaError(f"labels are nonempty strings not starting with '#' or '@': {x!r}")
     return x
-
-
-def vertex_to_json(v: Vertex):
-    return v
 
 
 def vertex_from_json(obj: Any) -> Vertex:
@@ -195,8 +201,10 @@ def laurent_poly_from_json(obj: Any) -> LaurentPoly:
     for item in obj:
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"bad Laurent term: {item!r}")
-        terms.append((int_from_json(item[0], "Laurent exponent"),
-                      complex_from_json(item[1])))
+        e = int_from_json(item[0], "Laurent exponent")
+        if abs(e) > MAX_EXPONENT:
+            raise SchemaError(f"Laurent exponent {e} exceeds the bound {MAX_EXPONENT}")
+        terms.append((e, complex_from_json(item[1])))
     return LaurentPoly.make(terms)
 
 

@@ -6,6 +6,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -127,6 +128,26 @@ class TestErrors:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("schema error:")
+
+    @pytest.mark.parametrize("exponent, eps, reason", [
+        # exact sampling would raise 3 to this power, then fail to print it
+        (2_000_000, "1/3", "exponent"),
+        (-2_000_000, "1/3", "exponent"),
+        # within the exponent bound, but eps^1000 has 5,001 digits
+        (1000, "1/100000", "digit limit"),
+    ])
+    def test_oversized_sample_is_schema_error(self, tmp_path, exponent, eps, reason):
+        blob = json.loads((DATA_DIR / "family_eps.json").read_text())
+        label = sorted(blob["paths"])[0]
+        blob["paths"][label]["u"].append([exponent, {"re": "1/1", "im": "0/1"}])
+        big = tmp_path / "big_family.json"
+        big.write_text(json.dumps(blob))
+        started = time.perf_counter()
+        r = run_cli("sample", str(big), "--eps", eps)
+        assert time.perf_counter() - started < 10
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("schema error:") and reason in r.stderr
 
     def test_numeric_flags_rejected_on_exact(self):
         r = run_cli("validate", data("star_tree.json"), "--tolerance", "1e-3")

@@ -7,7 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import INF, pt, random_marking, random_moebius
+from conftest import (
+    INF,
+    POINT_POOL,
+    pt,
+    random_marking,
+    random_moebius,
+    random_stable_shape,
+)
+from sphere_trees import moduli
+from sphere_trees.covers import TreeCover, cover_iso, extract_portrait
+from sphere_trees.dynamics import dyn_membership
 from sphere_trees.errors import InvalidFamily, LeafSetMismatch, MarkedSetTooSmall
 from sphere_trees.moduli import (
     MarkedSphere,
@@ -22,7 +32,7 @@ from sphere_trees.moduli import (
     t_chart,
     twist,
 )
-from sphere_trees.trees import MarkedTree
+from sphere_trees.trees import MarkedTree, neighbors
 
 
 @pytest.fixture
@@ -53,6 +63,18 @@ class TestMarkedSphere:
     def test_sphere_as_tree(self, star4):
         assert len(star4.shape.internal) == 1
         assert marking_dict(star4, 0)["4"] == pt(5)
+
+    def test_lookup_tables_stay_out_of_equality(self, two_vertex):
+        # the per-object lookup dicts are derived data: equality, hashing
+        # and repr see only the sorted tuples
+        copy = TreeOfSpheres(two_vertex.shape, two_vertex.marking)
+        assert copy == two_vertex and hash(copy) == hash(two_vertex)
+        assert repr(copy) == repr(two_vertex) and "rows" not in repr(copy)
+        assert copy.edge_points(1) == {"3": pt(0), "4": pt(1), 0: INF}
+        sphere = MarkedSphere.make({"1": pt(0), "2": pt(1), "3": INF})
+        assert "mapping" not in repr(sphere) and sphere.mapping == dict(sphere.points)
+        e = embed(two_vertex)
+        assert hash(e) == hash(embed(copy)) and e.mapping == dict(e.values)
 
 
 class TestTChart:
@@ -138,6 +160,113 @@ class TestSpheresIso:
             a1 = marking_dict(two_vertex, v)
             a2 = marking_dict(twisted, vmap[v])
             assert all(m.apply(a1[x]) == a2[x] for x in two_vertex.labels)
+
+
+def _remark_one_vertex(t: TreeOfSpheres, rng: random.Random) -> TreeOfSpheres:
+    """t with the edge points of one internal vertex drawn afresh.
+
+    At a trivalent vertex any three points are Moebius-equivalent, so the
+    class is kept; at a higher valence it almost always moves.
+    """
+    v = rng.choice(sorted(t.shape.internal))
+    marking = {w: dict(t.edge_points(w)) for w in t.shape.internal}
+    ns = neighbors(t.shape, v)
+    marking[v] = dict(zip(ns, rng.sample(POINT_POOL, len(ns))))
+    return TreeOfSpheres.make(t.shape, marking)
+
+
+class TestIsoOracles:
+    """spheres_iso decides by canonical forms; the embedding and the explicit
+    isomorphism are independent oracles for its verdicts."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verdict_matches_embedding_and_explicit_iso(self, seed):
+        rng = random.Random(5100 + seed)
+        verdicts = []
+        for n in range(5, 11):
+            for form in ("twist", "remark_vertex", "remark"):
+                a = random_marking(random_stable_shape(n, rng), rng)
+                b = twist(a, {v: random_moebius(rng) for v in a.shape.internal})
+                if form == "remark_vertex":
+                    b = _remark_one_vertex(b, rng)
+                elif form == "remark":
+                    b = random_marking(a.shape, rng)
+                verdict = spheres_iso(a, b)
+                assert verdict == (embed(a) == embed(b))
+                assert verdict == (iso_of_spheres(a, b) is not None)
+                if form == "twist":
+                    assert verdict
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+
+def _share_labels(cover: TreeCover) -> TreeCover:
+    """The cover with each target label renamed to one of its preimages."""
+    vm = cover.vm
+    rename, used = {}, set()
+    for z in sorted(cover.target.labels):
+        rename[z] = next(y for y in sorted(cover.source.labels)
+                         if vm[y] == z and y not in used)
+        used.add(rename[z])
+
+    def rn(v):
+        return rename.get(v, v)
+
+    shape = cover.target.shape
+    target = TreeOfSpheres.make(
+        MarkedTree.make([rn(x) for x in shape.leaves], shape.internal,
+                        [tuple(rn(v) for v in e) for e in shape.edges]),
+        {w: {rn(n): p for n, p in cover.target.edge_points(w).items()}
+         for w in shape.internal})
+    return TreeCover.make(cover.source, target, {v: rn(w) for v, w in vm.items()},
+                          dict(cover.maps))
+
+
+class TestDecisionsSkipTheEmbedding:
+    """Isomorphism, cover isomorphism and dynamics membership never build
+    the O(n^4) embedding; their verdicts still match the explicit iso."""
+
+    @pytest.fixture(autouse=True)
+    def no_embed(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError("the embedding was built on a decision path")
+        monkeypatch.setattr(moduli, "embed", refuse)
+
+    def test_spheres_iso(self, tree_corpus):
+        rng = random.Random(31)
+        for t in rng.sample(tree_corpus, 60):
+            twisted = twist(t, {v: random_moebius(rng) for v in t.shape.internal})
+            assert spheres_iso(t, twisted)
+        for _ in range(300):
+            a, b = rng.choice(tree_corpus), rng.choice(tree_corpus)
+            if a.labels == b.labels:
+                assert spheres_iso(a, b) == (iso_of_spheres(a, b) is not None)
+
+    def test_cover_iso(self, cover_corpus):
+        seen = set()
+        for c1 in cover_corpus:
+            for c2 in cover_corpus:
+                if extract_portrait(c1) != extract_portrait(c2):
+                    continue
+                verdict = cover_iso(c1, c2)
+                assert verdict == (iso_of_spheres(c1.source, c2.source) is not None)
+                seen.add(verdict)
+        assert seen == {True, False}
+
+    def test_dyn_membership(self, cover_corpus):
+        rng = random.Random(37)
+        seen = set()
+        for cover in map(_share_labels, cover_corpus):
+            labels = sorted(cover.target.labels)
+            for sub in {tuple(labels)} | {tuple(sorted(rng.sample(labels, 3)))
+                                          for _ in range(3)}:
+                member, witness = dyn_membership(cover, sub)
+                expected = iso_of_spheres(project(cover.source, sub),
+                                          project(cover.target, sub))
+                assert member == (expected is not None)
+                assert (witness is not None) == member
+                seen.add(member)
+        assert seen == {True, False}
 
 
 class TestProject:

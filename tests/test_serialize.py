@@ -117,6 +117,27 @@ class TestIntegerFields:
             parse(blob)
 
 
+class TestBounds:
+    def test_exponent_bound_is_inclusive(self):
+        bound = ser.MAX_EXPONENT
+        poly = ser.laurent_poly_from_json([[-bound, ONE], [bound, ONE]])
+        assert [e for e, _ in poly.terms] == [-bound, bound]
+
+    @pytest.mark.parametrize("parse, blob", [
+        (ser.laurent_poly_from_json, [[ser.MAX_EXPONENT + 1, ONE]]),
+        (ser.laurent_poly_from_json, [[-ser.MAX_EXPONENT - 1, ONE]]),
+        (ser.laurent_map_from_json, {"num": [[0, [[10 ** 9, ONE]]]],
+                                     "den": [[0, [[0, ONE]]]]}),
+    ], ids=["above", "below", "in-map"])
+    def test_exponent_beyond_bound_is_schema_error(self, parse, blob):
+        with pytest.raises(SchemaError, match="exceeds the bound"):
+            parse(blob)
+
+    def test_unprintable_fraction_is_schema_error(self):
+        with pytest.raises(SchemaError):
+            ser.fraction_to_json(Fraction(1, 10 ** 5000))
+
+
 class TestCovers:
     def test_cover_round_trip(self):
         cover, _ = z_squared_cover()
