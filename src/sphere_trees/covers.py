@@ -16,7 +16,9 @@ complement components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import count
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -64,6 +66,12 @@ class Portrait:
     fmap: tuple    # sorted (y, z) pairs
     degmap: tuple  # sorted (y, k) pairs
     d: int
+    f_dict: Mapping = field(init=False, repr=False, compare=False)
+    deg_dict: Mapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "f_dict", MappingProxyType(dict(self.fmap)))
+        object.__setattr__(self, "deg_dict", MappingProxyType(dict(self.degmap)))
 
     @classmethod
     def make(cls, fmap: Mapping[str, str], degmap: Mapping[str, int], d: int) -> "Portrait":
@@ -78,18 +86,10 @@ class Portrait:
         return cls(y, z, tuple(sorted(fmap.items())), tuple(sorted(degmap.items())), d)
 
     def f(self, a: str) -> str:
-        return dict(self.fmap)[a]
+        return self.f_dict[a]
 
     def deg(self, a: str) -> int:
-        return dict(self.degmap)[a]
-
-    @property
-    def f_dict(self) -> dict:
-        return dict(self.fmap)
-
-    @property
-    def deg_dict(self) -> dict:
-        return dict(self.degmap)
+        return self.deg_dict[a]
 
 
 def validate_portrait(p: Portrait, allow_degree_one: bool = False) -> list[str]:
@@ -119,6 +119,12 @@ class TreeCover:
     target: TreeOfSpheres
     vertex_map: tuple  # sorted (vertex, vertex) pairs
     maps: tuple        # sorted (internal id, RationalMap) pairs
+    vm: Mapping = field(init=False, repr=False, compare=False)
+    _maps: Mapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vm", MappingProxyType(dict(self.vertex_map)))
+        object.__setattr__(self, "_maps", MappingProxyType(dict(self.maps)))
 
     @classmethod
     def make(cls, source: TreeOfSpheres, target: TreeOfSpheres,
@@ -132,12 +138,8 @@ class TreeCover:
         mp = tuple(sorted(maps.items()))
         return cls(source, target, vm, mp)
 
-    @property
-    def vm(self) -> dict:
-        return dict(self.vertex_map)
-
     def map_at(self, v: int) -> RationalMap:
-        return dict(self.maps)[v]
+        return self._maps[v]
 
 
 def carrier(shape: MarkedTree, leaf: str) -> int:
@@ -198,6 +200,7 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
     if problems:
         return problems
 
+    local: dict[int, dict] = {}  # local degree of each source vertex's map at its edges
     for v in sorted(c.source.shape.internal):
         w = vm[v]
         f = c.map_at(v)
@@ -206,17 +209,17 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
             continue
         src_pts = c.source.edge_points(v)
         tgt_pts = c.target.edge_points(w)
+        images = {n: f.apply(p) for n, p in src_pts.items()}
         # equivariance on edge markings
-        for n, p in src_pts.items():
-            expected = tgt_pts[vm[n]]
-            if f.apply(p) != expected:
+        for n, q in images.items():
+            if q != tgt_pts[vm[n]]:
                 problems.append(
                     f"vertex {v}: image of the edge point toward {n!r} is not the "
                     f"marked point toward {vm[n]!r}")
         # full fibers over every attaching point of the target vertex
-        degs = {n: local_degree(f, p) for n, p in src_pts.items()}
+        degs = local[v] = {n: local_degree(f, p) for n, p in src_pts.items()}
         for q_neighbor, q in sorted(tgt_pts.items(), key=lambda kv: vertex_key(kv[0])):
-            total = sum(degs[n] for n, p in src_pts.items() if f.apply(p) == q)
+            total = sum(degs[n] for n, image in images.items() if image == q)
             if total != f.degree:
                 problems.append(
                     f"vertex {v}: fiber over the point toward {q_neighbor!r} sums to "
@@ -232,8 +235,7 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
     for e in sorted(c.source.shape.edges, key=lambda e: tuple(sorted(map(vertex_key, e)))):
         a, b = tuple(e)
         if isinstance(a, int) and isinstance(b, int):
-            da = local_degree(c.map_at(a), c.source.edge_points(a)[b])
-            db = local_degree(c.map_at(b), c.source.edge_points(b)[a])
+            da, db = local[a][b], local[b][a]
             if da != db:
                 problems.append(
                     f"edge {sorted(map(str, e))}: local degrees {da} != {db} disagree")
@@ -363,8 +365,7 @@ def _complete(t: TreeOfSpheres, kept: set, prefix: str
     leaves = {x for x in kept if isinstance(x, str)} | set(cuts.values())
     internal = {v for v in kept if isinstance(v, int)}
     edges = {e for e in t.shape.edges if set(e) <= kept}
-    edges |= {edge_of(v, label) for (v, _), label in
-              zip(cuts.keys(), cuts.values())}
+    edges |= {edge_of(v, label) for (v, _), label in cuts.items()}
     shape = MarkedTree.make(leaves, internal, edges)
     marking = {}
     for v in internal:
@@ -559,14 +560,19 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
         components.append(comp)
     components.sort(key=lambda c: vertex_key(min(c, key=vertex_key)))
 
-    sub_z = (zlabels - z0) | {"@t"}
+    # the peeled vertex is a leaf of each component's target; name it so that
+    # it differs from every target label at this depth, outer sentinels included
+    sentinel = next(f"@t{i}" for i in count() if f"@t{i}" not in zlabels)
+    sub_z = (zlabels - z0) | {sentinel}
     results = []
     for comp in components:
-        comp_tree, cuts = _complete_for_reconstruction(source, comp, fiber)
+        # every neighbor outside the component is a fiber vertex, since the
+        # removed leaves hang off fiber vertices
+        comp_tree, cuts = _complete(source, comp, "@")
         sub_fmap = {y: fmap[y] for y in comp if isinstance(y, str)}
         sub_deg = {y: degmap[y] for y in comp if isinstance(y, str)}
         for (u, w), label in cuts.items():
-            sub_fmap[label] = "@t"
+            sub_fmap[label] = sentinel
             sub_deg[label] = edge_mult[(w, u)]
         results.append(_reconstruct(comp_tree, sub_fmap, sub_deg, sub_z) + (cuts,))
 
@@ -590,11 +596,11 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
 
     # graft the peeled vertex back onto the merged target
     new_id = max(ref_target.shape.internal) + 1
-    anchor = carrier(ref_target.shape, "@t")
-    attach_anchor = ref_target.edge_points(anchor)["@t"]
-    leaves = (ref_target.labels - {"@t"}) | z0
+    anchor = carrier(ref_target.shape, sentinel)
+    attach_anchor = ref_target.edge_points(anchor)[sentinel]
+    leaves = (ref_target.labels - {sentinel}) | z0
     internal = set(ref_target.shape.internal) | {new_id}
-    edges = {e for e in ref_target.shape.edges if "@t" not in e}
+    edges = {e for e in ref_target.shape.edges if sentinel not in e}
     edges.add(edge_of(anchor, new_id))
     edges |= {edge_of(new_id, z) for z in z0}
     tshape = MarkedTree.make(leaves, internal, edges)
@@ -602,7 +608,7 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
     for w in ref_target.shape.internal:
         row = dict(ref_target.edge_points(w))
         if w == anchor:
-            row.pop("@t")
+            row.pop(sentinel)
             row[new_id] = attach_anchor
         marking[w] = row
     new_row: dict[Vertex, ProjPoint] = dict(attach)
@@ -617,36 +623,6 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
             all_vmap[y] = fmap[y]
     all_maps.update(maps)
     return target, all_vmap, all_maps
-
-
-def _complete_for_reconstruction(source: TreeOfSpheres, comp: set, fiber: list
-                                 ) -> tuple[TreeOfSpheres, dict]:
-    """Completion of a component: edges into the fiber become cut leaves."""
-    boundary = []
-    for v in sorted(comp, key=vertex_key):
-        for n in neighbors(source.shape, v):
-            if n in fiber:
-                boundary.append((v, n))
-    taken = {x for x in comp if isinstance(x, str)}
-    cuts = {}
-    counter = 0
-    for pair in boundary:
-        while f"@{counter}" in taken:
-            counter += 1
-        cuts[pair] = f"@{counter}"
-        counter += 1
-    leaves = {x for x in comp if isinstance(x, str)} | set(cuts.values())
-    internal = {v for v in comp if isinstance(v, int)}
-    edges = {e for e in source.shape.edges if set(e) <= comp}
-    edges |= {edge_of(u, label) for (u, _), label in cuts.items()}
-    shape = MarkedTree.make(leaves, internal, edges)
-    marking = {}
-    for v in internal:
-        row = {}
-        for n, p in source.edge_points(v).items():
-            row[cuts.get((v, n), n)] = p
-        marking[v] = row
-    return TreeOfSpheres.make(shape, marking), cuts
 
 
 # ---------------------------------------------------------------------------

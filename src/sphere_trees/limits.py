@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .covers import Portrait, TreeCover, validate_cover
 from .errors import (
@@ -42,20 +42,20 @@ from .laurent import (
     laurent_bracket,
     laurent_points_equal,
 )
-from .moduli import MarkedSphere, TreeOfSpheres, marking_dict
+from .moduli import MarkedSphere, TreeOfSpheres, marking_dict, tree_from_charts
 from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint, moebius_from_three
 from .rational import RationalMap
 from .trees import (
     MarkedTree,
     Partition,
     Vertex,
-    branch,
     is_admissible,
-    neighbors,
+    partition_at,
     partition_sort_key,
     representative_triple,
     separating_vertex,
     tree_from_partitions,
+    tree_partitions,
 )
 
 
@@ -147,31 +147,34 @@ def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
     """
     labels = sorted(fam.labels)
     lead = _pair_leads(fam)
-    partitions: dict[Partition, tuple[str, str, str]] = {}
-    charts: dict[tuple[str, str, str], dict] = {}
+    return tree_from_charts(_partition_charts(
+        labels, lambda triple: _limit_chart(labels, lead, triple), _fibers))
+
+
+def _fibers(chart: Mapping[str, ProjPoint]) -> Partition:
+    fibers: dict[ProjPoint, set] = {}
+    for x, q in chart.items():
+        fibers.setdefault(q, set()).add(x)
+    return frozenset(frozenset(b) for b in fibers.values())
+
+
+def _partition_charts(labels: Sequence[str], chart: Callable[[tuple], Mapping],
+                      cluster: Callable[[Mapping], Partition]) -> dict:
+    """The partition of every triple's chart, each with its representative's chart.
+
+    Triples run in lexicographic order, and the first triple to produce a
+    partition is the smallest one it separates, which is its representative
+    triple.  Raises AdmissibilityFailure unless the partitions are admissible.
+    """
+    charts: dict[Partition, Mapping] = {}
     for triple in combinations(labels, 3):
-        alpha = _limit_chart(labels, lead, triple)
-        fibers: dict[ProjPoint, set] = {}
-        for x, q in alpha.items():
-            fibers.setdefault(q, set()).add(x)
-        part = frozenset(frozenset(b) for b in fibers.values())
-        charts[triple] = alpha
-        partitions.setdefault(part, triple)
-    violation = is_admissible(partitions.keys(), frozenset(labels))
+        alpha = chart(triple)
+        charts.setdefault(cluster(alpha), alpha)
+    violation = is_admissible(charts, frozenset(labels))
     if violation is not None:
         raise AdmissibilityFailure("collected partitions are not admissible",
                                    witness=violation)
-    shape = tree_from_partitions(partitions.keys())
-    parts = sorted(partitions.keys(), key=partition_sort_key)
-    marking = {}
-    for i, part in enumerate(parts):
-        alpha = charts[representative_triple(part)]
-        row = {}
-        for n in neighbors(shape, i):
-            b = branch(shape, i, n)
-            row[n] = alpha[next(iter(b))]
-        marking[i] = row
-    return TreeOfSpheres.make(shape, marking)
+    return charts
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +291,6 @@ class NumericTreeOfSpheres:
     marking: tuple  # sorted (vertex, ((label, affine complex or None), ...))
 
     def partitions(self) -> frozenset:
-        from .trees import tree_partitions
         return tree_partitions(self.shape)
 
 
@@ -353,9 +355,10 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
                for node_idx in nodes]
 
     unsettled = []
-    limits: dict[tuple, NumericPoint] = {}
+    limits: dict[tuple, dict[str, NumericPoint]] = {}
     for triple in combinations(labels, 3):
         i0, i1, i2 = (index[x] for x in triple)
+        chart = limits[triple] = {}
         for x in labels:
             ix = index[x]
             estimates = []
@@ -367,28 +370,19 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
                 estimates.append(_extrapolate(node_eps, series))
             if any(chordal(estimates[0], e) > seq.tolerance for e in estimates[1:]):
                 unsettled.append((triple, x))
-            limits[(triple, x)] = estimates[0]
+            chart[x] = estimates[0]
     if unsettled:
         raise NotStabilized("quadruples did not settle within tolerance",
                             witness=[list(t) + [x] for t, x in unsettled])
 
-    partitions: dict[Partition, tuple] = {}
-    for triple in combinations(labels, 3):
-        values = {x: limits[(triple, x)] for x in labels}
-        part = _cluster(values, seq.tolerance)
-        partitions.setdefault(part, triple)
-    violation = is_admissible(partitions.keys(), frozenset(labels))
-    if violation is not None:
-        raise AdmissibilityFailure("numeric partitions are not admissible",
-                                   witness=violation)
-    shape = tree_from_partitions(partitions.keys())
-    parts = sorted(partitions.keys(), key=partition_sort_key)
+    charts = _partition_charts(labels, limits.__getitem__,
+                               lambda values: _cluster(values, seq.tolerance))
+    shape = tree_from_partitions(charts)
     marking = []
-    for i, part in enumerate(parts):
-        rep = representative_triple(part)
+    for i, part in enumerate(sorted(charts, key=partition_sort_key)):
         row = []
         for x in labels:
-            u, v = limits[(rep, x)]
+            u, v = charts[part][x]
             affine = None if abs(v) <= seq.tolerance * abs(u) else u / v
             row.append((x, affine))
         marking.append((i, tuple(row)))
@@ -523,5 +517,4 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
 
 
 def _vertex_triple(t: TreeOfSpheres, v: int) -> tuple[str, str, str]:
-    from .trees import partition_at
     return representative_triple(partition_at(t.shape, v))

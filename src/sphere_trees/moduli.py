@@ -10,7 +10,6 @@ here.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
@@ -33,6 +32,7 @@ from .trees import (
     partition_sort_key,
     representative_triple,
     separating_vertex,
+    tree_from_partitions,
     tree_partitions,
     vertex_key,
 )
@@ -65,6 +65,8 @@ class TreeOfSpheres:
     shape: MarkedTree
     marking: tuple  # sorted (vertex id, ((neighbor, ProjPoint), ...)) pairs
     rows: Mapping = field(init=False, repr=False, compare=False)
+    # derived label markings, filled on first use by marking_dict
+    _markings: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", MappingProxyType({
@@ -96,19 +98,32 @@ class TreeOfSpheres:
         return self.rows[v]
 
 
-@functools.lru_cache(maxsize=None)
-def marking_map(t: TreeOfSpheres, v: int) -> tuple:
-    """The derived marking a_v: every label gets the point of its branch."""
-    pts = t.edge_points(v)
-    out = {}
-    for n, p in pts.items():
-        for x in branch(t.shape, v, n):
-            out[x] = p
-    return tuple(sorted(out.items()))
+def marking_dict(t: TreeOfSpheres, v: int) -> Mapping:
+    """The derived marking a_v: every label gets the point of its branch.
+
+    The markings of all internal vertices are computed once per tree.
+    """
+    if t._markings is None:
+        object.__setattr__(t, "_markings", MappingProxyType({
+            w: MappingProxyType(dict(sorted(
+                (x, p) for n, p in row.items() for x in branch(t.shape, w, n))))
+            for w, row in t.rows.items()}))
+    return t._markings[v]
 
 
-def marking_dict(t: TreeOfSpheres, v: int) -> dict:
-    return dict(marking_map(t, v))
+def tree_from_charts(charts: Mapping[Partition, Mapping[str, ProjPoint]]) -> TreeOfSpheres:
+    """The tree of spheres classified by the partitions of an admissible set.
+
+    Each partition comes with a chart sending every label to a point, constant
+    on the blocks; the vertex of the partition marks each of its edges with the
+    point of the labels beyond it.
+    """
+    shape = tree_from_partitions(charts)
+    marking = {}
+    for i, p in enumerate(sorted(charts, key=partition_sort_key)):
+        chart = charts[p]
+        marking[i] = {n: chart[next(iter(branch(shape, i, n)))] for n in neighbors(shape, i)}
+    return TreeOfSpheres.make(shape, marking)
 
 
 def sphere_as_tree(s: MarkedSphere) -> TreeOfSpheres:
@@ -235,9 +250,7 @@ def project(t: TreeOfSpheres, sub: Iterable[str]) -> TreeOfSpheres:
         raise NotASubset("projection target is not a subset of the marked set")
     if len(sub_set) < 3:
         raise MarkedSetTooSmall("projection target needs at least three labels")
-    from .trees import tree_from_partitions
-
-    found: dict[Partition, int] = {}
+    found: dict[Partition, Mapping] = {}
     for v in sorted(t.shape.internal):
         p = induced_partition(t, v, sub_set)
         if p is None:
@@ -245,22 +258,11 @@ def project(t: TreeOfSpheres, sub: Iterable[str]) -> TreeOfSpheres:
         if p in found:
             raise InvariantBreach(
                 "two vertices induce the same partition of the sub-label-set")
-        found[p] = v
+        found[p] = marking_dict(t, v)
     if not found:
         raise InvariantBreach(
             "no vertex separates a triple of the sub-label-set")
-    shape = tree_from_partitions(found.keys())
-    parts = sorted(found.keys(), key=partition_sort_key)
-    marking = {}
-    for i, p in enumerate(parts):
-        v = found[p]
-        a_v = marking_dict(t, v)
-        row = {}
-        for n in neighbors(shape, i):
-            b = branch(shape, i, n)
-            row[n] = a_v[next(iter(b))]
-        marking[i] = row
-    return TreeOfSpheres.make(shape, marking)
+    return tree_from_charts(found)
 
 
 def twist(t: TreeOfSpheres, maps: Mapping[int, Moebius]) -> TreeOfSpheres:

@@ -34,6 +34,12 @@ from .trees import MarkedTree, Vertex, vertex_key
 # data, the tests and the benchmark stay far below it.
 MAX_EXPONENT = 1000
 
+# Largest coefficient index, that is map degree, a parsed Laurent map may
+# carry.  Parsing allocates one coefficient per index below it and every
+# later step scales with the degree; the shipped data and the benchmark use
+# degree at most 4.
+MAX_MAP_DEGREE = 64
+
 
 def canonical_dumps(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
@@ -251,6 +257,9 @@ def laurent_map_from_json(obj: Any) -> LaurentMap:
             k = int_from_json(item[0], "coefficient index")
             if k < 0:
                 raise SchemaError(f"negative coefficient index: {k}")
+            if k > MAX_MAP_DEGREE:
+                raise SchemaError(
+                    f"coefficient index {k} exceeds the bound {MAX_MAP_DEGREE}")
             coeffs[k] = laurent_poly_from_json(item[1])
         top = max(coeffs, default=-1)
         from .laurent import LP_ZERO

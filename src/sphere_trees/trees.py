@@ -12,10 +12,10 @@ opaque integers that never participate in equality of the classified data.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     EmptySet,
@@ -53,6 +53,10 @@ class MarkedTree:
     leaves: frozenset
     internal: frozenset
     edges: frozenset
+    # derived lookups, filled on first use by adjacency and partition_at, so
+    # an unvalidated tree derives nothing until asked
+    _adjacency: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
+    _partitions: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, leaves: Iterable[str], internal: Iterable[int],
@@ -72,14 +76,17 @@ class MarkedTree:
         return self.leaves | self.internal
 
 
-@functools.lru_cache(maxsize=None)
-def adjacency(t: MarkedTree) -> dict:
-    adj: dict[Vertex, tuple] = {v: () for v in t.vertices}
-    for e in t.edges:
-        a, b = tuple(e)
-        adj[a] = adj[a] + (b,)
-        adj[b] = adj[b] + (a,)
-    return {v: tuple(sorted(ns, key=vertex_key)) for v, ns in adj.items()}
+def adjacency(t: MarkedTree) -> Mapping:
+    """Sorted neighbors of every vertex, computed once per tree."""
+    if t._adjacency is None:
+        adj: dict[Vertex, list] = {v: [] for v in t.vertices}
+        for e in t.edges:
+            a, b = tuple(e)
+            adj[a].append(b)
+            adj[b].append(a)
+        object.__setattr__(t, "_adjacency", MappingProxyType(
+            {v: tuple(sorted(ns, key=vertex_key)) for v, ns in adj.items()}))
+    return t._adjacency
 
 
 def neighbors(t: MarkedTree, v: Vertex) -> tuple:
@@ -149,10 +156,15 @@ def branch(t: MarkedTree, v: Vertex, toward: Vertex) -> Block:
     return frozenset(leaves)
 
 
-@functools.lru_cache(maxsize=None)
 def partition_at(t: MarkedTree, v: int) -> Partition:
-    """The partition of the labels induced by the branches at v."""
-    return frozenset(branch(t, v, n) for n in neighbors(t, v))
+    """The partition of the labels induced by the branches at v.
+
+    The partitions of all internal vertices are computed once per tree.
+    """
+    if t._partitions is None:
+        object.__setattr__(t, "_partitions", MappingProxyType({
+            w: frozenset(branch(t, w, n) for n in neighbors(t, w)) for w in t.internal}))
+    return t._partitions[v]
 
 
 def tree_partitions(t: MarkedTree) -> PartitionSet:

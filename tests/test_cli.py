@@ -149,6 +149,18 @@ class TestErrors:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("schema error:") and reason in r.stderr
 
+    def test_oversized_map_degree_is_schema_error(self, tmp_path):
+        blob = json.loads((DATA_DIR / "cover_family_degenerate.json").read_text())
+        blob["map"]["num"].append([10 ** 9, [[0, {"re": "1/1", "im": "0/1"}]]])
+        big = tmp_path / "big_map.json"
+        big.write_text(json.dumps(blob))
+        started = time.perf_counter()
+        r = run_cli("limit-cover", str(big))
+        assert time.perf_counter() - started < 10
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("schema error:") and "coefficient index" in r.stderr
+
     def test_numeric_flags_rejected_on_exact(self):
         r = run_cli("validate", data("star_tree.json"), "--tolerance", "1e-3")
         assert r.returncode == 2

@@ -14,6 +14,7 @@ from conftest import (
     random_marking,
     random_moebius,
     random_stable_shape,
+    z_squared_cover,
 )
 from sphere_trees import moduli
 from sphere_trees.covers import TreeCover, cover_iso, extract_portrait
@@ -32,7 +33,7 @@ from sphere_trees.moduli import (
     t_chart,
     twist,
 )
-from sphere_trees.trees import MarkedTree, neighbors
+from sphere_trees.trees import MarkedTree, neighbors, partition_at
 
 
 @pytest.fixture
@@ -75,6 +76,49 @@ class TestMarkedSphere:
         assert "mapping" not in repr(sphere) and sphere.mapping == dict(sphere.points)
         e = embed(two_vertex)
         assert hash(e) == hash(embed(copy)) and e.mapping == dict(e.values)
+        # so are the tables filled on first use, and those of covers and portraits
+        shape = two_vertex.shape
+        assert neighbors(shape, 0) == ("1", "2", 1)
+        assert partition_at(shape, 1) == frozenset(
+            [frozenset(["3"]), frozenset(["4"]), frozenset(["1", "2"])])
+        assert marking_dict(two_vertex, 0) == {"1": pt(0), "2": pt(1), "3": INF, "4": INF}
+        fresh = TreeOfSpheres(MarkedTree(shape.leaves, shape.internal, shape.edges),
+                              two_vertex.marking)
+        assert fresh._markings is None and fresh.shape._adjacency is None
+        assert fresh.shape._partitions is None
+        assert fresh == two_vertex and hash(fresh) == hash(two_vertex)
+        assert repr(fresh) == repr(two_vertex)
+        cover, portrait = z_squared_cover()
+        twin = TreeCover(cover.source, cover.target, cover.vertex_map, cover.maps)
+        assert twin == cover and hash(twin) == hash(cover) and repr(twin) == repr(cover)
+        assert twin.vm == dict(cover.vertex_map) and twin.map_at(0) == dict(cover.maps)[0]
+        assert portrait.f_dict == dict(portrait.fmap)
+        assert portrait.deg_dict == dict(portrait.degmap)
+        for obj, names in ((two_vertex, ["_markings"]),
+                           (shape, ["_adjacency", "_partitions"]),
+                           (cover, ["vm", "_maps"]), (portrait, ["f_dict", "deg_dict"])):
+            for name in names:
+                assert f"{name}=" not in repr(obj)
+        # the tables are read-only and built once: every call sees the same one
+        a_0 = marking_dict(two_vertex, 0)
+        assert a_0 is marking_dict(two_vertex, 0)
+        with pytest.raises(TypeError):
+            a_0["1"] = pt(2)
+        with pytest.raises(TypeError):
+            portrait.f_dict["y0"] = "z1"
+
+
+def test_no_module_level_caches():
+    # derived data is kept on the objects it belongs to; a module-level cache
+    # would keep every tree it has seen alive
+    import importlib
+    import pkgutil
+
+    import sphere_trees
+    for info in pkgutil.iter_modules(sphere_trees.__path__):
+        module = importlib.import_module(f"sphere_trees.{info.name}")
+        cached = [name for name, obj in vars(module).items() if hasattr(obj, "cache_info")]
+        assert cached == [], (info.name, cached)
 
 
 class TestTChart:

@@ -133,6 +133,19 @@ class TestBounds:
         with pytest.raises(SchemaError, match="exceeds the bound"):
             parse(blob)
 
+    def test_map_degree_bound_is_inclusive(self):
+        top = ser.MAX_MAP_DEGREE
+        m = ser.laurent_map_from_json({"num": [[top, [[0, ONE]]]], "den": [[0, [[0, ONE]]]]})
+        assert m.degree == top
+
+    @pytest.mark.parametrize("index", [ser.MAX_MAP_DEGREE + 1, 10 ** 6, 10 ** 9])
+    def test_coefficient_index_beyond_bound_is_schema_error(self, index):
+        for side in ("num", "den"):
+            blob = {"num": [[0, [[0, ONE]]]], "den": [[0, [[0, ONE]]]]}
+            blob[side].append([index, [[0, ONE]]])
+            with pytest.raises(SchemaError, match="exceeds the bound"):
+                ser.laurent_map_from_json(blob)
+
     def test_unprintable_fraction_is_schema_error(self):
         with pytest.raises(SchemaError):
             ser.fraction_to_json(Fraction(1, 10 ** 5000))
