@@ -42,7 +42,7 @@ from .moduli import (
     sphere_as_tree,
     spheres_iso,
 )
-from .projective import P_INF, P_ONE, P_ZERO, ProjPoint
+from .projective import P_INF, P_ONE, P_ZERO, ProjPoint, moebius_from_three
 from .rational import Polynomial, RationalMap, local_degree
 from .trees import (
     MarkedTree,
@@ -149,7 +149,10 @@ def carrier(shape: MarkedTree, leaf: str) -> int:
 
 def leaf_degree(c: TreeCover, y: str) -> int:
     v = carrier(c.source.shape, y)
-    return local_degree(c.map_at(v), c.source.edge_points(v)[y])
+    f = c.map_at(v)
+    if f.is_constant():
+        raise InvalidFamily(f"map at vertex {v} is constant")
+    return local_degree(f, c.source.edge_points(v)[y])
 
 
 def _fiber_degree_sums(c: TreeCover) -> dict:
@@ -304,31 +307,14 @@ def restrict_cover(c: TreeCover, selection: Iterable[Vertex],
         raise EmptySelection("selection contains vertices outside the target tree")
     if not any(isinstance(v, int) for v in selected):
         raise EmptySelection("selection contains no internal target vertex")
-    # connectivity of the induced subgraph
-    start = next(iter(selected))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for n in neighbors(c.target.shape, v):
-            if n in selected and n not in seen:
-                seen.add(n)
-                stack.append(n)
-    if seen != selected:
+    if _component(c.target.shape, next(iter(selected)), selected) != selected:
         raise NotConnected("target selection is not connected")
 
     vm = c.vm
     preimage = {v for v in c.source.shape.vertices if vm[v] in selected}
     if component_root not in preimage:
         raise EmptySelection("component root does not map into the selection")
-    comp = {component_root}
-    stack = [component_root]
-    while stack:
-        v = stack.pop()
-        for n in neighbors(c.source.shape, v):
-            if n in preimage and n not in comp:
-                comp.add(n)
-                stack.append(n)
+    comp = _component(c.source.shape, component_root, preimage)
 
     tgt_tree, tgt_cuts = _complete(c.target, selected, "@t:")
     src_tree, src_cuts = _complete(c.source, comp, "@")
@@ -344,6 +330,17 @@ def restrict_cover(c: TreeCover, selection: Iterable[Vertex],
         new_vm[label] = tgt_cuts[key]
     new_maps = {v: c.map_at(v) for v in comp if isinstance(v, int)}
     return TreeCover.make(src_tree, tgt_tree, new_vm, new_maps)
+
+
+def _component(shape: MarkedTree, root: Vertex, allowed: set) -> set:
+    """The vertices reachable from root by walking inside the allowed set."""
+    comp, stack = {root}, [root]
+    while stack:
+        for n in neighbors(shape, stack.pop()):
+            if n in allowed and n not in comp:
+                comp.add(n)
+                stack.append(n)
+    return comp
 
 
 def _complete(t: TreeOfSpheres, kept: set, prefix: str
@@ -464,15 +461,15 @@ def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
             raise NotRealizable(f"vertex {w}: no candidate point for the unit slot")
         f = rational_from_divisors(zeros, poles, units[0])
         maps[w] = f
-
+        images = {n: f.apply(p) for n, p in pts.items()}
+        degs = {n: local_degree(f, p) for n, p in pts.items()}
         values: dict[str, ProjPoint] = {}
-        for y, p in sorted(leaf_pts.items()):
-            q = f.apply(p)
-            prior = values.setdefault(fmap[y], q)
-            if q != prior:
+        for y in sorted(leaf_pts):
+            prior = values.setdefault(fmap[y], images[y])
+            if images[y] != prior:
                 raise NotRealizable(
                     f"vertex {w}: fiber of {fmap[y]!r} maps to several points")
-            if local_degree(f, p) != degmap[y]:
+            if degs[y] != degmap[y]:
                 raise NotRealizable(
                     f"vertex {w}: local degree at leaf {y!r} is not {degmap[y]}")
         for z, q in values.items():
@@ -480,10 +477,8 @@ def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
             if q != prior:
                 raise NotRealizable(
                     f"attaching point of {z!r} differs between fiber vertices")
-        ivalues = set()
-        for n, p in sorted(internal_pts.items()):
-            ivalues.add(f.apply(p))
-            edge_mult[(w, n)] = local_degree(f, p)
+        ivalues = {images[n] for n in internal_pts}
+        edge_mult.update(((w, n), degs[n]) for n in internal_pts)
         if len(ivalues) > 1:
             raise NotRealizable(
                 f"vertex {w}: internal edges map to several points")
@@ -496,8 +491,8 @@ def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
                     "internal-edge attaching point differs between fiber vertices")
         # full fibers over every attaching value seen at this vertex
         fiber_totals: dict[ProjPoint, int] = {}
-        for n, p in pts.items():
-            fiber_totals[f.apply(p)] = fiber_totals.get(f.apply(p), 0) + local_degree(f, p)
+        for n, q in images.items():
+            fiber_totals[q] = fiber_totals.get(q, 0) + degs[n]
         for q, total in fiber_totals.items():
             if total != f.degree:
                 raise NotRealizable(
@@ -547,15 +542,7 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
     components: list[set] = []
     unseen = set(remaining)
     while unseen:
-        root = min(unseen, key=vertex_key)
-        comp = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for n in neighbors(shape, x):
-                if n in remaining and n not in comp:
-                    comp.add(n)
-                    stack.append(n)
+        comp = _component(shape, min(unseen, key=vertex_key), remaining)
         unseen -= comp
         components.append(comp)
     components.sort(key=lambda c: vertex_key(min(c, key=vertex_key)))
@@ -660,7 +647,6 @@ def cover_iso(c1: TreeCover, c2: TreeCover) -> bool:
         pts1 = c1.target.edge_points(w1)
         pts2 = c2.target.edge_points(wmap[w1])
         pairs = sorted(((n, p) for n, p in pts1.items()), key=lambda kv: vertex_key(kv[0]))
-        from .projective import moebius_from_three
         src = [p for _, p in pairs[:3]]
         dst = [pts2[wmap[n]] for n, _ in pairs[:3]]
         m = moebius_from_three(*dst).inverse().compose(moebius_from_three(*src))

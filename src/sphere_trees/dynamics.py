@@ -14,7 +14,15 @@ from typing import Optional
 
 from .covers import TreeCover, cover_iso, extract_portrait
 from .errors import NotASubset, PortraitMismatch
-from .moduli import TreeOfSpheres, marking_dict, project, spheres_iso
+from .moduli import (
+    TreeOfSpheres,
+    induced_partition,
+    iso_of_spheres,
+    marking_dict,
+    project,
+    spheres_iso,
+    twist,
+)
 from .trees import partition_at
 
 
@@ -87,9 +95,6 @@ def synthesize_dyn(c: TreeCover, labels) -> Optional[DynSystem]:
     are re-marked by the per-vertex comparison maps that carry its projection
     onto the witness.
     """
-    from .covers import TreeCover as _TC
-    from .moduli import induced_partition, iso_of_spheres, twist
-
     ok, witness = dyn_membership(c, labels)
     if not ok:
         return None
@@ -114,7 +119,7 @@ def synthesize_dyn(c: TreeCover, labels) -> Optional[DynSystem]:
         w = c.vm[v]
         f = c.map_at(v)
         maps[v] = f.postcompose(twists[w]) if w in twists else f
-    remarked = _TC.make(c.source, target, c.vm, maps)
+    remarked = TreeCover.make(c.source, target, c.vm, maps)
     return DynSystem(remarked, witness)
 
 

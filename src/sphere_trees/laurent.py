@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstantLimit, DegenerateTriple, ZeroFamily
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational
 from .projective import Moebius, ProjPoint
-from .rational import Polynomial, RationalMap
+from .rational import Polynomial, RationalMap, hom_apply, hom_substitute
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,14 +223,6 @@ class LaurentMoebius:
     def inverse(self) -> "LaurentMoebius":
         return LaurentMoebius.make(self.d, -self.b, -self.c, self.a)
 
-    def compose(self, other: "LaurentMoebius") -> "LaurentMoebius":
-        return LaurentMoebius.make(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
 
 def _trim(coeffs: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
     cs = list(coeffs)
@@ -266,51 +259,15 @@ class LaurentMap:
         return min(vals)
 
     def evaluate(self, p: LaurentPoint) -> LaurentPoint:
-        d = self.degree
-        upow = [LP_ONE]
-        vpow = [LP_ONE]
-        for _ in range(d):
-            upow.append(upow[-1] * p.u)
-            vpow.append(vpow[-1] * p.v)
-        nu = LP_ZERO
-        de = LP_ZERO
-        for i in range(d + 1):
-            mono = upow[i] * vpow[d - i]
-            if i < len(self.num) and not self.num[i].is_zero():
-                nu = nu + mono * self.num[i]
-            if i < len(self.den) and not self.den[i].is_zero():
-                de = de + mono * self.den[i]
-        return LaurentPoint.make(nu, de)
+        return LaurentPoint.make(*hom_apply(self.num, self.den, p.u, p.v, LP_ZERO, LP_ONE))
 
     def postcompose(self, m: LaurentMoebius) -> "LaurentMap":
-        d = self.degree
-        num = [self.num[i] if i < len(self.num) else LP_ZERO for i in range(d + 1)]
-        den = [self.den[i] if i < len(self.den) else LP_ZERO for i in range(d + 1)]
-        new_num = [m.a * num[i] + m.b * den[i] for i in range(d + 1)]
-        new_den = [m.c * num[i] + m.d * den[i] for i in range(d + 1)]
-        return LaurentMap.make(new_num, new_den)
+        pairs = list(zip_longest(self.num, self.den, fillvalue=LP_ZERO))
+        return LaurentMap.make([m.a * x + m.b * y for x, y in pairs],
+                               [m.c * x + m.d * y for x, y in pairs])
 
     def precompose(self, m: LaurentMoebius) -> "LaurentMap":
-        d = self.degree
-        top = (m.b, m.a)   # b + a*w as a degree-1 poly in w
-        bot = (m.d, m.c)
-        tops: list[list[LaurentPoly]] = [[LP_ONE]]
-        bots: list[list[LaurentPoly]] = [[LP_ONE]]
-        for _ in range(d):
-            tops.append(_poly_mul_lin(tops[-1], top))
-            bots.append(_poly_mul_lin(bots[-1], bot))
-        new_num = [LP_ZERO] * (d + 1)
-        new_den = [LP_ZERO] * (d + 1)
-        for i in range(d + 1):
-            piece = _poly_mul(tops[i], bots[d - i])
-            ci_num = self.num[i] if i < len(self.num) else LP_ZERO
-            ci_den = self.den[i] if i < len(self.den) else LP_ZERO
-            for j, pc in enumerate(piece):
-                if not ci_num.is_zero():
-                    new_num[j] = new_num[j] + pc * ci_num
-                if not ci_den.is_zero():
-                    new_den[j] = new_den[j] + pc * ci_den
-        return LaurentMap.make(new_num, new_den)
+        return LaurentMap.make(*hom_substitute(self.num, self.den, m, LP_ZERO, LP_ONE))
 
     def leading_limit(self) -> RationalMap:
         """Divide by eps^(minimal valuation), set eps = 0, reduce over Q(i).
@@ -332,25 +289,3 @@ class LaurentMap:
         den = Polynomial.make([c.evaluate(eps) for c in self.den])
         return RationalMap.make(num, den)
 
-
-def _poly_mul_lin(p: list[LaurentPoly], lin: tuple[LaurentPoly, LaurentPoly]) -> list[LaurentPoly]:
-    b0, b1 = lin
-    out = [LP_ZERO] * (len(p) + 1)
-    for i, c in enumerate(p):
-        if c.is_zero():
-            continue
-        out[i] = out[i] + c * b0
-        out[i + 1] = out[i + 1] + c * b1
-    return out
-
-
-def _poly_mul(p: list[LaurentPoly], q: list[LaurentPoly]) -> list[LaurentPoly]:
-    out = [LP_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            if b.is_zero():
-                continue
-            out[i + j] = out[i + j] + a * b
-    return out

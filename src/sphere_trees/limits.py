@@ -18,6 +18,7 @@ tolerance, and refusing snapshots in which two labels coincide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -191,6 +192,8 @@ def _numeric_point(value) -> NumericPoint:
     if isinstance(value, (tuple, list)):
         value = complex(value[0], value[1])
     z = complex(value)
+    if not abs(z.real) + abs(z.imag) < math.inf:  # NaN, infinity, or |z| past the float range
+        raise InvalidFamily(f"snapshot coordinates must be finite with a finite modulus: {z!r}")
     n = max(abs(z), 1.0)
     return (z / n, 1.0 / n)
 
@@ -270,10 +273,10 @@ class NumericConfigSequence:
             raise InvalidFamily("one eps value per snapshot is required")
         if len(set(eps)) != len(eps):
             raise InvalidFamily("eps values must be distinct")
-        if any(e <= 0 for e in eps):
-            raise InvalidFamily("eps values must be positive")
-        if tolerance <= 0 or stability_window < 2:
-            raise InvalidFamily("tolerance must be positive and window at least 2")
+        if not all(0 < e < math.inf for e in eps):
+            raise InvalidFamily("eps values must be positive and finite")
+        if not 0 < tolerance < math.inf or stability_window < 2:
+            raise InvalidFamily("tolerance must be positive and finite, window at least 2")
         rows = []
         for snap in snapshots:
             if tuple(sorted(snap)) != labels:

@@ -9,6 +9,7 @@ multiplicities, never by root isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational
@@ -31,10 +32,6 @@ class Polynomial:
     @classmethod
     def constant(cls, c: GaussianRational) -> "Polynomial":
         return cls.make([c])
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -65,15 +62,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero()
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial.make(out)
+        return Polynomial.make(poly_mul(self.coeffs, other.coeffs, GR_ZERO))
 
     def scale(self, c: GaussianRational) -> "Polynomial":
         return Polynomial.make([x * c for x in self.coeffs])
@@ -122,21 +111,64 @@ class Polynomial:
         return mult
 
 
-def _homogeneous_eval(coeffs: Sequence[GaussianRational], degree: int,
-                      u: GaussianRational, v: GaussianRational) -> GaussianRational:
-    """Evaluate sum c_i u^i v^(degree - i) without forming powers twice."""
-    acc = GR_ZERO
-    upow = GR_ONE
-    upowers = []
-    for _ in range(degree + 1):
-        upowers.append(upow)
-        upow = upow * u
-    vpow = GR_ONE
-    for i in range(degree, -1, -1):
-        if i < len(coeffs) and not coeffs[i].is_zero():
-            acc = acc + coeffs[i] * upowers[i] * vpow
-        vpow = vpow * v
-    return acc
+# The homogeneous-polynomial kernel.  Coefficient lists ascend by exponent with
+# trailing zeros stripped, and hold elements of any ring with +, * and
+# is_zero(); the ring's zero and one come in as arguments, so maps over Q(i)
+# and over Q(i)[eps^+-1] share the loops.
+
+
+def poly_mul(p: Sequence, q: Sequence, zero) -> list:
+    """Product of two coefficient lists."""
+    if not p or not q:
+        return []
+    out = [zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(q):
+            if not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return out
+
+
+def hom_apply(num: Sequence, den: Sequence, u, v, zero, one) -> tuple:
+    """Both sums c_i u^i v^(d - i), d the longer list's degree; monomials built once."""
+    pairs = list(zip_longest(num, den, fillvalue=zero))
+    d = len(pairs) - 1
+    upow, vpow = [one], [one]
+    for _ in range(d):
+        upow.append(upow[-1] * u)
+        vpow.append(vpow[-1] * v)
+    nu = de = zero
+    for i, (a, b) in enumerate(pairs):
+        if a.is_zero() and b.is_zero():
+            continue
+        mono = upow[i] * vpow[d - i]
+        if not a.is_zero():
+            nu = nu + a * mono
+        if not b.is_zero():
+            de = de + b * mono
+    return nu, de
+
+
+def hom_substitute(num: Sequence, den: Sequence, m, zero, one) -> tuple:
+    """Both lists after w -> (a w + b) / (c w + d), cleared by (c w + d)^(longer degree)."""
+    pairs = list(zip_longest(num, den, fillvalue=zero))
+    d = len(pairs) - 1
+    tops, bots = [[one]], [[one]]
+    for _ in range(d):
+        tops.append(poly_mul(tops[-1], [m.b, m.a], zero))
+        bots.append(poly_mul(bots[-1], [m.d, m.c], zero))
+    new_num, new_den = [zero] * (d + 1), [zero] * (d + 1)
+    for i, (a, b) in enumerate(pairs):
+        if a.is_zero() and b.is_zero():
+            continue
+        for j, c in enumerate(poly_mul(tops[i], bots[d - i], zero)):
+            if not a.is_zero():
+                new_num[j] = new_num[j] + c * a
+            if not b.is_zero():
+                new_den[j] = new_den[j] + c * b
+    return new_num, new_den
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,10 +199,8 @@ class RationalMap:
         return self.degree == 0
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        d = self.degree
-        nu = _homogeneous_eval(self.num.coeffs, d, p.u, p.v)
-        de = _homogeneous_eval(self.den.coeffs, d, p.u, p.v)
-        return ProjPoint.make(nu, de)
+        return ProjPoint.make(*hom_apply(self.num.coeffs, self.den.coeffs, p.u, p.v,
+                                         GR_ZERO, GR_ONE))
 
     def __call__(self, p: ProjPoint) -> ProjPoint:
         return self.apply(p)
@@ -184,23 +214,8 @@ class RationalMap:
 
     def precompose(self, m: Moebius) -> "RationalMap":
         """self after m, by homogeneous substitution."""
-        d = self.degree
-        top = Polynomial.make([m.b, m.a])
-        bot = Polynomial.make([m.d, m.c])
-        tops = [Polynomial.constant(GR_ONE)]
-        bots = [Polynomial.constant(GR_ONE)]
-        for _ in range(d):
-            tops.append(tops[-1] * top)
-            bots.append(bots[-1] * bot)
-        new_num = Polynomial.zero()
-        new_den = Polynomial.zero()
-        for i in range(d + 1):
-            piece = tops[i] * bots[d - i]
-            if i < len(self.num.coeffs) and not self.num.coeffs[i].is_zero():
-                new_num = new_num + piece.scale(self.num.coeffs[i])
-            if i < len(self.den.coeffs) and not self.den.coeffs[i].is_zero():
-                new_den = new_den + piece.scale(self.den.coeffs[i])
-        return RationalMap.make(new_num, new_den)
+        return RationalMap.from_coeffs(
+            *hom_substitute(self.num.coeffs, self.den.coeffs, m, GR_ZERO, GR_ONE))
 
 
 def local_degree(f: RationalMap, p: ProjPoint) -> int:

@@ -69,6 +69,15 @@ def int_from_json(x: Any, what: str) -> int:
     return x
 
 
+def float_from_json(x: Any, what: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SchemaError(f"{what} must be a JSON number: {x!r}")
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise SchemaError(f"{what} is beyond the float range: {x!r}") from exc
+
+
 def complex_to_json(c: GaussianRational) -> dict:
     return {"re": fraction_to_json(c.re), "im": fraction_to_json(c.im)}
 
@@ -87,7 +96,10 @@ def point_from_json(obj: Any):
     from .projective import ProjPoint
     if not isinstance(obj, dict) or set(obj) != {"u", "v"}:
         raise SchemaError(f"points are {{'u', 'v'}} objects, got {obj!r}")
-    return ProjPoint.make(complex_from_json(obj["u"]), complex_from_json(obj["v"]))
+    try:
+        return ProjPoint.make(complex_from_json(obj["u"]), complex_from_json(obj["v"]))
+    except ValueError as exc:
+        raise SchemaError(f"(0 : 0) is not a point: {obj!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +180,8 @@ def tree_of_spheres_from_json(obj: Any) -> TreeOfSpheres:
         v = vertex_from_key(vkey)
         if not isinstance(v, int):
             raise SchemaError(f"marking keys are internal vertex keys: {vkey!r}")
+        if not isinstance(row, dict):
+            raise SchemaError(f"marking rows are objects: {row!r}")
         marking[v] = {vertex_from_key(n): point_from_json(p) for n, p in row.items()}
     return TreeOfSpheres.make(shape, marking)
 
@@ -266,9 +280,12 @@ def laurent_map_from_json(obj: Any) -> LaurentMap:
         return [coeffs.get(i, LP_ZERO) for i in range(top + 1)]
 
     try:
-        return LaurentMap.make(side(obj["num"]), side(obj["den"]))
-    except KeyError as exc:
-        raise SchemaError(f"malformed Laurent map: missing {exc}") from exc
+        num, den = side(obj["num"]), side(obj["den"])
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed Laurent map: {exc!r}") from exc
+    if all(c.is_zero() for c in num + den):
+        raise SchemaError("a Laurent map needs a nonzero coefficient")
+    return LaurentMap.make(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +324,8 @@ def rational_map_from_json(obj: Any) -> RationalMap:
         den = [complex_from_json(c) for c in obj["den"]]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed rational map: {exc}") from exc
+    if all(c.is_zero() for c in den):
+        raise SchemaError("a rational map needs a nonzero denominator")
     return RationalMap.make(Polynomial.make(num), Polynomial.make(den))
 
 
@@ -351,8 +370,8 @@ def cover_family_from_json(obj: Any) -> CoverFamily:
         y_family = family_from_json(obj["y_family"])
         z_family = family_from_json(obj["z_family"])
         map_family = laurent_map_from_json(obj["map"])
-    except KeyError as exc:
-        raise SchemaError(f"malformed cover family: missing {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed cover family: {exc!r}") from exc
     return CoverFamily.make(portrait, y_family, z_family, map_family)
 
 
@@ -383,10 +402,12 @@ def dyn_from_json(obj: Any) -> DynSystem:
 def numeric_sequence_from_json(obj: Any, tolerance: float, window: int
                                ) -> NumericConfigSequence:
     try:
-        raw = obj["snapshots"]
-        eps = [float(e) for e in obj["eps"]]
+        raw, eps = obj["snapshots"], obj["eps"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed numeric sequence: {exc}") from exc
+    if not isinstance(raw, list) or not isinstance(eps, list):
+        raise SchemaError("'snapshots' and 'eps' are lists")
+    eps = [float_from_json(e, "eps value") for e in eps]
     snapshots = []
     for snap in raw:
         if not isinstance(snap, dict):
@@ -397,7 +418,7 @@ def numeric_sequence_from_json(obj: Any, tolerance: float, window: int
             if value == "inf":
                 row[x] = None
             elif isinstance(value, list) and len(value) == 2:
-                row[x] = complex(float(value[0]), float(value[1]))
+                row[x] = complex(*(float_from_json(c, "coordinate") for c in value))
             else:
                 raise SchemaError(f"numeric points are [re, im] or \"inf\": {value!r}")
         snapshots.append(row)

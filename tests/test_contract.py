@@ -1,0 +1,195 @@
+"""The input contract: every CLI input ends in exit 0, exit 1 with an
+{"error", "witness"} payload, or exit 2, and never in a traceback.
+
+The sweep swaps single JSON values of the shipped ``data/`` files for values
+of the wrong type or out of range and runs every subcommand that reads that
+kind of payload, in-process through ``cli.main``.  The regression cases below
+it pin one input for each crash the sweep used to find.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import functools
+import io
+import json
+
+import pytest
+
+from conftest import DATA_DIR
+from sphere_trees import cli
+from sphere_trees import serialize as ser
+from sphere_trees.errors import SchemaError
+
+ZERO = {"re": "0/1", "im": "0/1"}
+ONE = {"re": "1/1", "im": "0/1"}
+ZERO_POINT = {"u": ZERO, "v": ZERO}
+MUTANTS = [None, "x", 0, -1, [], {}, [[0]], ZERO_POINT, float("inf")]
+
+
+def run_main(*args: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(*args: str) -> int:
+    code, out, _ = run_main(*args)
+    assert code in (0, 1, 2), args
+    if code == 1:
+        assert set(json.loads(out)) == {"error", "witness"}, args
+    return code
+
+
+def data(name: str) -> str:
+    return str(DATA_DIR / name)
+
+
+def commands(kind: str, name: str, path: str) -> list[list[str]]:
+    """Every subcommand that reads a payload of this kind, with path as that payload."""
+    return {
+        "tree": [["validate", path], ["iso", path, path]],
+        "tree_of_spheres": [["validate", path], ["embed", path], ["iso", path, data(name)],
+                            ["project", path, "--labels", "1,2,3"], ["plumb", path],
+                            ["compat", path, data(name)], ["compat", data(name), path],
+                            ["reconstruct", path, data("portrait_z2.json")]],
+        "marked_sphere": [["validate", path]],
+        "portrait": [["validate", path], ["reconstruct", data("source_z2.json"), path]],
+        "cover": [["validate", path], ["iso", path, data(name)],
+                  ["dyn-member", path, "--labels", "1,2,3"]],
+        "dyn": [["validate", path]],
+        "family": [["validate", path], ["limit", path], ["sample", path, "--eps", "1/3"]],
+        "cover_family": [["validate", path], ["limit-cover", path]],
+        "numeric": [["limit", path]],
+    }[kind]
+
+
+def value_paths(obj, depth: int, prefix: tuple = ()):
+    """Paths to depth 4, entering only the first two items of each list.
+
+    The bound keeps the sweep short: the numeric sequence alone holds 91
+    snapshots, and later items repeat the shape of the first.
+    """
+    yield prefix
+    if depth == 0:
+        return
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj[:2])
+    else:
+        return
+    for key, value in items:
+        yield from value_paths(value, depth - 1, prefix + (key,))
+
+
+def mutated(obj, path: tuple, value):
+    if not path:
+        return copy.deepcopy(value)
+    out = copy.deepcopy(obj)
+    cur = out
+    for key in path[:-1]:
+        cur = cur[key]
+    cur[path[-1]] = copy.deepcopy(value)
+    return out
+
+
+def write(tmp_path, blob, name: str = "input.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA_DIR.glob("*.json")))
+def test_mutation_sweep(tmp_path, monkeypatch, name):
+    # building the argument parser costs more than most cases; build it once
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    base = json.loads((DATA_DIR / name).read_text())
+    kind = ser.detect_kind(base)
+    path = str(tmp_path / "mutant.json")
+    escaped = []
+    for where in value_paths(base, 4):
+        for value in MUTANTS:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(mutated(base, where, value), fh)
+            for args in commands(kind, name, path):
+                try:
+                    assert_contract(*args)
+                except Exception as exc:  # collect every escape, not only the first
+                    escaped.append((where, value, args[0], f"{type(exc).__name__}: {exc}"))
+    assert not escaped, escaped[:10]
+
+
+# ---------------------------------------------------------------------------
+# one regression case per crash the sweep found
+
+
+def numeric_blob() -> dict:
+    return json.loads((DATA_DIR / "numeric_sequence.json").read_text())
+
+
+def cover_with_constant_map() -> dict:
+    blob = json.loads((DATA_DIR / "cover_dyn.json").read_text())
+    blob["maps"]["#0"]["num"] = []
+    return blob
+
+
+@pytest.mark.parametrize("parse, blob", [
+    (ser.point_from_json, ZERO_POINT),
+    (ser.rational_map_from_json, {"num": [ONE], "den": []}),
+    (ser.laurent_map_from_json, {"num": [], "den": []}),
+    (ser.laurent_map_from_json, [[0, []]]),
+    (ser.tree_of_spheres_from_json,
+     {"leaves": ["1", "2", "3"], "internal": [0], "edges": [["1", 0], ["2", 0], ["3", 0]],
+      "marking": {"#0": None}}),
+], ids=["zero-point", "zero-denominator", "zero-laurent-map", "laurent-map-not-object",
+        "marking-row-not-object"])
+def test_malformed_value_is_schema_error(parse, blob):
+    with pytest.raises(SchemaError):
+        parse(blob)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b.update(snapshots=None),
+    lambda b: b["eps"].__setitem__(0, "x"),
+    lambda b: b["eps"].__setitem__(0, 10 ** 400),
+    lambda b: b["snapshots"][0].__setitem__("1", ["x", 0]),
+    lambda b: b["snapshots"][0].__setitem__("1", [None, 0]),
+], ids=["snapshots-none", "eps-string", "eps-beyond-float",
+        "coordinate-string", "coordinate-null"])
+def test_malformed_numeric_sequence_is_schema_error(tmp_path, edit):
+    blob = numeric_blob()
+    edit(blob)
+    code, _, err = run_main("limit", write(tmp_path, blob))
+    assert code == 2 and err.startswith("schema error:")
+
+
+@pytest.mark.parametrize("edit, args", [
+    (None, ["--tolerance", "nan"]),
+    (None, ["--tolerance", "inf"]),
+    (lambda b: b["eps"].__setitem__(3, float("nan")), []),
+    (lambda b: b["eps"].__setitem__(3, float("inf")), []),
+    (lambda b: b["snapshots"][5].__setitem__("1", [float("nan"), 0.0]), []),
+    (lambda b: b["snapshots"][5].__setitem__("1", [0.0, float("inf")]), []),
+    (lambda b: b["snapshots"][5].__setitem__("1", [1.7e308, 1.7e308]), []),
+], ids=["tolerance-nan", "tolerance-inf", "eps-nan", "eps-inf", "coordinate-nan",
+        "coordinate-inf", "modulus-beyond-float"])
+def test_non_finite_numeric_input_is_refused(tmp_path, edit, args):
+    blob = numeric_blob()
+    if edit is not None:
+        edit(blob)
+    code, out, _ = run_main("limit", write(tmp_path, blob), *args)
+    assert code == 1 and json.loads(out)["error"] == "InvalidFamily"
+
+
+def test_iso_on_constant_vertex_map_is_domain_error(tmp_path):
+    path = write(tmp_path, cover_with_constant_map())
+    code, out, _ = run_main("iso", path, path)
+    assert code == 1 and json.loads(out)["error"] == "InvalidFamily"
+
+
+def test_limit_cover_on_non_object_is_schema_error(tmp_path):
+    code, _, err = run_main("limit-cover", write(tmp_path, [1, 2]))
+    assert code == 2 and err.startswith("schema error:")

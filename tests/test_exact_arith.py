@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import INF, pt
@@ -13,10 +13,12 @@ from sphere_trees.errors import DegenerateTriple, ZeroFamily
 from sphere_trees.gaussian import GaussianRational, gr
 from sphere_trees.laurent import (
     LaurentMap,
+    LaurentMoebius,
     LaurentPoint,
     LaurentPoly,
     laurent_cross_ratio,
     laurent_leading_value,
+    laurent_points_equal,
 )
 from sphere_trees.projective import Moebius, ProjPoint, cross_ratio, moebius_from_three
 from sphere_trees.rational import Polynomial, RationalMap, local_degree
@@ -221,3 +223,103 @@ class TestLaurent:
         assert f.specialize(Fraction(1, 3)).degree == 2
         with pytest.raises(ConstantLimit):
             f.leading_limit()  # pointwise limit is the constant 0
+
+
+# ---------------------------------------------------------------------------
+# the homogeneous-polynomial kernel behind map evaluation and composition
+
+
+EPSILONS = (Fraction(1, 3), Fraction(1, 7))
+coeff_lists = st.lists(gaussians, min_size=1, max_size=4)
+rational_maps = st.builds(
+    lambda num, den: None if all(c.is_zero() for c in den) else RationalMap.from_coeffs(num, den),
+    coeff_lists, coeff_lists).filter(lambda f: f is not None)
+laurent_polys = st.lists(st.tuples(st.integers(-2, 2), gaussians), max_size=3).map(LaurentPoly.make)
+laurent_coeffs = st.lists(laurent_polys, min_size=1, max_size=3)
+laurent_maps = st.builds(
+    lambda num, den: LaurentMap.make(num, den) if any(not c.is_zero() for c in num + den) else None,
+    laurent_coeffs, laurent_coeffs).filter(lambda f: f is not None)
+laurent_points = st.builds(
+    lambda u, v: None if u.is_zero() and v.is_zero() else LaurentPoint.make(u, v),
+    laurent_polys, laurent_polys).filter(lambda p: p is not None)
+
+
+def _laurent_moebius(a, b, c, d):
+    try:
+        return LaurentMoebius.make(a, b, c, d)
+    except ValueError:
+        return None
+
+
+laurent_moebii = st.builds(_laurent_moebius, laurent_polys, laurent_polys,
+                           laurent_polys, laurent_polys).filter(lambda m: m is not None)
+
+
+def defined(fn):
+    """fn(), or skip the sample when it lands on a pole or a collision."""
+    try:
+        return fn()
+    except (ValueError, ZeroFamily):
+        reject()
+
+
+def specialize_moebius(m: LaurentMoebius, eps: Fraction) -> Moebius:
+    return Moebius.make(*(x.evaluate(eps) for x in (m.a, m.b, m.c, m.d)))
+
+
+class TestRationalMapKernel:
+    @settings(max_examples=80)
+    @given(rational_maps, gaussians)
+    def test_apply_matches_horner(self, f, x):
+        expected = ProjPoint.make(f.num.evaluate(x), f.den.evaluate(x))
+        assert f.apply(ProjPoint.of(x)) == expected
+
+    @settings(max_examples=80)
+    @given(rational_maps, moebius_strategy(), points)
+    def test_precompose_is_substitution(self, f, m, p):
+        assert f.precompose(m).apply(p) == f.apply(m.apply(p))
+
+    @settings(max_examples=80)
+    @given(rational_maps, moebius_strategy(), points)
+    def test_postcompose_is_composition(self, f, m, p):
+        # a constant map sent to infinity has no representative: a pole
+        assert defined(lambda: f.postcompose(m)).apply(p) == m.apply(f.apply(p))
+
+
+class TestLaurentMapKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_maps, laurent_points)
+    def test_evaluate_commutes_with_specialize(self, f, p):
+        image = defined(lambda: f.evaluate(p))
+        for eps in EPSILONS:
+            expected = defined(lambda: f.specialize(eps).apply(p.evaluate(eps)))
+            assert defined(lambda: image.evaluate(eps)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_maps, laurent_moebii)
+    def test_precompose_commutes_with_specialize(self, f, m):
+        g = f.precompose(m)
+        for eps in EPSILONS:
+            expected = defined(lambda: f.specialize(eps).precompose(specialize_moebius(m, eps)))
+            assert defined(lambda: g.specialize(eps)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_maps, laurent_moebii)
+    def test_postcompose_commutes_with_specialize(self, f, m):
+        g = f.postcompose(m)
+        for eps in EPSILONS:
+            expected = defined(lambda: f.specialize(eps).postcompose(specialize_moebius(m, eps)))
+            assert defined(lambda: g.specialize(eps)) == expected
+
+    # projective equality: the two sides may differ by a Laurent factor
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_maps, laurent_moebii, laurent_points)
+    def test_precompose_is_substitution(self, f, m, p):
+        left = defined(lambda: f.precompose(m).evaluate(p))
+        assert laurent_points_equal(left, defined(lambda: f.evaluate(m.apply(p))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_maps, laurent_moebii, laurent_points)
+    def test_postcompose_is_composition(self, f, m, p):
+        left = defined(lambda: f.postcompose(m).evaluate(p))
+        assert laurent_points_equal(left, defined(lambda: m.apply(f.evaluate(p))))
