@@ -57,7 +57,6 @@ from .limits import (
     limit_cover,
     limit_tree,
     numeric_limit_tree,
-    rescale_limit,
 )
 from .plumbing import PlumbingPlan, plumb_family, sample_family
 from .dynamics import DynSystem, compatible, dyn_conjugate, dyn_membership, validate_dyn

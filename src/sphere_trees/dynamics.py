@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .covers import TreeCover, cover_iso, extract_portrait
+from .covers import TreeCover, cover_iso
 from .errors import NotASubset, PortraitMismatch
 from .moduli import (
     TreeOfSpheres,
@@ -20,7 +20,6 @@ from .moduli import (
     iso_of_spheres,
     marking_dict,
     project,
-    spheres_iso,
     twist,
 )
 from .trees import partition_at
@@ -40,7 +39,8 @@ def compatible(t_x: TreeOfSpheres, t_y: TreeOfSpheres) -> bool:
     """Does t_x equal the projection of t_y on the nose?
 
     Vertices are matched through their partitions of the sub-label-set and
-    the markings must agree pointwise, not merely up to Moebius changes.
+    the markings must agree pointwise, not merely up to Moebius changes;
+    equal markings make the trees isomorphic as well.
     """
     if not t_x.labels <= t_y.labels:
         raise NotASubset("the first tree is not marked by a subset")
@@ -49,10 +49,8 @@ def compatible(t_x: TreeOfSpheres, t_y: TreeOfSpheres) -> bool:
     parts_p = {partition_at(projected.shape, v): v for v in projected.shape.internal}
     if set(parts_x) != set(parts_p):
         return False
-    for p, v in parts_x.items():
-        if marking_dict(t_x, v) != marking_dict(projected, parts_p[p]):
-            return False
-    return spheres_iso(t_x, projected)
+    return all(marking_dict(t_x, v) == marking_dict(projected, parts_p[p])
+               for p, v in parts_x.items())
 
 
 def validate_dyn(d: DynSystem) -> list[str]:
@@ -71,20 +69,27 @@ def validate_dyn(d: DynSystem) -> list[str]:
     return problems
 
 
+def _projections(c: TreeCover, sub: frozenset
+                 ) -> tuple[TreeOfSpheres, TreeOfSpheres, Optional[tuple[dict, dict]]]:
+    """Source and target projections on the labels, and an isomorphism from
+    the target projection onto the source projection (or None)."""
+    if not sub <= c.source.labels & c.target.labels:
+        raise NotASubset("labels must be marked in both the source and the target")
+    p_source = project(c.source, sub)
+    p_target = project(c.target, sub)
+    return p_source, p_target, iso_of_spheres(p_target, p_source)
+
+
 def dyn_membership(c: TreeCover, labels) -> tuple[bool, Optional[TreeOfSpheres]]:
     """Does the cover underlie a dynamical system over the given labels?
 
     True iff the source and target projections are isomorphic; the source
     projection is returned as the witness dynamical tree.
     """
-    sub = frozenset(labels)
-    if not sub <= c.source.labels & c.target.labels:
-        raise NotASubset("labels must be marked in both the source and the target")
-    p_source = project(c.source, sub)
-    p_target = project(c.target, sub)
-    if spheres_iso(p_source, p_target):
-        return True, p_source
-    return False, None
+    p_source, _, iso = _projections(c, frozenset(labels))
+    if iso is None:
+        return False, None
+    return True, p_source
 
 
 def synthesize_dyn(c: TreeCover, labels) -> Optional[DynSystem]:
@@ -95,24 +100,17 @@ def synthesize_dyn(c: TreeCover, labels) -> Optional[DynSystem]:
     are re-marked by the per-vertex comparison maps that carry its projection
     onto the witness.
     """
-    ok, witness = dyn_membership(c, labels)
-    if not ok:
-        return None
     sub = frozenset(labels)
-    p_target = project(c.target, sub)
-    iso = iso_of_spheres(p_target, witness)
-    if iso is None:  # pragma: no cover - contradicts the membership verdict
-        raise NotASubset("isomorphic projections without an explicit isomorphism")
-    vmap_iso, moeb_iso = iso
-    parts = {v: induced_partition(p_target, v, sub)
-             for v in p_target.shape.internal}
+    witness, p_target, iso = _projections(c, sub)
+    if iso is None:
+        return None
+    _, moeb_iso = iso
+    proj_vertex = {partition_at(p_target.shape, v): v for v in p_target.shape.internal}
     twists = {}
     for w in c.target.shape.internal:
         p = induced_partition(c.target, w, sub)
-        if p is None:
-            continue
-        proj_vertex = next(v for v, q in parts.items() if q == p)
-        twists[w] = moeb_iso[proj_vertex]
+        if p is not None:
+            twists[w] = moeb_iso[proj_vertex[p]]
     target = twist(c.target, twists)
     maps = {}
     for v in c.source.shape.internal:
@@ -124,9 +122,11 @@ def synthesize_dyn(c: TreeCover, labels) -> Optional[DynSystem]:
 
 
 def dyn_conjugate(d1: DynSystem, d2: DynSystem) -> bool:
-    """Conjugacy of dynamical systems; cover isomorphism already decides it."""
+    """Conjugacy of dynamical systems; cover isomorphism already decides it.
+
+    ``cover_iso`` decides through ``iso_of_spheres`` on the sources and
+    raises PortraitMismatch when the covers carry different portraits.
+    """
     if d1.labels != d2.labels:
         raise PortraitMismatch("dynamical systems are marked by different label sets")
-    if extract_portrait(d1.cover) != extract_portrait(d2.cover):
-        raise PortraitMismatch("dynamical systems carry different portraits")
     return cover_iso(d1.cover, d2.cover)

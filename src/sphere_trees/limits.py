@@ -43,8 +43,8 @@ from .laurent import (
     laurent_bracket,
     laurent_points_equal,
 )
-from .moduli import MarkedSphere, TreeOfSpheres, marking_dict, tree_from_charts
-from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint, moebius_from_three
+from .moduli import MarkedSphere, TreeOfSpheres, tree_from_charts, vertex_chart
+from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint
 from .rational import RationalMap
 from .trees import (
     MarkedTree,
@@ -418,26 +418,6 @@ def _cluster(values: Mapping[str, NumericPoint], tolerance: float) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# rescaling limits of map families
-
-
-def rescale_limit(f_eps: LaurentMap, base: tuple[LaurentPoint, LaurentPoint, LaurentPoint]
-                  ) -> tuple[LaurentMoebius, RationalMap]:
-    """Normalize a degenerating map family and take its exact leading limit.
-
-    The Moebius family sends the images of the three base points to
-    (0, 1, inf); the limit divides out the minimal coefficient valuation,
-    sets eps to zero, and reduces over Q(i).  A constant limit signals an
-    unsuitable base choice.
-    """
-    if f_eps.degree < 1:
-        raise ValueError("map family must be nonconstant")
-    images = tuple(f_eps.evaluate(p) for p in base)
-    m = LaurentMoebius.from_three(*images)
-    return m, f_eps.postcompose(m).leading_limit()
-
-
-# ---------------------------------------------------------------------------
 # cover families and their limits
 
 
@@ -488,7 +468,7 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
     vmap: dict[Vertex, Vertex] = dict(fam.portrait.fmap)
     maps: dict[int, RationalMap] = {}
     for v in sorted(source.shape.internal):
-        triple = _vertex_triple(source, v)
+        triple = representative_triple(partition_at(source.shape, v))
         phi = LaurentMoebius.from_three(*(fam.y_family.path(x) for x in triple))
         conjugated = fam.map_family.precompose(phi.inverse())
         found = None
@@ -506,10 +486,7 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
                 witness={"vertex": v})
         ztriple, limit = found
         w = separating_vertex(target.shape, ztriple)
-        a_w = marking_dict(target, w)
-        comparison = moebius_from_three(
-            a_w[ztriple[0]], a_w[ztriple[1]], a_w[ztriple[2]]).inverse()
-        maps[v] = limit.postcompose(comparison)
+        maps[v] = limit.postcompose(vertex_chart(target, w, ztriple).inverse())
         vmap[v] = w
     cover = TreeCover.make(source, target, vmap, maps)
     violations = validate_cover(cover, expected_portrait=fam.portrait)
@@ -517,7 +494,3 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
         raise InvariantBreach("assembled limit is not a valid cover",
                               witness=violations)
     return cover
-
-
-def _vertex_triple(t: TreeOfSpheres, v: int) -> tuple[str, str, str]:
-    return representative_triple(partition_at(t.shape, v))

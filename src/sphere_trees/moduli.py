@@ -2,10 +2,12 @@
 
 A tree of spheres is a stable tree together with, at each internal vertex,
 an injective assignment of its edges to exact points of a sphere.  The
-derived vertex markings, the normalized charts of separating triples, the
-embedding by all quadruple cross-ratios, isomorphism testing, canonical
+derived vertex markings, the normalized charts of separating triples,
+isomorphism, the embedding by all quadruple cross-ratios, canonical
 representatives, and restriction of the marking to a sub-label-set all live
-here.
+here.  ``iso_of_spheres`` is the one isomorphism decision and returns its
+witness; ``canonical_form`` and ``embed`` are outputs, and serve the tests
+and the benchmark as independent oracles for its verdicts.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .trees import (
     representative_triple,
     separating_vertex,
     tree_from_partitions,
-    tree_partitions,
     vertex_key,
 )
 
@@ -133,18 +134,23 @@ def sphere_as_tree(s: MarkedSphere) -> TreeOfSpheres:
     return TreeOfSpheres.make(shape, {0: {x: s.point(x) for x in labels}})
 
 
+def vertex_chart(t: TreeOfSpheres, v: int, triple: tuple[str, str, str]) -> Moebius:
+    """The Moebius map sending the marked images of the triple at v to (0, 1, inf)."""
+    a_v = marking_dict(t, v)
+    return moebius_from_three(a_v[triple[0]], a_v[triple[1]], a_v[triple[2]])
+
+
 def t_chart(t: TreeOfSpheres, triple: tuple[str, str, str]
             ) -> tuple[int, Moebius, dict]:
     """Separating vertex, normalizing chart, and the chart marking.
 
-    The chart is the Moebius map sending the marked images of the triple to
-    (0, 1, inf); the returned mapping is its composition with the vertex
-    marking on every label.
+    The chart is the vertex chart of the triple at its separating vertex;
+    the returned mapping is its composition with the vertex marking on
+    every label.
     """
     v = separating_vertex(t.shape, triple)
-    a_v = marking_dict(t, v)
-    sigma = moebius_from_three(a_v[triple[0]], a_v[triple[1]], a_v[triple[2]])
-    return v, sigma, {x: sigma.apply(p) for x, p in a_v.items()}
+    sigma = vertex_chart(t, v, triple)
+    return v, sigma, {x: sigma.apply(p) for x, p in marking_dict(t, v).items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,12 +196,8 @@ def embed(t: TreeOfSpheres) -> Embedding:
 
 
 def spheres_iso(t1: TreeOfSpheres, t2: TreeOfSpheres) -> bool:
-    """Isomorphism of trees of spheres, decided by equal canonical forms."""
-    if t1.labels != t2.labels:
-        raise LeafSetMismatch("trees of spheres are marked by different label sets")
-    if tree_partitions(t1.shape) != tree_partitions(t2.shape):
-        return False
-    return canonical_form(t1) == canonical_form(t2)
+    """Isomorphism of trees of spheres: does ``iso_of_spheres`` find one?"""
+    return iso_of_spheres(t1, t2) is not None
 
 
 def canonical_form(t: TreeOfSpheres) -> TreeOfSpheres:
@@ -204,7 +206,8 @@ def canonical_form(t: TreeOfSpheres) -> TreeOfSpheres:
     Internal ids become the canonical ranks of their partitions and every
     vertex is re-charted by the chart of the lexicographically smallest
     triple it separates, so two trees are isomorphic iff their canonical
-    forms are equal.
+    forms are equal.  It is an output and an oracle; ``iso_of_spheres``
+    decides isomorphism.
     """
     parts = {v: partition_at(t.shape, v) for v in t.shape.internal}
     order = sorted(t.shape.internal, key=lambda v: partition_sort_key(parts[v]))
@@ -220,9 +223,7 @@ def canonical_form(t: TreeOfSpheres) -> TreeOfSpheres:
     )
     marking = {}
     for v in order:
-        triple = representative_triple(parts[v])
-        a_v = marking_dict(t, v)
-        sigma = moebius_from_three(a_v[triple[0]], a_v[triple[1]], a_v[triple[2]])
+        sigma = vertex_chart(t, v, representative_triple(parts[v]))
         marking[rename[v]] = {
             rn(n): sigma.apply(p) for n, p in t.edge_points(v).items()
         }
@@ -278,9 +279,12 @@ def iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres
                    ) -> Optional[tuple[dict, dict]]:
     """Explicit isomorphism (vertex map, per-vertex Moebius) or None.
 
-    The vertex map matches internal vertices through their partitions and is
-    the identity on labels; each Moebius is pinned by three branch points and
-    verified on the full edge marking.
+    This decides isomorphism of trees of spheres and witnesses it.  The
+    vertex map matches internal vertices through their partitions and is the
+    identity on labels; each Moebius is pinned by the vertex charts of a
+    representative triple and must carry every edge point of its vertex to
+    the edge point of the image edge.  Every edge point is the marked point
+    of the labels beyond it, so this checks the whole label marking.
     """
     if t1.labels != t2.labels:
         raise LeafSetMismatch("trees of spheres are marked by different label sets")
@@ -288,18 +292,14 @@ def iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres
     parts2 = {partition_at(t2.shape, v): v for v in t2.shape.internal}
     if frozenset(parts1.values()) != frozenset(parts2):
         return None
-    vmap: dict = {x: x for x in t1.labels}
+    vmap: dict = {x: x for x in t1.labels} | {v: parts2[p] for v, p in parts1.items()}
     mmap: dict = {}
     for v1, p in parts1.items():
-        v2 = parts2[p]
-        vmap[v1] = v2
+        v2 = vmap[v1]
         triple = representative_triple(p)
-        a1 = marking_dict(t1, v1)
-        a2 = marking_dict(t2, v2)
-        m = moebius_from_three(a1[triple[0]], a1[triple[1]], a1[triple[2]])
-        m2 = moebius_from_three(a2[triple[0]], a2[triple[1]], a2[triple[2]])
-        iso = m2.inverse().compose(m)
-        if any(iso.apply(a1[x]) != a2[x] for x in t1.labels):
+        iso = vertex_chart(t2, v2, triple).inverse().compose(vertex_chart(t1, v1, triple))
+        row2 = t2.edge_points(v2)
+        if any(iso.apply(q) != row2[vmap[n]] for n, q in t1.edge_points(v1).items()):
             return None
         mmap[v1] = iso
     return vmap, mmap

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -36,6 +37,7 @@ from sphere_trees.covers import (
 from sphere_trees.errors import (
     EmptySelection,
     InconsistentDegree,
+    InvariantBreach,
     NotConnected,
     NotRealizable,
     OverlappingDivisors,
@@ -298,6 +300,23 @@ class TestCoverIso:
         relabeled = relabel_internal_ids(cover, source_shift=10, target_shift=20)
         assert validate_cover(relabeled) == []
         assert cover_iso(cover, relabeled)
+
+    def test_swapped_vertex_images_are_a_breach(self, cover_corpus):
+        # swapping the images of two source vertices of equal degree keeps
+        # the portrait and the sources but breaks the induced target map
+        swaps = 0
+        for c in cover_corpus:
+            for v1, v2 in combinations(sorted(c.source.shape.internal), 2):
+                if c.vm[v1] == c.vm[v2] or c.map_at(v1).degree != c.map_at(v2).degree:
+                    continue
+                vm = dict(c.vm)
+                vm[v1], vm[v2] = vm[v2], vm[v1]
+                swapped = TreeCover.make(c.source, c.target, vm, dict(c.maps))
+                for a, b in ((c, swapped), (swapped, c)):
+                    with pytest.raises(InvariantBreach, match="target vertex map"):
+                        cover_iso(a, b)
+                swaps += 1
+        assert swaps
 
 
 class TestBranchingCubic:

@@ -1,4 +1,4 @@
-"""Limit trees of Laurent families, numeric mode, rescaling, cover limits."""
+"""Limit trees of Laurent families, numeric mode, cover limits."""
 
 from __future__ import annotations
 
@@ -22,14 +22,13 @@ from conftest import (
 from sphere_trees.covers import extract_portrait, reconstruct_cover, validate_cover
 from sphere_trees.errors import NotStabilized
 from sphere_trees.gaussian import gr
-from sphere_trees.laurent import LaurentMap, LaurentPoly
+from sphere_trees.laurent import LaurentPoly
 from sphere_trees.limits import (
     LaurentFamily,
     NumericConfigSequence,
     limit_cover,
     limit_tree,
     numeric_limit_tree,
-    rescale_limit,
 )
 from sphere_trees.moduli import embed, marking_dict, sphere_as_tree, spheres_iso
 from sphere_trees.moduli import MarkedSphere
@@ -168,31 +167,6 @@ class TestNumericLimit:
         seq = NumericConfigSequence.make(snaps, [1.0 / (i + 2) for i in range(10)])
         with pytest.raises(InconsistentClustering):
             numeric_limit_tree(seq)
-
-
-class TestRescaleLimit:
-    def test_no_degeneration(self):
-        zero, one = LaurentPoly.make([]), LaurentPoly.constant(gr(1))
-        f = LaurentMap.make([zero, zero, one], [one])
-        m, limit = rescale_limit(f, (lconst(0), lconst(1), LINF))
-        assert limit.num.coeffs == (gr(0), gr(0), gr(1))
-        assert limit.den.coeffs == (gr(1),)
-
-    def test_eps_rescaling(self):
-        zero, one = LaurentPoly.make([]), LaurentPoly.constant(gr(1))
-        f = LaurentMap.make([zero, zero, LaurentPoly.eps()], [one])
-        m, limit = rescale_limit(f, (lconst(0), lconst(1), LINF))
-        assert limit.num.coeffs == (gr(0), gr(0), gr(1))
-        # the normalization family is w / eps up to scale
-        applied = m.apply(lpoly([(1, gr(1))]))  # eps -> 1
-        from sphere_trees.laurent import laurent_leading_value
-        assert laurent_leading_value(applied) == pt(1)
-
-    def test_constant_family_rejected(self):
-        one = LaurentPoly.constant(gr(1))
-        f = LaurentMap.make([LaurentPoly.eps()], [one])
-        with pytest.raises(ValueError):
-            rescale_limit(f, (lconst(0), lconst(1), LINF))
 
 
 class TestLimitCover:

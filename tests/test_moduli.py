@@ -220,8 +220,8 @@ def _remark_one_vertex(t: TreeOfSpheres, rng: random.Random) -> TreeOfSpheres:
 
 
 class TestIsoOracles:
-    """spheres_iso decides by canonical forms; the embedding and the explicit
-    isomorphism are independent oracles for its verdicts."""
+    """spheres_iso decides by the explicit isomorphism; the embedding and the
+    canonical forms are independent oracles for its verdicts."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_verdict_matches_embedding_and_explicit_iso(self, seed):
@@ -238,6 +238,7 @@ class TestIsoOracles:
                 verdict = spheres_iso(a, b)
                 assert verdict == (embed(a) == embed(b))
                 assert verdict == (iso_of_spheres(a, b) is not None)
+                assert verdict == (canonical_form(a) == canonical_form(b))
                 if form == "twist":
                     assert verdict
                 verdicts.append(verdict)
@@ -268,7 +269,8 @@ def _share_labels(cover: TreeCover) -> TreeCover:
 
 class TestDecisionsSkipTheEmbedding:
     """Isomorphism, cover isomorphism and dynamics membership never build
-    the O(n^4) embedding; their verdicts still match the explicit iso."""
+    the O(n^4) embedding; their verdicts still match the explicit iso and,
+    for trees and covers, the canonical forms."""
 
     @pytest.fixture(autouse=True)
     def no_embed(self, monkeypatch):
@@ -284,7 +286,9 @@ class TestDecisionsSkipTheEmbedding:
         for _ in range(300):
             a, b = rng.choice(tree_corpus), rng.choice(tree_corpus)
             if a.labels == b.labels:
-                assert spheres_iso(a, b) == (iso_of_spheres(a, b) is not None)
+                verdict = spheres_iso(a, b)
+                assert verdict == (iso_of_spheres(a, b) is not None)
+                assert verdict == (canonical_form(a) == canonical_form(b))
 
     def test_cover_iso(self, cover_corpus):
         seen = set()
@@ -294,6 +298,7 @@ class TestDecisionsSkipTheEmbedding:
                     continue
                 verdict = cover_iso(c1, c2)
                 assert verdict == (iso_of_spheres(c1.source, c2.source) is not None)
+                assert verdict == (canonical_form(c1.source) == canonical_form(c2.source))
                 seen.add(verdict)
         assert seen == {True, False}
 
