@@ -4,16 +4,16 @@ A degenerating one-parameter configuration is a Laurent family: one Laurent
 point per label.  Laurent polynomials over Q(i) form a domain, so the limit
 of a cross-ratio depends only on the valuation and leading coefficient of
 the pairwise brackets [p_x, p_y], each expanded once: valuations add and
-leading coefficients multiply.  The limit chart values of each triple
-cluster the labels into one partition, and the distinct partitions assemble
-into the stable limit tree with the chart markings as vertex markings.  A
+leading coefficients multiply.  The valuations alone form an ultrametric
+whose balls are the vertices of the limit tree, the tree the labels span in
+the Berkovich line, and each vertex is marked by one limit chart.  A
 degenerating marked rational map is handled through the limit trees of
 source and target, with a rescaling normalization on the target picking out
 one fiber map per source vertex.
 
-The numeric mode runs the same pipeline on sampled snapshots, accepting a
-quadruple once its rational extrapolant to the limit has settled within
-tolerance, and refusing snapshots in which two labels coincide.
+The numeric mode clusters the extrapolated charts of all triples instead,
+accepting a quadruple once its rational extrapolant to the limit has settled
+within tolerance, and refusing snapshots in which two labels coincide.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .covers import Portrait, TreeCover, validate_cover
 from .errors import (
@@ -142,40 +142,30 @@ def _limit_chart(labels: Sequence[str], lead: dict, triple: tuple[str, str, str]
 def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
     """The exact limit stable tree of a degenerating Laurent family.
 
-    Every triple contributes the fiber partition of its limit chart values;
-    the distinct partitions are admissible and classify the limit tree, and
-    each vertex is marked by the chart of its representative triple.
+    With r the smallest label and v the bracket valuations, g(x, y) =
+    v(x, y) - v(x, r) - v(y, r) is an ultrametric on the other labels whose
+    balls are the vertices.  A ball of minimum m splits into the classes of
+    g > m, which with the labels outside it form the vertex's partition; the
+    vertex is marked by the chart of that partition's representative triple.
     """
     labels = sorted(fam.labels)
     lead = _pair_leads(fam)
-    return tree_from_charts(_partition_charts(
-        labels, lambda triple: _limit_chart(labels, lead, triple), _fibers))
-
-
-def _fibers(chart: Mapping[str, ProjPoint]) -> Partition:
-    fibers: dict[ProjPoint, set] = {}
-    for x, q in chart.items():
-        fibers.setdefault(q, set()).add(x)
-    return frozenset(frozenset(b) for b in fibers.values())
-
-
-def _partition_charts(labels: Sequence[str], chart: Callable[[tuple], Mapping],
-                      cluster: Callable[[Mapping], Partition]) -> dict:
-    """The partition of every triple's chart, each with its representative's chart.
-
-    Triples run in lexicographic order, and the first triple to produce a
-    partition is the smallest one it separates, which is its representative
-    triple.  Raises AdmissibilityFailure unless the partitions are admissible.
-    """
-    charts: dict[Partition, Mapping] = {}
-    for triple in combinations(labels, 3):
-        alpha = chart(triple)
-        charts.setdefault(cluster(alpha), alpha)
-    violation = is_admissible(charts, frozenset(labels))
-    if violation is not None:
-        raise AdmissibilityFailure("collected partitions are not admissible",
-                                   witness=violation)
-    return charts
+    r = labels[0]
+    g = {(x, y): v - lead[(x, r)][0] - lead[(y, r)][0]
+         for (x, y), (v, _) in lead.items() if r not in (x, y)}
+    charts = {}
+    balls = [labels[1:]]
+    while balls:
+        ball = balls.pop()
+        # in an ultrametric the minimum over pairs is met at any fixed point
+        m = min(g[ball[0], y] for y in ball[1:])
+        children: dict[str, list[str]] = {}  # keyed by the first member
+        for x in ball:
+            children.setdefault(next((c for c in children if g[c, x] > m), x), []).append(x)
+        partition = frozenset(map(frozenset, [*children.values(), fam.labels.difference(ball)]))
+        charts[partition] = _limit_chart(labels, lead, representative_triple(partition))
+        balls.extend(c for c in children.values() if len(c) > 1)
+    return tree_from_charts(charts)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +368,14 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
         raise NotStabilized("quadruples did not settle within tolerance",
                             witness=[list(t) + [x] for t, x in unsettled])
 
-    charts = _partition_charts(labels, limits.__getitem__,
-                               lambda values: _cluster(values, seq.tolerance))
+    # in lexicographic order, a partition's first triple is its representative
+    charts: dict[Partition, dict[str, NumericPoint]] = {}
+    for chart in limits.values():
+        charts.setdefault(_cluster(chart, seq.tolerance), chart)
+    violation = is_admissible(charts, frozenset(labels))
+    if violation is not None:
+        raise AdmissibilityFailure("collected partitions are not admissible",
+                                   witness=violation)
     shape = tree_from_partitions(charts)
     marking = []
     for i, part in enumerate(sorted(charts, key=partition_sort_key)):
@@ -443,12 +439,14 @@ class CoverFamily:
                 f"map family degree {map_family.degree} != portrait degree {portrait.d}")
         for eps in (Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)):
             try:
-                if map_family.specialize(eps).degree != portrait.d:
-                    raise InvalidFamily(
-                        f"map family degenerates at generic eps = {eps}")
-                break
-            except ZeroDivisionError:  # pragma: no cover - unlucky sample point
+                degree = map_family.specialize(eps).degree
+            except ValueError:  # the denominator vanishes at this sample point
                 continue
+            if degree != portrait.d:
+                raise InvalidFamily(f"map family degenerates at generic eps = {eps}")
+            break
+        else:
+            raise InvalidFamily("map family has a zero denominator at every sample eps")
         return cls(portrait, y_family, z_family, map_family)
 
 

@@ -19,7 +19,13 @@ from sphere_trees.limits import CoverFamily, LaurentFamily, limit_cover
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres
 from sphere_trees.projective import Moebius, ProjPoint
 from sphere_trees.rational import RationalMap
-from sphere_trees.trees import MarkedTree, edge_of, enumerate_stable_trees, neighbors
+from sphere_trees.trees import (
+    MarkedTree,
+    edge_of,
+    enumerate_stable_trees,
+    neighbors,
+    vertex_key,
+)
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "data"
 
@@ -68,7 +74,8 @@ def random_stable_shape(n: int, rng: random.Random) -> MarkedTree:
     labels = [str(i) for i in range(1, n + 1)]
     internal, edges = {0}, {edge_of(x, 0) for x in labels[:3]}
     for x in labels[3:]:
-        options = sorted(internal) + sorted(edges, key=lambda e: sorted(map(str, e)))
+        # vertex_key, not str: leaf "1" and internal vertex 1 must not tie
+        options = sorted(internal) + sorted(edges, key=lambda e: sorted(map(vertex_key, e)))
         pick = options[rng.randrange(len(options))]
         if isinstance(pick, int):
             edges.add(edge_of(x, pick))

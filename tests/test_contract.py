@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import functools
 import io
 import json
 
@@ -21,6 +20,8 @@ from conftest import DATA_DIR
 from sphere_trees import cli
 from sphere_trees import serialize as ser
 from sphere_trees.errors import SchemaError
+from sphere_trees.gaussian import gr
+from sphere_trees.laurent import LaurentMap, LaurentPoly
 
 ZERO = {"re": "0/1", "im": "0/1"}
 ONE = {"re": "1/1", "im": "0/1"}
@@ -103,9 +104,7 @@ def write(tmp_path, blob, name: str = "input.json") -> str:
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in DATA_DIR.glob("*.json")))
-def test_mutation_sweep(tmp_path, monkeypatch, name):
-    # building the argument parser costs more than most cases; build it once
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_mutation_sweep(tmp_path, name):
     base = json.loads((DATA_DIR / name).read_text())
     kind = ser.detect_kind(base)
     path = str(tmp_path / "mutant.json")
@@ -193,3 +192,33 @@ def test_iso_on_constant_vertex_map_is_domain_error(tmp_path):
 def test_limit_cover_on_non_object_is_schema_error(tmp_path):
     code, _, err = run_main("limit-cover", write(tmp_path, [1, 2]))
     assert code == 2 and err.startswith("schema error:")
+
+
+def cover_family_scaled(*ks: int) -> dict:
+    """The shipped cover family with every map coefficient times the product
+    of (1 - k eps), which vanishes at the sample eps = 1/k."""
+    blob = json.loads((DATA_DIR / "cover_family_degenerate.json").read_text())
+    factor = LaurentPoly.constant(gr(1))
+    for k in ks:
+        factor = factor * LaurentPoly.make([(0, gr(1)), (1, gr(-k))])
+    m = ser.laurent_map_from_json(blob["map"])
+    blob["map"] = ser.laurent_map_to_json(
+        LaurentMap.make([c * factor for c in m.num], [c * factor for c in m.den]))
+    return blob
+
+
+def test_map_vanishing_at_one_sample_eps_keeps_its_limit(tmp_path):
+    path = write(tmp_path, cover_family_scaled(7))
+    code, out, _ = run_main("limit-cover", path)
+    assert code == 0
+    assert out == run_main("limit-cover", data("cover_family_degenerate.json"))[1]
+    code, out, _ = run_main("validate", path)
+    assert code == 0 and json.loads(out) == {"ok": True}
+
+
+def test_map_vanishing_at_every_sample_eps_is_invalid(tmp_path):
+    path = write(tmp_path, cover_family_scaled(7, 11, 13))
+    code, out, _ = run_main("limit-cover", path)
+    assert code == 1 and json.loads(out)["error"] == "InvalidFamily"
+    code, out, _ = run_main("validate", path)
+    assert code == 0 and json.loads(out)["violations"][0].startswith("InvalidFamily:")

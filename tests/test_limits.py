@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,10 +25,18 @@ from conftest import (
     random_moebius,
     random_stable_shape,
 )
+from sphere_trees import limits
+from sphere_trees import serialize as ser
 from sphere_trees.covers import extract_portrait, reconstruct_cover, validate_cover
-from sphere_trees.errors import NotStabilized
+from sphere_trees.errors import (
+    AdmissibilityFailure,
+    CollisionAtEpsilon,
+    InconsistentClustering,
+    InvalidFamily,
+    NotStabilized,
+)
 from sphere_trees.gaussian import gr
-from sphere_trees.laurent import LaurentPoly
+from sphere_trees.laurent import LaurentPoint, LaurentPoly
 from sphere_trees.limits import (
     LaurentFamily,
     NumericConfigSequence,
@@ -31,13 +45,80 @@ from sphere_trees.limits import (
     numeric_limit_tree,
 )
 from sphere_trees.moduli import embed, marking_dict, sphere_as_tree, spheres_iso
-from sphere_trees.moduli import MarkedSphere
+from sphere_trees.moduli import MarkedSphere, tree_from_charts
 from sphere_trees.plumbing import plumb_family
-from sphere_trees.trees import tree_partitions
+from sphere_trees.trees import is_admissible, tree_partitions
 
 
 def fs(*blocks):
     return frozenset(frozenset(b) for b in blocks)
+
+
+def dump(t) -> str:
+    return ser.canonical_dumps(ser.tree_of_spheres_to_json(t))
+
+
+def plumbed_family(n: int, form: str, rng: random.Random) -> LaurentFamily:
+    """A plumbed family of a random tree on n labels, plain, under a constant
+    Moebius twist, or reparametrized by eps -> eps^2."""
+    fam = plumb_family(random_marking(random_stable_shape(n, rng), rng))
+    if form == "twist":
+        fam = fam.twist(random_moebius(rng))
+    elif form == "reparametrize":
+        fam = fam.reparametrize(2)
+    return fam
+
+
+def random_laurent_family(n: int, rng: random.Random) -> LaurentFamily:
+    """n Laurent paths with up to three terms of exponent -2..3 per component."""
+    def poly():
+        return LaurentPoly.make([(rng.randint(-2, 3), gr(rng.randint(-3, 3), rng.randint(-1, 1)))
+                                 for _ in range(rng.randint(0, 3))])
+    while True:
+        paths = {}
+        while len(paths) < n:
+            u, v = poly(), poly()
+            if not (u.is_zero() and v.is_zero()):
+                paths[str(len(paths) + 1)] = LaurentPoint.make(u, v)
+        try:
+            return LaurentFamily.make(paths)
+        except InvalidFamily:  # two paths coincide; draw again
+            continue
+
+
+def per_triple_limit_tree(fam: LaurentFamily):
+    """The per-triple engine, kept as an oracle for limit_tree.
+
+    Every triple's limit chart clusters the labels into its fibers; the
+    distinct fiber partitions are admissible, and each is marked by the chart
+    of the first triple to give it, which is its representative triple.
+    """
+    labels = sorted(fam.labels)
+    lead = limits._pair_leads(fam)
+    charts = {}
+    for triple in combinations(labels, 3):
+        chart = limits._limit_chart(labels, lead, triple)
+        fibers: dict = {}
+        for x, q in chart.items():
+            fibers.setdefault(q, set()).add(x)
+        charts.setdefault(frozenset(map(frozenset, fibers.values())), chart)
+    assert is_admissible(charts, frozenset(labels)) is None
+    return tree_from_charts(charts)
+
+
+def snapshots(fam: LaurentFamily) -> tuple[list[dict], list[float]]:
+    """Float snapshots at eps = 1/k, k = 10..200, skipping colliding ones."""
+    snaps, eps = [], []
+    for k in range(10, 201):
+        try:
+            sphere = fam.evaluate(Fraction(1, k))
+        except CollisionAtEpsilon:
+            continue
+        points = {x: sphere.point(x) for x in sphere.labels}
+        snaps.append({x: None if p.is_infinity() else p.to_affine().to_complex()
+                      for x, p in points.items()})
+        eps.append(1.0 / k)
+    return snaps, eps
 
 
 @pytest.fixture
@@ -92,20 +173,13 @@ class TestLimitTree:
     @pytest.mark.parametrize("n", range(5, 10))
     @pytest.mark.parametrize("form", ["plain", "twist", "reparametrize"])
     def test_embedding_agrees_with_quadruple_limits_on_plumbed_families(self, n, form):
-        rng = random.Random(f"{n}-{form}")
-        fam = plumb_family(random_marking(random_stable_shape(n, rng), rng))
-        if form == "twist":
-            fam = fam.twist(random_moebius(rng))
-        elif form == "reparametrize":
-            fam = fam.reparametrize(2)
-        self.assert_embedding_is_quadruple_limits(fam)
+        self.assert_embedding_is_quadruple_limits(
+            plumbed_family(n, form, random.Random(f"{n}-{form}")))
 
     def test_laurent_products_grow_with_pairs_not_quadruples(self, monkeypatch):
         # each of the n(n-1)/2 brackets is expanded once, at two products each
         n = 12
-        rng = random.Random(12)
-        fam = plumb_family(random_marking(random_stable_shape(n, rng), rng))
-        fam = fam.twist(random_moebius(rng))
+        fam = plumbed_family(n, "twist", random.Random(12))
         calls = []
         mul = LaurentPoly.__mul__
 
@@ -117,6 +191,20 @@ class TestLimitTree:
         limit_tree(fam)
         assert 0 < len(calls) <= n * (n - 1)
 
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_one_chart_per_vertex(self, monkeypatch, n):
+        fam = plumbed_family(n, "twist", random.Random(f"charts-{n}"))
+        calls = []
+        chart = limits._limit_chart
+
+        def counted(*args):
+            calls.append(None)
+            return chart(*args)
+
+        monkeypatch.setattr(limits, "_limit_chart", counted)
+        t = limit_tree(fam)
+        assert len(calls) == len(t.shape.internal)
+
     def test_reparametrization_invariance(self, eps_family):
         assert spheres_iso(limit_tree(eps_family),
                            limit_tree(eps_family.reparametrize(2)))
@@ -125,6 +213,46 @@ class TestLimitTree:
         rng = random.Random(3)
         m = random_moebius(rng)
         assert spheres_iso(limit_tree(eps_family), limit_tree(eps_family.twist(m)))
+
+
+class TestEnginesAgree:
+    """limit_tree against the per-triple engine, byte for byte."""
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    @pytest.mark.parametrize("form", ["plain", "twist", "reparametrize"])
+    def test_plumbed_families(self, n, form):
+        rng = random.Random(f"engines-{n}-{form}")
+        for _ in range(3):
+            fam = plumbed_family(n, form, rng)
+            assert dump(limit_tree(fam)) == dump(per_triple_limit_tree(fam))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_random_laurent_families(self, n):
+        rng = random.Random(f"engines-laurent-{n}")
+        sizes = set()
+        for _ in range(12):
+            fam = random_laurent_family(n, rng)
+            t = limit_tree(fam)
+            assert dump(t) == dump(per_triple_limit_tree(fam))
+            sizes.add(len(t.shape.internal))
+        assert n == 3 or max(sizes) > 1
+
+
+def test_seeded_trees_do_not_depend_on_the_hash_seed():
+    script = "\n".join([
+        "import random, sys",
+        f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})",
+        "from conftest import random_marking, random_stable_shape",
+        "from sphere_trees import serialize as ser",
+        "for seed in range(300):",
+        "    rng = random.Random(seed)",
+        "    t = random_marking(random_stable_shape(4 + seed % 11, rng), rng)",
+        "    print(ser.canonical_dumps(ser.tree_of_spheres_to_json(t)), end='')",
+    ])
+    outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert outs[0] == outs[1]
 
 
 class TestNumericLimit:
@@ -160,13 +288,27 @@ class TestNumericLimit:
         assert info.value.witness == {"quadruple": ["1", "2", "4", "2"], "eps": eps[9]}
 
     def test_non_transitive_clustering(self):
-        from sphere_trees.errors import InconsistentClustering
         # a, b, c settle at mutual chordal gaps of 8e-7, 8e-7, and 1.6e-6
         snap = {"a": 0j, "b": 4e-7 + 0j, "c": 8e-7 + 0j, "d": 1 + 0j, "e": None}
         snaps = [dict(snap) for _ in range(10)]
         seq = NumericConfigSequence.make(snaps, [1.0 / (i + 2) for i in range(10)])
         with pytest.raises(InconsistentClustering):
             numeric_limit_tree(seq)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_fails_closed_on_plumbed_families(self, n):
+        # a returned tree has the exact partitions; otherwise a typed refusal
+        rng = random.Random(f"fail-closed-{n}")
+        returned = 0
+        for form in ("plain", "twist", "plain", "twist"):
+            fam = plumbed_family(n, form, rng)
+            try:
+                t = numeric_limit_tree(NumericConfigSequence.make(*snapshots(fam)))
+            except (NotStabilized, InconsistentClustering, AdmissibilityFailure):
+                continue
+            assert t.partitions() == tree_partitions(limit_tree(fam).shape)
+            returned += 1
+        assert returned > 0
 
 
 class TestLimitCover:
