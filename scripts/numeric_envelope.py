@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Envelope of the numeric limit mode: cost, refusals and wrong trees by size.
+
+For each label count, plumbs random marked trees (drawn by the benchmark's
+seeded generators in bench/generators.py) into degenerating families (every
+second one under a random constant Moebius twist), samples float
+snapshots at eps = 1/k for k = 10..200, and runs numeric_limit_tree at
+tolerance 1e-6 with a stability window of 5.  Per size it prints the median
+CPU time of numeric_limit_tree per item, how many items were refused with a
+typed error, and how many returned trees had partitions other than the exact
+ones (the numeric mode must fail closed, so this column should read 0).
+
+Usage: python3 scripts/numeric_envelope.py [sizes] [items_per_size]
+       e.g. python3 scripts/numeric_envelope.py 8,10,12,14 12
+"""
+
+from __future__ import annotations
+
+import pathlib
+import random
+import statistics
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import generators as gen
+from sphere_trees.errors import AdmissibilityFailure, InconsistentClustering, NotStabilized
+from sphere_trees.limits import NumericConfigSequence, numeric_limit_tree
+from sphere_trees.plumbing import plumb_family
+from sphere_trees.trees import tree_partitions
+
+TOLERANCE = 1e-6
+WINDOW = 5
+REFUSALS = (NotStabilized, InconsistentClustering, AdmissibilityFailure)
+
+
+def main() -> None:
+    sizes = [int(n) for n in sys.argv[1].split(",")] if len(sys.argv) > 1 else [8, 10, 12, 14]
+    items = int(sys.argv[2]) if len(sys.argv) > 2 else 12
+
+    print(f"{'n':>3} {'CPU per item':>13} {'refusals':>9} {'wrong':>6}")
+    for n in sizes:
+        rng = random.Random(f"envelope-{n}")
+        times, refused, wrong = [], 0, 0
+        for i in range(items):
+            tree = gen.random_tree(n, rng)
+            fam = plumb_family(tree)
+            if i % 2:
+                fam = fam.twist(gen.random_moebius(rng))
+            seq = NumericConfigSequence.make(*gen.snapshots(fam), TOLERANCE, WINDOW)
+            started = time.process_time()
+            try:
+                result = numeric_limit_tree(seq)
+            except REFUSALS:
+                result = None
+            times.append(time.process_time() - started)
+            if result is None:
+                refused += 1
+            elif result.partitions() != tree_partitions(tree.shape):
+                wrong += 1
+        median = f"{1000 * statistics.median(times):.1f} ms"
+        print(f"{n:>3} {median:>13} {f'{refused}/{items}':>9} {wrong:>6}")
+
+
+if __name__ == "__main__":
+    main()

@@ -66,7 +66,7 @@ class ConstantLimit(SphereTreesError):
 
 
 class NotStabilized(SphereTreesError):
-    """Numeric snapshots did not settle; witness lists unsettled quadruples."""
+    """Snapshots did not settle; witness: each unsettled quadruple of a chart and its spread."""
 
 
 class InconsistentClustering(SphereTreesError):

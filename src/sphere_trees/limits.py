@@ -11,9 +11,9 @@ degenerating marked rational map is handled through the limit trees of
 source and target, with a rescaling normalization on the target picking out
 one fiber map per source vertex.
 
-The numeric mode clusters the extrapolated charts of all triples instead,
-accepting a quadruple once its rational extrapolant to the limit has settled
-within tolerance, and refusing snapshots in which two labels coincide.
+The numeric mode extrapolates one chart per vertex instead, found by a
+lexicographic scan of the unseparated triples, and refuses quadruples that do
+not settle within tolerance and snapshots in which two labels coincide.
 """
 
 from __future__ import annotations
@@ -329,16 +329,15 @@ def _refuse_coincident(seq: NumericConfigSequence, used: set[int]) -> None:
 def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     """Numeric counterpart of limit_tree on sampled snapshots.
 
-    Each quadruple is extrapolated to the limit along a geometric support
-    ladder; the last stability_window anchor choices give one estimate each,
-    and the quadruple is settled when those values agree within tolerance in
-    the chordal metric.  Label clustering at the tolerance must then be an
-    equivalence relation.  A used snapshot in which two labels coincide is
-    refused before any extrapolation.
+    One extrapolated chart per vertex, found by a lexicographic scan of the
+    unseparated triples, those no collected partition splits into three blocks.
+    Each quadruple has one estimate per ladder anchored at the stability_window
+    smallest parameters; a chart is refused at once when a spread, the largest
+    chordal distance from the first estimate to another, exceeds tolerance.
+    Clustering must be transitive, and a snapshot with coincident labels is refused first.
     """
     w = seq.stability_window
     labels = seq.labels
-    index = {x: i for i, x in enumerate(labels)}
     if len(seq.snapshots) < w + 1:
         raise NotStabilized("not enough snapshots for the stability window",
                             witness={"snapshots": len(seq.snapshots), "window": w})
@@ -347,31 +346,29 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     ladders = [([seq.eps[i] for i in node_idx], [seq.snapshots[i] for i in node_idx])
                for node_idx in nodes]
 
-    unsettled = []
-    limits: dict[tuple, dict[str, NumericPoint]] = {}
-    for triple in combinations(labels, 3):
-        i0, i1, i2 = (index[x] for x in triple)
-        chart = limits[triple] = {}
-        for x in labels:
-            ix = index[x]
-            estimates = []
-            for node_eps, node_snaps in ladders:
-                series = [
-                    _numeric_cross_ratio(snap[i0], snap[i1], snap[i2], snap[ix])
-                    for snap in node_snaps
-                ]
-                estimates.append(_extrapolate(node_eps, series))
-            if any(chordal(estimates[0], e) > seq.tolerance for e in estimates[1:]):
-                unsettled.append((triple, x))
-            chart[x] = estimates[0]
-    if unsettled:
-        raise NotStabilized("quadruples did not settle within tolerance",
-                            witness=[list(t) + [x] for t, x in unsettled])
-
-    # in lexicographic order, a partition's first triple is its representative
     charts: dict[Partition, dict[str, NumericPoint]] = {}
-    for chart in limits.values():
-        charts.setdefault(_cluster(chart, seq.tolerance), chart)
+    sides: list[dict[str, int]] = []  # block index of each label, per partition
+    for triple in combinations(labels, 3):
+        if any(len({side[x] for x in triple}) == 3 for side in sides):
+            continue
+        i0, i1, i2 = (labels.index(x) for x in triple)
+        chart, unsettled = {}, []
+        for ix, x in enumerate(labels):
+            estimates = [_extrapolate(node_eps, [
+                _numeric_cross_ratio(snap[i0], snap[i1], snap[i2], snap[ix])
+                for snap in node_snaps]) for node_eps, node_snaps in ladders]
+            spread = max(chordal(estimates[0], e) for e in estimates[1:])
+            if spread > seq.tolerance:
+                unsettled.append({"quadruple": [*triple, x], "spread": spread})
+            chart[x] = estimates[0]
+        if unsettled:
+            raise NotStabilized("quadruples did not settle within tolerance",
+                                witness=unsettled)
+        partition = _cluster(chart, seq.tolerance)
+        if partition not in charts:
+            charts[partition] = chart
+            sides.append({x: i for i, block in enumerate(partition) for x in block})
+
     violation = is_admissible(charts, frozenset(labels))
     if violation is not None:
         raise AdmissibilityFailure("collected partitions are not admissible",

@@ -28,7 +28,7 @@ from .projective import Moebius, ProjPoint, moebius_from_three
 from .trees import (
     MarkedTree,
     Partition,
-    branch,
+    branches,
     neighbors,
     partition_at,
     partition_sort_key,
@@ -107,7 +107,7 @@ def marking_dict(t: TreeOfSpheres, v: int) -> Mapping:
     if t._markings is None:
         object.__setattr__(t, "_markings", MappingProxyType({
             w: MappingProxyType(dict(sorted(
-                (x, p) for n, p in row.items() for x in branch(t.shape, w, n))))
+                (x, p) for n, p in row.items() for x in branches(t.shape, w)[n])))
             for w, row in t.rows.items()}))
     return t._markings[v]
 
@@ -123,7 +123,7 @@ def tree_from_charts(charts: Mapping[Partition, Mapping[str, ProjPoint]]) -> Tre
     marking = {}
     for i, p in enumerate(sorted(charts, key=partition_sort_key)):
         chart = charts[p]
-        marking[i] = {n: chart[next(iter(branch(shape, i, n)))] for n in neighbors(shape, i)}
+        marking[i] = {n: chart[next(iter(b))] for n, b in branches(shape, i).items()}
     return TreeOfSpheres.make(shape, marking)
 
 
@@ -135,9 +135,10 @@ def sphere_as_tree(s: MarkedSphere) -> TreeOfSpheres:
 
 
 def vertex_chart(t: TreeOfSpheres, v: int, triple: tuple[str, str, str]) -> Moebius:
-    """The Moebius map sending the marked images of the triple at v to (0, 1, inf)."""
-    a_v = marking_dict(t, v)
-    return moebius_from_three(a_v[triple[0]], a_v[triple[1]], a_v[triple[2]])
+    """The Moebius map sending the marked images of the triple at v to (0, 1, inf):
+    each label's image is the point of the edge toward the branch holding it."""
+    row, beyond = t.edge_points(v), branches(t.shape, v)
+    return moebius_from_three(*(p for x in triple for n, p in row.items() if x in beyond[n]))
 
 
 def t_chart(t: TreeOfSpheres, triple: tuple[str, str, str]

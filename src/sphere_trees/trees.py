@@ -53,10 +53,10 @@ class MarkedTree:
     leaves: frozenset
     internal: frozenset
     edges: frozenset
-    # derived lookups, filled on first use by adjacency and partition_at, so
-    # an unvalidated tree derives nothing until asked
+    # derived lookups, filled on first use by adjacency and branches, so an
+    # unvalidated tree derives nothing until asked
     _adjacency: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
-    _partitions: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
+    _branches: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, leaves: Iterable[str], internal: Iterable[int],
@@ -156,15 +156,17 @@ def branch(t: MarkedTree, v: Vertex, toward: Vertex) -> Block:
     return frozenset(leaves)
 
 
-def partition_at(t: MarkedTree, v: int) -> Partition:
-    """The partition of the labels induced by the branches at v.
+def branches(t: MarkedTree, v: int) -> Mapping:
+    """The branch beyond each edge at v; computed once per tree for every v."""
+    if t._branches is None:
+        object.__setattr__(t, "_branches", MappingProxyType({w: MappingProxyType(
+            {n: branch(t, w, n) for n in neighbors(t, w)}) for w in t.internal}))
+    return t._branches[v]
 
-    The partitions of all internal vertices are computed once per tree.
-    """
-    if t._partitions is None:
-        object.__setattr__(t, "_partitions", MappingProxyType({
-            w: frozenset(branch(t, w, n) for n in neighbors(t, w)) for w in t.internal}))
-    return t._partitions[v]
+
+def partition_at(t: MarkedTree, v: int) -> Partition:
+    """The partition of the labels induced by the branches at v."""
+    return frozenset(branches(t, v).values())
 
 
 def tree_partitions(t: MarkedTree) -> PartitionSet:

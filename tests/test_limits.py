@@ -47,7 +47,12 @@ from sphere_trees.limits import (
 from sphere_trees.moduli import embed, marking_dict, sphere_as_tree, spheres_iso
 from sphere_trees.moduli import MarkedSphere, tree_from_charts
 from sphere_trees.plumbing import plumb_family
-from sphere_trees.trees import is_admissible, tree_partitions
+from sphere_trees.trees import (
+    is_admissible,
+    partition_sort_key,
+    tree_from_partitions,
+    tree_partitions,
+)
 
 
 def fs(*blocks):
@@ -104,6 +109,67 @@ def per_triple_limit_tree(fam: LaurentFamily):
         charts.setdefault(frozenset(map(frozenset, fibers.values())), chart)
     assert is_admissible(charts, frozenset(labels)) is None
     return tree_from_charts(charts)
+
+
+def per_triple_numeric_limit_tree(seq: NumericConfigSequence):
+    """The all-triples numeric engine, kept as an oracle for numeric_limit_tree.
+
+    Every triple's chart is extrapolated; if any quadruple is unsettled the
+    sequence is refused, otherwise every chart is clustered and each distinct
+    partition is marked by the chart of the first triple to give it.
+    """
+    w = seq.stability_window
+    labels = seq.labels
+    index = {x: i for i, x in enumerate(labels)}
+    if len(seq.snapshots) < w + 1:
+        raise NotStabilized("not enough snapshots for the stability window")
+    nodes = [limits._ladder_nodes(seq.eps, skip) for skip in range(w)]
+    limits._refuse_coincident(seq, {i for node_idx in nodes for i in node_idx})
+    ladders = [([seq.eps[i] for i in node_idx], [seq.snapshots[i] for i in node_idx])
+               for node_idx in nodes]
+
+    unsettled = []
+    all_charts = {}
+    for triple in combinations(labels, 3):
+        i0, i1, i2 = (index[x] for x in triple)
+        chart = all_charts[triple] = {}
+        for x in labels:
+            ix = index[x]
+            estimates = []
+            for node_eps, node_snaps in ladders:
+                series = [
+                    limits._numeric_cross_ratio(snap[i0], snap[i1], snap[i2], snap[ix])
+                    for snap in node_snaps
+                ]
+                estimates.append(limits._extrapolate(node_eps, series))
+            if any(limits.chordal(estimates[0], e) > seq.tolerance for e in estimates[1:]):
+                unsettled.append((triple, x))
+            chart[x] = estimates[0]
+    if unsettled:
+        raise NotStabilized("quadruples did not settle within tolerance",
+                            witness=[list(t) + [x] for t, x in unsettled])
+
+    charts = {}
+    for chart in all_charts.values():
+        charts.setdefault(limits._cluster(chart, seq.tolerance), chart)
+    violation = is_admissible(charts, frozenset(labels))
+    if violation is not None:
+        raise AdmissibilityFailure("collected partitions are not admissible",
+                                   witness=violation)
+    shape = tree_from_partitions(charts)
+    marking = []
+    for i, part in enumerate(sorted(charts, key=partition_sort_key)):
+        row = []
+        for x in labels:
+            u, v = charts[part][x]
+            affine = None if abs(v) <= seq.tolerance * abs(u) else u / v
+            row.append((x, affine))
+        marking.append((i, tuple(row)))
+    return limits.NumericTreeOfSpheres(shape, tuple(marking))
+
+
+def numeric_dump(t) -> str:
+    return ser.canonical_dumps(ser.numeric_tree_to_json(t))
 
 
 def snapshots(fam: LaurentFamily) -> tuple[list[dict], list[float]]:
@@ -274,9 +340,13 @@ class TestNumericLimit:
         rng = random.Random(1)
         snaps = [{"1": complex(rng.random(), rng.random()), "2": 1 + 0j,
                   "3": None, "4": 5 + 0j} for _ in range(30)]
-        with pytest.raises(NotStabilized):
+        with pytest.raises(NotStabilized) as info:
             numeric_limit_tree(NumericConfigSequence.make(
                 snaps, [1.0 / (i + 10) for i in range(30)]))
+        # the first chart fails: only label 4 moves against its random triple
+        [entry] = info.value.witness
+        assert entry["quadruple"] == ["1", "2", "3", "4"]
+        assert 1e-6 < entry["spread"] <= 2.0
 
     def test_coincident_labels_refused(self):
         # labels 2 and 4 round to the same float in the snapshot nearest the limit
@@ -295,7 +365,7 @@ class TestNumericLimit:
         with pytest.raises(InconsistentClustering):
             numeric_limit_tree(seq)
 
-    @pytest.mark.parametrize("n", range(4, 11))
+    @pytest.mark.parametrize("n", range(4, 13))
     def test_fails_closed_on_plumbed_families(self, n):
         # a returned tree has the exact partitions; otherwise a typed refusal
         rng = random.Random(f"fail-closed-{n}")
@@ -309,6 +379,51 @@ class TestNumericLimit:
             assert t.partitions() == tree_partitions(limit_tree(fam).shape)
             returned += 1
         assert returned > 0
+
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_engines_agree_on_plumbed_families(self, n):
+        # the oracle's trees come back byte for byte; any tree is exact
+        rng = random.Random(f"numeric-engines-{n}")
+        returned = 0
+        for form in ("plain", "twist", "plain", "twist"):
+            fam = plumbed_family(n, form, rng)
+            seq = NumericConfigSequence.make(*snapshots(fam))
+            try:
+                expected = numeric_dump(per_triple_numeric_limit_tree(seq))
+            except (NotStabilized, InconsistentClustering, AdmissibilityFailure):
+                expected = None
+            try:
+                t = numeric_limit_tree(seq)
+            except (NotStabilized, InconsistentClustering, AdmissibilityFailure):
+                assert expected is None
+                continue
+            assert t.partitions() == tree_partitions(limit_tree(fam).shape)
+            assert expected is None or numeric_dump(t) == expected
+            returned += 1
+        assert returned > 0
+
+    @pytest.mark.parametrize("n", [5, 8, 11])
+    def test_one_extrapolated_chart_per_vertex(self, monkeypatch, n):
+        calls = []
+        extrapolate = limits._extrapolate
+
+        def counted(*args):
+            calls.append(None)
+            return extrapolate(*args)
+
+        monkeypatch.setattr(limits, "_extrapolate", counted)
+        rng = random.Random(f"numeric-charts-{n}")
+        seq = None
+        while seq is None:
+            fam = plumbed_family(n, "twist", rng)
+            seq = NumericConfigSequence.make(*snapshots(fam))
+            calls.clear()
+            try:
+                t = numeric_limit_tree(seq)
+            except (NotStabilized, InconsistentClustering, AdmissibilityFailure):
+                seq = None
+        assert len(t.shape.internal) > 1
+        assert len(calls) == seq.stability_window * n * len(t.shape.internal)
 
 
 class TestLimitCover:

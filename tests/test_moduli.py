@@ -85,7 +85,7 @@ class TestMarkedSphere:
         fresh = TreeOfSpheres(MarkedTree(shape.leaves, shape.internal, shape.edges),
                               two_vertex.marking)
         assert fresh._markings is None and fresh.shape._adjacency is None
-        assert fresh.shape._partitions is None
+        assert fresh.shape._branches is None
         assert fresh == two_vertex and hash(fresh) == hash(two_vertex)
         assert repr(fresh) == repr(two_vertex)
         cover, portrait = z_squared_cover()
@@ -95,7 +95,7 @@ class TestMarkedSphere:
         assert portrait.f_dict == dict(portrait.fmap)
         assert portrait.deg_dict == dict(portrait.degmap)
         for obj, names in ((two_vertex, ["_markings"]),
-                           (shape, ["_adjacency", "_partitions"]),
+                           (shape, ["_adjacency", "_branches"]),
                            (cover, ["vm", "_maps"]), (portrait, ["f_dict", "deg_dict"])):
             for name in names:
                 assert f"{name}=" not in repr(obj)

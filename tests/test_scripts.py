@@ -14,6 +14,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 @pytest.mark.parametrize("args", [
     ["cover_degeneration.py"],
     ["degeneration_census.py", "5", "1"],
+    ["numeric_envelope.py", "5,7", "2"],
 ])
 def test_script_runs(args):
     r = subprocess.run([sys.executable, str(SCRIPTS / args[0]), *args[1:]],
