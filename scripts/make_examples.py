@@ -3,6 +3,8 @@
 
 Every file is produced from library values through the canonical serializer,
 so rerunning this script is a no-op unless the formats change.
+
+Usage: python3 scripts/make_examples.py [output_dir]   (default: data/)
 """
 
 from __future__ import annotations
@@ -26,12 +28,6 @@ from sphere_trees.trees import MarkedTree
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 
-def write(name: str, payload) -> None:
-    path = DATA / name
-    path.write_text(ser.canonical_dumps(payload), encoding="utf-8")
-    print(f"wrote {path}")
-
-
 def pt(x) -> ProjPoint:
     return ProjPoint.of(gr(x))
 
@@ -43,7 +39,13 @@ LPOLY = lambda terms: LaurentPoint.from_poly(LaurentPoly.make(terms))
 
 
 def main() -> None:
-    DATA.mkdir(exist_ok=True)
+    out = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else DATA
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write(name: str, payload) -> None:
+        path = out / name
+        path.write_text(ser.canonical_dumps(payload), encoding="utf-8")
+        print(f"wrote {path}")
 
     star = MarkedTree.make(["1", "2", "3"], [0], [("1", 0), ("2", 0), ("3", 0)])
     write("star_tree.json", ser.tree_to_json(star))

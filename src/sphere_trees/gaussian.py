@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Iterable, Union
 
 Rationalish = Union[int, Fraction, str]
 
@@ -141,3 +141,12 @@ GR_I = GaussianRational(0, 1)
 def gr(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
     """Shorthand constructor used pervasively in tests and fixtures."""
     return GaussianRational(re, im)
+
+
+def sum_of_products(terms: Iterable[tuple[int, GaussianRational, GaussianRational]]) -> GaussianRational:
+    """The sum of k * x * y over (k, x, y) in terms, k an integer, reduced once at the end."""
+    a, b, c = 0, 0, 1
+    for k, x, y in terms:
+        z = x.c * y.c
+        a, b, c = a * z + k * (x.a * y.a - x.b * y.b) * c, b * z + k * (x.a * y.b + x.b * y.a) * c, c * z
+    return GaussianRational._raw(a, b, c)

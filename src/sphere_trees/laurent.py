@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstantLimit, DegenerateTriple, ZeroFamily
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational
+from .gaussian import GR_ONE, GR_ZERO, GaussianRational, sum_of_products
 from .projective import Moebius, ProjPoint
 from .rational import Polynomial, RationalMap, hom_apply, hom_substitute
 
@@ -155,8 +155,22 @@ def laurent_bracket(p: LaurentPoint, q: LaurentPoint) -> LaurentPoly:
     return p.u * q.v - q.u * p.v
 
 
+def bracket_lead(p: LaurentPoint, q: LaurentPoint) -> tuple[int, GaussianRational] | None:
+    """(valuation, leading coefficient) of [p, q], or None when it is zero: the term pairs
+    of p.u q.v and q.u p.v are summed by exponent sum, lowest first, up to the first nonzero."""
+    pairs: dict[int, list] = {}
+    for xs, ys, sign in ((p.u.terms, q.v.terms, 1), (q.u.terms, p.v.terms, -1)):
+        for (e, x), (f, y) in product(xs, ys):
+            pairs.setdefault(e + f, []).append((sign, x, y))
+    for s in sorted(pairs):
+        c = sum_of_products(pairs[s])
+        if not c.is_zero():
+            return s, c
+    return None
+
+
 def laurent_points_equal(p: LaurentPoint, q: LaurentPoint) -> bool:
-    return laurent_bracket(p, q).is_zero()
+    return bracket_lead(p, q) is None
 
 
 def laurent_leading_value(q: LaurentPoint) -> ProjPoint:
@@ -205,17 +219,11 @@ class LaurentMoebius:
     @classmethod
     def from_three(cls, p0: LaurentPoint, p1: LaurentPoint, pinf: LaurentPoint) -> "LaurentMoebius":
         """Family of charts sending (p0, p1, pinf) to (0, 1, inf) for each eps."""
-        if (laurent_bracket(p0, p1).is_zero() or laurent_bracket(p0, pinf).is_zero()
-                or laurent_bracket(p1, pinf).is_zero()):
+        k_01, k_num = laurent_bracket(p0, p1), laurent_bracket(p1, pinf)
+        if k_01.is_zero() or k_num.is_zero() or laurent_bracket(p0, pinf).is_zero():
             raise DegenerateTriple("chart family requires pairwise distinct paths")
-        k_num = laurent_bracket(p1, pinf)
-        k_den = laurent_bracket(p1, p0)
-        return cls.make(
-            p0.v * k_num,
-            -(p0.u * k_num),
-            pinf.v * k_den,
-            -(pinf.u * k_den),
-        )
+        # [p1, p0] = -[p0, p1]; det = [p1, pinf] [p1, p0] [p0, pinf] is nonzero
+        return cls(p0.v * k_num, -(p0.u * k_num), -(pinf.v * k_01), pinf.u * k_01)
 
     def apply(self, p: LaurentPoint) -> LaurentPoint:
         return LaurentPoint.make(self.a * p.u + self.b * p.v, self.c * p.u + self.d * p.v)

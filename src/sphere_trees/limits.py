@@ -3,8 +3,8 @@
 A degenerating one-parameter configuration is a Laurent family: one Laurent
 point per label.  Laurent polynomials over Q(i) form a domain, so the limit
 of a cross-ratio depends only on the valuation and leading coefficient of
-the pairwise brackets [p_x, p_y], each expanded once: valuations add and
-leading coefficients multiply.  The valuations alone form an ultrametric
+the pairwise brackets [p_x, p_y], read from the lowest terms up: valuations
+add and leading coefficients multiply.  The valuations alone form an ultrametric
 whose balls are the vertices of the limit tree, the tree the labels span in
 the Berkovich line, and each vertex is marked by one limit chart.  A
 degenerating marked rational map is handled through the limit trees of
@@ -40,7 +40,7 @@ from .laurent import (
     LaurentMap,
     LaurentMoebius,
     LaurentPoint,
-    laurent_bracket,
+    bracket_lead,
     laurent_points_equal,
 )
 from .moduli import MarkedSphere, TreeOfSpheres, tree_from_charts, vertex_chart
@@ -110,10 +110,8 @@ def _pair_leads(fam: LaurentFamily) -> dict:
     """(valuation, leading coefficient) of [p_x, p_y]; [p_y, p_x] = -[p_x, p_y]."""
     lead = {}
     for (x, p), (y, q) in combinations(fam.paths, 2):
-        b = laurent_bracket(p, q)
-        val, c = b.valuation(), b.leading()
-        lead[(x, y)] = (val, c)
-        lead[(y, x)] = (val, -c)
+        val, c = bracket_lead(p, q)
+        lead[(x, y)], lead[(y, x)] = (val, c), (val, -c)
     return lead
 
 
@@ -142,11 +140,11 @@ def _limit_chart(labels: Sequence[str], lead: dict, triple: tuple[str, str, str]
 def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
     """The exact limit stable tree of a degenerating Laurent family.
 
-    With r the smallest label and v the bracket valuations, g(x, y) =
-    v(x, y) - v(x, r) - v(y, r) is an ultrametric on the other labels whose
-    balls are the vertices.  A ball of minimum m splits into the classes of
-    g > m, which with the labels outside it form the vertex's partition; the
-    vertex is marked by the chart of that partition's representative triple.
+    With r the smallest label and v the bracket valuations (read from the
+    lowest terms up), g(x, y) = v(x, y) - v(x, r) - v(y, r) is an ultrametric
+    on the other labels whose balls are the vertices.  A ball of minimum m
+    splits into the classes of g > m, which with the labels outside it form
+    the vertex's partition, marked by its representative triple's chart.
     """
     labels = sorted(fam.labels)
     lead = _pair_leads(fam)

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import INF, pt
 from sphere_trees.errors import DegenerateTriple, ZeroFamily
-from sphere_trees.gaussian import GaussianRational, gr
+from sphere_trees.gaussian import GR_ZERO, GaussianRational, gr, sum_of_products
 from sphere_trees.laurent import (
     LaurentMap,
     LaurentMoebius,
     LaurentPoint,
     LaurentPoly,
+    bracket_lead,
+    laurent_bracket,
     laurent_cross_ratio,
     laurent_leading_value,
     laurent_points_equal,
@@ -51,6 +53,13 @@ class TestGaussian:
     def test_reduced_representation(self):
         assert gr("2/4") == gr("1/2")
         assert gr(Fraction(-6, -4)) == gr("3/2")
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), gaussians, gaussians), max_size=5))
+    def test_sum_of_products(self, terms):
+        expected = GR_ZERO
+        for k, x, y in terms:
+            expected = expected + gr(k) * x * y
+        assert sum_of_products(terms) == expected
 
 
 class TestProjPoint:
@@ -323,3 +332,52 @@ class TestLaurentMapKernel:
     def test_postcompose_is_composition(self, f, m, p):
         left = defined(lambda: f.postcompose(m).evaluate(p))
         assert laurent_points_equal(left, defined(lambda: m.apply(f.evaluate(p))))
+
+
+# ---------------------------------------------------------------------------
+# bracket leading terms, read from the lowest exponent up
+
+
+def expanded_lead(p: LaurentPoint, q: LaurentPoint):
+    """The oracle for bracket_lead: expand [p, q] in full, read its lowest term."""
+    b = laurent_bracket(p, q)
+    return None if b.is_zero() else (b.valuation(), b.leading())
+
+
+class TestBracketLead:
+    @settings(max_examples=150, deadline=None)
+    @given(laurent_points, laurent_points)
+    def test_matches_expanded_bracket(self, p, q):
+        assert bracket_lead(p, q) == expanded_lead(p, q)
+        assert laurent_points_equal(p, q) == (expanded_lead(p, q) is None)
+
+    # [p, p + eps^k r] = eps^k [p, r]: every product term below the
+    # bracket's valuation cancels, and r = 0 gives equal points
+    @settings(max_examples=150, deadline=None)
+    @given(laurent_points, laurent_polys, laurent_polys, st.integers(0, 4))
+    def test_forced_cancellations(self, p, ru, rv, k):
+        q = defined(lambda: LaurentPoint.make(p.u + ru.shift(k), p.v + rv.shift(k)))
+        assert bracket_lead(p, q) == expanded_lead(p, q)
+        assert (bracket_lead(p, q) is None) == (ru * p.v == p.u * rv)
+
+    # (u w : v w) is the point (u : v); the raw pair keeps every product term
+    @settings(max_examples=100, deadline=None)
+    @given(laurent_points, laurent_polys)
+    def test_equal_points_give_none(self, p, w):
+        if w.is_zero():
+            reject()
+        q = LaurentPoint(p.u * w, p.v * w)
+        assert bracket_lead(p, q) is None and bracket_lead(q, p) is None
+        assert bracket_lead(p, p) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(laurent_points, laurent_points, laurent_points)
+    def test_from_three_matrix(self, p0, p1, pinf):
+        brackets = [laurent_bracket(p0, p1), laurent_bracket(p0, pinf), laurent_bracket(p1, pinf)]
+        if any(b.is_zero() for b in brackets):
+            with pytest.raises(DegenerateTriple):
+                LaurentMoebius.from_three(p0, p1, pinf)
+            return
+        k_num, k_den = brackets[2], laurent_bracket(p1, p0)
+        assert LaurentMoebius.from_three(p0, p1, pinf) == LaurentMoebius.make(
+            p0.v * k_num, -(p0.u * k_num), pinf.v * k_den, -(pinf.u * k_den))

@@ -36,7 +36,7 @@ from sphere_trees.errors import (
     NotStabilized,
 )
 from sphere_trees.gaussian import gr
-from sphere_trees.laurent import LaurentPoint, LaurentPoly
+from sphere_trees.laurent import LaurentPoint, LaurentPoly, laurent_bracket
 from sphere_trees.limits import (
     LaurentFamily,
     NumericConfigSequence,
@@ -96,10 +96,15 @@ def per_triple_limit_tree(fam: LaurentFamily):
 
     Every triple's limit chart clusters the labels into its fibers; the
     distinct fiber partitions are admissible, and each is marked by the chart
-    of the first triple to give it, which is its representative triple.
+    of the first triple to give it, which is its representative triple.  The
+    brackets' leading terms are read off their full expansions.
     """
     labels = sorted(fam.labels)
-    lead = limits._pair_leads(fam)
+    lead = {}
+    for (x, p), (y, q) in combinations(fam.paths, 2):
+        b = laurent_bracket(p, q)
+        val, c = b.valuation(), b.leading()
+        lead[(x, y)], lead[(y, x)] = (val, c), (val, -c)
     charts = {}
     for triple in combinations(labels, 3):
         chart = limits._limit_chart(labels, lead, triple)
@@ -242,8 +247,8 @@ class TestLimitTree:
         self.assert_embedding_is_quadruple_limits(
             plumbed_family(n, form, random.Random(f"{n}-{form}")))
 
-    def test_laurent_products_grow_with_pairs_not_quadruples(self, monkeypatch):
-        # each of the n(n-1)/2 brackets is expanded once, at two products each
+    def test_expands_no_laurent_product(self, monkeypatch):
+        # the brackets' leading terms are read from the lowest terms up
         n = 12
         fam = plumbed_family(n, "twist", random.Random(12))
         calls = []
@@ -255,7 +260,7 @@ class TestLimitTree:
 
         monkeypatch.setattr(LaurentPoly, "__mul__", counted)
         limit_tree(fam)
-        assert 0 < len(calls) <= n * (n - 1)
+        assert calls == []
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_one_chart_per_vertex(self, monkeypatch, n):

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+DATA = SCRIPTS.parent / "data"
 
 
 @pytest.mark.parametrize("args", [
@@ -21,3 +22,13 @@ def test_script_runs(args):
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_make_examples_regenerates_data(tmp_path):
+    r = subprocess.run([sys.executable, str(SCRIPTS / "make_examples.py"), str(tmp_path)],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    shipped = sorted(p.name for p in DATA.glob("*.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
