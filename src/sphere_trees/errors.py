@@ -62,7 +62,8 @@ class AdmissibilityFailure(SphereTreesError):
 
 
 class ConstantLimit(SphereTreesError):
-    """A rescaling limit degenerated to a constant map."""
+    """A rescaling limit degenerated to a constant map; witness from limit_cover: the
+    source vertex and how many constants were evaluated there."""
 
 
 class NotStabilized(SphereTreesError):

@@ -27,15 +27,23 @@ class LaurentPoly:
 
     @classmethod
     def make(cls, terms: Mapping[int, GaussianRational] | Iterable[tuple[int, GaussianRational]]) -> "LaurentPoly":
-        acc: dict[int, GaussianRational] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for e, c in items:
-            cur = acc.get(e, GR_ZERO) + c
-            if cur.is_zero():
-                acc.pop(e, None)
-            else:
-                acc[e] = cur
-        return cls(tuple(sorted(acc.items())))
+        """Terms summed by exponent: one reduction per repeated exponent, a lone term kept."""
+        groups: dict[int, list] = {}
+        for e, c in (terms.items() if isinstance(terms, Mapping) else terms):
+            groups.setdefault(e, []).append((1, c, GR_ONE))
+        return cls._summed(groups)
+
+    @classmethod
+    def _summed(cls, groups: dict[int, list]) -> "LaurentPoly":
+        """Each exponent's sum of x y over its triples (1, x, y), reduced once, zero sums
+        dropped; a lone (1, c, GR_ONE) is c itself, already reduced."""
+        out = []
+        for e in sorted(groups):
+            ts = groups[e]
+            c = ts[0][1] if len(ts) == 1 and ts[0][2] is GR_ONE else sum_of_products(ts)
+            if not c.is_zero():
+                out.append((e, c))
+        return cls(tuple(out))
 
     @classmethod
     def constant(cls, c: GaussianRational) -> "LaurentPoly":
@@ -65,7 +73,7 @@ class LaurentPoly:
         return GR_ZERO
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly.make(list(self.terms) + list(other.terms))
+        return LaurentPoly.make(self.terms + other.terms)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple((e, -c) for e, c in self.terms))
@@ -74,16 +82,12 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        acc: dict[int, GaussianRational] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                cur = acc.get(e, GR_ZERO) + c1 * c2
-                if cur.is_zero():
-                    acc.pop(e, None)
-                else:
-                    acc[e] = cur
-        return LaurentPoly(tuple(sorted(acc.items())))
+        """Term products grouped by exponent sum, each group's sum reduced once."""
+        groups: dict[int, list] = {}
+        for e, x in self.terms:
+            for f, y in other.terms:
+                groups.setdefault(e + f, []).append((1, x, y))
+        return LaurentPoly._summed(groups)
 
     def scale(self, c: GaussianRational) -> "LaurentPoly":
         if c.is_zero():

@@ -8,8 +8,9 @@ add and leading coefficients multiply.  The valuations alone form an ultrametric
 whose balls are the vertices of the limit tree, the tree the labels span in
 the Berkovich line, and each vertex is marked by one limit chart.  A
 degenerating marked rational map is handled through the limit trees of
-source and target, with a rescaling normalization on the target picking out
-one fiber map per source vertex.
+source and target: at each source vertex, the image of a constant under the
+map in that vertex's chart locates the target vertex, whose chart family
+normalizes the map once to give the fiber map.
 
 The numeric mode extrapolates one chart per vertex instead, found by a
 lexicographic scan of the unseparated triples, and refuses quadruples that do
@@ -19,6 +20,7 @@ not settle within tolerance and snapshots in which two labels coincide.
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -36,14 +38,16 @@ from .errors import (
     MarkedSetTooSmall,
     NotStabilized,
 )
+from .gaussian import GaussianRational
 from .laurent import (
     LaurentMap,
     LaurentMoebius,
     LaurentPoint,
+    LaurentPoly,
     bracket_lead,
     laurent_points_equal,
 )
-from .moduli import MarkedSphere, TreeOfSpheres, tree_from_charts, vertex_chart
+from .moduli import MarkedSphere, TreeOfSpheres, tree_from_charts
 from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint
 from .rational import RationalMap
 from .trees import (
@@ -54,7 +58,6 @@ from .trees import (
     partition_at,
     partition_sort_key,
     representative_triple,
-    separating_vertex,
     tree_from_partitions,
     tree_partitions,
 )
@@ -448,15 +451,24 @@ class CoverFamily:
 def limit_cover(fam: CoverFamily) -> TreeCover:
     """Limit of a degenerating cover family as a cover between limit trees.
 
-    Every internal source vertex is normalized by its chart family; target
-    normalizations are searched through the chart families of label triples
-    of the target family in lexicographic order, retrying on ConstantLimit;
-    the successful triple selects the image vertex and the chart comparison
-    lands the limit map in the chart of the limit target tree.
+    Each internal source vertex v is normalized by its representative triple's
+    chart family, and the conjugated map F_v is evaluated at the constants
+    c = 1 + i, 2 + i, ... in turn.  The image F_v(c) is located in the limit
+    target tree at the vertex w where its limit in w's chart is none of w's
+    edge points.  F_v sends v to w exactly when F_v postcomposed with w's chart
+    family has a nonconstant leading limit (Baker-Rumely), and that limit is
+    the fiber map at v: w is marked by that chart.  At most d(n + 1) constants
+    fail, n the number of target labels: those in the at most d - d_v
+    directions at v that F_v sends onto the whole sphere, and the at most d n
+    preimages of w's edge points; ConstantLimit is raised after d(n + 1) + 1.
     """
     source = limit_tree(fam.y_family)
     target = limit_tree(fam.z_family)
-    zlabels = sorted(fam.z_family.labels)
+    zlead, zpaths = _pair_leads(fam.z_family), fam.z_family.paths
+    triples = {w: representative_triple(partition_at(target.shape, w))
+               for w in sorted(target.shape.internal)}
+    charts: dict[Vertex, LaurentMoebius] = {}  # built once per located vertex
+    tries = fam.portrait.d * (len(zpaths) + 1) + 1
 
     vmap: dict[Vertex, Vertex] = dict(fam.portrait.fmap)
     maps: dict[int, RationalMap] = {}
@@ -464,23 +476,30 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
         triple = representative_triple(partition_at(source.shape, v))
         phi = LaurentMoebius.from_three(*(fam.y_family.path(x) for x in triple))
         conjugated = fam.map_family.precompose(phi.inverse())
-        found = None
-        for ztriple in combinations(zlabels, 3):
-            m = LaurentMoebius.from_three(*(fam.z_family.path(c) for c in ztriple))
-            try:
-                limit = conjugated.postcompose(m).leading_limit()
-            except ConstantLimit:
+        failed = set()
+        for k in range(1, 1 + tries):
+            c = LaurentPoint.from_poly(LaurentPoly.constant(GaussianRational(k, 1)))
+            q = conjugated.evaluate(c)
+            qlead = {(None, z): bracket_lead(q, p) for z, p in zpaths}  # q under the label None
+            if None in qlead.values():  # q is a target path
                 continue
-            found = (ztriple, limit)
+            lead = ChainMap(qlead, zlead)
+            w = next((w for w, t in triples.items() if _limit_chart([None], lead, t)[None]
+                      not in target.edge_points(w).values()), None)
+            if w is None or w in failed:
+                continue
+            if w not in charts:
+                charts[w] = LaurentMoebius.from_three(*(fam.z_family.path(z) for z in triples[w]))
+            try:
+                maps[v] = conjugated.postcompose(charts[w]).leading_limit()
+            except ConstantLimit:
+                failed.add(w)
+                continue
+            vmap[v] = w
             break
-        if found is None:
-            raise ConstantLimit(
-                "no target normalization yields a nonconstant limit",
-                witness={"vertex": v})
-        ztriple, limit = found
-        w = separating_vertex(target.shape, ztriple)
-        maps[v] = limit.postcompose(vertex_chart(target, w, ztriple).inverse())
-        vmap[v] = w
+        else:
+            raise ConstantLimit("no located target vertex yields a nonconstant limit",
+                                witness={"vertex": v, "constants": tries})
     cover = TreeCover.make(source, target, vmap, maps)
     violations = validate_cover(cover, expected_portrait=fam.portrait)
     if violations:

@@ -330,6 +330,29 @@ def degenerate_family_double_fold() -> CoverFamily:
     return CoverFamily.make(portrait, y_family, z_family, map_family)
 
 
+def z_squared_chain_family(centres) -> CoverFamily:
+    """z^2 with the fibers over (c_j + eps^k_j)^2 marked.
+
+    Paths sharing a centre get k = 1, 2, ... and collide at different scales;
+    a path centred at 0 collides with the critical point.  Repeated centres
+    make the limit source a chain that reconstruction peels level by level.
+    """
+    fmap = {"c0": "t0", "cinf": "tinf"}
+    degmap = {"c0": 2, "cinf": 2}
+    y_paths = {"c0": lconst(0), "cinf": LINF}
+    z_paths = {"t0": lconst(0), "tinf": LINF}
+    seen: dict = {}
+    for j, c in enumerate(centres):
+        seen[c] = seen.get(c, 0) + 1
+        p = LaurentPoly.make([(0, gr(c)), (seen[c], gr(1))])
+        z_paths[f"w{j}"] = LaurentPoint.from_poly(p * p)
+        for y, sign in ((f"y{j}p", 1), (f"y{j}m", -1)):
+            y_paths[y] = LaurentPoint.from_poly(p.scale(gr(sign)))
+            fmap[y], degmap[y] = f"w{j}", 1
+    return CoverFamily.make(Portrait.make(fmap, degmap, 2), LaurentFamily.make(y_paths),
+                            LaurentFamily.make(z_paths), LaurentMap.from_exact(z_squared_map()))
+
+
 def branching_cubic_cover():
     """Hand-built degree-3 cover whose source is a four-vertex chain.
 

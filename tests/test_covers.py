@@ -9,13 +9,12 @@ import pytest
 
 from conftest import (
     INF,
-    LINF,
     chebyshev_cover,
     degenerate_family_three_vertex,
     degenerate_family_two_vertex,
-    lconst,
     pt,
     random_moebius,
+    z_squared_chain_family,
     z_squared_cover,
     z_squared_fiber_cover,
     z_squared_map,
@@ -44,8 +43,7 @@ from sphere_trees.errors import (
     UnitOnDivisor,
 )
 from sphere_trees.gaussian import gr
-from sphere_trees.laurent import LaurentMap, LaurentPoint, LaurentPoly
-from sphere_trees.limits import CoverFamily, LaurentFamily, limit_cover
+from sphere_trees.limits import limit_cover
 from sphere_trees.moduli import MarkedSphere, sphere_as_tree, twist
 from sphere_trees.rational import RationalMap
 from sphere_trees.trees import neighbors
@@ -223,29 +221,6 @@ class TestReconstruct:
                             {"y0": 1, "yinf": 2, "y1": 2, "ym1": 1}, 2)
         with pytest.raises(NotRealizable):
             reconstruct_cover(cover.source, bad)
-
-
-def z_squared_chain_family(centres) -> CoverFamily:
-    """z^2 with the fibers over (c_j + eps^k_j)^2 marked.
-
-    Paths sharing a centre get k = 1, 2, ... and collide at different scales;
-    a path centred at 0 collides with the critical point.  Repeated centres
-    make the limit source a chain that reconstruction peels level by level.
-    """
-    fmap = {"c0": "t0", "cinf": "tinf"}
-    degmap = {"c0": 2, "cinf": 2}
-    y_paths = {"c0": lconst(0), "cinf": LINF}
-    z_paths = {"t0": lconst(0), "tinf": LINF}
-    seen: dict = {}
-    for j, c in enumerate(centres):
-        seen[c] = seen.get(c, 0) + 1
-        p = LaurentPoly.make([(0, gr(c)), (seen[c], gr(1))])
-        z_paths[f"w{j}"] = LaurentPoint.from_poly(p * p)
-        for y, sign in ((f"y{j}p", 1), (f"y{j}m", -1)):
-            y_paths[y] = LaurentPoint.from_poly(p.scale(gr(sign)))
-            fmap[y], degmap[y] = f"w{j}", 1
-    return CoverFamily.make(Portrait.make(fmap, degmap, 2), LaurentFamily.make(y_paths),
-                            LaurentFamily.make(z_paths), LaurentMap.from_exact(z_squared_map()))
 
 
 class TestDeepChains:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, reject, settings
@@ -381,3 +382,56 @@ class TestBracketLead:
         k_num, k_den = brackets[2], laurent_bracket(p1, p0)
         assert LaurentMoebius.from_three(p0, p1, pinf) == LaurentMoebius.make(
             p0.v * k_num, -(p0.u * k_num), pinf.v * k_den, -(pinf.u * k_den))
+
+
+# ---------------------------------------------------------------------------
+# the Laurent kernel against a schoolbook oracle
+
+
+term_lists = st.lists(st.tuples(st.integers(-2, 2), gaussians), max_size=6)
+
+
+def schoolbook(terms) -> tuple:
+    """The oracle for LaurentPoly's kernel: the terms added one at a time with the
+    field operations, in order, zero sums dropped."""
+    acc: dict = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, GR_ZERO) + c
+    return tuple((e, c) for e, c in sorted(acc.items()) if not c.is_zero())
+
+
+def assert_canonical(p: LaurentPoly) -> None:
+    exponents = [e for e, _ in p.terms]
+    assert exponents == sorted(set(exponents))
+    for _, c in p.terms:
+        assert not c.is_zero()
+        assert c.c > 0 and gcd(gcd(c.a, c.b), c.c) == 1
+
+
+class TestLaurentKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(term_lists)
+    def test_make(self, terms):
+        p = LaurentPoly.make(terms)
+        assert p.terms == schoolbook(terms)
+        assert_canonical(p)
+        assert LaurentPoly.make(dict(terms)).terms == schoolbook(dict(terms).items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(laurent_polys, laurent_polys)
+    def test_ring_operations(self, p, q):
+        products = [(e + f, x * y) for e, x in p.terms for f, y in q.terms]
+        cases = [(p * q, products), (p + q, p.terms + q.terms),
+                 (p - q, p.terms + tuple((e, -c) for e, c in q.terms))]
+        for result, terms in cases:
+            assert result.terms == schoolbook(terms)
+            assert_canonical(result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(laurent_polys, laurent_polys)
+    def test_forced_cancellations(self, p, q):
+        assert (p * q - q * p).is_zero()
+        assert (p + (-p)).is_zero() and (p - p).is_zero()
+        r = p + q - q
+        assert r == p
+        assert_canonical(r)

@@ -7,11 +7,13 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import conftest
 from conftest import (
     INF,
     LINF,
@@ -24,20 +26,35 @@ from conftest import (
     random_marking,
     random_moebius,
     random_stable_shape,
+    z_squared_chain_family,
 )
 from sphere_trees import limits
 from sphere_trees import serialize as ser
-from sphere_trees.covers import extract_portrait, reconstruct_cover, validate_cover
+from sphere_trees.covers import (
+    TreeCover,
+    cover_iso,
+    extract_portrait,
+    reconstruct_cover,
+    validate_cover,
+)
 from sphere_trees.errors import (
     AdmissibilityFailure,
     CollisionAtEpsilon,
+    ConstantLimit,
     InconsistentClustering,
     InvalidFamily,
     NotStabilized,
 )
 from sphere_trees.gaussian import gr
-from sphere_trees.laurent import LaurentPoint, LaurentPoly, laurent_bracket
+from sphere_trees.laurent import (
+    LaurentMap,
+    LaurentMoebius,
+    LaurentPoint,
+    LaurentPoly,
+    laurent_bracket,
+)
 from sphere_trees.limits import (
+    CoverFamily,
     LaurentFamily,
     NumericConfigSequence,
     limit_cover,
@@ -45,11 +62,15 @@ from sphere_trees.limits import (
     numeric_limit_tree,
 )
 from sphere_trees.moduli import embed, marking_dict, sphere_as_tree, spheres_iso
-from sphere_trees.moduli import MarkedSphere, tree_from_charts
+from sphere_trees.moduli import MarkedSphere, tree_from_charts, vertex_chart
+from sphere_trees.projective import Moebius
 from sphere_trees.plumbing import plumb_family
 from sphere_trees.trees import (
     is_admissible,
+    partition_at,
     partition_sort_key,
+    representative_triple,
+    separating_vertex,
     tree_from_partitions,
     tree_partitions,
 )
@@ -480,3 +501,123 @@ class TestLimitCover:
         rebuilt = reconstruct_cover(cover.source, fam.portrait)
         from sphere_trees.covers import cover_iso
         assert cover_iso(rebuilt, cover)
+
+    def test_no_nonconstant_limit_raises_with_witness(self, monkeypatch):
+        # every located vertex fails: the constants run out, nothing hangs,
+        # and each target vertex is tried at most once
+        fam = degenerate_family_three_vertex()
+        evaluations, postcomposes = [], []
+        evaluate, postcompose = LaurentMap.evaluate, LaurentMap.postcompose
+        monkeypatch.setattr(LaurentMap, "evaluate",
+                            lambda self, p: evaluations.append(p) or evaluate(self, p))
+        monkeypatch.setattr(LaurentMap, "postcompose",
+                            lambda self, m: postcomposes.append(m) or postcompose(self, m))
+
+        def constant(self):
+            raise ConstantLimit("forced")
+        monkeypatch.setattr(LaurentMap, "leading_limit", constant)
+        tries = fam.portrait.d * (len(fam.z_family.labels) + 1) + 1
+        with pytest.raises(ConstantLimit) as exc:
+            limit_cover(fam)
+        assert exc.value.witness == {"vertex": 0, "constants": tries}
+        assert 0 < len(evaluations) <= tries
+        assert 0 < len(postcomposes) <= len(limit_tree(fam.z_family).shape.internal)
+
+
+def lexicographic_limit_cover(fam: CoverFamily):
+    """The target-triple search, kept as an oracle for limit_cover.
+
+    Target label triples are tried in lexicographic order until the map
+    conjugated by the source chart and postcomposed with the triple's chart
+    family has a nonconstant leading limit; the triple's separating vertex is
+    the image, and the limit is moved into that vertex's marking.
+    """
+    source, target = limit_tree(fam.y_family), limit_tree(fam.z_family)
+    vmap, maps = dict(fam.portrait.fmap), {}
+    for v in sorted(source.shape.internal):
+        triple = representative_triple(partition_at(source.shape, v))
+        phi = LaurentMoebius.from_three(*(fam.y_family.path(x) for x in triple))
+        conjugated = fam.map_family.precompose(phi.inverse())
+        for ztriple in combinations(sorted(fam.z_family.labels), 3):
+            m = LaurentMoebius.from_three(*(fam.z_family.path(c) for c in ztriple))
+            try:
+                limit = conjugated.postcompose(m).leading_limit()
+            except ConstantLimit:
+                continue
+            w = separating_vertex(target.shape, ztriple)
+            maps[v] = limit.postcompose(vertex_chart(target, w, ztriple).inverse())
+            vmap[v] = w
+            break
+        else:
+            raise ConstantLimit("no target triple yields a nonconstant limit")
+    return TreeCover.make(source, target, vmap, maps)
+
+
+def twisted_cover_family(fam: CoverFamily, source: LaurentMoebius, target: LaurentMoebius,
+                         k: int = 1) -> CoverFamily:
+    """The family with eps -> eps^k, then source paths moved by `source`,
+    target paths by `target`, and the map conjugated to match."""
+    f = LaurentMap.make([c.substitute_power(k) for c in fam.map_family.num],
+                        [c.substitute_power(k) for c in fam.map_family.den])
+    f = f.precompose(source.inverse()).postcompose(target)
+    y = {x: source.apply(p.substitute_power(k)) for x, p in fam.y_family.paths}
+    z = {x: target.apply(p.substitute_power(k)) for x, p in fam.z_family.paths}
+    return CoverFamily.make(fam.portrait, LaurentFamily.make(y), LaurentFamily.make(z), f)
+
+
+EPS, ONE = LaurentPoly.eps(), LaurentPoly.constant(gr(1))
+ZERO = LaurentPoly.make([])
+# z -> eps z + 1 and z -> (z + eps) / (eps^2 z + 1 - i)
+AFFINE = LaurentMoebius.make(EPS, ONE, ZERO, ONE)
+FRACTIONAL = LaurentMoebius.make(ONE, EPS, LaurentPoly.eps(2), LaurentPoly.constant(gr(1, -1)))
+IDENTITY = LaurentMoebius.make(ONE, ZERO, ZERO, ONE)
+CONSTANT_A = LaurentMoebius.from_constant(Moebius.make(gr(2), gr(1), gr(1), gr(1)))
+CONSTANT_B = LaurentMoebius.from_constant(Moebius.make(gr(0, 1), gr(-1), gr(1), gr(3)))
+TWISTS = [
+    (CONSTANT_A, CONSTANT_B, 1),
+    (IDENTITY, IDENTITY, 2),
+    (IDENTITY, IDENTITY, 3),
+    (AFFINE, IDENTITY, 1),
+    (IDENTITY, FRACTIONAL, 1),
+    (FRACTIONAL, AFFINE, 1),
+    (AFFINE, AFFINE, 1),
+    (FRACTIONAL, CONSTANT_B, 2),
+    (CONSTANT_A, AFFINE, 2),
+]
+DEGENERATE_FAMILIES = sorted(name for name in dir(conftest) if name.startswith("degenerate_family_"))
+CHAIN_CENTRES = [(0, 0, 1), (1, 1, 0), (1, 1, 2, 2, 0, 3, 4)]
+COVER_FAMILIES = [
+    *(pytest.param(getattr(conftest, name)(), id=name) for name in DEGENERATE_FAMILIES),
+    *(pytest.param(twisted_cover_family(getattr(conftest, name)(), FRACTIONAL, AFFINE),
+                   id=f"{name}_twisted") for name in DEGENERATE_FAMILIES),
+    *(pytest.param(z_squared_chain_family(c), id="chain_" + "".join(map(str, c)))
+      for c in CHAIN_CENTRES),
+]
+
+
+class TestLimitCoverQuotient:
+    def test_twists_give_isomorphic_limits(self):
+        # eps-dependent twists make the map itself degenerate
+        start = time.perf_counter()
+        for name in DEGENERATE_FAMILIES:
+            fam = getattr(conftest, name)()
+            base = limit_cover(fam)
+            for source, target, k in TWISTS:
+                twisted = limit_cover(twisted_cover_family(fam, source, target, k))
+                assert cover_iso(twisted, base), (name, source, target, k)
+        assert time.perf_counter() - start < 20.0
+
+    @pytest.mark.parametrize("fam", COVER_FAMILIES)
+    def test_agrees_with_lexicographic_search(self, fam):
+        cover, oracle = limit_cover(fam), lexicographic_limit_cover(fam)
+        assert cover.vertex_map == oracle.vertex_map
+        assert cover.maps == oracle.maps
+
+    @pytest.mark.parametrize("fam", COVER_FAMILIES)
+    def test_one_postcompose_per_source_vertex(self, monkeypatch, fam):
+        calls = []
+        postcompose = LaurentMap.postcompose
+        monkeypatch.setattr(LaurentMap, "postcompose",
+                            lambda self, m: calls.append(m) or postcompose(self, m))
+        cover = limit_cover(fam)
+        assert len(calls) == len(cover.source.shape.internal)

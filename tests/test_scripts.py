@@ -10,6 +10,7 @@ import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 DATA = SCRIPTS.parent / "data"
+GOLDEN = SCRIPTS.parent / "tests" / "golden"
 
 
 @pytest.mark.parametrize("args", [
@@ -22,6 +23,15 @@ def test_script_runs(args):
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_cover_degeneration_output_is_pinned():
+    # its fiber maps come from degenerating maps, which no CLI golden pins; rewrite with
+    # `PYTHONPATH=src python scripts/cover_degeneration.py > tests/golden/scripts_cover_degeneration.out`
+    r = subprocess.run([sys.executable, str(SCRIPTS / "cover_degeneration.py")],
+                       capture_output=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / "scripts_cover_degeneration.out").read_bytes()
 
 
 def test_make_examples_regenerates_data(tmp_path):
