@@ -83,8 +83,16 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+# Largest label count `embed` prints.  Its output has 6·C(n,3)·n values, about
+# n^4: at n = 16 that is 12 MB and a 222 MiB peak, at n = 24 already 1.17 GiB.
+# The in-process oracle `moduli.embed` is not bounded.
+MAX_EMBED_LABELS = 16
+
+
 def _cmd_embed(args) -> int:
     t = ser.tree_of_spheres_from_json(_load(args.input))
+    if len(t.labels) > MAX_EMBED_LABELS:
+        raise SchemaError(f"embed takes at most {MAX_EMBED_LABELS} labels, got {len(t.labels)}")
     _emit(ser.embedding_to_json(embed(t)), args.out)
     return 0
 

@@ -5,7 +5,9 @@ edges) and one exact rational map per internal source vertex, equivariant on
 the edge markings, with full fibers over every attaching point and coherent
 local degrees across internal edges.  Validation certifies through the
 degree ledger sum(local_degree - 1) = 2 deg - 2 that every critical point is
-a marked point, so no root isolation is ever needed.
+a marked point, so no root isolation is ever needed.  Each cover computes
+the image and local degree at every edge point once (`edge_table`); the
+validation, the portrait and the isomorphism check all read that table.
 
 Reconstruction builds the unique cover with a given source tree and leaf
 portrait by peeling a peripheral source vertex, pinning the corresponding
@@ -115,6 +117,8 @@ class TreeCover:
     maps: tuple        # sorted (internal id, RationalMap) pairs
     vm: Mapping = field(init=False, repr=False, compare=False)
     _maps: Mapping = field(init=False, repr=False, compare=False)
+    # derived, filled on first use by edge_table
+    _edges: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vm", MappingProxyType(dict(self.vertex_map)))
@@ -141,12 +145,22 @@ def carrier(shape: MarkedTree, leaf: str) -> int:
     return neighbors(shape, leaf)[0]
 
 
-def leaf_degree(c: TreeCover, y: str) -> int:
-    v = carrier(c.source.shape, y)
-    f = c.map_at(v)
-    if f.is_constant():
+def edge_table(c: TreeCover, v: int) -> Mapping:
+    """(image, local degree) of the map at v at each of its edge points, keyed by
+    edge neighbour; computed once per cover for every v."""
+    if c._edges is None:
+        object.__setattr__(c, "_edges", MappingProxyType({
+            w: None if f.is_constant() else MappingProxyType(
+                {n: (f.apply(p), local_degree(f, p)) for n, p in c.source.edge_points(w).items()})
+            for w, f in c.maps}))
+    row = c._edges[v]
+    if row is None:
         raise InvalidFamily(f"map at vertex {v} is constant")
-    return local_degree(f, c.source.edge_points(v)[y])
+    return row
+
+
+def leaf_degree(c: TreeCover, y: str) -> int:
+    return edge_table(c, carrier(c.source.shape, y))[y][1]
 
 
 def _fiber_degree_sums(c: TreeCover) -> dict:
@@ -197,32 +211,28 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
     if problems:
         return problems
 
-    local: dict[int, dict] = {}  # local degree of each source vertex's map at its edges
     for v in sorted(c.source.shape.internal):
-        w = vm[v]
         f = c.map_at(v)
         if f.degree < 1:
             problems.append(f"map at vertex {v} is constant")
             continue
-        src_pts = c.source.edge_points(v)
-        tgt_pts = c.target.edge_points(w)
-        images = {n: f.apply(p) for n, p in src_pts.items()}
+        tgt_pts = c.target.edge_points(vm[v])
+        table = edge_table(c, v)
         # equivariance on edge markings
-        for n, q in images.items():
+        for n, (q, _) in table.items():
             if q != tgt_pts[vm[n]]:
                 problems.append(
                     f"vertex {v}: image of the edge point toward {n!r} is not the "
                     f"marked point toward {vm[n]!r}")
         # full fibers over every attaching point of the target vertex
-        degs = local[v] = {n: local_degree(f, p) for n, p in src_pts.items()}
         for q_neighbor, q in sorted(tgt_pts.items(), key=lambda kv: vertex_key(kv[0])):
-            total = sum(degs[n] for n, image in images.items() if image == q)
+            total = sum(k for image, k in table.values() if image == q)
             if total != f.degree:
                 problems.append(
                     f"vertex {v}: fiber over the point toward {q_neighbor!r} sums to "
                     f"{total}, expected {f.degree}")
         # critical-point ledger: every critical point is a marked point
-        ledger = sum(k - 1 for k in degs.values())
+        ledger = sum(k - 1 for _, k in table.values())
         if ledger != 2 * f.degree - 2:
             problems.append(
                 f"vertex {v}: degree ledger {ledger} != {2 * f.degree - 2}")
@@ -232,7 +242,7 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
     for e in sorted(c.source.shape.edges, key=lambda e: tuple(sorted(map(vertex_key, e)))):
         a, b = tuple(e)
         if isinstance(a, int) and isinstance(b, int):
-            da, db = local[a][b], local[b][a]
+            da, db = edge_table(c, a)[b][1], edge_table(c, b)[a][1]
             if da != db:
                 problems.append(
                     f"edge {sorted(map(str, e))}: local degrees {da} != {db} disagree")

@@ -100,6 +100,11 @@ class GaussianRational:
             self.c * other.c,
         )
 
+    @staticmethod
+    def dot(pairs: Iterable[tuple["GaussianRational", "GaussianRational"]]) -> "GaussianRational":
+        """The sum of x * y over the pairs (x, y), reduced once."""
+        return sum_of_products((1, x, y) for x, y in pairs)
+
     def inverse(self) -> "GaussianRational":
         n = self.a * self.a + self.b * self.b
         if n == 0:

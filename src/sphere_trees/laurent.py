@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, zip_longest
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstantLimit, DegenerateTriple, ZeroFamily
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, sum_of_products
 from .projective import Moebius, ProjPoint
-from .rational import Polynomial, RationalMap, hom_apply, hom_substitute
+from .rational import Polynomial, RationalMap, hom_apply, hom_postcompose, hom_substitute
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,12 +82,18 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Term products grouped by exponent sum, each group's sum reduced once."""
+        return LaurentPoly.dot(((self, other),))
+
+    @classmethod
+    def dot(cls, pairs: Iterable[tuple["LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
+        """The sum of p * q over the pairs (p, q): every term product filed under its
+        exponent sum, each exponent's sum reduced once."""
         groups: dict[int, list] = {}
-        for e, x in self.terms:
-            for f, y in other.terms:
-                groups.setdefault(e + f, []).append((1, x, y))
-        return LaurentPoly._summed(groups)
+        for p, q in pairs:
+            for e, x in p.terms:
+                for f, y in q.terms:
+                    groups.setdefault(e + f, []).append((1, x, y))
+        return cls._summed(groups)
 
     def scale(self, c: GaussianRational) -> "LaurentPoly":
         if c.is_zero():
@@ -274,9 +280,7 @@ class LaurentMap:
         return LaurentPoint.make(*hom_apply(self.num, self.den, p.u, p.v, LP_ZERO, LP_ONE))
 
     def postcompose(self, m: LaurentMoebius) -> "LaurentMap":
-        pairs = list(zip_longest(self.num, self.den, fillvalue=LP_ZERO))
-        return LaurentMap.make([m.a * x + m.b * y for x, y in pairs],
-                               [m.c * x + m.d * y for x, y in pairs])
+        return LaurentMap.make(*hom_postcompose(self.num, self.den, m, LP_ZERO))
 
     def precompose(self, m: LaurentMoebius) -> "LaurentMap":
         return LaurentMap.make(*hom_substitute(self.num, self.den, m, LP_ZERO, LP_ONE))

@@ -112,23 +112,25 @@ class Polynomial:
 
 
 # The homogeneous-polynomial kernel.  Coefficient lists ascend by exponent with
-# trailing zeros stripped, and hold elements of any ring with +, * and
-# is_zero(); the ring's zero and one come in as arguments, so maps over Q(i)
-# and over Q(i)[eps^+-1] share the loops.
+# trailing zeros stripped, and hold elements of any ring with *, is_zero() and
+# dot(pairs); the ring's zero and one come in as arguments, so maps over Q(i)
+# and over Q(i)[eps^+-1] share the loops.  Each output coefficient is one sum:
+# its (x, y) factor pairs are collected first, then zero.dot(pairs) reduces it
+# once (once per exponent over Q(i)[eps^+-1]).
 
 
 def poly_mul(p: Sequence, q: Sequence, zero) -> list:
     """Product of two coefficient lists."""
     if not p or not q:
         return []
-    out = [zero] * (len(p) + len(q) - 1)
+    sums: list[list] = [[] for _ in range(len(p) + len(q) - 1)]
     for i, a in enumerate(p):
         if a.is_zero():
             continue
         for j, b in enumerate(q):
             if not b.is_zero():
-                out[i + j] = out[i + j] + a * b
-    return out
+                sums[i + j].append((a, b))
+    return [zero.dot(pairs) for pairs in sums]
 
 
 def hom_apply(num: Sequence, den: Sequence, u, v, zero, one) -> tuple:
@@ -139,16 +141,14 @@ def hom_apply(num: Sequence, den: Sequence, u, v, zero, one) -> tuple:
     for _ in range(d):
         upow.append(upow[-1] * u)
         vpow.append(vpow[-1] * v)
-    nu = de = zero
+    nu, de = [], []
     for i, (a, b) in enumerate(pairs):
         if a.is_zero() and b.is_zero():
             continue
         mono = upow[i] * vpow[d - i]
-        if not a.is_zero():
-            nu = nu + a * mono
-        if not b.is_zero():
-            de = de + b * mono
-    return nu, de
+        nu.append((a, mono))
+        de.append((b, mono))
+    return zero.dot(nu), zero.dot(de)
 
 
 def hom_substitute(num: Sequence, den: Sequence, m, zero, one) -> tuple:
@@ -159,16 +159,21 @@ def hom_substitute(num: Sequence, den: Sequence, m, zero, one) -> tuple:
     for _ in range(d):
         tops.append(poly_mul(tops[-1], [m.b, m.a], zero))
         bots.append(poly_mul(bots[-1], [m.d, m.c], zero))
-    new_num, new_den = [zero] * (d + 1), [zero] * (d + 1)
+    nu, de = [[] for _ in range(d + 1)], [[] for _ in range(d + 1)]
     for i, (a, b) in enumerate(pairs):
         if a.is_zero() and b.is_zero():
             continue
         for j, c in enumerate(poly_mul(tops[i], bots[d - i], zero)):
-            if not a.is_zero():
-                new_num[j] = new_num[j] + c * a
-            if not b.is_zero():
-                new_den[j] = new_den[j] + c * b
-    return new_num, new_den
+            nu[j].append((c, a))
+            de[j].append((c, b))
+    return [zero.dot(s) for s in nu], [zero.dot(s) for s in de]
+
+
+def hom_postcompose(num: Sequence, den: Sequence, m, zero) -> tuple:
+    """Both lists after the map they define is followed by w -> (a w + b) / (c w + d)."""
+    pairs = list(zip_longest(num, den, fillvalue=zero))
+    return ([zero.dot(((m.a, x), (m.b, y))) for x, y in pairs],
+            [zero.dot(((m.c, x), (m.d, y))) for x, y in pairs])
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,10 +212,8 @@ class RationalMap:
 
     def postcompose(self, m: Moebius) -> "RationalMap":
         """m after self."""
-        return RationalMap.make(
-            self.num.scale(m.a) + self.den.scale(m.b),
-            self.num.scale(m.c) + self.den.scale(m.d),
-        )
+        return RationalMap.from_coeffs(
+            *hom_postcompose(self.num.coeffs, self.den.coeffs, m, GR_ZERO))
 
     def precompose(self, m: Moebius) -> "RationalMap":
         """self after m, by homogeneous substitution."""

@@ -14,7 +14,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from sphere_trees.covers import MarkedSphereCover, Portrait, cover_from_marked
 from sphere_trees.gaussian import GaussianRational, gr
-from sphere_trees.laurent import LaurentMap, LaurentPoint, LaurentPoly
+from sphere_trees.laurent import LaurentMap, LaurentMoebius, LaurentPoint, LaurentPoly
 from sphere_trees.limits import CoverFamily, LaurentFamily, limit_cover
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres
 from sphere_trees.projective import Moebius, ProjPoint
@@ -445,3 +445,26 @@ def cover_corpus() -> list:
                 for v in cover.source.shape.internal}
         covers.append(TreeCover.make(twisted_source, cover.target, cover.vm, maps))
     return covers
+
+
+# eps-dependent and constant Moebius twists: (source, target, k) applies eps -> eps^k,
+# then moves source paths by `source` and target paths by `target`
+EPS, ONE = LaurentPoly.eps(), LaurentPoly.constant(gr(1))
+ZERO = LaurentPoly.make([])
+# z -> eps z + 1 and z -> (z + eps) / (eps^2 z + 1 - i)
+AFFINE = LaurentMoebius.make(EPS, ONE, ZERO, ONE)
+FRACTIONAL = LaurentMoebius.make(ONE, EPS, LaurentPoly.eps(2), LaurentPoly.constant(gr(1, -1)))
+IDENTITY = LaurentMoebius.make(ONE, ZERO, ZERO, ONE)
+CONSTANT_A = LaurentMoebius.from_constant(Moebius.make(gr(2), gr(1), gr(1), gr(1)))
+CONSTANT_B = LaurentMoebius.from_constant(Moebius.make(gr(0, 1), gr(-1), gr(1), gr(3)))
+TWISTS = [
+    (CONSTANT_A, CONSTANT_B, 1),
+    (IDENTITY, IDENTITY, 2),
+    (IDENTITY, IDENTITY, 3),
+    (AFFINE, IDENTITY, 1),
+    (IDENTITY, FRACTIONAL, 1),
+    (FRACTIONAL, AFFINE, 1),
+    (AFFINE, AFFINE, 1),
+    (FRACTIONAL, CONSTANT_B, 2),
+    (CONSTANT_A, AFFINE, 2),
+]

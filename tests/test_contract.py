@@ -13,6 +13,7 @@ import contextlib
 import copy
 import io
 import json
+from math import comb
 
 import pytest
 
@@ -22,6 +23,8 @@ from sphere_trees import serialize as ser
 from sphere_trees.errors import SchemaError
 from sphere_trees.gaussian import gr
 from sphere_trees.laurent import LaurentMap, LaurentPoly
+from sphere_trees.moduli import MarkedSphere, embed, sphere_as_tree
+from sphere_trees.projective import ProjPoint
 
 ZERO = {"re": "0/1", "im": "0/1"}
 ONE = {"re": "1/1", "im": "0/1"}
@@ -187,6 +190,31 @@ def test_iso_on_constant_vertex_map_is_domain_error(tmp_path):
     path = write(tmp_path, cover_with_constant_map())
     code, out, _ = run_main("iso", path, path)
     assert code == 1 and json.loads(out)["error"] == "InvalidFamily"
+
+
+def star_of_spheres(n: int) -> dict:
+    """One sphere with n labels at 0, 1, ..., n - 2 and infinity."""
+    points = {f"x{k:02d}": ProjPoint.of(gr(k)) for k in range(n - 1)}
+    points["xinf"] = ProjPoint.infinity()
+    return ser.tree_of_spheres_to_json(sphere_as_tree(MarkedSphere.make(points)))
+
+
+def test_embed_above_the_label_bound_is_schema_error(tmp_path):
+    n = cli.MAX_EMBED_LABELS + 1
+    code, out, err = run_main("embed", write(tmp_path, star_of_spheres(n)))
+    assert code == 2 and out == "" and err.startswith("schema error:")
+    assert str(cli.MAX_EMBED_LABELS) in err
+    # the in-process oracle is not bounded
+    big = ser.tree_of_spheres_from_json(star_of_spheres(n))
+    assert len(embed(big).values) == 6 * comb(n, 3) * n
+    # the bound admits every tree of spheres shipped in data/ and the n = 10
+    # trees of the classify benchmark
+    shipped = [json.loads(p.read_text()) for p in DATA_DIR.glob("*.json")]
+    sizes = [len(blob["leaves"]) for blob in shipped
+             if ser.detect_kind(blob) == "tree_of_spheres"]
+    assert sizes and max(sizes + [10]) <= cli.MAX_EMBED_LABELS
+    code, out, _ = run_main("embed", write(tmp_path, star_of_spheres(6)))
+    assert code == 0 and len(json.loads(out)) == 6 * 20 * 6
 
 
 def test_limit_cover_on_non_object_is_schema_error(tmp_path):

@@ -19,6 +19,7 @@ from conftest import (
     z_squared_fiber_cover,
     z_squared_map,
 )
+from sphere_trees import covers
 from sphere_trees.covers import (
     MarkedSphereCover,
     Portrait,
@@ -27,6 +28,7 @@ from sphere_trees.covers import (
     cover_iso,
     extract_portrait,
     global_degree,
+    leaf_degree,
     rational_from_divisors,
     reconstruct_cover,
     restrict_cover,
@@ -36,6 +38,7 @@ from sphere_trees.covers import (
 from sphere_trees.errors import (
     EmptySelection,
     InconsistentDegree,
+    InvalidFamily,
     InvariantBreach,
     NotConnected,
     NotRealizable,
@@ -45,7 +48,7 @@ from sphere_trees.errors import (
 from sphere_trees.gaussian import gr
 from sphere_trees.limits import limit_cover
 from sphere_trees.moduli import MarkedSphere, sphere_as_tree, twist
-from sphere_trees.rational import RationalMap
+from sphere_trees.rational import RationalMap, local_degree
 from sphere_trees.trees import neighbors
 
 
@@ -96,6 +99,20 @@ class TestValidateCover:
         cover = TreeCover.make(t, t, {"a": "a", "b": "b", "c": "c", 0: 0}, {0: ident})
         assert validate_cover(cover) == []
         assert global_degree(cover) == 1
+
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_constant_vertex_map_is_a_diagnostic(self, v):
+        # the per-cover table skips a constant map instead of failing on it
+        cover = limit_cover(degenerate_family_two_vertex())
+        constant = RationalMap.from_coeffs([gr(2)], [gr(1)])
+        broken = TreeCover.make(cover.source, cover.target, cover.vm,
+                                {**dict(cover.maps), v: constant})
+        assert f"map at vertex {v} is constant" in validate_cover(broken)
+        leaf = next(n for n in neighbors(cover.source.shape, v) if isinstance(n, str))
+        with pytest.raises(InvalidFamily, match=f"map at vertex {v} is constant"):
+            leaf_degree(broken, leaf)
+        with pytest.raises(InvalidFamily):
+            extract_portrait(broken)
 
     def test_inconsistent_degree(self):
         cover = limit_cover(degenerate_family_two_vertex())
@@ -235,6 +252,26 @@ class TestDeepChains:
         rebuilt = reconstruct_cover(cover.source, portrait)
         assert validate_cover(rebuilt, expected_portrait=portrait) == []
         assert cover_iso(rebuilt, cover)
+
+
+class TestLocalDegreeTable:
+    @pytest.mark.parametrize("centres", [(0, 0, 1), (1, 1, 2, 2, 0, 3, 4)])
+    def test_each_local_degree_computed_once(self, monkeypatch, centres):
+        cover = limit_cover(z_squared_chain_family(centres))
+        portrait = extract_portrait(cover)
+        fresh = TreeCover(cover.source, cover.target, cover.vertex_map, cover.maps)
+        calls = []
+
+        def counted(f, p):
+            calls.append((f, p))
+            return local_degree(f, p)
+        monkeypatch.setattr(covers, "local_degree", counted)
+        assert validate_cover(fresh, expected_portrait=portrait) == []
+        assert extract_portrait(fresh) == portrait
+        assert cover_iso(fresh, fresh)
+        edge_points = [(fresh.map_at(v), p) for v in fresh.source.shape.internal
+                       for p in fresh.source.edge_points(v).values()]
+        assert sorted(map(repr, calls)) == sorted(map(repr, edge_points))
 
 
 class TestCoverIso:

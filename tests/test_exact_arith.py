@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import INF, pt
+from conftest import INF, TWISTS, pt, random_moebius
 from sphere_trees.errors import DegenerateTriple, ZeroFamily
-from sphere_trees.gaussian import GR_ZERO, GaussianRational, gr, sum_of_products
+from sphere_trees.gaussian import GR_ONE, GR_ZERO, GaussianRational, gr, sum_of_products
 from sphere_trees.laurent import (
+    LP_ONE,
+    LP_ZERO,
     LaurentMap,
     LaurentMoebius,
     LaurentPoint,
@@ -24,7 +28,15 @@ from sphere_trees.laurent import (
     laurent_points_equal,
 )
 from sphere_trees.projective import Moebius, ProjPoint, cross_ratio, moebius_from_three
-from sphere_trees.rational import Polynomial, RationalMap, local_degree
+from sphere_trees.rational import (
+    Polynomial,
+    RationalMap,
+    hom_apply,
+    hom_postcompose,
+    hom_substitute,
+    local_degree,
+    poly_mul,
+)
 
 fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -435,3 +447,124 @@ class TestLaurentKernel:
         r = p + q - q
         assert r == p
         assert_canonical(r)
+
+
+# ---------------------------------------------------------------------------
+# the map kernel against one-+-at-a-time accumulation
+
+
+def accumulated_poly_mul(p, q, zero) -> list:
+    """The oracle for poly_mul: every term product added into its coefficient with one +."""
+    if not p or not q:
+        return []
+    out = [zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def accumulated_hom_substitute(num, den, m, zero, one) -> tuple:
+    """The oracle for hom_substitute, built from accumulated_poly_mul and one + per term."""
+    pairs = list(zip_longest(num, den, fillvalue=zero))
+    d = len(pairs) - 1
+    tops, bots = [[one]], [[one]]
+    for _ in range(d):
+        tops.append(accumulated_poly_mul(tops[-1], [m.b, m.a], zero))
+        bots.append(accumulated_poly_mul(bots[-1], [m.d, m.c], zero))
+    new_num, new_den = [zero] * (d + 1), [zero] * (d + 1)
+    for i, (a, b) in enumerate(pairs):
+        for j, c in enumerate(accumulated_poly_mul(tops[i], bots[d - i], zero)):
+            new_num[j] = new_num[j] + c * a
+            new_den[j] = new_den[j] + c * b
+    return new_num, new_den
+
+
+def random_gaussian(rng: random.Random) -> GaussianRational:
+    return gr(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+              Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+
+
+def random_laurent(rng: random.Random) -> LaurentPoly:
+    return LaurentPoly.make([(rng.randint(-2, 2), random_gaussian(rng))
+                             for _ in range(rng.randint(0, 3))])
+
+
+def random_coeffs(rng: random.Random, element, zero) -> list:
+    """1-5 coefficients, about one in five zero, trailing zeros stripped."""
+    cs = [element(rng) if rng.random() < 0.8 else zero for _ in range(rng.randint(1, 5))]
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def random_laurent_moebius(rng: random.Random) -> LaurentMoebius:
+    while True:
+        m = _laurent_moebius(*(random_laurent(rng) for _ in range(4)))
+        if m is not None:
+            return m
+
+
+# the twists' eps-dependent maps and their inverses
+TWIST_MAPS = sorted({m for source, target, _ in TWISTS for m in (source, target)}, key=repr)
+TWIST_MAPS += [m.inverse() for m in TWIST_MAPS]
+RINGS = [pytest.param(random_gaussian, GR_ZERO, GR_ONE, random_moebius, id="Q(i)"),
+         pytest.param(random_laurent, LP_ZERO, LP_ONE, random_laurent_moebius, id="laurent")]
+
+
+class TestKernelAgainstAccumulation:
+    @pytest.mark.parametrize("element, zero, one, moebius", RINGS)
+    def test_poly_mul(self, element, zero, one, moebius):
+        rng = random.Random(1)
+        for _ in range(200):
+            p, q = random_coeffs(rng, element, zero), random_coeffs(rng, element, zero)
+            assert poly_mul(p, q, zero) == accumulated_poly_mul(p, q, zero)
+
+    @pytest.mark.parametrize("element, zero, one, moebius", RINGS)
+    def test_hom_apply_and_postcompose(self, element, zero, one, moebius):
+        rng = random.Random(2)
+        for _ in range(100):
+            num, den = random_coeffs(rng, element, zero), random_coeffs(rng, element, zero)
+            u, v, m = element(rng), element(rng), moebius(rng)
+            pairs = list(zip_longest(num, den, fillvalue=zero))
+            d = len(pairs) - 1
+            nu = de = zero
+            for i, (a, b) in enumerate(pairs):
+                mono = one
+                for _ in range(i):
+                    mono = mono * u
+                for _ in range(d - i):
+                    mono = mono * v
+                nu, de = nu + a * mono, de + b * mono
+            assert hom_apply(num, den, u, v, zero, one) == (nu, de)
+            assert hom_postcompose(num, den, m, zero) == (
+                [m.a * x + m.b * y for x, y in pairs], [m.c * x + m.d * y for x, y in pairs])
+
+    @pytest.mark.parametrize("element, zero, one, moebius", RINGS)
+    def test_hom_substitute(self, element, zero, one, moebius):
+        rng = random.Random(3)
+        for k in range(150):
+            num, den = random_coeffs(rng, element, zero), random_coeffs(rng, element, zero)
+            m = TWIST_MAPS[k % len(TWIST_MAPS)] if zero is LP_ZERO and k % 2 else moebius(rng)
+            assert hom_substitute(num, den, m, zero, one) == \
+                accumulated_hom_substitute(num, den, m, zero, one)
+
+    def test_specialization_commutes_with_substitution(self):
+        rng = random.Random(4)
+        checked = 0
+        for m in TWIST_MAPS:
+            for _ in range(8):
+                try:
+                    f = LaurentMap.make(random_coeffs(rng, random_laurent, LP_ZERO),
+                                        random_coeffs(rng, random_laurent, LP_ZERO))
+                except ValueError:  # the zero map
+                    continue
+                for e in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
+                    try:
+                        fe, me = f.specialize(e), specialize_moebius(m, e)
+                    except ValueError:  # a pole of the family at this eps
+                        continue
+                    assert f.precompose(m).specialize(e) == fe.precompose(me)
+                    assert f.postcompose(m).specialize(e) == fe.postcompose(me)
+                    checked += 1
+        assert checked >= 50

@@ -15,8 +15,11 @@ import pytest
 
 import conftest
 from conftest import (
+    AFFINE,
+    FRACTIONAL,
     INF,
     LINF,
+    TWISTS,
     degenerate_family_split_fiber,
     degenerate_family_three_vertex,
     degenerate_family_two_vertex,
@@ -63,7 +66,6 @@ from sphere_trees.limits import (
 )
 from sphere_trees.moduli import embed, marking_dict, sphere_as_tree, spheres_iso
 from sphere_trees.moduli import MarkedSphere, tree_from_charts, vertex_chart
-from sphere_trees.projective import Moebius
 from sphere_trees.plumbing import plumb_family
 from sphere_trees.trees import (
     is_admissible,
@@ -565,25 +567,6 @@ def twisted_cover_family(fam: CoverFamily, source: LaurentMoebius, target: Laure
     return CoverFamily.make(fam.portrait, LaurentFamily.make(y), LaurentFamily.make(z), f)
 
 
-EPS, ONE = LaurentPoly.eps(), LaurentPoly.constant(gr(1))
-ZERO = LaurentPoly.make([])
-# z -> eps z + 1 and z -> (z + eps) / (eps^2 z + 1 - i)
-AFFINE = LaurentMoebius.make(EPS, ONE, ZERO, ONE)
-FRACTIONAL = LaurentMoebius.make(ONE, EPS, LaurentPoly.eps(2), LaurentPoly.constant(gr(1, -1)))
-IDENTITY = LaurentMoebius.make(ONE, ZERO, ZERO, ONE)
-CONSTANT_A = LaurentMoebius.from_constant(Moebius.make(gr(2), gr(1), gr(1), gr(1)))
-CONSTANT_B = LaurentMoebius.from_constant(Moebius.make(gr(0, 1), gr(-1), gr(1), gr(3)))
-TWISTS = [
-    (CONSTANT_A, CONSTANT_B, 1),
-    (IDENTITY, IDENTITY, 2),
-    (IDENTITY, IDENTITY, 3),
-    (AFFINE, IDENTITY, 1),
-    (IDENTITY, FRACTIONAL, 1),
-    (FRACTIONAL, AFFINE, 1),
-    (AFFINE, AFFINE, 1),
-    (FRACTIONAL, CONSTANT_B, 2),
-    (CONSTANT_A, AFFINE, 2),
-]
 DEGENERATE_FAMILIES = sorted(name for name in dir(conftest) if name.startswith("degenerate_family_"))
 CHAIN_CENTRES = [(0, 0, 1), (1, 1, 0), (1, 1, 2, 2, 0, 3, 4)]
 COVER_FAMILIES = [

@@ -17,7 +17,7 @@ from conftest import (
     z_squared_cover,
 )
 from sphere_trees import moduli
-from sphere_trees.covers import TreeCover, cover_iso, extract_portrait
+from sphere_trees.covers import TreeCover, cover_iso, edge_table, extract_portrait
 from sphere_trees.dynamics import dyn_membership
 from sphere_trees.errors import InvalidFamily, LeafSetMismatch, MarkedSetTooSmall
 from sphere_trees.moduli import (
@@ -106,6 +106,21 @@ class TestMarkedSphere:
             a_0["1"] = pt(2)
         with pytest.raises(TypeError):
             portrait.f_dict["y0"] = "z1"
+        # the cover's edge table: empty until asked, outside repr, equality and
+        # hash, read-only and built once
+        assert twin._edges is None
+        table = edge_table(twin, 0)
+        assert twin._edges is not None and table is edge_table(twin, 0)
+        assert dict(table) == {"y0": (pt(0), 2), "yinf": (INF, 2), "y1": (pt(1), 1),
+                               "ym1": (pt(1), 1)}
+        fresh_cover = TreeCover(cover.source, cover.target, cover.vertex_map, cover.maps)
+        assert fresh_cover._edges is None
+        assert twin == fresh_cover and hash(twin) == hash(fresh_cover)
+        assert repr(twin) == repr(fresh_cover) and "_edges=" not in repr(twin)
+        with pytest.raises(TypeError):
+            table["y0"] = (pt(0), 1)
+        with pytest.raises(TypeError):
+            twin._edges[0] = table
 
 
 def test_no_module_level_caches():
