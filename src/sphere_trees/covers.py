@@ -13,7 +13,9 @@ Reconstruction builds the unique cover with a given source tree and leaf
 portrait by peeling a peripheral source vertex, pinning the corresponding
 target sphere chart from the discovered attaching points, deriving the fiber
 maps from their zero/pole divisors, and recursing on the completed
-complement components.
+complement components.  It checks only what it needs to proceed;
+`validate_cover` is the one certifier, of reconstructed covers and of covers
+lifted from marked spheres alike.
 """
 
 from __future__ import annotations
@@ -253,8 +255,16 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
         problems.append(str(exc))
         return problems
     problems += validate_portrait(portrait, allow_degree_one=(portrait.d == 1))
-    if expected_portrait is not None and portrait != expected_portrait:
-        problems.append("leaf data does not reproduce the expected portrait")
+    e = expected_portrait
+    if e is not None:  # one line per differing leaf datum, and one for d
+        for y in sorted(portrait.y_labels | e.y_labels):
+            for what, got, want in (("image", portrait.f_dict, e.f_dict),
+                                    ("local degree", portrait.deg_dict, e.deg_dict)):
+                if got.get(y) != want.get(y):
+                    problems.append(
+                        f"leaf {y!r}: {what} {got.get(y)!r}, expected {want.get(y)!r}")
+        if portrait.d != e.d:
+            problems.append(f"degree {portrait.d}, expected {e.d}")
     return problems
 
 
@@ -383,7 +393,8 @@ def _complete(t: TreeOfSpheres, kept: set, prefix: str
 def reconstruct_cover(source: TreeOfSpheres, portrait: Portrait) -> TreeCover:
     """The unique cover with the given source tree and leaf portrait.
 
-    Raises NotRealizable with the first forced condition that fails.
+    Raises NotRealizable where the construction cannot proceed, or with the
+    ``validate_cover`` violations of what it built.
     """
     problems = validate_portrait(portrait)
     if problems:
@@ -406,19 +417,6 @@ def reconstruct_cover(source: TreeOfSpheres, portrait: Portrait) -> TreeCover:
     return cover
 
 
-def _fiber_sums(fmap: dict, degmap: dict, zlabels: frozenset) -> int:
-    sums = {z: 0 for z in zlabels}
-    for y, z in fmap.items():
-        if z not in sums:
-            raise NotRealizable(f"leaf {y!r} maps outside the target labels")
-        sums[z] += degmap[y]
-    values = sorted(set(sums.values()))
-    if len(values) != 1 or values[0] < 1:
-        raise NotRealizable("fiber degree sums are inconsistent",
-                            witness={z: s for z, s in sorted(sums.items())})
-    return values[0]
-
-
 def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
                 fiber: list, z0: frozenset):
     """Maps f_w for every vertex in the fiber of the newly pinned target vertex.
@@ -426,7 +424,9 @@ def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
     The chart is pinned with leaf edges at 0 and infinity (their multiplicities
     are portrait data); the unit slot takes the third leaf edge when one exists
     and the internal edge otherwise.  Returns the maps, the attaching points of
-    the new target vertex, and the local degrees at internal edges.
+    the new target vertex read off the leaf edges, the image of the internal
+    edges, and their local degrees.  It checks only what it needs to proceed;
+    ``validate_cover`` certifies leaf images, degrees and full fibers.
     """
     zs = sorted(z0)
     zero_z, pole_z = zs[0], zs[-1] if len(zs) == 2 else zs[2]
@@ -464,24 +464,11 @@ def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
             raise NotRealizable(f"vertex {w}: no candidate point for the unit slot")
         f = rational_from_divisors(zeros, poles, units[0])
         maps[w] = f
-        images = {n: f.apply(p) for n, p in pts.items()}
-        degs = {n: local_degree(f, p) for n, p in pts.items()}
-        values: dict[str, ProjPoint] = {}
         for y in sorted(leaf_pts):
-            prior = values.setdefault(fmap[y], images[y])
-            if images[y] != prior:
-                raise NotRealizable(
-                    f"vertex {w}: fiber of {fmap[y]!r} maps to several points")
-            if degs[y] != degmap[y]:
-                raise NotRealizable(
-                    f"vertex {w}: local degree at leaf {y!r} is not {degmap[y]}")
-        for z, q in values.items():
-            prior = attach.setdefault(z, q)
-            if q != prior:
-                raise NotRealizable(
-                    f"attaching point of {z!r} differs between fiber vertices")
-        ivalues = {images[n] for n in internal_pts}
-        edge_mult.update(((w, n), degs[n]) for n in internal_pts)
+            if fmap[y] not in attach:
+                attach[fmap[y]] = f.apply(leaf_pts[y])
+        ivalues = {f.apply(p) for p in internal_pts.values()}
+        edge_mult.update(((w, n), local_degree(f, p)) for n, p in internal_pts.items())
         if len(ivalues) > 1:
             raise NotRealizable(
                 f"vertex {w}: internal edges map to several points")
@@ -492,24 +479,12 @@ def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
             elif internal_value != q:
                 raise NotRealizable(
                     "internal-edge attaching point differs between fiber vertices")
-        # full fibers over every attaching value seen at this vertex
-        fiber_totals: dict[ProjPoint, int] = {}
-        for n, q in images.items():
-            fiber_totals[q] = fiber_totals.get(q, 0) + degs[n]
-        for q, total in fiber_totals.items():
-            if total != f.degree:
-                raise NotRealizable(
-                    f"vertex {w}: fiber over {q} sums to {total}, expected {f.degree}")
-    points = list(attach.values()) + ([internal_value] if internal_value is not None else [])
-    if len(set(points)) != len(points):
-        raise NotRealizable("attaching points of the new target vertex collide")
     return maps, attach, internal_value, edge_mult
 
 
 def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
                  zlabels: frozenset):
     """Recursive reconstruction; returns (target tree, vertex map, maps)."""
-    _fiber_sums(fmap, degmap, zlabels)
     shape = source.shape
 
     if len(shape.internal) == 1:
@@ -663,29 +638,14 @@ class MarkedSphereCover:
     z: MarkedSphere
 
 
-def validate_marked_cover(msc: MarkedSphereCover, portrait: Portrait) -> list[str]:
-    problems = []
-    if msc.y.labels != portrait.y_labels or msc.z.labels != portrait.z_labels:
-        problems.append("marked spheres do not match the portrait label sets")
-        return problems
-    for a in sorted(portrait.y_labels):
-        if msc.f.apply(msc.y.point(a)) != msc.z.point(portrait.f(a)):
-            problems.append(f"f(y({a!r})) is not z(F({a!r}))")
-        elif local_degree(msc.f, msc.y.point(a)) != portrait.deg(a):
-            problems.append(f"local degree at y({a!r}) is not deg({a!r})")
-    if msc.f.degree != portrait.d:
-        problems.append(f"map degree {msc.f.degree} != portrait degree {portrait.d}")
-    return problems
-
-
 def cover_from_marked(msc: MarkedSphereCover, portrait: Portrait) -> TreeCover:
-    """Lift a cover between marked spheres to single-vertex trees of spheres."""
-    problems = validate_marked_cover(msc, portrait)
+    """Lift a cover between marked spheres to single-vertex trees of spheres;
+    ``validate_cover`` certifies the lift against the portrait."""
+    vmap: dict[Vertex, Vertex] = {0: 0}
+    vmap.update(portrait.f_dict)
+    cover = TreeCover.make(sphere_as_tree(msc.y), sphere_as_tree(msc.z), vmap, {0: msc.f})
+    problems = validate_cover(cover, expected_portrait=portrait)
     if problems:
         raise InvalidFamily("not a marked-sphere cover for this portrait",
                             witness=problems)
-    src = sphere_as_tree(msc.y)
-    tgt = sphere_as_tree(msc.z)
-    vmap: dict[Vertex, Vertex] = {0: 0}
-    vmap.update(portrait.f_dict)
-    return TreeCover.make(src, tgt, vmap, {0: msc.f})
+    return cover

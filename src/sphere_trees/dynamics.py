@@ -18,7 +18,6 @@ from .moduli import (
     TreeOfSpheres,
     induced_partition,
     iso_of_spheres,
-    marking_dict,
     project,
     twist,
 )
@@ -38,19 +37,14 @@ class DynSystem:
 def compatible(t_x: TreeOfSpheres, t_y: TreeOfSpheres) -> bool:
     """Does t_x equal the projection of t_y on the nose?
 
-    Vertices are matched through their partitions of the sub-label-set and
-    the markings must agree pointwise, not merely up to Moebius changes;
-    equal markings make the trees isomorphic as well.
+    It does iff the explicit isomorphism onto the projection exists and is
+    the identity at every vertex: the markings agree pointwise, not merely
+    up to Moebius changes.
     """
     if not t_x.labels <= t_y.labels:
         raise NotASubset("the first tree is not marked by a subset")
-    projected = project(t_y, t_x.labels)
-    parts_x = {partition_at(t_x.shape, v): v for v in t_x.shape.internal}
-    parts_p = {partition_at(projected.shape, v): v for v in projected.shape.internal}
-    if set(parts_x) != set(parts_p):
-        return False
-    return all(marking_dict(t_x, v) == marking_dict(projected, parts_p[p])
-               for p, v in parts_x.items())
+    iso = iso_of_spheres(t_x, project(t_y, t_x.labels))
+    return iso is not None and all(m.is_identity() for m in iso[1].values())
 
 
 def validate_dyn(d: DynSystem) -> list[str]:

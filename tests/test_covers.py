@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
     degenerate_family_three_vertex,
     degenerate_family_two_vertex,
     pt,
+    random_marking,
     random_moebius,
     z_squared_chain_family,
     z_squared_cover,
@@ -114,6 +117,18 @@ class TestValidateCover:
         with pytest.raises(InvalidFamily):
             extract_portrait(broken)
 
+    def test_portrait_mismatch_names_each_leaf_and_the_degree(self):
+        cover, portrait = z_squared_fiber_cover(gr(2))
+        f = {**portrait.f_dict, "y1": "zc", "yc": "z1"}
+        assert validate_cover(cover, Portrait.make(f, portrait.deg_dict, 2)) == [
+            "leaf 'y1': image 'z1', expected 'zc'",
+            "leaf 'yc': image 'zc', expected 'z1'"]
+        deg = {**portrait.deg_dict, "y0": 1, "y1": 2}
+        assert validate_cover(cover, Portrait.make(portrait.f_dict, deg, 3)) == [
+            "leaf 'y0': local degree 2, expected 1",
+            "leaf 'y1': local degree 1, expected 2",
+            "degree 2, expected 3"]
+
     def test_inconsistent_degree(self):
         cover = limit_cover(degenerate_family_two_vertex())
         sq = z_squared_map()
@@ -122,6 +137,30 @@ class TestValidateCover:
                                 {**dict(cover.maps), 0: quartic})
         with pytest.raises(InconsistentDegree):
             global_degree(broken)
+
+
+class TestCoverFromMarked:
+    def spheres(self):
+        cover, portrait = z_squared_cover()
+        y = MarkedSphere.make(dict(cover.source.edge_points(0)))
+        z = MarkedSphere.make(dict(cover.target.edge_points(0)))
+        return y, z, portrait
+
+    def test_constant_map_is_invalid_family(self):
+        y, z, portrait = self.spheres()
+        constant = RationalMap.from_coeffs([gr(0)], [gr(1)])
+        with pytest.raises(InvalidFamily) as info:
+            cover_from_marked(MarkedSphereCover(constant, y, z), portrait)
+        assert "map at vertex 0 is constant" in info.value.witness
+
+    def test_witness_is_the_validation(self):
+        y, z, portrait = self.spheres()
+        cube = RationalMap.from_coeffs([gr(0)] * 3 + [gr(1)], [gr(1)])
+        with pytest.raises(InvalidFamily) as info:
+            cover_from_marked(MarkedSphereCover(cube, y, z), portrait)
+        lifted = TreeCover.make(sphere_as_tree(y), sphere_as_tree(z),
+                                {0: 0, **portrait.f_dict}, {0: cube})
+        assert info.value.witness == validate_cover(lifted, portrait) != []
 
 
 class TestRationalFromDivisors:
@@ -240,6 +279,59 @@ class TestReconstruct:
             reconstruct_cover(cover.source, bad)
 
 
+CHAIN_CENTRES = [(0, 0, 1), (1, 1, 0), (1, 1, 2, 2, 0, 3, 4)]
+
+
+def reconstruction_inputs(cover, rng, rounds=6):
+    """(kind, source, portrait) around a cover: the cover's own pair, then
+    random re-markings of its source shape, leaf degrees shuffled within each
+    fiber, and the images of two leaves of equal degree swapped."""
+    src, p = cover.source, extract_portrait(cover)
+    f, deg = dict(p.f_dict), dict(p.deg_dict)
+    yield "original", src, p
+    swaps = [(a, b) for a, b in combinations(sorted(f), 2) if f[a] != f[b] and deg[a] == deg[b]]
+    for _ in range(rounds):
+        yield "re-marked", random_marking(src.shape, rng), p
+        shuffled = dict(deg)
+        for z in sorted(p.z_labels):
+            fiber = sorted(y for y in f if f[y] == z)
+            ks = [deg[y] for y in fiber]
+            rng.shuffle(ks)
+            shuffled.update(zip(fiber, ks))
+        yield "shuffled", src, Portrait.make(f, shuffled, p.d)
+        if swaps:
+            a, b = rng.choice(swaps)
+            yield "swapped", src, Portrait.make({**f, a: f[b], b: f[a]}, deg, p.d)
+
+
+class TestReconstructOutcomes:
+    def test_outcome_is_a_certified_cover_or_not_realizable(self, cover_corpus):
+        # every outcome: NotRealizable, or a cover over the given source that
+        # validates and reproduces the given portrait; no other exception
+        started = time.perf_counter()
+        bases = list(cover_corpus) + [limit_cover(z_squared_chain_family(c))
+                                      for c in CHAIN_CENTRES]
+        rng = random.Random(1729)
+        outcomes = Counter()
+        for cover in bases:
+            for kind, src, p in reconstruction_inputs(cover, rng):
+                try:
+                    rebuilt = reconstruct_cover(src, p)
+                except NotRealizable:
+                    outcomes[kind, "not realizable"] += 1
+                    continue
+                outcomes[kind, "cover"] += 1
+                assert rebuilt.source == src
+                assert extract_portrait(rebuilt) == p
+                assert validate_cover(rebuilt) == []
+                if src == cover.source and p == extract_portrait(cover):
+                    assert cover_iso(rebuilt, cover)
+        assert outcomes["original", "cover"] == len(bases)
+        for kind in ("re-marked", "shuffled", "swapped"):
+            assert outcomes[kind, "not realizable"] > 0
+        assert time.perf_counter() - started < 10
+
+
 class TestDeepChains:
     # Each peeled level adds a sentinel target label for the peeled vertex;
     # the sentinels of nested levels must stay distinct.
@@ -272,6 +364,25 @@ class TestLocalDegreeTable:
         edge_points = [(fresh.map_at(v), p) for v in fresh.source.shape.internal
                        for p in fresh.source.edge_points(v).values()]
         assert sorted(map(repr, calls)) == sorted(map(repr, edge_points))
+
+
+    @pytest.mark.parametrize("centres", [(0, 0, 1), (1, 1, 2, 2, 0, 3, 4)])
+    def test_reconstruction_reads_internal_edge_degrees_only(self, monkeypatch, centres):
+        # the construction needs local degrees only at internal edges; the
+        # rebuilt cover's own table supplies the rest, once per edge point
+        cover = limit_cover(z_squared_chain_family(centres))
+        portrait = extract_portrait(cover)
+        calls = []
+
+        def counted(f, p):
+            calls.append((f, p))
+            return local_degree(f, p)
+        monkeypatch.setattr(covers, "local_degree", counted)
+        rebuilt = reconstruct_cover(cover.source, portrait)
+        shape = rebuilt.source.shape
+        edge_points = sum(len(rebuilt.source.edge_points(v)) for v in shape.internal)
+        internal_edges = sum(1 for e in shape.edges if all(isinstance(x, int) for x in e))
+        assert len(calls) == edge_points + internal_edges
 
 
 class TestCoverIso:

@@ -21,7 +21,15 @@ from sphere_trees.dynamics import (
     validate_dyn,
 )
 from sphere_trees.errors import NotASubset
-from sphere_trees.moduli import MarkedSphere, project, sphere_as_tree, spheres_iso, twist
+from sphere_trees.moduli import (
+    MarkedSphere,
+    marking_dict,
+    project,
+    sphere_as_tree,
+    spheres_iso,
+    twist,
+)
+from sphere_trees.trees import partition_at
 
 
 def dyn_z_squared(fourth=-1):
@@ -62,6 +70,42 @@ class TestCompatible:
         alien = sphere_as_tree(MarkedSphere.make({"a": pt(0), "b": pt(1), "c": INF}))
         with pytest.raises(NotASubset):
             compatible(alien, cover.source)
+
+
+def pointwise_compatible(t_x, t_y) -> bool:
+    """Oracle: the projection's vertices matched to t_x's through their
+    partitions, and the derived markings compared label by label."""
+    projected = project(t_y, t_x.labels)
+    parts_x = {partition_at(t_x.shape, v): v for v in t_x.shape.internal}
+    parts_p = {partition_at(projected.shape, v): v for v in projected.shape.internal}
+    if set(parts_x) != set(parts_p):
+        return False
+    return all(marking_dict(t_x, v) == marking_dict(projected, parts_p[p])
+               for p, v in parts_x.items())
+
+
+class TestCompatibleCorpus:
+    def test_projections_are_compatible_and_twists_are_not(self, tree_corpus):
+        rng = random.Random(31)
+        for t in tree_corpus:
+            labels = sorted(t.labels)
+            t_x = project(t, rng.sample(labels, rng.randint(3, len(labels))))
+            assert compatible(t_x, t) and pointwise_compatible(t_x, t)
+            m = random_moebius(rng)
+            while m.is_identity():
+                m = random_moebius(rng)
+            bent = twist(t_x, {rng.choice(sorted(t_x.shape.internal)): m})
+            assert not compatible(bent, t) and not pointwise_compatible(bent, t)
+
+    def test_agrees_with_pointwise_rule_on_corpus_pairs(self, tree_corpus):
+        pairs = agree = 0
+        for t_x in tree_corpus[:40]:
+            for t_y in tree_corpus[:40]:
+                if t_x.labels <= t_y.labels:
+                    got = compatible(t_x, t_y)
+                    assert got == pointwise_compatible(t_x, t_y)
+                    pairs, agree = pairs + 1, agree + got
+        assert pairs > 100 and agree >= 40  # each tree is compatible with itself
 
 
 class TestValidateDyn:
