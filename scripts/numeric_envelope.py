@@ -7,8 +7,12 @@ second one under a random constant Moebius twist), samples float
 snapshots at eps = 1/k for k = 10..200, and runs numeric_limit_tree at
 tolerance 1e-6 with a stability window of 5.  Per size it prints the median
 CPU time of numeric_limit_tree per item, how many items were refused with a
-typed error, and how many returned trees had partitions other than the exact
-ones (the numeric mode must fail closed, so this column should read 0).
+typed error, how many returned trees had partitions other than the exact
+ones (the numeric mode must fail closed, so this column should read 0), and
+the first 16 hex digits of a sha256 over every item's outcome: the canonical
+``numeric_tree_to_json`` dump of a returned tree, or a refusal's code and
+witness.  Equal digests before and after a change show that the numeric mode
+returned byte-identical trees, spreads and witnesses at those sizes.
 
 Usage: python3 scripts/numeric_envelope.py [sizes] [items_per_size]
        e.g. python3 scripts/numeric_envelope.py 8,10,12,14 12
@@ -16,6 +20,7 @@ Usage: python3 scripts/numeric_envelope.py [sizes] [items_per_size]
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 import random
 import statistics
@@ -30,6 +35,7 @@ import generators as gen
 from sphere_trees.errors import AdmissibilityFailure, InconsistentClustering, NotStabilized
 from sphere_trees.limits import NumericConfigSequence, numeric_limit_tree
 from sphere_trees.plumbing import plumb_family
+from sphere_trees.serialize import canonical_dumps, numeric_tree_to_json
 from sphere_trees.trees import tree_partitions
 
 TOLERANCE = 1e-6
@@ -41,10 +47,10 @@ def main() -> None:
     sizes = [int(n) for n in sys.argv[1].split(",")] if len(sys.argv) > 1 else [8, 10, 12, 14]
     items = int(sys.argv[2]) if len(sys.argv) > 2 else 12
 
-    print(f"{'n':>3} {'CPU per item':>13} {'refusals':>9} {'wrong':>6}")
+    print(f"{'n':>3} {'CPU per item':>13} {'refusals':>9} {'wrong':>6} {'sha256':>16}")
     for n in sizes:
         rng = random.Random(f"envelope-{n}")
-        times, refused, wrong = [], 0, 0
+        times, refused, wrong, digest = [], 0, 0, hashlib.sha256()
         for i in range(items):
             tree = gen.random_tree(n, rng)
             fam = plumb_family(tree)
@@ -54,15 +60,18 @@ def main() -> None:
             started = time.process_time()
             try:
                 result = numeric_limit_tree(seq)
-            except REFUSALS:
-                result = None
+            except REFUSALS as exc:
+                result, outcome = None, {"error": exc.code, "witness": exc.witness}
             times.append(time.process_time() - started)
             if result is None:
                 refused += 1
-            elif result.partitions() != tree_partitions(tree.shape):
-                wrong += 1
+            else:
+                outcome = numeric_tree_to_json(result)
+                wrong += result.partitions() != tree_partitions(tree.shape)
+            digest.update(canonical_dumps(outcome).encode())
         median = f"{1000 * statistics.median(times):.1f} ms"
-        print(f"{n:>3} {median:>13} {f'{refused}/{items}':>9} {wrong:>6}")
+        print(f"{n:>3} {median:>13} {f'{refused}/{items}':>9} {wrong:>6} "
+              f"{digest.hexdigest()[:16]:>16}")
 
 
 if __name__ == "__main__":

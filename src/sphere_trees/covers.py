@@ -396,7 +396,7 @@ def reconstruct_cover(source: TreeOfSpheres, portrait: Portrait) -> TreeCover:
     Raises NotRealizable where the construction cannot proceed, or with the
     ``validate_cover`` violations of what it built.
     """
-    problems = validate_portrait(portrait)
+    problems = validate_portrait(portrait, allow_degree_one=True)
     if problems:
         raise NotRealizable("portrait is invalid", witness=problems)
     if source.labels != portrait.y_labels:

@@ -195,48 +195,57 @@ def chordal(p: NumericPoint, q: NumericPoint) -> float:
     return 2.0 * abs(p[0] * q[1] - q[0] * p[1]) / (np_ * nq)
 
 
-def _numeric_cross_ratio(p0, p1, pinf, p) -> NumericPoint:
-    def br(a, b):
-        return a[0] * b[1] - b[0] * a[1]
+def _cross_ratio_row(snap: Sequence[NumericPoint], i0: int, i1: int, i2: int) -> list:
+    """Cross-ratios [p, p0][p1, pinf] : [p, pinf][p1, p0] of each point of a snapshot,
+    (p0, p1, pinf) = snap[i0, i1, i2], scaled to unit max-norm or (0 : 0) where both
+    vanish; the two brackets of the triple alone are computed once per row."""
+    (a0, b0), (a1, b1), (ai, bi) = snap[i0], snap[i1], snap[i2]
+    b1inf = a1 * bi - ai * b1
+    b10 = a1 * b0 - a0 * b1
+    row = []
+    for a, b in snap:
+        u = (a * b0 - a0 * b) * b1inf
+        v = (a * bi - ai * b) * b10
+        n = max(abs(u), abs(v))
+        row.append((0j, 0j) if n == 0.0 else (u / n, v / n))
+    return row
 
-    u = br(p, p0) * br(p1, pinf)
-    v = br(p, pinf) * br(p1, p0)
-    n = max(abs(u), abs(v))
-    if n == 0.0:
-        return (0j, 0j)
-    return (u / n, v / n)
+
+def _eps_ratios(eps: Sequence[float]) -> list:
+    """The ratio table of one ladder: row i lists eps[i - k] / eps[i] for k = 1..i."""
+    return [[eps[i - k] / eps[i] for k in range(1, i + 1)] for i in range(len(eps))]
 
 
-def _bs_extrapolate(eps: Sequence[float], values: Sequence[complex]) -> complex:
+def _bs_extrapolate(ratios: Sequence[Sequence[float]], values: Sequence[complex]) -> complex:
     """Rational (Bulirsch-Stoer) extrapolation of the values to eps = 0.
 
     Rational extrapolation stays accurate when the sampled function has
     poles near the sampled range, which polynomial extrapolation does not.
+    Tableau row i needs only row i - 1 and the ladder's ratio table (``_eps_ratios``).
     """
-    n = len(eps)
-    tableau = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        tableau[i][0] = values[i]
-        for k in range(1, i + 1):
-            num = tableau[i][k - 1] - tableau[i - 1][k - 1]
-            den2 = (tableau[i][k - 1] - tableau[i - 1][k - 2]) if k >= 2 \
-                else tableau[i][k - 1]
-            if den2 == 0:
-                tableau[i][k] = tableau[i][k - 1]
-                continue
-            d = (eps[i - k] / eps[i]) * (1 - num / den2) - 1
-            tableau[i][k] = tableau[i][k - 1] + (num / d if d != 0 else 0)
-    return tableau[n - 1][n - 1]
+    prev: list = []
+    for t, ratio in zip(values, ratios):
+        row, lag = [t], None  # lag: the entry of the previous row before p
+        for p, r in zip(prev, ratio):
+            num = t - p
+            den2 = t if lag is None else t - lag
+            lag = p
+            if den2 != 0:
+                d = r * (1 - num / den2) - 1
+                t = t + (num / d if d != 0 else 0)
+            row.append(t)
+        prev = row
+    return prev[-1]
 
 
-def _extrapolate(eps: Sequence[float], pts: Sequence[NumericPoint]) -> NumericPoint:
+def _extrapolate(ratios: Sequence[Sequence[float]], pts: Sequence[NumericPoint]) -> NumericPoint:
     # extrapolate in the affine chart suggested by the sample nearest the limit
     u, v = pts[0]
     if abs(u) <= abs(v):
         vals = [p[0] / p[1] for p in pts]
-        return _numeric_point(_bs_extrapolate(eps, vals))
+        return _numeric_point(_bs_extrapolate(ratios, vals))
     vals = [p[1] / p[0] for p in pts]
-    w = _bs_extrapolate(eps, vals)
+    w = _bs_extrapolate(ratios, vals)
     if w == 0:
         return (1.0 + 0j, 0j)
     return _numeric_point(1.0 / w)
@@ -336,6 +345,8 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     smallest parameters; a chart is refused at once when a spread, the largest
     chordal distance from the first estimate to another, exceeds tolerance.
     Clustering must be transitive, and a snapshot with coincident labels is refused first.
+    A charted triple builds one cross-ratio row per snapshot some ladder uses; each
+    ladder reads its series from those rows and its ratios from one table per call.
     """
     w = seq.stability_window
     labels = seq.labels
@@ -343,9 +354,9 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
         raise NotStabilized("not enough snapshots for the stability window",
                             witness={"snapshots": len(seq.snapshots), "window": w})
     nodes = [_ladder_nodes(seq.eps, skip) for skip in range(w)]
-    _refuse_coincident(seq, {i for node_idx in nodes for i in node_idx})
-    ladders = [([seq.eps[i] for i in node_idx], [seq.snapshots[i] for i in node_idx])
-               for node_idx in nodes]
+    used = {i for node_idx in nodes for i in node_idx}
+    _refuse_coincident(seq, used)
+    ladders = [(_eps_ratios([seq.eps[i] for i in node_idx]), node_idx) for node_idx in nodes]
 
     charts: dict[Partition, dict[str, NumericPoint]] = {}
     sides: list[dict[str, int]] = []  # block index of each label, per partition
@@ -353,11 +364,11 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
         if any(len({side[x] for x in triple}) == 3 for side in sides):
             continue
         i0, i1, i2 = (labels.index(x) for x in triple)
+        rows = {i: _cross_ratio_row(seq.snapshots[i], i0, i1, i2) for i in used}
         chart, unsettled = {}, []
         for ix, x in enumerate(labels):
-            estimates = [_extrapolate(node_eps, [
-                _numeric_cross_ratio(snap[i0], snap[i1], snap[i2], snap[ix])
-                for snap in node_snaps]) for node_eps, node_snaps in ladders]
+            estimates = [_extrapolate(ratios, [rows[i][ix] for i in node_idx])
+                         for ratios, node_idx in ladders]
             spread = max(chordal(estimates[0], e) for e in estimates[1:])
             if spread > seq.tolerance:
                 unsettled.append({"quadruple": [*triple, x], "spread": spread})

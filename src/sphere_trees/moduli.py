@@ -39,6 +39,14 @@ from .trees import (
 )
 
 
+def _sharing(row: Mapping) -> list:
+    """The least sorted list of keys, as strings, that share one point in row."""
+    keys_at: dict = {}
+    for key, p in row.items():
+        keys_at.setdefault(p, []).append(str(key))
+    return min(sorted(keys) for keys in keys_at.values() if len(keys) > 1)
+
+
 @dataclass(frozen=True, slots=True)
 class MarkedSphere:
     labels: frozenset
@@ -54,7 +62,7 @@ class MarkedSphere:
             raise MarkedSetTooSmall("a marked sphere needs at least three labels")
         values = list(points.values())
         if len(set(values)) != len(values):
-            raise InvalidFamily("marking is not injective")
+            raise InvalidFamily("marking is not injective", witness=_sharing(points))
         return cls(frozenset(points), tuple(sorted(points.items())))
 
     def point(self, x: str) -> ProjPoint:
@@ -87,7 +95,8 @@ class TreeOfSpheres:
                     witness=sorted(map(str, expected)))
             pts = list(row.values())
             if len(set(pts)) != len(pts):
-                raise InvalidFamily(f"edge marking at vertex {v} is not injective")
+                raise InvalidFamily(f"edge marking at vertex {v} is not injective",
+                                    witness=_sharing(row))
             rows.append((v, tuple(sorted(row.items(), key=lambda kv: vertex_key(kv[0])))))
         return cls(shape, tuple(rows))
 

@@ -119,6 +119,16 @@ class TestErrors:
         payload = json.loads(r.stdout)
         assert payload["error"] == "NotASubset"
 
+    def test_degree_one_portrait_is_rejected(self, tmp_path):
+        # reconstruction accepts degree 1; validating a bare portrait does not
+        portrait = tmp_path / "portrait_d1.json"
+        portrait.write_text(json.dumps({"Y": ["a", "b", "c"], "Z": ["a", "b", "c"],
+                                        "F": {"a": "a", "b": "b", "c": "c"},
+                                        "deg": {"a": 1, "b": 1, "c": 1}, "d": 1}))
+        r = run_cli("validate", str(portrait))
+        assert r.returncode == 0
+        assert json.loads(r.stdout) == {"ok": False, "violations": ["portrait degree d = 1 < 2"]}
+
     def test_non_integer_internal_vertex_is_schema_error(self, tmp_path):
         blob = json.loads((DATA_DIR / "star_tree.json").read_text())
         blob["internal"] = ["x"]

@@ -262,6 +262,20 @@ class TestReconstruct:
             assert validate_cover(rebuilt, expected_portrait=portrait) == []
             assert cover_iso(rebuilt, cover)
 
+    def test_identity_covers_round_trip(self, tree_corpus):
+        # validate_cover accepts degree 1, so reconstruction must rebuild it
+        ident = RationalMap.from_coeffs([gr(0), gr(1)], [gr(1)])
+        trees = [t for t in tree_corpus if len(t.shape.internal) > 1][:8]
+        assert len(trees) == 8
+        for t in trees:
+            vm = {**{x: x for x in t.labels}, **{v: v for v in t.shape.internal}}
+            cover = TreeCover.make(t, t, vm, {v: ident for v in t.shape.internal})
+            portrait = extract_portrait(cover)
+            assert portrait.d == 1 and validate_cover(cover) == []
+            rebuilt = reconstruct_cover(t, portrait)
+            assert validate_cover(rebuilt, expected_portrait=portrait) == []
+            assert cover_iso(rebuilt, cover)
+
     def test_deterministic_output(self):
         from conftest import branching_cubic_cover
         cover = branching_cubic_cover()

@@ -139,6 +139,50 @@ def per_triple_limit_tree(fam: LaurentFamily):
     return tree_from_charts(charts)
 
 
+def oracle_cross_ratio(p0, p1, pinf, p):
+    """Four brackets per quadruple, kept as an oracle for limits._cross_ratio_row."""
+    def br(a, b):
+        return a[0] * b[1] - b[0] * a[1]
+
+    u = br(p, p0) * br(p1, pinf)
+    v = br(p, pinf) * br(p1, p0)
+    n = max(abs(u), abs(v))
+    if n == 0.0:
+        return (0j, 0j)
+    return (u / n, v / n)
+
+
+def oracle_bs_extrapolate(eps, values):
+    """The full n x n Bulirsch-Stoer tableau, kept as an oracle for limits._bs_extrapolate."""
+    n = len(eps)
+    tableau = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        tableau[i][0] = values[i]
+        for k in range(1, i + 1):
+            num = tableau[i][k - 1] - tableau[i - 1][k - 1]
+            den2 = (tableau[i][k - 1] - tableau[i - 1][k - 2]) if k >= 2 \
+                else tableau[i][k - 1]
+            if den2 == 0:
+                tableau[i][k] = tableau[i][k - 1]
+                continue
+            d = (eps[i - k] / eps[i]) * (1 - num / den2) - 1
+            tableau[i][k] = tableau[i][k - 1] + (num / d if d != 0 else 0)
+    return tableau[n - 1][n - 1]
+
+
+def oracle_extrapolate(eps, pts):
+    """limits._extrapolate on the oracle tableau, dividing the parameters per call."""
+    u, v = pts[0]
+    if abs(u) <= abs(v):
+        vals = [p[0] / p[1] for p in pts]
+        return limits._numeric_point(oracle_bs_extrapolate(eps, vals))
+    vals = [p[1] / p[0] for p in pts]
+    w = oracle_bs_extrapolate(eps, vals)
+    if w == 0:
+        return (1.0 + 0j, 0j)
+    return limits._numeric_point(1.0 / w)
+
+
 def per_triple_numeric_limit_tree(seq: NumericConfigSequence):
     """The all-triples numeric engine, kept as an oracle for numeric_limit_tree.
 
@@ -166,10 +210,10 @@ def per_triple_numeric_limit_tree(seq: NumericConfigSequence):
             estimates = []
             for node_eps, node_snaps in ladders:
                 series = [
-                    limits._numeric_cross_ratio(snap[i0], snap[i1], snap[i2], snap[ix])
+                    oracle_cross_ratio(snap[i0], snap[i1], snap[i2], snap[ix])
                     for snap in node_snaps
                 ]
-                estimates.append(limits._extrapolate(node_eps, series))
+                estimates.append(oracle_extrapolate(node_eps, series))
             if any(limits.chordal(estimates[0], e) > seq.tolerance for e in estimates[1:]):
                 unsettled.append((triple, x))
             chart[x] = estimates[0]
@@ -432,26 +476,102 @@ class TestNumericLimit:
 
     @pytest.mark.parametrize("n", [5, 8, 11])
     def test_one_extrapolated_chart_per_vertex(self, monkeypatch, n):
-        calls = []
-        extrapolate = limits._extrapolate
+        # one extrapolation per (ladder, quadruple) of a charted triple, and one
+        # cross-ratio row per (charted triple, snapshot some ladder uses)
+        calls, rows = [], []
+        extrapolate, cross_ratio_row = limits._extrapolate, limits._cross_ratio_row
 
         def counted(*args):
             calls.append(None)
             return extrapolate(*args)
 
+        def counted_row(*args):
+            rows.append(args[1:])
+            return cross_ratio_row(*args)
+
         monkeypatch.setattr(limits, "_extrapolate", counted)
+        monkeypatch.setattr(limits, "_cross_ratio_row", counted_row)
         rng = random.Random(f"numeric-charts-{n}")
         seq = None
         while seq is None:
             fam = plumbed_family(n, "twist", rng)
             seq = NumericConfigSequence.make(*snapshots(fam))
             calls.clear()
+            rows.clear()
             try:
                 t = numeric_limit_tree(seq)
             except (NotStabilized, InconsistentClustering, AdmissibilityFailure):
                 seq = None
-        assert len(t.shape.internal) > 1
-        assert len(calls) == seq.stability_window * n * len(t.shape.internal)
+        vertices = len(t.shape.internal)
+        assert vertices > 1
+        assert len(calls) == seq.stability_window * n * vertices
+        used = {i for skip in range(seq.stability_window)
+                for i in limits._ladder_nodes(seq.eps, skip)}
+        assert len(rows) == vertices * len(used)
+        assert len(set(rows)) == vertices  # one set of rows per charted triple
+
+    def test_rows_and_one_row_extrapolation_match_the_oracle(self):
+        # bit for bit, signed zeros included, against the four-bracket cross-ratio
+        # and the n x n tableau: infinite points, labels equal to a triple point,
+        # near-coincident labels, and series through the den2 == 0 and d == 0 branches
+        rng = random.Random("numeric-kernels")
+
+        def outcome(f, *args):  # a point through infinity divides by zero in both
+            try:
+                return repr(f(*args))
+            except ZeroDivisionError:
+                return "ZeroDivisionError"
+
+        def coordinate():
+            kind = rng.randrange(6)
+            if kind == 0:
+                return None
+            if kind == 1:
+                return complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0]))
+            if kind == 2:
+                return complex(rng.uniform(-1e9, 1e9), rng.uniform(-1e9, 1e9))
+            return complex(rng.gauss(0, 3), rng.gauss(0, 3))
+
+        for _ in range(300):
+            values = [coordinate() for _ in range(rng.randint(3, 8))]
+            base = rng.randrange(len(values))
+            if values[base] is not None:  # a near-coincident label
+                values.append(values[base] + complex(rng.choice([1e-15, 1e-9]), 0.0))
+            i0, i1, i2 = rng.sample(range(len(values)), 3)
+            values.append(values[rng.choice((i0, i1, i2))])  # a label equal to a triple point
+            snap = [limits._numeric_point(v) for v in values]
+            row = limits._cross_ratio_row(snap, i0, i1, i2)
+            assert len(row) == len(snap)
+            for p, got in zip(snap, row):
+                assert repr(got) == repr(oracle_cross_ratio(snap[i0], snap[i1], snap[i2], p))
+
+        for _ in range(300):
+            m = rng.randint(1, 9)
+            eps = sorted(rng.sample(range(1, 400), m))
+            eps = [1.0 / (401 - e) for e in eps] if rng.random() < 0.5 \
+                else [rng.uniform(1e-3, 1.0) for _ in range(m)]
+            kind = rng.randrange(4)
+            if kind == 0:
+                vals = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in eps]
+            elif kind == 1:
+                vals = [complex(rng.choice([0.0, -0.0, 1.0])) for _ in eps]
+            elif kind == 2:
+                vals = [rng.choice([1 + 0j, 2j]) / e for e in eps]
+            else:
+                vals = [complex(rng.gauss(0, 1), 0.0) + 1e-12 * rng.random() * e for e in eps]
+            ratios = limits._eps_ratios(eps)
+            assert repr(limits._bs_extrapolate(ratios, vals)) \
+                == repr(oracle_bs_extrapolate(eps, vals))
+            pts = [limits._numeric_point(v) for v in vals]
+            if rng.random() < 0.5:
+                pts = [(v, u) for u, v in pts]
+            assert outcome(limits._extrapolate, ratios, pts) == outcome(oracle_extrapolate, eps, pts)
+
+        # den2 == 0: a zero first sample; d == 0: values 1/eps at eps doubling
+        for eps, vals in [([0.25, 0.5], [0j, 0j]), ([0.125, 0.25, 0.5, 1.0], [8 + 0j, 4, 2, 1])]:
+            assert repr(limits._bs_extrapolate(limits._eps_ratios(eps), vals)) \
+                == repr(oracle_bs_extrapolate(eps, vals))
+        assert (0.125 / 0.25) * (1 - (4 - 8) / 4) - 1 == 0
 
 
 class TestLimitCover:

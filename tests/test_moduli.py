@@ -57,6 +57,19 @@ class TestMarkedSphere:
         with pytest.raises(InvalidFamily):
             MarkedSphere.make({"1": pt(0), "2": pt(0), "3": INF})
 
+    def test_injectivity_witness_names_the_labels_sharing_a_point(self):
+        with pytest.raises(InvalidFamily) as info:
+            MarkedSphere.make({"4": pt(1), "1": pt(0), "3": pt(1), "2": pt(0), "5": INF})
+        assert info.value.witness == ["1", "2"]
+
+    def test_edge_marking_witness_names_the_neighbours_sharing_a_point(self, two_vertex):
+        with pytest.raises(InvalidFamily, match="vertex 1 is not injective") as info:
+            TreeOfSpheres.make(two_vertex.shape, {
+                0: {"1": pt(0), "2": pt(1), 1: INF},
+                1: {"3": pt(0), "4": pt(1), 0: pt(0)},
+            })
+        assert info.value.witness == ["0", "3"]
+
     def test_minimum_size(self):
         with pytest.raises(MarkedSetTooSmall):
             MarkedSphere.make({"1": pt(0), "2": pt(1)})
