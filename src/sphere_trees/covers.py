@@ -149,11 +149,12 @@ def carrier(shape: MarkedTree, leaf: str) -> int:
 
 def edge_table(c: TreeCover, v: int) -> Mapping:
     """(image, local degree) of the map at v at each of its edge points, keyed by
-    edge neighbour; computed once per cover for every v."""
+    edge neighbour; computed once per cover for every v, one map application a point."""
     if c._edges is None:
         object.__setattr__(c, "_edges", MappingProxyType({
             w: None if f.is_constant() else MappingProxyType(
-                {n: (f.apply(p), local_degree(f, p)) for n, p in c.source.edge_points(w).items()})
+                {n: (q, local_degree(f, p, q)) for n, p in c.source.edge_points(w).items()
+                 for q in (f.apply(p),)})
             for w, f in c.maps}))
     row = c._edges[v]
     if row is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstantLimit, DegenerateTriple, ZeroFamily
@@ -305,3 +305,49 @@ class LaurentMap:
         den = Polynomial.make([c.evaluate(eps) for c in self.den])
         return RationalMap.make(num, den)
 
+
+class _TruncatedZero:
+    """The zero of Q(i)[eps] / eps^cap for the map kernel: dot drops exponent sums >= cap."""
+
+    __slots__ = ("cap",)
+    terms = ()  # the kernel also pads coefficient lists with its zero
+
+    def __init__(self, cap: int):
+        self.cap = cap
+
+    def is_zero(self) -> bool:
+        return True
+
+    def dot(self, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+        groups: dict[int, list] = {}
+        for p, q in pairs:
+            for e, x in p.terms:
+                for f, y in q.terms:  # ascending: every later sum is >= cap too
+                    if e + f >= self.cap:
+                        break
+                    groups.setdefault(e + f, []).append((1, x, y))
+        return LaurentPoly._summed(groups)
+
+
+def _lowest_at_zero(cs: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    v = min(c.terms[0][0] for c in cs if c.terms)
+    return [c.shift(-v) for c in cs] if v else list(cs)
+
+
+def composed_leading_limit(f: LaurentMap, pre: LaurentMoebius, post: LaurentMoebius) -> RationalMap:
+    """f.precompose(pre).postcompose(post).leading_limit(), from the low-order terms only.
+
+    Dividing f, pre and post each by eps to its lowest exponent scales the composition
+    and leaves its limit alone.  Every factor is then in Q(i)[eps], where a term at
+    exponent >= cap only feeds exponents >= cap, so one cap holds at every stage of the
+    kernel and each coefficient it returns is exact below the cap.  The cap doubles from
+    2 until some coefficient is nonzero: its lowest exponent is the true valuation.
+    """
+    cs = _lowest_at_zero(f.num + f.den)
+    num, den = cs[:len(f.num)], cs[len(f.num):]
+    pre, post = (LaurentMoebius(*_lowest_at_zero((m.a, m.b, m.c, m.d))) for m in (pre, post))
+    for cap in (2 ** k for k in count(1)):
+        zero = _TruncatedZero(cap)
+        out = hom_postcompose(*hom_substitute(num, den, pre, zero, LP_ONE), post, zero)
+        if any(c.terms for half in out for c in half):
+            return LaurentMap.make(*out).leading_limit()

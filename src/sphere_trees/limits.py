@@ -45,6 +45,7 @@ from .laurent import (
     LaurentPoint,
     LaurentPoly,
     bracket_lead,
+    composed_leading_limit,
     laurent_points_equal,
 )
 from .moduli import MarkedSphere, TreeOfSpheres, tree_from_charts
@@ -463,15 +464,16 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
     """Limit of a degenerating cover family as a cover between limit trees.
 
     Each internal source vertex v is normalized by its representative triple's
-    chart family, and the conjugated map F_v is evaluated at the constants
-    c = 1 + i, 2 + i, ... in turn.  The image F_v(c) is located in the limit
-    target tree at the vertex w where its limit in w's chart is none of w's
-    edge points.  F_v sends v to w exactly when F_v postcomposed with w's chart
-    family has a nonconstant leading limit (Baker-Rumely), and that limit is
-    the fiber map at v: w is marked by that chart.  At most d(n + 1) constants
-    fail, n the number of target labels: those in the at most d - d_v
-    directions at v that F_v sends onto the whole sphere, and the at most d n
-    preimages of w's edge points; ConstantLimit is raised after d(n + 1) + 1.
+    chart family phi_v, and F_v = F . phi_v^-1 is evaluated at the constants
+    c = 1 + i, 2 + i, ... in turn, as F(phi_v^-1(c)).  The image F_v(c) is
+    located in the limit target tree at the vertex w where its limit in w's
+    chart is none of w's edge points.  F_v sends v to w exactly when M_w . F_v,
+    M_w w's chart family, has a nonconstant leading limit (Baker-Rumely), read
+    from its low-order terms alone; that limit is the fiber map at v, and w is
+    marked by that chart.  At most d(n + 1) constants fail, n the number of
+    target labels: those in the at most d - d_v directions at v that F_v sends
+    onto the whole sphere, and the at most d n preimages of w's edge points;
+    ConstantLimit is raised after d(n + 1) + 1.
     """
     source = limit_tree(fam.y_family)
     target = limit_tree(fam.z_family)
@@ -485,12 +487,11 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
     maps: dict[int, RationalMap] = {}
     for v in sorted(source.shape.internal):
         triple = representative_triple(partition_at(source.shape, v))
-        phi = LaurentMoebius.from_three(*(fam.y_family.path(x) for x in triple))
-        conjugated = fam.map_family.precompose(phi.inverse())
+        phi_inv = LaurentMoebius.from_three(*(fam.y_family.path(x) for x in triple)).inverse()
         failed = set()
         for k in range(1, 1 + tries):
             c = LaurentPoint.from_poly(LaurentPoly.constant(GaussianRational(k, 1)))
-            q = conjugated.evaluate(c)
+            q = fam.map_family.evaluate(phi_inv.apply(c))
             qlead = {(None, z): bracket_lead(q, p) for z, p in zpaths}  # q under the label None
             if None in qlead.values():  # q is a target path
                 continue
@@ -502,7 +503,7 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
             if w not in charts:
                 charts[w] = LaurentMoebius.from_three(*(fam.z_family.path(z) for z in triples[w]))
             try:
-                maps[v] = conjugated.postcompose(charts[w]).leading_limit()
+                maps[v] = composed_leading_limit(fam.map_family, phi_inv, charts[w])
             except ConstantLimit:
                 failed.add(w)
                 continue

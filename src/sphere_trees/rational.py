@@ -221,16 +221,16 @@ class RationalMap:
             *hom_substitute(self.num.coeffs, self.den.coeffs, m, GR_ZERO, GR_ONE))
 
 
-def local_degree(f: RationalMap, p: ProjPoint) -> int:
-    """Multiplicity of p in the fiber of f over f(p).
+def local_degree(f: RationalMap, p: ProjPoint, q: ProjPoint | None = None) -> int:
+    """Multiplicity of p in the fiber of f over q = f(p), computed unless given.
 
-    With q = f(p), the polynomial g = q.v * num - q.u * den carries the fiber:
-    a finite p contributes its root multiplicity in g; the point at infinity
-    contributes deg(f) - deg(g).
+    g = q.v * num - q.u * den carries the fiber: a finite p contributes its root
+    multiplicity in g; the point at infinity contributes deg(f) - deg(g).
     """
     if f.is_constant():
         raise ValueError("local degree of a constant map is undefined")
-    q = f.apply(p)
+    if q is None:
+        q = f.apply(p)
     g = f.num.scale(q.v) - f.den.scale(q.u)
     if g.is_zero():  # pragma: no cover - impossible for reduced nonconstant maps
         raise ValueError("degenerate fiber polynomial")

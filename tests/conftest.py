@@ -12,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from sphere_trees import laurent
 from sphere_trees.covers import MarkedSphereCover, Portrait, cover_from_marked
 from sphere_trees.gaussian import GaussianRational, gr
 from sphere_trees.laurent import LaurentMap, LaurentMoebius, LaurentPoint, LaurentPoly
@@ -468,3 +469,54 @@ TWISTS = [
     (FRACTIONAL, CONSTANT_B, 2),
     (CONSTANT_A, AFFINE, 2),
 ]
+
+
+def random_gaussian(rng: random.Random) -> GaussianRational:
+    return gr(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+              Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+
+
+def random_laurent(rng: random.Random) -> LaurentPoly:
+    """0-3 terms at exponents -2..2."""
+    return LaurentPoly.make([(rng.randint(-2, 2), random_gaussian(rng))
+                             for _ in range(rng.randint(0, 3))])
+
+
+def random_laurent_moebius(rng: random.Random) -> LaurentMoebius:
+    """A Moebius family with random_laurent entries, redrawn until nonsingular."""
+    while True:
+        try:
+            return LaurentMoebius.make(*(random_laurent(rng) for _ in range(4)))
+        except ValueError:
+            continue
+
+
+def twisted_cover_family(fam: CoverFamily, source: LaurentMoebius, target: LaurentMoebius,
+                         k: int = 1) -> CoverFamily:
+    """The family with eps -> eps^k, then source paths moved by `source`,
+    target paths by `target`, and the map conjugated to match."""
+    f = LaurentMap.make([c.substitute_power(k) for c in fam.map_family.num],
+                        [c.substitute_power(k) for c in fam.map_family.den])
+    f = f.precompose(source.inverse()).postcompose(target)
+    y = {x: source.apply(p.substitute_power(k)) for x, p in fam.y_family.paths}
+    z = {x: target.apply(p.substitute_power(k)) for x, p in fam.z_family.paths}
+    return CoverFamily.make(fam.portrait, LaurentFamily.make(y), LaurentFamily.make(z), f)
+
+
+@pytest.fixture
+def caps(monkeypatch) -> list:
+    """The cap of every truncated round laurent.composed_leading_limit runs, in order."""
+    seen = []
+
+    class Recorded(laurent._TruncatedZero):
+        __slots__ = ()
+
+        def __init__(self, cap):
+            seen.append(cap)
+            super().__init__(cap)
+    monkeypatch.setattr(laurent, "_TruncatedZero", Recorded)
+    return seen
+
+
+# collision centres of z_squared_chain_family: source chains of depth 3, 4 and 6
+CHAIN_CENTRES = [(0, 0, 1), (1, 1, 0), (1, 1, 2, 2, 0, 3, 4)]

@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    CHAIN_CENTRES,
     INF,
     chebyshev_cover,
     degenerate_family_three_vertex,
@@ -293,9 +294,6 @@ class TestReconstruct:
             reconstruct_cover(cover.source, bad)
 
 
-CHAIN_CENTRES = [(0, 0, 1), (1, 1, 0), (1, 1, 2, 2, 0, 3, 4)]
-
-
 def reconstruction_inputs(cover, rng, rounds=6):
     """(kind, source, portrait) around a cover: the cover's own pair, then
     random re-markings of its source shape, leaf degrees shuffled within each
@@ -368,9 +366,9 @@ class TestLocalDegreeTable:
         fresh = TreeCover(cover.source, cover.target, cover.vertex_map, cover.maps)
         calls = []
 
-        def counted(f, p):
+        def counted(f, p, *image):
             calls.append((f, p))
-            return local_degree(f, p)
+            return local_degree(f, p, *image)
         monkeypatch.setattr(covers, "local_degree", counted)
         assert validate_cover(fresh, expected_portrait=portrait) == []
         assert extract_portrait(fresh) == portrait
@@ -379,6 +377,20 @@ class TestLocalDegreeTable:
                        for p in fresh.source.edge_points(v).values()]
         assert sorted(map(repr, calls)) == sorted(map(repr, edge_points))
 
+    @pytest.mark.parametrize("centres", [(0, 0, 1), (1, 1, 2, 2, 0, 3, 4)])
+    def test_one_map_application_per_edge_point(self, monkeypatch, centres):
+        # the local degree reuses the image the table has just computed
+        cover = limit_cover(z_squared_chain_family(centres))
+        fresh = TreeCover(cover.source, cover.target, cover.vertex_map, cover.maps)
+        calls = []
+        apply = RationalMap.apply
+        monkeypatch.setattr(RationalMap, "apply",
+                            lambda self, p: calls.append((self, p)) or apply(self, p))
+        for v in fresh.source.shape.internal:
+            covers.edge_table(fresh, v)
+        edge_points = [(fresh.map_at(v), p) for v in fresh.source.shape.internal
+                       for p in fresh.source.edge_points(v).values()]
+        assert sorted(map(repr, calls)) == sorted(map(repr, edge_points))
 
     @pytest.mark.parametrize("centres", [(0, 0, 1), (1, 1, 2, 2, 0, 3, 4)])
     def test_reconstruction_reads_internal_edge_degrees_only(self, monkeypatch, centres):
@@ -388,9 +400,9 @@ class TestLocalDegreeTable:
         portrait = extract_portrait(cover)
         calls = []
 
-        def counted(f, p):
+        def counted(f, p, *image):
             calls.append((f, p))
-            return local_degree(f, p)
+            return local_degree(f, p, *image)
         monkeypatch.setattr(covers, "local_degree", counted)
         rebuilt = reconstruct_cover(cover.source, portrait)
         shape = rebuilt.source.shape

@@ -11,8 +11,17 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import INF, TWISTS, pt, random_moebius
-from sphere_trees.errors import DegenerateTriple, ZeroFamily
+from conftest import (
+    INF,
+    TWISTS,
+    pt,
+    random_gaussian,
+    random_laurent,
+    random_laurent_moebius,
+    random_moebius,
+)
+from sphere_trees import laurent
+from sphere_trees.errors import ConstantLimit, DegenerateTriple, ZeroFamily
 from sphere_trees.gaussian import GR_ONE, GR_ZERO, GaussianRational, gr, sum_of_products
 from sphere_trees.laurent import (
     LP_ONE,
@@ -480,29 +489,12 @@ def accumulated_hom_substitute(num, den, m, zero, one) -> tuple:
     return new_num, new_den
 
 
-def random_gaussian(rng: random.Random) -> GaussianRational:
-    return gr(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
-              Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
-
-
-def random_laurent(rng: random.Random) -> LaurentPoly:
-    return LaurentPoly.make([(rng.randint(-2, 2), random_gaussian(rng))
-                             for _ in range(rng.randint(0, 3))])
-
-
 def random_coeffs(rng: random.Random, element, zero) -> list:
     """1-5 coefficients, about one in five zero, trailing zeros stripped."""
     cs = [element(rng) if rng.random() < 0.8 else zero for _ in range(rng.randint(1, 5))]
     while cs and cs[-1].is_zero():
         cs.pop()
     return cs
-
-
-def random_laurent_moebius(rng: random.Random) -> LaurentMoebius:
-    while True:
-        m = _laurent_moebius(*(random_laurent(rng) for _ in range(4)))
-        if m is not None:
-            return m
 
 
 # the twists' eps-dependent maps and their inverses
@@ -568,3 +560,78 @@ class TestKernelAgainstAccumulation:
                     assert f.postcompose(m).specialize(e) == fe.postcompose(me)
                     checked += 1
         assert checked >= 50
+
+
+# ---------------------------------------------------------------------------
+# the leading limit of a composition, from its low-order terms only
+
+
+def full_composed_limit(f: LaurentMap, pre: LaurentMoebius, post: LaurentMoebius):
+    return f.precompose(pre).postcompose(post).leading_limit()
+
+
+def limit_outcome(fn, *args) -> str:
+    """repr of the limit, or the ConstantLimit's message."""
+    try:
+        return repr(fn(*args))
+    except ConstantLimit as exc:
+        return f"ConstantLimit: {exc}"
+
+
+def random_laurent_map(rng: random.Random, degree: int) -> LaurentMap:
+    """Degree exactly `degree`: a nonzero top numerator coefficient; about one
+    coefficient in five zero elsewhere, exponents -2..2."""
+    top = LP_ZERO
+    while top.is_zero():
+        top = random_laurent(rng)
+    num = random_coeffs(rng, random_laurent, LP_ZERO)[:degree]
+    num += [LP_ZERO] * (degree - len(num)) + [top]
+    return LaurentMap.make(num, random_coeffs(rng, random_laurent, LP_ZERO)[:degree + 1])
+
+
+class TestComposedLeadingLimit:
+    def test_truncated_dot_keeps_exponent_sums_below_the_cap(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            pairs = [(random_laurent(rng).shift(2), random_laurent(rng).shift(2))
+                     for _ in range(rng.randint(1, 3))]
+            cap = rng.randint(0, 8)
+            full = LaurentPoly.dot(pairs)
+            assert laurent._TruncatedZero(cap).dot(pairs) == \
+                LaurentPoly(tuple((e, c) for e, c in full.terms if e < cap))
+
+    def test_against_the_full_composition(self, caps):
+        rng = random.Random(7)
+        moebii = TWIST_MAPS + [random_laurent_moebius(rng) for _ in range(12)]
+        constant = doubled = 0
+        for k in range(240):
+            f = random_laurent_map(rng, 1 + k % 4)
+            pre, post = rng.choice(moebii), rng.choice(moebii)
+            del caps[:]
+            got = limit_outcome(laurent.composed_leading_limit, f, pre, post)
+            assert got == limit_outcome(full_composed_limit, f, pre, post), (f, pre, post)
+            constant += got.startswith("ConstantLimit")
+            doubled += len(caps) > 1
+        assert constant > 0 and doubled > 0
+
+    @pytest.mark.parametrize("f, limit", [
+        (LaurentMap.make([LP_ZERO, LP_ONE], [LP_ONE]), "z"),
+        (LaurentMap.make([LP_ZERO, LP_ZERO, LP_ONE], [LP_ONE]), "(z - 1) / 2"),
+        (LaurentMap.make([LP_ZERO, LP_ZERO, LaurentPoly.eps(-3)], [LaurentPoly.eps(-3)]),
+         "(z - 1) / 2"),
+    ])
+    def test_cancellation_doubles_the_cap_twice(self, caps, f, limit):
+        # post . pre = eps^4 times the identity, each with an entry of valuation 0 (or,
+        # scaled, -2 and 1): the composition's terms below eps^4 cancel, so the rounds at
+        # caps 2 and 4 read zero and the round at cap 8 finds the valuation
+        eps4 = LaurentPoly.eps(4)
+        for scale in (0, -2, 1):
+            pre = LaurentMoebius.make(*(x.shift(scale) for x in (LP_ONE, LP_ONE, LP_ONE, LP_ONE + eps4)))
+            post = LaurentMoebius.make(*(x.shift(-scale) for x in (LP_ONE + eps4, -LP_ONE, -LP_ONE, LP_ONE)))
+            del caps[:]
+            expected = full_composed_limit(f, pre, post)
+            assert repr(laurent.composed_leading_limit(f, pre, post)) == repr(expected)
+            assert caps == [2, 4, 8]
+        z = RationalMap.from_coeffs([GR_ZERO, GR_ONE], [GR_ONE])
+        half = Moebius.make(GR_ONE, -GR_ONE, GR_ZERO, gr(2))  # (z - 1) / 2
+        assert expected == (z if limit == "z" else z.postcompose(half))

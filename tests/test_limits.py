@@ -16,6 +16,7 @@ import pytest
 import conftest
 from conftest import (
     AFFINE,
+    CHAIN_CENTRES,
     FRACTIONAL,
     INF,
     LINF,
@@ -26,9 +27,11 @@ from conftest import (
     lconst,
     lpoly,
     pt,
+    random_laurent_moebius,
     random_marking,
     random_moebius,
     random_stable_shape,
+    twisted_cover_family,
     z_squared_chain_family,
 )
 from sphere_trees import limits
@@ -628,12 +631,12 @@ class TestLimitCover:
         # every located vertex fails: the constants run out, nothing hangs,
         # and each target vertex is tried at most once
         fam = degenerate_family_three_vertex()
-        evaluations, postcomposes = [], []
-        evaluate, postcompose = LaurentMap.evaluate, LaurentMap.postcompose
+        evaluations, composed_limits = [], []
+        evaluate, composed = LaurentMap.evaluate, limits.composed_leading_limit
         monkeypatch.setattr(LaurentMap, "evaluate",
                             lambda self, p: evaluations.append(p) or evaluate(self, p))
-        monkeypatch.setattr(LaurentMap, "postcompose",
-                            lambda self, m: postcomposes.append(m) or postcompose(self, m))
+        monkeypatch.setattr(limits, "composed_leading_limit",
+                            lambda f, pre, post: composed_limits.append(post) or composed(f, pre, post))
 
         def constant(self):
             raise ConstantLimit("forced")
@@ -643,7 +646,7 @@ class TestLimitCover:
             limit_cover(fam)
         assert exc.value.witness == {"vertex": 0, "constants": tries}
         assert 0 < len(evaluations) <= tries
-        assert 0 < len(postcomposes) <= len(limit_tree(fam.z_family).shape.internal)
+        assert 0 < len(composed_limits) <= len(limit_tree(fam.z_family).shape.internal)
 
 
 def lexicographic_limit_cover(fam: CoverFamily):
@@ -675,20 +678,7 @@ def lexicographic_limit_cover(fam: CoverFamily):
     return TreeCover.make(source, target, vmap, maps)
 
 
-def twisted_cover_family(fam: CoverFamily, source: LaurentMoebius, target: LaurentMoebius,
-                         k: int = 1) -> CoverFamily:
-    """The family with eps -> eps^k, then source paths moved by `source`,
-    target paths by `target`, and the map conjugated to match."""
-    f = LaurentMap.make([c.substitute_power(k) for c in fam.map_family.num],
-                        [c.substitute_power(k) for c in fam.map_family.den])
-    f = f.precompose(source.inverse()).postcompose(target)
-    y = {x: source.apply(p.substitute_power(k)) for x, p in fam.y_family.paths}
-    z = {x: target.apply(p.substitute_power(k)) for x, p in fam.z_family.paths}
-    return CoverFamily.make(fam.portrait, LaurentFamily.make(y), LaurentFamily.make(z), f)
-
-
 DEGENERATE_FAMILIES = sorted(name for name in dir(conftest) if name.startswith("degenerate_family_"))
-CHAIN_CENTRES = [(0, 0, 1), (1, 1, 0), (1, 1, 2, 2, 0, 3, 4)]
 COVER_FAMILIES = [
     *(pytest.param(getattr(conftest, name)(), id=name) for name in DEGENERATE_FAMILIES),
     *(pytest.param(twisted_cover_family(getattr(conftest, name)(), FRACTIONAL, AFFINE),
@@ -710,6 +700,27 @@ class TestLimitCoverQuotient:
                 assert cover_iso(twisted, base), (name, source, target, k)
         assert time.perf_counter() - start < 20.0
 
+    def test_random_twists_give_valid_isomorphic_limits(self, caps):
+        # random Laurent twists, entries down to eps^-2: the limit validates, keeps the
+        # family's portrait, is rebuilt from its source and portrait, and is the plain
+        # family's limit up to isomorphism; their maps cancel deep enough to raise the cap
+        start, rng = time.perf_counter(), random.Random(41)
+        families = [getattr(conftest, name)() for name in DEGENERATE_FAMILIES]
+        families += [z_squared_chain_family(c) for c in CHAIN_CENTRES]
+        for fam in families:
+            plain = limit_cover(fam)
+            twists = [(random_laurent_moebius(rng), random_laurent_moebius(rng), rng.randint(1, 2))
+                      for _ in range(4)]
+            for twist in [None] + twists:
+                cover = limit_cover(twisted_cover_family(fam, *twist)) if twist else plain
+                assert validate_cover(cover, expected_portrait=fam.portrait) == []
+                portrait = extract_portrait(cover)
+                assert portrait == fam.portrait
+                assert cover_iso(reconstruct_cover(cover.source, portrait), cover)
+                assert cover_iso(cover, plain), (fam.portrait, twist)
+        assert max(caps) >= 8
+        assert time.perf_counter() - start < 30.0
+
     @pytest.mark.parametrize("fam", COVER_FAMILIES)
     def test_agrees_with_lexicographic_search(self, fam):
         cover, oracle = limit_cover(fam), lexicographic_limit_cover(fam)
@@ -717,10 +728,10 @@ class TestLimitCoverQuotient:
         assert cover.maps == oracle.maps
 
     @pytest.mark.parametrize("fam", COVER_FAMILIES)
-    def test_one_postcompose_per_source_vertex(self, monkeypatch, fam):
+    def test_one_composed_limit_per_source_vertex(self, monkeypatch, fam):
         calls = []
-        postcompose = LaurentMap.postcompose
-        monkeypatch.setattr(LaurentMap, "postcompose",
-                            lambda self, m: calls.append(m) or postcompose(self, m))
+        composed = limits.composed_leading_limit
+        monkeypatch.setattr(limits, "composed_leading_limit",
+                            lambda f, pre, post: calls.append(post) or composed(f, pre, post))
         cover = limit_cover(fam)
         assert len(calls) == len(cover.source.shape.internal)

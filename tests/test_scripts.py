@@ -17,6 +17,7 @@ GOLDEN = SCRIPTS.parent / "tests" / "golden"
     ["cover_degeneration.py"],
     ["degeneration_census.py", "5", "1"],
     ["numeric_envelope.py", "5,7", "2"],
+    ["cover_envelope.py", "10", "1"],
 ])
 def test_script_runs(args):
     r = subprocess.run([sys.executable, str(SCRIPTS / args[0]), *args[1:]],
