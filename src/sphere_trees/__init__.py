@@ -58,7 +58,7 @@ from .limits import (
     limit_tree,
     numeric_limit_tree,
 )
-from .plumbing import PlumbingPlan, plumb_family, sample_family
+from .plumbing import plumb_family
 from .dynamics import DynSystem, compatible, dyn_conjugate, dyn_membership, validate_dyn
 
 __version__ = "0.1.0"

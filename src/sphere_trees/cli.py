@@ -2,8 +2,9 @@
 
 Exit codes: 0 for results (including negative verdicts), 1 for domain
 errors (reported as {"error": <code>, "witness": ...}), 2 for schema,
-usage, and parse errors.  `--tolerance` and `--window` apply only to the
-numeric limit mode; exact commands reject them.
+usage, and parse errors.  Only `limit` takes `--tolerance` and `--window`,
+and only on a numeric sequence; `iso` on two dynamical systems decides
+conjugacy.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from typing import Any, Optional
 
 from . import serialize as ser
 from .covers import cover_iso, reconstruct_cover, validate_cover, validate_portrait
-from .dynamics import compatible, dyn_membership, validate_dyn
+from .dynamics import compatible, dyn_conjugate, dyn_membership, validate_dyn
 from .errors import SchemaError, SphereTreesError
 from .limits import limit_cover, limit_tree, numeric_limit_tree
 from .moduli import embed, project, spheres_iso
-from .plumbing import plumb_family, sample_family
+from .plumbing import plumb_family
 from .trees import trees_isomorphic, validate_tree
 
 
@@ -40,11 +41,6 @@ def _emit(payload: Any, out: Optional[str]) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
-
-
-def _reject_numeric_flags(args) -> None:
-    if args.tolerance is not None or args.window is not None:
-        raise SchemaError("--tolerance and --window apply only to numeric input")
 
 
 def _cmd_validate(args) -> int:
@@ -109,6 +105,8 @@ def _cmd_iso(args) -> int:
                               ser.tree_of_spheres_from_json(b))
     elif ka == "cover":
         verdict = cover_iso(ser.cover_from_json(a), ser.cover_from_json(b))
+    elif ka == "dyn":
+        verdict = dyn_conjugate(ser.dyn_from_json(a), ser.dyn_from_json(b))
     else:
         raise SchemaError(f"iso does not handle {ka!r} payloads")
     _emit({"isomorphic": verdict}, args.out)
@@ -119,7 +117,8 @@ def _cmd_limit(args) -> int:
     obj = _load(args.input)
     kind = ser.detect_kind(obj)
     if kind == "family":
-        _reject_numeric_flags(args)
+        if args.tolerance is not None or args.window is not None:
+            raise SchemaError("--tolerance and --window apply only to numeric input")
         tree = limit_tree(ser.family_from_json(obj))
         _emit(ser.tree_of_spheres_to_json(tree), args.out)
     elif kind == "numeric":
@@ -162,7 +161,7 @@ def _cmd_sample(args) -> int:
     fam = ser.family_from_json(_load(args.input))
     if args.eps is None:
         raise SchemaError("sample requires --eps")
-    sphere = sample_family(fam, args.eps)
+    sphere = fam.evaluate(args.eps)
     _emit(ser.marked_sphere_to_json(sphere), args.out)
     return 0
 
@@ -212,71 +211,72 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="also write the canonical output to this path")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="numeric mode tolerance (default 1e-6)")
-        p.add_argument("--window", type=int, default=None,
-                       help="numeric mode stability window (default 5)")
 
     p = sub.add_parser("validate", help="validate any payload, reporting violations")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=_cmd_validate, exact=True)
+    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("embed", help="all quadruple chart values of a tree of spheres")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=_cmd_embed, exact=True)
+    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("iso", help="isomorphism verdict for trees, marked trees, or covers")
+    p = sub.add_parser("iso", help="isomorphism verdict for trees, marked trees, or covers;"
+                                   " conjugacy for dynamical systems")
     p.add_argument("left")
     p.add_argument("right")
     common(p)
-    p.set_defaults(func=_cmd_iso, exact=True)
+    p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("limit", help="limit tree of a Laurent family or numeric sequence")
     p.add_argument("input")
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="numeric mode tolerance (default 1e-6)")
+    p.add_argument("--window", type=int, default=None,
+                   help="numeric mode stability window (default 5)")
     common(p)
-    p.set_defaults(func=_cmd_limit, exact=False)
+    p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("limit-cover", help="limit of a degenerating cover family")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=_cmd_limit_cover, exact=True)
+    p.set_defaults(func=_cmd_limit_cover)
 
     p = sub.add_parser("project", help="restrict a tree of spheres to a sub-label-set")
     p.add_argument("input")
     p.add_argument("--labels", help="comma-separated label subset")
     common(p)
-    p.set_defaults(func=_cmd_project, exact=True)
+    p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("reconstruct", help="rebuild the cover from a source tree and portrait")
     p.add_argument("source")
     p.add_argument("portrait")
     common(p)
-    p.set_defaults(func=_cmd_reconstruct, exact=True)
+    p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("plumb", help="degenerating family realizing a tree of spheres")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=_cmd_plumb, exact=True)
+    p.set_defaults(func=_cmd_plumb)
 
     p = sub.add_parser("sample", help="evaluate a family at a positive rational eps")
     p.add_argument("input")
     p.add_argument("--eps", type=_parse_eps, default=None)
     common(p)
-    p.set_defaults(func=_cmd_sample, exact=True)
+    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("compat", help="is the first tree the projection of the second")
     p.add_argument("left")
     p.add_argument("right")
     common(p)
-    p.set_defaults(func=_cmd_compat, exact=True)
+    p.set_defaults(func=_cmd_compat)
 
     p = sub.add_parser("dyn-member", help="does a cover underlie a dynamical system")
     p.add_argument("input")
     p.add_argument("--labels", help="comma-separated dynamical label set")
     common(p)
-    p.set_defaults(func=_cmd_dyn_member, exact=True)
+    p.set_defaults(func=_cmd_dyn_member)
 
     return parser
 
@@ -290,8 +290,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.exact:
-            _reject_numeric_flags(args)
         return args.func(args)
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")

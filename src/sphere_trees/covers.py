@@ -255,7 +255,7 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
     except InconsistentDegree as exc:
         problems.append(str(exc))
         return problems
-    problems += validate_portrait(portrait, allow_degree_one=(portrait.d == 1))
+    problems += validate_portrait(portrait, allow_degree_one=True)
     e = expected_portrait
     if e is not None:  # one line per differing leaf datum, and one for d
         for y in sorted(portrait.y_labels | e.y_labels):

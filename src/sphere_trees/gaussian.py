@@ -38,10 +38,6 @@ class GaussianRational:
         object.__setattr__(self, "c", c // g)
 
     @classmethod
-    def make(cls, re: Rationalish = 0, im: Rationalish = 0) -> "GaussianRational":
-        return cls(re, im)
-
-    @classmethod
     def _raw(cls, a: int, b: int, c: int) -> "GaussianRational":
         if c < 0:
             a, b, c = -a, -b, -c

@@ -115,7 +115,7 @@ class LaurentPoly:
             raise ValueError("families are evaluated at eps > 0")
         acc = GR_ZERO
         for e, c in self.terms:
-            scale = GaussianRational.make(eps ** e)
+            scale = GaussianRational(eps ** e)
             acc = acc + c * scale
         return acc
 

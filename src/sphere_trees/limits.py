@@ -100,6 +100,9 @@ class LaurentFamily:
         return LaurentFamily.make({x: lm.apply(p) for x, p in self.paths})
 
     def evaluate(self, eps: Fraction) -> MarkedSphere:
+        """The marked sphere at a positive rational eps; must stay injective."""
+        if eps <= 0:
+            raise ValueError("eps must be positive")
         try:
             points = {x: p.evaluate(eps) for x, p in self.paths}
         except ValueError as exc:
@@ -178,11 +181,9 @@ NumericPoint = tuple[complex, complex]  # homogeneous, scaled to unit norm
 
 
 def _numeric_point(value) -> NumericPoint:
-    """Accepts complex, (re, im) pairs, or None / "inf" for infinity."""
-    if value is None or value == "inf":
+    """Accepts a complex number, or None for infinity."""
+    if value is None:
         return (1.0 + 0j, 0j)
-    if isinstance(value, (tuple, list)):
-        value = complex(value[0], value[1])
     z = complex(value)
     if not abs(z.real) + abs(z.imag) < math.inf:  # NaN, infinity, or |z| past the float range
         raise InvalidFamily(f"snapshot coordinates must be finite with a finite modulus: {z!r}")
@@ -259,8 +260,8 @@ class NumericConfigSequence:
     labels: tuple
     snapshots: tuple   # per snapshot: tuple of NumericPoint aligned with labels
     eps: tuple         # per-snapshot degeneration parameter, decreasing
-    tolerance: float = 1e-6
-    stability_window: int = 5
+    tolerance: float
+    stability_window: int
 
     @classmethod
     def make(cls, snapshots: Sequence[Mapping[str, object]], eps: Sequence[float],

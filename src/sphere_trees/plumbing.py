@@ -2,7 +2,7 @@
 
 Working from a root vertex outward, each vertex chart is normalized so the
 parent direction sits at infinity; a child sphere is then embedded into its
-parent chart by the affine map c -> p + eps^k * c at the edge's attaching
+parent chart by the affine map c -> p + eps * c at the edge's attaching
 point p.  Composing these embeddings along the path from each leaf's carrier
 vertex to the root yields polynomial paths in eps, and the limit tree of the
 resulting family recovers the input up to isomorphism.
@@ -10,9 +10,7 @@ resulting family recovers the input up to isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
 
 from .errors import CollisionAtEpsilon
 from .gaussian import GR_ONE, GR_ZERO, gr
@@ -20,17 +18,6 @@ from .laurent import LaurentPoint, LaurentPoly
 from .limits import LaurentFamily
 from .moduli import MarkedSphere, TreeOfSpheres
 from .projective import Moebius, ProjPoint
-from .trees import neighbors
-
-
-@dataclass(frozen=True, slots=True)
-class PlumbingPlan:
-    root: int
-    normalizers: tuple  # sorted (vertex id, Moebius)
-    exponents: tuple    # sorted ((parent, child), k) for tree edges away from root
-
-    def normalizer(self, v: int) -> Moebius:
-        return dict(self.normalizers)[v]
 
 
 def _root_normalizer(points: list[ProjPoint]) -> Moebius:
@@ -54,68 +41,29 @@ def _child_normalizer(parent_point: ProjPoint) -> Moebius:
     return Moebius.make(GR_ZERO, GR_ONE, GR_ONE, -p)
 
 
-def build_plan(t: TreeOfSpheres, exponent: int = 1,
-               exponents: Optional[Mapping[tuple, int]] = None) -> PlumbingPlan:
-    if exponent < 1:
-        raise ValueError("scale exponents must be positive")
+def plumb_family(t: TreeOfSpheres) -> LaurentFamily:
+    """A Laurent family of marked spheres degenerating to the given tree."""
     root = min(t.shape.internal)
-    normalizers = {root: _root_normalizer(list(t.edge_points(root).values()))}
-    edge_exponents = {}
+    # per vertex: its normalizer and the frame c -> offset + scale * c of its
+    # chart in the root chart; a child's frame follows from its parent's
+    frames = {root: (_root_normalizer(list(t.edge_points(root).values())),
+                     LaurentPoly.constant(GR_ZERO), LaurentPoly.constant(GR_ONE))}
+    paths = {}
     stack = [root]
-    seen = {root}
     while stack:
         v = stack.pop()
-        for n in neighbors(t.shape, v):
-            if isinstance(n, int) and n not in seen:
-                seen.add(n)
-                parent_point = t.edge_points(n)[v]
-                normalizers[n] = _child_normalizer(parent_point)
-                k = exponent if exponents is None else exponents.get((v, n), exponent)
-                if k < 1:
-                    raise ValueError("scale exponents must be positive")
-                edge_exponents[(v, n)] = k
+        nv, offset, scale = frames[v]
+        for n, p in t.edge_points(v).items():
+            if n in frames:  # the parent, which nv sends to infinity
+                continue
+            value = offset + scale * LaurentPoly.constant(nv.apply(p).to_affine())
+            if isinstance(n, int):
+                frames[n] = (_child_normalizer(t.edge_points(n)[v]), value,
+                             scale * LaurentPoly.eps())
                 stack.append(n)
-    return PlumbingPlan(root, tuple(sorted(normalizers.items())),
-                        tuple(sorted(edge_exponents.items())))
-
-
-def plumb_family(t: TreeOfSpheres, plan: Optional[PlumbingPlan] = None,
-                 exponent: int = 1) -> LaurentFamily:
-    """A Laurent family of marked spheres degenerating to the given tree."""
-    if plan is None:
-        plan = build_plan(t, exponent)
-    exps = dict(plan.exponents)
-    # frames map a child chart affinely into the root chart
-    offset: dict[int, LaurentPoly] = {plan.root: LaurentPoly.constant(GR_ZERO)}
-    scale: dict[int, LaurentPoly] = {plan.root: LaurentPoly.constant(GR_ONE)}
-    order = [plan.root]
-    seen = {plan.root}
-    while order:
-        v = order.pop()
-        nv = plan.normalizer(v)
-        for n in neighbors(t.shape, v):
-            if isinstance(n, int) and n not in seen:
-                seen.add(n)
-                p_edge = nv.apply(t.edge_points(v)[n]).to_affine()
-                k = exps[(v, n)]
-                offset[n] = offset[v] + scale[v] * LaurentPoly.constant(p_edge)
-                scale[n] = scale[v] * LaurentPoly.eps(k)
-                order.append(n)
-
-    paths = {}
-    for x in sorted(t.labels):
-        u = neighbors(t.shape, x)[0]
-        q = plan.normalizer(u).apply(t.edge_points(u)[x]).to_affine()
-        value = offset[u] + scale[u] * LaurentPoly.constant(q)
-        paths[x] = LaurentPoint.from_poly(value)
+            else:
+                paths[n] = LaurentPoint.from_poly(value)
     return LaurentFamily.make(paths)
-
-
-def sample_family(fam: LaurentFamily, eps: Fraction) -> MarkedSphere:
-    """Evaluate the family at a positive rational eps; must stay injective."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return fam.evaluate(eps)
 
 
 def sample_with_retry(fam: LaurentFamily, eps: Fraction,
@@ -123,7 +71,7 @@ def sample_with_retry(fam: LaurentFamily, eps: Fraction,
     """Halve eps past the finitely many collision values."""
     for _ in range(attempts):
         try:
-            return eps, sample_family(fam, eps)
+            return eps, fam.evaluate(eps)
         except CollisionAtEpsilon:
             eps = eps / 2
     raise CollisionAtEpsilon(f"no collision-free sample found down to eps = {eps}")

@@ -10,7 +10,10 @@ import time
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, relabel_internal_ids
+from sphere_trees import serialize as ser
+from sphere_trees.dynamics import DynSystem, dyn_membership
+from test_dynamics import dyn_z_squared, mismatch_cover, source_twisted
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -94,6 +97,23 @@ class TestCommands:
         cover = json.loads(r.stdout)
         assert len(cover["source"]["internal"]) == 2
 
+    @pytest.mark.parametrize("pair, conjugate", [
+        (lambda: (dyn_z_squared(), dyn_z_squared()), True),
+        (lambda: (dyn_z_squared(), relabel_internal_ids(dyn_z_squared())), True),
+        (lambda: (dyn_z_squared(), source_twisted(dyn_z_squared())), True),
+        (lambda: (mismatch_cover(2), mismatch_cover(3)), False),
+    ], ids=["self", "permuted-ids", "twisted", "different-fiber"])
+    def test_iso_on_dynamical_systems(self, tmp_path, pair, conjugate):
+        paths = []
+        for k, cover in enumerate(pair()):
+            _, witness = dyn_membership(cover, ["p0", "p1", "pinf"])
+            path = tmp_path / f"dyn{k}.json"
+            path.write_text(json.dumps(ser.dyn_to_json(DynSystem(cover, witness))))
+            paths.append(str(path))
+        r = run_cli("iso", *paths)
+        assert r.returncode == 0
+        assert json.loads(r.stdout) == {"isomorphic": conjugate}
+
     def test_numeric_limit(self):
         r = run_cli("limit", data("numeric_sequence.json"),
                     "--tolerance", "1e-6", "--window", "5")
@@ -171,9 +191,14 @@ class TestErrors:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("schema error:") and "coefficient index" in r.stderr
 
-    def test_numeric_flags_rejected_on_exact(self):
-        r = run_cli("validate", data("star_tree.json"), "--tolerance", "1e-3")
+    @pytest.mark.parametrize("command, name, refusal", [
+        ("validate", "star_tree.json", "usage:"),  # argparse: only limit declares the flags
+        ("limit", "family_eps.json", "schema error:"),  # limit on a Laurent family
+    ])
+    def test_numeric_flags_rejected_on_exact(self, command, name, refusal):
+        r = run_cli(command, data(name), "--tolerance", "1e-3")
         assert r.returncode == 2
+        assert r.stdout == "" and r.stderr.startswith(refusal)
 
     def test_validation_verdict_is_exit_zero(self, tmp_path):
         blob = json.loads((DATA_DIR / "star_tree.json").read_text())

@@ -2,9 +2,9 @@
 {"error", "witness"} payload, or exit 2, and never in a traceback.
 
 The sweep swaps single JSON values of the shipped ``data/`` files for values
-of the wrong type or out of range and runs every subcommand that reads that
-kind of payload, in-process through ``cli.main``.  The regression cases below
-it pin one input for each crash the sweep used to find.
+of the wrong type or out of range, or deletes them, and runs every subcommand
+that reads that kind of payload, in-process through ``cli.main``.  The
+regression cases below it pin one input for each crash the sweep used to find.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ ZERO = {"re": "0/1", "im": "0/1"}
 ONE = {"re": "1/1", "im": "0/1"}
 ZERO_POINT = {"u": ZERO, "v": ZERO}
 MUTANTS = [None, "x", 0, -1, [], {}, [[0]], ZERO_POINT, float("inf")]
+DELETED = "<deleted>"  # a mutant that removes the key or list item instead
 
 
 def run_main(*args: str) -> tuple[int, str, str]:
@@ -63,7 +64,7 @@ def commands(kind: str, name: str, path: str) -> list[list[str]]:
         "portrait": [["validate", path], ["reconstruct", data("source_z2.json"), path]],
         "cover": [["validate", path], ["iso", path, data(name)],
                   ["dyn-member", path, "--labels", "1,2,3"]],
-        "dyn": [["validate", path]],
+        "dyn": [["validate", path], ["iso", path, path]],
         "family": [["validate", path], ["limit", path], ["sample", path, "--eps", "1/3"]],
         "cover_family": [["validate", path], ["limit-cover", path]],
         "numeric": [["limit", path]],
@@ -96,7 +97,10 @@ def mutated(obj, path: tuple, value):
     cur = out
     for key in path[:-1]:
         cur = cur[key]
-    cur[path[-1]] = copy.deepcopy(value)
+    if value is DELETED:
+        del cur[path[-1]]
+    else:
+        cur[path[-1]] = copy.deepcopy(value)
     return out
 
 
@@ -113,7 +117,7 @@ def test_mutation_sweep(tmp_path, name):
     path = str(tmp_path / "mutant.json")
     escaped = []
     for where in value_paths(base, 4):
-        for value in MUTANTS:
+        for value in MUTANTS + ([DELETED] if where else []):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(mutated(base, where, value), fh)
             for args in commands(kind, name, path):

@@ -41,6 +41,14 @@ def dyn_z_squared(fourth=-1):
     return cover_from_marked(MarkedSphereCover(z_squared_map(), y, z), portrait)
 
 
+def source_twisted(cover, seed=17):
+    """The same cover with every source vertex chart moved by a random Moebius map."""
+    rng = random.Random(seed)
+    m = {v: random_moebius(rng) for v in cover.source.shape.internal}
+    maps = {v: cover.map_at(v).precompose(m[v].inverse()) for v in cover.source.shape.internal}
+    return TreeCover.make(twist(cover.source, m), cover.target, cover.vm, maps)
+
+
 def mismatch_cover(c=2):
     """Cover with an extra marked fiber; projections to the shared quadruple
     disagree because the source sees c where the target sees c^2."""
@@ -183,12 +191,7 @@ class TestConjugacy:
 
     def test_conjugate_under_global_twist(self):
         cover = dyn_z_squared()
-        rng = random.Random(17)
-        m = {v: random_moebius(rng) for v in cover.source.shape.internal}
-        source = twist(cover.source, m)
-        maps = {v: cover.map_at(v).precompose(m[v].inverse())
-                for v in cover.source.shape.internal}
-        twisted = TreeCover.make(source, cover.target, cover.vm, maps)
+        twisted = source_twisted(cover)
         _, w1 = dyn_membership(cover, ["p0", "p1", "pinf"])
         _, w2 = dyn_membership(twisted, ["p0", "p1", "pinf"])
         assert dyn_conjugate(DynSystem(cover, w1), DynSystem(twisted, w2))

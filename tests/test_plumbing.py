@@ -12,7 +12,7 @@ from sphere_trees.errors import CollisionAtEpsilon
 from sphere_trees.laurent import LaurentPoint, LaurentPoly
 from sphere_trees.limits import LaurentFamily, limit_tree
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres, sphere_as_tree, spheres_iso
-from sphere_trees.plumbing import build_plan, plumb_family, sample_family, sample_with_retry
+from sphere_trees.plumbing import plumb_family, sample_with_retry
 from sphere_trees.trees import MarkedTree
 from sphere_trees.gaussian import gr
 
@@ -64,8 +64,8 @@ class TestPlumb:
         assert max(exps) >= 2
 
     def test_exponent_choice_invariance(self, nested_two_vertex):
-        fam1 = plumb_family(nested_two_vertex, exponent=1)
-        fam2 = plumb_family(nested_two_vertex, exponent=2)
+        fam1 = plumb_family(nested_two_vertex)
+        fam2 = fam1.reparametrize(2)
         assert spheres_iso(limit_tree(fam1), limit_tree(fam2))
 
     def test_random_corpus_round_trip(self, small_shapes):
@@ -84,7 +84,7 @@ class TestSample:
             "3": LaurentPoint.make(LaurentPoly.constant(gr(1)), LaurentPoly.make([])),
             "4": LaurentPoint.from_poly(LaurentPoly.eps()),
         })
-        s = sample_family(fam, Fraction(1, 10))
+        s = fam.evaluate(Fraction(1, 10))
         assert s.point("4") == pt(Fraction(1, 10))
         assert s.point("3") == INF
 
@@ -96,7 +96,7 @@ class TestSample:
             "3": LaurentPoint.from_poly(LaurentPoly.constant(gr(7))),
         })
         with pytest.raises(CollisionAtEpsilon):
-            sample_family(fam, Fraction(1, 2))
+            fam.evaluate(Fraction(1, 2))
         eps, sphere = sample_with_retry(fam, Fraction(1, 2))
         assert eps < Fraction(1, 2) and len(sphere.labels) == 3
 
@@ -107,16 +107,20 @@ class TestSample:
             "3": LaurentPoint.from_poly(LaurentPoly.constant(gr(2))),
         })
         with pytest.raises(ValueError):
-            sample_family(fam, Fraction(0))
+            fam.evaluate(Fraction(0))
 
 
-class TestPlan:
+class TestFrames:
     def test_root_normalizer_avoids_infinity(self, nested_two_vertex):
-        plan = build_plan(nested_two_vertex)
-        n = plan.normalizer(plan.root)
-        pts = nested_two_vertex.edge_points(plan.root)
-        for p in pts.values():
-            assert not n.apply(p).is_infinity()
+        # the root chart moves the marked infinity to 2, the smallest free
+        # positive integer, and the edge to vertex 1 to 3/2; vertex 1 sits
+        # there scaled by eps
+        def const(c):
+            return LaurentPoint.from_poly(LaurentPoly.constant(gr(c)))
+        assert plumb_family(nested_two_vertex) == LaurentFamily.make({
+            "1": const("3/2"), "2": const(1), "3": const(2),
+            "4": LaurentPoint.from_poly(LaurentPoly.make([(0, gr("3/2")), (1, gr(1))])),
+        })
 
     def test_plumbed_paths_never_infinite(self, small_shapes):
         rng = random.Random(43)
