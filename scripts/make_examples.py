@@ -16,6 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from sphere_trees import serialize as ser
 from sphere_trees.covers import MarkedSphereCover, Portrait, cover_from_marked
+from sphere_trees.dynamics import DynSystem, dyn_membership
 from sphere_trees.gaussian import gr
 from sphere_trees.laurent import LaurentMap, LaurentPoint, LaurentPoly
 from sphere_trees.limits import CoverFamily, LaurentFamily
@@ -132,6 +133,9 @@ def main() -> None:
     dyn_z = MarkedSphere.make({"p0": pt(0), "p1": pt(1), "pinf": INF})
     dyn_cover = cover_from_marked(MarkedSphereCover(zsq, dyn_y, dyn_z), dyn_portrait)
     write("cover_dyn.json", ser.cover_to_json(dyn_cover))
+    # the dynamical system it underlies, with the source projection as its tree
+    _, dyn_tree = dyn_membership(dyn_cover, ["p0", "p1", "pinf"])
+    write("dyn_z_squared.json", ser.dyn_to_json(DynSystem(dyn_cover, dyn_tree)))
 
 
 if __name__ == "__main__":

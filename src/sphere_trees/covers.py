@@ -166,18 +166,12 @@ def leaf_degree(c: TreeCover, y: str) -> int:
     return edge_table(c, carrier(c.source.shape, y))[y][1]
 
 
-def _fiber_degree_sums(c: TreeCover) -> dict:
-    sums: dict[int, int] = {w: 0 for w in c.target.shape.internal}
-    for v in c.source.shape.internal:
-        w = c.vm[v]
-        if w in sums:
-            sums[w] += c.map_at(v).degree
-    return sums
-
-
 def global_degree(c: TreeCover) -> int:
     """Common fiber degree sum over target vertices; errors when they differ."""
-    sums = _fiber_degree_sums(c)
+    sums: dict[int, int] = {w: 0 for w in c.target.shape.internal}
+    for v in c.source.shape.internal:
+        if c.vm[v] in sums:
+            sums[c.vm[v]] += c.map_at(v).degree
     values = sorted(set(sums.values()))
     if len(values) != 1:
         raise InconsistentDegree("fiber degree sums differ across target vertices",
@@ -280,8 +274,7 @@ def rational_from_divisors(zeros: Iterable[ProjPoint], poles: Iterable[ProjPoint
     Points at infinity contribute through degree balancing instead of a
     linear factor.
     """
-    zeros = list(zeros)
-    poles = list(poles)
+    zeros, poles = list(zeros), list(poles)
     if not zeros or len(zeros) != len(poles):
         raise InvalidFamily("zeros and poles must have equal positive total multiplicity")
     if set(zeros) & set(poles):
@@ -333,12 +326,9 @@ def restrict_cover(c: TreeCover, selection: Iterable[Vertex],
     tgt_tree, tgt_cuts = _complete(c.target, selected, "@t:")
     src_tree, src_cuts = _complete(c.source, comp, "@")
 
-    new_vm: dict[Vertex, Vertex] = {}
-    for v in comp:
-        new_vm[v] = vm[v]
+    new_vm: dict[Vertex, Vertex] = {v: vm[v] for v in comp}
     for (u, outside), label in src_cuts.items():
-        target_outside = vm[outside]
-        key = (vm[u], target_outside)
+        key = (vm[u], vm[outside])
         if key not in tgt_cuts:
             raise InvariantBreach("cut edge does not map to a target cut edge")
         new_vm[label] = tgt_cuts[key]
@@ -360,30 +350,21 @@ def _component(shape: MarkedTree, root: Vertex, allowed: set) -> set:
 def _complete(t: TreeOfSpheres, kept: set, prefix: str
               ) -> tuple[TreeOfSpheres, dict]:
     """Completion of a connected vertex subset: cut edges become fresh leaves."""
-    boundary = []
-    for v in sorted(kept, key=vertex_key):
-        for n in neighbors(t.shape, v):
-            if n not in kept:
-                boundary.append((v, n))
     taken = {x for x in kept if isinstance(x, str)}
     cuts = {}
     counter = 0
-    for pair in boundary:
-        while f"{prefix}{counter}" in taken:
-            counter += 1
-        cuts[pair] = f"{prefix}{counter}"
-        counter += 1
-    leaves = {x for x in kept if isinstance(x, str)} | set(cuts.values())
+    for v in sorted(kept, key=vertex_key):
+        for n in neighbors(t.shape, v):
+            if n not in kept:
+                while f"{prefix}{counter}" in taken:
+                    counter += 1
+                cuts[v, n] = f"{prefix}{counter}"
+                counter += 1
     internal = {v for v in kept if isinstance(v, int)}
     edges = {e for e in t.shape.edges if set(e) <= kept}
     edges |= {edge_of(v, label) for (v, _), label in cuts.items()}
-    shape = MarkedTree.make(leaves, internal, edges)
-    marking = {}
-    for v in internal:
-        row = {}
-        for n, p in t.edge_points(v).items():
-            row[cuts.get((v, n), n)] = p
-        marking[v] = row
+    shape = MarkedTree.make(taken | set(cuts.values()), internal, edges)
+    marking = {v: {cuts.get((v, n), n): p for n, p in t.edge_points(v).items()} for v in internal}
     return TreeOfSpheres.make(shape, marking), cuts
 
 
@@ -563,30 +544,19 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
     # graft the peeled vertex back onto the merged target
     new_id = max(ref_target.shape.internal) + 1
     anchor = carrier(ref_target.shape, sentinel)
-    attach_anchor = ref_target.edge_points(anchor)[sentinel]
     leaves = (ref_target.labels - {sentinel}) | z0
     internal = set(ref_target.shape.internal) | {new_id}
     edges = {e for e in ref_target.shape.edges if sentinel not in e}
     edges.add(edge_of(anchor, new_id))
     edges |= {edge_of(new_id, z) for z in z0}
     tshape = MarkedTree.make(leaves, internal, edges)
-    marking = {}
-    for w in ref_target.shape.internal:
-        row = dict(ref_target.edge_points(w))
-        if w == anchor:
-            row.pop(sentinel)
-            row[new_id] = attach_anchor
-        marking[w] = row
-    new_row: dict[Vertex, ProjPoint] = dict(attach)
-    new_row[anchor] = internal_value
-    marking[new_id] = new_row
+    marking = {w: dict(ref_target.edge_points(w)) for w in ref_target.shape.internal}
+    marking[anchor][new_id] = marking[anchor].pop(sentinel)
+    marking[new_id] = {**attach, anchor: internal_value}
     target = TreeOfSpheres.make(tshape, marking)
 
-    for w in fiber:
-        all_vmap[w] = new_id
-    for y in fmap:
-        if fmap[y] in z0:
-            all_vmap[y] = fmap[y]
+    all_vmap.update({w: new_id for w in fiber})
+    all_vmap.update((y, z) for y, z in fmap.items() if z in z0)
     all_maps.update(maps)
     return target, all_vmap, all_maps
 

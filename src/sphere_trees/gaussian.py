@@ -32,22 +32,22 @@ class GaussianRational:
         c = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
         a = re.numerator * (c // re.denominator)
         b = im.numerator * (c // im.denominator)
-        g = gcd(gcd(a, b), c)
-        object.__setattr__(self, "a", a // g)
-        object.__setattr__(self, "b", b // g)
-        object.__setattr__(self, "c", c // g)
+        g = gcd(a, b, c)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_c(self, c // g)
 
     @classmethod
     def _raw(cls, a: int, b: int, c: int) -> "GaussianRational":
         if c < 0:
             a, b, c = -a, -b, -c
-        g = gcd(gcd(a, b), c)
+        g = gcd(a, b, c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
         out = object.__new__(cls)
-        object.__setattr__(out, "a", a)
-        object.__setattr__(out, "b", b)
-        object.__setattr__(out, "c", c)
+        _set_a(out, a)
+        _set_b(out, b)
+        _set_c(out, c)
         return out
 
     def __setattr__(self, name, value):
@@ -87,7 +87,11 @@ class GaussianRational:
         )
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational._raw(-self.a, -self.b, self.c)
+        out = object.__new__(GaussianRational)  # the negated triple is still reduced
+        _set_a(out, -self.a)
+        _set_b(out, -self.b)
+        _set_c(out, self.c)
+        return out
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational._raw(
@@ -133,6 +137,9 @@ class GaussianRational:
             return f"{self.im}i"
         return f"{self.re}{'+' if self.b > 0 else ''}{self.im}i"
 
+
+# the slots' own setters: __setattr__ refuses every write, so construction goes round it
+_set_a, _set_b, _set_c = (GaussianRational.__dict__[name].__set__ for name in "abc")
 
 GR_ZERO = GaussianRational(0, 0)
 GR_ONE = GaussianRational(1, 0)

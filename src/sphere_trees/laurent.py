@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
+from math import inf
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstantLimit, DegenerateTriple, ZeroFamily
@@ -85,13 +86,15 @@ class LaurentPoly:
         return LaurentPoly.dot(((self, other),))
 
     @classmethod
-    def dot(cls, pairs: Iterable[tuple["LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
-        """The sum of p * q over the pairs (p, q): every term product filed under its
-        exponent sum, each exponent's sum reduced once."""
+    def dot(cls, pairs: Iterable[tuple["LaurentPoly", "LaurentPoly"]], cap: float = inf) -> "LaurentPoly":
+        """The sum of p * q over the pairs (p, q), without the exponent sums >= cap: every
+        term product filed under its exponent sum, each exponent's sum reduced once."""
         groups: dict[int, list] = {}
         for p, q in pairs:
             for e, x in p.terms:
-                for f, y in q.terms:
+                for f, y in q.terms:  # ascending: every later sum is >= cap too
+                    if e + f >= cap:
+                        break
                     groups.setdefault(e + f, []).append((1, x, y))
         return cls._summed(groups)
 
@@ -113,11 +116,7 @@ class LaurentPoly:
     def evaluate(self, eps: Fraction) -> GaussianRational:
         if eps <= 0:
             raise ValueError("families are evaluated at eps > 0")
-        acc = GR_ZERO
-        for e, c in self.terms:
-            scale = GaussianRational(eps ** e)
-            acc = acc + c * scale
-        return acc
+        return GaussianRational.dot((c, GaussianRational(eps ** e)) for e, c in self.terms)
 
 
 LP_ZERO = LaurentPoly(())
@@ -140,8 +139,7 @@ class LaurentPoint:
     def make(cls, u: LaurentPoly, v: LaurentPoly) -> "LaurentPoint":
         if u.is_zero() and v.is_zero():
             raise ZeroFamily("(0 : 0) is not a point of the family")
-        vals = [p.valuation() for p in (u, v) if not p.is_zero()]
-        k = min(vals)
+        k = min(p.valuation() for p in (u, v) if not p.is_zero())
         u, v = u.shift(-k), v.shift(-k)
         if not v.is_zero() and v.valuation() == 0:
             unit = v.leading()
@@ -223,8 +221,7 @@ class LaurentMoebius:
 
     @classmethod
     def from_constant(cls, m: Moebius) -> "LaurentMoebius":
-        k = LaurentPoly.constant
-        return cls(k(m.a), k(m.b), k(m.c), k(m.d))
+        return cls(*map(LaurentPoly.constant, (m.a, m.b, m.c, m.d)))
 
     @classmethod
     def from_three(cls, p0: LaurentPoint, p1: LaurentPoint, pinf: LaurentPoint) -> "LaurentMoebius":
@@ -265,16 +262,11 @@ class LaurentMap:
 
     @classmethod
     def from_exact(cls, f: RationalMap) -> "LaurentMap":
-        k = LaurentPoly.constant
-        return cls.make([k(c) for c in f.num.coeffs], [k(c) for c in f.den.coeffs])
+        return cls.make(*([LaurentPoly.constant(c) for c in p.coeffs] for p in (f.num, f.den)))
 
     @property
     def degree(self) -> int:
         return max(len(self.num) - 1, len(self.den) - 1, 0)
-
-    def coeff_valuation(self) -> int:
-        vals = [c.valuation() for c in self.num + self.den if not c.is_zero()]
-        return min(vals)
 
     def evaluate(self, p: LaurentPoint) -> LaurentPoint:
         return LaurentPoint.make(*hom_apply(self.num, self.den, p.u, p.v, LP_ZERO, LP_ONE))
@@ -290,9 +282,9 @@ class LaurentMap:
 
         Raises ConstantLimit when the resulting map is constant.
         """
-        v = self.coeff_valuation()
-        num0 = Polynomial.make([c.shift(-v).coefficient(0) for c in self.num])
-        den0 = Polynomial.make([c.shift(-v).coefficient(0) for c in self.den])
+        v = min(c.valuation() for c in self.num + self.den if not c.is_zero())
+        num0 = Polynomial.make([c.coefficient(v) for c in self.num])
+        den0 = Polynomial.make([c.coefficient(v) for c in self.den])
         if den0.is_zero():
             raise ConstantLimit("limit map is identically infinity")
         f = RationalMap.make(num0, den0)
@@ -301,9 +293,8 @@ class LaurentMap:
         return f
 
     def specialize(self, eps: Fraction) -> RationalMap:
-        num = Polynomial.make([c.evaluate(eps) for c in self.num])
-        den = Polynomial.make([c.evaluate(eps) for c in self.den])
-        return RationalMap.make(num, den)
+        return RationalMap.make(*(Polynomial.make([c.evaluate(eps) for c in cs])
+                                  for cs in (self.num, self.den)))
 
 
 class _TruncatedZero:
@@ -319,14 +310,7 @@ class _TruncatedZero:
         return True
 
     def dot(self, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-        groups: dict[int, list] = {}
-        for p, q in pairs:
-            for e, x in p.terms:
-                for f, y in q.terms:  # ascending: every later sum is >= cap too
-                    if e + f >= self.cap:
-                        break
-                    groups.setdefault(e + f, []).append((1, x, y))
-        return LaurentPoly._summed(groups)
+        return LaurentPoly.dot(pairs, self.cap)
 
 
 def _lowest_at_zero(cs: Sequence[LaurentPoly]) -> list[LaurentPoly]:
@@ -334,20 +318,58 @@ def _lowest_at_zero(cs: Sequence[LaurentPoly]) -> list[LaurentPoly]:
     return [c.shift(-v) for c in cs] if v else list(cs)
 
 
-def composed_leading_limit(f: LaurentMap, pre: LaurentMoebius, post: LaurentMoebius) -> RationalMap:
-    """f.precompose(pre).postcompose(post).leading_limit(), from the low-order terms only.
+class LowOrderReader:
+    """The low-order terms of G = f . pre, read at a cap that doubles until the read is decided.
 
-    Dividing f, pre and post each by eps to its lowest exponent scales the composition
-    and leaves its limit alone.  Every factor is then in Q(i)[eps], where a term at
-    exponent >= cap only feeds exponents >= cap, so one cap holds at every stage of the
-    kernel and each coefficient it returns is exact below the cap.  The cap doubles from
-    2 until some coefficient is nonzero: its lowest exponent is the true valuation.
+    Dividing f and pre each by eps to its lowest exponent scales G and leaves every limit
+    it gives alone.  Every factor is then in Q(i)[eps], where a term at exponent >= cap
+    only feeds exponents >= cap, so G modulo eps^cap, one truncated kernel pass kept per
+    cap (2, 4, 8, ...), is exact below the cap, and so is any product of it with a factor
+    in Q(i)[eps].  No exponent of the untruncated G exceeds ``ceiling``, so past it a
+    round is G itself and a coefficient still zero is zero.
     """
-    cs = _lowest_at_zero(f.num + f.den)
-    num, den = cs[:len(f.num)], cs[len(f.num):]
-    pre, post = (LaurentMoebius(*_lowest_at_zero((m.a, m.b, m.c, m.d))) for m in (pre, post))
-    for cap in (2 ** k for k in count(1)):
-        zero = _TruncatedZero(cap)
-        out = hom_postcompose(*hom_substitute(num, den, pre, zero, LP_ONE), post, zero)
-        if any(c.terms for half in out for c in half):
-            return LaurentMap.make(*out).leading_limit()
+
+    __slots__ = ("num", "den", "pre", "ceiling", "kept")
+
+    def __init__(self, f: LaurentMap, pre: LaurentMoebius):
+        cs, ms = _lowest_at_zero(f.num + f.den), _lowest_at_zero((pre.a, pre.b, pre.c, pre.d))
+        self.num, self.den, self.pre = cs[:len(f.num)], cs[len(f.num):], LaurentMoebius(*ms)
+        top = lambda ps: max(p.terms[-1][0] for p in ps if p.terms)
+        self.ceiling = top(cs) + (max(len(f.num), len(f.den)) - 1) * top(ms)
+        self.kept: list[tuple] = []
+
+    def rounds(self):
+        """(cap, truncated zero, num, den) of G modulo eps^cap, caps 2, 4, 8, ..., each made once."""
+        for k in count():
+            if k == len(self.kept):
+                zero = _TruncatedZero(2 << k)
+                g = hom_substitute(self.num, self.den, self.pre, zero, LP_ONE)
+                self.kept.append((zero.cap, zero, *g))
+            yield self.kept[k]
+
+    def locate(self, c: GaussianRational, paths: Mapping) -> dict | None:
+        """bracket_lead of q = G(c : 1) against each path (in Q(i)[eps], as LaurentPoint.make
+        leaves it), keyed as the paths are, or None when q is one of the paths."""
+        cpow = [LP_ONE]  # the constants c^j: G(c : 1) is one scalar pass over G's terms
+        for _ in range(max(len(self.num), len(self.den)) - 1):
+            cpow.append(cpow[-1].scale(c))
+        for cap, _, num, den in self.rounds():
+            q = LaurentPoint(LaurentPoly.dot(zip(num, cpow)), LaurentPoly.dot(zip(den, cpow)))
+            lead = {x: bracket_lead(q, p) for x, p in paths.items()}
+            # every valuation below the cap is exact; past the ceiling so is a zero bracket
+            if cap > self.ceiling or all(v is not None and v[0] < cap for v in lead.values()):
+                return None if None in lead.values() else lead
+
+    def leading_limit(self, post: LaurentMoebius) -> RationalMap:
+        """(f . pre).postcompose(post).leading_limit() from the rounds: the first whose
+        composition with post keeps a coefficient gives the true valuation."""
+        post = LaurentMoebius(*_lowest_at_zero((post.a, post.b, post.c, post.d)))
+        for _, zero, num, den in self.rounds():
+            out = hom_postcompose(num, den, post, zero)
+            if any(c.terms for half in out for c in half):
+                return LaurentMap.make(*out).leading_limit()
+
+
+def composed_leading_limit(f: LaurentMap, pre: LaurentMoebius, post: LaurentMoebius) -> RationalMap:
+    """f.precompose(pre).postcompose(post).leading_limit(), from the low-order terms only."""
+    return LowOrderReader(f, pre).leading_limit(post)

@@ -9,8 +9,8 @@ whose balls are the vertices of the limit tree, the tree the labels span in
 the Berkovich line, and each vertex is marked by one limit chart.  A
 degenerating marked rational map is handled through the limit trees of
 source and target: at each source vertex, the image of a constant under the
-map in that vertex's chart locates the target vertex, whose chart family
-normalizes the map once to give the fiber map.
+map in that vertex's chart, read modulo a doubling power of eps, locates the
+target vertex, whose chart family normalizes that read to the fiber map.
 
 The numeric mode extrapolates one chart per vertex instead, found by a
 lexicographic scan of the unseparated triples, and refuses quadruples that do
@@ -43,9 +43,8 @@ from .laurent import (
     LaurentMap,
     LaurentMoebius,
     LaurentPoint,
-    LaurentPoly,
+    LowOrderReader,
     bracket_lead,
-    composed_leading_limit,
     laurent_points_equal,
 )
 from .moduli import MarkedSphere, TreeOfSpheres, tree_from_charts
@@ -465,46 +464,48 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
     """Limit of a degenerating cover family as a cover between limit trees.
 
     Each internal source vertex v is normalized by its representative triple's
-    chart family phi_v, and F_v = F . phi_v^-1 is evaluated at the constants
-    c = 1 + i, 2 + i, ... in turn, as F(phi_v^-1(c)).  The image F_v(c) is
-    located in the limit target tree at the vertex w where its limit in w's
-    chart is none of w's edge points.  F_v sends v to w exactly when M_w . F_v,
-    M_w w's chart family, has a nonconstant leading limit (Baker-Rumely), read
-    from its low-order terms alone; that limit is the fiber map at v, and w is
-    marked by that chart.  At most d(n + 1) constants fail, n the number of
-    target labels: those in the at most d - d_v directions at v that F_v sends
-    onto the whole sphere, and the at most d n preimages of w's edge points;
-    ConstantLimit is raised after d(n + 1) + 1.
+    chart family phi_v, and F_v = F . adj(phi_v) (phi_v^-1 up to a scalar) is
+    read modulo eps^cap by one LowOrderReader.  F_v(c), c = 1 + i, 2 + i, ... in
+    turn, is located at the target vertex w where its limit in w's chart, read
+    from its brackets with the triples' labels, is none of w's edge points; an
+    image on a target path is skipped.  F_v sends v to w exactly when M_w . F_v,
+    M_w w's chart family, has a nonconstant leading limit (Baker-Rumely); that
+    limit is the fiber map at v, and w is marked by that chart.  At most
+    d(n + 1) constants fail, n the number of target labels: those in the at
+    most d - d_v directions at v that F_v sends onto the whole sphere, and the
+    at most d n preimages of w's edge points; ConstantLimit, naming the target
+    vertices that failed, is raised after d(n + 1) + 1.
     """
-    source = limit_tree(fam.y_family)
-    target = limit_tree(fam.z_family)
-    zlead, zpaths = _pair_leads(fam.z_family), fam.z_family.paths
+    source, target = limit_tree(fam.y_family), limit_tree(fam.z_family)
+    zpath = fam.z_family.path
     triples = {w: representative_triple(partition_at(target.shape, w))
                for w in sorted(target.shape.internal)}
-    charts: dict[Vertex, LaurentMoebius] = {}  # built once per located vertex
-    tries = fam.portrait.d * (len(zpaths) + 1) + 1
+    # the triples' labels, the image q as the label None, and each chart's two brackets
+    tpaths = {(None, z): zpath(z) for t in triples.values() for z in t}
+    zlead = {(x, y): bracket_lead(zpath(x), zpath(y))
+             for t0, t1, tinf in triples.values() for x, y in ((t1, tinf), (t1, t0))}
+    # every target vertex is some source vertex's image, so each chart is read
+    charts = {w: LaurentMoebius.from_three(*map(zpath, t)) for w, t in triples.items()}
+    tries = fam.portrait.d * (len(fam.z_family.labels) + 1) + 1
 
     vmap: dict[Vertex, Vertex] = dict(fam.portrait.fmap)
     maps: dict[int, RationalMap] = {}
     for v in sorted(source.shape.internal):
         triple = representative_triple(partition_at(source.shape, v))
-        phi_inv = LaurentMoebius.from_three(*(fam.y_family.path(x) for x in triple)).inverse()
+        phi = LaurentMoebius.from_three(*(fam.y_family.path(x) for x in triple))
+        reader = LowOrderReader(fam.map_family, LaurentMoebius(phi.d, -phi.b, -phi.c, phi.a))
         failed = set()
         for k in range(1, 1 + tries):
-            c = LaurentPoint.from_poly(LaurentPoly.constant(GaussianRational(k, 1)))
-            q = fam.map_family.evaluate(phi_inv.apply(c))
-            qlead = {(None, z): bracket_lead(q, p) for z, p in zpaths}  # q under the label None
-            if None in qlead.values():  # q is a target path
+            qlead = reader.locate(GaussianRational(k, 1), tpaths)
+            if qlead is None:  # q is a target path
                 continue
             lead = ChainMap(qlead, zlead)
             w = next((w for w, t in triples.items() if _limit_chart([None], lead, t)[None]
                       not in target.edge_points(w).values()), None)
             if w is None or w in failed:
                 continue
-            if w not in charts:
-                charts[w] = LaurentMoebius.from_three(*(fam.z_family.path(z) for z in triples[w]))
             try:
-                maps[v] = composed_leading_limit(fam.map_family, phi_inv, charts[w])
+                maps[v] = reader.leading_limit(charts[w])
             except ConstantLimit:
                 failed.add(w)
                 continue
@@ -512,7 +513,7 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
             break
         else:
             raise ConstantLimit("no located target vertex yields a nonconstant limit",
-                                witness={"vertex": v, "constants": tries})
+                                witness={"vertex": v, "constants": tries, "failed": sorted(failed)})
     cover = TreeCover.make(source, target, vmap, maps)
     violations = validate_cover(cover, expected_portrait=fam.portrait)
     if violations:

@@ -357,6 +357,8 @@ CLI_COMMANDS = [
     ("sample", "family_eps.json", "--eps", "1/100"),
     ("compat", "compat_sub.json", "two_vertex_spheres.json"),
     ("dyn-member", "cover_dyn.json", "--labels", "p0,p1,pinf"),
+    ("validate", "dyn_z_squared.json"),
+    ("iso", "dyn_z_squared.json", "dyn_z_squared.json"),
 ]
 
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import ChainMap, Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -34,7 +35,7 @@ from conftest import (
     twisted_cover_family,
     z_squared_chain_family,
 )
-from sphere_trees import limits
+from sphere_trees import laurent, limits
 from sphere_trees import serialize as ser
 from sphere_trees.covers import (
     TreeCover,
@@ -53,10 +54,14 @@ from sphere_trees.errors import (
 )
 from sphere_trees.gaussian import gr
 from sphere_trees.laurent import (
+    LP_ONE,
+    LP_ZERO,
     LaurentMap,
     LaurentMoebius,
     LaurentPoint,
     LaurentPoly,
+    LowOrderReader,
+    bracket_lead,
     laurent_bracket,
 )
 from sphere_trees.limits import (
@@ -631,12 +636,12 @@ class TestLimitCover:
         # every located vertex fails: the constants run out, nothing hangs,
         # and each target vertex is tried at most once
         fam = degenerate_family_three_vertex()
-        evaluations, composed_limits = [], []
-        evaluate, composed = LaurentMap.evaluate, limits.composed_leading_limit
-        monkeypatch.setattr(LaurentMap, "evaluate",
-                            lambda self, p: evaluations.append(p) or evaluate(self, p))
-        monkeypatch.setattr(limits, "composed_leading_limit",
-                            lambda f, pre, post: composed_limits.append(post) or composed(f, pre, post))
+        locations, composed_limits = [], []
+        locate, composed = LowOrderReader.locate, LowOrderReader.leading_limit
+        monkeypatch.setattr(LowOrderReader, "locate",
+                            lambda self, c, paths: locations.append(c) or locate(self, c, paths))
+        monkeypatch.setattr(LowOrderReader, "leading_limit",
+                            lambda self, post: composed_limits.append(post) or composed(self, post))
 
         def constant(self):
             raise ConstantLimit("forced")
@@ -644,9 +649,16 @@ class TestLimitCover:
         tries = fam.portrait.d * (len(fam.z_family.labels) + 1) + 1
         with pytest.raises(ConstantLimit) as exc:
             limit_cover(fam)
-        assert exc.value.witness == {"vertex": 0, "constants": tries}
-        assert 0 < len(evaluations) <= tries
-        assert 0 < len(composed_limits) <= len(limit_tree(fam.z_family).shape.internal)
+        failed = exc.value.witness["failed"]
+        assert exc.value.witness == {"vertex": 0, "constants": tries, "failed": failed}
+        # the witness names, in order, exactly the target vertices whose charts were tried
+        target = limit_tree(fam.z_family)
+        charts = {w: LaurentMoebius.from_three(*(fam.z_family.path(z) for z in representative_triple(
+            partition_at(target.shape, w)))) for w in target.shape.internal}
+        assert failed == sorted(failed) and len(failed) == len(composed_limits)
+        assert set(composed_limits) == {charts[w] for w in failed}
+        assert 0 < len(composed_limits) <= len(target.shape.internal)
+        assert 0 < len(locations) <= tries
 
 
 def lexicographic_limit_cover(fam: CoverFamily):
@@ -730,8 +742,107 @@ class TestLimitCoverQuotient:
     @pytest.mark.parametrize("fam", COVER_FAMILIES)
     def test_one_composed_limit_per_source_vertex(self, monkeypatch, fam):
         calls = []
-        composed = limits.composed_leading_limit
-        monkeypatch.setattr(limits, "composed_leading_limit",
-                            lambda f, pre, post: calls.append(post) or composed(f, pre, post))
+        composed = LowOrderReader.leading_limit
+        monkeypatch.setattr(LowOrderReader, "leading_limit",
+                            lambda self, post: calls.append(post) or composed(self, post))
         cover = limit_cover(fam)
         assert len(calls) == len(cover.source.shape.internal)
+
+
+def full_location(fam: CoverFamily, phi: LaurentMoebius, k: int) -> dict:
+    """The full location path, kept as an oracle for LowOrderReader.locate: q =
+    F(phi^-1(k + i)) evaluated in full, and bracket_lead of q against every target path."""
+    c = LaurentPoint.from_poly(LaurentPoly.constant(gr(k, 1)))
+    q = fam.map_family.evaluate(phi.inverse().apply(c))
+    return {z: bracket_lead(q, p) for z, p in fam.z_family.paths}
+
+
+def located_vertex(target, triples: dict, qlead: dict | None, zlead: dict):
+    """The first target vertex whose chart sends q to none of its edge points; None when
+    there is none or q is a target path (qlead is None)."""
+    if qlead is None:
+        return None
+    lead = ChainMap({(None, z): b for z, b in qlead.items()}, zlead)
+    return next((w for w, t in triples.items() if limits._limit_chart([None], lead, t)[None]
+                 not in target.edge_points(w).values()), None)
+
+
+class TestLocationRead:
+    def test_agrees_with_the_full_image_on_twisted_families(self):
+        # the truncated read of G = F . adj(phi_v) at the triples' labels locates the same
+        # vertex as the full image q against every target path, on random eps-twists
+        rng = random.Random(43)
+        families = [getattr(conftest, name)() for name in DEGENERATE_FAMILIES]
+        families += [z_squared_chain_family(c) for c in CHAIN_CENTRES]
+        located = doubled = 0
+        for fam in families:
+            twists = [(random_laurent_moebius(rng), random_laurent_moebius(rng), rng.randint(1, 2))
+                      for _ in range(2)]
+            for f in [fam] + [twisted_cover_family(fam, *twist) for twist in twists]:
+                source, target = limit_tree(f.y_family), limit_tree(f.z_family)
+                triples = {w: representative_triple(partition_at(target.shape, w))
+                           for w in sorted(target.shape.internal)}
+                tpaths = {z: f.z_family.path(z) for t in triples.values() for z in t}
+                zlead = limits._pair_leads(f.z_family)
+                for v in sorted(source.shape.internal):
+                    phi = LaurentMoebius.from_three(*(f.y_family.path(x) for x in representative_triple(
+                        partition_at(source.shape, v))))
+                    reader = LowOrderReader(f.map_family, LaurentMoebius(phi.d, -phi.b, -phi.c, phi.a))
+                    for k in range(1, 5):
+                        got, full = reader.locate(gr(k, 1), tpaths), full_location(f, phi, k)
+                        w = located_vertex(target, triples, None if None in full.values() else full, zlead)
+                        assert located_vertex(target, triples, got, zlead) == w, (f.portrait, v, k)
+                        located += w is not None
+                        if got is not None:
+                            # the two images differ by a scalar mu eps^m: every valuation by m,
+                            # every leading coefficient by the factor mu
+                            (m, mu), z0 = got[min(got)], min(got)
+                            for z, (val, c) in got.items():
+                                assert val - full[z][0] == m - full[z0][0]
+                                assert c * full[z0][1] == full[z][1] * mu
+                    doubled += len(reader.kept) > 1
+        assert located >= 300 and doubled >= 50
+
+    @pytest.mark.parametrize("fam", COVER_FAMILIES)
+    def test_limit_cover_reads_each_round_once(self, monkeypatch, fam):
+        # no full image or inverse chart; one truncated substitution per source vertex and
+        # cap; brackets against the target triples' labels only
+        def refuse(*args):
+            raise AssertionError("not on the truncated path")
+        monkeypatch.setattr(LaurentMap, "evaluate", refuse)
+        monkeypatch.setattr(LaurentMoebius, "inverse", refuse)
+        rounds, read = [], []
+        substitute, lead = laurent.hom_substitute, laurent.bracket_lead
+        monkeypatch.setattr(laurent, "hom_substitute", lambda num, den, m, zero, one:
+                            rounds.append(zero.cap) or substitute(num, den, m, zero, one))
+        monkeypatch.setattr(laurent, "bracket_lead", lambda q, p: read.append(p) or lead(q, p))
+        cover = limit_cover(fam)
+        assert max(Counter(rounds).values()) <= len(cover.source.shape.internal)
+        target = cover.target.shape
+        triple_paths = {fam.z_family.path(z) for w in target.internal
+                        for z in representative_triple(partition_at(target, w))}
+        assert read and set(read) <= triple_paths
+
+    def test_cancelled_terms_double_the_cap(self, caps):
+        # G = pre, so [G(c : 1), (1 : 1)] = c eps^10 - eps^4: its terms below eps^4 cancel,
+        # the reads at caps 2 and 4 are undecided, and cap 8 decides it short of the ceiling
+        f = LaurentMap.make([LP_ZERO, LP_ONE], [LP_ONE])
+        pre = LaurentMoebius.make(LP_ONE + LaurentPoly.eps(10), LP_ONE, LP_ONE, LP_ONE + LaurentPoly.eps(4))
+        reader, c, one = LowOrderReader(f, pre), gr(1, 1), LaurentPoint.from_poly(LP_ONE)
+        assert reader.ceiling == 10
+        assert reader.locate(c, {"one": one}) == {"one": (4, gr(-1))}
+        assert caps == [2, 4, 8]
+        full = f.evaluate(pre.apply(LaurentPoint.from_poly(LaurentPoly.constant(c))))
+        assert bracket_lead(full, one) == (4, gr(-1) / (c + gr(1)))
+
+    def test_image_on_a_target_path_stops_at_the_ceiling(self, caps):
+        # q = G(c : 1) is the path p itself: every round reads [q, p] = 0, and the round at
+        # cap 16, past the ceiling 10, is exact, so the read answers "a target path"
+        f = LaurentMap.make([LP_ZERO, LP_ONE], [LP_ONE])
+        pre = LaurentMoebius.make(LP_ONE + LaurentPoly.eps(10), LP_ONE, LP_ONE, LP_ONE + LaurentPoly.eps(4))
+        c = gr(1, 1)
+        p = pre.apply(LaurentPoint.from_poly(LaurentPoly.constant(c)))
+        reader = LowOrderReader(f, pre)
+        assert reader.locate(c, {"one": LaurentPoint.from_poly(LP_ONE), "p": p}) is None
+        assert caps == [2, 4, 8, 16]
+        assert bracket_lead(f.evaluate(p), p) is None

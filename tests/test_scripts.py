@@ -35,6 +35,17 @@ def test_cover_degeneration_output_is_pinned():
     assert r.stdout == (GOLDEN / "scripts_cover_degeneration.out").read_bytes()
 
 
+def test_cover_envelope_digests_are_pinned():
+    # byte identity of limit_cover on degenerating maps, plain and eps-twisted: the columns
+    # d, labels, pattern and both sha256 digests; rewrite with `python3 scripts/cover_envelope.py
+    # 18 2 | awk 'NR > 1 {print $1, $2, $3, $6, $9}' > tests/golden/scripts_cover_envelope.sha`
+    r = subprocess.run([sys.executable, str(SCRIPTS / "cover_envelope.py"), "18", "2"],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    rows = [" ".join(line.split()[i] for i in (0, 1, 2, 5, 8)) for line in r.stdout.splitlines()[1:]]
+    assert rows == (GOLDEN / "scripts_cover_envelope.sha").read_text().splitlines()
+
+
 def test_make_examples_regenerates_data(tmp_path):
     r = subprocess.run([sys.executable, str(SCRIPTS / "make_examples.py"), str(tmp_path)],
                        capture_output=True, text=True, timeout=120)
