@@ -161,6 +161,11 @@ def _cmd_sample(args) -> int:
     fam = ser.family_from_json(_load(args.input))
     if args.eps is None:
         raise SchemaError("sample requires --eps")
+    # a b-bit part of eps to the largest exponent E is >= 2^(E (b - 1)) > 10^(3 E (b - 1) / 10)
+    top = max((abs(e) for _, p in fam.paths for part in (p.u, p.v) for e, _ in part.terms), default=0)
+    bits = max(args.eps.numerator, args.eps.denominator).bit_length() - 1
+    if 0 < 10 * sys.get_int_max_str_digits() <= 3 * top * bits:
+        raise SchemaError(f"eps^{top} at this --eps exceeds the int-to-str digit limit")
     sphere = fam.evaluate(args.eps)
     _emit(ser.marked_sphere_to_json(sphere), args.out)
     return 0

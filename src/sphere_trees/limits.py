@@ -3,14 +3,15 @@
 A degenerating one-parameter configuration is a Laurent family: one Laurent
 point per label.  Laurent polynomials over Q(i) form a domain, so the limit
 of a cross-ratio depends only on the valuation and leading coefficient of
-the pairwise brackets [p_x, p_y], read from the lowest terms up: valuations
-add and leading coefficients multiply.  The valuations alone form an ultrametric
-whose balls are the vertices of the limit tree, the tree the labels span in
-the Berkovich line, and each vertex is marked by one limit chart.  A
-degenerating marked rational map is handled through the limit trees of
-source and target: at each source vertex, the image of a constant under the
-map in that vertex's chart, read modulo a doubling power of eps, locates the
-target vertex, whose chart family normalizes that read to the fiber map.
+the pairwise brackets [p_x, p_y]: valuations add and leading coefficients
+multiply.  The family reads them once, from the lowest terms up, when it is
+made.  The valuations alone form an ultrametric whose balls are the vertices
+of the limit tree, the tree the labels span in the Berkovich line, and each
+vertex is marked by one limit chart.  A degenerating marked rational map is
+handled through the limit trees of source and target: at each source vertex,
+the image of a constant under the map in that vertex's chart, read modulo a
+doubling power of eps, locates the target vertex, whose chart family
+normalizes that read to the fiber map.
 
 The numeric mode extrapolates one chart per vertex instead, found by a
 lexicographic scan of the unseparated triples, and refuses quadruples that do
@@ -71,6 +72,7 @@ from .trees import (
 class LaurentFamily:
     labels: frozenset
     paths: tuple  # sorted (label, LaurentPoint) pairs
+    lead: Mapping = field(repr=False, compare=False)  # (x, y): (v, c) of [p_x, p_y]; (y, x): (v, -c)
     mapping: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,10 +83,13 @@ class LaurentFamily:
         if len(paths) < 3:
             raise MarkedSetTooSmall("a family needs at least three labels")
         items = sorted(paths.items())
-        for (x1, p1), (x2, p2) in combinations(items, 2):
-            if laurent_points_equal(p1, p2):
-                raise InvalidFamily(f"paths of {x1!r} and {x2!r} coincide")
-        return cls(frozenset(paths), tuple(items))
+        lead = {}
+        for (x, p), (y, q) in combinations(items, 2):
+            b = bracket_lead(p, q)
+            if b is None:
+                raise InvalidFamily(f"paths of {x!r} and {y!r} coincide", witness=[x, y])
+            lead[(x, y)], lead[(y, x)] = b, (b[0], -b[1])
+        return cls(frozenset(paths), tuple(items), MappingProxyType(lead))
 
     def path(self, x: str) -> LaurentPoint:
         return self.mapping[x]
@@ -112,16 +117,7 @@ class LaurentFamily:
         return MarkedSphere.make(points)
 
 
-def _pair_leads(fam: LaurentFamily) -> dict:
-    """(valuation, leading coefficient) of [p_x, p_y]; [p_y, p_x] = -[p_x, p_y]."""
-    lead = {}
-    for (x, p), (y, q) in combinations(fam.paths, 2):
-        val, c = bracket_lead(p, q)
-        lead[(x, y)], lead[(y, x)] = (val, c), (val, -c)
-    return lead
-
-
-def _limit_chart(labels: Sequence[str], lead: dict, triple: tuple[str, str, str]) -> dict:
+def _limit_chart(labels: Sequence[str], lead: Mapping, triple: tuple[str, str, str]) -> dict:
     """Limits of the cross-ratios [x, t0][t1, tinf] : [x, tinf][t1, t0] of the
     chart sending the triple to (0, 1, inf), from the brackets' leading terms."""
     t0, t1, tinf = triple
@@ -146,14 +142,13 @@ def _limit_chart(labels: Sequence[str], lead: dict, triple: tuple[str, str, str]
 def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
     """The exact limit stable tree of a degenerating Laurent family.
 
-    With r the smallest label and v the bracket valuations (read from the
-    lowest terms up), g(x, y) = v(x, y) - v(x, r) - v(y, r) is an ultrametric
-    on the other labels whose balls are the vertices.  A ball of minimum m
+    With r the smallest label and v the bracket valuations of the family's
+    lead table, g(x, y) = v(x, y) - v(x, r) - v(y, r) is an ultrametric on
+    the other labels whose balls are the vertices.  A ball of minimum m
     splits into the classes of g > m, which with the labels outside it form
     the vertex's partition, marked by its representative triple's chart.
     """
-    labels = sorted(fam.labels)
-    lead = _pair_leads(fam)
+    labels, lead = sorted(fam.labels), fam.lead
     r = labels[0]
     g = {(x, y): v - lead[(x, r)][0] - lead[(y, r)][0]
          for (x, y), (v, _) in lead.items() if r not in (x, y)}
@@ -467,23 +462,22 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
     chart family phi_v, and F_v = F . adj(phi_v) (phi_v^-1 up to a scalar) is
     read modulo eps^cap by one LowOrderReader.  F_v(c), c = 1 + i, 2 + i, ... in
     turn, is located at the target vertex w where its limit in w's chart, read
-    from its brackets with the triples' labels, is none of w's edge points; an
-    image on a target path is skipped.  F_v sends v to w exactly when M_w . F_v,
-    M_w w's chart family, has a nonconstant leading limit (Baker-Rumely); that
-    limit is the fiber map at v, and w is marked by that chart.  At most
-    d(n + 1) constants fail, n the number of target labels: those in the at
-    most d - d_v directions at v that F_v sends onto the whole sphere, and the
-    at most d n preimages of w's edge points; ConstantLimit, naming the target
-    vertices that failed, is raised after d(n + 1) + 1.
+    from its brackets with the triples' labels and the target family's lead
+    table, is none of w's edge points; an image on a target path is skipped.
+    F_v sends v to w exactly when M_w . F_v, M_w w's chart family, has a
+    nonconstant leading limit (Baker-Rumely); that limit is the fiber map at v,
+    and w is marked by that chart.  At most d(n + 1) constants fail, n the
+    number of target labels: those in the at most d - d_v directions at v that
+    F_v sends onto the whole sphere, and the at most d n preimages of w's edge
+    points; ConstantLimit, naming the target vertices that failed, is raised
+    after d(n + 1) + 1.
     """
     source, target = limit_tree(fam.y_family), limit_tree(fam.z_family)
     zpath = fam.z_family.path
     triples = {w: representative_triple(partition_at(target.shape, w))
                for w in sorted(target.shape.internal)}
-    # the triples' labels, the image q as the label None, and each chart's two brackets
+    # the triples' labels, with the image q as the label None
     tpaths = {(None, z): zpath(z) for t in triples.values() for z in t}
-    zlead = {(x, y): bracket_lead(zpath(x), zpath(y))
-             for t0, t1, tinf in triples.values() for x, y in ((t1, tinf), (t1, t0))}
     # every target vertex is some source vertex's image, so each chart is read
     charts = {w: LaurentMoebius.from_three(*map(zpath, t)) for w, t in triples.items()}
     tries = fam.portrait.d * (len(fam.z_family.labels) + 1) + 1
@@ -499,7 +493,7 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
             qlead = reader.locate(GaussianRational(k, 1), tpaths)
             if qlead is None:  # q is a target path
                 continue
-            lead = ChainMap(qlead, zlead)
+            lead = ChainMap(qlead, fam.z_family.lead)
             w = next((w for w, t in triples.items() if _limit_chart([None], lead, t)[None]
                       not in target.edge_points(w).values()), None)
             if w is None or w in failed:

@@ -139,6 +139,15 @@ class TestErrors:
         payload = json.loads(r.stdout)
         assert payload["error"] == "NotASubset"
 
+    def test_coincident_paths_name_their_labels(self, tmp_path):
+        blob = json.loads((DATA_DIR / "family_eps.json").read_text())
+        blob["paths"]["3"] = blob["paths"]["2"]  # infinity becomes the constant path 1
+        bad = tmp_path / "coincident.json"
+        bad.write_text(json.dumps(blob))
+        r = run_cli("limit", str(bad))
+        assert r.returncode == 1
+        assert json.loads(r.stdout) == {"error": "InvalidFamily", "witness": ["2", "3"]}
+
     def test_degree_one_portrait_is_rejected(self, tmp_path):
         # reconstruction accepts degree 1; validating a bare portrait does not
         portrait = tmp_path / "portrait_d1.json"
@@ -159,17 +168,19 @@ class TestErrors:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("schema error:")
 
-    @pytest.mark.parametrize("exponent, eps, reason", [
+    @pytest.mark.parametrize("exponents, eps, reason", [
         # exact sampling would raise 3 to this power, then fail to print it
-        (2_000_000, "1/3", "exponent"),
-        (-2_000_000, "1/3", "exponent"),
+        ([2_000_000], "1/3", "exponent"),
+        ([-2_000_000], "1/3", "exponent"),
         # within the exponent bound, but eps^1000 has 5,001 digits
-        (1000, "1/100000", "digit limit"),
+        ([1000], "1/100000", "digit limit"),
+        # eps^999 + eps^1000 at a 600-digit eps: refused before the sum is formed
+        pytest.param([999, 1000], "1/" + "7" * 600, "digit limit", id="eps-of-600-digits"),
     ])
-    def test_oversized_sample_is_schema_error(self, tmp_path, exponent, eps, reason):
+    def test_oversized_sample_is_schema_error(self, tmp_path, exponents, eps, reason):
         blob = json.loads((DATA_DIR / "family_eps.json").read_text())
         label = sorted(blob["paths"])[0]
-        blob["paths"][label]["u"].append([exponent, {"re": "1/1", "im": "0/1"}])
+        blob["paths"][label]["u"] += [[e, {"re": "1/1", "im": "0/1"}] for e in exponents]
         big = tmp_path / "big_family.json"
         big.write_text(json.dumps(blob))
         started = time.perf_counter()

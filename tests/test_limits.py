@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pathlib
 import random
@@ -337,6 +338,35 @@ class TestLimitTree:
         limit_tree(fam)
         assert calls == []
 
+    @staticmethod
+    def assert_lead_is_the_brackets(fam):
+        for (x, p), (y, q) in combinations(fam.paths, 2):
+            v, c = bracket_lead(p, q)
+            assert fam.lead[(x, y)] == (v, c) and fam.lead[(y, x)] == (v, -c)
+        assert len(fam.lead) == len(fam.labels) * (len(fam.labels) - 1)
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("form", ["plain", "twist", "reparametrize"])
+    def test_lead_table_on_plumbed_families(self, n, form):
+        self.assert_lead_is_the_brackets(plumbed_family(n, form, random.Random(f"lead-{n}-{form}")))
+
+    def test_lead_table_on_random_laurent_families(self):
+        rng = random.Random("lead-laurent")
+        for n in range(3, 11):
+            self.assert_lead_is_the_brackets(random_laurent_family(n, rng))
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_brackets_are_read_once_when_the_family_is_made(self, monkeypatch, n):
+        fam = plumbed_family(n, "twist", random.Random(f"once-{n}"))
+        calls = []
+        lead = limits.bracket_lead
+        monkeypatch.setattr(limits, "bracket_lead", lambda p, q: calls.append(None) or lead(p, q))
+        made = LaurentFamily.make(dict(fam.paths))
+        assert len(calls) == n * (n - 1) // 2
+        calls.clear()
+        assert dump(limit_tree(made)) == dump(limit_tree(fam))
+        assert calls == []
+
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_one_chart_per_vertex(self, monkeypatch, n):
         fam = plumbed_family(n, "twist", random.Random(f"charts-{n}"))
@@ -382,6 +412,26 @@ class TestEnginesAgree:
             assert dump(t) == dump(per_triple_limit_tree(fam))
             sizes.add(len(t.shape.internal))
         assert n == 3 or max(sizes) > 1
+
+
+def scale_digests() -> list[str]:
+    """'n form i sha256' of the limit_tree dump of each of three seeded plumbed families
+    per n in (16, 24, 32) and form; rewrite the pin with `PYTHONPATH=src:tests python3 -c
+    "import test_limits as t; print(*t.scale_digests(), sep=chr(10))" > tests/golden/limit_tree_scale.sha`"""
+    lines = []
+    for n in (16, 24, 32):
+        for form in ("plain", "twist", "reparametrize"):
+            rng = random.Random(f"scale-{n}-{form}")
+            for i in range(3):
+                digest = hashlib.sha256(dump(limit_tree(plumbed_family(n, form, rng))).encode())
+                lines.append(f"{n} {form} {i} {digest.hexdigest()}")
+    return lines
+
+
+def test_limit_tree_digests_are_pinned_at_scale():
+    # byte identity of limit_tree past TestEnginesAgree's n <= 14
+    golden = pathlib.Path(__file__).parent / "golden" / "limit_tree_scale.sha"
+    assert scale_digests() == golden.read_text().splitlines()
 
 
 def test_seeded_trees_do_not_depend_on_the_hash_seed():
@@ -783,7 +833,7 @@ class TestLocationRead:
                 triples = {w: representative_triple(partition_at(target.shape, w))
                            for w in sorted(target.shape.internal)}
                 tpaths = {z: f.z_family.path(z) for t in triples.values() for z in t}
-                zlead = limits._pair_leads(f.z_family)
+                zlead = f.z_family.lead
                 for v in sorted(source.shape.internal):
                     phi = LaurentMoebius.from_three(*(f.y_family.path(x) for x in representative_triple(
                         partition_at(source.shape, v))))
@@ -806,11 +856,12 @@ class TestLocationRead:
     @pytest.mark.parametrize("fam", COVER_FAMILIES)
     def test_limit_cover_reads_each_round_once(self, monkeypatch, fam):
         # no full image or inverse chart; one truncated substitution per source vertex and
-        # cap; brackets against the target triples' labels only
+        # cap; brackets only in locate, against the target triples' labels only
         def refuse(*args):
             raise AssertionError("not on the truncated path")
         monkeypatch.setattr(LaurentMap, "evaluate", refuse)
         monkeypatch.setattr(LaurentMoebius, "inverse", refuse)
+        monkeypatch.setattr(limits, "bracket_lead", refuse)  # the families' tables are read
         rounds, read = [], []
         substitute, lead = laurent.hom_substitute, laurent.bracket_lead
         monkeypatch.setattr(laurent, "hom_substitute", lambda num, den, m, zero, one:
