@@ -1,14 +1,13 @@
 """Exact calculus of marked spheres, their degeneration trees, and covers."""
 
 from .gaussian import GaussianRational, gr
-from .projective import Moebius, ProjPoint, cross_ratio, moebius_from_three
+from .projective import Moebius, ProjPoint, moebius_from_three
 from .rational import Polynomial, RationalMap, local_degree
 from .laurent import (
     LaurentMap,
     LaurentMoebius,
     LaurentPoint,
     LaurentPoly,
-    laurent_cross_ratio,
     laurent_leading_value,
 )
 from .trees import (

@@ -195,15 +195,6 @@ def laurent_leading_value(q: LaurentPoint) -> ProjPoint:
     return ProjPoint.make(q.u.leading(), q.v.leading())
 
 
-def laurent_cross_ratio(p0: LaurentPoint, p1: LaurentPoint, pinf: LaurentPoint,
-                        p: LaurentPoint) -> LaurentPoint:
-    """Homogeneous cross-ratio ((p-p0)(p1-pinf) : (p-pinf)(p1-p0))."""
-    return LaurentPoint.make(
-        laurent_bracket(p, p0) * laurent_bracket(p1, pinf),
-        laurent_bracket(p, pinf) * laurent_bracket(p1, p0),
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class LaurentMoebius:
     """A Moebius family: 2x2 matrix of Laurent polynomials, det != 0."""

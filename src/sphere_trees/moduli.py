@@ -8,6 +8,13 @@ representatives, and restriction of the marking to a sub-label-set all live
 here.  ``iso_of_spheres`` is the one isomorphism decision and returns its
 witness; ``canonical_form`` and ``embed`` are outputs, and serve the tests
 and the benchmark as independent oracles for its verdicts.
+
+Each tree of spheres keeps one chart table, built on first use by
+``vertex_charts``: at every internal vertex, its partition and the vertex
+chart of the partition's representative triple.  ``canonical_form`` and
+``iso_of_spheres`` both read it, so a tree is charted once however often it
+is classified or compared.  ``iso_of_spheres`` compares partition sets before
+it asks for the table, so trees of different shapes cost no chart.
 """
 
 from __future__ import annotations
@@ -74,8 +81,10 @@ class TreeOfSpheres:
     shape: MarkedTree
     marking: tuple  # sorted (vertex id, ((neighbor, ProjPoint), ...)) pairs
     rows: Mapping = field(init=False, repr=False, compare=False)
-    # derived label markings, filled on first use by marking_dict
+    # derived label markings and chart table, filled on first use by
+    # marking_dict and vertex_charts
     _markings: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
+    _charts: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", MappingProxyType({
@@ -150,6 +159,18 @@ def vertex_chart(t: TreeOfSpheres, v: int, triple: tuple[str, str, str]) -> Moeb
     return moebius_from_three(*(p for x in triple for n, p in row.items() if x in beyond[n]))
 
 
+def vertex_charts(t: TreeOfSpheres) -> Mapping:
+    """At each internal vertex v, (partition at v, vertex chart of its
+    representative triple at v); computed once per tree."""
+    if t._charts is None:
+        table = {}
+        for v in t.shape.internal:
+            p = partition_at(t.shape, v)
+            table[v] = (p, vertex_chart(t, v, representative_triple(p)))
+        object.__setattr__(t, "_charts", MappingProxyType(table))
+    return t._charts
+
+
 def t_chart(t: TreeOfSpheres, triple: tuple[str, str, str]
             ) -> tuple[int, Moebius, dict]:
     """Separating vertex, normalizing chart, and the chart marking.
@@ -219,8 +240,8 @@ def canonical_form(t: TreeOfSpheres) -> TreeOfSpheres:
     forms are equal.  It is an output and an oracle; ``iso_of_spheres``
     decides isomorphism.
     """
-    parts = {v: partition_at(t.shape, v) for v in t.shape.internal}
-    order = sorted(t.shape.internal, key=lambda v: partition_sort_key(parts[v]))
+    table = vertex_charts(t)
+    order = sorted(t.shape.internal, key=lambda v: partition_sort_key(table[v][0]))
     rename = {v: i for i, v in enumerate(order)}
 
     def rn(v):
@@ -233,7 +254,7 @@ def canonical_form(t: TreeOfSpheres) -> TreeOfSpheres:
     )
     marking = {}
     for v in order:
-        sigma = vertex_chart(t, v, representative_triple(parts[v]))
+        sigma = table[v][1]
         marking[rename[v]] = {
             rn(n): sigma.apply(p) for n, p in t.edge_points(v).items()
         }
@@ -292,9 +313,10 @@ def iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres
     This decides isomorphism of trees of spheres and witnesses it.  The
     vertex map matches internal vertices through their partitions and is the
     identity on labels; each Moebius is pinned by the vertex charts of a
-    representative triple and must carry every edge point of its vertex to
-    the edge point of the image edge.  Every edge point is the marked point
-    of the labels beyond it, so this checks the whole label marking.
+    representative triple, read from both trees' chart tables, and must
+    carry every edge point of its vertex to the edge point of the image
+    edge.  Every edge point is the marked point of the labels beyond it, so
+    this checks the whole label marking.
     """
     if t1.labels != t2.labels:
         raise LeafSetMismatch("trees of spheres are marked by different label sets")
@@ -302,12 +324,12 @@ def iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres
     parts2 = {partition_at(t2.shape, v): v for v in t2.shape.internal}
     if frozenset(parts1.values()) != frozenset(parts2):
         return None
+    charts1, charts2 = vertex_charts(t1), vertex_charts(t2)
     vmap: dict = {x: x for x in t1.labels} | {v: parts2[p] for v, p in parts1.items()}
     mmap: dict = {}
-    for v1, p in parts1.items():
-        v2 = vmap[v1]
-        triple = representative_triple(p)
-        iso = vertex_chart(t2, v2, triple).inverse().compose(vertex_chart(t1, v1, triple))
+    for v1 in parts1:
+        v2 = vmap[v1]  # same partition, so both charts are of one representative triple
+        iso = charts2[v2][1].inverse().compose(charts1[v1][1])
         row2 = t2.edge_points(v2)
         if any(iso.apply(q) != row2[vmap[n]] for n, q in t1.edge_points(v1).items()):
             return None

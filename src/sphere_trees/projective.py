@@ -126,8 +126,3 @@ def moebius_from_three(p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint) -> Moebius
         pinf.v * k_den,
         -pinf.u * k_den,
     )
-
-
-def cross_ratio(p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint, p: ProjPoint) -> ProjPoint:
-    """Image of p under the chart normalizing (p0, p1, pinf) to (0, 1, inf)."""
-    return moebius_from_three(p0, p1, pinf).apply(p)

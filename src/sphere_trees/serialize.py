@@ -8,14 +8,17 @@ keys, an internal vertex id n is written "#n".  Labels must not start with
 "#" or "@" (those prefixes are reserved for internal ids and cut leaves).
 
 Output is canonicalized by sorted keys and a fixed layout, so identical
-values serialize to identical bytes.
+values serialize to identical bytes: exactly ``json.dumps(payload,
+sort_keys=True, indent=2, ensure_ascii=False)`` plus a newline, written in
+one pass.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from json.encoder import encode_basestring as _quote
+from typing import Any, Optional
 
 from .covers import Portrait, TreeCover
 from .dynamics import DynSystem
@@ -42,7 +45,50 @@ MAX_MAP_DEGREE = 64
 
 
 def canonical_dumps(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
+
+    CPython's C encoder does not indent, so json.dumps falls back to an
+    encoder built from Python generators; this writer produces the same text
+    in one recursive pass and escapes strings with the C escaper.
+    """
+    out: list = []
+    _write(payload, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o: Any, nl: str, put) -> None:
+    """Append the JSON text of o to put; nl is the newline and indent of o's line."""
+    if isinstance(o, str):
+        put(_quote(o))
+    elif isinstance(o, (list, tuple)) and o:
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            put(sep)
+            _write(v, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif isinstance(o, dict) and o:
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            put(f"{sep}{_quote(_json_key(k))}: ")
+            _write(v, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:  # a number, bool, None or empty container: the C encoder writes it as json.dumps does
+        put(json.dumps(o))
+
+
+def _json_key(k: Any) -> str:
+    """A dict key as json.dumps writes it: a string as it is, None, a bool or a
+    number as its JSON text."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +128,29 @@ def complex_to_json(c: GaussianRational) -> dict:
     return {"re": fraction_to_json(c.re), "im": fraction_to_json(c.im)}
 
 
+def _canonical_fraction(s: Any) -> Optional[tuple[int, int]]:
+    """(n, d) for a string "n/d" of ASCII digits, n with an optional "-" and d > 0;
+    None for any other input, which then takes the ``fraction_from_json`` route."""
+    if not isinstance(s, str) or not s.isascii():
+        return None
+    num, slash, den = s.partition("/")
+    if not (slash and den.isdigit() and (num[1:] if num[:1] == "-" else num).isdigit()):
+        return None
+    try:
+        n, d = int(num), int(den)
+    except ValueError:  # beyond the int-to-str digit limit
+        return None
+    return (n, d) if d else None
+
+
 def complex_from_json(obj: Any) -> GaussianRational:
-    if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
+    if not isinstance(obj, dict) or obj.keys() != {"re", "im"}:
         raise SchemaError(f"complex scalars are {{'re', 'im'}} objects, got {obj!r}")
-    return GaussianRational(fraction_from_json(obj["re"]), fraction_from_json(obj["im"]))
+    re, im = _canonical_fraction(obj["re"]), _canonical_fraction(obj["im"])
+    if re is None or im is None:
+        return GaussianRational(fraction_from_json(obj["re"]), fraction_from_json(obj["im"]))
+    # (n1/d1) + (n2/d2) i = (n1 d2 + n2 d1 i) / (d1 d2), reduced once
+    return GaussianRational._raw(re[0] * im[1], im[0] * re[1], re[1] * im[1])
 
 
 def point_to_json(p) -> dict:
@@ -127,9 +192,13 @@ def vertex_from_key(s: Any) -> Vertex:
         raise SchemaError(f"vertex keys are strings: {s!r}")
     if s.startswith("#"):
         try:
-            return int(s[1:])
-        except ValueError as exc:
-            raise SchemaError(f"bad internal vertex key: {s!r}") from exc
+            v = int(s[1:])
+        except ValueError:
+            v = None
+        # only the spelling vertex_to_key writes, so two keys never name one vertex
+        if v is None or vertex_to_key(v) != s:
+            raise SchemaError(f"bad internal vertex key: {s!r} (internal vertex keys are '#<id>')")
+        return v
     return check_label(s)
 
 
@@ -308,8 +377,11 @@ def portrait_from_json(obj: Any) -> Portrait:
         degmap = {check_label(a): int_from_json(k, "local degree")
                   for a, k in obj["deg"].items()}
         d = int_from_json(obj["d"], "degree")
+        ys, zs = sorted(map(check_label, obj["Y"])), sorted(map(check_label, obj["Z"]))
     except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"malformed portrait: {exc}") from exc
+    if ys != sorted(fmap) or zs != sorted(set(fmap.values())):
+        raise SchemaError("'Y' and 'Z' must list exactly the labels of 'F' and of its image")
     return Portrait.make(fmap, degmap, d)
 
 

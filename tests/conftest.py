@@ -15,10 +15,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from sphere_trees import laurent
 from sphere_trees.covers import MarkedSphereCover, Portrait, cover_from_marked
 from sphere_trees.gaussian import GaussianRational, gr
-from sphere_trees.laurent import LaurentMap, LaurentMoebius, LaurentPoint, LaurentPoly
+from sphere_trees.laurent import (
+    LaurentMap,
+    LaurentMoebius,
+    LaurentPoint,
+    LaurentPoly,
+    laurent_bracket,
+)
 from sphere_trees.limits import CoverFamily, LaurentFamily, limit_cover
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres
-from sphere_trees.projective import Moebius, ProjPoint
+from sphere_trees.projective import Moebius, ProjPoint, moebius_from_three
 from sphere_trees.rational import RationalMap
 from sphere_trees.trees import (
     MarkedTree,
@@ -47,6 +53,21 @@ LINF = LaurentPoint.make(LaurentPoly.constant(gr(1)), LaurentPoly.make([]))
 
 def lpoly(terms) -> LaurentPoint:
     return LaurentPoint.from_poly(LaurentPoly.make(terms))
+
+
+def cross_ratio(p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint, p: ProjPoint) -> ProjPoint:
+    """Oracle: the image of p under the chart normalizing (p0, p1, pinf) to (0, 1, inf)."""
+    return moebius_from_three(p0, p1, pinf).apply(p)
+
+
+def laurent_cross_ratio(p0: LaurentPoint, p1: LaurentPoint, pinf: LaurentPoint,
+                        p: LaurentPoint) -> LaurentPoint:
+    """Oracle: the homogeneous cross-ratio ((p-p0)(p1-pinf) : (p-pinf)(p1-p0)),
+    every Laurent term of it."""
+    return LaurentPoint.make(
+        laurent_bracket(p, p0) * laurent_bracket(p1, pinf),
+        laurent_bracket(p, pinf) * laurent_bracket(p1, p0),
+    )
 
 
 # a pool of distinct exact points with small numerators and denominators

@@ -254,3 +254,87 @@ def test_map_vanishing_at_every_sample_eps_is_invalid(tmp_path):
     assert code == 1 and json.loads(out)["error"] == "InvalidFamily"
     code, out, _ = run_main("validate", path)
     assert code == 0 and json.loads(out)["violations"][0].startswith("InvalidFamily:")
+
+
+# ---------------------------------------------------------------------------
+# internal vertex keys have one spelling, and labels are strings
+
+OTHER_SPELLINGS = ["#00", "#+0", "# 0", "#0_0", "#-0", "#0 ", "#٠"]
+
+
+@pytest.mark.parametrize("spelling", OTHER_SPELLINGS)
+@pytest.mark.parametrize("name, where", [
+    ("two_vertex_spheres.json", ["marking"]),
+    ("two_vertex_spheres.json", ["marking", "#1"]),
+    ("cover_z2.json", ["vertex_map"]),
+    ("cover_z2.json", ["maps"]),
+    ("cover_z2.json", ["source", "marking"]),
+], ids=["marking", "marking-row", "vertex-map", "maps", "cover-source-marking"])
+def test_vertex_key_spelled_twice_is_schema_error(tmp_path, name, where, spelling):
+    # the spelling used to parse to vertex 0 as well, so the later of the two
+    # rows silently replaced the earlier one
+    blob = json.loads((DATA_DIR / name).read_text())
+    table = blob
+    for key in where:
+        table = table[key]
+    table[spelling] = copy.deepcopy(table["#0"])
+    code, out, err = run_main("validate", write(tmp_path, blob))
+    assert (code, out) == (2, "") and err.startswith("schema error:")
+    assert repr(spelling) in err
+
+
+@pytest.mark.parametrize("spelling", OTHER_SPELLINGS)
+def test_vertex_key_spelled_otherwise_is_schema_error(tmp_path, spelling):
+    blob = json.loads((DATA_DIR / "cover_z2.json").read_text())
+    blob["vertex_map"]["#0"] = spelling
+    code, out, err = run_main("validate", write(tmp_path, blob))
+    assert (code, out) == (2, "") and repr(spelling) in err
+    with pytest.raises(SchemaError, match="internal vertex keys are '#<id>'"):
+        ser.vertex_from_key(spelling)
+
+
+def test_negative_vertex_ids_keep_their_keys(tmp_path):
+    text = (DATA_DIR / "two_vertex_spheres.json").read_text()
+    blob = json.loads(text)
+    blob["internal"] = [0, -1]
+    blob["edges"] = [[-1 if v == 1 else v for v in e] for e in blob["edges"]]
+    blob["marking"]["#-1"] = blob["marking"].pop("#1")
+    blob["marking"]["#0"]["#-1"] = blob["marking"]["#0"].pop("#1")
+    assert ser.vertex_from_key("#-1") == -1 and ser.vertex_to_key(-1) == "#-1"
+    t = ser.tree_of_spheres_from_json(blob)
+    assert t.shape.internal == {0, -1}
+    dumped = ser.canonical_dumps(ser.tree_of_spheres_to_json(t))
+    assert '"#-1"' in dumped and ser.tree_of_spheres_from_json(json.loads(dumped)) == t
+    code, out, _ = run_main("validate", write(tmp_path, blob))
+    assert code == 0 and json.loads(out) == {"ok": True}
+    code, out, _ = run_main("iso", write(tmp_path, blob), data("two_vertex_spheres.json"))
+    assert code == 0 and json.loads(out)["isomorphic"] is True
+
+
+@pytest.mark.parametrize("label", [1, 1.5, None, True, ["1"], {"1": 1}])
+def test_non_string_label_is_schema_error(tmp_path, label):
+    blob = json.loads((DATA_DIR / "two_vertex_spheres.json").read_text())
+    blob["leaves"] = [label if x == "1" else x for x in blob["leaves"]]
+    blob["edges"] = [[label if v == "1" else v for v in e] for e in blob["edges"]]
+    path = write(tmp_path, blob)
+    for args in (["validate", path], ["embed", path], ["iso", path, path],
+                 ["project", path, "--labels", "2,3,4"]):
+        code, out, err = run_main(*args)
+        assert (code, out) == (2, "") and err.startswith("schema error:"), args
+    # a portrait's "Y" and "Z" used to go unread, so any value passed
+    for key in ("Y", "Z"):
+        portrait = json.loads((DATA_DIR / "portrait_z2.json").read_text())
+        portrait[key][0] = label
+        code, out, err = run_main("validate", write(tmp_path, portrait))
+        assert (code, out) == (2, "") and err.startswith("schema error:"), key
+
+
+@pytest.mark.parametrize("key, value", [
+    ("Y", ["a0", "a1", "a2"]), ("Y", ["a0", "a1", "a2", "a3", "a9"]), ("Z", ["b0", "b1"]),
+    ("Z", ["b0", "b1", "b2", "b2"]),
+], ids=["Y-short", "Y-extra", "Z-short", "Z-repeated"])
+def test_portrait_label_lists_match_its_map(tmp_path, key, value):
+    portrait = json.loads((DATA_DIR / "portrait_z2.json").read_text())
+    portrait[key] = value
+    code, out, err = run_main("validate", write(tmp_path, portrait))
+    assert (code, out) == (2, "") and "'Y' and 'Z' must list exactly" in err

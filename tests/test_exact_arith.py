@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from conftest import (
     INF,
     TWISTS,
+    cross_ratio,
+    laurent_cross_ratio,
     pt,
     random_gaussian,
     random_laurent,
@@ -32,11 +34,10 @@ from sphere_trees.laurent import (
     LaurentPoly,
     bracket_lead,
     laurent_bracket,
-    laurent_cross_ratio,
     laurent_leading_value,
     laurent_points_equal,
 )
-from sphere_trees.projective import Moebius, ProjPoint, cross_ratio, moebius_from_three
+from sphere_trees.projective import Moebius, ProjPoint, moebius_from_three
 from sphere_trees.rational import (
     Polynomial,
     RationalMap,

@@ -305,7 +305,8 @@ class TestLimitTree:
         """The oracle: every embedding value of the limit tree is the leading
         value of the full Laurent cross-ratio of that quadruple."""
         from itertools import permutations
-        from sphere_trees.laurent import laurent_cross_ratio, laurent_leading_value
+        from conftest import laurent_cross_ratio
+        from sphere_trees.laurent import laurent_leading_value
         values = embed(limit_tree(fam)).mapping
         paths = dict(fam.paths)
         for triple in permutations(sorted(paths), 3):

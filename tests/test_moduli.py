@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,12 @@ from sphere_trees.moduli import (
     t_chart,
     twist,
 )
-from sphere_trees.trees import MarkedTree, neighbors, partition_at
+from sphere_trees.trees import (
+    MarkedTree,
+    neighbors,
+    partition_at,
+    representative_triple,
+)
 
 
 @pytest.fixture
@@ -97,7 +103,8 @@ class TestMarkedSphere:
         assert marking_dict(two_vertex, 0) == {"1": pt(0), "2": pt(1), "3": INF, "4": INF}
         fresh = TreeOfSpheres(MarkedTree(shape.leaves, shape.internal, shape.edges),
                               two_vertex.marking)
-        assert fresh._markings is None and fresh.shape._adjacency is None
+        assert fresh._markings is None and fresh._charts is None
+        assert fresh.shape._adjacency is None
         assert fresh.shape._branches is None
         assert fresh == two_vertex and hash(fresh) == hash(two_vertex)
         assert repr(fresh) == repr(two_vertex)
@@ -107,7 +114,10 @@ class TestMarkedSphere:
         assert twin.vm == dict(cover.vertex_map) and twin.map_at(0) == dict(cover.maps)[0]
         assert portrait.f_dict == dict(portrait.fmap)
         assert portrait.deg_dict == dict(portrait.degmap)
-        for obj, names in ((two_vertex, ["_markings"]),
+        canonical_form(two_vertex)
+        assert set(two_vertex._charts) == {0, 1}
+        assert two_vertex == fresh and hash(two_vertex) == hash(fresh)
+        for obj, names in ((two_vertex, ["_markings", "_charts"]),
                            (shape, ["_adjacency", "_branches"]),
                            (cover, ["vm", "_maps"]), (portrait, ["f_dict", "deg_dict"])):
             for name in names:
@@ -186,7 +196,7 @@ class TestEmbed:
 
     def test_single_vertex_is_classical_cross_ratio(self):
         from itertools import permutations
-        from sphere_trees.projective import cross_ratio
+        from conftest import cross_ratio
         points = {"1": pt(Fraction(1, 3)), "2": pt(-2), "3": pt(0, 1), "4": INF}
         t = sphere_as_tree(MarkedSphere.make(points))
         e = embed(t)
@@ -271,6 +281,109 @@ class TestIsoOracles:
                     assert verdict
                 verdicts.append(verdict)
         assert True in verdicts and False in verdicts
+
+
+def oracle_iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres):
+    """iso_of_spheres as it was before the chart table: both vertex charts
+    of each vertex pair are built afresh on every call."""
+    parts1 = {v: partition_at(t1.shape, v) for v in t1.shape.internal}
+    parts2 = {partition_at(t2.shape, v): v for v in t2.shape.internal}
+    if frozenset(parts1.values()) != frozenset(parts2):
+        return None
+    vmap: dict = {x: x for x in t1.labels} | {v: parts2[p] for v, p in parts1.items()}
+    mmap: dict = {}
+    for v1, p in parts1.items():
+        v2 = vmap[v1]
+        triple = representative_triple(p)
+        iso = (moduli.vertex_chart(t2, v2, triple).inverse()
+               .compose(moduli.vertex_chart(t1, v1, triple)))
+        row2 = t2.edge_points(v2)
+        if any(iso.apply(q) != row2[vmap[n]] for n, q in t1.edge_points(v1).items()):
+            return None
+        mmap[v1] = iso
+    return vmap, mmap
+
+
+def _classify_item(n: int, rng: random.Random) -> list:
+    """A tree, two Moebius twists of it and a fresh marking of its shape."""
+    base = random_marking(random_stable_shape(n, rng), rng)
+    return [base] + [twist(base, {v: random_moebius(rng) for v in base.shape.internal})
+                     for _ in range(2)] + [random_marking(base.shape, rng)]
+
+
+class TestChartTable:
+    """canonical_form and iso_of_spheres read one chart table per tree."""
+
+    @pytest.fixture
+    def chart_calls(self, monkeypatch):
+        calls = Counter()
+        real = moduli.vertex_chart
+
+        def counted(t, v, triple):
+            calls[id(t), v] += 1
+            return real(t, v, triple)
+        monkeypatch.setattr(moduli, "vertex_chart", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [4, 7, 10, 13])
+    def test_each_vertex_is_charted_once(self, chart_calls, n):
+        rng = random.Random(7300 + n)
+        for _ in range(3):
+            trees = _classify_item(n, rng)
+            canon = [canonical_form(t) for t in trees]
+            verdicts = [spheres_iso(trees[0], t) for t in trees[1:]]
+            assert verdicts[:2] == [True, True]
+            assert verdicts == [canon[0] == c for c in canon[1:]]
+            assert chart_calls == Counter({(id(t), v): 1 for t in trees
+                                           for v in t.shape.internal})
+            chart_calls.clear()
+
+    def test_table_holds_partition_and_representative_chart(self):
+        rng = random.Random(7400)
+        for t in _classify_item(9, rng):
+            table = moduli.vertex_charts(t)
+            assert table is moduli.vertex_charts(t)
+            for v in t.shape.internal:
+                p = partition_at(t.shape, v)
+                assert table[v] == (p, moduli.vertex_chart(t, v, representative_triple(p)))
+            with pytest.raises(TypeError):
+                table[0] = table[min(t.shape.internal)]
+
+    def test_partition_mismatch_builds_no_chart(self, monkeypatch, two_vertex):
+        def refuse(t, v, triple):
+            raise AssertionError("a chart was built for trees of different shapes")
+        monkeypatch.setattr(moduli, "vertex_chart", refuse)
+        shape = MarkedTree.make(["1", "2", "3", "4"], [0, 1],
+                                [("1", 0), ("3", 0), (0, 1), ("2", 1), ("4", 1)])
+        other = TreeOfSpheres.make(shape, {
+            0: {"1": pt(0), "3": pt(1), 1: INF},
+            1: {"2": pt(0), "4": pt(1), 0: INF},
+        })
+        assert iso_of_spheres(two_vertex, other) is None
+        assert not spheres_iso(other, two_vertex)
+        assert two_vertex._charts is None and other._charts is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_witness_matches_the_old_iso(self, seed):
+        rng = random.Random(7500 + seed)
+        seen = Counter()
+        for n in range(4, 17):
+            shape = random_stable_shape(n, rng)
+            a = random_marking(shape, rng)
+            others = [
+                twist(a, {v: random_moebius(rng) for v in a.shape.internal}),
+                _remark_one_vertex(a, rng),
+                random_marking(shape, rng),
+                random_marking(random_stable_shape(n, rng), rng),
+            ]
+            for b in others:
+                if rng.random() < 0.5:  # the tables may already be filled
+                    canonical_form(a), canonical_form(b)
+                got = iso_of_spheres(a, b)
+                assert got == oracle_iso_of_spheres(a, b)
+                assert (iso_of_spheres(b, a) is None) == (got is None)
+                seen[got is not None] += 1
+        assert seen[True] and seen[False]
 
 
 def _share_labels(cover: TreeCover) -> TreeCover:

@@ -18,6 +18,7 @@ GOLDEN = SCRIPTS.parent / "tests" / "golden"
     ["degeneration_census.py", "5", "1"],
     ["numeric_envelope.py", "5,7", "2"],
     ["cover_envelope.py", "10", "1"],
+    ["classify_envelope.py", "16", "1"],
 ])
 def test_script_runs(args):
     r = subprocess.run([sys.executable, str(SCRIPTS / args[0]), *args[1:]],
@@ -44,6 +45,18 @@ def test_cover_envelope_digests_are_pinned():
     assert r.returncode == 0, r.stderr
     rows = [" ".join(line.split()[i] for i in (0, 1, 2, 5, 8)) for line in r.stdout.splitlines()[1:]]
     assert rows == (GOLDEN / "scripts_cover_envelope.sha").read_text().splitlines()
+
+
+def test_classify_envelope_digests_are_pinned():
+    # byte identity of parse, canonical_form, spheres_iso, project and the canonical dump
+    # up to 64 labels: the columns n and sha256; rewrite with `python3
+    # scripts/classify_envelope.py 64 5 | awk 'NR > 1 {print $1, $7}' >
+    # tests/golden/scripts_classify_envelope.sha`
+    r = subprocess.run([sys.executable, str(SCRIPTS / "classify_envelope.py"), "64", "5"],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    rows = [" ".join(line.split()[i] for i in (0, 6)) for line in r.stdout.splitlines()[1:]]
+    assert rows == (GOLDEN / "scripts_classify_envelope.sha").read_text().splitlines()
 
 
 def test_make_examples_regenerates_data(tmp_path):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import enum
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    DATA_DIR,
     INF,
     degenerate_family_two_vertex,
     lconst,
@@ -18,7 +22,7 @@ from conftest import (
 from sphere_trees import serialize as ser
 from sphere_trees.dynamics import DynSystem, dyn_membership
 from sphere_trees.errors import SchemaError
-from sphere_trees.gaussian import gr
+from sphere_trees.gaussian import GaussianRational, gr
 from sphere_trees.limits import LaurentFamily
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres
 from sphere_trees.trees import MarkedTree
@@ -187,3 +191,182 @@ class TestCanonical:
     def test_marked_sphere_round_trip(self):
         s = MarkedSphere.make({"1": pt(0), "2": pt(1), "3": INF})
         assert ser.marked_sphere_from_json(ser.marked_sphere_to_json(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# the one-pass writer and the direct scalar parser against their oracles
+
+
+def oracle_dumps(payload) -> str:
+    """The canonical form canonical_dumps must reproduce byte for byte."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# strings full of what needs escaping: quotes, backslashes, control
+# characters, separators JSON leaves alone, and non-ASCII text
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028#@é—😀'),
+                         st.characters()), max_size=6)
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 0.0, 1e300, -1e300, 5e-324, float("nan"), float("inf"), float("-inf")]))
+INTS = st.one_of(st.integers(), st.integers(-10 ** 400, 10 ** 400))
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, TEXT)
+KEYS = st.one_of(TEXT, st.integers(), st.booleans(), st.none(), FLOATS)
+PAYLOADS = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(TEXT, inner, max_size=4),
+    st.dictionaries(st.one_of(st.integers(), st.booleans()), inner, max_size=3),
+    st.dictionaries(KEYS, inner, max_size=3),  # mixed key types may not sort
+), max_leaves=24)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Ratio(float):
+    def __repr__(self) -> str:
+        return "Ratio()"
+
+
+class TestCanonicalDumps:
+    @settings(max_examples=400, deadline=None)
+    @given(PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert outcome(ser.canonical_dumps, payload) == outcome(oracle_dumps, payload)
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), "", {"": []}, [{}], {"a": {}, "b": [[], {}]},
+        {"é\"\\\n\x01": "\x1f\u2028😀", "x": ["\t", "\\"]},
+        [10 ** 300, -(10 ** 300), True, False, None],
+        [-0.0, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")],
+        {1: "a", True: "b", 2: None}, {None: 1}, {False: 0, -3: 1}, {1.5: 0, -0.0: 1},
+        {"k": (1, (2, [3]))},
+        # subclasses print as their base type, whatever their own repr
+        [Level.HIGH, {Level.HIGH: Level.LOW}, Ratio(0.5), {Ratio(2.5): "x"}],
+    ])
+    def test_pinned_cases(self, payload):
+        assert ser.canonical_dumps(payload) == oracle_dumps(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"a": object()}, [1, {2}], {(1, 2): 0}, {"a": 1, 2: 3}, {None: 0, 1: 1},
+        [10 ** 5000],
+    ])
+    def test_errors_match_json_dumps(self, payload):
+        expected = outcome(oracle_dumps, payload)
+        assert isinstance(expected, tuple) and outcome(ser.canonical_dumps, payload) == expected
+
+    def test_shipped_data_round_trips_to_its_bytes(self):
+        writers = {
+            "tree": (ser.tree_from_json, ser.tree_to_json),
+            "tree_of_spheres": (ser.tree_of_spheres_from_json, ser.tree_of_spheres_to_json),
+            "portrait": (ser.portrait_from_json, ser.portrait_to_json),
+            "cover": (ser.cover_from_json, ser.cover_to_json),
+            "dyn": (ser.dyn_from_json, ser.dyn_to_json),
+            "family": (ser.family_from_json, ser.family_to_json),
+            "cover_family": (ser.cover_family_from_json, ser.cover_family_to_json),
+        }
+        kinds, skipped = set(), set()
+        for path in sorted(DATA_DIR.glob("*.json")):
+            text = path.read_text(encoding="utf-8")
+            kind = ser.detect_kind(json.loads(text))
+            if kind not in writers:
+                skipped.add(kind)
+                continue
+            parse, write = writers[kind]
+            assert ser.canonical_dumps(write(parse(json.loads(text)))) == text, path.name
+            kinds.add(kind)
+        assert kinds == set(writers) and skipped == {"numeric"}  # a sequence has no writer
+
+
+def oracle_complex(obj) -> GaussianRational:
+    """The Fraction route complex_from_json takes for every scalar before its fast path."""
+    return GaussianRational(ser.fraction_from_json(obj["re"]), ser.fraction_from_json(obj["im"]))
+
+
+def parsed(f, obj):
+    try:
+        return f(obj)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+NON_ASCII_DIGITS = {d: chr(0x0660 + int(d)) for d in "0123456789"}  # Arabic-Indic
+
+
+@st.composite
+def scalar_spellings(draw):
+    """Canonical "n/d" strings, the same values spelled otherwise, and non-strings."""
+    kind = draw(st.sampled_from(["canonical"] * 4 + ["spelled", "special", "json"]))
+    if kind == "json":
+        return draw(st.one_of(st.integers(-10 ** 30, 10 ** 30), st.booleans(), st.none(),
+                              st.floats(), st.sampled_from([0.5, -2.0, 1e300]),
+                              st.lists(st.integers(), max_size=2)))
+    if kind == "special":
+        return draw(st.sampled_from([
+            "", "/", "-", "+", "1/", "/2", "-/2", "1/0", "0/0", "-5/0", "1/2/3", "1//2",
+            "1/-2", "--1/2", "1.5", "1e3", "1/2.0", "0x10/1", "nan", "inf",
+            "1" * 5000 + "/1", "1/" + "7" * 5000, "-" + "9" * 5000 + "/3", "1" * 4300 + "/1",
+        ]))
+    n = draw(st.integers(-10 ** 40, 10 ** 40))
+    d = draw(st.one_of(st.integers(1, 10 ** 40), st.just(0)))
+    text = f"{n}/{d}"
+    if kind == "spelled":
+        if draw(st.booleans()):
+            text = str(n)
+        if draw(st.booleans()) and n >= 0:
+            text = "+" + text
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + "_" + text[i:]
+        if draw(st.booleans()):
+            text = "".join(NON_ASCII_DIGITS.get(c, c) if draw(st.booleans()) else c
+                           for c in text)
+        if draw(st.booleans()):
+            text = draw(st.sampled_from([" ", "\t", "\n"])) + text + " "
+    return text
+
+
+class TestComplexFromJson:
+    @settings(max_examples=400, deadline=None)
+    @given(scalar_spellings(), scalar_spellings())
+    def test_matches_the_fraction_route(self, re, im):
+        obj = {"re": re, "im": im}
+        got, expected = parsed(ser.complex_from_json, obj), parsed(oracle_complex, obj)
+        assert got == expected
+        if isinstance(got, GaussianRational):
+            assert (got.a, got.b, got.c) == (expected.a, expected.b, expected.c)
+
+    @pytest.mark.parametrize("re, im", [
+        ("3/6", "-4/8"), ("-0/5", "7/1"), ("0/1", "0/1"), ("12/18", "1/3"), ("5", "-2/4"),
+    ])
+    def test_canonical_strings_skip_the_fraction_route(self, re, im, monkeypatch):
+        expected = oracle_complex({"re": re, "im": im})
+
+        def refuse(s):
+            raise AssertionError(f"{s!r} took the Fraction route")
+        monkeypatch.setattr(ser, "fraction_from_json", refuse)
+        if "/" not in re:
+            with pytest.raises(AssertionError, match="took the Fraction route"):
+                ser.complex_from_json({"re": re, "im": im})
+            return
+        got = ser.complex_from_json({"re": re, "im": im})
+        assert (got.a, got.b, got.c) == (expected.a, expected.b, expected.c)
+
+    @pytest.mark.parametrize("obj", [
+        {"re": "1/0", "im": "0/1"}, {"re": "0/1", "im": "1/2/3"}, {"re": None, "im": "0/1"},
+        {"re": "1" * 5000 + "/1", "im": "0/1"}, {"re": "x", "im": "y"},
+    ])
+    def test_bad_scalar_names_the_first_bad_part(self, obj):
+        with pytest.raises(SchemaError) as info:
+            ser.complex_from_json(obj)
+        assert parsed(oracle_complex, obj) == f"SchemaError: {info.value}"
