@@ -282,8 +282,7 @@ def rational_from_divisors(zeros: Iterable[ProjPoint], poles: Iterable[ProjPoint
                                   witness=[str(p) for p in set(zeros) & set(poles)])
     if unit_point in zeros or unit_point in poles:
         raise UnitOnDivisor("normalization point lies on the divisor")
-    num = Polynomial.constant(GR_ONE)
-    den = Polynomial.constant(GR_ONE)
+    num = den = Polynomial.make([GR_ONE])
     for p in zeros:
         if not p.is_infinity():
             num = num * Polynomial.make([-p.to_affine(), GR_ONE])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rationalish = Union[int, Fraction, str]
 
@@ -106,20 +106,14 @@ class GaussianRational:
         return sum_of_products((1, x, y) for x, y in pairs)
 
     def inverse(self) -> "GaussianRational":
-        n = self.a * self.a + self.b * self.b
-        if n == 0:
+        if self.is_zero():
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational._raw(self.a * self.c, -self.b * self.c, n)
+        return quotient(1, 0, 1, self.a, self.b, self.c)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.a * other.a + other.b * other.b
-        if n == 0:
+        if other.is_zero():
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational._raw(
-            (self.a * other.a + self.b * other.b) * other.c,
-            (self.b * other.a - self.a * other.b) * other.c,
-            self.c * n,
-        )
+        return quotient(self.a, self.b, self.c, other.a, other.b, other.c)
 
     def to_complex(self) -> complex:
         return complex(self.a / self.c, self.b / self.c)
@@ -143,7 +137,6 @@ _set_a, _set_b, _set_c = (GaussianRational.__dict__[name].__set__ for name in "a
 
 GR_ZERO = GaussianRational(0, 0)
 GR_ONE = GaussianRational(1, 0)
-GR_I = GaussianRational(0, 1)
 
 
 def gr(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
@@ -158,3 +151,37 @@ def sum_of_products(terms: Iterable[tuple[int, GaussianRational, GaussianRationa
         z = x.c * y.c
         a, b, c = a * z + k * (x.a * y.a - x.b * y.b) * c, b * z + k * (x.a * y.b + x.b * y.a) * c, c * z
     return GaussianRational._raw(a, b, c)
+
+
+# Unreduced triples (a, b, c) = (a + b i)/c: no gcd between steps, one at the end of a chain.
+def triples(xs: Iterable[GaussianRational]) -> list[tuple]:
+    return [(x.a, x.b, x.c) for x in xs]
+
+
+def reduced(t: tuple) -> tuple:
+    g = gcd(*t)
+    return t[0] // g, t[1] // g, t[2] // g
+
+
+def sub_product(x: GaussianRational, s: GaussianRational, y: GaussianRational) -> tuple:
+    """x - s * y as a triple."""
+    return (x.a * s.c * y.c - (s.a * y.a - s.b * y.b) * x.c,
+            x.b * s.c * y.c - (s.a * y.b + s.b * y.a) * x.c, x.c * s.c * y.c)
+
+
+def quotient(xa: int, xb: int, xc: int, ya: int, yb: int, yc: int) -> GaussianRational:
+    """The triple x over the nonzero triple y, reduced once."""
+    return GaussianRational._raw((xa * ya + xb * yb) * yc, (xb * ya - xa * yb) * yc,
+                                 xc * (ya * ya + yb * yb))
+
+
+def horner(coeffs: Sequence[tuple], ra: int, rb: int, rc: int) -> list[tuple]:
+    """Running sums of Horner's rule at r = (ra + rb i)/rc on triples, coeffs ascending:
+    the last is the value at r, the others the quotient by (z - r), top first."""
+    a, b, c = coeffs[-1]
+    sums = [(a, b, c)]
+    for xa, xb, xc in reversed(coeffs[:-1]):
+        pc = c * rc
+        a, b, c = (a * ra - b * rb) * xc + xa * pc, (a * rb + b * ra) * xc + xb * pc, pc * xc
+        sums.append((a, b, c))
+    return sums

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateTriple
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, Rationalish, gr
+from .gaussian import GR_ONE, GR_ZERO, GaussianRational, Rationalish, gr, horner, quotient, triples
 
 
 @dataclass(frozen=True, slots=True)
@@ -21,9 +21,14 @@ class ProjPoint:
 
     @classmethod
     def make(cls, u: GaussianRational, v: GaussianRational) -> "ProjPoint":
-        if not v.is_zero():
-            return cls(u / v, GR_ONE)
-        if not u.is_zero():
+        return cls.ratio((u.a, u.b, u.c), (v.a, v.b, v.c))
+
+    @classmethod
+    def ratio(cls, num: tuple, den: tuple) -> "ProjPoint":
+        """(num : den) for unreduced triples (a, b, c) = (a + b i) / c, reduced once."""
+        if den[0] or den[1]:
+            return cls(quotient(*num, *den), GR_ONE)
+        if num[0] or num[1]:
             return cls(GR_ONE, GR_ZERO)
         raise ValueError("(0 : 0) is not a projective point")
 
@@ -86,7 +91,12 @@ class Moebius:
         return cls.make(GR_ONE, GR_ZERO, GR_ZERO, GR_ONE)
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint.make(self.a * p.u + self.b * p.v, self.c * p.u + self.d * p.v)
+        """(a u + b v : c u + d v), reduced once; at a finite u, `horner` on (b, a) and (d, c)."""
+        if p.is_infinity():
+            return ProjPoint.make(self.a, self.c)
+        r = p.u
+        return ProjPoint.ratio(*(horner(triples(pair), r.a, r.b, r.c)[-1]
+                                 for pair in ((self.b, self.a), (self.d, self.c))))
 
     def __call__(self, p: ProjPoint) -> ProjPoint:
         return self.apply(p)

@@ -2,8 +2,8 @@
 
 Rational maps are stored reduced (numerator and denominator coprime via the
 exact Euclidean gcd) and scaled so the denominator is monic, which makes
-equality structural.  Local degrees are computed by exact root
-multiplicities, never by root isolation.
+equality structural.  Images and local degrees (exact root multiplicities, never
+root isolation) come from Horner's rule on unreduced triples, one gcd per image.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
 
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational
+from .gaussian import GR_ONE, GR_ZERO, GaussianRational, horner, reduced, sub_product, triples
 from .projective import Moebius, ProjPoint
 
 
@@ -29,10 +29,6 @@ class Polynomial:
             cs.pop()
         return cls(tuple(cs))
 
-    @classmethod
-    def constant(cls, c: GaussianRational) -> "Polynomial":
-        return cls.make([c])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -45,21 +41,6 @@ class Polynomial:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else GR_ZERO
-            b = other.coeffs[i] if i < len(other.coeffs) else GR_ZERO
-            out.append(a + b)
-        return Polynomial.make(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.make(poly_mul(self.coeffs, other.coeffs, GR_ZERO))
@@ -87,10 +68,9 @@ class Polynomial:
         """Monic greatest common divisor."""
         a, b = self, other
         while not b.is_zero():
+            b = b.scale(b.leading().inverse())  # monic divisors keep the remainders small
             a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(a.leading().inverse())
+        return a if a.is_zero() else a.scale(a.leading().inverse())
 
     def evaluate(self, x: GaussianRational) -> GaussianRational:
         acc = GR_ZERO
@@ -98,17 +78,18 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def root_multiplicity(self, r: GaussianRational) -> int:
-        """Exact multiplicity of r as a root (0 when not a root)."""
-        linear = Polynomial.make([-r, GR_ONE])
-        p, mult = self, 0
-        while not p.is_zero():
-            quo, rem = p.divmod(linear)
-            if not rem.is_zero():
-                break
-            mult += 1
-            p = quo
-        return mult
+
+def root_multiplicity(g: list[tuple], r: GaussianRational) -> int:
+    """Multiplicity of r as a root of g, triples with a nonzero last entry (0 when not a root).
+    Quotients by (z - r) after the first are reduced before the next division: left
+    unreduced, the k-th quotient's entries would grow binomially in k."""
+    mult = 0
+    while len(g) > 1:
+        *quo, (a, b, _) = horner(g, r.a, r.b, r.c)
+        if a or b:
+            break
+        mult, g = mult + 1, [reduced(t) for t in reversed(quo)] if mult else quo[::-1]
+    return mult
 
 
 # The homogeneous-polynomial kernel.  Coefficient lists ascend by exponent with
@@ -204,8 +185,14 @@ class RationalMap:
         return self.degree == 0
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint.make(*hom_apply(self.num.coeffs, self.den.coeffs, p.u, p.v,
-                                         GR_ZERO, GR_ONE))
+        """(num_d : den_d) at infinity, d the longer degree, else (num(u) : den(u)) by
+        `horner`: only `ProjPoint.make`, `ratio`, `of` and `infinity` build points, so v = 1."""
+        num, den = self.num.coeffs, self.den.coeffs
+        if p.is_infinity():
+            return ProjPoint.make(*list(zip_longest(num, den, fillvalue=GR_ZERO))[-1])
+        r = p.u
+        return ProjPoint.ratio(horner(triples(num), r.a, r.b, r.c)[-1] if num else (0, 0, 1),
+                               horner(triples(den), r.a, r.b, r.c)[-1])
 
     def __call__(self, p: ProjPoint) -> ProjPoint:
         return self.apply(p)
@@ -225,15 +212,19 @@ def local_degree(f: RationalMap, p: ProjPoint, q: ProjPoint | None = None) -> in
     """Multiplicity of p in the fiber of f over q = f(p), computed unless given.
 
     g = q.v * num - q.u * den carries the fiber: a finite p contributes its root
-    multiplicity in g; the point at infinity contributes deg(f) - deg(g).
+    multiplicity in g; the point at infinity contributes deg(f) - deg(g).  g is
+    built on unreduced triples, den or num - q.u * den, and no point is reduced.
     """
     if f.is_constant():
         raise ValueError("local degree of a constant map is undefined")
     if q is None:
         q = f.apply(p)
-    g = f.num.scale(q.v) - f.den.scale(q.u)
-    if g.is_zero():  # pragma: no cover - impossible for reduced nonconstant maps
+    g = triples(f.den.coeffs) if q.is_infinity() else [
+        sub_product(n, q.u, d) for n, d in zip_longest(f.num.coeffs, f.den.coeffs, fillvalue=GR_ZERO)]
+    while g and not (g[-1][0] or g[-1][1]):
+        g.pop()
+    if not g:  # pragma: no cover - impossible for reduced nonconstant maps
         raise ValueError("degenerate fiber polynomial")
     if p.is_infinity():
-        return f.degree - g.degree
-    return g.root_multiplicity(p.to_affine())
+        return f.degree - (len(g) - 1)
+    return root_multiplicity(g, p.u)

@@ -37,10 +37,10 @@ from .trees import MarkedTree, Vertex, vertex_key
 # data, the tests and the benchmark stay far below it.
 MAX_EXPONENT = 1000
 
-# Largest coefficient index, that is map degree, a parsed Laurent map may
-# carry.  Parsing allocates one coefficient per index below it and every
-# later step scales with the degree; the shipped data and the benchmark use
-# degree at most 4.
+# Largest coefficient index, that is map degree, a parsed Laurent or exact map
+# may carry.  Every later step grows faster than the degree (reducing an exact
+# map takes seconds at degree 64, minutes at 200); the shipped data and the
+# benchmark use degree at most 4.
 MAX_MAP_DEGREE = 64
 
 
@@ -392,6 +392,8 @@ def rational_map_to_json(f: RationalMap) -> dict:
 
 def rational_map_from_json(obj: Any) -> RationalMap:
     try:
+        if (top := max(len(obj["num"]), len(obj["den"])) - 1) > MAX_MAP_DEGREE:
+            raise SchemaError(f"coefficient index {top} exceeds the bound {MAX_MAP_DEGREE}")
         num = [complex_from_json(c) for c in obj["num"]]
         den = [complex_from_json(c) for c in obj["den"]]
     except (KeyError, TypeError) as exc:

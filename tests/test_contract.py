@@ -5,6 +5,7 @@ The sweep swaps single JSON values of the shipped ``data/`` files for values
 of the wrong type or out of range, or deletes them, and runs every subcommand
 that reads that kind of payload, in-process through ``cli.main``.  The
 regression cases below it pin one input for each crash the sweep used to find.
+Every command run here must also finish within ``CASE_SECONDS``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import contextlib
 import copy
 import io
 import json
+import time
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -31,12 +34,24 @@ ONE = {"re": "1/1", "im": "0/1"}
 ZERO_POINT = {"u": ZERO, "v": ZERO}
 MUTANTS = [None, "x", 0, -1, [], {}, [[0]], ZERO_POINT, float("inf")]
 DELETED = "<deleted>"  # a mutant that removes the key or list item instead
+# Generous: every case here takes milliseconds, a small input that makes the
+# program work for minutes is a finding.
+CASE_SECONDS = 10.0
 
 
 def run_main(*args: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main(args)``, run in-process.
+
+    Records the command's elapsed time and fails it when that exceeds
+    CASE_SECONDS.  The time is read after the command returns, so the bound
+    reports a slow case but cannot stop a hang.
+    """
     out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(args))
+    elapsed = time.perf_counter() - started
+    assert elapsed <= CASE_SECONDS, f"{args} took {elapsed:.1f} s, over {CASE_SECONDS} s"
     return code, out.getvalue(), err.getvalue()
 
 
@@ -219,6 +234,54 @@ def test_embed_above_the_label_bound_is_schema_error(tmp_path):
     assert sizes and max(sizes + [10]) <= cli.MAX_EMBED_LABELS
     code, out, _ = run_main("embed", write(tmp_path, star_of_spheres(6)))
     assert code == 0 and len(json.loads(out)) == 6 * 20 * 6
+
+
+def dense_map(degree: int) -> dict:
+    """num_k = (k + 1)/(k + 2) for k = 0..degree, den = 1 + (1/7 + i) z^(degree - 1)."""
+    def c(re: str, im: str = "0/1") -> dict:
+        return {"re": re, "im": im}
+    return {"num": [c(f"{k + 1}/{k + 2}") for k in range(degree + 1)],
+            "den": [c("1/1")] + [c("0/1")] * (degree - 2) + [c("1/7", "1/1")]}
+
+
+def test_dense_map_of_the_largest_degree_validates(tmp_path):
+    # 4.6 KB; reducing the map once took minutes, when the Euclidean
+    # remainders were not made monic.  run_main bounds the time.
+    blob = json.loads((DATA_DIR / "cover_z2.json").read_text())
+    blob["maps"]["#0"] = dense_map(ser.MAX_MAP_DEGREE)
+    code, out, _ = run_main("validate", write(tmp_path, blob))
+    assert code == 0 and json.loads(out)["ok"] is False
+
+
+def test_root_of_the_largest_multiplicity_validates(tmp_path):
+    # f = 1 + (z - 1/3)^64 and the edge point toward a3 moved to 1/3, over b1 = 1:
+    # its local degree divides by (z - 1/3) 64 times, which ran for minutes
+    # when the quotients were not reduced between divisions.
+    def c(x: Fraction) -> dict:
+        return {"re": f"{x.numerator}/{x.denominator}", "im": "0/1"}
+    d, third = ser.MAX_MAP_DEGREE, Fraction(1, 3)
+    num = [comb(d, k) * (-third) ** (d - k) + (k == 0) for k in range(d + 1)]
+    blob = json.loads((DATA_DIR / "cover_z2.json").read_text())
+    blob["maps"]["#0"] = {"num": [c(x) for x in num], "den": [ONE]}
+    blob["source"]["marking"]["#0"]["a3"]["u"] = c(third)
+    code, out, _ = run_main("validate", write(tmp_path, blob))
+    violations = json.loads(out)["violations"]
+    assert code == 0 and violations
+    # 1/3 carries the whole fibre over b1
+    assert not any("'a3'" in v or "over the point toward 'b1'" in v for v in violations)
+
+
+@pytest.mark.parametrize("side", ["num", "den"])
+@pytest.mark.parametrize("name", ["cover_z2.json", "dyn_z_squared.json"])
+def test_map_above_the_degree_bound_is_schema_error(tmp_path, name, side):
+    blob = json.loads((DATA_DIR / name).read_text())
+    cover = blob.get("cover", blob)
+    # degree MAX_MAP_DEGREE + 1: one entry more than the bound admits
+    cover["maps"]["#0"][side] = [ONE] * (ser.MAX_MAP_DEGREE + 2)
+    for args in commands(ser.detect_kind(blob), name, write(tmp_path, blob)):
+        code, out, err = run_main(*args)
+        assert code == 2 and out == "", args
+        assert f"exceeds the bound {ser.MAX_MAP_DEGREE}" in err, args
 
 
 def test_limit_cover_on_non_object_is_schema_error(tmp_path):

@@ -8,7 +8,7 @@ from itertools import zip_longest
 from math import gcd
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,9 +22,18 @@ from conftest import (
     random_laurent_moebius,
     random_moebius,
 )
-from sphere_trees import laurent
+from sphere_trees import laurent, rational
 from sphere_trees.errors import ConstantLimit, DegenerateTriple, ZeroFamily
-from sphere_trees.gaussian import GR_ONE, GR_ZERO, GaussianRational, gr, sum_of_products
+from sphere_trees.gaussian import (
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    gr,
+    horner,
+    reduced,
+    sum_of_products,
+    triples,
+)
 from sphere_trees.laurent import (
     LP_ONE,
     LP_ZERO,
@@ -179,8 +188,13 @@ class TestPolynomial:
 
     def test_root_multiplicity(self):
         p = Polynomial.make([gr(0), gr(0), gr(1)])  # z^2
-        assert p.root_multiplicity(gr(0)) == 2
-        assert p.root_multiplicity(gr(1)) == 0
+        assert rational.root_multiplicity(triples(p.coeffs), gr(0)) == 2
+        assert rational.root_multiplicity(triples(p.coeffs), gr(1)) == 0
+        # (z - 1/3)^40 (z - 2): each deflation reduces, so the quotients stay small
+        third = gr(Fraction(1, 3))
+        p = Polynomial.make(linear_product([third] * 40 + [gr(2)], GR_ONE))
+        assert rational.root_multiplicity(triples(p.coeffs), third) == 40
+        assert rational.root_multiplicity(triples(p.coeffs), gr(2)) == 1
 
 
 class TestLocalDegree:
@@ -636,3 +650,201 @@ class TestComposedLeadingLimit:
         z = RationalMap.from_coeffs([GR_ZERO, GR_ONE], [GR_ONE])
         half = Moebius.make(GR_ONE, -GR_ONE, GR_ZERO, gr(2))  # (z - 1) / 2
         assert expected == (z if limit == "z" else z.postcompose(half))
+
+
+# ---------------------------------------------------------------------------
+# point evaluation on unreduced triples, against the reduced routes it replaced
+
+
+def oracle_apply(f: RationalMap, p: ProjPoint) -> ProjPoint:
+    return ProjPoint.make(*hom_apply(f.num.coeffs, f.den.coeffs, p.u, p.v, GR_ZERO, GR_ONE))
+
+
+def oracle_root_multiplicity(g: Polynomial, r: GaussianRational) -> int:
+    linear = Polynomial.make([-r, GR_ONE])
+    mult = 0
+    while not g.is_zero():
+        quo, rem = g.divmod(linear)
+        if not rem.is_zero():
+            break
+        mult += 1
+        g = quo
+    return mult
+
+
+def oracle_local_degree(f: RationalMap, p: ProjPoint, q: ProjPoint | None = None) -> int:
+    if f.is_constant():
+        raise ValueError("local degree of a constant map is undefined")
+    if q is None:
+        q = oracle_apply(f, p)
+    g = Polynomial.make([a - b for a, b in zip_longest(
+        f.num.scale(q.v).coeffs, f.den.scale(q.u).coeffs, fillvalue=GR_ZERO)])
+    if p.is_infinity():
+        return f.degree - g.degree
+    return oracle_root_multiplicity(g, p.to_affine())
+
+
+def oracle_moebius_apply(m: Moebius, p: ProjPoint) -> ProjPoint:
+    return ProjPoint.make(m.a * p.u + m.b * p.v, m.c * p.u + m.d * p.v)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+big_parts = st.one_of(st.just(Fraction(0)), fractions,
+                      st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
+big_gaussians = st.builds(GaussianRational, big_parts, big_parts)
+nonzero_big_gaussians = big_gaussians.filter(lambda x: not x.is_zero())
+big_points = st.builds(ProjPoint.of, big_gaussians)
+
+
+def linear_product(roots, lead: GaussianRational) -> list:
+    """lead times the product of (z - r) over the roots, ascending."""
+    out = [lead]
+    for r in roots:
+        out = poly_mul(out, [-r, GR_ONE], GR_ZERO)
+    return out
+
+
+@st.composite
+def maps_with_points(draw):
+    """A map of degree 1-6 and points to evaluate it at: infinity, a random point,
+    and its zeros and poles when it is built from them."""
+    if draw(st.booleans()):
+        num = draw(st.lists(big_gaussians, min_size=1, max_size=7))
+        den = draw(st.lists(big_gaussians, min_size=1, max_size=7))
+        assume(any(not c.is_zero() for c in den))
+        f, divisor = RationalMap.from_coeffs(num, den), []
+    else:
+        zeros = draw(st.lists(big_gaussians, max_size=3))
+        poles = draw(st.lists(big_gaussians, max_size=3))
+        f = RationalMap.from_coeffs(linear_product(zeros, draw(nonzero_big_gaussians)),
+                                    linear_product(poles, GR_ONE))
+        divisor = [ProjPoint.of(x) for x in zeros + poles]
+    assume(not f.is_constant())
+    return f, [INF, draw(big_points)] + divisor
+
+
+class TestTripleEvaluation:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+                              st.integers(1, 10**30)) | st.just((0, 0, 3)), min_size=1, max_size=7),
+           big_gaussians)
+    def test_horner_is_evaluation_and_division(self, coeffs, r):
+        # coeffs may end in a zero, (0, 0, c)
+        g = Polynomial.make([gr(Fraction(a, c), Fraction(b, c)) for a, b, c in coeffs])
+        sums = [gr(Fraction(a, c), Fraction(b, c)) for a, b, c in horner(coeffs, r.a, r.b, r.c)]
+        assert sums[-1] == g.evaluate(r)
+        quo, rem = g.divmod(Polynomial.make([-r, GR_ONE]))
+        assert Polynomial.make(sums[-2::-1]) == quo and Polynomial.make(sums[-1:]) == rem
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30), st.integers(1, 10**30),
+           st.integers(1, 10**6))
+    def test_reduced_is_the_stored_triple(self, a, b, c, k):
+        x = GaussianRational._raw(a, b, c)
+        assert reduced((a * k, b * k, c * k)) == reduced((a, b, c)) == (x.a, x.b, x.c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+                     st.integers(1, 10**30)),
+           st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 10**30)))
+    def test_ratio_is_make(self, num, den):
+        def make(n, d):
+            return ProjPoint.make(*(gr(Fraction(a, c), Fraction(b, c)) for a, b, c in (n, d)))
+        for n, d in ((num, den), (den, num), ((0, 0, 1), den), (num, (0, 0, 7))):
+            assert outcome(ProjPoint.ratio, n, d) == outcome(make, n, d)
+        assert outcome(ProjPoint.ratio, (0, 0, 3), (0, 0, 5)) == \
+            "ValueError: (0 : 0) is not a projective point"
+
+    @settings(max_examples=150, deadline=None)
+    @given(maps_with_points())
+    def test_apply_and_local_degree_match_the_reduced_routes(self, sample):
+        f, points = sample
+        for p in points:
+            q = f.apply(p)
+            assert q == oracle_apply(f, p)
+            assert local_degree(f, p) == oracle_local_degree(f, p)
+            assert local_degree(f, p, q) == oracle_local_degree(f, p, q)
+            assert rational.root_multiplicity(triples(f.num.coeffs), p.u) == \
+                oracle_root_multiplicity(f.num, p.u)
+        constant = RationalMap.from_coeffs([points[1].u], [GR_ONE])
+        assert outcome(local_degree, constant, INF) == outcome(oracle_local_degree, constant, INF)
+
+    @settings(max_examples=150, deadline=None)
+    @given(big_gaussians, nonzero_big_gaussians, st.integers(1, 6), st.data())
+    def test_constructed_multiplicity_and_fibre_sum(self, r, c, k, data):
+        # f = c + (z - r)^k h / g, with h and g nonzero at r: r has multiplicity k over c
+        roots = data.draw(st.lists(big_gaussians, max_size=6 - k))
+        h = linear_product(roots, data.draw(nonzero_big_gaussians))
+        g = data.draw(st.lists(big_gaussians, min_size=1, max_size=7))
+        g_poly = Polynomial.make(g)
+        assume(not g_poly.is_zero() and not g_poly.evaluate(r).is_zero())
+        assume(all(s != r for s in roots))
+        power = linear_product([r] * k, GR_ONE)
+        num = [a + b for a, b in zip_longest(g_poly.scale(c).coeffs, poly_mul(power, h, GR_ZERO),
+                                             fillvalue=GR_ZERO)]
+        f = RationalMap.from_coeffs(num, g_poly.coeffs)
+        assert 1 <= f.degree <= 6
+        over = ProjPoint.of(c)
+        assert f.apply(ProjPoint.of(r)) == over
+        assert local_degree(f, ProjPoint.of(r)) == k == oracle_local_degree(f, ProjPoint.of(r))
+        # the fibre over c lies in {r, roots, infinity}; points off it count 0
+        fibre = {ProjPoint.of(x) for x in [r] + roots} | {INF}
+        degrees = [local_degree(f, p, over) for p in fibre]
+        assert degrees == [oracle_local_degree(f, p, over) for p in fibre]
+        assert sum(degrees) == f.degree
+
+    @settings(max_examples=100, deadline=None)
+    @given(big_gaussians, big_gaussians, big_gaussians, big_gaussians, big_points)
+    def test_moebius_apply_matches_the_reduced_route(self, a, b, c, d, p):
+        assume(not (a * d - b * c).is_zero())
+        m = Moebius.make(a, b, c, d)
+        # infinity, a random point, the pole and the zero of m
+        for x in (INF, p, ProjPoint.make(-m.d, m.c), ProjPoint.make(-m.b, m.a)):
+            assert m.apply(x) == oracle_moebius_apply(m, x)
+
+
+class TestOneReductionPerPoint:
+    """Images and local degrees reduce once per returned point and never divide
+    polynomials or run the homogeneous kernel."""
+
+    def test_reductions_per_call(self, monkeypatch):
+        rng = random.Random(8)
+        calls = {"_raw": 0, "divmod": 0, "hom_apply": 0}
+        raw, divmod_, hom = GaussianRational._raw.__func__, Polynomial.divmod, rational.hom_apply
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        maps = []
+        while len(maps) < 30:
+            f = RationalMap.from_coeffs(random_coeffs(rng, random_gaussian, GR_ZERO) or [GR_ZERO],
+                                        random_coeffs(rng, random_gaussian, GR_ZERO) or [GR_ONE])
+            if not f.is_constant():
+                maps.append(f)
+        moebii = [random_moebius(rng) for _ in range(10)]
+        points = [INF, pt(0), pt(1)] + [ProjPoint.of(random_gaussian(rng)) for _ in range(10)]
+        images = {(f, p): f.apply(p) for f in maps for p in points}
+        monkeypatch.setattr(GaussianRational, "_raw", classmethod(counting("_raw", raw)))
+        monkeypatch.setattr(Polynomial, "divmod", counting("divmod", divmod_))
+        monkeypatch.setattr(rational, "hom_apply", counting("hom_apply", hom))
+        for (f, p), q in images.items():
+            for fn, args, most in ((f.apply, (p,), 1), (local_degree, (f, p, q), 0),
+                                   (local_degree, (f, p), 1)):
+                calls.update(_raw=0)
+                fn(*args)
+                assert calls["_raw"] <= most, (fn, f, p)
+        for m in moebii:
+            for p in points:
+                calls.update(_raw=0)
+                m.apply(p)
+                assert calls["_raw"] <= 1, (m, p)
+        assert calls["divmod"] == calls["hom_apply"] == 0

@@ -47,6 +47,18 @@ def test_cover_envelope_digests_are_pinned():
     assert rows == (GOLDEN / "scripts_cover_envelope.sha").read_text().splitlines()
 
 
+def test_cover_envelope_step_digests_are_pinned():
+    # byte identity of what follows limit_cover (portrait, reconstruction, validation and
+    # dynamical membership), plain and eps-twisted: the columns d, labels, pattern and both
+    # step digests; rewrite with `python3 scripts/cover_envelope.py 18 2 |
+    # awk 'NR > 1 {print $1, $2, $3, $10, $11}' > tests/golden/scripts_cover_envelope_steps.sha`
+    r = subprocess.run([sys.executable, str(SCRIPTS / "cover_envelope.py"), "18", "2"],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    rows = [" ".join(line.split()[i] for i in (0, 1, 2, 9, 10)) for line in r.stdout.splitlines()[1:]]
+    assert rows == (GOLDEN / "scripts_cover_envelope_steps.sha").read_text().splitlines()
+
+
 def test_classify_envelope_digests_are_pinned():
     # byte identity of parse, canonical_form, spheres_iso, project and the canonical dump
     # up to 64 labels: the columns n and sha256; rewrite with `python3
