@@ -20,10 +20,11 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from sphere_trees.errors import CollisionAtEpsilon
 from sphere_trees.gaussian import gr
 from sphere_trees.limits import limit_tree
 from sphere_trees.moduli import TreeOfSpheres, spheres_iso
-from sphere_trees.plumbing import plumb_family, sample_with_retry
+from sphere_trees.plumbing import plumb_family
 from sphere_trees.projective import ProjPoint
 from sphere_trees.trees import MarkedTree, enumerate_stable_trees, neighbors
 
@@ -68,7 +69,13 @@ def main() -> None:
     tree = random_marking(deep, rng)
     family = plumb_family(tree)
     for k in (2, 4, 16, 64):
-        eps, sphere = sample_with_retry(family, Fraction(1, k))
+        eps = Fraction(1, k)
+        while True:  # halve eps past the finitely many collision values
+            try:
+                sphere = family.evaluate(eps)
+                break
+            except CollisionAtEpsilon:
+                eps /= 2
         shown = ", ".join(f"{x}={sphere.point(x)}" for x in sorted(sphere.labels))
         print(f"  eps = {eps}: {shown}")
 

@@ -13,7 +13,6 @@ from .laurent import (
 from .trees import (
     MarkedTree,
     branch,
-    convex_hull,
     enumerate_stable_trees,
     is_admissible,
     partition_at,
@@ -45,7 +44,6 @@ from .covers import (
     global_degree,
     rational_from_divisors,
     reconstruct_cover,
-    restrict_cover,
     validate_cover,
     validate_portrait,
 )

@@ -26,12 +26,10 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
-    EmptySelection,
     InconsistentDegree,
     InvalidFamily,
     InvariantBreach,
     LeafSetMismatch,
-    NotConnected,
     NotRealizable,
     OverlappingDivisors,
     PortraitMismatch,
@@ -289,50 +287,10 @@ def rational_from_divisors(zeros: Iterable[ProjPoint], poles: Iterable[ProjPoint
     for p in poles:
         if not p.is_infinity():
             den = den * Polynomial.make([-p.to_affine(), GR_ONE])
-    f = RationalMap.make(num, den)
-    value = f.apply(unit_point)
-    scale = value.to_affine()  # finite and nonzero: unit avoids both divisors
-    return RationalMap.make(f.num, f.den.scale(scale))
-
-
-# ---------------------------------------------------------------------------
-# restriction
-
-
-def restrict_cover(c: TreeCover, selection: Iterable[Vertex],
-                   component_root: Vertex) -> TreeCover:
-    """Restrict to a connected open target vertex set and one preimage component.
-
-    Cut edges become fresh leaves labeled "@<n>" on the source side and "@t:<n>"
-    on the target side; the rational maps are unchanged.
-    """
-    selected = set(selection)
-    if not selected:
-        raise EmptySelection("empty target selection")
-    if not selected <= c.target.shape.vertices:
-        raise EmptySelection("selection contains vertices outside the target tree")
-    if not any(isinstance(v, int) for v in selected):
-        raise EmptySelection("selection contains no internal target vertex")
-    if _component(c.target.shape, next(iter(selected)), selected) != selected:
-        raise NotConnected("target selection is not connected")
-
-    vm = c.vm
-    preimage = {v for v in c.source.shape.vertices if vm[v] in selected}
-    if component_root not in preimage:
-        raise EmptySelection("component root does not map into the selection")
-    comp = _component(c.source.shape, component_root, preimage)
-
-    tgt_tree, tgt_cuts = _complete(c.target, selected, "@t:")
-    src_tree, src_cuts = _complete(c.source, comp, "@")
-
-    new_vm: dict[Vertex, Vertex] = {v: vm[v] for v in comp}
-    for (u, outside), label in src_cuts.items():
-        key = (vm[u], vm[outside])
-        if key not in tgt_cuts:
-            raise InvariantBreach("cut edge does not map to a target cut edge")
-        new_vm[label] = tgt_cuts[key]
-    new_maps = {v: c.map_at(v) for v in comp if isinstance(v, int)}
-    return TreeCover.make(src_tree, tgt_tree, new_vm, new_maps)
+    # already reduced: products of monic linear factors over disjoint supports are
+    # coprime, and den is monic, so neither RationalMap.make gcd is needed
+    value = RationalMap(num, den).apply(unit_point).to_affine()  # finite, nonzero
+    return RationalMap(num.scale(value.inverse()), den)
 
 
 def _component(shape: MarkedTree, root: Vertex, allowed: set) -> set:
@@ -346,18 +304,17 @@ def _component(shape: MarkedTree, root: Vertex, allowed: set) -> set:
     return comp
 
 
-def _complete(t: TreeOfSpheres, kept: set, prefix: str
-              ) -> tuple[TreeOfSpheres, dict]:
-    """Completion of a connected vertex subset: cut edges become fresh leaves."""
+def _complete(t: TreeOfSpheres, kept: set) -> tuple[TreeOfSpheres, dict]:
+    """Completion of a connected vertex subset: cut edges become fresh leaves "@<n>"."""
     taken = {x for x in kept if isinstance(x, str)}
     cuts = {}
     counter = 0
     for v in sorted(kept, key=vertex_key):
         for n in neighbors(t.shape, v):
             if n not in kept:
-                while f"{prefix}{counter}" in taken:
+                while f"@{counter}" in taken:
                     counter += 1
-                cuts[v, n] = f"{prefix}{counter}"
+                cuts[v, n] = f"@{counter}"
                 counter += 1
     internal = {v for v in kept if isinstance(v, int)}
     edges = {e for e in t.shape.edges if set(e) <= kept}
@@ -514,7 +471,7 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
     for comp in components:
         # every neighbor outside the component is a fiber vertex, since the
         # removed leaves hang off fiber vertices
-        comp_tree, cuts = _complete(source, comp, "@")
+        comp_tree, cuts = _complete(source, comp)
         sub_fmap = {y: fmap[y] for y in comp if isinstance(y, str)}
         sub_deg = {y: degmap[y] for y in comp if isinstance(y, str)}
         for (u, w), label in cuts.items():

@@ -78,14 +78,6 @@ class InconsistentDegree(SphereTreesError):
     """Fiber degree sums disagree across target vertices."""
 
 
-class NotConnected(SphereTreesError):
-    """The selected target vertex set is not connected."""
-
-
-class EmptySelection(SphereTreesError):
-    """The selected target vertex set is empty or has no internal vertex."""
-
-
 class OverlappingDivisors(SphereTreesError):
     """Requested zero and pole divisors share a support point."""
 

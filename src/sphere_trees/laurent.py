@@ -27,10 +27,10 @@ class LaurentPoly:
     terms: tuple[tuple[int, GaussianRational], ...]
 
     @classmethod
-    def make(cls, terms: Mapping[int, GaussianRational] | Iterable[tuple[int, GaussianRational]]) -> "LaurentPoly":
+    def make(cls, terms: Iterable[tuple[int, GaussianRational]]) -> "LaurentPoly":
         """Terms summed by exponent: one reduction per repeated exponent, a lone term kept."""
         groups: dict[int, list] = {}
-        for e, c in (terms.items() if isinstance(terms, Mapping) else terms):
+        for e, c in terms:
             groups.setdefault(e, []).append((1, c, GR_ONE))
         return cls._summed(groups)
 
@@ -359,8 +359,3 @@ class LowOrderReader:
             out = hom_postcompose(num, den, post, zero)
             if any(c.terms for half in out for c in half):
                 return LaurentMap.make(*out).leading_limit()
-
-
-def composed_leading_limit(f: LaurentMap, pre: LaurentMoebius, post: LaurentMoebius) -> RationalMap:
-    """f.precompose(pre).postcompose(post).leading_limit(), from the low-order terms only."""
-    return LowOrderReader(f, pre).leading_limit(post)

@@ -10,13 +10,10 @@ resulting family recovers the input up to isomorphism.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import CollisionAtEpsilon
 from .gaussian import GR_ONE, GR_ZERO, gr
 from .laurent import LaurentPoint, LaurentPoly
 from .limits import LaurentFamily
-from .moduli import MarkedSphere, TreeOfSpheres
+from .moduli import TreeOfSpheres
 from .projective import Moebius, ProjPoint
 
 
@@ -64,14 +61,3 @@ def plumb_family(t: TreeOfSpheres) -> LaurentFamily:
             else:
                 paths[n] = LaurentPoint.from_poly(value)
     return LaurentFamily.make(paths)
-
-
-def sample_with_retry(fam: LaurentFamily, eps: Fraction,
-                      attempts: int = 32) -> tuple[Fraction, MarkedSphere]:
-    """Halve eps past the finitely many collision values."""
-    for _ in range(attempts):
-        try:
-            return eps, fam.evaluate(eps)
-        except CollisionAtEpsilon:
-            eps = eps / 2
-    raise CollisionAtEpsilon(f"no collision-free sample found down to eps = {eps}")

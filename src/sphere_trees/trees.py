@@ -297,44 +297,6 @@ def peripheral_internal(t: MarkedTree) -> int:
     raise InvalidFamily("no peripheral internal vertex found")  # pragma: no cover
 
 
-def convex_hull(t: MarkedTree, vs: Iterable[Vertex]) -> tuple[frozenset, frozenset]:
-    """Smallest connected subtree containing vs, as (vertices, edges)."""
-    wanted = set(vs)
-    if not wanted:
-        raise EmptySet("convex hull of the empty set")
-    missing = wanted - t.vertices
-    if missing:
-        raise EmptySet(f"vertices {sorted(map(str, missing))} are not in the tree")
-    verts = set(t.vertices)
-    edges = {tuple(sorted(e, key=vertex_key)) for e in t.edges}
-    degree: dict[Vertex, int] = {v: 0 for v in verts}
-    incident: dict[Vertex, set] = {v: set() for v in verts}
-    for e in edges:
-        a, b = e
-        degree[a] += 1
-        degree[b] += 1
-        incident[a].add(e)
-        incident[b].add(e)
-    # repeatedly prune unwanted leaves of the current subgraph
-    queue = [v for v in verts if degree[v] <= 1 and v not in wanted]
-    while queue:
-        v = queue.pop()
-        if v not in verts or v in wanted or degree[v] > 1:
-            continue
-        verts.remove(v)
-        for e in list(incident[v]):
-            a, b = e
-            other = b if a == v else a
-            edges.discard(e)
-            incident[a].discard(e)
-            incident[b].discard(e)
-            degree[other] -= 1
-            degree[v] -= 1
-            if degree[other] <= 1 and other not in wanted:
-                queue.append(other)
-    return frozenset(verts), frozenset(frozenset(e) for e in edges)
-
-
 def representative_triple(p: Partition) -> tuple[str, str, str]:
     """Lexicographically smallest triple hitting three distinct blocks."""
     labels = sorted(frozenset().union(*p))

@@ -526,7 +526,7 @@ def twisted_cover_family(fam: CoverFamily, source: LaurentMoebius, target: Laure
 
 @pytest.fixture
 def caps(monkeypatch) -> list:
-    """The cap of every truncated round laurent.composed_leading_limit runs, in order."""
+    """The cap of every truncated round a laurent.LowOrderReader runs, in order."""
     seen = []
 
     class Recorded(laurent._TruncatedZero):

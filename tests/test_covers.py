@@ -1,10 +1,11 @@
-"""Portraits, cover validation, restriction, reconstruction, isomorphism."""
+"""Portraits, cover validation, reconstruction, isomorphism."""
 
 from __future__ import annotations
 
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,6 @@ from conftest import (
     CHAIN_CENTRES,
     INF,
     chebyshev_cover,
-    degenerate_family_three_vertex,
     degenerate_family_two_vertex,
     pt,
     random_marking,
@@ -35,16 +35,13 @@ from sphere_trees.covers import (
     leaf_degree,
     rational_from_divisors,
     reconstruct_cover,
-    restrict_cover,
     validate_cover,
     validate_portrait,
 )
 from sphere_trees.errors import (
-    EmptySelection,
     InconsistentDegree,
     InvalidFamily,
     InvariantBreach,
-    NotConnected,
     NotRealizable,
     OverlappingDivisors,
     UnitOnDivisor,
@@ -52,7 +49,7 @@ from sphere_trees.errors import (
 from sphere_trees.gaussian import gr
 from sphere_trees.limits import limit_cover
 from sphere_trees.moduli import MarkedSphere, sphere_as_tree, twist
-from sphere_trees.rational import RationalMap, local_degree
+from sphere_trees.rational import Polynomial, RationalMap, local_degree
 from sphere_trees.trees import neighbors
 
 
@@ -181,38 +178,46 @@ class TestRationalFromDivisors:
         with pytest.raises(UnitOnDivisor):
             rational_from_divisors([pt(0)], [INF], pt(0))
 
+    def test_built_map_is_already_reduced(self):
+        # no gcd runs: coprime numerator and monic denominator by construction
+        cases = [([pt(0), pt(0), pt(1)], [INF, pt(2), pt(2)], pt(3)),
+                 ([INF, pt("1/2", 1)], [pt(-1), pt(0)], pt(1)),
+                 ([pt(1), pt(1), pt(1)], [pt(0), INF, INF], pt(0, 1))]
+        for zeros, poles, unit in cases:
+            f = rational_from_divisors(zeros, poles, unit)
+            assert f.den.leading() == gr(1)
+            assert RationalMap.make(f.num, f.den) == f
+            assert f.apply(unit) == pt(1)
 
-class TestRestrict:
-    def test_whole_target_is_identity(self):
-        cover, _ = z_squared_cover()
-        whole = set(cover.target.shape.vertices)
-        again = restrict_cover(cover, whole, 0)
-        assert validate_cover(again) == []
-        assert again.source.labels == cover.source.labels
+    def test_matches_reduced_construction(self):
+        # oracle: the two-RationalMap.make route, gcd-reduced and rescaled
+        def oracle(zeros, poles, unit):
+            num = den = Polynomial.make([gr(1)])
+            for p in zeros:
+                if not p.is_infinity():
+                    num = num * Polynomial.make([-p.to_affine(), gr(1)])
+            for p in poles:
+                if not p.is_infinity():
+                    den = den * Polynomial.make([-p.to_affine(), gr(1)])
+            f = RationalMap.make(num, den)
+            return RationalMap.make(f.num, f.den.scale(f.apply(unit).to_affine()))
 
-    def test_branch_complement(self):
-        cover = limit_cover(degenerate_family_three_vertex())
-        inner = sorted(cover.target.shape.internal)[:2]
-        sel = set(inner)
-        for w in inner:
-            sel |= {n for n in neighbors(cover.target.shape, w) if isinstance(n, str)}
-        root = next(v for v in cover.source.shape.internal if cover.vm[v] in sel)
-        sub = restrict_cover(cover, sel, root)
-        assert validate_cover(sub) == []
-        assert len(sub.source.labels) < len(cover.source.labels)
-        for v in sub.source.shape.internal:
-            assert sub.map_at(v).degree == cover.map_at(v).degree
-
-    def test_disconnected_rejected(self):
-        cover = limit_cover(degenerate_family_three_vertex())
-        ws = sorted(cover.target.shape.internal)
-        with pytest.raises(NotConnected):
-            restrict_cover(cover, {ws[0], ws[2]}, 0)
-
-    def test_empty_rejected(self):
-        cover, _ = z_squared_cover()
-        with pytest.raises(EmptySelection):
-            restrict_cover(cover, set(), 0)
+        rng = random.Random(20)
+        for _ in range(3000):
+            support = sorted({INF} | {pt(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                         Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                                      for _ in range(3)}, key=lambda q: q.sort_key())
+            if len(support) < 3:
+                continue
+            rng.shuffle(support)
+            unit, rest = support[0], support[1:]
+            cut = rng.randint(1, len(rest) - 1)
+            zeros = [q for q in rest[:cut] for _ in range(rng.randint(1, 5))]
+            poles = [q for q in rest[cut:] for _ in range(rng.randint(1, 5))]
+            short = zeros if len(zeros) < len(poles) else poles
+            short += short[-1:] * abs(len(zeros) - len(poles))
+            got, want = rational_from_divisors(zeros, poles, unit), oracle(zeros, poles, unit)
+            assert got == want and repr(got) == repr(want)
 
 
 class TestCompletionLabels:
@@ -228,24 +233,38 @@ class TestCompletionLabels:
             0: {"@0": pt(0), "x": pt(1), 1: INF},
             1: {"y": pt(0), "z": pt(1), 0: INF},
         })
-        completed, cuts = _complete(tree, {0, "@0", "x"}, "@")
+        completed, cuts = _complete(tree, {0, "@0", "x"})
         assert list(cuts.values()) == ["@1"]
         assert completed.labels == frozenset(["@0", "x", "@1"])
 
-    def test_restriction_cut_labels_avoid_existing(self):
+    def test_middle_vertex_keeps_its_points(self):
+        # both cut edges of the middle sphere become leaves where the neighbors sat
         from sphere_trees.covers import _complete
         from sphere_trees.moduli import TreeOfSpheres
         from sphere_trees.trees import MarkedTree
         shape = MarkedTree.make(
-            ["@t:0", "x", "y", "z"], [0, 1],
-            [("@t:0", 0), ("x", 0), (0, 1), ("y", 1), ("z", 1)])
+            ["1", "2", "3", "4", "5"], [0, 1, 2],
+            [("1", 0), ("2", 0), (0, 1), ("3", 1), (1, 2), ("4", 2), ("5", 2)])
         tree = TreeOfSpheres.make(shape, {
-            0: {"@t:0": pt(0), "x": pt(1), 1: INF},
-            1: {"y": pt(0), "z": pt(1), 0: INF},
+            0: {"1": pt(0), "2": pt(1), 1: INF},
+            1: {"3": pt(1), 0: pt(0), 2: INF},
+            2: {"4": pt(0), "5": pt(1), 1: INF},
         })
-        completed, cuts = _complete(tree, {0, "@t:0", "x"}, "@t:")
-        assert list(cuts.values()) == ["@t:1"]
-        assert completed.labels == frozenset(["@t:0", "x", "@t:1"])
+        completed, cuts = _complete(tree, {1, "3"})
+        assert cuts == {(1, 0): "@0", (1, 2): "@1"}
+        assert completed.shape.internal == frozenset([1])
+        assert completed.edge_points(1) == {"3": pt(1), "@0": pt(0), "@1": INF}
+
+    def test_component_stays_inside_the_allowed_set(self):
+        from sphere_trees.covers import _component
+        from sphere_trees.trees import MarkedTree
+        shape = MarkedTree.make(
+            ["1", "2", "3", "4", "5"], [0, 1, 2],
+            [("1", 0), ("2", 0), (0, 1), ("3", 1), (1, 2), ("4", 2), ("5", 2)])
+        assert _component(shape, 0, {0, 1, 2, "1", "4"}) == {0, 1, 2, "1", "4"}
+        # vertex 1 is left out, so the walk from 0 never reaches 2 or its leaves
+        assert _component(shape, 0, {0, 2, "1", "4"}) == {0, "1"}
+        assert _component(shape, "4", {2, "4", "5"}) == {2, "4", "5"}
 
 
 class TestReconstruct:

@@ -12,7 +12,7 @@ from sphere_trees.errors import CollisionAtEpsilon
 from sphere_trees.laurent import LaurentPoint, LaurentPoly
 from sphere_trees.limits import LaurentFamily, limit_tree
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres, sphere_as_tree, spheres_iso
-from sphere_trees.plumbing import plumb_family, sample_with_retry
+from sphere_trees.plumbing import plumb_family
 from sphere_trees.trees import MarkedTree
 from sphere_trees.gaussian import gr
 
@@ -97,8 +97,17 @@ class TestSample:
         })
         with pytest.raises(CollisionAtEpsilon):
             fam.evaluate(Fraction(1, 2))
-        eps, sphere = sample_with_retry(fam, Fraction(1, 2))
-        assert eps < Fraction(1, 2) and len(sphere.labels) == 3
+
+    def test_collision_is_isolated(self):
+        # a collision holds at finitely many eps: halving past it samples cleanly
+        fam = LaurentFamily.make({
+            "1": LaurentPoint.from_poly(LaurentPoly.constant(gr("1/2"))),
+            "2": LaurentPoint.from_poly(LaurentPoly.eps()),
+            "3": LaurentPoint.from_poly(LaurentPoly.constant(gr(7))),
+        })
+        s = fam.evaluate(Fraction(1, 4))
+        assert s.point("2") == pt(Fraction(1, 4))
+        assert s.point("1") == pt(Fraction(1, 2))
 
     def test_positive_eps_required(self):
         fam = LaurentFamily.make({

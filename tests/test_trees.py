@@ -14,7 +14,7 @@ from sphere_trees.errors import (
 from sphere_trees.trees import (
     MarkedTree,
     branch,
-    convex_hull,
+    enumerate_stable_trees,
     is_admissible,
     partition_at,
     peripheral_internal,
@@ -71,6 +71,23 @@ class TestValidate:
         t = MarkedTree(frozenset(["1", "2"]), frozenset([0]),
                        frozenset([frozenset(["1", 0]), frozenset(["2", 0])]))
         assert any("< 3" in p for p in validate_tree(t))
+
+
+class TestEnumerate:
+    def test_fewer_than_three_labels_refused(self):
+        with pytest.raises(EmptySet):
+            enumerate_stable_trees(["1", "2"])
+        # repeated labels count once
+        with pytest.raises(EmptySet):
+            enumerate_stable_trees(["1", "2", "2"])
+
+    def test_four_labels(self, star):
+        # the star on four labels and the three two-vertex trees, each once
+        trees = list(enumerate_stable_trees(["1", "2", "3", "4"]))
+        assert len(trees) == 4
+        assert sorted(len(t.internal) for t in trees) == [1, 2, 2, 2]
+        assert len({tree_partitions(t) for t in trees}) == 4
+        assert all(validate_tree(t) == [] for t in trees)
 
 
 class TestBranch:
@@ -194,24 +211,6 @@ class TestPeripheral:
     def test_star_raises(self, star):
         with pytest.raises(SingleVertexTree):
             peripheral_internal(star)
-
-
-class TestConvexHull:
-    def test_leaf_pair_in_star(self, star):
-        verts, edges = convex_hull(star, {"1", "2"})
-        assert verts == frozenset(["1", "2", 0]) and len(edges) == 2
-
-    def test_across_edge(self, two_vertex):
-        verts, edges = convex_hull(two_vertex, {"1", "3"})
-        assert verts == frozenset(["1", 0, 1, "3"]) and len(edges) == 3
-
-    def test_single_vertex(self, two_vertex):
-        verts, edges = convex_hull(two_vertex, {0})
-        assert verts == frozenset([0]) and edges == frozenset()
-
-    def test_empty_rejected(self, star):
-        with pytest.raises(EmptySet):
-            convex_hull(star, set())
 
 
 class TestProperties:
