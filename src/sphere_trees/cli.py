@@ -22,7 +22,7 @@ from .errors import SchemaError, SphereTreesError
 from .limits import limit_cover, limit_tree, numeric_limit_tree
 from .moduli import embed, project, spheres_iso
 from .plumbing import plumb_family
-from .trees import trees_isomorphic, validate_tree
+from .trees import AdmissibilityViolation, trees_isomorphic, validate_tree
 
 
 def _load(path: str) -> Any:
@@ -314,7 +314,11 @@ def _jsonable(witness) -> object:
     if isinstance(witness, dict):
         return {str(k): _jsonable(v) for k, v in witness.items()}
     if isinstance(witness, (set, frozenset)):
-        return sorted(str(w) for w in witness)
+        return sorted(_jsonable(w) if isinstance(w, (set, frozenset)) else str(w)
+                      for w in witness)
+    if isinstance(witness, AdmissibilityViolation):
+        return {"condition": witness.condition, "detail": witness.detail,
+                "partition": _jsonable(witness.partition), "block": _jsonable(witness.block)}
     return str(witness)
 
 

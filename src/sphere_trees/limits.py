@@ -37,6 +37,7 @@ from .errors import (
     InvalidFamily,
     InvariantBreach,
     MarkedSetTooSmall,
+    NotAdmissible,
     NotStabilized,
 )
 from .gaussian import GaussianRational
@@ -55,9 +56,7 @@ from .trees import (
     MarkedTree,
     Partition,
     Vertex,
-    is_admissible,
     partition_at,
-    partition_sort_key,
     representative_triple,
     tree_from_partitions,
     tree_partitions,
@@ -377,16 +376,17 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
             charts[partition] = chart
             sides.append({x: i for i, block in enumerate(partition) for x in block})
 
-    violation = is_admissible(charts, frozenset(labels))
-    if violation is not None:
+    try:
+        shape = tree_from_partitions(charts)
+    except NotAdmissible as exc:
         raise AdmissibilityFailure("collected partitions are not admissible",
-                                   witness=violation)
-    shape = tree_from_partitions(charts)
+                                   witness=exc.witness) from exc
     marking = []
-    for i, part in enumerate(sorted(charts, key=partition_sort_key)):
+    for i in sorted(shape.internal):
+        chart = charts[partition_at(shape, i)]
         row = []
         for x in labels:
-            u, v = charts[part][x]
+            u, v = chart[x]
             affine = None if abs(v) <= seq.tolerance * abs(u) else u / v
             row.append((x, affine))
         marking.append((i, tuple(row)))

@@ -139,8 +139,8 @@ def tree_from_charts(charts: Mapping[Partition, Mapping[str, ProjPoint]]) -> Tre
     """
     shape = tree_from_partitions(charts)
     marking = {}
-    for i, p in enumerate(sorted(charts, key=partition_sort_key)):
-        chart = charts[p]
+    for i in shape.internal:
+        chart = charts[partition_at(shape, i)]
         marking[i] = {n: chart[next(iter(b))] for n, b in branches(shape, i).items()}
     return TreeOfSpheres.make(shape, marking)
 

@@ -13,7 +13,6 @@ opaque integers that never participate in equality of the classified data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -142,25 +141,32 @@ def branch(t: MarkedTree, v: Vertex, toward: Vertex) -> Block:
     """Labels whose path to v starts with the edge {v, toward}."""
     if toward not in neighbors(t, v):
         raise InvalidIncidence(f"{toward!r} is not adjacent to {v!r}")
-    seen = {v, toward}
-    stack = [toward]
-    leaves = set()
-    while stack:
-        w = stack.pop()
-        if isinstance(w, str):
-            leaves.add(w)
-        for n in neighbors(t, w):
-            if n not in seen:
-                seen.add(n)
-                stack.append(n)
-    return frozenset(leaves)
+    return t.leaves - {v} if isinstance(v, str) else branches(t, v)[toward]
 
 
 def branches(t: MarkedTree, v: int) -> Mapping:
-    """The branch beyond each edge at v; computed once per tree for every v."""
+    """The branch beyond each edge at v.
+
+    One post-order pass from the smallest internal vertex fills the table for
+    every internal vertex: each subtree's label set, and the labels outside it
+    toward the parent; O(V·n) for V internal vertices and n labels.
+    """
     if t._branches is None:
+        adj = adjacency(t)
+        root = min(t.internal)
+        parent, order = {root: None}, [root]
+        for w in order:
+            for n in adj[w]:
+                if n not in parent:
+                    parent[n] = w
+                    order.append(n)
+        below: dict[Vertex, Block] = {}
+        for w in reversed(order):
+            below[w] = frozenset((w,)) if isinstance(w, str) else frozenset().union(
+                *(below[n] for n in adj[w] if n != parent[w]))
         object.__setattr__(t, "_branches", MappingProxyType({w: MappingProxyType(
-            {n: branch(t, w, n) for n in neighbors(t, w)}) for w in t.internal}))
+            {n: below[n] if n != parent[w] else t.leaves - below[w] for n in adj[w]})
+            for w in t.internal}))
     return t._branches[v]
 
 
@@ -182,71 +188,86 @@ class AdmissibilityViolation:
     block: Optional[Block] = None
 
 
+def _admissibility(parts: list, labels: frozenset
+                   ) -> tuple[Optional[AdmissibilityViolation], set]:
+    """The first violated condition of the sorted partitions, and their tree's
+    edges, both read from one index from each block to its partition's rank.
+
+    A non-singleton block is joined to the rank holding its complement, a
+    singleton to its leaf: Σdeg lookups.  The witness is the ordered scan's:
+    the first partition with a failing block and its smallest such block,
+    or the first pair of ranks sharing a block and their smallest shared one.
+    """
+    for p in parts:
+        if frozenset().union(*p) != labels or any(not b for b in p):
+            return AdmissibilityViolation(0, "not a partition of the label set", p), set()
+        if sum(map(len, p)) != len(labels):
+            return AdmissibilityViolation(0, "blocks are not pairwise disjoint", p), set()
+    for p in parts:
+        if len(p) < 3:
+            return AdmissibilityViolation(1, f"partition has {len(p)} < 3 blocks", p), set()
+    rank: dict[Block, int] = {}
+    shared = []  # (first rank holding the block, a later rank holding it)
+    for i, p in enumerate(parts):
+        for b in p:
+            first = rank.setdefault(b, i)
+            if first != i:
+                shared.append((first, i))
+    edges: set[Edge] = set()
+    missing = []  # (rank, block) of each block whose complement no partition holds
+    for i, p in enumerate(parts):
+        for b in p:
+            if len(b) == 1:
+                edges.add(edge_of(i, next(iter(b))))
+            elif (j := rank.get(labels - b)) is None:
+                missing.append((i, b))
+            else:
+                edges.add(edge_of(i, j))
+    if missing:
+        i = min(i for i, _ in missing)
+        b = min((b for k, b in missing if k == i), key=sorted)
+        return AdmissibilityViolation(
+            2, "non-singleton block has no partner partition containing its complement",
+            parts[i], b), edges
+    if shared:
+        i, j = min(shared)
+        b = min((b for b in parts[i] if b in parts[j]), key=sorted)
+        return AdmissibilityViolation(3, "distinct partitions share a block", parts[i], b), edges
+    return None, edges
+
+
 def is_admissible(ps: Iterable[Partition], labels: Optional[frozenset] = None
                   ) -> Optional[AdmissibilityViolation]:
-    """Check the three admissibility conditions; None means admissible.
+    """Check the admissibility conditions; None means admissible.
 
-    Returns the first violated condition (by index 1, 2, 3) with a witness.
+    Returns the first violated condition (by index 0, 1, 2, 3) with a witness.
+    One index from each block to its partition's rank answers conditions 2
+    and 3, so the check costs O(V·n) for V partitions of n labels.
     """
     parts = sorted(set(ps), key=partition_sort_key)
     if labels is None:
         if not parts:
             return None
         labels = frozenset().union(*parts[0])
-    for p in parts:
-        blocks = list(p)
-        union = frozenset().union(*blocks) if blocks else frozenset()
-        if union != labels or any(not b for b in blocks):
-            return AdmissibilityViolation(0, "not a partition of the label set", p)
-        total = sum(len(b) for b in blocks)
-        if total != len(labels):
-            return AdmissibilityViolation(0, "blocks are not pairwise disjoint", p)
-    for p in parts:
-        if len(p) < 3:
-            return AdmissibilityViolation(1, f"partition has {len(p)} < 3 blocks", p)
-    for p in parts:
-        for b in sorted(p, key=lambda b: tuple(sorted(b))):
-            if len(b) == 1:
-                continue
-            complement = labels - b
-            if not any(complement in q for q in parts):
-                return AdmissibilityViolation(
-                    2, "non-singleton block has no partner partition containing its complement",
-                    p, b)
-    for p1, p2 in combinations(parts, 2):
-        shared = p1 & p2
-        if shared:
-            return AdmissibilityViolation(
-                3, "distinct partitions share a block", p1, next(iter(shared)))
-    return None
+    return _admissibility(parts, labels)[0]
 
 
 def tree_from_partitions(ps: Iterable[Partition]) -> MarkedTree:
     """Build the stable tree classified by an admissible partition set.
 
     Internal ids are the ranks of the partitions in canonical sort order, so
-    the construction is deterministic.
+    the construction is deterministic.  The admissibility check's block index
+    gives the edges, O(V·n) for V partitions of n labels, and the assembled
+    tree must give back the partition set.
     """
     parts = sorted(set(ps), key=partition_sort_key)
     if not parts:
         raise NotAdmissible("empty partition set does not describe a tree")
-    violation = is_admissible(parts)
+    labels = frozenset().union(*parts[0])
+    violation, edges = _admissibility(parts, labels)
     if violation is not None:
         raise NotAdmissible("partition set is not admissible", witness=violation)
-    labels = frozenset().union(*parts[0])
-    edges: set[Edge] = set()
-    for (i, p1), (j, p2) in combinations(list(enumerate(parts)), 2):
-        if any((labels - b) in p2 for b in p1):
-            edges.add(edge_of(i, j))
-    for i, p in enumerate(parts):
-        for b in p:
-            if len(b) == 1:
-                edges.add(edge_of(i, next(iter(b))))
-    t = MarkedTree(
-        frozenset(labels),
-        frozenset(range(len(parts))),
-        frozenset(edges),
-    )
+    t = MarkedTree(labels, frozenset(range(len(parts))), frozenset(edges))
     problems = validate_tree(t)
     if problems:
         raise NotAdmissible("partition set does not assemble into a stable tree",

@@ -235,3 +235,21 @@ class TestDeterminism:
         second = run_cli(*cmd)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_admissibility_witness_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # twelve identical snapshots cluster into partitions that are not admissible
+        snapshot = {"0": [1.4748, -0.1571], "1": [-0.5147, -0.4711],
+                    "2": [0.1192, -1.8655], "3": [-1.6374, 1.1766]}
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps({"snapshots": [snapshot] * 12,
+                                   "eps": [1 / (k + 2) for k in range(12)]}))
+        golden = pathlib.Path(__file__).parent / "golden" / (
+            "limit_numeric_inadmissible_tolerance_0.8_window_5.out")
+        for seed in ("1", "2"):
+            r = subprocess.run(
+                [sys.executable, "-m", "sphere_trees.cli", "limit", str(seq),
+                 "--tolerance", "0.8", "--window", "5"],
+                capture_output=True, text=True,
+                env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed})
+            assert r.returncode == 1
+            assert r.stdout == golden.read_text()

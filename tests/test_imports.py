@@ -23,11 +23,13 @@ MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
 
 # definitions no source of the package names, and what keeps each one
 REACHED_FROM_OUTSIDE = {
+    "branch": "the one-edge query of the package's API, which the tree tests pin",
     "canonical_form": "the classify bench workload, and the oracle for spheres_iso",
     "cover_family_to_json": "scripts/make_examples.py writes the data/ examples with it",
     "dyn_to_json": "scripts/make_examples.py writes the data/ examples with it",
     "cover_from_marked": "acceptance criterion 9 and scripts/make_examples.py",
     "enumerate_stable_trees": "the bench generators and the scripts",
+    "is_admissible": "acceptance criteria 1 and 2; tree_from_partitions runs the same check",
     "laurent_leading_value": "the oracle for leading values that the ROADMAP keeps",
     "synthesize_dyn": "acceptance criterion 9; ROADMAP item 5 decides its fate",
 }

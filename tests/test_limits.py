@@ -36,7 +36,7 @@ from conftest import (
     twisted_cover_family,
     z_squared_chain_family,
 )
-from sphere_trees import laurent, limits
+from sphere_trees import laurent, limits, trees
 from sphere_trees import serialize as ser
 from sphere_trees.covers import (
     TreeCover,
@@ -77,6 +77,7 @@ from sphere_trees.moduli import embed, marking_dict, sphere_as_tree, spheres_iso
 from sphere_trees.moduli import MarkedSphere, tree_from_charts, vertex_chart
 from sphere_trees.plumbing import plumb_family
 from sphere_trees.trees import (
+    AdmissibilityViolation,
     is_admissible,
     partition_at,
     partition_sort_key,
@@ -417,10 +418,10 @@ class TestEnginesAgree:
 
 def scale_digests() -> list[str]:
     """'n form i sha256' of the limit_tree dump of each of three seeded plumbed families
-    per n in (16, 24, 32) and form; rewrite the pin with `PYTHONPATH=src:tests python3 -c
+    per n in (16, 24, 32, 64) and form; rewrite the pin with `PYTHONPATH=src:tests python3 -c
     "import test_limits as t; print(*t.scale_digests(), sep=chr(10))" > tests/golden/limit_tree_scale.sha`"""
     lines = []
-    for n in (16, 24, 32):
+    for n in (16, 24, 32, 64):
         for form in ("plain", "twist", "reparametrize"):
             rng = random.Random(f"scale-{n}-{form}")
             for i in range(3):
@@ -487,6 +488,23 @@ class TestNumericLimit:
         with pytest.raises(NotStabilized) as info:
             numeric_limit_tree(NumericConfigSequence.make(snaps, eps))
         assert info.value.witness == {"quadruple": ["1", "2", "4", "2"], "eps": eps[9]}
+
+    def test_inadmissible_clusters_are_checked_once(self, monkeypatch):
+        # twelve identical snapshots cluster, at tolerance 0.8, into partitions
+        # whose block {1, 3} has no partner
+        snap = {"0": 1.4748 - 0.1571j, "1": -0.5147 - 0.4711j,
+                "2": 0.1192 - 1.8655j, "3": -1.6374 + 1.1766j}
+        seq = NumericConfigSequence.make([dict(snap) for _ in range(12)],
+                                         [1 / (k + 2) for k in range(12)], 0.8, 5)
+        checks = []
+        check = trees._admissibility
+        monkeypatch.setattr(trees, "_admissibility", lambda *a: checks.append(a) or check(*a))
+        with pytest.raises(AdmissibilityFailure) as info:
+            numeric_limit_tree(seq)
+        assert len(checks) == 1
+        assert info.value.witness == AdmissibilityViolation(
+            2, "non-singleton block has no partner partition containing its complement",
+            fs(["0"], ["1", "3"], ["2"]), frozenset(["1", "3"]))
 
     def test_non_transitive_clustering(self):
         # a, b, c settle at mutual chordal gaps of 8e-7, 8e-7, and 1.6e-6

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
+from conftest import random_stable_shape
 from sphere_trees.errors import (
     EmptySet,
     InvalidIncidence,
@@ -12,11 +16,15 @@ from sphere_trees.errors import (
     SingleVertexTree,
 )
 from sphere_trees.trees import (
+    AdmissibilityViolation,
     MarkedTree,
     branch,
+    branches,
     enumerate_stable_trees,
     is_admissible,
+    neighbors,
     partition_at,
+    partition_sort_key,
     peripheral_internal,
     representative_triple,
     separating_vertex,
@@ -241,3 +249,118 @@ class TestProperties:
         for a in trees:
             for b in trees:
                 assert trees_isomorphic(a, b) == trees_isomorphic(b, a)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the partition->tree assembly
+
+
+def ordered_is_admissible(ps, labels=None):
+    """The scan over every partition pair that is_admissible's block index
+    replaced, kept as its oracle.  Condition 3 names the smallest shared block."""
+    parts = sorted(set(ps), key=partition_sort_key)
+    if labels is None:
+        if not parts:
+            return None
+        labels = frozenset().union(*parts[0])
+    for p in parts:
+        blocks = list(p)
+        union = frozenset().union(*blocks) if blocks else frozenset()
+        if union != labels or any(not b for b in blocks):
+            return AdmissibilityViolation(0, "not a partition of the label set", p)
+        if sum(len(b) for b in blocks) != len(labels):
+            return AdmissibilityViolation(0, "blocks are not pairwise disjoint", p)
+    for p in parts:
+        if len(p) < 3:
+            return AdmissibilityViolation(1, f"partition has {len(p)} < 3 blocks", p)
+    for p in parts:
+        for b in sorted(p, key=lambda b: tuple(sorted(b))):
+            if len(b) > 1 and not any(labels - b in q for q in parts):
+                return AdmissibilityViolation(
+                    2, "non-singleton block has no partner partition containing its complement",
+                    p, b)
+    for p1, p2 in combinations(parts, 2):
+        if p1 & p2:
+            return AdmissibilityViolation(3, "distinct partitions share a block", p1,
+                                          min(p1 & p2, key=lambda b: tuple(sorted(b))))
+    return None
+
+
+def walked_branch(t, v, toward):
+    """The labels beyond the edge {v, toward}, by a walk from toward."""
+    seen, stack, leaves = {v, toward}, [toward], set()
+    while stack:
+        w = stack.pop()
+        if isinstance(w, str):
+            leaves.add(w)
+        for n in neighbors(t, w):
+            if n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return frozenset(leaves)
+
+
+def mutations(ps, rng):
+    """Drop a partition, merge two blocks, move a label, and repeat a block
+    of one partition in another."""
+    parts = sorted(ps, key=partition_sort_key)
+    i = rng.randrange(len(parts))
+    p, rest = parts[i], parts[:i] + parts[i + 1:]
+    blocks = sorted(p, key=lambda b: tuple(sorted(b)))
+    if rest:
+        yield rest
+    b1, b2 = rng.sample(blocks, 2)
+    yield rest + [(p - {b1, b2}) | {b1 | b2}]
+    x = rng.choice(sorted(b1))
+    yield rest + [(p - {b1, b2}) | {b1 - {x}, b2 | {x}}]
+    if rest:
+        q = rng.choice(rest)
+        b = rng.choice(blocks)
+        yield parts[:i] + [p] + [r for r in rest if r != q] + [
+            frozenset([b, *(c - b for c in q if c - b)])]
+
+
+class TestAssemblyOracles:
+    def test_round_trip_every_shape_four_to_seven_labels(self):
+        for n in range(4, 8):
+            for t in enumerate_stable_trees([str(i) for i in range(1, n + 1)]):
+                ps = tree_partitions(t)
+                assert tree_partitions(tree_from_partitions(ps)) == ps
+
+    def test_branches_equal_walks(self, small_shapes):
+        rng = random.Random(7)
+        shapes = small_shapes[5] + small_shapes[6] + [
+            random_stable_shape(n, rng) for n in (12, 40, 90)]
+        for t in shapes:
+            for v in t.vertices:
+                for n in neighbors(t, v):
+                    assert branch(t, v, n) == walked_branch(t, v, n)
+            for v in t.internal:
+                assert dict(branches(t, v)) == {
+                    n: walked_branch(t, v, n) for n in neighbors(t, v)}
+
+    def test_mutated_partition_sets_give_the_ordered_witness(self, small_shapes):
+        rng = random.Random(21)
+        seen = set()
+        for n in (4, 5, 6):
+            for t in small_shapes[n]:
+                for ps in mutations(tree_partitions(t), rng):
+                    expected = ordered_is_admissible(ps)
+                    got = is_admissible(ps)
+                    assert got == expected
+                    if expected is None:
+                        assert tree_partitions(tree_from_partitions(ps)) == frozenset(ps)
+                        continue
+                    seen.add(expected.condition)
+                    with pytest.raises(NotAdmissible) as info:
+                        tree_from_partitions(ps)
+                    assert info.value.witness == expected
+        assert seen == {0, 1, 2, 3}
+
+    def test_condition_three_names_the_smallest_shared_block(self):
+        ps = [fs(["1"], ["2"], ["3", "4"]),
+              fs(["1", "2"], ["3"], ["4"]),
+              fs(["1"], ["2"], ["3"], ["4"])]
+        v = is_admissible(ps)
+        assert (v.condition, v.partition, v.block) == (
+            3, fs(["1"], ["2"], ["3"], ["4"]), frozenset(["1"]))
