@@ -16,7 +16,6 @@ from .trees import (
     enumerate_stable_trees,
     is_admissible,
     partition_at,
-    peripheral_internal,
     separating_vertex,
     tree_from_partitions,
     tree_partitions,

@@ -10,10 +10,12 @@ the image and local degree at every edge point once (`edge_table`); the
 validation, the portrait and the isomorphism check all read that table.
 
 Reconstruction builds the unique cover with a given source tree and leaf
-portrait by peeling a peripheral source vertex, pinning the corresponding
-target sphere chart from the discovered attaching points, deriving the fiber
-maps from their zero/pole divisors, and recursing on the completed
-complement components.  It checks only what it needs to proceed;
+portrait in one loop over the whole source.  Each round peels one target
+vertex: the labels beside a peripheral unpeeled source vertex name it, its
+fiber is every unpeeled vertex carrying one of those labels, its chart is
+pinned from the discovered attaching points, and the fiber maps follow from
+their zero/pole divisors.  The target tree is assembled once, after the last
+fiber.  It checks only what it needs to proceed;
 `validate_cover` is the one certifier, of reconstructed covers and of covers
 lifted from marked spheres alike.
 """
@@ -45,7 +47,6 @@ from .trees import (
     Vertex,
     edge_of,
     neighbors,
-    peripheral_internal,
     validate_tree,
     vertex_key,
 )
@@ -293,37 +294,6 @@ def rational_from_divisors(zeros: Iterable[ProjPoint], poles: Iterable[ProjPoint
     return RationalMap(num.scale(value.inverse()), den)
 
 
-def _component(shape: MarkedTree, root: Vertex, allowed: set) -> set:
-    """The vertices reachable from root by walking inside the allowed set."""
-    comp, stack = {root}, [root]
-    while stack:
-        for n in neighbors(shape, stack.pop()):
-            if n in allowed and n not in comp:
-                comp.add(n)
-                stack.append(n)
-    return comp
-
-
-def _complete(t: TreeOfSpheres, kept: set) -> tuple[TreeOfSpheres, dict]:
-    """Completion of a connected vertex subset: cut edges become fresh leaves "@<n>"."""
-    taken = {x for x in kept if isinstance(x, str)}
-    cuts = {}
-    counter = 0
-    for v in sorted(kept, key=vertex_key):
-        for n in neighbors(t.shape, v):
-            if n not in kept:
-                while f"@{counter}" in taken:
-                    counter += 1
-                cuts[v, n] = f"@{counter}"
-                counter += 1
-    internal = {v for v in kept if isinstance(v, int)}
-    edges = {e for e in t.shape.edges if set(e) <= kept}
-    edges |= {edge_of(v, label) for (v, _), label in cuts.items()}
-    shape = MarkedTree.make(taken | set(cuts.values()), internal, edges)
-    marking = {v: {cuts.get((v, n), n): p for n, p in t.edge_points(v).items()} for v in internal}
-    return TreeOfSpheres.make(shape, marking), cuts
-
-
 # ---------------------------------------------------------------------------
 # reconstruction from the source tree and the portrait
 
@@ -355,16 +325,19 @@ def reconstruct_cover(source: TreeOfSpheres, portrait: Portrait) -> TreeCover:
     return cover
 
 
-def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
-                fiber: list, z0: frozenset):
+def _fiber_maps(source: TreeOfSpheres, seen: dict, fiber: list, z0: frozenset):
     """Maps f_w for every vertex in the fiber of the newly pinned target vertex.
 
-    The chart is pinned with leaf edges at 0 and infinity (their multiplicities
-    are portrait data); the unit slot takes the third leaf edge when one exists
-    and the internal edge otherwise.  Returns the maps, the attaching points of
-    the new target vertex read off the leaf edges, the image of the internal
-    edges, and their local degrees.  It checks only what it needs to proceed;
-    ``validate_cover`` certifies leaf images, degrees and full fibers.
+    ``seen[w]`` gives the target label and local degree of each leaf and cut
+    edge of w, keyed by neighbour; a cut edge leads to a vertex peeled
+    earlier.  The other edges of w, its internal edges, lead to unpeeled
+    vertices.  The chart is pinned with leaf edges at 0 and infinity (their
+    multiplicities are portrait data); the unit slot takes the third leaf edge
+    when one exists and the internal edge otherwise.  Returns the maps, the
+    attaching points of the new target vertex read off the leaf and cut edges,
+    the image of the internal edges, and their local degrees.  It checks only what
+    it needs to proceed; ``validate_cover`` certifies leaf images, degrees and
+    full fibers.
     """
     zs = sorted(z0)
     zero_z, pole_z = zs[0], zs[-1] if len(zs) == 2 else zs[2]
@@ -378,23 +351,20 @@ def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
     internal_value: Optional[ProjPoint] = None
 
     for w in fiber:
-        pts = source.edge_points(w)
-        leaf_pts = {n: p for n, p in pts.items() if isinstance(n, str)}
-        internal_pts = {n: p for n, p in pts.items() if isinstance(n, int)}
-        bad = sorted(y for y in leaf_pts if fmap[y] not in z0)
+        pts, ends = source.edge_points(w), seen[w]
+        internal_pts = {n: p for n, p in pts.items() if n not in ends}
+        bad = sorted(str(n) for n, (z, _) in ends.items() if z not in z0)
         if bad:
             raise NotRealizable(
                 f"vertex {w}: leaves {bad} map outside the forced fiber labels")
-        zeros = [p for y, p in leaf_pts.items() for _ in range(degmap[y])
-                 if fmap[y] == zero_z]
-        poles = [p for y, p in leaf_pts.items() for _ in range(degmap[y])
-                 if fmap[y] == pole_z]
+        zeros = [pts[n] for n, (z, k) in ends.items() if z == zero_z for _ in range(k)]
+        poles = [pts[n] for n, (z, k) in ends.items() if z == pole_z for _ in range(k)]
         if not zeros or len(zeros) != len(poles):
             raise NotRealizable(
                 f"vertex {w}: zero/pole fibers have multiplicities "
                 f"{len(zeros)} and {len(poles)}")
         if unit_leaf is not None:
-            units = sorted((p for y, p in leaf_pts.items() if fmap[y] == unit_leaf),
+            units = sorted((pts[n] for n, (z, _) in ends.items() if z == unit_leaf),
                            key=ProjPoint.sort_key)
         else:
             units = sorted(internal_pts.values(), key=ProjPoint.sort_key)
@@ -402,9 +372,9 @@ def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
             raise NotRealizable(f"vertex {w}: no candidate point for the unit slot")
         f = rational_from_divisors(zeros, poles, units[0])
         maps[w] = f
-        for y in sorted(leaf_pts):
-            if fmap[y] not in attach:
-                attach[fmap[y]] = f.apply(leaf_pts[y])
+        for n in sorted(ends, key=vertex_key):
+            if ends[n][0] not in attach:
+                attach[ends[n][0]] = f.apply(pts[n])
         ivalues = {f.apply(p) for p in internal_pts.values()}
         edge_mult.update(((w, n), local_degree(f, p)) for n, p in internal_pts.items())
         if len(ivalues) > 1:
@@ -422,99 +392,79 @@ def _fiber_maps(source: TreeOfSpheres, fmap: dict, degmap: dict,
 
 def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
                  zlabels: frozenset):
-    """Recursive reconstruction; returns (target tree, vertex map, maps)."""
+    """Peel the source one target vertex at a time; returns (target tree,
+    vertex map, maps).
+
+    Each round takes v0, the smallest unpeeled internal vertex with at most
+    one unpeeled internal neighbour.  The target labels on its leaf and cut
+    edges name one target vertex, whose fiber is every unpeeled vertex that
+    carries one of those labels, in every component of the unpeeled part at
+    once.  Once peeled, that target vertex is a label "@t<i>" on the cut edges
+    toward its fiber, distinct from every remaining target label.  When v0
+    has no unpeeled internal neighbour, all unpeeled vertices form the last
+    fiber, and each must see every remaining label.  The target is assembled
+    once, with ids in reverse peel order; each "@t<i>" label becomes the edge
+    to the vertex of the peel that made it.
+    """
     shape = source.shape
+    unpeeled = set(shape.internal)
+    # leaf and cut edges of each unpeeled vertex: neighbour -> (target label, local degree)
+    seen = {v: {n: (fmap[n], degmap[n]) for n in neighbors(shape, v) if isinstance(n, str)}
+            for v in unpeeled}
+    live = set(zlabels)  # the remaining target labels, "@t<i>" labels included
+    owner: dict[str, int] = {}  # live "@t<i>" label -> the peel that made it
+    peels = []  # (fiber, attaching points keyed by label or earlier peel, internal value)
+    maps: dict[int, RationalMap] = {}
+    while True:
+        v0 = min(v for v in unpeeled
+                 if sum(n in unpeeled for n in neighbors(shape, v)) <= 1)
+        last = not any(n in unpeeled for n in neighbors(shape, v0))
+        z0 = frozenset(live) if last else frozenset(z for z, _ in seen[v0].values())
+        if len(z0) < 2:
+            raise NotRealizable(
+                f"peripheral vertex {v0}: its leaves map to fewer than two target labels")
+        if last:
+            fiber = sorted(unpeeled)
+            if any({z for z, _ in seen[w].values()} != z0 for w in fiber):
+                raise NotRealizable("single-vertex source does not cover every target label")
+        else:
+            fiber = sorted(w for w in unpeeled if any(z in z0 for z, _ in seen[w].values()))
+            if any(n in fiber for w in fiber for n in neighbors(shape, w)):
+                raise NotRealizable("two fiber vertices of the peeled target vertex are adjacent")
+        fiber_maps, attach, internal_value, edge_mult = _fiber_maps(source, seen, fiber, z0)
+        maps.update(fiber_maps)
+        for z in z0 & owner.keys():
+            attach[owner.pop(z)] = attach.pop(z)
+        peels.append((fiber, attach, internal_value))
+        if last:
+            break
+        if internal_value is None:
+            raise NotRealizable("fiber vertices have no internal edge to continue along")
+        if len(z0) == 2 and internal_value != P_ONE:  # pragma: no cover - forced by pinning
+            raise InvariantBreach("unit-slot internal edge did not land at 1")
+        sentinel = next(f"@t{i}" for i in count() if f"@t{i}" not in live)
+        live = (live - z0) | {sentinel}
+        owner[sentinel] = len(peels) - 1
+        unpeeled.difference_update(fiber)
+        for w in fiber:
+            for u in neighbors(shape, w):
+                if u in unpeeled:
+                    seen[u][w] = (sentinel, edge_mult[w, u])
 
-    if len(shape.internal) == 1:
-        v = next(iter(shape.internal))
-        if frozenset(fmap.values()) != zlabels:
-            raise NotRealizable("single-vertex source does not cover every target label")
-        maps, attach, _, _ = _fiber_maps(source, fmap, degmap, [v], zlabels)
-        star = MarkedTree.make(zlabels, [0], [(z, 0) for z in zlabels])
-        target = TreeOfSpheres.make(star, {0: dict(attach)})
-        vmap: dict[Vertex, Vertex] = {v: 0}
-        vmap.update(fmap)
-        return target, vmap, maps
-
-    v0 = peripheral_internal(shape)
-    v0_leaves = [n for n in neighbors(shape, v0) if isinstance(n, str)]
-    z0 = frozenset(fmap[y] for y in v0_leaves)
-    if len(z0) < 2:
-        raise NotRealizable(
-            f"peripheral vertex {v0}: its leaves map to fewer than two target labels")
-    fiber = sorted({carrier(shape, y) for y in fmap if fmap[y] in z0})
-    for w in fiber:
-        if any(isinstance(n, int) and n in fiber for n in neighbors(shape, w)):
-            raise NotRealizable("two fiber vertices of the peeled target vertex are adjacent")
-    maps, attach, internal_value, edge_mult = _fiber_maps(
-        source, fmap, degmap, fiber, z0)
-    if internal_value is None:
-        raise NotRealizable("fiber vertices have no internal edge to continue along")
-    if len(z0) == 2 and internal_value != P_ONE:  # pragma: no cover - forced by pinning
-        raise InvariantBreach("unit-slot internal edge did not land at 1")
-
-    removed = set(fiber) | {y for y in fmap if fmap[y] in z0}
-    remaining = shape.vertices - removed
-    components: list[set] = []
-    unseen = set(remaining)
-    while unseen:
-        comp = _component(shape, min(unseen, key=vertex_key), remaining)
-        unseen -= comp
-        components.append(comp)
-    components.sort(key=lambda c: vertex_key(min(c, key=vertex_key)))
-
-    # the peeled vertex is a leaf of each component's target; name it so that
-    # it differs from every target label at this depth, outer sentinels included
-    sentinel = next(f"@t{i}" for i in count() if f"@t{i}" not in zlabels)
-    sub_z = (zlabels - z0) | {sentinel}
-    results = []
-    for comp in components:
-        # every neighbor outside the component is a fiber vertex, since the
-        # removed leaves hang off fiber vertices
-        comp_tree, cuts = _complete(source, comp)
-        sub_fmap = {y: fmap[y] for y in comp if isinstance(y, str)}
-        sub_deg = {y: degmap[y] for y in comp if isinstance(y, str)}
-        for (u, w), label in cuts.items():
-            sub_fmap[label] = sentinel
-            sub_deg[label] = edge_mult[(w, u)]
-        results.append(_reconstruct(comp_tree, sub_fmap, sub_deg, sub_z) + (cuts,))
-
-    ref_target, ref_vmap, ref_maps, ref_cuts = results[0]
-    all_vmap: dict[Vertex, Vertex] = {}
-    all_maps: dict[int, RationalMap] = dict(ref_maps)
-    for v, w in ref_vmap.items():
-        if not (isinstance(v, str) and v.startswith("@")):
-            all_vmap[v] = w
-    for tgt, vmp, mps, cuts in results[1:]:
-        iso = iso_of_spheres(tgt, ref_target)
-        if iso is None:
-            raise NotRealizable("component reconstructions disagree on the target tree")
-        ivmap, imoeb = iso
-        for v, w in vmp.items():
-            if isinstance(v, str) and v.startswith("@"):
-                continue
-            all_vmap[v] = ivmap[w]
-        for v, f in mps.items():
-            all_maps[v] = f.postcompose(imoeb[vmp[v]])
-
-    # graft the peeled vertex back onto the merged target
-    new_id = max(ref_target.shape.internal) + 1
-    anchor = carrier(ref_target.shape, sentinel)
-    leaves = (ref_target.labels - {sentinel}) | z0
-    internal = set(ref_target.shape.internal) | {new_id}
-    edges = {e for e in ref_target.shape.edges if sentinel not in e}
-    edges.add(edge_of(anchor, new_id))
-    edges |= {edge_of(new_id, z) for z in z0}
-    tshape = MarkedTree.make(leaves, internal, edges)
-    marking = {w: dict(ref_target.edge_points(w)) for w in ref_target.shape.internal}
-    marking[anchor][new_id] = marking[anchor].pop(sentinel)
-    marking[new_id] = {**attach, anchor: internal_value}
-    target = TreeOfSpheres.make(tshape, marking)
-
-    all_vmap.update({w: new_id for w in fiber})
-    all_vmap.update((y, z) for y, z in fmap.items() if z in z0)
-    all_maps.update(maps)
-    return target, all_vmap, all_maps
+    top = len(peels) - 1
+    vmap: dict[Vertex, Vertex] = dict(fmap)
+    marking: dict[int, dict] = {}
+    for j, (fiber, attach, _) in enumerate(peels):
+        vmap.update((w, top - j) for w in fiber)
+        row = marking[top - j] = {}
+        for n, p in attach.items():
+            if isinstance(n, int):  # an earlier peel, attached at its internal value
+                marking[top - n][top - j] = peels[n][2]
+                n = top - n
+            row[n] = p
+    edges = [(v, n) for v, row in marking.items() for n in row]
+    target = TreeOfSpheres.make(MarkedTree.make(zlabels, range(top + 1), edges), marking)
+    return target, vmap, maps
 
 
 # ---------------------------------------------------------------------------

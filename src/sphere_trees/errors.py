@@ -37,10 +37,6 @@ class LeafSetMismatch(SphereTreesError):
     """Operands are marked by different label sets."""
 
 
-class SingleVertexTree(SphereTreesError):
-    """The tree has a single internal vertex; no peripheral vertex exists."""
-
-
 class EmptySet(SphereTreesError):
     """An operation received an empty vertex selection."""
 

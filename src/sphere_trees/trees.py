@@ -22,7 +22,6 @@ from .errors import (
     InvalidFamily,
     LeafSetMismatch,
     NotAdmissible,
-    SingleVertexTree,
 )
 
 Vertex = Union[str, int]
@@ -305,17 +304,6 @@ def separating_vertex(t: MarkedTree, triple: tuple[str, str, str]) -> int:
         raise InvalidFamily(
             f"triple {triple} separated by {len(hits)} vertices in an invalid tree")
     return hits[0]
-
-
-def peripheral_internal(t: MarkedTree) -> int:
-    """An internal vertex adjacent to exactly one internal vertex (smallest id)."""
-    if len(t.internal) < 2:
-        raise SingleVertexTree("tree has a single internal vertex")
-    for v in sorted(t.internal):
-        internal_neighbors = [n for n in neighbors(t, v) if isinstance(n, int)]
-        if len(internal_neighbors) == 1:
-            return v
-    raise InvalidFamily("no peripheral internal vertex found")  # pragma: no cover
 
 
 def representative_triple(p: Partition) -> tuple[str, str, str]:

@@ -378,9 +378,9 @@ def z_squared_chain_family(centres) -> CoverFamily:
 def branching_cubic_cover():
     """Hand-built degree-3 cover whose source is a four-vertex chain.
 
-    Both ends of the chain carry fibers of the same peeled target vertex, so
-    reconstruction removes a mid-chain vertex and must merge two component
-    recursions; the mid vertices carry the maps w(w-2)/3 and 3w^2/(4-w^2).
+    Vertices 0 and 2 lie over the first peeled target vertex, so the first
+    peel leaves two components, both over the other target vertex; the mid
+    vertices carry the maps w(w-2)/3 and 3w^2/(4-w^2).
     """
     from sphere_trees.covers import TreeCover
 

@@ -13,6 +13,7 @@ import pytest
 from conftest import DATA_DIR, relabel_internal_ids
 from sphere_trees import serialize as ser
 from sphere_trees.dynamics import DynSystem, dyn_membership
+from test_covers import leafless_centre, swapped_cubic
 from test_dynamics import dyn_z_squared, mismatch_cover, source_twisted
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -65,6 +66,19 @@ class TestCommands:
         assert r.returncode == 0
         cover = json.loads(r.stdout)
         assert cover["maps"]["#0"]["num"][-1] == {"im": "0/1", "re": "1/1"}
+
+    @pytest.mark.parametrize("make", [
+        lambda: swapped_cubic("d3", "d4"), lambda: swapped_cubic("c2a", "d4"), leafless_centre,
+    ], ids=["validation", "last_fiber", "leafless_centre"])
+    def test_reconstruct_refusals(self, make, tmp_path):
+        source, portrait = make()
+        (tmp_path / "source.json").write_text(
+            ser.canonical_dumps(ser.tree_of_spheres_to_json(source)))
+        (tmp_path / "portrait.json").write_text(
+            ser.canonical_dumps(ser.portrait_to_json(portrait)))
+        r = run_cli("reconstruct", str(tmp_path / "source.json"), str(tmp_path / "portrait.json"))
+        assert r.returncode == 1 and "Traceback" not in r.stderr
+        assert json.loads(r.stdout)["error"] == "NotRealizable"
 
     def test_plumb_then_limit(self, tmp_path):
         r = run_cli("plumb", data("two_vertex_spheres.json"))

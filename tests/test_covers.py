@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +18,13 @@ import pytest
 from conftest import (
     CHAIN_CENTRES,
     INF,
+    branching_cubic_cover,
     chebyshev_cover,
+    degenerate_family_double_fold,
+    degenerate_family_extra_fiber,
+    degenerate_family_split_fiber,
+    degenerate_family_symmetric,
+    degenerate_family_three_vertex,
     degenerate_family_two_vertex,
     pt,
     random_marking,
@@ -23,7 +34,8 @@ from conftest import (
     z_squared_fiber_cover,
     z_squared_map,
 )
-from sphere_trees import covers
+from sphere_trees import covers, moduli
+from sphere_trees import serialize as ser
 from sphere_trees.covers import (
     MarkedSphereCover,
     Portrait,
@@ -44,13 +56,17 @@ from sphere_trees.errors import (
     InvariantBreach,
     NotRealizable,
     OverlappingDivisors,
+    SphereTreesError,
     UnitOnDivisor,
 )
 from sphere_trees.gaussian import gr
 from sphere_trees.limits import limit_cover
-from sphere_trees.moduli import MarkedSphere, sphere_as_tree, twist
+from sphere_trees.moduli import MarkedSphere, TreeOfSpheres, sphere_as_tree, twist
 from sphere_trees.rational import Polynomial, RationalMap, local_degree
-from sphere_trees.trees import neighbors
+from sphere_trees.trees import MarkedTree, neighbors
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestPortrait:
@@ -220,53 +236,6 @@ class TestRationalFromDivisors:
             assert got == want and repr(got) == repr(want)
 
 
-class TestCompletionLabels:
-    def test_cut_labels_avoid_existing_leaves(self):
-        # a component that already carries a cut leaf from an outer level
-        from sphere_trees.covers import _complete
-        from sphere_trees.moduli import TreeOfSpheres
-        from sphere_trees.trees import MarkedTree
-        shape = MarkedTree.make(
-            ["@0", "x", "y", "z"], [0, 1],
-            [("@0", 0), ("x", 0), (0, 1), ("y", 1), ("z", 1)])
-        tree = TreeOfSpheres.make(shape, {
-            0: {"@0": pt(0), "x": pt(1), 1: INF},
-            1: {"y": pt(0), "z": pt(1), 0: INF},
-        })
-        completed, cuts = _complete(tree, {0, "@0", "x"})
-        assert list(cuts.values()) == ["@1"]
-        assert completed.labels == frozenset(["@0", "x", "@1"])
-
-    def test_middle_vertex_keeps_its_points(self):
-        # both cut edges of the middle sphere become leaves where the neighbors sat
-        from sphere_trees.covers import _complete
-        from sphere_trees.moduli import TreeOfSpheres
-        from sphere_trees.trees import MarkedTree
-        shape = MarkedTree.make(
-            ["1", "2", "3", "4", "5"], [0, 1, 2],
-            [("1", 0), ("2", 0), (0, 1), ("3", 1), (1, 2), ("4", 2), ("5", 2)])
-        tree = TreeOfSpheres.make(shape, {
-            0: {"1": pt(0), "2": pt(1), 1: INF},
-            1: {"3": pt(1), 0: pt(0), 2: INF},
-            2: {"4": pt(0), "5": pt(1), 1: INF},
-        })
-        completed, cuts = _complete(tree, {1, "3"})
-        assert cuts == {(1, 0): "@0", (1, 2): "@1"}
-        assert completed.shape.internal == frozenset([1])
-        assert completed.edge_points(1) == {"3": pt(1), "@0": pt(0), "@1": INF}
-
-    def test_component_stays_inside_the_allowed_set(self):
-        from sphere_trees.covers import _component
-        from sphere_trees.trees import MarkedTree
-        shape = MarkedTree.make(
-            ["1", "2", "3", "4", "5"], [0, 1, 2],
-            [("1", 0), ("2", 0), (0, 1), ("3", 1), (1, 2), ("4", 2), ("5", 2)])
-        assert _component(shape, 0, {0, 1, 2, "1", "4"}) == {0, 1, 2, "1", "4"}
-        # vertex 1 is left out, so the walk from 0 never reaches 2 or its leaves
-        assert _component(shape, 0, {0, 2, "1", "4"}) == {0, "1"}
-        assert _component(shape, "4", {2, "4", "5"}) == {2, "4", "5"}
-
-
 class TestReconstruct:
     def test_single_vertex_z_squared(self):
         cover, portrait = z_squared_cover()
@@ -297,7 +266,6 @@ class TestReconstruct:
             assert cover_iso(rebuilt, cover)
 
     def test_deterministic_output(self):
-        from conftest import branching_cubic_cover
         cover = branching_cubic_cover()
         portrait = extract_portrait(cover)
         first = reconstruct_cover(cover.source, portrait)
@@ -364,8 +332,8 @@ class TestReconstructOutcomes:
 
 
 class TestDeepChains:
-    # Each peeled level adds a sentinel target label for the peeled vertex;
-    # the sentinels of nested levels must stay distinct.
+    # Each peel adds a sentinel target label for the peeled vertex; the
+    # sentinels that are live at once must stay distinct.
     @pytest.mark.parametrize("centres, depth", [
         ((0, 0, 1), 3), ((1, 1, 0), 4), ((1, 1, 2, 2, 0, 3, 4), 6)])
     def test_reconstruction_of_deep_source_chain(self, centres, depth):
@@ -375,6 +343,64 @@ class TestDeepChains:
         rebuilt = reconstruct_cover(cover.source, portrait)
         assert validate_cover(rebuilt, expected_portrait=portrait) == []
         assert cover_iso(rebuilt, cover)
+
+
+def reconstruct_digests() -> list[str]:
+    """'base i kind outcome' of reconstruct_cover on each input around a corpus of
+    covers: the limit covers of the degenerate families and of the z^2 chains, the
+    branching cubic, and the covers bench's patterns at seeds 1-3, each followed by its
+    ``reconstruction_inputs`` at one fixed seed.  The outcome is the sha256 of the rebuilt
+    cover's canonical JSON, or the error code.  Rewrite the pin with `PYTHONPATH=src:tests
+    python3 -c "import test_covers as t; print(*t.reconstruct_digests(), sep=chr(10))"
+    > tests/golden/reconstruct_corpus.sha`"""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import generators as gen
+    from workloads import Covers
+
+    bases = [(fam.__name__.removeprefix("degenerate_family_"), limit_cover(fam()))
+             for fam in (degenerate_family_two_vertex, degenerate_family_symmetric,
+                         degenerate_family_three_vertex, degenerate_family_extra_fiber,
+                         degenerate_family_split_fiber, degenerate_family_double_fold)]
+    bases += [("chain-" + "".join(map(str, c)), limit_cover(z_squared_chain_family(c)))
+              for c in CHAIN_CENTRES]
+    bases.append(("branching_cubic", branching_cubic_cover()))
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        bases += [(f"d{d}-{''.join(map(str, pattern))}-s{seed}",
+                   limit_cover(gen.cover_family(d, pattern, rng)))
+                  for d, pattern in Covers.PATTERNS]
+    rng = random.Random(2718)
+    lines = []
+    for name, cover in bases:
+        for i, (kind, src, p) in enumerate(reconstruction_inputs(cover, rng)):
+            try:
+                dump = ser.canonical_dumps(ser.cover_to_json(reconstruct_cover(src, p)))
+                outcome = hashlib.sha256(dump.encode()).hexdigest()
+            except SphereTreesError as exc:
+                outcome = exc.code
+            lines.append(f"{name} {i} {kind} {outcome}")
+    return lines
+
+
+def test_reconstructions_are_pinned():
+    # byte identity of reconstruct_cover, rebuilt covers and error codes alike
+    golden = GOLDEN / "reconstruct_corpus.sha"
+    assert reconstruct_digests() == golden.read_text().splitlines()
+
+
+def test_reconstructions_do_not_depend_on_the_hash_seed():
+    # the peel loop walks sets of vertices and labels; its output must not follow their order
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})",
+        "import test_covers",
+        "print(*test_covers.reconstruct_digests(), sep=chr(10))",
+    ])
+    outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert outs[0] == outs[1]
 
 
 class TestLocalDegreeTable:
@@ -488,10 +514,9 @@ class TestCoverIso:
 
 
 class TestBranchingCubic:
-    """Four-vertex chain whose peeling splits into two components."""
+    """Four-vertex chain whose first peel leaves two components."""
 
     def test_hand_built_cover_is_valid(self):
-        from conftest import branching_cubic_cover
         cover = branching_cubic_cover()
         assert validate_cover(cover) == []
         assert global_degree(cover) == 3
@@ -499,9 +524,78 @@ class TestBranchingCubic:
         assert sorted(images) == [0, 0, 1, 1]
 
     def test_reconstruction_merges_components(self):
-        from conftest import branching_cubic_cover
         cover = branching_cubic_cover()
         portrait = extract_portrait(cover)
         rebuilt = reconstruct_cover(cover.source, portrait)
         assert validate_cover(rebuilt, expected_portrait=portrait) == []
         assert cover_iso(rebuilt, cover)
+
+
+def swapped_cubic(a: str, b: str):
+    """The branching cubic's source with the images of leaves a and b swapped."""
+    cover = branching_cubic_cover()
+    p = extract_portrait(cover)
+    f = dict(p.f_dict)
+    return cover.source, Portrait.make({**f, a: f[b], b: f[a]}, p.deg_dict, p.d)
+
+
+def leafless_centre():
+    """A source of three spheres around a sphere without leaves, and a degree-7
+    portrait that sends all three to one target vertex; the centre then sees
+    only the label of that vertex."""
+    leaves, edges, marking, fmap, degmap = [], [(0, 3), (1, 3), (2, 3)], {}, {}, {}
+    for v, k, c in ((0, 1, 16), (1, 2, 4), (2, 4, 2)):  # f_v = z^k sends c to 16
+        marking[v] = {3: pt(c)}
+        for z, p in (("A", pt(0)), ("B", pt(1)), ("C", INF)):
+            leaves.append(f"{z}{v}")
+            edges.append((f"{z}{v}", v))
+            marking[v][f"{z}{v}"] = p
+            fmap[f"{z}{v}"], degmap[f"{z}{v}"] = f"z{z}", k
+    marking[3] = {0: pt(0), 1: pt(1), 2: INF}
+    source = TreeOfSpheres.make(MarkedTree.make(leaves, [0, 1, 2, 3], edges), marking)
+    return source, Portrait.make(fmap, degmap, 7)
+
+
+class TestPeelLoop:
+    """Reconstruction peels the whole source in one chain of target vertices."""
+
+    @pytest.mark.parametrize("make", [
+        branching_cubic_cover,
+        lambda: limit_cover(z_squared_chain_family(CHAIN_CENTRES[-1])),
+    ], ids=["branching_cubic", "deep_chain"])
+    def test_one_target_tree_and_no_isomorphism(self, make, monkeypatch):
+        # the fiber of a peeled target vertex spans every component of what is
+        # left, so no component gets a target of its own to be merged
+        cover = make()
+        portrait = extract_portrait(cover)
+        isos, built = [], []
+        monkeypatch.setattr(covers, "iso_of_spheres",
+                            lambda *a: isos.append(a) or moduli.iso_of_spheres(*a))
+        make_tree = TreeOfSpheres.make
+        monkeypatch.setattr(TreeOfSpheres, "make", classmethod(
+            lambda cls, *a: built.append(make_tree(*a)) or built[-1]))
+        rebuilt = reconstruct_cover(cover.source, portrait)
+        assert isos == []
+        assert len(built) == 1 and built[0] is rebuilt.target
+
+    def test_disagreeing_components_reach_validation(self):
+        # the two ends of the chain see the target labels z3 and z4 differently,
+        # and validate_cover names where
+        with pytest.raises(NotRealizable) as info:
+            reconstruct_cover(*swapped_cubic("d3", "d4"))
+        assert str(info.value) == "reconstructed object is not a valid cover"
+        assert info.value.witness == [
+            "vertex 3: image of the edge point toward 'd3' is not the marked point toward 'z4'",
+            "vertex 3: fiber over the point toward 'z4' sums to 0, expected 1"]
+
+    def test_last_fiber_must_see_every_remaining_label(self):
+        # vertex 3 does not see z2, so it cannot lie over the last target vertex
+        with pytest.raises(NotRealizable) as info:
+            reconstruct_cover(*swapped_cubic("c2a", "d4"))
+        assert str(info.value) == "single-vertex source does not cover every target label"
+        assert info.value.witness is None
+
+    def test_leafless_last_vertex_is_not_realizable(self):
+        # no chart can be pinned from a single label
+        with pytest.raises(NotRealizable, match="fewer than two target labels"):
+            reconstruct_cover(*leafless_centre())

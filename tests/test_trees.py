@@ -13,7 +13,6 @@ from sphere_trees.errors import (
     InvalidIncidence,
     LeafSetMismatch,
     NotAdmissible,
-    SingleVertexTree,
 )
 from sphere_trees.trees import (
     AdmissibilityViolation,
@@ -25,7 +24,6 @@ from sphere_trees.trees import (
     neighbors,
     partition_at,
     partition_sort_key,
-    peripheral_internal,
     representative_triple,
     separating_vertex,
     tree_from_partitions,
@@ -207,18 +205,6 @@ class TestSeparatingVertex:
     def test_representative_triple(self, two_vertex):
         assert representative_triple(partition_at(two_vertex, 0)) == ("1", "2", "3")
         assert representative_triple(partition_at(two_vertex, 1)) == ("1", "3", "4")
-
-
-class TestPeripheral:
-    def test_two_vertex(self, two_vertex):
-        assert peripheral_internal(two_vertex) == 0
-
-    def test_caterpillar_never_middle(self, caterpillar):
-        assert peripheral_internal(caterpillar) in (0, 2)
-
-    def test_star_raises(self, star):
-        with pytest.raises(SingleVertexTree):
-            peripheral_internal(star)
 
 
 class TestProperties:
