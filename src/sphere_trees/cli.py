@@ -5,6 +5,11 @@ errors (reported as {"error": <code>, "witness": ...}), 2 for schema,
 usage, and parse errors.  Only `limit` takes `--tolerance` and `--window`,
 and only on a numeric sequence; `iso` on two dynamical systems decides
 conjugacy.
+
+Each command is one row of `COMMANDS`: its function, help, positional inputs
+and options.  Every command also takes `--out <path>`, which writes the same
+bytes as stdout.  A command function returns its payload, and `main` writes
+it: `main` is the one writer of stdout.
 """
 
 from __future__ import annotations
@@ -35,48 +40,37 @@ def _load(path: str) -> Any:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _emit(payload: Any, out: Optional[str]) -> None:
-    text = ser.canonical_dumps(payload)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+def _dyn_violations(obj: Any) -> list[str]:
+    dyn = ser.dyn_from_json(obj)
+    return validate_cover(dyn.cover) or validate_dyn(dyn)
 
 
-def _cmd_validate(args) -> int:
+# validate's check for the kinds whose reader accepts a payload that breaks an
+# invariant; the reader of every other kind refuses such a payload itself
+_VIOLATIONS = {
+    "tree": lambda obj: validate_tree(ser.tree_from_json(obj, check=False)),
+    "portrait": lambda obj: validate_portrait(ser.portrait_from_json(obj)),
+    "cover": lambda obj: validate_cover(ser.cover_from_json(obj)),
+    "dyn": _dyn_violations,
+}
+
+
+def _cmd_validate(args) -> Any:
     obj = _load(args.input)
     kind = ser.detect_kind(obj)
+    if kind not in ser.READERS:
+        raise SchemaError(f"validate does not handle {kind!r} payloads")
     try:
-        if kind == "tree":
-            problems = validate_tree(ser.tree_from_json(obj, check=False))
-        elif kind == "tree_of_spheres":
-            ser.tree_of_spheres_from_json(obj)  # constructor enforces the invariants
-            problems = []
-        elif kind == "marked_sphere":
-            ser.marked_sphere_from_json(obj)
-            problems = []
-        elif kind == "portrait":
-            problems = validate_portrait(ser.portrait_from_json(obj))
-        elif kind == "cover":
-            problems = validate_cover(ser.cover_from_json(obj))
-        elif kind == "dyn":
-            dyn = ser.dyn_from_json(obj)
-            problems = validate_cover(dyn.cover) or validate_dyn(dyn)
-        elif kind == "family":
-            ser.family_from_json(obj)
-            problems = []
-        elif kind == "cover_family":
-            ser.cover_family_from_json(obj)
-            problems = []
+        if kind in _VIOLATIONS:
+            problems = _VIOLATIONS[kind](obj)
         else:
-            raise SchemaError(f"validate does not handle {kind!r} payloads")
+            ser.READERS[kind](obj)
+            problems = []
     except SchemaError:
         raise
     except SphereTreesError as exc:
         problems = [f"{exc.code}: {exc}"]
-    _emit({"ok": not problems} if not problems else
-          {"ok": False, "violations": problems}, args.out)
-    return 0
+    return {"ok": True} if not problems else {"ok": False, "violations": problems}
 
 
 # Largest label count `embed` prints.  Its output has 6·C(n,3)·n values, about
@@ -85,79 +79,64 @@ def _cmd_validate(args) -> int:
 MAX_EMBED_LABELS = 16
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> Any:
     t = ser.tree_of_spheres_from_json(_load(args.input))
     if len(t.labels) > MAX_EMBED_LABELS:
         raise SchemaError(f"embed takes at most {MAX_EMBED_LABELS} labels, got {len(t.labels)}")
-    _emit(ser.embedding_to_json(embed(t)), args.out)
-    return 0
+    return ser.embedding_to_json(embed(t))
 
 
-def _cmd_iso(args) -> int:
+# iso's verdict per kind: isomorphism, or conjugacy for dynamical systems
+_VERDICTS = {"tree": trees_isomorphic, "tree_of_spheres": spheres_iso,
+             "cover": cover_iso, "dyn": dyn_conjugate}
+
+
+def _cmd_iso(args) -> Any:
     a, b = _load(args.left), _load(args.right)
     ka, kb = ser.detect_kind(a), ser.detect_kind(b)
     if ka != kb:
         raise SchemaError(f"cannot compare {ka!r} with {kb!r}")
-    if ka == "tree":
-        verdict = trees_isomorphic(ser.tree_from_json(a), ser.tree_from_json(b))
-    elif ka == "tree_of_spheres":
-        verdict = spheres_iso(ser.tree_of_spheres_from_json(a),
-                              ser.tree_of_spheres_from_json(b))
-    elif ka == "cover":
-        verdict = cover_iso(ser.cover_from_json(a), ser.cover_from_json(b))
-    elif ka == "dyn":
-        verdict = dyn_conjugate(ser.dyn_from_json(a), ser.dyn_from_json(b))
-    else:
+    if ka not in _VERDICTS:
         raise SchemaError(f"iso does not handle {ka!r} payloads")
-    _emit({"isomorphic": verdict}, args.out)
-    return 0
+    read = ser.READERS[ka]
+    return {"isomorphic": _VERDICTS[ka](read(a), read(b))}
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> Any:
     obj = _load(args.input)
     kind = ser.detect_kind(obj)
     if kind == "family":
         if args.tolerance is not None or args.window is not None:
             raise SchemaError("--tolerance and --window apply only to numeric input")
-        tree = limit_tree(ser.family_from_json(obj))
-        _emit(ser.tree_of_spheres_to_json(tree), args.out)
-    elif kind == "numeric":
+        return ser.tree_of_spheres_to_json(limit_tree(ser.family_from_json(obj)))
+    if kind == "numeric":
         tolerance = 1e-6 if args.tolerance is None else args.tolerance
         window = 5 if args.window is None else args.window
         seq = ser.numeric_sequence_from_json(obj, tolerance, window)
-        _emit(ser.numeric_tree_to_json(numeric_limit_tree(seq)), args.out)
-    else:
-        raise SchemaError("limit expects a Laurent family or a numeric sequence")
-    return 0
+        return ser.numeric_tree_to_json(numeric_limit_tree(seq))
+    raise SchemaError("limit expects a Laurent family or a numeric sequence")
 
 
-def _cmd_limit_cover(args) -> int:
-    fam = ser.cover_family_from_json(_load(args.input))
-    _emit(ser.cover_to_json(limit_cover(fam)), args.out)
-    return 0
+def _cmd_limit_cover(args) -> Any:
+    return ser.cover_to_json(limit_cover(ser.cover_family_from_json(_load(args.input))))
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args) -> Any:
     t = ser.tree_of_spheres_from_json(_load(args.input))
-    labels = _parse_labels(args.labels)
-    _emit(ser.tree_of_spheres_to_json(project(t, labels)), args.out)
-    return 0
+    return ser.tree_of_spheres_to_json(project(t, _parse_labels(args.labels)))
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args) -> Any:
     source = ser.tree_of_spheres_from_json(_load(args.source))
     portrait = ser.portrait_from_json(_load(args.portrait))
-    _emit(ser.cover_to_json(reconstruct_cover(source, portrait)), args.out)
-    return 0
+    return ser.cover_to_json(reconstruct_cover(source, portrait))
 
 
-def _cmd_plumb(args) -> int:
-    t = ser.tree_of_spheres_from_json(_load(args.input))
-    _emit(ser.family_to_json(plumb_family(t)), args.out)
-    return 0
+def _cmd_plumb(args) -> Any:
+    return ser.family_to_json(plumb_family(ser.tree_of_spheres_from_json(_load(args.input))))
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> Any:
     fam = ser.family_from_json(_load(args.input))
     if args.eps is None:
         raise SchemaError("sample requires --eps")
@@ -166,26 +145,20 @@ def _cmd_sample(args) -> int:
     bits = max(args.eps.numerator, args.eps.denominator).bit_length() - 1
     if 0 < 10 * sys.get_int_max_str_digits() <= 3 * top * bits:
         raise SchemaError(f"eps^{top} at this --eps exceeds the int-to-str digit limit")
-    sphere = fam.evaluate(args.eps)
-    _emit(ser.marked_sphere_to_json(sphere), args.out)
-    return 0
+    return ser.marked_sphere_to_json(fam.evaluate(args.eps))
 
 
-def _cmd_compat(args) -> int:
+def _cmd_compat(args) -> Any:
     tx = ser.tree_of_spheres_from_json(_load(args.left))
     ty = ser.tree_of_spheres_from_json(_load(args.right))
-    _emit({"compatible": compatible(tx, ty)}, args.out)
-    return 0
+    return {"compatible": compatible(tx, ty)}
 
 
-def _cmd_dyn_member(args) -> int:
+def _cmd_dyn_member(args) -> Any:
     cover = ser.cover_from_json(_load(args.input))
-    labels = _parse_labels(args.labels)
-    verdict, witness = dyn_membership(cover, labels)
-    payload = {"member": verdict,
-               "witness": ser.tree_of_spheres_to_json(witness) if witness else None}
-    _emit(payload, args.out)
-    return 0
+    verdict, witness = dyn_membership(cover, _parse_labels(args.labels))
+    return {"member": verdict,
+            "witness": ser.tree_of_spheres_to_json(witness) if witness else None}
 
 
 def _parse_labels(raw: Optional[str]) -> list[str]:
@@ -207,82 +180,44 @@ def _parse_eps(raw: str) -> Fraction:
     return eps
 
 
+# name: (function, help, positional inputs, options); every command also takes --out
+COMMANDS = {
+    "validate": (_cmd_validate, "validate any payload, reporting violations", ["input"], {}),
+    "embed": (_cmd_embed, "all quadruple chart values of a tree of spheres", ["input"], {}),
+    "iso": (_cmd_iso, "isomorphism verdict for trees, marked trees, or covers;"
+                      " conjugacy for dynamical systems", ["left", "right"], {}),
+    "limit": (_cmd_limit, "limit tree of a Laurent family or numeric sequence", ["input"], {
+        "--tolerance": {"type": float, "help": "numeric mode tolerance (default 1e-6)"},
+        "--window": {"type": int, "help": "numeric mode stability window (default 5)"}}),
+    "limit-cover": (_cmd_limit_cover, "limit of a degenerating cover family", ["input"], {}),
+    "project": (_cmd_project, "restrict a tree of spheres to a sub-label-set", ["input"],
+                {"--labels": {"help": "comma-separated label subset"}}),
+    "reconstruct": (_cmd_reconstruct, "rebuild the cover from a source tree and portrait",
+                    ["source", "portrait"], {}),
+    "plumb": (_cmd_plumb, "degenerating family realizing a tree of spheres", ["input"], {}),
+    "sample": (_cmd_sample, "evaluate a family at a positive rational eps", ["input"],
+               {"--eps": {"type": _parse_eps}}),
+    "compat": (_cmd_compat, "is the first tree the projection of the second",
+               ["left", "right"], {}),
+    "dyn-member": (_cmd_dyn_member, "does a cover underlie a dynamical system", ["input"],
+                   {"--labels": {"help": "comma-separated dynamical label set"}}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphere-trees",
         description="Exact calculus of marked spheres, their degeneration trees, and covers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (func, help_text, inputs, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in inputs:
+            p.add_argument(arg)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
         p.add_argument("--out", help="also write the canonical output to this path")
-
-    p = sub.add_parser("validate", help="validate any payload, reporting violations")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("embed", help="all quadruple chart values of a tree of spheres")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_embed)
-
-    p = sub.add_parser("iso", help="isomorphism verdict for trees, marked trees, or covers;"
-                                   " conjugacy for dynamical systems")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-    p.set_defaults(func=_cmd_iso)
-
-    p = sub.add_parser("limit", help="limit tree of a Laurent family or numeric sequence")
-    p.add_argument("input")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="numeric mode tolerance (default 1e-6)")
-    p.add_argument("--window", type=int, default=None,
-                   help="numeric mode stability window (default 5)")
-    common(p)
-    p.set_defaults(func=_cmd_limit)
-
-    p = sub.add_parser("limit-cover", help="limit of a degenerating cover family")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_limit_cover)
-
-    p = sub.add_parser("project", help="restrict a tree of spheres to a sub-label-set")
-    p.add_argument("input")
-    p.add_argument("--labels", help="comma-separated label subset")
-    common(p)
-    p.set_defaults(func=_cmd_project)
-
-    p = sub.add_parser("reconstruct", help="rebuild the cover from a source tree and portrait")
-    p.add_argument("source")
-    p.add_argument("portrait")
-    common(p)
-    p.set_defaults(func=_cmd_reconstruct)
-
-    p = sub.add_parser("plumb", help="degenerating family realizing a tree of spheres")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_plumb)
-
-    p = sub.add_parser("sample", help="evaluate a family at a positive rational eps")
-    p.add_argument("input")
-    p.add_argument("--eps", type=_parse_eps, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("compat", help="is the first tree the projection of the second")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-    p.set_defaults(func=_cmd_compat)
-
-    p = sub.add_parser("dyn-member", help="does a cover underlie a dynamical system")
-    p.add_argument("input")
-    p.add_argument("--labels", help="comma-separated dynamical label set")
-    common(p)
-    p.set_defaults(func=_cmd_dyn_member)
-
+        p.set_defaults(func=func)
     return parser
 
 
@@ -295,7 +230,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        text = ser.canonical_dumps(args.func(args))
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
@@ -304,6 +239,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.write(ser.canonical_dumps(payload))
         sys.stderr.write(f"{exc.code}: {exc}\n")
         return 1
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+    return 0
 
 
 def _jsonable(witness) -> object:

@@ -37,10 +37,6 @@ class LeafSetMismatch(SphereTreesError):
     """Operands are marked by different label sets."""
 
 
-class EmptySet(SphereTreesError):
-    """An operation received an empty vertex selection."""
-
-
 class NotAdmissible(SphereTreesError):
     """A partition set fails the admissibility conditions."""
 

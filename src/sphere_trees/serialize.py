@@ -11,6 +11,10 @@ Output is canonicalized by sorted keys and a fixed layout, so identical
 values serialize to identical bytes: exactly ``json.dumps(payload,
 sort_keys=True, indent=2, ensure_ascii=False)`` plus a newline, written in
 one pass.
+
+``KINDS`` is the one table of payload kinds: the keys that name each kind
+and its reader.  ``detect_kind`` and ``READERS`` are read off it, so a new
+kind is one row there.
 """
 
 from __future__ import annotations
@@ -511,29 +515,31 @@ def numeric_tree_to_json(t: NumericTreeOfSpheres) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# payload kind detection (for `validate` and `iso`)
+# payload kinds
+
+
+# (kind, the keys that name it, its reader), in the order detect_kind tries
+# them.  A numeric sequence has no reader here: reading one takes the CLI's
+# --tolerance and --window.
+KINDS = [
+    ("dyn", {"cover", "dyn_tree"}, dyn_from_json),
+    ("cover", {"vertex_map"}, cover_from_json),
+    ("cover_family", {"portrait", "map"}, cover_family_from_json),
+    ("numeric", {"snapshots"}, None),
+    ("family", {"paths"}, family_from_json),
+    ("portrait", {"F", "deg"}, portrait_from_json),
+    ("tree_of_spheres", {"marking"}, tree_of_spheres_from_json),
+    ("marked_sphere", {"points"}, marked_sphere_from_json),
+    ("tree", {"leaves"}, tree_from_json),
+]
+READERS = {kind: read for kind, _, read in KINDS if read is not None}
 
 
 def detect_kind(obj: Any) -> str:
+    """The first kind in KINDS whose keys the payload has."""
     if not isinstance(obj, dict):
         raise SchemaError("top-level JSON payloads are objects")
-    keys = set(obj)
-    if {"cover", "dyn_tree"} <= keys:
-        return "dyn"
-    if "vertex_map" in keys:
-        return "cover"
-    if {"portrait", "map"} <= keys:
-        return "cover_family"
-    if "snapshots" in keys:
-        return "numeric"
-    if "paths" in keys:
-        return "family"
-    if {"F", "deg"} <= keys:
-        return "portrait"
-    if "marking" in keys:
-        return "tree_of_spheres"
-    if "points" in keys:
-        return "marked_sphere"
-    if "leaves" in keys:
-        return "tree"
-    raise SchemaError(f"unrecognized payload with keys {sorted(keys)}")
+    for kind, keys, _ in KINDS:
+        if keys <= obj.keys():
+            return kind
+    raise SchemaError(f"unrecognized payload with keys {sorted(obj)}")

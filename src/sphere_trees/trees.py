@@ -17,10 +17,10 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
-    EmptySet,
     InvalidIncidence,
     InvalidFamily,
     LeafSetMismatch,
+    MarkedSetTooSmall,
     NotAdmissible,
 )
 
@@ -100,6 +100,7 @@ def validate_tree(t: MarkedTree) -> list[str]:
         problems.append("leaf labels and internal ids overlap")
     verts = t.leaves | t.internal
     adj: dict[Vertex, list] = {v: [] for v in verts}
+    first_edge = len(problems)
     for e in t.edges:
         ends = tuple(e)
         if len(ends) != 2:
@@ -112,6 +113,8 @@ def validate_tree(t: MarkedTree) -> list[str]:
         adj[a].append(b)
         adj[b].append(a)
     if problems:
+        # sorted: t.edges is a frozenset, whose order depends on the hash seed
+        problems[first_edge:] = sorted(problems[first_edge:])
         return problems
     if len(t.edges) != len(verts) - 1:
         problems.append("edge count does not match a tree")
@@ -326,7 +329,7 @@ def enumerate_stable_trees(labels: Iterable[str]) -> Iterator[MarkedTree]:
     """
     labs = sorted(set(labels))
     if len(labs) < 3:
-        raise EmptySet("stable trees need at least three labels")
+        raise MarkedSetTooSmall("stable trees need at least three labels")
     base = MarkedTree.make(labs[:3], [0], [(labs[0], 0), (labs[1], 0), (labs[2], 0)])
     current = [base]
     for x in labs[3:]:

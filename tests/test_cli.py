@@ -10,17 +10,23 @@ import time
 
 import pytest
 
-from conftest import DATA_DIR, relabel_internal_ids
+from conftest import DATA_DIR, INF, pt, relabel_internal_ids
+from sphere_trees import cli
 from sphere_trees import serialize as ser
 from sphere_trees.dynamics import DynSystem, dyn_membership
+from sphere_trees.moduli import MarkedSphere
 from test_covers import leafless_centre, swapped_cubic
 from test_dynamics import dyn_z_squared, mismatch_cover, source_twisted
 
-SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+GOLDEN = ROOT / "tests" / "golden"
 
 
-def run_cli(*args: str):
+def run_cli(*args: str, hash_seed: str | None = None):
     env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, "-m", "sphere_trees.cli", *args],
         capture_output=True, text=True, env=env)
@@ -154,10 +160,8 @@ class TestErrors:
         assert payload["error"] == "NotASubset"
 
     def test_coincident_paths_name_their_labels(self, tmp_path):
-        blob = json.loads((DATA_DIR / "family_eps.json").read_text())
-        blob["paths"]["3"] = blob["paths"]["2"]  # infinity becomes the constant path 1
         bad = tmp_path / "coincident.json"
-        bad.write_text(json.dumps(blob))
+        bad.write_text(coincident_family())
         r = run_cli("limit", str(bad))
         assert r.returncode == 1
         assert json.loads(r.stdout) == {"error": "InvalidFamily", "witness": ["2", "3"]}
@@ -257,13 +261,94 @@ class TestDeterminism:
         seq = tmp_path / "seq.json"
         seq.write_text(json.dumps({"snapshots": [snapshot] * 12,
                                    "eps": [1 / (k + 2) for k in range(12)]}))
-        golden = pathlib.Path(__file__).parent / "golden" / (
-            "limit_numeric_inadmissible_tolerance_0.8_window_5.out")
+        golden = GOLDEN / "limit_numeric_inadmissible_tolerance_0.8_window_5.out"
         for seed in ("1", "2"):
-            r = subprocess.run(
-                [sys.executable, "-m", "sphere_trees.cli", "limit", str(seq),
-                 "--tolerance", "0.8", "--window", "5"],
-                capture_output=True, text=True,
-                env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed})
+            r = run_cli("limit", str(seq), "--tolerance", "0.8", "--window", "5",
+                        hash_seed=seed)
             assert r.returncode == 1
             assert r.stdout == golden.read_text()
+
+    def test_tree_diagnostics_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # without its internal vertex every edge of the star leaves the vertex
+        # set, and the tree's edges are a frozenset
+        blob = json.loads((DATA_DIR / "star_tree.json").read_text())
+        blob["internal"] = []
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(blob))
+        golden = GOLDEN / "validate_star_tree_without_internal.out"
+        for seed in ("1", "2"):
+            r = run_cli("validate", str(tree), hash_seed=seed)
+            assert r.returncode == 0
+            assert r.stdout == golden.read_text()
+
+
+def coincident_family() -> str:
+    blob = json.loads((DATA_DIR / "family_eps.json").read_text())
+    blob["paths"]["3"] = blob["paths"]["2"]  # infinity becomes the constant path 1
+    return json.dumps(blob)
+
+
+class TestOut:
+    def test_out_holds_the_stdout_bytes(self, tmp_path):
+        out = tmp_path / "limit.json"
+        r = run_cli("limit", data("family_eps.json"), "--out", str(out))
+        assert r.returncode == 0
+        golden = GOLDEN / "limit_family_eps.out"
+        assert out.read_bytes() == r.stdout.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("text, code", [
+        (coincident_family, 1),
+        (lambda: "{not json", 2),
+    ], ids=["domain-error", "schema-error"])
+    def test_failed_run_writes_no_file(self, tmp_path, text, code):
+        family = tmp_path / "family.json"
+        family.write_text(text())
+        out = tmp_path / "limit.json"
+        r = run_cli("limit", str(family), "--out", str(out))
+        assert r.returncode == code
+        assert not out.exists()
+
+
+class TestRefusedKinds:
+    @pytest.mark.parametrize("args, refusal", [
+        (["validate", "numeric_sequence.json"], "validate does not handle 'numeric' payloads"),
+        (["iso", "family_eps.json", "family_eps.json"],
+         "iso does not handle 'family' payloads"),
+        (["iso", "cover_family_degenerate.json", "cover_family_degenerate.json"],
+         "iso does not handle 'cover_family' payloads"),
+        (["iso", "portrait_z2.json", "portrait_z2.json"],
+         "iso does not handle 'portrait' payloads"),
+        (["iso", "marked_sphere.json", "marked_sphere.json"],
+         "iso does not handle 'marked_sphere' payloads"),
+        (["iso", "numeric_sequence.json", "numeric_sequence.json"],
+         "iso does not handle 'numeric' payloads"),
+        (["iso", "star_tree.json", "star_spheres.json"],
+         "cannot compare 'tree' with 'tree_of_spheres'"),
+        (["iso", "cover_z2.json", "dyn_z_squared.json"], "cannot compare 'cover' with 'dyn'"),
+    ], ids=["validate-numeric", "iso-family", "iso-cover_family", "iso-portrait",
+            "iso-marked_sphere", "iso-numeric", "iso-tree-tree_of_spheres", "iso-cover-dyn"])
+    def test_refusal(self, tmp_path, args, refusal):
+        # data/ ships no marked sphere
+        sphere = tmp_path / "marked_sphere.json"
+        sphere.write_text(ser.canonical_dumps(ser.marked_sphere_to_json(
+            MarkedSphere.make({"a": pt(0), "b": pt(1), "c": INF}))))
+        paths = [str(sphere) if a == sphere.name else data(a) for a in args[1:]]
+        r = run_cli(args[0], *paths)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"schema error: {refusal}\n")
+
+
+def readme_commands() -> set:
+    """The subcommands README's command-line block runs."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return {line.split()[1] for line in block.splitlines() if line.startswith("sphere-trees ")}
+
+
+class TestDocs:
+    def test_readme_names_every_command(self):
+        assert readme_commands() == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(readme_commands()))
+    def test_help(self, command):
+        r = run_cli(command, "--help")
+        assert r.returncode == 0 and r.stdout.startswith(f"usage: sphere-trees {command} ")

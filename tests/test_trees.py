@@ -9,9 +9,9 @@ import pytest
 
 from conftest import random_stable_shape
 from sphere_trees.errors import (
-    EmptySet,
     InvalidIncidence,
     LeafSetMismatch,
+    MarkedSetTooSmall,
     NotAdmissible,
 )
 from sphere_trees.trees import (
@@ -81,10 +81,10 @@ class TestValidate:
 
 class TestEnumerate:
     def test_fewer_than_three_labels_refused(self):
-        with pytest.raises(EmptySet):
+        with pytest.raises(MarkedSetTooSmall):
             enumerate_stable_trees(["1", "2"])
         # repeated labels count once
-        with pytest.raises(EmptySet):
+        with pytest.raises(MarkedSetTooSmall):
             enumerate_stable_trees(["1", "2", "2"])
 
     def test_four_labels(self, star):
