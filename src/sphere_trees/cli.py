@@ -34,7 +34,7 @@ def _load(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
@@ -231,6 +231,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         text = ser.canonical_dumps(args.func(args))
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise SchemaError(f"cannot write {args.out}: {exc}") from exc
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
@@ -239,9 +245,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.write(ser.canonical_dumps(payload))
         sys.stderr.write(f"{exc.code}: {exc}\n")
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     sys.stdout.write(text)
     return 0
 

@@ -171,6 +171,7 @@ def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
 
 
 NumericPoint = tuple[complex, complex]  # homogeneous, scaled to unit norm
+_NOT_FINITE = "snapshot coordinates must be finite with a finite modulus: "
 
 
 def _numeric_point(value) -> NumericPoint:
@@ -179,9 +180,9 @@ def _numeric_point(value) -> NumericPoint:
         return (1.0 + 0j, 0j)
     z = complex(value)
     if not abs(z.real) + abs(z.imag) < math.inf:  # NaN, infinity, or |z| past the float range
-        raise InvalidFamily(f"snapshot coordinates must be finite with a finite modulus: {z!r}")
-    n = max(abs(z), 1.0)
-    return (z / n, 1.0 / n)
+        raise InvalidFamily(_NOT_FINITE + repr(z))
+    n = abs(z)  # z / 1.0 is complex division, which may clear the sign of a zero part
+    return (z / n, 1.0 / n) if n > 1.0 else (z / 1.0, 1.0)
 
 
 def chordal(p: NumericPoint, q: NumericPoint) -> float:
@@ -237,13 +238,9 @@ def _extrapolate(ratios: Sequence[Sequence[float]], pts: Sequence[NumericPoint])
     # extrapolate in the affine chart suggested by the sample nearest the limit
     u, v = pts[0]
     if abs(u) <= abs(v):
-        vals = [p[0] / p[1] for p in pts]
-        return _numeric_point(_bs_extrapolate(ratios, vals))
-    vals = [p[1] / p[0] for p in pts]
-    w = _bs_extrapolate(ratios, vals)
-    if w == 0:
-        return (1.0 + 0j, 0j)
-    return _numeric_point(1.0 / w)
+        return _numeric_point(_bs_extrapolate(ratios, [p[0] / p[1] for p in pts]))
+    w = _bs_extrapolate(ratios, [p[1] / p[0] for p in pts])
+    return (1.0 + 0j, 0j) if w == 0 else _numeric_point(1.0 / w)
 
 
 @dataclass(frozen=True)
@@ -272,11 +269,21 @@ class NumericConfigSequence:
             raise InvalidFamily("eps values must be positive and finite")
         if not 0 < tolerance < math.inf or stability_window < 2:
             raise InvalidFamily("tolerance must be positive and finite, window at least 2")
-        rows = []
+        keys, rows = snapshots[0].keys(), []
         for snap in snapshots:
-            if tuple(sorted(snap)) != labels:
+            if snap.keys() != keys:
                 raise InvalidFamily("snapshots do not share a label set")
-            rows.append(tuple(_numeric_point(snap[x]) for x in labels))
+            row = []  # _numeric_point, inlined
+            for z in map(snap.__getitem__, labels):
+                if z is None:
+                    row.append((1.0 + 0j, 0j))
+                    continue
+                z = complex(z)
+                if not abs(z.real) + abs(z.imag) < math.inf:
+                    raise InvalidFamily(_NOT_FINITE + repr(z))
+                n = abs(z)
+                row.append((z / n, 1.0 / n) if n > 1.0 else (z / 1.0, 1.0))
+            rows.append(tuple(row))
         return cls(labels, tuple(rows), tuple(float(e) for e in eps),
                    float(tolerance), int(stability_window))
 
@@ -296,14 +303,14 @@ _SUPPORT_POINTS = 9
 _LADDER_SPAN = 12.0
 
 
-def _ladder_nodes(eps: Sequence[float], skip: int) -> list[int]:
+def _ladder_nodes(eps: Sequence[float], skip: int, order: Sequence[int] = ()) -> list[int]:
     """Geometric support ladder anchored at the (skip+1)-th smallest parameter.
 
     Tightly clustered support points amplify the cancellation noise of
     nearly-degenerate snapshots, so the ladder spreads geometrically across
     the sampled range (up to a capped span), smallest parameter first.
     """
-    order = sorted(range(len(eps)), key=lambda i: eps[i])[skip:]
+    order = (order or sorted(range(len(eps)), key=eps.__getitem__))[skip:]
     count = min(_SUPPORT_POINTS, len(order))
     lo, hi = eps[order[0]], eps[order[-1]]
     span = min(_LADDER_SPAN, hi / lo)
@@ -342,13 +349,17 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     Clustering must be transitive, and a snapshot with coincident labels is refused first.
     A charted triple builds one cross-ratio row per snapshot some ladder uses; each
     ladder reads its series from those rows and its ratios from one table per call.
+    The triple's own 0 and inf labels, exact zeros of every row's numerator or
+    denominator, are charted from ladder 0's last row and as (1 : 0), the bits their
+    tableaux would return with spread 0.0, unless a row holds (0 : 0) for either.
     """
     w = seq.stability_window
     labels = seq.labels
     if len(seq.snapshots) < w + 1:
         raise NotStabilized("not enough snapshots for the stability window",
                             witness={"snapshots": len(seq.snapshots), "window": w})
-    nodes = [_ladder_nodes(seq.eps, skip) for skip in range(w)]
+    order = sorted(range(len(seq.eps)), key=seq.eps.__getitem__)
+    nodes = [_ladder_nodes(seq.eps, skip, order) for skip in range(w)]
     used = {i for node_idx in nodes for i in node_idx}
     _refuse_coincident(seq, used)
     ladders = [(_eps_ratios([seq.eps[i] for i in node_idx]), node_idx) for node_idx in nodes]
@@ -361,7 +372,12 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
         i0, i1, i2 = (labels.index(x) for x in triple)
         rows = {i: _cross_ratio_row(seq.snapshots[i], i0, i1, i2) for i in used}
         chart, unsettled = {}, []
+        if all((0j, 0j) not in (row[i0], row[i2]) for row in rows.values()):
+            u, v = rows[nodes[0][-1]][i0]
+            chart = {triple[0]: _numeric_point(u / v), triple[2]: (1.0 + 0j, 0j)}
         for ix, x in enumerate(labels):
+            if x in chart:
+                continue
             estimates = [_extrapolate(ratios, [rows[i][ix] for i in node_idx])
                          for ratios, node_idx in ladders]
             spread = max(chordal(estimates[0], e) for e in estimates[1:])

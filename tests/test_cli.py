@@ -146,6 +146,17 @@ class TestErrors:
         r = run_cli("validate", "no_such_file.json")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("content", [None, bytes(range(128, 228))],
+                             ids=["directory", "not-utf-8"])
+    def test_unreadable_input_is_schema_error(self, tmp_path, content):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "binary.json"
+            path.write_bytes(content)
+        r = run_cli("validate", str(path))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith(f"schema error: cannot read {path}: ")
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -307,6 +318,13 @@ class TestOut:
         r = run_cli("limit", str(family), "--out", str(out))
         assert r.returncode == code
         assert not out.exists()
+
+    def test_unwritable_out_is_schema_error(self, tmp_path):
+        out = tmp_path / "missing" / "limit.json"
+        r = run_cli("limit", data("family_eps.json"), "--out", str(out))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith(f"schema error: cannot write {out}: ")
+        assert "Traceback" not in r.stderr
 
 
 class TestRefusedKinds:

@@ -553,8 +553,9 @@ class TestNumericLimit:
 
     @pytest.mark.parametrize("n", [5, 8, 11])
     def test_one_extrapolated_chart_per_vertex(self, monkeypatch, n):
-        # one extrapolation per (ladder, quadruple) of a charted triple, and one
-        # cross-ratio row per (charted triple, snapshot some ladder uses)
+        # one extrapolation per (ladder, quadruple) of a charted triple but those of its
+        # own 0 and inf labels, which are charted exactly, and one cross-ratio row per
+        # (charted triple, snapshot some ladder uses)
         calls, rows = [], []
         extrapolate, cross_ratio_row = limits._extrapolate, limits._cross_ratio_row
 
@@ -581,11 +582,98 @@ class TestNumericLimit:
                 seq = None
         vertices = len(t.shape.internal)
         assert vertices > 1
-        assert len(calls) == seq.stability_window * n * vertices
+        assert len(calls) == seq.stability_window * (n - 2) * vertices
         used = {i for skip in range(seq.stability_window)
                 for i in limits._ladder_nodes(seq.eps, skip)}
         assert len(rows) == vertices * len(used)
         assert len(set(rows)) == vertices  # one set of rows per charted triple
+
+    def test_exact_charts_of_a_triples_zero_and_infinity(self):
+        # y0 and yinf of a charted triple are exact zeros u and v of every cross-ratio row,
+        # so numeric_limit_tree charts them without extrapolating: y0 from ladder 0's last
+        # row and yinf as (1 : 0).  Bit for bit against _extrapolate on ladder 0, with
+        # spread 0.0 over all five ladders, on random snapshots with signed zeros,
+        # infinite labels, magnitudes up to 1e9 and near-coincident labels
+        rng = random.Random("numeric-exact-charts")
+
+        def coordinate():
+            kind = rng.randrange(5)
+            if kind == 0:
+                return None
+            if kind == 1:
+                return complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0]))
+            if kind == 2:
+                return complex(rng.uniform(-1e9, 1e9), rng.uniform(-1e9, 1e9))
+            return complex(rng.gauss(0, 3), rng.gauss(0, 3))
+
+        exact = 0
+        for _ in range(300):
+            eps = sorted(1.0 / k for k in rng.sample(range(10, 201), rng.randint(6, 20)))
+            ladders = [(limits._eps_ratios([eps[i] for i in idx]), idx)
+                       for idx in (limits._ladder_nodes(eps, skip) for skip in range(5))]
+            m = rng.randint(3, 7)
+            snaps = []
+            for _ in eps:
+                values = [None] * m
+                while len(set(values)) < m:  # coincident labels are refused before charting
+                    values = [coordinate() for _ in range(m)]
+                    base = rng.randrange(m)
+                    if values[base] is not None:  # a near-coincident label
+                        values[rng.randrange(m)] = values[base] + rng.choice([1e-15, 1e-9])
+                snaps.append([limits._numeric_point(v) for v in values])
+            i0, i1, i2 = sorted(rng.sample(range(m), 3))
+            rows = [limits._cross_ratio_row(snap, i0, i1, i2) for snap in snaps]
+            if any((0j, 0j) in (row[i0], row[i2]) for row in rows):
+                continue  # the guard: these charts are extrapolated
+            exact += 1
+            u, v = rows[ladders[0][1][-1]][i0]
+            for ix, chart in ((i0, limits._numeric_point(u / v)), (i2, (1.0 + 0j, 0j))):
+                estimates = [limits._extrapolate(ratios, [rows[i][ix] for i in idx])
+                             for ratios, idx in ladders]
+                assert repr(chart) == repr(estimates[0])
+                assert max(limits.chordal(estimates[0], e) for e in estimates[1:]) == 0.0
+        assert exact > 250
+
+    def test_exact_charts_fall_back_on_a_vanishing_row(self):
+        # brackets of 1e-230 and 1e-100 underflow to a (0 : 0) entry for y0 = a (and
+        # yinf = c) in the snapshot nearest the limit, though no two labels coincide
+        # there: a's series is extrapolated as before and divides by zero, as the
+        # per-triple oracle does, while a chart read off ladder 0's last row would not
+        snaps = [{"a": 0j, "b": 1 + 0j, "c": 2 + 0j, "d": 3 + 0j, "e": None} for _ in range(12)]
+        snaps[-1].update(b=1e-100 + 0j, c=1e-230 + 0j)
+        seq = NumericConfigSequence.make(snaps, [1.0 / (k + 2) for k in range(12)])
+        row = limits._cross_ratio_row(seq.snapshots[-1], 0, 1, 2)
+        assert row[0] == row[2] == (0j, 0j)
+        with pytest.raises(ZeroDivisionError):
+            per_triple_numeric_limit_tree(seq)
+        with pytest.raises(ZeroDivisionError):
+            numeric_limit_tree(seq)
+
+    def test_snapshot_points_are_normalized_bit_for_bit(self):
+        # make normalizes every point inline: against z / n, 1 / n with n = max(|z|, 1),
+        # signed zeros included, with the same refusals and messages
+        parts = [0.0, -0.0, 0.5, -1.0, 1e-300, -1e9, 1e308]
+        values = [None, 0, 2, -0.5] + [complex(a, b) for a in parts for b in parts
+                                       if abs(a) + abs(b) < float("inf")]
+        labels = [f"x{i:03d}" for i in range(len(values))]
+        seq = NumericConfigSequence.make([dict(zip(labels, values))] * 2, [1.0, 0.5])
+        for value, point in zip(values, seq.snapshots[1]):
+            if value is None:
+                assert repr(point) == repr((1.0 + 0j, 0j))
+                continue
+            z = complex(value)
+            n = max(abs(z), 1.0)
+            assert repr(point) == repr((z / n, 1.0 / n))
+        big = complex(1e308, 1e308)
+        for snaps, refusal in [
+            ([{"a": 0j, "b": big, "c": None}], f"snapshot coordinates must be finite with a "
+                                                f"finite modulus: {big!r}"),
+            ([{"a": 0j, "b": 1, "c": None}, {"a": 0j, "b": 1, "d": None}],
+             "snapshots do not share a label set"),
+        ]:
+            with pytest.raises(InvalidFamily) as info:
+                NumericConfigSequence.make(snaps, [1.0, 0.5][:len(snaps)])
+            assert str(info.value) == refusal
 
     def test_rows_and_one_row_extrapolation_match_the_oracle(self):
         # bit for bit, signed zeros included, against the four-bracket cross-ratio

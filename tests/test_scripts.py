@@ -59,6 +59,18 @@ def test_cover_envelope_step_digests_are_pinned():
     assert rows == (GOLDEN / "scripts_cover_envelope_steps.sha").read_text().splitlines()
 
 
+def test_numeric_envelope_digests_are_pinned():
+    # byte identity of numeric_limit_tree's trees and refusal witnesses, plain and twisted,
+    # up to 14 labels: the columns n, refusals, wrong and sha256; rewrite with `python3
+    # scripts/numeric_envelope.py 8,10,12,14 4 | awk 'NR > 1 {print $1, $4, $5, $6}' >
+    # tests/golden/scripts_numeric_envelope.sha`
+    r = subprocess.run([sys.executable, str(SCRIPTS / "numeric_envelope.py"), "8,10,12,14", "4"],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    rows = [" ".join(line.split()[i] for i in (0, 3, 4, 5)) for line in r.stdout.splitlines()[1:]]
+    assert rows == (GOLDEN / "scripts_numeric_envelope.sha").read_text().splitlines()
+
+
 def test_classify_envelope_digests_are_pinned():
     # byte identity of parse, canonical_form, spheres_iso, project and the canonical dump
     # up to 64 labels: the columns n and sha256; rewrite with `python3
