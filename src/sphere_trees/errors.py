@@ -55,11 +55,12 @@ class AdmissibilityFailure(SphereTreesError):
 
 class ConstantLimit(SphereTreesError):
     """A rescaling limit degenerated to a constant map; witness from limit_cover: the
-    source vertex and how many constants were evaluated there."""
+    source vertex at which no target vertex's chart gave a nonconstant limit."""
 
 
 class NotStabilized(SphereTreesError):
-    """Snapshots did not settle; witness: each unsettled quadruple of a chart and its spread."""
+    """Snapshots did not settle; witness: each unsettled quadruple of a chart and its spread,
+    or a quadruple whose cross-ratio is (0 : 0) in a snapshot and that snapshot's eps."""
 
 
 class InconsistentClustering(SphereTreesError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
 from math import inf
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConstantLimit, DegenerateTriple, ZeroFamily
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, sum_of_products
@@ -177,10 +177,6 @@ def bracket_lead(p: LaurentPoint, q: LaurentPoint) -> tuple[int, GaussianRationa
     return None
 
 
-def laurent_points_equal(p: LaurentPoint, q: LaurentPoint) -> bool:
-    return bracket_lead(p, q) is None
-
-
 def laurent_leading_value(q: LaurentPoint) -> ProjPoint:
     """Limit of the path as eps -> 0, by valuation comparison."""
     if q.u.is_zero():
@@ -316,17 +312,14 @@ class LowOrderReader:
     it gives alone.  Every factor is then in Q(i)[eps], where a term at exponent >= cap
     only feeds exponents >= cap, so G modulo eps^cap, one truncated kernel pass kept per
     cap (2, 4, 8, ...), is exact below the cap, and so is any product of it with a factor
-    in Q(i)[eps].  No exponent of the untruncated G exceeds ``ceiling``, so past it a
-    round is G itself and a coefficient still zero is zero.
+    in Q(i)[eps]: each postcomposition's leading limit is read from the rounds kept.
     """
 
-    __slots__ = ("num", "den", "pre", "ceiling", "kept")
+    __slots__ = ("num", "den", "pre", "kept")
 
     def __init__(self, f: LaurentMap, pre: LaurentMoebius):
         cs, ms = _lowest_at_zero(f.num + f.den), _lowest_at_zero((pre.a, pre.b, pre.c, pre.d))
         self.num, self.den, self.pre = cs[:len(f.num)], cs[len(f.num):], LaurentMoebius(*ms)
-        top = lambda ps: max(p.terms[-1][0] for p in ps if p.terms)
-        self.ceiling = top(cs) + (max(len(f.num), len(f.den)) - 1) * top(ms)
         self.kept: list[tuple] = []
 
     def rounds(self):
@@ -337,19 +330,6 @@ class LowOrderReader:
                 g = hom_substitute(self.num, self.den, self.pre, zero, LP_ONE)
                 self.kept.append((zero.cap, zero, *g))
             yield self.kept[k]
-
-    def locate(self, c: GaussianRational, paths: Mapping) -> dict | None:
-        """bracket_lead of q = G(c : 1) against each path (in Q(i)[eps], as LaurentPoint.make
-        leaves it), keyed as the paths are, or None when q is one of the paths."""
-        cpow = [LP_ONE]  # the constants c^j: G(c : 1) is one scalar pass over G's terms
-        for _ in range(max(len(self.num), len(self.den)) - 1):
-            cpow.append(cpow[-1].scale(c))
-        for cap, _, num, den in self.rounds():
-            q = LaurentPoint(LaurentPoly.dot(zip(num, cpow)), LaurentPoly.dot(zip(den, cpow)))
-            lead = {x: bracket_lead(q, p) for x, p in paths.items()}
-            # every valuation below the cap is exact; past the ceiling so is a zero bracket
-            if cap > self.ceiling or all(v is not None and v[0] < cap for v in lead.values()):
-                return None if None in lead.values() else lead
 
     def leading_limit(self, post: LaurentMoebius) -> RationalMap:
         """(f . pre).postcompose(post).leading_limit() from the rounds: the first whose

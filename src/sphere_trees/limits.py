@@ -8,10 +8,10 @@ multiply.  The family reads them once, from the lowest terms up, when it is
 made.  The valuations alone form an ultrametric whose balls are the vertices
 of the limit tree, the tree the labels span in the Berkovich line, and each
 vertex is marked by one limit chart.  A degenerating marked rational map is
-handled through the limit trees of source and target: at each source vertex,
-the image of a constant under the map in that vertex's chart, read modulo a
-doubling power of eps, locates the target vertex, whose chart family
-normalizes that read to the fiber map.
+handled through the limit trees of source and target: each source vertex goes
+to the one target vertex whose chart family, composed after the map in the
+source vertex's chart and read modulo a doubling power of eps, has a
+nonconstant leading limit, and that limit is the fiber map.
 
 The numeric mode extrapolates one chart per vertex instead, found by a
 lexicographic scan of the unseparated triples, and refuses quadruples that do
@@ -21,14 +21,13 @@ not settle within tolerance and snapshots in which two labels coincide.
 from __future__ import annotations
 
 import math
-from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .covers import Portrait, TreeCover, validate_cover
+from .covers import Portrait, TreeCover, carrier, validate_cover
 from .errors import (
     AdmissibilityFailure,
     CollisionAtEpsilon,
@@ -40,14 +39,12 @@ from .errors import (
     NotAdmissible,
     NotStabilized,
 )
-from .gaussian import GaussianRational
 from .laurent import (
     LaurentMap,
     LaurentMoebius,
     LaurentPoint,
     LowOrderReader,
     bracket_lead,
-    laurent_points_equal,
 )
 from .moduli import MarkedSphere, TreeOfSpheres, tree_from_charts
 from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint
@@ -56,6 +53,7 @@ from .trees import (
     MarkedTree,
     Partition,
     Vertex,
+    neighbors,
     partition_at,
     representative_triple,
     tree_from_partitions,
@@ -347,11 +345,12 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     smallest parameters; a chart is refused at once when a spread, the largest
     chordal distance from the first estimate to another, exceeds tolerance.
     Clustering must be transitive, and a snapshot with coincident labels is refused first.
-    A charted triple builds one cross-ratio row per snapshot some ladder uses; each
-    ladder reads its series from those rows and its ratios from one table per call.
-    The triple's own 0 and inf labels, exact zeros of every row's numerator or
-    denominator, are charted from ladder 0's last row and as (1 : 0), the bits their
-    tableaux would return with spread 0.0, unless a row holds (0 : 0) for either.
+    A charted triple builds one cross-ratio row per snapshot some ladder uses, and
+    refuses the first, by ascending eps, where a product of brackets underflows to
+    (0 : 0); each ladder reads its series from those rows and its ratios from one table
+    per call.  The triple's own 0 and inf labels, exact zeros of every row's numerator
+    or denominator, are charted from ladder 0's last row and as (1 : 0), the bits their
+    tableaux would return with spread 0.0.
     """
     w = seq.stability_window
     labels = seq.labels
@@ -362,6 +361,7 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     nodes = [_ladder_nodes(seq.eps, skip, order) for skip in range(w)]
     used = {i for node_idx in nodes for i in node_idx}
     _refuse_coincident(seq, used)
+    scan = [i for i in order if i in used]
     ladders = [(_eps_ratios([seq.eps[i] for i in node_idx]), node_idx) for node_idx in nodes]
 
     charts: dict[Partition, dict[str, NumericPoint]] = {}
@@ -371,10 +371,13 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
             continue
         i0, i1, i2 = (labels.index(x) for x in triple)
         rows = {i: _cross_ratio_row(seq.snapshots[i], i0, i1, i2) for i in used}
-        chart, unsettled = {}, []
-        if all((0j, 0j) not in (row[i0], row[i2]) for row in rows.values()):
-            u, v = rows[nodes[0][-1]][i0]
-            chart = {triple[0]: _numeric_point(u / v), triple[2]: (1.0 + 0j, 0j)}
+        for i in scan:
+            if (0j, 0j) in rows[i]:
+                x = labels[rows[i].index((0j, 0j))]
+                raise NotStabilized("a cross-ratio underflows to (0 : 0) in a snapshot",
+                                    witness={"quadruple": [*triple, x], "eps": seq.eps[i]})
+        u, v = rows[nodes[0][-1]][i0]
+        chart, unsettled = {triple[0]: _numeric_point(u / v), triple[2]: (1.0 + 0j, 0j)}, []
         for ix, x in enumerate(labels):
             if x in chart:
                 continue
@@ -452,7 +455,7 @@ class CoverFamily:
             raise InvalidFamily("family label sets do not match the portrait")
         for a in sorted(portrait.y_labels):
             image = map_family.evaluate(y_family.path(a))
-            if not laurent_points_equal(image, z_family.path(portrait.f(a))):
+            if bracket_lead(image, z_family.path(portrait.f(a))) is not None:
                 raise InvalidFamily(
                     f"map family does not send the path of {a!r} to the path of F({a!r})")
         if map_family.degree != portrait.d:
@@ -476,27 +479,19 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
 
     Each internal source vertex v is normalized by its representative triple's
     chart family phi_v, and F_v = F . adj(phi_v) (phi_v^-1 up to a scalar) is
-    read modulo eps^cap by one LowOrderReader.  F_v(c), c = 1 + i, 2 + i, ... in
-    turn, is located at the target vertex w where its limit in w's chart, read
-    from its brackets with the triples' labels and the target family's lead
-    table, is none of w's edge points; an image on a target path is skipped.
-    F_v sends v to w exactly when M_w . F_v, M_w w's chart family, has a
-    nonconstant leading limit (Baker-Rumely); that limit is the fiber map at v,
-    and w is marked by that chart.  At most d(n + 1) constants fail, n the
-    number of target labels: those in the at most d - d_v directions at v that
-    F_v sends onto the whole sphere, and the at most d n preimages of w's edge
-    points; ConstantLimit, naming the target vertices that failed, is raised
-    after d(n + 1) + 1.
+    read modulo eps^cap by one LowOrderReader.  F_v sends v to the target
+    vertex w exactly when M_w . F_v, M_w w's chart family, has a nonconstant
+    leading limit (Baker-Rumely); that limit is the fiber map at v, and w is
+    marked by that chart.  The target vertices are tried in sorted order, the
+    carriers of the images of v's leaves first: an edge to a leaf maps onto the
+    edge to its image leaf, so when v has a leaf the first try is its image.
+    ConstantLimit, naming v, is raised when no target vertex gives one.
     """
     source, target = limit_tree(fam.y_family), limit_tree(fam.z_family)
     zpath = fam.z_family.path
-    triples = {w: representative_triple(partition_at(target.shape, w))
-               for w in sorted(target.shape.internal)}
-    # the triples' labels, with the image q as the label None
-    tpaths = {(None, z): zpath(z) for t in triples.values() for z in t}
     # every target vertex is some source vertex's image, so each chart is read
-    charts = {w: LaurentMoebius.from_three(*map(zpath, t)) for w, t in triples.items()}
-    tries = fam.portrait.d * (len(fam.z_family.labels) + 1) + 1
+    charts = {w: LaurentMoebius.from_three(*map(zpath, representative_triple(
+        partition_at(target.shape, w)))) for w in sorted(target.shape.internal)}
 
     vmap: dict[Vertex, Vertex] = dict(fam.portrait.fmap)
     maps: dict[int, RationalMap] = {}
@@ -504,26 +499,18 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
         triple = representative_triple(partition_at(source.shape, v))
         phi = LaurentMoebius.from_three(*(fam.y_family.path(x) for x in triple))
         reader = LowOrderReader(fam.map_family, LaurentMoebius(phi.d, -phi.b, -phi.c, phi.a))
-        failed = set()
-        for k in range(1, 1 + tries):
-            qlead = reader.locate(GaussianRational(k, 1), tpaths)
-            if qlead is None:  # q is a target path
-                continue
-            lead = ChainMap(qlead, fam.z_family.lead)
-            w = next((w for w, t in triples.items() if _limit_chart([None], lead, t)[None]
-                      not in target.edge_points(w).values()), None)
-            if w is None or w in failed:
-                continue
+        forced = [carrier(target.shape, vmap[y]) for y in neighbors(source.shape, v)
+                  if isinstance(y, str)]
+        for w in dict.fromkeys(forced + list(charts)):
             try:
                 maps[v] = reader.leading_limit(charts[w])
             except ConstantLimit:
-                failed.add(w)
                 continue
             vmap[v] = w
             break
         else:
-            raise ConstantLimit("no located target vertex yields a nonconstant limit",
-                                witness={"vertex": v, "constants": tries, "failed": sorted(failed)})
+            raise ConstantLimit("no target vertex yields a nonconstant limit",
+                                witness={"vertex": v})
     cover = TreeCover.make(source, target, vmap, maps)
     violations = validate_cover(cover, expected_portrait=fam.portrait)
     if violations:

@@ -28,9 +28,10 @@ from .covers import Portrait, TreeCover
 from .dynamics import DynSystem
 from .errors import SchemaError
 from .gaussian import GaussianRational
-from .laurent import LaurentMap, LaurentPoint, LaurentPoly
+from .laurent import LP_ZERO, LaurentMap, LaurentPoint, LaurentPoly
 from .limits import CoverFamily, LaurentFamily, NumericConfigSequence, NumericTreeOfSpheres
 from .moduli import Embedding, MarkedSphere, TreeOfSpheres
+from .projective import ProjPoint
 from .rational import Polynomial, RationalMap
 from .trees import MarkedTree, Vertex, vertex_key
 
@@ -162,7 +163,6 @@ def point_to_json(p) -> dict:
 
 
 def point_from_json(obj: Any):
-    from .projective import ProjPoint
     if not isinstance(obj, dict) or set(obj) != {"u", "v"}:
         raise SchemaError(f"points are {{'u', 'v'}} objects, got {obj!r}")
     try:
@@ -349,7 +349,6 @@ def laurent_map_from_json(obj: Any) -> LaurentMap:
                     f"coefficient index {k} exceeds the bound {MAX_MAP_DEGREE}")
             coeffs[k] = laurent_poly_from_json(item[1])
         top = max(coeffs, default=-1)
-        from .laurent import LP_ZERO
         return [coeffs.get(i, LP_ZERO) for i in range(top + 1)]
 
     try:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import pathlib
+import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -11,12 +14,14 @@ import time
 import pytest
 
 from conftest import DATA_DIR, INF, pt, relabel_internal_ids
+import sphere_trees
 from sphere_trees import cli
 from sphere_trees import serialize as ser
 from sphere_trees.dynamics import DynSystem, dyn_membership
 from sphere_trees.moduli import MarkedSphere
 from test_covers import leafless_centre, swapped_cubic
 from test_dynamics import dyn_z_squared, mismatch_cover, source_twisted
+from test_limits import VANISHING_ROW_SNAPSHOTS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -176,6 +181,19 @@ class TestErrors:
         r = run_cli("limit", str(bad))
         assert r.returncode == 1
         assert json.loads(r.stdout) == {"error": "InvalidFamily", "witness": ["2", "3"]}
+
+    def test_underflowing_cross_ratio_is_refused(self, tmp_path):
+        # a product of two brackets underflows to (0 : 0), though no two labels coincide
+        seq = tmp_path / "vanishing_row.json"
+        seq.write_text(json.dumps({
+            "snapshots": [{x: "inf" if z is None else [z.real, z.imag] for x, z in snap.items()}
+                          for snap in VANISHING_ROW_SNAPSHOTS],
+            "eps": [1.0 / (k + 2) for k in range(len(VANISHING_ROW_SNAPSHOTS))]}))
+        r = run_cli("limit", str(seq))
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stdout) == {"error": "NotStabilized", "witness": {
+            "quadruple": ["a", "b", "c", "a"], "eps": 1.0 / 13}}
 
     def test_degree_one_portrait_is_rejected(self, tmp_path):
         # reconstruction accepts degree 1; validating a bare portrait does not
@@ -365,6 +383,15 @@ def readme_commands() -> set:
 class TestDocs:
     def test_readme_names_every_command(self):
         assert readme_commands() == set(cli.COMMANDS)
+
+    def test_readme_names_only_existing_code(self):
+        # every backticked `module.name` whose module is a package module resolves
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        modules = {m.name for m in pkgutil.iter_modules(sphere_trees.__path__)}
+        names = [(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)`", text) if m in modules]
+        assert names
+        assert [f"{m}.{n}" for m, n in names
+                if not hasattr(importlib.import_module(f"sphere_trees.{m}"), n)] == []
 
     @pytest.mark.parametrize("command", sorted(readme_commands()))
     def test_help(self, command):

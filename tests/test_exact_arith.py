@@ -44,7 +44,6 @@ from sphere_trees.laurent import (
     bracket_lead,
     laurent_bracket,
     laurent_leading_value,
-    laurent_points_equal,
 )
 from sphere_trees.projective import Moebius, ProjPoint, moebius_from_three
 from sphere_trees.rational import (
@@ -362,13 +361,13 @@ class TestLaurentMapKernel:
     @given(laurent_maps, laurent_moebii, laurent_points)
     def test_precompose_is_substitution(self, f, m, p):
         left = defined(lambda: f.precompose(m).evaluate(p))
-        assert laurent_points_equal(left, defined(lambda: f.evaluate(m.apply(p))))
+        assert bracket_lead(left, defined(lambda: f.evaluate(m.apply(p)))) is None
 
     @settings(max_examples=60, deadline=None)
     @given(laurent_maps, laurent_moebii, laurent_points)
     def test_postcompose_is_composition(self, f, m, p):
         left = defined(lambda: f.postcompose(m).evaluate(p))
-        assert laurent_points_equal(left, defined(lambda: m.apply(f.evaluate(p))))
+        assert bracket_lead(left, defined(lambda: m.apply(f.evaluate(p)))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +385,6 @@ class TestBracketLead:
     @given(laurent_points, laurent_points)
     def test_matches_expanded_bracket(self, p, q):
         assert bracket_lead(p, q) == expanded_lead(p, q)
-        assert laurent_points_equal(p, q) == (expanded_lead(p, q) is None)
 
     # [p, p + eps^k r] = eps^k [p, r]: every product term below the
     # bracket's valuation cancels, and r = 0 gives equal points

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 import time
-from collections import ChainMap, Counter
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -39,6 +39,7 @@ from conftest import (
 from sphere_trees import laurent, limits, trees
 from sphere_trees import serialize as ser
 from sphere_trees.covers import (
+    Portrait,
     TreeCover,
     cover_iso,
     extract_portrait,
@@ -453,6 +454,12 @@ def test_seeded_trees_do_not_depend_on_the_hash_seed():
     assert outs[0] == outs[1]
 
 
+# twelve snapshots a=0, b=1, c=2, d=3, e=inf, with b=1e-100 and c=1e-230 in the last
+VANISHING_ROW_SNAPSHOTS = [{"a": 0j, "b": 1 + 0j, "c": 2 + 0j, "d": 3 + 0j, "e": None}
+                           for _ in range(11)] + [
+    {"a": 0j, "b": 1e-100 + 0j, "c": 1e-230 + 0j, "d": 3 + 0j, "e": None}]
+
+
 class TestNumericLimit:
     def test_constant_snapshots(self):
         snaps = [{"1": 0j, "2": 1 + 0j, "3": None, "4": 5 + 0j} for _ in range(10)]
@@ -637,17 +644,17 @@ class TestNumericLimit:
     def test_exact_charts_fall_back_on_a_vanishing_row(self):
         # brackets of 1e-230 and 1e-100 underflow to a (0 : 0) entry for y0 = a (and
         # yinf = c) in the snapshot nearest the limit, though no two labels coincide
-        # there: a's series is extrapolated as before and divides by zero, as the
-        # per-triple oracle does, while a chart read off ladder 0's last row would not
-        snaps = [{"a": 0j, "b": 1 + 0j, "c": 2 + 0j, "d": 3 + 0j, "e": None} for _ in range(12)]
-        snaps[-1].update(b=1e-100 + 0j, c=1e-230 + 0j)
-        seq = NumericConfigSequence.make(snaps, [1.0 / (k + 2) for k in range(12)])
+        # there: the per-triple oracle divides by zero, and the row is refused
+        snaps = VANISHING_ROW_SNAPSHOTS
+        seq = NumericConfigSequence.make(snaps, [1.0 / (k + 2) for k in range(len(snaps))])
         row = limits._cross_ratio_row(seq.snapshots[-1], 0, 1, 2)
         assert row[0] == row[2] == (0j, 0j)
         with pytest.raises(ZeroDivisionError):
             per_triple_numeric_limit_tree(seq)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(NotStabilized) as info:
             numeric_limit_tree(seq)
+        assert str(info.value) == "a cross-ratio underflows to (0 : 0) in a snapshot"
+        assert info.value.witness == {"quadruple": ["a", "b", "c", "a"], "eps": 1.0 / 13}
 
     def test_snapshot_points_are_normalized_bit_for_bit(self):
         # make normalizes every point inline: against z / n, 1 / n with n = max(|z|, 1),
@@ -790,32 +797,25 @@ class TestLimitCover:
         assert cover_iso(rebuilt, cover)
 
     def test_no_nonconstant_limit_raises_with_witness(self, monkeypatch):
-        # every located vertex fails: the constants run out, nothing hangs,
-        # and each target vertex is tried at most once
+        # every composed limit is constant: each target chart is tried once, nothing
+        # hangs, and the witness names the source vertex
         fam = degenerate_family_three_vertex()
-        locations, composed_limits = [], []
-        locate, composed = LowOrderReader.locate, LowOrderReader.leading_limit
-        monkeypatch.setattr(LowOrderReader, "locate",
-                            lambda self, c, paths: locations.append(c) or locate(self, c, paths))
+        composed_limits = []
+        composed = LowOrderReader.leading_limit
         monkeypatch.setattr(LowOrderReader, "leading_limit",
                             lambda self, post: composed_limits.append(post) or composed(self, post))
 
         def constant(self):
             raise ConstantLimit("forced")
         monkeypatch.setattr(LaurentMap, "leading_limit", constant)
-        tries = fam.portrait.d * (len(fam.z_family.labels) + 1) + 1
         with pytest.raises(ConstantLimit) as exc:
             limit_cover(fam)
-        failed = exc.value.witness["failed"]
-        assert exc.value.witness == {"vertex": 0, "constants": tries, "failed": failed}
-        # the witness names, in order, exactly the target vertices whose charts were tried
+        assert exc.value.witness == {"vertex": 0}
         target = limit_tree(fam.z_family)
         charts = {w: LaurentMoebius.from_three(*(fam.z_family.path(z) for z in representative_triple(
             partition_at(target.shape, w)))) for w in target.shape.internal}
-        assert failed == sorted(failed) and len(failed) == len(composed_limits)
-        assert set(composed_limits) == {charts[w] for w in failed}
-        assert 0 < len(composed_limits) <= len(target.shape.internal)
-        assert 0 < len(locations) <= tries
+        assert len(composed_limits) == len(charts)
+        assert set(composed_limits) == set(charts.values())
 
 
 def lexicographic_limit_cover(fam: CoverFamily):
@@ -905,102 +905,54 @@ class TestLimitCoverQuotient:
         cover = limit_cover(fam)
         assert len(calls) == len(cover.source.shape.internal)
 
+    @pytest.mark.parametrize("twist", [None, (FRACTIONAL, AFFINE, 1)], ids=["plain", "twisted"])
+    def test_a_leafless_source_vertex_tries_the_sorted_targets(self, monkeypatch, twist):
+        # the source centre carries only internal edges, so no leaf forces its image:
+        # the target vertices are tried in sorted order, each at most once
+        fam = leafless_identity_family()
+        fam = twisted_cover_family(fam, *twist) if twist else fam
+        readers = []
+        composed = LowOrderReader.leading_limit
+        monkeypatch.setattr(LowOrderReader, "leading_limit",
+                            lambda self, post: readers.append(self) or composed(self, post))
+        cover, oracle = limit_cover(fam), lexicographic_limit_cover(fam)
+        assert cover.vertex_map == oracle.vertex_map
+        assert cover.maps == oracle.maps
+        shape = cover.source.shape
+        tries = dict(zip(sorted(shape.internal), Counter(map(id, readers)).values()))
+        leafless = [v for v in shape.internal
+                    if not any(isinstance(n, str) for n in trees.neighbors(shape, v))]
+        assert len(leafless) == 1 and len(tries) == 4
+        assert tries[leafless[0]] > 1  # a constant limit was passed over
+        for v, k in tries.items():
+            assert k <= len(cover.target.shape.internal) if v in leafless else k == 1
 
-def full_location(fam: CoverFamily, phi: LaurentMoebius, k: int) -> dict:
-    """The full location path, kept as an oracle for LowOrderReader.locate: q =
-    F(phi^-1(k + i)) evaluated in full, and bracket_lead of q against every target path."""
-    c = LaurentPoint.from_poly(LaurentPoly.constant(gr(k, 1)))
-    q = fam.map_family.evaluate(phi.inverse().apply(c))
-    return {z: bracket_lead(q, p) for z, p in fam.z_family.paths}
 
-
-def located_vertex(target, triples: dict, qlead: dict | None, zlead: dict):
-    """The first target vertex whose chart sends q to none of its edge points; None when
-    there is none or q is a target path (qlead is None)."""
-    if qlead is None:
-        return None
-    lead = ChainMap({(None, z): b for z, b in qlead.items()}, zlead)
-    return next((w for w, t in triples.items() if limits._limit_chart([None], lead, t)[None]
-                 not in target.edge_points(w).values()), None)
+def leafless_identity_family() -> CoverFamily:
+    """The identity on pairs of paths colliding at 0, 1 and infinity: the limit's
+    centre vertex carries only the three internal edges."""
+    paths = {"a0": lconst(0), "a1": lpoly([(1, gr(1))]),
+             "b0": lconst(1), "b1": lpoly([(0, gr(1)), (1, gr(1))]),
+             "c0": LINF, "c1": LaurentPoint.make(LP_ONE, LaurentPoly.eps())}
+    fam = LaurentFamily.make(paths)
+    portrait = Portrait.make({x: x for x in paths}, {x: 1 for x in paths}, 1)
+    return CoverFamily.make(portrait, fam, fam, LaurentMap.make([LP_ZERO, LP_ONE], [LP_ONE]))
 
 
 class TestLocationRead:
-    def test_agrees_with_the_full_image_on_twisted_families(self):
-        # the truncated read of G = F . adj(phi_v) at the triples' labels locates the same
-        # vertex as the full image q against every target path, on random eps-twists
-        rng = random.Random(43)
-        families = [getattr(conftest, name)() for name in DEGENERATE_FAMILIES]
-        families += [z_squared_chain_family(c) for c in CHAIN_CENTRES]
-        located = doubled = 0
-        for fam in families:
-            twists = [(random_laurent_moebius(rng), random_laurent_moebius(rng), rng.randint(1, 2))
-                      for _ in range(2)]
-            for f in [fam] + [twisted_cover_family(fam, *twist) for twist in twists]:
-                source, target = limit_tree(f.y_family), limit_tree(f.z_family)
-                triples = {w: representative_triple(partition_at(target.shape, w))
-                           for w in sorted(target.shape.internal)}
-                tpaths = {z: f.z_family.path(z) for t in triples.values() for z in t}
-                zlead = f.z_family.lead
-                for v in sorted(source.shape.internal):
-                    phi = LaurentMoebius.from_three(*(f.y_family.path(x) for x in representative_triple(
-                        partition_at(source.shape, v))))
-                    reader = LowOrderReader(f.map_family, LaurentMoebius(phi.d, -phi.b, -phi.c, phi.a))
-                    for k in range(1, 5):
-                        got, full = reader.locate(gr(k, 1), tpaths), full_location(f, phi, k)
-                        w = located_vertex(target, triples, None if None in full.values() else full, zlead)
-                        assert located_vertex(target, triples, got, zlead) == w, (f.portrait, v, k)
-                        located += w is not None
-                        if got is not None:
-                            # the two images differ by a scalar mu eps^m: every valuation by m,
-                            # every leading coefficient by the factor mu
-                            (m, mu), z0 = got[min(got)], min(got)
-                            for z, (val, c) in got.items():
-                                assert val - full[z][0] == m - full[z0][0]
-                                assert c * full[z0][1] == full[z][1] * mu
-                    doubled += len(reader.kept) > 1
-        assert located >= 300 and doubled >= 50
-
     @pytest.mark.parametrize("fam", COVER_FAMILIES)
     def test_limit_cover_reads_each_round_once(self, monkeypatch, fam):
-        # no full image or inverse chart; one truncated substitution per source vertex and
-        # cap; brackets only in locate, against the target triples' labels only
+        # no full image, inverse chart or bracket: one truncated substitution per source
+        # vertex and cap, and the families' lead tables are read
         def refuse(*args):
             raise AssertionError("not on the truncated path")
         monkeypatch.setattr(LaurentMap, "evaluate", refuse)
         monkeypatch.setattr(LaurentMoebius, "inverse", refuse)
-        monkeypatch.setattr(limits, "bracket_lead", refuse)  # the families' tables are read
-        rounds, read = [], []
-        substitute, lead = laurent.hom_substitute, laurent.bracket_lead
+        monkeypatch.setattr(limits, "bracket_lead", refuse)
+        monkeypatch.setattr(laurent, "bracket_lead", refuse)
+        rounds = []
+        substitute = laurent.hom_substitute
         monkeypatch.setattr(laurent, "hom_substitute", lambda num, den, m, zero, one:
                             rounds.append(zero.cap) or substitute(num, den, m, zero, one))
-        monkeypatch.setattr(laurent, "bracket_lead", lambda q, p: read.append(p) or lead(q, p))
         cover = limit_cover(fam)
         assert max(Counter(rounds).values()) <= len(cover.source.shape.internal)
-        target = cover.target.shape
-        triple_paths = {fam.z_family.path(z) for w in target.internal
-                        for z in representative_triple(partition_at(target, w))}
-        assert read and set(read) <= triple_paths
-
-    def test_cancelled_terms_double_the_cap(self, caps):
-        # G = pre, so [G(c : 1), (1 : 1)] = c eps^10 - eps^4: its terms below eps^4 cancel,
-        # the reads at caps 2 and 4 are undecided, and cap 8 decides it short of the ceiling
-        f = LaurentMap.make([LP_ZERO, LP_ONE], [LP_ONE])
-        pre = LaurentMoebius.make(LP_ONE + LaurentPoly.eps(10), LP_ONE, LP_ONE, LP_ONE + LaurentPoly.eps(4))
-        reader, c, one = LowOrderReader(f, pre), gr(1, 1), LaurentPoint.from_poly(LP_ONE)
-        assert reader.ceiling == 10
-        assert reader.locate(c, {"one": one}) == {"one": (4, gr(-1))}
-        assert caps == [2, 4, 8]
-        full = f.evaluate(pre.apply(LaurentPoint.from_poly(LaurentPoly.constant(c))))
-        assert bracket_lead(full, one) == (4, gr(-1) / (c + gr(1)))
-
-    def test_image_on_a_target_path_stops_at_the_ceiling(self, caps):
-        # q = G(c : 1) is the path p itself: every round reads [q, p] = 0, and the round at
-        # cap 16, past the ceiling 10, is exact, so the read answers "a target path"
-        f = LaurentMap.make([LP_ZERO, LP_ONE], [LP_ONE])
-        pre = LaurentMoebius.make(LP_ONE + LaurentPoly.eps(10), LP_ONE, LP_ONE, LP_ONE + LaurentPoly.eps(4))
-        c = gr(1, 1)
-        p = pre.apply(LaurentPoint.from_poly(LaurentPoly.constant(c)))
-        reader = LowOrderReader(f, pre)
-        assert reader.locate(c, {"one": LaurentPoint.from_poly(LP_ONE), "p": p}) is None
-        assert caps == [2, 4, 8, 16]
-        assert bracket_lead(f.evaluate(p), p) is None
