@@ -409,8 +409,9 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
     shape = source.shape
     unpeeled = set(shape.internal)
     # leaf and cut edges of each unpeeled vertex: neighbour -> (target label, local degree)
-    seen = {v: {n: (fmap[n], degmap[n]) for n in neighbors(shape, v) if isinstance(n, str)}
-            for v in unpeeled}
+    seen = {
+        v: {n: (fmap[n], degmap[n]) for n in neighbors(shape, v) if isinstance(n, str)}
+        for v in unpeeled}
     live = set(zlabels)  # the remaining target labels, "@t<i>" labels included
     owner: dict[str, int] = {}  # live "@t<i>" label -> the peel that made it
     peels = []  # (fiber, attaching points keyed by label or earlier peel, internal value)
@@ -428,7 +429,8 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
             if any({z for z, _ in seen[w].values()} != z0 for w in fiber):
                 raise NotRealizable("single-vertex source does not cover every target label")
         else:
-            fiber = sorted(w for w in unpeeled if any(z in z0 for z, _ in seen[w].values()))
+            fiber = sorted(w for w in unpeeled
+                           if any(z in z0 for z, _ in seen[w].values()))
             if any(n in fiber for w in fiber for n in neighbors(shape, w)):
                 raise NotRealizable("two fiber vertices of the peeled target vertex are adjacent")
         fiber_maps, attach, internal_value, edge_mult = _fiber_maps(source, seen, fiber, z0)

@@ -10,8 +10,8 @@ of the limit tree, the tree the labels span in the Berkovich line, and each
 vertex is marked by one limit chart.  A degenerating marked rational map is
 handled through the limit trees of source and target: each source vertex goes
 to the one target vertex whose chart family, composed after the map in the
-source vertex's chart and read modulo a doubling power of eps, has a
-nonconstant leading limit, and that limit is the fiber map.
+source vertex's chart and read modulo a doubling power of eps over packed
+ints, has a nonconstant leading limit, and that limit is the fiber map.
 
 The numeric mode extrapolates one chart per vertex instead, found by a
 lexicographic scan of the unseparated triples, and refuses quadruples that do
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .covers import Portrait, TreeCover, carrier, validate_cover
 from .errors import (
@@ -44,6 +44,7 @@ from .laurent import (
     LaurentMoebius,
     LaurentPoint,
     LowOrderReader,
+    Packing,
     bracket_lead,
 )
 from .moduli import MarkedSphere, TreeOfSpheres, tree_from_charts
@@ -114,7 +115,7 @@ class LaurentFamily:
         return MarkedSphere.make(points)
 
 
-def _limit_chart(labels: Sequence[str], lead: Mapping, triple: tuple[str, str, str]) -> dict:
+def _limit_chart(labels: Iterable[str], lead: Mapping, triple: tuple[str, str, str]) -> dict:
     """Limits of the cross-ratios [x, t0][t1, tinf] : [x, tinf][t1, t0] of the
     chart sending the triple to (0, 1, inf), from the brackets' leading terms."""
     t0, t1, tinf = triple
@@ -159,7 +160,7 @@ def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
         for x in ball:
             children.setdefault(next((c for c in children if g[c, x] > m), x), []).append(x)
         partition = frozenset(map(frozenset, [*children.values(), fam.labels.difference(ball)]))
-        charts[partition] = _limit_chart(labels, lead, representative_triple(partition))
+        charts[partition] = _limit_chart(map(min, partition), lead, representative_triple(partition))
         balls.extend(c for c in children.values() if len(c) > 1)
     return tree_from_charts(charts)
 
@@ -207,7 +208,8 @@ def _cross_ratio_row(snap: Sequence[NumericPoint], i0: int, i1: int, i2: int) ->
 
 def _eps_ratios(eps: Sequence[float]) -> list:
     """The ratio table of one ladder: row i lists eps[i - k] / eps[i] for k = 1..i."""
-    return [[eps[i - k] / eps[i] for k in range(1, i + 1)] for i in range(len(eps))]
+    return [
+        [eps[i - k] / eps[i] for k in range(1, i + 1)] for i in range(len(eps))]
 
 
 def _bs_extrapolate(ratios: Sequence[Sequence[float]], values: Sequence[complex]) -> complex:
@@ -362,7 +364,8 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     used = {i for node_idx in nodes for i in node_idx}
     _refuse_coincident(seq, used)
     scan = [i for i in order if i in used]
-    ladders = [(_eps_ratios([seq.eps[i] for i in node_idx]), node_idx) for node_idx in nodes]
+    ladders = [
+        (_eps_ratios([seq.eps[i] for i in node_idx]), node_idx) for node_idx in nodes]
 
     charts: dict[Partition, dict[str, NumericPoint]] = {}
     sides: list[dict[str, int]] = []  # block index of each label, per partition
@@ -381,8 +384,8 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
         for ix, x in enumerate(labels):
             if x in chart:
                 continue
-            estimates = [_extrapolate(ratios, [rows[i][ix] for i in node_idx])
-                         for ratios, node_idx in ladders]
+            estimates = [
+                _extrapolate(ratios, [rows[i][ix] for i in node_idx]) for ratios, node_idx in ladders]
             spread = max(chordal(estimates[0], e) for e in estimates[1:])
             if spread > seq.tolerance:
                 unsettled.append({"quadruple": [*triple, x], "spread": spread})
@@ -479,26 +482,26 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
 
     Each internal source vertex v is normalized by its representative triple's
     chart family phi_v, and F_v = F . adj(phi_v) (phi_v^-1 up to a scalar) is
-    read modulo eps^cap by one LowOrderReader.  F_v sends v to the target
-    vertex w exactly when M_w . F_v, M_w w's chart family, has a nonconstant
-    leading limit (Baker-Rumely); that limit is the fiber map at v, and w is
-    marked by that chart.  The target vertices are tried in sorted order, the
-    carriers of the images of v's leaves first: an edge to a leaf maps onto the
-    edge to its image leaf, so when v has a leaf the first try is its image.
+    read modulo eps^cap by one LowOrderReader over one Packing of every chart.
+    F_v sends v to the target vertex w exactly when M_w . F_v, M_w w's chart
+    family, has a nonconstant leading limit (Baker-Rumely), the fiber map at v;
+    w is marked by that chart.  The target vertices are tried in sorted order,
+    the carriers of the images of v's leaves first: an edge to a leaf maps onto
+    the edge to its image leaf, so when v has a leaf the first try is its image.
     ConstantLimit, naming v, is raised when no target vertex gives one.
     """
     source, target = limit_tree(fam.y_family), limit_tree(fam.z_family)
-    zpath = fam.z_family.path
+    vs, ws = sorted(source.shape.internal), sorted(target.shape.internal)
+    triples = [map(fam.y_family.path, representative_triple(partition_at(source.shape, v))) for v in vs]
+    triples += [map(fam.z_family.path, representative_triple(partition_at(target.shape, w))) for w in ws]
+    packing = Packing(fam.map_family, triples)
     # every target vertex is some source vertex's image, so each chart is read
-    charts = {w: LaurentMoebius.from_three(*map(zpath, representative_triple(
-        partition_at(target.shape, w)))) for w in sorted(target.shape.internal)}
+    charts = dict(zip(ws, packing.charts[len(vs):]))
 
     vmap: dict[Vertex, Vertex] = dict(fam.portrait.fmap)
     maps: dict[int, RationalMap] = {}
-    for v in sorted(source.shape.internal):
-        triple = representative_triple(partition_at(source.shape, v))
-        phi = LaurentMoebius.from_three(*(fam.y_family.path(x) for x in triple))
-        reader = LowOrderReader(fam.map_family, LaurentMoebius(phi.d, -phi.b, -phi.c, phi.a))
+    for v, phi in zip(vs, packing.charts):
+        reader = LowOrderReader(packing, phi)
         forced = [carrier(target.shape, vmap[y]) for y in neighbors(source.shape, v)
                   if isinstance(y, str)]
         for w in dict.fromkeys(forced + list(charts)):

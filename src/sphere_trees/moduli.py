@@ -133,15 +133,15 @@ def marking_dict(t: TreeOfSpheres, v: int) -> Mapping:
 def tree_from_charts(charts: Mapping[Partition, Mapping[str, ProjPoint]]) -> TreeOfSpheres:
     """The tree of spheres classified by the partitions of an admissible set.
 
-    Each partition comes with a chart sending every label to a point, constant
-    on the blocks; the vertex of the partition marks each of its edges with the
-    point of the labels beyond it.
+    Each partition comes with a chart sending at least each block's smallest
+    label to a point, constant on the blocks; the vertex of the partition marks
+    each of its edges with the point of the smallest label beyond it.
     """
     shape = tree_from_partitions(charts)
     marking = {}
     for i in shape.internal:
         chart = charts[partition_at(shape, i)]
-        marking[i] = {n: chart[next(iter(b))] for n, b in branches(shape, i).items()}
+        marking[i] = {n: chart[min(b)] for n, b in branches(shape, i).items()}
     return TreeOfSpheres.make(shape, marking)
 
 
@@ -325,7 +325,8 @@ def iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres
     if frozenset(parts1.values()) != frozenset(parts2):
         return None
     charts1, charts2 = vertex_charts(t1), vertex_charts(t2)
-    vmap: dict = {x: x for x in t1.labels} | {v: parts2[p] for v, p in parts1.items()}
+    vmap: dict = ({x: x for x in t1.labels}
+                  | {v: parts2[p] for v, p in parts1.items()})
     mmap: dict = {}
     for v1 in parts1:
         v2 = vmap[v1]  # same partition, so both charts are of one representative triple

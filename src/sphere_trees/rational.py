@@ -140,14 +140,16 @@ def hom_substitute(num: Sequence, den: Sequence, m, zero, one) -> tuple:
     for _ in range(d):
         tops.append(poly_mul(tops[-1], [m.b, m.a], zero))
         bots.append(poly_mul(bots[-1], [m.d, m.c], zero))
-    nu, de = [[] for _ in range(d + 1)], [[] for _ in range(d + 1)]
+    nu = [[] for _ in range(d + 1)]
+    de = [[] for _ in range(d + 1)]
     for i, (a, b) in enumerate(pairs):
         if a.is_zero() and b.is_zero():
             continue
         for j, c in enumerate(poly_mul(tops[i], bots[d - i], zero)):
             nu[j].append((c, a))
             de[j].append((c, b))
-    return [zero.dot(s) for s in nu], [zero.dot(s) for s in de]
+    return ([zero.dot(s) for s in nu],
+            [zero.dot(s) for s in de])
 
 
 def hom_postcompose(num: Sequence, den: Sequence, m, zero) -> tuple:

@@ -529,13 +529,11 @@ def caps(monkeypatch) -> list:
     """The cap of every truncated round a laurent.LowOrderReader runs, in order."""
     seen = []
 
-    class Recorded(laurent._TruncatedZero):
-        __slots__ = ()
-
-        def __init__(self, cap):
+    class Recorded(laurent._Zero):
+        def __new__(cls, cap, width):
             seen.append(cap)
-            super().__init__(cap)
-    monkeypatch.setattr(laurent, "_TruncatedZero", Recorded)
+            return super().__new__(cls, cap, width)
+    monkeypatch.setattr(laurent, "_Zero", Recorded)
     return seen
 
 

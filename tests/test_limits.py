@@ -800,10 +800,12 @@ class TestLimitCover:
         # every composed limit is constant: each target chart is tried once, nothing
         # hangs, and the witness names the source vertex
         fam = degenerate_family_three_vertex()
-        composed_limits = []
+        composed_limits, packings = [], []
         composed = LowOrderReader.leading_limit
         monkeypatch.setattr(LowOrderReader, "leading_limit",
                             lambda self, post: composed_limits.append(post) or composed(self, post))
+        monkeypatch.setattr(limits, "Packing", lambda f, triples: packings.append(
+            laurent.Packing(f, triples)) or packings[-1])
 
         def constant(self):
             raise ConstantLimit("forced")
@@ -811,11 +813,12 @@ class TestLimitCover:
         with pytest.raises(ConstantLimit) as exc:
             limit_cover(fam)
         assert exc.value.witness == {"vertex": 0}
-        target = limit_tree(fam.z_family)
-        charts = {w: LaurentMoebius.from_three(*(fam.z_family.path(z) for z in representative_triple(
-            partition_at(target.shape, w)))) for w in target.shape.internal}
+        # the target charts follow the source charts in the one packing made
+        [packing] = packings
+        charts = packing.charts[len(limit_tree(fam.y_family).shape.internal):]
+        assert len(charts) == len(limit_tree(fam.z_family).shape.internal)
         assert len(composed_limits) == len(charts)
-        assert set(composed_limits) == set(charts.values())
+        assert set(composed_limits) == set(charts)
 
 
 def lexicographic_limit_cover(fam: CoverFamily):
@@ -942,12 +945,14 @@ def leafless_identity_family() -> CoverFamily:
 class TestLocationRead:
     @pytest.mark.parametrize("fam", COVER_FAMILIES)
     def test_limit_cover_reads_each_round_once(self, monkeypatch, fam):
-        # no full image, inverse chart or bracket: one truncated substitution per source
-        # vertex and cap, and the families' lead tables are read
+        # no full image, inverse chart, bracket, Laurent chart or Laurent product: one
+        # packed substitution per source vertex and cap, and the lead tables are read
         def refuse(*args):
             raise AssertionError("not on the truncated path")
         monkeypatch.setattr(LaurentMap, "evaluate", refuse)
         monkeypatch.setattr(LaurentMoebius, "inverse", refuse)
+        monkeypatch.setattr(LaurentMoebius, "from_three", refuse)
+        monkeypatch.setattr(LaurentPoly, "dot", refuse)
         monkeypatch.setattr(limits, "bracket_lead", refuse)
         monkeypatch.setattr(laurent, "bracket_lead", refuse)
         rounds = []
