@@ -174,9 +174,9 @@ def _parse_eps(raw: str) -> Fraction:
     try:
         eps = Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"--eps must be a rational number: {raw!r}") from exc
+        raise argparse.ArgumentTypeError(f"--eps must be a rational number: {raw!r}") from exc
     if eps <= 0:
-        raise SchemaError("--eps must be positive")
+        raise argparse.ArgumentTypeError("--eps must be positive")
     return eps
 
 

@@ -22,7 +22,6 @@ lifted from marked spheres alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -50,21 +49,22 @@ from .trees import (
     validate_tree,
     vertex_key,
 )
+from .values import field, value
 
 
 # ---------------------------------------------------------------------------
 # portraits
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Portrait:
     y_labels: frozenset
     z_labels: frozenset
     fmap: tuple    # sorted (y, z) pairs
     degmap: tuple  # sorted (y, k) pairs
     d: int
-    f_dict: Mapping = field(init=False, repr=False, compare=False)
-    deg_dict: Mapping = field(init=False, repr=False, compare=False)
+    f_dict: Mapping = field(init=False)
+    deg_dict: Mapping = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "f_dict", MappingProxyType(dict(self.fmap)))
@@ -110,16 +110,16 @@ def validate_portrait(p: Portrait, allow_degree_one: bool = False) -> list[str]:
 # covers
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TreeCover:
     source: TreeOfSpheres
     target: TreeOfSpheres
     vertex_map: tuple  # sorted (vertex, vertex) pairs
     maps: tuple        # sorted (internal id, RationalMap) pairs
-    vm: Mapping = field(init=False, repr=False, compare=False)
-    _maps: Mapping = field(init=False, repr=False, compare=False)
+    vm: Mapping = field(init=False)
+    _maps: Mapping = field(init=False)
     # derived, filled on first use by edge_table
-    _edges: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
+    _edges: Optional[Mapping] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vm", MappingProxyType(dict(self.vertex_map)))
@@ -510,7 +510,7 @@ def cover_iso(c1: TreeCover, c2: TreeCover) -> bool:
 # covers between marked spheres
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MarkedSphereCover:
     f: RationalMap
     y: MarkedSphere

@@ -9,7 +9,6 @@ isomorphic, and the source projection then serves as a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .covers import TreeCover, cover_iso
@@ -22,9 +21,10 @@ from .moduli import (
     twist,
 )
 from .trees import partition_at
+from .values import value
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class DynSystem:
     cover: TreeCover
     dyn_tree: TreeOfSpheres

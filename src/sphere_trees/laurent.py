@@ -9,7 +9,6 @@ limit after chart families is read over Kronecker-packed Gaussian integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
 from math import lcm
@@ -19,9 +18,10 @@ from .errors import ConstantLimit, DegenerateTriple, ZeroFamily
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, sum_of_products
 from .projective import Moebius, ProjPoint
 from .rational import Polynomial, RationalMap, hom_apply, hom_postcompose, hom_substitute
+from .values import value
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class LaurentPoly:
     """Sparse terms (exponent, coefficient), ascending, no zero coefficients."""
 
@@ -122,7 +122,7 @@ LP_ZERO = LaurentPoly(())
 LP_ONE = LaurentPoly.constant(GR_ONE)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class LaurentPoint:
     """Homogeneous pair (u : v) of Laurent polynomials, canonicalized.
 
@@ -190,7 +190,7 @@ def laurent_leading_value(q: LaurentPoint) -> ProjPoint:
     return ProjPoint.make(q.u.leading(), q.v.leading())
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class LaurentMoebius:
     """A Moebius family: 2x2 matrix of Laurent polynomials, det != 0."""
 
@@ -232,7 +232,7 @@ def _trim(coeffs: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class LaurentMap:
     """A rational map whose polynomial coefficients are Laurent polynomials."""
 

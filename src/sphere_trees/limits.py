@@ -21,7 +21,6 @@ not settle within tolerance and snapshots in which two labels coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
@@ -60,18 +59,19 @@ from .trees import (
     tree_from_partitions,
     tree_partitions,
 )
+from .values import field, value
 
 
 # ---------------------------------------------------------------------------
 # exact families
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class LaurentFamily:
     labels: frozenset
     paths: tuple  # sorted (label, LaurentPoint) pairs
-    lead: Mapping = field(repr=False, compare=False)  # (x, y): (v, c) of [p_x, p_y]; (y, x): (v, -c)
-    mapping: Mapping = field(init=False, repr=False, compare=False)
+    lead: Mapping = field()  # (x, y): (v, c) of [p_x, p_y]; (y, x): (v, -c)
+    mapping: Mapping = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", MappingProxyType(dict(self.paths)))
@@ -243,7 +243,7 @@ def _extrapolate(ratios: Sequence[Sequence[float]], pts: Sequence[NumericPoint])
     return (1.0 + 0j, 0j) if w == 0 else _numeric_point(1.0 / w)
 
 
-@dataclass(frozen=True)
+@value
 class NumericConfigSequence:
     """Snapshots of a degenerating configuration at known parameter values."""
 
@@ -288,7 +288,7 @@ class NumericConfigSequence:
                    float(tolerance), int(stability_window))
 
 
-@dataclass(frozen=True)
+@value
 class NumericTreeOfSpheres:
     """Limit tree with floating markings; shape and clustering are exact sets."""
 
@@ -444,7 +444,7 @@ def _cluster(values: Mapping[str, NumericPoint], tolerance: float) -> Partition:
 # cover families and their limits
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CoverFamily:
     portrait: Portrait
     y_family: LaurentFamily

@@ -19,7 +19,6 @@ it asks for the table, so trees of different shapes cost no chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -44,6 +43,7 @@ from .trees import (
     tree_from_partitions,
     vertex_key,
 )
+from .values import field, value
 
 
 def _sharing(row: Mapping) -> list:
@@ -54,11 +54,11 @@ def _sharing(row: Mapping) -> list:
     return min(sorted(keys) for keys in keys_at.values() if len(keys) > 1)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MarkedSphere:
     labels: frozenset
     points: tuple  # sorted (label, ProjPoint) pairs
-    mapping: Mapping = field(init=False, repr=False, compare=False)
+    mapping: Mapping = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", MappingProxyType(dict(self.points)))
@@ -76,15 +76,15 @@ class MarkedSphere:
         return self.mapping[x]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TreeOfSpheres:
     shape: MarkedTree
     marking: tuple  # sorted (vertex id, ((neighbor, ProjPoint), ...)) pairs
-    rows: Mapping = field(init=False, repr=False, compare=False)
+    rows: Mapping = field(init=False)
     # derived label markings and chart table, filled on first use by
     # marking_dict and vertex_charts
-    _markings: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
-    _charts: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
+    _markings: Optional[Mapping] = field(init=False)
+    _charts: Optional[Mapping] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", MappingProxyType({
@@ -184,7 +184,7 @@ def t_chart(t: TreeOfSpheres, triple: tuple[str, str, str]
     return v, sigma, {x: sigma.apply(p) for x, p in marking_dict(t, v).items()}
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Embedding:
     """All chart values (alpha_t(x)) indexed by (triple, label).
 
@@ -193,7 +193,7 @@ class Embedding:
     """
 
     values: tuple  # sorted (((x0, x1, xinf), x), ProjPoint)
-    mapping: Mapping = field(init=False, repr=False, compare=False)
+    mapping: Mapping = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", MappingProxyType(dict(self.values)))

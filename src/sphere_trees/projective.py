@@ -8,13 +8,13 @@ scale, canonicalized so the first nonzero entry (in a, b, c, d order) is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import DegenerateTriple
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, Rationalish, gr, horner, quotient, triples
+from .values import value
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ProjPoint:
     u: GaussianRational
     v: GaussianRational
@@ -68,7 +68,7 @@ def bracket(p: ProjPoint, q: ProjPoint) -> GaussianRational:
     return p.u * q.v - q.u * p.v
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Moebius:
     a: GaussianRational
     b: GaussianRational

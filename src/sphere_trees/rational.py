@@ -8,15 +8,15 @@ root isolation) come from Horner's rule on unreduced triples, one gcd per image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
 
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, horner, reduced, sub_product, triples
 from .projective import Moebius, ProjPoint
+from .values import value
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Polynomial:
     """Coefficients ascending by exponent; trailing zeros stripped."""
 
@@ -159,7 +159,7 @@ def hom_postcompose(num: Sequence, den: Sequence, m, zero) -> tuple:
             [zero.dot(((m.c, x), (m.d, y))) for x, y in pairs])
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class RationalMap:
     num: Polynomial
     den: Polynomial

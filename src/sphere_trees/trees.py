@@ -12,7 +12,6 @@ opaque integers that never participate in equality of the classified data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -23,6 +22,7 @@ from .errors import (
     MarkedSetTooSmall,
     NotAdmissible,
 )
+from .values import field, value
 
 Vertex = Union[str, int]
 Edge = frozenset  # of two vertices
@@ -46,15 +46,15 @@ def partition_sort_key(p: Partition) -> tuple:
     return tuple(sorted(tuple(sorted(b)) for b in p))
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MarkedTree:
     leaves: frozenset
     internal: frozenset
     edges: frozenset
     # derived lookups, filled on first use by adjacency and branches, so an
     # unvalidated tree derives nothing until asked
-    _adjacency: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
-    _branches: Optional[Mapping] = field(default=None, init=False, repr=False, compare=False)
+    _adjacency: Optional[Mapping] = field(init=False)
+    _branches: Optional[Mapping] = field(init=False)
 
     @classmethod
     def make(cls, leaves: Iterable[str], internal: Iterable[int],
@@ -182,7 +182,7 @@ def tree_partitions(t: MarkedTree) -> PartitionSet:
     return frozenset(partition_at(t, v) for v in t.internal)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class AdmissibilityViolation:
     condition: int
     detail: str

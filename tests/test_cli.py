@@ -162,6 +162,18 @@ class TestErrors:
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr.startswith(f"schema error: cannot read {path}: ")
 
+    @pytest.mark.parametrize("eps, message", [
+        ("nan", "--eps must be a rational number: 'nan'"),
+        ("1/0", "--eps must be a rational number: '1/0'"),
+        ("0", "--eps must be positive"),
+        ("-1", "--eps must be positive"),
+    ], ids=["nan", "division-by-zero", "zero", "negative"])
+    def test_bad_eps_is_usage_error(self, eps, message):
+        r = run_cli("sample", data("family_eps.json"), "--eps", eps)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert "Traceback" not in r.stderr
+        assert r.stderr.endswith(f"error: argument --eps: {message}\n")
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -380,9 +392,20 @@ def readme_commands() -> set:
     return {line.split()[1] for line in block.splitlines() if line.startswith("sphere-trees ")}
 
 
+def readme_modules() -> set:
+    """The modules README's Layout block lists under src/sphere_trees/."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Layout", 1)[1].split("src/sphere_trees/\n", 1)[1].split("```", 1)[0]
+    return {line.split()[0].removesuffix(".py") for line in block.splitlines()
+            if line.startswith("  ") and line.split()[0].endswith(".py")}
+
+
 class TestDocs:
     def test_readme_names_every_command(self):
         assert readme_commands() == set(cli.COMMANDS)
+
+    def test_readme_layout_names_every_module(self):
+        assert readme_modules() == {m.name for m in pkgutil.iter_modules(sphere_trees.__path__)}
 
     def test_readme_names_only_existing_code(self):
         # every backticked `module.name` whose module is a package module resolves
