@@ -38,6 +38,8 @@ def _load(path: str) -> Any:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, deep nesting
+        raise SchemaError(f"{path} is beyond the JSON reader's limits: {exc}") from exc
 
 
 def _dyn_violations(obj: Any) -> list[str]:
@@ -172,7 +174,7 @@ def _parse_labels(raw: Optional[str]) -> list[str]:
 
 def _parse_eps(raw: str) -> Fraction:
     try:
-        eps = Fraction(raw)
+        eps = ser.parse_rational(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"--eps must be a rational number: {raw!r}") from exc
     if eps <= 0:

@@ -54,8 +54,7 @@ class AdmissibilityFailure(SphereTreesError):
 
 
 class ConstantLimit(SphereTreesError):
-    """A rescaling limit degenerated to a constant map; witness from limit_cover: the
-    source vertex at which no target vertex's chart gave a nonconstant limit."""
+    """A rescaling limit (`LaurentMap.leading_limit`) degenerated to a constant map."""
 
 
 class NotStabilized(SphereTreesError):

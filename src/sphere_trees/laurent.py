@@ -3,16 +3,14 @@
 One-parameter families are written as finite Laurent polynomials in eps over
 Q(i); taking a limit as eps -> 0 becomes valuation arithmetic and stays
 exact.  Points of a family are homogeneous pairs of Laurent polynomials,
-rational maps of a family carry Laurent-polynomial coefficients, and a map's
-limit after chart families is read over Kronecker-packed Gaussian integers.
+and rational maps of a family carry Laurent-polynomial coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, product
-from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from itertools import product
+from typing import Iterable, Sequence
 
 from .errors import ConstantLimit, DegenerateTriple, ZeroFamily
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, sum_of_products
@@ -282,112 +280,3 @@ class LaurentMap:
         return RationalMap.make(*(Polynomial.make([c.evaluate(eps) for c in cs])
                                   for cs in (self.num, self.den)))
 
-
-class Packed(tuple):
-    """(re, im): a series over Z[i] as two ints, the digit of eps^k at bit k B (see `Packing`)."""
-
-    __slots__ = ()
-
-    def is_zero(self) -> bool:
-        return not (self[0] or self[1])
-
-    def __neg__(self) -> "Packed":
-        return Packed((-self[0], -self[1]))
-
-
-class _Zero(Packed):
-    """The kernel's zero of Z[i][eps] / eps^cap at a width (no cap: of Z[i][eps]); dot masks once."""
-
-    def __new__(cls, cap: int | None, width: int):
-        zero = super().__new__(cls, (0, 0))
-        zero.cap, zero.mask = cap, -1 if cap is None else (1 << cap * width) - 1
-        return zero
-
-    def dot(self, pairs: Iterable[tuple[Packed, Packed]]) -> Packed:
-        re = im = 0
-        for (a, b), (c, d) in pairs:
-            re += a * c - b * d
-            im += a * d + b * c
-        return Packed((re & self.mask, im & self.mask))
-
-
-_EXACT, _ONE = _Zero(None, 0), Packed((1, 0))
-PackedMoebius = NamedTuple("PackedMoebius", [(x, Packed) for x in "abcd"])
-
-
-def _cleared(polys: Sequence[LaurentPoly]) -> tuple[list, int]:
-    """The polys times one scalar, moving no point or map: Z[i] terms (e, re, im) from e = 0."""
-    terms = [t for p in polys for t in p.terms]
-    den = lcm(*[c.c for _, c in terms])
-    low = min([e for e, _ in terms])
-    cleared = [
-        [(e - low, c.a * (den // c.c), c.b * (den // c.c)) for e, c in p.terms] for p in polys]
-    return cleared, sum([(abs(c.a) + abs(c.b)) * (den // c.c) for _, c in terms])  # and their norm
-
-
-def _pack(polys: list, width: int) -> list[Packed]:
-    return [Packed((sum(a << e * width for e, a, _ in p),
-                    sum(b << e * width for e, _, b in p))) for p in polys]
-
-
-def _width(bound: int) -> int:
-    return bound.bit_length() + 1  # holds digits of absolute value <= bound, and a sign bit
-
-
-def _lowest_bit(xs: Iterable[Packed]) -> int | None:
-    return min([(y & -y).bit_length() - 1 for x in xs for y in x if y], default=None)
-
-
-def _digit(x: Packed, at: int, width: int) -> LaurentPoly:
-    """The digit of x at bit `at` as a constant, each part in [-2^(width-1), 2^(width-1))."""
-    half = 1 << width - 1
-    a, b = [((y >> at) + half & 2 * half - 1) - half for y in x]
-    return LaurentPoly.constant(GaussianRational._raw(a, b, 1))
-
-
-class Packing:
-    """A map family f and the charts phi of triples of distinct paths (`LaurentMoebius.from_three`
-    entries made exactly, one power of eps shifted out), cleared and packed at one width B: eps
-    -> 2^B is a ring map Z[i][eps] / eps^cap -> Z[i] / 2^(cap B), one to one on digits in
-    (-2^(B-1), 2^(B-1)).  Norms bound digits, add under + and multiply under *: with n the largest
-    path norm, phi' . f . adj(phi), f of degree d, has digits <= |f| (2 n^3)^d n^3."""
-
-    def __init__(self, f: LaurentMap, triples: Iterable[Iterable[LaurentPoint]]):
-        (cs, norm), points = _cleared(f.num + f.den), [_cleared((p.u, p.v)) for t in triples for p in t]
-        n3 = max([n for _, n in points]) ** 3
-        self.width = w = _width(norm * (2 * n3) ** f.degree * n3)
-        packed = _pack(cs, w)
-        self.num, self.den = packed[:len(f.num)], packed[len(f.num):]
-        self.charts = [self._chart(points[i:i + 3]) for i in range(0, len(points), 3)]
-
-    def _chart(self, triple: list) -> PackedMoebius:
-        (u0, v0), (u1, v1), (ui, vi) = [_pack(p, self.width) for p, _ in triple]
-        k01, k_num = _EXACT.dot(((u0, v1), (-u1, v0))), _EXACT.dot(((u1, vi), (-ui, v1)))
-        phi = [_EXACT.dot(((x, k),)) for x, k in ((v0, k_num), (-u0, k_num), (-vi, k01), (ui, k01))]
-        s = _lowest_bit(phi) // self.width * self.width
-        return PackedMoebius(*[Packed((a >> s, b >> s)) for a, b in phi])
-
-
-class LowOrderReader:
-    """G = f . adj(phi), phi a packed chart, modulo eps^cap, one kernel pass kept per cap 2, 4, 8,
-    ...: in Z[i][eps] a term at exponent >= cap only feeds exponents >= cap, so G and its
-    products with charts are exact below the cap, and a read that finds no digit doubles it."""
-
-    __slots__ = ("packing", "pre", "kept")
-
-    def __init__(self, packing: Packing, phi: PackedMoebius):
-        self.packing, self.pre, self.kept = packing, PackedMoebius(phi.d, -phi.b, -phi.c, phi.a), []
-
-    def leading_limit(self, post: PackedMoebius) -> RationalMap:
-        """(post . G).leading_limit(), read at (lowest set bit) // B of the first round that has one."""
-        p, w = self.packing, self.packing.width
-        for k in count():
-            if k == len(self.kept):
-                zero = _Zero(2 << k, w)
-                self.kept.append((zero, *hom_substitute(p.num, p.den, self.pre, zero, _ONE)))
-            zero, num, den = self.kept[k]
-            out = hom_postcompose(num, den, post, zero)
-            low = _lowest_bit(out[0] + out[1])
-            if low is not None:
-                digits = ([_digit(x, low // w * w, w) for x in half] for half in out)
-                return LaurentMap.make(*digits).leading_limit()

@@ -7,11 +7,10 @@ the pairwise brackets [p_x, p_y]: valuations add and leading coefficients
 multiply.  The family reads them once, from the lowest terms up, when it is
 made.  The valuations alone form an ultrametric whose balls are the vertices
 of the limit tree, the tree the labels span in the Berkovich line, and each
-vertex is marked by one limit chart.  A degenerating marked rational map is
-handled through the limit trees of source and target: each source vertex goes
-to the one target vertex whose chart family, composed after the map in the
-source vertex's chart and read modulo a doubling power of eps over packed
-ints, has a nonconstant leading limit, and that limit is the fiber map.
+vertex is marked by one limit chart.  A degenerating marked rational map has
+as its limit the cover over the source limit tree with the family's portrait,
+which is rebuilt from the two (`reconstruct_cover`) and moved into the target
+limit's charts; the family's local degrees are checked against its map exactly.
 
 The numeric mode extrapolates one chart per vertex instead, found by a
 lexicographic scan of the unseparated triples, and refuses quadruples that do
@@ -22,15 +21,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .covers import Portrait, TreeCover, carrier, validate_cover
+from .covers import Portrait, TreeCover, reconstruct_cover, validate_cover
 from .errors import (
     AdmissibilityFailure,
     CollisionAtEpsilon,
-    ConstantLimit,
     InconsistentClustering,
     InvalidFamily,
     InvariantBreach,
@@ -38,22 +36,22 @@ from .errors import (
     NotAdmissible,
     NotStabilized,
 )
+from .gaussian import GaussianRational
 from .laurent import (
+    LP_ONE,
+    LP_ZERO,
     LaurentMap,
     LaurentMoebius,
     LaurentPoint,
-    LowOrderReader,
-    Packing,
+    LaurentPoly,
     bracket_lead,
 )
-from .moduli import MarkedSphere, TreeOfSpheres, tree_from_charts
+from .moduli import MarkedSphere, TreeOfSpheres, iso_of_spheres, tree_from_charts
 from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint
-from .rational import RationalMap
+from .rational import hom_apply
 from .trees import (
     MarkedTree,
     Partition,
-    Vertex,
-    neighbors,
     partition_at,
     representative_triple,
     tree_from_partitions,
@@ -444,6 +442,21 @@ def _cluster(values: Mapping[str, NumericPoint], tolerance: float) -> Partition:
 # cover families and their limits
 
 
+def _root_order(g: Sequence[LaurentPoly], p: LaurentPoint) -> int:
+    """The order of p = (u : v) as a root of the form G = sum g_i U^i V^(d-i), not zero:
+    the first k at which G's Hasse derivative in U, the form sum_i C(i, k) g_i U^(i-k) V^(d-i),
+    does not vanish at p; in V where v = 0, so with g reversed and u, v swapped."""
+    u, v = p.u, p.v
+    if v.is_zero():
+        g, u, v = g[::-1], v, u
+    d = len(g) - 1
+    for k in range(d):
+        hasse = [g[i].scale(GaussianRational(math.comb(i, k))) for i in range(k, d + 1)]
+        if not hom_apply(hasse, (), u, v, LP_ZERO, LP_ONE)[0].is_zero():
+            return k
+    return d  # a nonzero form of degree d has no root of higher order
+
+
 @value
 class CoverFamily:
     portrait: Portrait
@@ -454,13 +467,12 @@ class CoverFamily:
     @classmethod
     def make(cls, portrait: Portrait, y_family: LaurentFamily,
              z_family: LaurentFamily, map_family: LaurentMap) -> "CoverFamily":
+        """The family, once its map has degree d at a sample eps, so that num and den are
+        coprime over Q(i)(eps), and each path of a is a root of order deg(a) of G = q.v num -
+        q.u den, q the path of F(a): exactly, by `_root_order`, as a sample could meet a
+        critical point that the path misses generically."""
         if y_family.labels != portrait.y_labels or z_family.labels != portrait.z_labels:
             raise InvalidFamily("family label sets do not match the portrait")
-        for a in sorted(portrait.y_labels):
-            image = map_family.evaluate(y_family.path(a))
-            if bracket_lead(image, z_family.path(portrait.f(a))) is not None:
-                raise InvalidFamily(
-                    f"map family does not send the path of {a!r} to the path of F({a!r})")
         if map_family.degree != portrait.d:
             raise InvalidFamily(
                 f"map family degree {map_family.degree} != portrait degree {portrait.d}")
@@ -474,47 +486,37 @@ class CoverFamily:
             break
         else:
             raise InvalidFamily("map family has a zero denominator at every sample eps")
+        pairs = list(zip_longest(map_family.num, map_family.den, fillvalue=LP_ZERO))
+        forms = {z: [LaurentPoly.dot(((q.v, n), (-q.u, c))) for n, c in pairs]
+                 for z, q in z_family.paths}  # G of each target label, never zero
+        for a in sorted(portrait.y_labels):
+            order = _root_order(forms[portrait.f(a)], y_family.path(a))
+            if order == 0:
+                raise InvalidFamily(
+                    f"map family does not send the path of {a!r} to the path of F({a!r})")
+            if order != portrait.deg(a):
+                raise InvalidFamily(
+                    f"map family has local degree {order} at the path of {a!r}, "
+                    f"the portrait {portrait.deg(a)}")
         return cls(portrait, y_family, z_family, map_family)
 
 
 def limit_cover(fam: CoverFamily) -> TreeCover:
     """Limit of a degenerating cover family as a cover between limit trees.
 
-    Each internal source vertex v is normalized by its representative triple's
-    chart family phi_v, and F_v = F . adj(phi_v) (phi_v^-1 up to a scalar) is
-    read modulo eps^cap by one LowOrderReader over one Packing of every chart.
-    F_v sends v to the target vertex w exactly when M_w . F_v, M_w w's chart
-    family, has a nonconstant leading limit (Baker-Rumely), the fiber map at v;
-    w is marked by that chart.  The target vertices are tried in sorted order,
-    the carriers of the images of v's leaves first: an edge to a leaf maps onto
-    the edge to its image leaf, so when v has a leaf the first try is its image.
-    ConstantLimit, naming v, is raised when no target vertex gives one.
+    It is the one cover over the source limit with the portrait `CoverFamily.make`
+    checked against the map: `reconstruct_cover`, moved into the target limit's charts
+    by `iso_of_spheres` (vertex maps composed, each fiber map followed by the Moebius
+    map at its image).  InvariantBreach is raised when no such isomorphism exists.
     """
     source, target = limit_tree(fam.y_family), limit_tree(fam.z_family)
-    vs, ws = sorted(source.shape.internal), sorted(target.shape.internal)
-    triples = [map(fam.y_family.path, representative_triple(partition_at(source.shape, v))) for v in vs]
-    triples += [map(fam.z_family.path, representative_triple(partition_at(target.shape, w))) for w in ws]
-    packing = Packing(fam.map_family, triples)
-    # every target vertex is some source vertex's image, so each chart is read
-    charts = dict(zip(ws, packing.charts[len(vs):]))
-
-    vmap: dict[Vertex, Vertex] = dict(fam.portrait.fmap)
-    maps: dict[int, RationalMap] = {}
-    for v, phi in zip(vs, packing.charts):
-        reader = LowOrderReader(packing, phi)
-        forced = [carrier(target.shape, vmap[y]) for y in neighbors(source.shape, v)
-                  if isinstance(y, str)]
-        for w in dict.fromkeys(forced + list(charts)):
-            try:
-                maps[v] = reader.leading_limit(charts[w])
-            except ConstantLimit:
-                continue
-            vmap[v] = w
-            break
-        else:
-            raise ConstantLimit("no target vertex yields a nonconstant limit",
-                                witness={"vertex": v})
-    cover = TreeCover.make(source, target, vmap, maps)
+    rebuilt = reconstruct_cover(source, fam.portrait)
+    iso = iso_of_spheres(rebuilt.target, target)
+    if iso is None:
+        raise InvariantBreach("the rebuilt target is not the target limit tree")
+    vmap, moebius = iso
+    cover = TreeCover.make(source, target, {v: vmap[w] for v, w in rebuilt.vertex_map},
+                           {v: f.postcompose(moebius[rebuilt.vm[v]]) for v, f in rebuilt.maps})
     violations = validate_cover(cover, expected_portrait=fam.portrait)
     if violations:
         raise InvariantBreach("assembled limit is not a valid cover",

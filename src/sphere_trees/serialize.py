@@ -20,6 +20,7 @@ kind is one row there.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote
 from typing import Any, Optional
@@ -41,6 +42,12 @@ from .trees import MarkedTree, Vertex, vertex_key
 # and then overflows the interpreter's int-to-str digit limit; the shipped
 # data, the tests and the benchmark stay far below it.
 MAX_EXPONENT = 1000
+
+# Largest |exponent| of a decimal rational such as "25e-3", in a payload or --eps:
+# Fraction expands 10 to it exactly, which takes seconds past a million, and a power
+# past the default int-to-str digit limit, 4300, could not be printed in a result.
+MAX_DECIMAL_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
 
 # Largest coefficient index, that is map degree, a parsed Laurent or exact map
 # may carry.  Every later step grows faster than the degree (reducing an exact
@@ -107,9 +114,19 @@ def fraction_to_json(f: Fraction) -> str:
         raise SchemaError("a result exceeds the int-to-str digit limit") from exc
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), but a decimal exponent beyond MAX_DECIMAL_EXPONENT raises
+    ValueError before Fraction expands it."""
+    m = _DECIMAL_EXPONENT.search(text)
+    digits = m[1].replace("_", "").lstrip("0") if m else ""
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {text!r}")
+    return Fraction(text)
+
+
 def fraction_from_json(s: Any) -> Fraction:
     try:
-        return Fraction(str(s))
+        return parse_rational(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not a rational number: {s!r}") from exc
 

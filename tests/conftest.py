@@ -12,7 +12,6 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from sphere_trees import laurent
 from sphere_trees.covers import MarkedSphereCover, Portrait, cover_from_marked
 from sphere_trees.gaussian import GaussianRational, gr
 from sphere_trees.laurent import (
@@ -522,19 +521,6 @@ def twisted_cover_family(fam: CoverFamily, source: LaurentMoebius, target: Laure
     y = {x: source.apply(p.substitute_power(k)) for x, p in fam.y_family.paths}
     z = {x: target.apply(p.substitute_power(k)) for x, p in fam.z_family.paths}
     return CoverFamily.make(fam.portrait, LaurentFamily.make(y), LaurentFamily.make(z), f)
-
-
-@pytest.fixture
-def caps(monkeypatch) -> list:
-    """The cap of every truncated round a laurent.LowOrderReader runs, in order."""
-    seen = []
-
-    class Recorded(laurent._Zero):
-        def __new__(cls, cap, width):
-            seen.append(cap)
-            return super().__new__(cls, cap, width)
-    monkeypatch.setattr(laurent, "_Zero", Recorded)
-    return seen
 
 
 # collision centres of z_squared_chain_family: source chains of depth 3, 4 and 6

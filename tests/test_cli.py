@@ -21,7 +21,7 @@ from sphere_trees.dynamics import DynSystem, dyn_membership
 from sphere_trees.moduli import MarkedSphere
 from test_covers import leafless_centre, swapped_cubic
 from test_dynamics import dyn_z_squared, mismatch_cover, source_twisted
-from test_limits import VANISHING_ROW_SNAPSHOTS
+from test_limits import VANISHING_ROW_SNAPSHOTS, cubic_family
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -217,6 +217,18 @@ class TestErrors:
         assert r.returncode == 0
         assert json.loads(r.stdout) == {"ok": False, "violations": ["portrait degree d = 1 < 2"]}
 
+    def test_wrong_local_degrees_are_refused(self, tmp_path):
+        # z^3 - 3z with the degrees at 1 and -2 swapped: a valid portrait the map does not have
+        family = tmp_path / "swapped_cubic_family.json"
+        family.write_text(json.dumps(ser.cover_family_to_json(
+            cubic_family(check=False, a1=1, am2=2))))
+        message = "InvalidFamily: map family has local degree 2 at the path of 'a1', the portrait 1"
+        r = run_cli("validate", str(family))
+        assert r.returncode == 0
+        assert json.loads(r.stdout) == {"ok": False, "violations": [message]}
+        r = run_cli("limit-cover", str(family))
+        assert r.returncode == 1 and json.loads(r.stdout)["error"] == "InvalidFamily"
+
     def test_non_integer_internal_vertex_is_schema_error(self, tmp_path):
         blob = json.loads((DATA_DIR / "star_tree.json").read_text())
         blob["internal"] = ["x"]
@@ -294,6 +306,13 @@ class TestDeterminism:
         second = run_cli(*cmd)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_limit_cover_does_not_depend_on_the_hash_seed(self):
+        golden = GOLDEN / "limit-cover_cover_family_degenerate.out"
+        for seed in ("0", "1", "2"):
+            r = run_cli("limit-cover", data("cover_family_degenerate.json"), hash_seed=seed)
+            assert r.returncode == 0
+            assert r.stdout == golden.read_text()
 
     def test_admissibility_witness_does_not_depend_on_the_hash_seed(self, tmp_path):
         # twelve identical snapshots cluster into partitions that are not admissible

@@ -14,6 +14,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import time
 from fractions import Fraction
 from math import comb
@@ -25,7 +26,9 @@ from sphere_trees import cli
 from sphere_trees import serialize as ser
 from sphere_trees.errors import SchemaError
 from sphere_trees.gaussian import gr
-from sphere_trees.laurent import LaurentMap, LaurentPoly
+from sphere_trees.covers import Portrait
+from sphere_trees.laurent import LP_ONE, LP_ZERO, LaurentMap, LaurentPoint, LaurentPoly
+from sphere_trees.limits import CoverFamily, LaurentFamily
 from sphere_trees.moduli import MarkedSphere, embed, sphere_as_tree
 from sphere_trees.projective import ProjPoint
 
@@ -317,6 +320,54 @@ def test_map_vanishing_at_every_sample_eps_is_invalid(tmp_path):
     assert code == 1 and json.loads(out)["error"] == "InvalidFamily"
     code, out, _ = run_main("validate", path)
     assert code == 0 and json.loads(out)["violations"][0].startswith("InvalidFamily:")
+
+
+def sparse_identity_family(digits: int) -> dict:
+    """The identity on four labels whose path components each have two terms, at
+    eps^-1000 and eps^1000, with Gaussian coefficients of `digits` digits."""
+    rng = random.Random(digits)
+
+    def part() -> LaurentPoly:
+        return LaurentPoly.make([(e, gr(rng.randrange(10 ** (digits - 1), 10 ** digits),
+                                        rng.randrange(10 ** (digits - 1), 10 ** digits)))
+                                 for e in (-1000, 1000)])
+    # not LaurentPoint.make, which would shift the exponents to 0 and 2000
+    fam = LaurentFamily.make({x: LaurentPoint(part(), part()) for x in "abcd"})
+    portrait = Portrait.make({x: x for x in "abcd"}, {x: 1 for x in "abcd"}, 1)
+    identity = LaurentMap.make([LP_ZERO, LP_ONE], [LP_ONE])
+    return ser.cover_family_to_json(CoverFamily(portrait, fam, fam, identity))
+
+
+def test_limit_cover_of_a_sparse_family_is_fast(tmp_path):
+    # a limit read over ints of (exponent spread x coefficient width) bits took 13 s
+    started = time.perf_counter()
+    code, out, _ = run_main("limit-cover", write(tmp_path, sparse_identity_family(40)))
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and json.loads(out)["vertex_map"]
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+                         ids=["integer-of-5000-digits", "array-nested-100000-deep"])
+def test_json_beyond_the_reader_limits_is_schema_error(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_main("validate", str(path))
+    assert (code, out) == (2, "") and err.startswith("schema error:")
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "-3E-3000000", "1e1_000_000", "1e4301"])
+def test_decimal_exponent_beyond_the_bound_is_refused(tmp_path, value):
+    # Fraction would expand 10^exponent exactly: 1e3000000 took 1.7 s, 1e10000000 12.8 s
+    blob = json.loads((DATA_DIR / "star_spheres.json").read_text())
+    blob["marking"]["#0"]["1"]["u"]["re"] = value
+    sample = ["sample", data("family_eps.json"), f"--eps={value}"]
+    for args in (["validate", write(tmp_path, blob)], sample):
+        started = time.perf_counter()
+        code, out, err = run_main(*args)
+        assert time.perf_counter() - started < 1.0, args
+        assert (code, out) == (2, "") and repr(value) in err, args
+    blob["marking"]["#0"]["1"]["u"]["re"] = "5e-4300"  # within the bound
+    assert run_main("validate", write(tmp_path, blob))[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, zip_longest
-from math import gcd, lcm
+from itertools import zip_longest
+from math import gcd
 
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,7 +22,7 @@ from conftest import (
     random_laurent_moebius,
     random_moebius,
 )
-from sphere_trees import laurent, rational
+from sphere_trees import rational
 from sphere_trees.errors import ConstantLimit, DegenerateTriple, ZeroFamily
 from sphere_trees.gaussian import (
     GR_ONE,
@@ -581,138 +581,6 @@ class TestKernelAgainstAccumulation:
                     assert f.postcompose(m).specialize(e) == fe.postcompose(me)
                     checked += 1
         assert checked >= 50
-
-
-# ---------------------------------------------------------------------------
-# the leading limit of a composition, from its low-order terms only
-
-
-def full_composed_limit(f: LaurentMap, pre: LaurentMoebius, post: LaurentMoebius):
-    return f.precompose(pre).postcompose(post).leading_limit()
-
-
-def limit_outcome(fn, *args) -> str:
-    """repr of the limit, or the ConstantLimit's message."""
-    try:
-        return repr(fn(*args))
-    except ConstantLimit as exc:
-        return f"ConstantLimit: {exc}"
-
-
-def random_laurent_map(rng: random.Random, degree: int) -> LaurentMap:
-    """Degree exactly `degree`: a nonzero top numerator coefficient; about one
-    coefficient in five zero elsewhere, exponents -2..2."""
-    top = LP_ZERO
-    while top.is_zero():
-        top = random_laurent(rng)
-    num = random_coeffs(rng, random_laurent, LP_ZERO)[:degree]
-    num += [LP_ZERO] * (degree - len(num)) + [top]
-    return LaurentMap.make(num, random_coeffs(rng, random_laurent, LP_ZERO)[:degree + 1])
-
-
-def unpacked(x: laurent.Packed, width: int, cap: int) -> list[GaussianRational]:
-    """The centred digits of a packed series below eps^cap, lowest first, each carried
-    out of x before the next is read."""
-    digits = []
-    for _ in range(cap):
-        d = laurent._digit(x, 0, width).coefficient(0)
-        x = laurent.Packed(((x[0] - d.a) >> width, (x[1] - d.b) >> width))
-        digits.append(d)
-    return digits
-
-
-def random_triple(rng: random.Random) -> list[LaurentPoint]:
-    """Three pairwise distinct Laurent points with random_laurent coordinates."""
-    while True:
-        us = [random_laurent(rng) for _ in range(6)]
-        if any(u.is_zero() and v.is_zero() for u, v in zip(us[::2], us[1::2])):
-            continue
-        t = [LaurentPoint.make(u, v) for u, v in zip(us[::2], us[1::2])]
-        if all(bracket_lead(p, q) is not None for p, q in combinations(t, 2)):
-            return t
-
-
-def adjugate(m: LaurentMoebius) -> LaurentMoebius:
-    return LaurentMoebius(m.d, -m.b, -m.c, m.a)
-
-
-TIGHT = LaurentPoly.make([(0, gr(7, -7)), (3, gr(-7, 7))])  # digits +-7 need width 4 exactly
-
-
-class TestComposedLeadingLimit:
-    # the polys are cleared by one scalar s (`laurent._cleared`), so the packed dot is s^2
-    # times the Laurent one; the width is the least `_width` allows for its digits below cap
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(laurent_polys, laurent_polys), min_size=1, max_size=3),
-           st.integers(1, 8))
-    @example([(TIGHT, LP_ONE)], 1)
-    @example([(TIGHT, LP_ONE)], 4)
-    @example([(TIGHT, -TIGHT), (LP_ONE, LaurentPoly.eps(2))], 8)
-    def test_packed_dot_decodes_to_the_truncated_product(self, pairs, cap):
-        polys = [p for pair in pairs for p in pair]
-        assume(any(not p.is_zero() for p in polys))
-        scale = lcm(*(c.c for p in polys for _, c in p.terms))
-        low = min(e for p in polys for e, _ in p.terms)
-        full = LaurentPoly.dot(pairs).scale(gr(scale * scale)).shift(-2 * low)
-        expected = [full.coefficient(k) for k in range(cap)]
-        assert all(c.c == 1 for c in expected)
-        width = laurent._width(max(max(abs(c.a), abs(c.b)) for c in expected))
-        cleared = laurent._pack(laurent._cleared(polys)[0], width)
-        got = laurent._Zero(cap, width).dot(zip(cleared[::2], cleared[1::2]))
-        assert unpacked(got, width, cap) == expected
-        valuation = next((k for k, c in enumerate(expected) if not c.is_zero()), None)
-        low_bit = laurent._lowest_bit([got])
-        assert valuation == (None if low_bit is None else low_bit // width)
-
-    def test_against_the_full_composition(self, caps):
-        # random source triples; the target triple is random, or on odd rounds the image
-        # of the source triple when it is one, whose chart makes most limits nonconstant
-        rng = random.Random(7)
-        constant = doubled = 0
-        for k in range(240):
-            f = random_laurent_map(rng, 1 + k % 4)
-            source, target = random_triple(rng), random_triple(rng)
-            try:
-                images = [f.evaluate(p) for p in source]
-            except ZeroFamily:  # a path on which the map's numerator and denominator vanish
-                images = []
-            if k % 2 and images and all(bracket_lead(p, q) for p, q in combinations(images, 2)):
-                target = images
-            packing = laurent.Packing(f, [source, target])
-            del caps[:]
-            got = limit_outcome(laurent.LowOrderReader(packing, packing.charts[0]).leading_limit,
-                                packing.charts[1])
-            pre, post = (LaurentMoebius.from_three(*t) for t in (source, target))
-            assert got == limit_outcome(full_composed_limit, f, adjugate(pre), post), \
-                (f, source, target)
-            constant += got.startswith("ConstantLimit")
-            doubled += len(caps) > 1
-        assert 0 < constant < 180 and doubled > 0
-
-    @pytest.mark.parametrize("f, source, target, limit", [
-        (LaurentMap.make([LP_ZERO, LP_ONE], [LP_ONE]), "0 1 e4", "0 1 e4", "z"),
-        (LaurentMap.make([LP_ZERO, LaurentPoly.eps(-3)], [LaurentPoly.eps(-3)]),
-         "1/2 3 1/2+e4/3", "1/2 3 1/2+e4/3", "z"),
-        (LaurentMap.make([LP_ZERO, LP_ZERO, LP_ONE], [LP_ONE]), "0 1 e2", "0 1 e4", "z^2 / (2z - 1)"),
-    ])
-    def test_cancellation_doubles_the_cap_twice(self, caps, f, source, target, limit):
-        # with each factor divided by its lowest power of eps, the composition is eps^4
-        # times a map with a nonconstant limit (for z and one triple, phi . adj(phi) is
-        # det(phi), and two labels of the triple lie eps^4 apart): its terms below eps^4
-        # cancel, so the rounds at caps 2 and 4 read zero and the round at cap 8 finds it
-        points = {"0": LP_ZERO, "1": LP_ONE, "e2": LaurentPoly.eps(2), "e4": LaurentPoly.eps(4),
-                  "1/2": LaurentPoly.constant(gr(Fraction(1, 2))), "3": LaurentPoly.constant(gr(3)),
-                  "1/2+e4/3": LaurentPoly.make([(0, gr(Fraction(1, 2))), (4, gr(Fraction(1, 3)))])}
-        source, target = ([LaurentPoint.from_poly(points[x]) for x in t.split()]
-                          for t in (source, target))
-        packing = laurent.Packing(f, [source, target])
-        got = laurent.LowOrderReader(packing, packing.charts[0]).leading_limit(packing.charts[1])
-        assert caps == [2, 4, 8]
-        pre, post = (LaurentMoebius.from_three(*t) for t in (source, target))
-        assert got == full_composed_limit(f, adjugate(pre), post)
-        z = RationalMap.from_coeffs([GR_ZERO, GR_ONE], [GR_ONE])
-        assert got == (z if limit == "z" else RationalMap.from_coeffs(
-            [GR_ZERO, GR_ZERO, GR_ONE], [-GR_ONE, gr(2)]))
 
 
 # ---------------------------------------------------------------------------

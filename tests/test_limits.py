@@ -9,7 +9,6 @@ import random
 import subprocess
 import sys
 import time
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,7 +35,7 @@ from conftest import (
     twisted_cover_family,
     z_squared_chain_family,
 )
-from sphere_trees import laurent, limits, trees
+from sphere_trees import limits, trees
 from sphere_trees import serialize as ser
 from sphere_trees.covers import (
     Portrait,
@@ -52,6 +51,7 @@ from sphere_trees.errors import (
     ConstantLimit,
     InconsistentClustering,
     InvalidFamily,
+    NotRealizable,
     NotStabilized,
 )
 from sphere_trees.gaussian import gr
@@ -62,7 +62,6 @@ from sphere_trees.laurent import (
     LaurentMoebius,
     LaurentPoint,
     LaurentPoly,
-    LowOrderReader,
     bracket_lead,
     laurent_bracket,
 )
@@ -77,6 +76,7 @@ from sphere_trees.limits import (
 from sphere_trees.moduli import embed, marking_dict, sphere_as_tree, spheres_iso
 from sphere_trees.moduli import MarkedSphere, tree_from_charts, vertex_chart
 from sphere_trees.plumbing import plumb_family
+from sphere_trees.rational import local_degree
 from sphere_trees.trees import (
     AdmissibilityViolation,
     is_admissible,
@@ -796,29 +796,76 @@ class TestLimitCover:
         from sphere_trees.covers import cover_iso
         assert cover_iso(rebuilt, cover)
 
-    def test_no_nonconstant_limit_raises_with_witness(self, monkeypatch):
-        # every composed limit is constant: each target chart is tried once, nothing
-        # hangs, and the witness names the source vertex
-        fam = degenerate_family_three_vertex()
-        composed_limits, packings = [], []
-        composed = LowOrderReader.leading_limit
-        monkeypatch.setattr(LowOrderReader, "leading_limit",
-                            lambda self, post: composed_limits.append(post) or composed(self, post))
-        monkeypatch.setattr(limits, "Packing", lambda f, triples: packings.append(
-            laurent.Packing(f, triples)) or packings[-1])
 
-        def constant(self):
-            raise ConstantLimit("forced")
-        monkeypatch.setattr(LaurentMap, "leading_limit", constant)
-        with pytest.raises(ConstantLimit) as exc:
+def cubic_family(check: bool = True, **degrees: int) -> CoverFamily:
+    """z^3 - 3z on constant paths with its critical fibers marked: 1 and -1 are
+    critical over -2 and 2, where -2 and 2 are simple; `degrees` overrides the
+    portrait's.  Without `check` the family skips CoverFamily.make."""
+    fmap = {"a2": "b2", "am1": "b2", "am2": "bm2", "a1": "bm2", "ainf": "binf"}
+    deg = {"a2": 1, "am1": 2, "am2": 1, "a1": 2, "ainf": 3, **degrees}
+    y = LaurentFamily.make({"a2": lconst(2), "am1": lconst(-1), "am2": lconst(-2),
+                            "a1": lconst(1), "ainf": LINF})
+    z = LaurentFamily.make({"b2": lconst(2), "bm2": lconst(-2), "binf": LINF})
+    f = LaurentMap.make([LP_ZERO, LaurentPoly.constant(gr(-3)), LP_ZERO, LP_ONE], [LP_ONE])
+    return (CoverFamily.make if check else CoverFamily)(Portrait.make(fmap, deg, 3), y, z, f)
+
+
+def critical_at_one_seventh() -> CoverFamily:
+    """z^2 with the fiber of (eps - 1/7)^2 marked: its paths +-(eps - 1/7) are simple
+    points of z^2, and both meet the critical point 0 at eps = 1/7 only."""
+    a = lpoly([(0, gr(Fraction(-1, 7))), (1, gr(1))])
+    y = LaurentFamily.make({"y0": lconst(0), "yinf": LINF, "a": a,
+                            "b": lpoly([(0, gr(Fraction(1, 7))), (1, gr(-1))])})
+    z = LaurentFamily.make({"c0": lconst(0), "cinf": LINF,
+                            "c": LaurentPoint.make(a.u * a.u, LP_ONE)})
+    portrait = Portrait.make({"y0": "c0", "yinf": "cinf", "a": "c", "b": "c"},
+                             {"y0": 2, "yinf": 2, "a": 1, "b": 1}, 2)
+    return CoverFamily.make(portrait, y, z, LaurentMap.make([LP_ZERO, LP_ZERO, LP_ONE], [LP_ONE]))
+
+
+class TestCoverFamilyDegrees:
+    def test_the_true_degrees_give_the_cubic(self):
+        cover = limit_cover(cubic_family())
+        assert validate_cover(cover, expected_portrait=cubic_family().portrait) == []
+        assert len(cover.source.shape.internal) == 1
+
+    @pytest.mark.parametrize("degrees, message", [
+        ({"a1": 1, "am2": 2}, "local degree 2 at the path of 'a1', the portrait 1"),
+        ({"am1": 1, "a2": 2}, "local degree 1 at the path of 'a2', the portrait 2"),
+        ({"ainf": 2}, "local degree 3 at the path of 'ainf', the portrait 2"),
+    ], ids=["over-2", "over-2-swapped", "at-infinity"])
+    def test_a_wrong_local_degree_is_refused(self, degrees, message):
+        # the swap over -2 keeps a valid portrait; at infinity (v = 0) the order is
+        # read in V
+        with pytest.raises(InvalidFamily, match=message):
+            cubic_family(**degrees)
+
+    def test_a_wrong_image_keeps_its_message(self):
+        fam = cubic_family()
+        z = {x: p for x, p in fam.z_family.paths}
+        z["b2"] = lconst(3)
+        with pytest.raises(InvalidFamily, match="does not send the path of 'a2'"):
+            CoverFamily.make(fam.portrait, fam.y_family, LaurentFamily.make(z), fam.map_family)
+
+    def test_an_unmarked_critical_point_is_not_realizable(self):
+        # z^2 with the fibers of 1, 4 and infinity marked, but not the critical point 0
+        y = LaurentFamily.make({"p1": lconst(1), "m1": lconst(-1), "p2": lconst(2),
+                                "m2": lconst(-2), "inf": LINF})
+        z = LaurentFamily.make({"c1": lconst(1), "c4": lconst(4), "cinf": LINF})
+        portrait = Portrait.make({"p1": "c1", "m1": "c1", "p2": "c4", "m2": "c4", "inf": "cinf"},
+                                 {"p1": 1, "m1": 1, "p2": 1, "m2": 1, "inf": 2}, 2)
+        fam = CoverFamily.make(portrait, y, z, LaurentMap.make([LP_ZERO, LP_ZERO, LP_ONE], [LP_ONE]))
+        with pytest.raises(NotRealizable, match="portrait is invalid"):
             limit_cover(fam)
-        assert exc.value.witness == {"vertex": 0}
-        # the target charts follow the source charts in the one packing made
-        [packing] = packings
-        charts = packing.charts[len(limit_tree(fam.y_family).shape.internal):]
-        assert len(charts) == len(limit_tree(fam.z_family).shape.internal)
-        assert len(composed_limits) == len(charts)
-        assert set(composed_limits) == set(charts)
+
+    def test_degrees_are_generic_not_sampled(self):
+        # at eps = 1/7 the path of a is the critical point 0, of local degree 2
+        fam = critical_at_one_seventh()
+        eps = Fraction(1, 7)
+        f, a = fam.map_family.specialize(eps), fam.y_family.path("a").evaluate(eps)
+        assert local_degree(f, a) == 2 and fam.portrait.deg("a") == 1
+        cover = limit_cover(fam)
+        assert validate_cover(cover, expected_portrait=fam.portrait) == []
 
 
 def lexicographic_limit_cover(fam: CoverFamily):
@@ -860,6 +907,24 @@ COVER_FAMILIES = [
 ]
 
 
+def random_twist_families() -> list:
+    """Four random Laurent twists, entries down to eps^-2, of each degenerate and chain family."""
+    rng = random.Random(41)
+    out = []
+    names = DEGENERATE_FAMILIES + ["chain_" + "".join(map(str, c)) for c in CHAIN_CENTRES]
+    families = [getattr(conftest, name)() for name in DEGENERATE_FAMILIES]
+    families += [z_squared_chain_family(c) for c in CHAIN_CENTRES]
+    for name, fam in zip(names, families):
+        twists = [(random_laurent_moebius(rng), random_laurent_moebius(rng), rng.randint(1, 2))
+                  for _ in range(4)]
+        out += [(f"{name}_random{j}", fam, twisted_cover_family(fam, *twist))
+                for j, twist in enumerate(twists)]
+    return out
+
+
+RANDOM_TWIST_FAMILIES = random_twist_families()
+
+
 class TestLimitCoverQuotient:
     def test_twists_give_isomorphic_limits(self):
         # eps-dependent twists make the map itself degenerate
@@ -872,63 +937,41 @@ class TestLimitCoverQuotient:
                 assert cover_iso(twisted, base), (name, source, target, k)
         assert time.perf_counter() - start < 20.0
 
-    def test_random_twists_give_valid_isomorphic_limits(self, caps):
-        # random Laurent twists, entries down to eps^-2: the limit validates, keeps the
-        # family's portrait, is rebuilt from its source and portrait, and is the plain
-        # family's limit up to isomorphism; their maps cancel deep enough to raise the cap
-        start, rng = time.perf_counter(), random.Random(41)
-        families = [getattr(conftest, name)() for name in DEGENERATE_FAMILIES]
-        families += [z_squared_chain_family(c) for c in CHAIN_CENTRES]
-        for fam in families:
-            plain = limit_cover(fam)
-            twists = [(random_laurent_moebius(rng), random_laurent_moebius(rng), rng.randint(1, 2))
-                      for _ in range(4)]
-            for twist in [None] + twists:
-                cover = limit_cover(twisted_cover_family(fam, *twist)) if twist else plain
+    def test_random_twists_give_valid_isomorphic_limits(self):
+        # the limit validates, keeps the family's portrait, is rebuilt from its source
+        # and portrait, and is the plain family's limit up to isomorphism
+        start, plains = time.perf_counter(), {}
+        for name, fam, twisted in RANDOM_TWIST_FAMILIES:
+            if id(fam) not in plains:
+                plains[id(fam)] = limit_cover(fam)
+            for cover in (plains[id(fam)], limit_cover(twisted)):
                 assert validate_cover(cover, expected_portrait=fam.portrait) == []
                 portrait = extract_portrait(cover)
                 assert portrait == fam.portrait
                 assert cover_iso(reconstruct_cover(cover.source, portrait), cover)
-                assert cover_iso(cover, plain), (fam.portrait, twist)
-        assert max(caps) >= 8
+            assert cover_iso(cover, plains[id(fam)]), name
         assert time.perf_counter() - start < 30.0
 
-    @pytest.mark.parametrize("fam", COVER_FAMILIES)
+    @pytest.mark.parametrize("fam", COVER_FAMILIES + [
+        pytest.param(twisted, id=name) for name, _, twisted in RANDOM_TWIST_FAMILIES])
     def test_agrees_with_lexicographic_search(self, fam):
+        # the oracle reads each fiber map off the family's map by Laurent products
         cover, oracle = limit_cover(fam), lexicographic_limit_cover(fam)
         assert cover.vertex_map == oracle.vertex_map
         assert cover.maps == oracle.maps
 
-    @pytest.mark.parametrize("fam", COVER_FAMILIES)
-    def test_one_composed_limit_per_source_vertex(self, monkeypatch, fam):
-        calls = []
-        composed = LowOrderReader.leading_limit
-        monkeypatch.setattr(LowOrderReader, "leading_limit",
-                            lambda self, post: calls.append(post) or composed(self, post))
-        cover = limit_cover(fam)
-        assert len(calls) == len(cover.source.shape.internal)
-
     @pytest.mark.parametrize("twist", [None, (FRACTIONAL, AFFINE, 1)], ids=["plain", "twisted"])
-    def test_a_leafless_source_vertex_tries_the_sorted_targets(self, monkeypatch, twist):
-        # the source centre carries only internal edges, so no leaf forces its image:
-        # the target vertices are tried in sorted order, each at most once
+    def test_a_leafless_source_vertex_agrees_with_lexicographic_search(self, twist):
+        # the source centre carries only internal edges, so no leaf names its image
         fam = leafless_identity_family()
         fam = twisted_cover_family(fam, *twist) if twist else fam
-        readers = []
-        composed = LowOrderReader.leading_limit
-        monkeypatch.setattr(LowOrderReader, "leading_limit",
-                            lambda self, post: readers.append(self) or composed(self, post))
         cover, oracle = limit_cover(fam), lexicographic_limit_cover(fam)
         assert cover.vertex_map == oracle.vertex_map
         assert cover.maps == oracle.maps
         shape = cover.source.shape
-        tries = dict(zip(sorted(shape.internal), Counter(map(id, readers)).values()))
         leafless = [v for v in shape.internal
                     if not any(isinstance(n, str) for n in trees.neighbors(shape, v))]
-        assert len(leafless) == 1 and len(tries) == 4
-        assert tries[leafless[0]] > 1  # a constant limit was passed over
-        for v, k in tries.items():
-            assert k <= len(cover.target.shape.internal) if v in leafless else k == 1
+        assert len(leafless) == 1 and len(shape.internal) == 4
 
 
 def leafless_identity_family() -> CoverFamily:
@@ -940,24 +983,3 @@ def leafless_identity_family() -> CoverFamily:
     fam = LaurentFamily.make(paths)
     portrait = Portrait.make({x: x for x in paths}, {x: 1 for x in paths}, 1)
     return CoverFamily.make(portrait, fam, fam, LaurentMap.make([LP_ZERO, LP_ONE], [LP_ONE]))
-
-
-class TestLocationRead:
-    @pytest.mark.parametrize("fam", COVER_FAMILIES)
-    def test_limit_cover_reads_each_round_once(self, monkeypatch, fam):
-        # no full image, inverse chart, bracket, Laurent chart or Laurent product: one
-        # packed substitution per source vertex and cap, and the lead tables are read
-        def refuse(*args):
-            raise AssertionError("not on the truncated path")
-        monkeypatch.setattr(LaurentMap, "evaluate", refuse)
-        monkeypatch.setattr(LaurentMoebius, "inverse", refuse)
-        monkeypatch.setattr(LaurentMoebius, "from_three", refuse)
-        monkeypatch.setattr(LaurentPoly, "dot", refuse)
-        monkeypatch.setattr(limits, "bracket_lead", refuse)
-        monkeypatch.setattr(laurent, "bracket_lead", refuse)
-        rounds = []
-        substitute = laurent.hom_substitute
-        monkeypatch.setattr(laurent, "hom_substitute", lambda num, den, m, zero, one:
-                            rounds.append(zero.cap) or substitute(num, den, m, zero, one))
-        cover = limit_cover(fam)
-        assert max(Counter(rounds).values()) <= len(cover.source.shape.internal)

@@ -152,8 +152,11 @@ class TestValueClass:
         if name in DEEP_COPIES:
             copies += [copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
         for y in copies:
-            assert type(y) is type(x) and y == x and repr(y) == repr(x)
+            assert type(y) is type(x) and y == x
             assert all(getattr(y, f) == getattr(x, f) for f in FIELDS[name][0])
+        # copy.copy shares the field objects, so it prints the same; a rebuilt
+        # frozenset of strings is equal but may iterate, and print, in another order
+        assert repr(copies[0]) == repr(x)
 
     def test_repr_names_the_class_and_its_repr_fields(self, values, name):
         x = values[name]
