@@ -169,6 +169,19 @@ def sub_product(x: GaussianRational, s: GaussianRational, y: GaussianRational) -
             x.b * s.c * y.c - (s.a * y.b + s.b * y.a) * x.c, x.c * s.c * y.c)
 
 
+def product_sum(x: GaussianRational, y: GaussianRational, z: GaussianRational, w: GaussianRational,
+                k: int = 1) -> tuple:
+    """x * y + k * z * w as a triple, k an integer."""
+    xy, zw = x.c * y.c, z.c * w.c
+    return ((x.a * y.a - x.b * y.b) * zw + (z.a * w.a - z.b * w.b) * k * xy,
+            (x.a * y.b + x.b * y.a) * zw + (z.a * w.b + z.b * w.a) * k * xy, xy * zw)
+
+
+def scaled(s: GaussianRational, t: tuple) -> tuple:
+    """s times the triple t, as a triple."""
+    return s.a * t[0] - s.b * t[1], s.a * t[1] + s.b * t[0], s.c * t[2]
+
+
 def quotient(xa: int, xb: int, xc: int, ya: int, yb: int, yc: int) -> GaussianRational:
     """The triple x over the nonzero triple y, reduced once."""
     return GaussianRational._raw((xa * ya + xb * yb) * yc, (xb * ya - xa * yb) * yc,

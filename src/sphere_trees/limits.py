@@ -348,9 +348,10 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     A charted triple builds one cross-ratio row per snapshot some ladder uses, and
     refuses the first, by ascending eps, where a product of brackets underflows to
     (0 : 0); each ladder reads its series from those rows and its ratios from one table
-    per call.  The triple's own 0 and inf labels, exact zeros of every row's numerator
-    or denominator, are charted from ladder 0's last row and as (1 : 0), the bits their
-    tableaux would return with spread 0.0.
+    per call, and the first label a ladder's chart divides by an exact zero is refused
+    at its first such snapshot.  The triple's own 0 and inf labels, exact zeros of every
+    row's numerator or denominator, are charted from ladder 0's last row and as (1 : 0),
+    the bits their tableaux would return with spread 0.0.
     """
     w = seq.stability_window
     labels = seq.labels
@@ -382,8 +383,16 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
         for ix, x in enumerate(labels):
             if x in chart:
                 continue
-            estimates = [
-                _extrapolate(ratios, [rows[i][ix] for i in node_idx]) for ratios, node_idx in ladders]
+            try:
+                estimates = [
+                    _extrapolate(ratios, [rows[i][ix] for i in node_idx]) for ratios, node_idx in ladders]
+            except ZeroDivisionError:
+                poles = []
+                for _, idx in ladders:  # charted by u / v where |u| <= |v| at the first node, else v / u
+                    u, v = rows[idx[0]][ix]
+                    poles += [seq.eps[i] for i in idx if rows[i][ix][1 if abs(u) <= abs(v) else 0] == 0]
+                raise NotStabilized("a cross-ratio is a pole of its extrapolation chart in a snapshot",
+                                    witness={"quadruple": [*triple, x], "eps": min(poles)}) from None
             spread = max(chordal(estimates[0], e) for e in estimates[1:])
             if spread > seq.tolerance:
                 unsettled.append({"quadruple": [*triple, x], "spread": spread})

@@ -30,7 +30,7 @@ from .errors import (
     MarkedSetTooSmall,
     NotASubset,
 )
-from .projective import Moebius, ProjPoint, moebius_from_three
+from .projective import M_IDENTITY, Moebius, ProjPoint, moebius_from_three
 from .trees import (
     MarkedTree,
     Partition,
@@ -301,7 +301,7 @@ def twist(t: TreeOfSpheres, maps: Mapping[int, Moebius]) -> TreeOfSpheres:
     """Post-compose each vertex marking with a Moebius map (same class)."""
     marking = {}
     for v in t.shape.internal:
-        m = maps.get(v, Moebius.identity())
+        m = maps.get(v, M_IDENTITY)
         marking[v] = {n: m.apply(p) for n, p in t.edge_points(v).items()}
     return TreeOfSpheres.make(t.shape, marking)
 

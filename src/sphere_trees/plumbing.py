@@ -14,13 +14,13 @@ from .gaussian import GR_ONE, GR_ZERO, gr
 from .laurent import LaurentPoint, LaurentPoly
 from .limits import LaurentFamily
 from .moduli import TreeOfSpheres
-from .projective import Moebius, ProjPoint
+from .projective import M_IDENTITY, Moebius, ProjPoint
 
 
 def _root_normalizer(points: list[ProjPoint]) -> Moebius:
     """Move infinity (when marked) to the smallest free positive integer."""
     if not any(p.is_infinity() for p in points):
-        return Moebius.identity()
+        return M_IDENTITY
     taken = {p.to_affine() for p in points if not p.is_infinity()}
     k = 1
     while gr(k) in taken:
@@ -33,7 +33,7 @@ def _root_normalizer(points: list[ProjPoint]) -> Moebius:
 def _child_normalizer(parent_point: ProjPoint) -> Moebius:
     """Send the parent-edge attaching point to infinity."""
     if parent_point.is_infinity():
-        return Moebius.identity()
+        return M_IDENTITY
     p = parent_point.to_affine()
     return Moebius.make(GR_ZERO, GR_ONE, GR_ONE, -p)
 

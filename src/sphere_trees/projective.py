@@ -4,13 +4,15 @@ Points are homogeneous pairs (u : v) over Q(i), kept in a canonical form so
 that equality is structural: finite points store v = 1, the point at
 infinity stores (1 : 0).  Moebius transformations are 2x2 matrices up to
 scale, canonicalized so the first nonzero entry (in a, b, c, d order) is 1.
+Maps are built, composed and applied on unreduced Gaussian-integer triples
+(`gaussian.product_sum`, `scaled`), with one reduction per resulting value.
 """
 
 from __future__ import annotations
 
-
 from .errors import DegenerateTriple
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, Rationalish, gr, horner, quotient, triples
+from .gaussian import (GR_ONE, GR_ZERO, GaussianRational, Rationalish, gr, product_sum, quotient, scaled,
+                       triples)
 from .values import value
 
 
@@ -63,11 +65,6 @@ P_ONE = ProjPoint.of(1)
 P_INF = ProjPoint.infinity()
 
 
-def bracket(p: ProjPoint, q: ProjPoint) -> GaussianRational:
-    """Homogeneous difference u_p v_q - u_q v_p; zero iff p == q."""
-    return p.u * q.v - q.u * p.v
-
-
 @value
 class Moebius:
     a: GaussianRational
@@ -77,62 +74,66 @@ class Moebius:
 
     @classmethod
     def make(cls, a, b, c, d) -> "Moebius":
-        det = a * d - b * c
-        if det.is_zero():
-            raise ValueError("singular Moebius matrix")
-        for pivot in (a, b, c, d):
-            if not pivot.is_zero():
-                inv = pivot.inverse()
-                return cls(a * inv, b * inv, c * inv, d * inv)
-        raise ValueError("zero Moebius matrix")  # pragma: no cover
+        return cls.of_triples(*triples((a, b, c, d)))
 
     @classmethod
-    def identity(cls) -> "Moebius":
-        return cls.make(GR_ONE, GR_ZERO, GR_ZERO, GR_ONE)
+    def of_triples(cls, *entries: tuple) -> "Moebius":
+        """The map of the matrix of unreduced triples (a, b, c, d), divided by its first
+        nonzero entry with one reduction per other nonzero entry."""
+        (aa, ab, ac), (ba, bb, bc), (ca, cb, cc), (da, db, dc) = entries
+        # a d == b c, both sides cleared of the four denominators
+        if ((aa * da - ab * db) * bc * cc == (ba * ca - bb * cb) * ac * dc
+                and (aa * db + ab * da) * bc * cc == (ba * cb + bb * ca) * ac * dc):
+            raise ValueError("singular Moebius matrix")
+        i = next(i for i, t in enumerate(entries) if t[0] or t[1])
+        rest = [quotient(*t, *entries[i]) if t[0] or t[1] else GR_ZERO for t in entries[i + 1:]]
+        return cls(*[GR_ZERO] * i, GR_ONE, *rest)
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        """(a u + b v : c u + d v), reduced once; at a finite u, `horner` on (b, a) and (d, c)."""
-        if p.is_infinity():
-            return ProjPoint.make(self.a, self.c)
-        r = p.u
-        return ProjPoint.ratio(*(horner(triples(pair), r.a, r.b, r.c)[-1]
-                                 for pair in ((self.b, self.a), (self.d, self.c))))
+        """(a u + b v : c u + d v), reduced once."""
+        return ProjPoint.ratio(product_sum(self.a, p.u, self.b, p.v),
+                               product_sum(self.c, p.u, self.d, p.v))
 
     def __call__(self, p: ProjPoint) -> ProjPoint:
         return self.apply(p)
 
     def compose(self, other: "Moebius") -> "Moebius":
         """Matrix product: (self . other)(p) == self(other(p))."""
-        return Moebius.make(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+        return Moebius.of_triples(
+            product_sum(self.a, other.a, self.b, other.c),
+            product_sum(self.a, other.b, self.b, other.d),
+            product_sum(self.c, other.a, self.d, other.c),
+            product_sum(self.c, other.b, self.d, other.d),
         )
 
     def inverse(self) -> "Moebius":
         return Moebius.make(self.d, -self.b, -self.c, self.a)
 
     def is_identity(self) -> bool:
-        return self == Moebius.identity()
+        return self == M_IDENTITY
+
+
+M_IDENTITY = Moebius(GR_ONE, GR_ZERO, GR_ZERO, GR_ONE)
 
 
 def moebius_from_three(p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint) -> Moebius:
     """The unique Moebius map sending (p0, p1, pinf) to (0, 1, inf).
 
-    Built homogeneously so infinity needs no special casing:
+    Built homogeneously so infinity needs no special casing, from the brackets
+    [p, q] = u_p v_q - u_q v_p, zero iff p == q:
     M(z) = ((z - p0)(p1 - pinf)) / ((z - pinf)(p1 - p0)).
     """
-    if bracket(p0, p1).is_zero() or bracket(p0, pinf).is_zero() or bracket(p1, pinf).is_zero():
+    k_num = product_sum(p1.u, pinf.v, pinf.u, p1.v, -1)
+    k_den = product_sum(p1.u, p0.v, p0.u, p1.v, -1)
+    k_0inf = product_sum(p0.u, pinf.v, pinf.u, p0.v, -1)
+    if not ((k_num[0] or k_num[1]) and (k_den[0] or k_den[1]) and (k_0inf[0] or k_0inf[1])):
         raise DegenerateTriple(
             "normalization points must be pairwise distinct",
             witness=[str(p0), str(p1), str(pinf)],
         )
-    k_num = bracket(p1, pinf)
-    k_den = bracket(p1, p0)
-    return Moebius.make(
-        p0.v * k_num,
-        -p0.u * k_num,
-        pinf.v * k_den,
-        -pinf.u * k_den,
+    return Moebius.of_triples(
+        scaled(p0.v, k_num),
+        scaled(p0.u, (-k_num[0], -k_num[1], k_num[2])),
+        scaled(pinf.v, k_den),
+        scaled(pinf.u, (-k_den[0], -k_den[1], k_den[2])),
     )

@@ -69,6 +69,10 @@ def canonical_dumps(payload: Any) -> str:
     return "".join(out)
 
 
+# the children written inline, without a call to _write: those whose type is exactly str or int
+_INLINE = {str: _quote, int: int.__repr__}
+
+
 def _write(o: Any, nl: str, put) -> None:
     """Append the JSON text of o to put; nl is the newline and indent of o's line."""
     if isinstance(o, str):
@@ -77,16 +81,24 @@ def _write(o: Any, nl: str, put) -> None:
         inner = nl + "  "
         sep = "[" + inner
         for v in o:
-            put(sep)
-            _write(v, inner, put)
+            text = _INLINE.get(type(v))
+            if text:
+                put(sep + text(v))
+            else:
+                put(sep)
+                _write(v, inner, put)
             sep = "," + inner
         put(nl + "]")
     elif isinstance(o, dict) and o:
         inner = nl + "  "
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            put(f"{sep}{_quote(_json_key(k))}: ")
-            _write(v, inner, put)
+            head, text = f"{sep}{_quote(_json_key(k))}: ", _INLINE.get(type(v))
+            if text:
+                put(head + text(v))
+            else:
+                put(head)
+                _write(v, inner, put)
             sep = "," + inner
         put(nl + "}")
     else:  # a number, bool, None or empty container: the C encoder writes it as json.dumps does
@@ -165,14 +177,19 @@ def _canonical_fraction(s: Any) -> Optional[tuple[int, int]]:
     return (n, d) if d else None
 
 
-def complex_from_json(obj: Any) -> GaussianRational:
+def _complex_triple(obj: Any) -> tuple:
+    """The scalar obj = n1/d1 + (n2/d2) i as the unreduced triple (n1 d2, n2 d1, d1 d2)."""
     if not isinstance(obj, dict) or obj.keys() != {"re", "im"}:
         raise SchemaError(f"complex scalars are {{'re', 'im'}} objects, got {obj!r}")
     re, im = _canonical_fraction(obj["re"]), _canonical_fraction(obj["im"])
     if re is None or im is None:
-        return GaussianRational(fraction_from_json(obj["re"]), fraction_from_json(obj["im"]))
-    # (n1/d1) + (n2/d2) i = (n1 d2 + n2 d1 i) / (d1 d2), reduced once
-    return GaussianRational._raw(re[0] * im[1], im[0] * re[1], re[1] * im[1])
+        re = fraction_from_json(obj["re"]).as_integer_ratio()
+        im = fraction_from_json(obj["im"]).as_integer_ratio()
+    return re[0] * im[1], im[0] * re[1], re[1] * im[1]
+
+
+def complex_from_json(obj: Any) -> GaussianRational:
+    return GaussianRational._raw(*_complex_triple(obj))
 
 
 def point_to_json(p) -> dict:
@@ -183,7 +200,7 @@ def point_from_json(obj: Any):
     if not isinstance(obj, dict) or set(obj) != {"u", "v"}:
         raise SchemaError(f"points are {{'u', 'v'}} objects, got {obj!r}")
     try:
-        return ProjPoint.make(complex_from_json(obj["u"]), complex_from_json(obj["v"]))
+        return ProjPoint.ratio(_complex_triple(obj["u"]), _complex_triple(obj["v"]))
     except ValueError as exc:
         raise SchemaError(f"(0 : 0) is not a point: {obj!r}") from exc
 

@@ -42,8 +42,8 @@ def value(cls):
     if hasattr(new, "__post_init__"):
         body.append("    self.__post_init__()")
     compared = [name for name, default in fields if not isinstance(default, field)]
-    mine, theirs, args = ("(" + "".join(f"{obj}.{name}, " for name in names) + ")"
-                          for obj, names in (("self", compared), ("other", compared), ("self", init)))
+    mine, theirs, args = ["(" + "".join(f"{obj}.{name}, " for name in names) + ")"
+                          for obj, names in (("self", compared), ("other", compared), ("self", init))]
     shown = ", ".join(f"{name}={{self.{name}!r}}" for name in compared)
     exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body) + f"""
 def __eq__(self, other):

@@ -21,7 +21,7 @@ from sphere_trees.dynamics import DynSystem, dyn_membership
 from sphere_trees.moduli import MarkedSphere
 from test_covers import leafless_centre, swapped_cubic
 from test_dynamics import dyn_z_squared, mismatch_cover, source_twisted
-from test_limits import VANISHING_ROW_SNAPSHOTS, cubic_family
+from test_limits import VANISHING_ROW_SNAPSHOTS, cubic_family, pole_snapshots
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -206,6 +206,20 @@ class TestErrors:
         assert "Traceback" not in r.stderr
         assert json.loads(r.stdout) == {"error": "NotStabilized", "witness": {
             "quadruple": ["a", "b", "c", "a"], "eps": 1.0 / 13}}
+
+    def test_a_pole_of_a_ladder_chart_is_refused(self, tmp_path):
+        # the v of d's cross-ratio underflows to exactly 0 at eps = 1/7, where ladder 0
+        # divides by it
+        snaps, eps = pole_snapshots()
+        seq = tmp_path / "pole.json"
+        seq.write_text(json.dumps({
+            "snapshots": [{x: "inf" if z is None else [z.real, z.imag] for x, z in snap.items()}
+                          for snap in snaps], "eps": eps}))
+        r = run_cli("limit", str(seq))
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stdout) == {"error": "NotStabilized", "witness": {
+            "quadruple": ["a", "b", "c", "d"], "eps": 1.0 / 7}}
 
     def test_degree_one_portrait_is_rejected(self, tmp_path):
         # reconstruction accepts degree 1; validating a bare portrait does not

@@ -741,9 +741,131 @@ class TestTripleEvaluation:
             assert m.apply(x) == oracle_moebius_apply(m, x)
 
 
+# Moebius maps by GaussianRational arithmetic, reduced after every product: the
+# oracles for the triple formulas of projective.py
+def oracle_bracket(p: ProjPoint, q: ProjPoint) -> GaussianRational:
+    """Homogeneous difference u_p v_q - u_q v_p; zero iff p == q."""
+    return p.u * q.v - q.u * p.v
+
+
+def oracle_moebius_make(a, b, c, d) -> Moebius:
+    if (a * d - b * c).is_zero():
+        raise ValueError("singular Moebius matrix")
+    inv = next(x for x in (a, b, c, d) if not x.is_zero()).inverse()
+    return Moebius(a * inv, b * inv, c * inv, d * inv)
+
+
+def oracle_compose(m: Moebius, n: Moebius) -> Moebius:
+    return oracle_moebius_make(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                               m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+
+
+def oracle_moebius_inverse(m: Moebius) -> Moebius:
+    return oracle_moebius_make(m.d, -m.b, -m.c, m.a)
+
+
+def oracle_from_three(p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint) -> Moebius:
+    if any(oracle_bracket(p, q).is_zero() for p, q in ((p0, p1), (p0, pinf), (p1, pinf))):
+        raise DegenerateTriple("normalization points must be pairwise distinct",
+                               witness=[str(p0), str(p1), str(pinf)])
+    k_num, k_den = oracle_bracket(p1, pinf), oracle_bracket(p1, p0)
+    return oracle_moebius_make(p0.v * k_num, -p0.u * k_num, pinf.v * k_den, -pinf.u * k_den)
+
+
+def moebius_outcome(fn, *args):
+    """fn(*args) with each entry's stored triple, or the error's type, message and witness."""
+    try:
+        m = fn(*args)
+    except (ValueError, DegenerateTriple) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return m, [(x.a, x.b, x.c) for x in (m.a, m.b, m.c, m.d)]
+
+
+@st.composite
+def matrices(draw, singular: bool = True):
+    """Four entries, zeros frequent.  Half of them singular by construction, a row a
+    multiple of the other or a zero row or column; with singular False, none: a
+    singular draw has its d, its c or its a and d moved off the singular set."""
+    entry = st.one_of(st.just(GR_ZERO), big_gaussians)
+    a, b, c, d = (draw(entry) for _ in range(4))
+    if not singular:
+        if (a * d - b * c).is_zero():
+            if not a.is_zero():
+                d = d + GR_ONE  # the determinant moves by a
+            elif not b.is_zero():
+                c = c - GR_ONE  # by b
+            else:
+                a, d = GR_ONE, GR_ONE
+        return a, b, c, d
+    kind = draw(st.sampled_from(["free"] * 3 + ["multiple", "zero row", "zero column"]))
+    if kind == "multiple":
+        k = draw(big_gaussians)
+        c, d = k * a, k * b
+    elif kind == "zero row":
+        a, b = GR_ZERO, GR_ZERO
+    elif kind == "zero column":
+        b, d = GR_ZERO, GR_ZERO
+    return a, b, c, d
+
+
+class TestMoebiusOnTriples:
+    """make, compose, inverse and moebius_from_three build their entries as triples;
+    each matches its reduced route, entries and errors alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_make(self, entries):
+        assert moebius_outcome(Moebius.make, *entries) == moebius_outcome(oracle_moebius_make, *entries)
+
+    # a nonsingular matrix has a nonzero a or b; a pivot at c or d is a singular matrix
+    @pytest.mark.parametrize("entries, expected", [
+        ((2, 4, 6, 10), (1, 2, 3, 5)),
+        ((gr(0, 2), 0, 1, gr(0, 4)), (1, 0, gr(0, "-1/2"), 2)),
+        ((0, gr(3, 3), 6, 0), (0, 1, gr(1, -1), 0)),
+        ((0, "1/3", -1, 7), (0, 1, -3, 21)),
+        ((0, 0, 3, 4), "singular Moebius matrix"),
+        ((0, 0, 0, 5), "singular Moebius matrix"),
+        ((0, 0, 0, 0), "singular Moebius matrix"),
+        ((1, 2, 2, 4), "singular Moebius matrix"),
+    ])
+    def test_pivot_in_each_position(self, entries, expected):
+        entries = [x if isinstance(x, GaussianRational) else gr(x) for x in entries]
+        got = moebius_outcome(Moebius.make, *entries)
+        assert got == moebius_outcome(oracle_moebius_make, *entries)
+        if isinstance(expected, str):
+            assert got == ("ValueError", expected, None)
+        else:
+            assert got[0] == Moebius(*(x if isinstance(x, GaussianRational) else gr(x) for x in expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(singular=False), matrices(singular=False))
+    def test_compose_and_inverse(self, first, second):
+        m, n = oracle_moebius_make(*first), oracle_moebius_make(*second)
+        assert moebius_outcome(m.compose, n) == moebius_outcome(oracle_compose, m, n)
+        assert moebius_outcome(m.inverse) == moebius_outcome(oracle_moebius_inverse, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(INF), st.just(pt(0)), st.just(pt(1)), big_points),
+                    min_size=3, max_size=3))
+    def test_from_three(self, triple):
+        got = moebius_outcome(moebius_from_three, *triple)
+        assert got == moebius_outcome(oracle_from_three, *triple)
+        if len(set(triple)) < 3:
+            assert got == ("DegenerateTriple", "normalization points must be pairwise distinct",
+                           [str(p) for p in triple])
+
+    @pytest.mark.parametrize("triple", [(INF, pt(0), pt(1)), (pt(0), INF, pt(1)),
+                                        (pt(0), pt(1), INF), (pt(2), pt(2), INF),
+                                        (INF, pt(3), INF), (pt(1, 1), pt(0), pt(1, 1))])
+    def test_from_three_at_infinity_and_on_repeats(self, triple):
+        assert moebius_outcome(moebius_from_three, *triple) == \
+            moebius_outcome(oracle_from_three, *triple)
+
+
 class TestOneReductionPerPoint:
-    """Images and local degrees reduce once per returned point and never divide
-    polynomials or run the homogeneous kernel."""
+    """Images and local degrees reduce once per returned point, Moebius maps once
+    per entry after the pivot, and none divides polynomials or runs the homogeneous
+    kernel."""
 
     def test_reductions_per_call(self, monkeypatch):
         rng = random.Random(8)
@@ -778,4 +900,10 @@ class TestOneReductionPerPoint:
                 calls.update(_raw=0)
                 m.apply(p)
                 assert calls["_raw"] <= 1, (m, p)
+            # a map reduces once per entry after its pivot
+            for fn, args in [(m.compose, (n,)) for n in moebii] + [(m.inverse, ()), (
+                    moebius_from_three, (m.apply(INF), m.apply(pt(0)), m.apply(pt(1))))]:
+                calls.update(_raw=0)
+                fn(*args)
+                assert calls["_raw"] <= 3, (fn, m)
         assert calls["divmod"] == calls["hom_apply"] == 0

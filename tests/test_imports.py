@@ -8,7 +8,8 @@ it appears as an identifier anywhere in the module, including inside a
 quoted annotation.  A function or class counts as reached when some source
 of the package names it, as an identifier or an attribute, outside its own
 body; the few that only the bench, the scripts or the tests reach are
-listed with the reason they stay.
+listed with the reason they stay.  No line of the package starts two
+comprehensions, generator expressions or lambdas of one kind.
 """
 
 from __future__ import annotations
@@ -100,6 +101,30 @@ def test_every_definition_is_reached():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     unreached = {name for _, name in unreached_definitions(sources)}
     assert unreached == set(REACHED_FROM_OUTSIDE)
+
+
+def shared_lines(source: str) -> list:
+    """(line, kind) of each line that starts two comprehensions, generator expressions or
+    lambdas of one kind.  Their code objects share a name, <listcomp> or <lambda>, and a
+    first line, so cProfile's per-function table keeps one of them, and which one depends
+    on the profiler's order: the bench's traced counters would not repeat."""
+    kinds = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
+    starts = [(node.lineno, type(node).__name__) for node in ast.walk(ast.parse(source))
+              if isinstance(node, kinds)]
+    return sorted({start for start in starts if starts.count(start) > 1})
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_line_starts_two_code_objects_of_one_kind(module):
+    assert shared_lines((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_shared_line():
+    source = ('xs = [[y for y in range(x)] for x in range(3)]\n'
+              'ys = [x for x in range(3)], {x for x in range(3)}\n'
+              'f, g = (lambda: 1), (lambda: 2)\n'
+              'zs = (x for x in (y for y in ()))\n')
+    assert shared_lines(source) == [(1, "ListComp"), (3, "Lambda"), (4, "GeneratorExp")]
 
 
 def test_the_check_finds_an_unreached_definition():

@@ -460,6 +460,14 @@ VANISHING_ROW_SNAPSHOTS = [{"a": 0j, "b": 1 + 0j, "c": 2 + 0j, "d": 3 + 0j, "e":
     {"a": 0j, "b": 1e-100 + 0j, "c": 1e-230 + 0j, "d": 3 + 0j, "e": None}]
 
 
+# twelve snapshots a=0, b=1, c=inf, d=0.5+0.25i at eps = 1/(k+2), with b=1e-200 and
+# d=1e200 at the eps values given (1/7 in the first)
+def pole_snapshots(at=(1.0 / 7,)) -> tuple[list[dict], list[float]]:
+    eps = [1.0 / (k + 2) for k in range(12)]
+    return [{"a": 0j, "b": 1e-200 + 0j, "c": None, "d": 1e200 + 0j} if e in at else
+            {"a": 0j, "b": 1 + 0j, "c": None, "d": 0.5 + 0.25j} for e in eps], eps
+
+
 class TestNumericLimit:
     def test_constant_snapshots(self):
         snaps = [{"1": 0j, "2": 1 + 0j, "3": None, "4": 5 + 0j} for _ in range(10)]
@@ -655,6 +663,21 @@ class TestNumericLimit:
             numeric_limit_tree(seq)
         assert str(info.value) == "a cross-ratio underflows to (0 : 0) in a snapshot"
         assert info.value.witness == {"quadruple": ["a", "b", "c", "a"], "eps": 1.0 / 13}
+
+    @pytest.mark.parametrize("at", [(1.0 / 7,), (1.0 / 7, 1.0 / 10), (1.0 / 4, 1.0 / 7)])
+    def test_a_pole_of_a_ladder_chart_is_refused(self, at):
+        # d / b overflows where b = 1e-200 and d = 1e200: the v of d's row underflows to
+        # exactly 0 there, and ladder 0 charts d by u / v; the per-triple oracle divides
+        # by zero, and the first such snapshot by ascending eps is refused
+        seq = NumericConfigSequence.make(*pole_snapshots(at))
+        for i, e in enumerate(seq.eps):
+            assert (limits._cross_ratio_row(seq.snapshots[i], 0, 1, 2)[3][1] == 0) == (e in at)
+        with pytest.raises(ZeroDivisionError):
+            per_triple_numeric_limit_tree(seq)
+        with pytest.raises(NotStabilized) as info:
+            numeric_limit_tree(seq)
+        assert str(info.value) == "a cross-ratio is a pole of its extrapolation chart in a snapshot"
+        assert info.value.witness == {"quadruple": ["a", "b", "c", "d"], "eps": min(at)}
 
     def test_snapshot_points_are_normalized_bit_for_bit(self):
         # make normalizes every point inline: against z / n, 1 / n with n = max(|z|, 1),

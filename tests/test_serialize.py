@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from sphere_trees.errors import SchemaError
 from sphere_trees.gaussian import GaussianRational, gr
 from sphere_trees.limits import LaurentFamily
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres
+from sphere_trees.projective import ProjPoint
 from sphere_trees.trees import MarkedTree
 
 
@@ -238,6 +240,18 @@ class Ratio(float):
         return "Ratio()"
 
 
+class Dct(dict):
+    pass
+
+
+class Lst(list):
+    pass
+
+
+class Tup(tuple):
+    pass
+
+
 class TestCanonicalDumps:
     @settings(max_examples=400, deadline=None)
     @given(PAYLOADS)
@@ -253,6 +267,12 @@ class TestCanonicalDumps:
         {"k": (1, (2, [3]))},
         # subclasses print as their base type, whatever their own repr
         [Level.HIGH, {Level.HIGH: Level.LOW}, Ratio(0.5), {Ratio(2.5): "x"}],
+        # container subclasses, which json.dumps also indents, around str and int children
+        OrderedDict([("b", [1, "x"]), ("a", Tup((2, "y")))]),
+        Dct(z=Lst([Tup(("u", 3)), Dct(a="v", b=4)])),
+        {"k": Lst([1, Dct(w="x", a=Lst([3, "v", Tup(("u", Lst([OrderedDict(q=[5])]))), True]))])},
+        [Lst(["a", 1]), Tup((Dct(x=1),)), OrderedDict(q=[Lst([2, Tup((Level.LOW, "s"))])])],
+        Lst([]), Tup(()), Dct(), OrderedDict(), [Lst(), {"e": Dct()}],
     ])
     def test_pinned_cases(self, payload):
         assert ser.canonical_dumps(payload) == oracle_dumps(payload)
@@ -370,3 +390,43 @@ class TestComplexFromJson:
         with pytest.raises(SchemaError) as info:
             ser.complex_from_json(obj)
         assert parsed(oracle_complex, obj) == f"SchemaError: {info.value}"
+
+
+def oracle_point(obj) -> ProjPoint:
+    """point_from_json's route before it read triples: two reduced scalars, then make."""
+    u, v = ser.complex_from_json(obj["u"]), ser.complex_from_json(obj["v"])
+    try:
+        return ProjPoint.make(u, v)
+    except ValueError as exc:
+        raise SchemaError(f"(0 : 0) is not a point: {obj!r}") from exc
+
+
+POINT_SCALARS = st.one_of(scalar_spellings(), st.sampled_from(
+    ["0/1", "0", "-0/7", "1/1", "2/4", "0.5", "1e-3", "-3/9", "1/0", "x"]))
+
+
+class TestPointFromJson:
+    @settings(max_examples=400, deadline=None)
+    @given(POINT_SCALARS, POINT_SCALARS, POINT_SCALARS, POINT_SCALARS)
+    def test_matches_make_of_the_two_scalars(self, ur, ui, vr, vi):
+        obj = {"u": {"re": ur, "im": ui}, "v": {"re": vr, "im": vi}}
+        got, expected = parsed(ser.point_from_json, obj), parsed(oracle_point, obj)
+        assert got == expected
+        if isinstance(got, ProjPoint):
+            assert [(x.a, x.b, x.c) for x in (got.u, got.v)] == \
+                [(x.a, x.b, x.c) for x in (expected.u, expected.v)]
+
+    @pytest.mark.parametrize("u, v, expected", [
+        (("2/4", "0"), ("0.5", "0/3"), pt(1)),
+        (("1e-3", "-2/4"), ("0/1", "0/1"), INF),
+        (("0.5", "1e-3"), ("2/4", "0"), pt(1, Fraction(1, 500))),
+        (("0/1", "0"), ("0.0", "-0/2"), None),
+    ])
+    def test_spelled_scalars(self, u, v, expected):
+        obj = {"u": dict(zip(("re", "im"), u)), "v": dict(zip(("re", "im"), v))}
+        if expected is None:
+            with pytest.raises(SchemaError) as info:
+                ser.point_from_json(obj)
+            assert str(info.value) == f"(0 : 0) is not a point: {obj!r}"
+        else:
+            assert ser.point_from_json(obj) == expected == oracle_point(obj)
