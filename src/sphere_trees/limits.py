@@ -25,7 +25,7 @@ from itertools import combinations, zip_longest
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .covers import Portrait, TreeCover, reconstruct_cover, validate_cover
+from .covers import Portrait, TreeCover, reconstruct_cover, validate_cover, validate_portrait
 from .errors import (
     AdmissibilityFailure,
     CollisionAtEpsilon,
@@ -34,6 +34,7 @@ from .errors import (
     InvariantBreach,
     MarkedSetTooSmall,
     NotAdmissible,
+    NotRealizable,
     NotStabilized,
 )
 from .gaussian import GaussianRational
@@ -348,10 +349,10 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     A charted triple builds one cross-ratio row per snapshot some ladder uses, and
     refuses the first, by ascending eps, where a product of brackets underflows to
     (0 : 0); each ladder reads its series from those rows and its ratios from one table
-    per call, and the first label a ladder's chart divides by an exact zero is refused
-    at its first such snapshot.  The triple's own 0 and inf labels, exact zeros of every
-    row's numerator or denominator, are charted from ladder 0's last row and as (1 : 0),
-    the bits their tableaux would return with spread 0.0.
+    per call, and the first label a ladder's chart divides by zero or past the float
+    range is refused at its first such snapshot.  The triple's own 0 and inf labels, exact
+    zeros of every row's numerator or denominator, are charted from ladder 0's last row
+    and as (1 : 0), the bits their tableaux would return with spread 0.0.
     """
     w = seq.stability_window
     labels = seq.labels
@@ -386,11 +387,15 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
             try:
                 estimates = [
                     _extrapolate(ratios, [rows[i][ix] for i in node_idx]) for ratios, node_idx in ladders]
-            except ZeroDivisionError:
+            except (ZeroDivisionError, InvalidFamily):  # a chart divides by 0, or by a subnormal
                 poles = []
                 for _, idx in ladders:  # charted by u / v where |u| <= |v| at the first node, else v / u
-                    u, v = rows[idx[0]][ix]
-                    poles += [seq.eps[i] for i in idx if rows[i][ix][1 if abs(u) <= abs(v) else 0] == 0]
+                    k = abs(rows[idx[0]][ix][0]) <= abs(rows[idx[0]][ix][1])  # the divisor's index
+                    quotients = {seq.eps[i]: rows[i][ix][1 - k] / rows[i][ix][k] if rows[i][ix][k] else math.inf
+                                 for i in idx}
+                    poles += [e for e, q in quotients.items() if not abs(q.real) + abs(q.imag) < math.inf]
+                if not poles:  # every quotient is finite: the overflow is the tableau's own
+                    raise
                 raise NotStabilized("a cross-ratio is a pole of its extrapolation chart in a snapshot",
                                     witness={"quadruple": [*triple, x], "eps": min(poles)}) from None
             spread = max(chordal(estimates[0], e) for e in estimates[1:])
@@ -476,28 +481,23 @@ class CoverFamily:
     @classmethod
     def make(cls, portrait: Portrait, y_family: LaurentFamily,
              z_family: LaurentFamily, map_family: LaurentMap) -> "CoverFamily":
-        """The family, once its map has degree d at a sample eps, so that num and den are
-        coprime over Q(i)(eps), and each path of a is a root of order deg(a) of G = q.v num -
-        q.u den, q the path of F(a): exactly, by `_root_order`, as a sample could meet a
-        critical point that the path misses generically."""
+        """The family, once no form G_z = q.v num - q.u den (q the path of z) is zero, as the
+        map is then constant, each path of a is a root of G_F(a) of order deg(a), exactly by
+        `_root_order`, and the portrait is valid.  By the fiber sums the paths over z are then
+        all d roots of G_z over the closure of Q(i)(eps), counted with multiplicity; so num and
+        den are coprime, and the map has degree d, as a common root, a root of every G_z, would
+        be one path over two target labels, while paths are distinct."""
         if y_family.labels != portrait.y_labels or z_family.labels != portrait.z_labels:
             raise InvalidFamily("family label sets do not match the portrait")
         if map_family.degree != portrait.d:
             raise InvalidFamily(
                 f"map family degree {map_family.degree} != portrait degree {portrait.d}")
-        for eps in (Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)):
-            try:
-                degree = map_family.specialize(eps).degree
-            except ValueError:  # the denominator vanishes at this sample point
-                continue
-            if degree != portrait.d:
-                raise InvalidFamily(f"map family degenerates at generic eps = {eps}")
-            break
-        else:
-            raise InvalidFamily("map family has a zero denominator at every sample eps")
         pairs = list(zip_longest(map_family.num, map_family.den, fillvalue=LP_ZERO))
         forms = {z: [LaurentPoly.dot(((q.v, n), (-q.u, c))) for n, c in pairs]
-                 for z, q in z_family.paths}  # G of each target label, never zero
+                 for z, q in z_family.paths}  # G of each target label
+        for z, g in forms.items():
+            if all(c.is_zero() for c in g):
+                raise InvalidFamily(f"map family is the constant path of {z!r}")
         for a in sorted(portrait.y_labels):
             order = _root_order(forms[portrait.f(a)], y_family.path(a))
             if order == 0:
@@ -507,6 +507,9 @@ class CoverFamily:
                 raise InvalidFamily(
                     f"map family has local degree {order} at the path of {a!r}, "
                     f"the portrait {portrait.deg(a)}")
+        problems = validate_portrait(portrait, allow_degree_one=True)
+        if problems:
+            raise NotRealizable("portrait is invalid", witness=problems)
         return cls(portrait, y_family, z_family, map_family)
 
 

@@ -21,7 +21,8 @@ from sphere_trees.dynamics import DynSystem, dyn_membership
 from sphere_trees.moduli import MarkedSphere
 from test_covers import leafless_centre, swapped_cubic
 from test_dynamics import dyn_z_squared, mismatch_cover, source_twisted
-from test_limits import VANISHING_ROW_SNAPSHOTS, cubic_family, pole_snapshots
+from test_limits import (INVALID_CUBIC, INVALID_CUBIC_PROBLEMS, VANISHING_ROW_SNAPSHOTS, cubic_family,
+                         pole_snapshots, square_root_family)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -207,10 +208,11 @@ class TestErrors:
         assert json.loads(r.stdout) == {"error": "NotStabilized", "witness": {
             "quadruple": ["a", "b", "c", "a"], "eps": 1.0 / 13}}
 
-    def test_a_pole_of_a_ladder_chart_is_refused(self, tmp_path):
-        # the v of d's cross-ratio underflows to exactly 0 at eps = 1/7, where ladder 0
-        # divides by it
-        snaps, eps = pole_snapshots()
+    @pytest.mark.parametrize("big", [1e200, 1e160, 1e155])
+    def test_a_pole_of_a_ladder_chart_is_refused(self, tmp_path, big):
+        # the v of d's cross-ratio underflows at eps = 1/7, to exactly 0 or to a subnormal,
+        # where ladder 0 divides by it
+        snaps, eps = pole_snapshots(big=big)
         seq = tmp_path / "pole.json"
         seq.write_text(json.dumps({
             "snapshots": [{x: "inf" if z is None else [z.real, z.imag] for x, z in snap.items()}
@@ -242,6 +244,21 @@ class TestErrors:
         assert json.loads(r.stdout) == {"ok": False, "violations": [message]}
         r = run_cli("limit-cover", str(family))
         assert r.returncode == 1 and json.loads(r.stdout)["error"] == "InvalidFamily"
+
+    @pytest.mark.parametrize("family, problems", [
+        (([0, 0, 1], [1], 2), ["sum of (deg - 1) is 1, expected 2"]),
+        (INVALID_CUBIC, INVALID_CUBIC_PROBLEMS)], ids=["unmarked-critical-point", "invalid-cubic"])
+    def test_an_invalid_portrait_is_not_realizable(self, tmp_path, family, problems):
+        # every path is a root of its form of the portrait's order; validate printed
+        # {"ok": true} on z^2 with its critical point 0 unmarked
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(ser.cover_family_to_json(square_root_family(*family, check=False))))
+        r = run_cli("validate", str(path))
+        assert r.returncode == 0
+        assert json.loads(r.stdout) == {"ok": False, "violations": ["NotRealizable: portrait is invalid"]}
+        r = run_cli("limit-cover", str(path))
+        assert r.returncode == 1
+        assert json.loads(r.stdout) == {"error": "NotRealizable", "witness": problems}
 
     def test_non_integer_internal_vertex_is_schema_error(self, tmp_path):
         blob = json.loads((DATA_DIR / "star_tree.json").read_text())

@@ -293,8 +293,8 @@ def test_limit_cover_on_non_object_is_schema_error(tmp_path):
 
 
 def cover_family_scaled(*ks: int) -> dict:
-    """The shipped cover family with every map coefficient times the product
-    of (1 - k eps), which vanishes at the sample eps = 1/k."""
+    """The shipped cover family with every map coefficient times the product of
+    (1 - k eps), a unit of Q(i)(eps) that vanishes at eps = 1/k."""
     blob = json.loads((DATA_DIR / "cover_family_degenerate.json").read_text())
     factor = LaurentPoly.constant(gr(1))
     for k in ks:
@@ -305,21 +305,15 @@ def cover_family_scaled(*ks: int) -> dict:
     return blob
 
 
-def test_map_vanishing_at_one_sample_eps_keeps_its_limit(tmp_path):
-    path = write(tmp_path, cover_family_scaled(7))
+@pytest.mark.parametrize("ks", [(7,), (7, 11, 13)], ids=["1-7eps", "1-7eps-1-11eps-1-13eps"])
+def test_map_times_a_unit_keeps_its_limit(tmp_path, ks):
+    # the map, and so the family, is the same over Q(i)(eps), whatever eps the unit kills
+    path = write(tmp_path, cover_family_scaled(*ks))
     code, out, _ = run_main("limit-cover", path)
     assert code == 0
     assert out == run_main("limit-cover", data("cover_family_degenerate.json"))[1]
     code, out, _ = run_main("validate", path)
     assert code == 0 and json.loads(out) == {"ok": True}
-
-
-def test_map_vanishing_at_every_sample_eps_is_invalid(tmp_path):
-    path = write(tmp_path, cover_family_scaled(7, 11, 13))
-    code, out, _ = run_main("limit-cover", path)
-    assert code == 1 and json.loads(out)["error"] == "InvalidFamily"
-    code, out, _ = run_main("validate", path)
-    assert code == 0 and json.loads(out)["violations"][0].startswith("InvalidFamily:")
 
 
 def sparse_identity_family(digits: int) -> dict:
@@ -344,6 +338,41 @@ def test_limit_cover_of_a_sparse_family_is_fast(tmp_path):
     code, out, _ = run_main("limit-cover", write(tmp_path, sparse_identity_family(40)))
     assert time.perf_counter() - started < 1.0
     assert code == 0 and json.loads(out)["vertex_map"]
+
+
+def dense_family(d: int) -> dict:
+    """A map of degree d whose 2(d + 1) coefficients are each c + c' eps^k, k <= 100, over
+    paths 0, infinity and (j + 2 + i) + eps, j < d, and targets 0, infinity and 1: a valid
+    portrait the map does not realize."""
+    rng = random.Random(d)
+
+    def coefficient() -> LaurentPoly:
+        return LaurentPoly.make([(0, gr(rng.randint(-9, 9), rng.randint(-9, 9))),
+                                 (rng.randint(1, 100), gr(rng.randint(1, 9), rng.randint(-9, 9)))])
+    f = LaurentMap.make([coefficient() for _ in range(d + 1)], [coefficient() for _ in range(d + 1)])
+    zero, inf = LaurentPoint.make(LP_ZERO, LP_ONE), LaurentPoint.make(LP_ONE, LP_ZERO)
+    labels = [f"a{j:02d}" for j in range(d)]
+    y = {"y0": zero, "yinf": inf}
+    y.update((a, LaurentPoint.make(LaurentPoly.make([(0, gr(j + 2, 1)), (1, gr(1))]), LP_ONE))
+             for j, a in enumerate(labels))
+    z = LaurentFamily.make({"c0": zero, "cinf": inf, "c1": LaurentPoint.make(LP_ONE, LP_ONE)})
+    portrait = Portrait.make({"y0": "c0", "yinf": "cinf", **dict.fromkeys(labels, "c1")},
+                             {"y0": d, "yinf": d, **dict.fromkeys(labels, 1)}, d)
+    return ser.cover_family_to_json(CoverFamily(portrait, LaurentFamily.make(y), z, f))
+
+
+def test_a_dense_map_is_refused_fast(tmp_path):
+    # a degree check that specialized the map at three sample eps, each reduced by a
+    # Euclidean gcd, took 4.5 s here; the exact root order at 'a00' refuses it at once
+    path = write(tmp_path, dense_family(24))
+    message = "map family does not send the path of 'a00' to the path of F('a00')"
+    for args, expected in [
+            (("limit-cover", path), (1, {"error": "InvalidFamily", "witness": None})),
+            (("validate", path), (0, {"ok": False, "violations": ["InvalidFamily: " + message]}))]:
+        started = time.perf_counter()
+        code, out, _ = run_main(*args)
+        assert time.perf_counter() - started < 1.0, args
+        assert (code, json.loads(out)) == expected, args
 
 
 @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000 + "]" * 100_000],

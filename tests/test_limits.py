@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pathlib
 import random
@@ -460,11 +461,11 @@ VANISHING_ROW_SNAPSHOTS = [{"a": 0j, "b": 1 + 0j, "c": 2 + 0j, "d": 3 + 0j, "e":
     {"a": 0j, "b": 1e-100 + 0j, "c": 1e-230 + 0j, "d": 3 + 0j, "e": None}]
 
 
-# twelve snapshots a=0, b=1, c=inf, d=0.5+0.25i at eps = 1/(k+2), with b=1e-200 and
-# d=1e200 at the eps values given (1/7 in the first)
-def pole_snapshots(at=(1.0 / 7,)) -> tuple[list[dict], list[float]]:
+# twelve snapshots a=0, b=1, c=inf, d=0.5+0.25i at eps = 1/(k+2), with b=1/big and
+# d=big at the eps values given (1/7 in the first)
+def pole_snapshots(at=(1.0 / 7,), big=1e200) -> tuple[list[dict], list[float]]:
     eps = [1.0 / (k + 2) for k in range(12)]
-    return [{"a": 0j, "b": 1e-200 + 0j, "c": None, "d": 1e200 + 0j} if e in at else
+    return [{"a": 0j, "b": complex(1 / big), "c": None, "d": complex(big)} if e in at else
             {"a": 0j, "b": 1 + 0j, "c": None, "d": 0.5 + 0.25j} for e in eps], eps
 
 
@@ -664,15 +665,21 @@ class TestNumericLimit:
         assert str(info.value) == "a cross-ratio underflows to (0 : 0) in a snapshot"
         assert info.value.witness == {"quadruple": ["a", "b", "c", "a"], "eps": 1.0 / 13}
 
-    @pytest.mark.parametrize("at", [(1.0 / 7,), (1.0 / 7, 1.0 / 10), (1.0 / 4, 1.0 / 7)])
-    def test_a_pole_of_a_ladder_chart_is_refused(self, at):
-        # d / b overflows where b = 1e-200 and d = 1e200: the v of d's row underflows to
-        # exactly 0 there, and ladder 0 charts d by u / v; the per-triple oracle divides
-        # by zero, and the first such snapshot by ascending eps is refused
-        seq = NumericConfigSequence.make(*pole_snapshots(at))
+    @pytest.mark.parametrize("at, big", [
+        ((1.0 / 7,), 1e200), ((1.0 / 7, 1.0 / 10), 1e200), ((1.0 / 4, 1.0 / 7), 1e200),
+        ((1.0 / 7,), 1e160), ((1.0 / 7,), 1e155)],
+        ids=["at0", "at1", "at2", "subnormal-1e-320", "subnormal-1e-310"])
+    def test_a_pole_of_a_ladder_chart_is_refused(self, at, big):
+        # d / b overflows where b = 1 / big and d = big: the v of d's row underflows there,
+        # to exactly 0 at 1e200 or to a subnormal that u / v overflows past, and ladder 0
+        # charts d by u / v; the per-triple oracle divides by zero or turns the overflow
+        # into nan, and the first such snapshot by ascending eps is refused
+        seq = NumericConfigSequence.make(*pole_snapshots(at, big))
         for i, e in enumerate(seq.eps):
-            assert (limits._cross_ratio_row(seq.snapshots[i], 0, 1, 2)[3][1] == 0) == (e in at)
-        with pytest.raises(ZeroDivisionError):
+            v = limits._cross_ratio_row(seq.snapshots[i], 0, 1, 2)[3][1]
+            assert (abs(v) < sys.float_info.min) == (e in at)
+            assert (v == 0) == (e in at and big == 1e200)
+        with pytest.raises(ZeroDivisionError if big == 1e200 else InvalidFamily):
             per_triple_numeric_limit_tree(seq)
         with pytest.raises(NotStabilized) as info:
             numeric_limit_tree(seq)
@@ -846,6 +853,31 @@ def critical_at_one_seventh() -> CoverFamily:
     return CoverFamily.make(portrait, y, z, LaurentMap.make([LP_ZERO, LP_ZERO, LP_ONE], [LP_ONE]))
 
 
+def square_root_family(num: list, den: list, d: int, targets=(1, 4), check: bool = True) -> CoverFamily:
+    """num / den, coefficients from the constant term up, claimed of degree d over the
+    targets t (labels c<t>) and infinity: each t's fiber is its square roots, one label of
+    local degree 2 where t = 0, and infinity's is one label of local degree 2.  Without
+    `check` the family skips CoverFamily.make."""
+    y, z, fmap, deg = {"inf": LINF}, {"cinf": LINF}, {"inf": "cinf"}, {"inf": 2}
+    for t in targets:
+        r = math.isqrt(t)
+        z[f"c{t}"] = lconst(t)
+        fiber = {f"p{r}": r, f"m{r}": -r} if t else {"r0": 0}
+        for a, root in fiber.items():
+            y[a], fmap[a], deg[a] = lconst(root), f"c{t}", 2 // len(fiber)
+    f = LaurentMap.make([LaurentPoly.constant(gr(c)) for c in num],
+                        [LaurentPoly.constant(gr(c)) for c in den])
+    return (CoverFamily.make if check else CoverFamily)(
+        Portrait.make(fmap, deg, d), LaurentFamily.make(y), LaurentFamily.make(z), f)
+
+
+# z^2 (z - 5) / (z - 5) of degree 3: every path is a root of its G of the portrait's order
+# (G = (z - 5)(z^2 - 1), (z - 5)(z^2 - 4) and -(z - 5) V^2), but no fiber sums to 3
+INVALID_CUBIC = ([0, 0, -5, 1], [-5, 1], 3)
+INVALID_CUBIC_PROBLEMS = ["sum of (deg - 1) is 1, expected 4", "fiber of 'c1' sums to 2, expected 3",
+                          "fiber of 'c4' sums to 2, expected 3", "fiber of 'cinf' sums to 2, expected 3"]
+
+
 class TestCoverFamilyDegrees:
     def test_the_true_degrees_give_the_cubic(self):
         cover = limit_cover(cubic_family())
@@ -872,14 +904,27 @@ class TestCoverFamilyDegrees:
 
     def test_an_unmarked_critical_point_is_not_realizable(self):
         # z^2 with the fibers of 1, 4 and infinity marked, but not the critical point 0
-        y = LaurentFamily.make({"p1": lconst(1), "m1": lconst(-1), "p2": lconst(2),
-                                "m2": lconst(-2), "inf": LINF})
-        z = LaurentFamily.make({"c1": lconst(1), "c4": lconst(4), "cinf": LINF})
-        portrait = Portrait.make({"p1": "c1", "m1": "c1", "p2": "c4", "m2": "c4", "inf": "cinf"},
-                                 {"p1": 1, "m1": 1, "p2": 1, "m2": 1, "inf": 2}, 2)
-        fam = CoverFamily.make(portrait, y, z, LaurentMap.make([LP_ZERO, LP_ZERO, LP_ONE], [LP_ONE]))
-        with pytest.raises(NotRealizable, match="portrait is invalid"):
-            limit_cover(fam)
+        with pytest.raises(NotRealizable, match="portrait is invalid") as info:
+            square_root_family([0, 0, 1], [1], 2)
+        assert info.value.witness == ["sum of (deg - 1) is 1, expected 2"]
+
+    def test_an_invalid_portrait_is_refused_after_the_root_orders(self):
+        with pytest.raises(NotRealizable, match="portrait is invalid") as info:
+            square_root_family(*INVALID_CUBIC)
+        assert info.value.witness == INVALID_CUBIC_PROBLEMS
+
+    def test_a_zero_denominator_is_refused(self):
+        # the map is the constant infinity: the form of cinf is zero
+        with pytest.raises(InvalidFamily, match="map family is the constant path of 'cinf'") as info:
+            square_root_family([0, 0, 1], [], 2)
+        assert info.value.witness is None
+
+    def test_a_common_factor_off_the_paths_is_refused(self):
+        # z (z - 5) / (z - 5) is z, of degree 1, though the portrait of z^2 is valid: 5 is a
+        # root of every form, so some path over each target falls short of its local degree
+        with pytest.raises(InvalidFamily, match="local degree 1 at the path of 'inf', the portrait 2"):
+            square_root_family([0, -5, 1], [-5, 1], 2, targets=(0, 1))
+        assert square_root_family([0, 0, 1], [1], 2, targets=(0, 1)).map_family.degree == 2
 
     def test_degrees_are_generic_not_sampled(self):
         # at eps = 1/7 the path of a is the critical point 0, of local degree 2
