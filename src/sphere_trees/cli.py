@@ -71,7 +71,8 @@ def _cmd_validate(args) -> Any:
     except SchemaError:
         raise
     except SphereTreesError as exc:
-        problems = [f"{exc.code}: {exc}"]
+        out = {"ok": False, "violations": [f"{exc.code}: {exc}"]}
+        return out if exc.witness is None else {**out, "witness": _jsonable(exc.witness)}
     return {"ok": True} if not problems else {"ok": False, "violations": problems}
 
 

@@ -53,10 +53,6 @@ class AdmissibilityFailure(SphereTreesError):
     """Partitions collected from a limit computation are not admissible."""
 
 
-class ConstantLimit(SphereTreesError):
-    """A rescaling limit (`LaurentMap.leading_limit`) degenerated to a constant map."""
-
-
 class NotStabilized(SphereTreesError):
     """Snapshots did not settle; witness: each unsettled quadruple of a chart and its spread,
     or a quadruple whose cross-ratio is (0 : 0) in a snapshot and that snapshot's eps."""

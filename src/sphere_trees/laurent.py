@@ -12,10 +12,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import ConstantLimit, DegenerateTriple, ZeroFamily
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, sum_of_products
+from .errors import ZeroFamily
+from .gaussian import GR_ONE, GaussianRational, sum_of_products
 from .projective import Moebius, ProjPoint
-from .rational import Polynomial, RationalMap, hom_apply, hom_postcompose, hom_substitute
+from .rational import RationalMap, hom_apply, hom_postcompose, hom_substitute
 from .values import value
 
 
@@ -65,12 +65,6 @@ class LaurentPoly:
         if self.is_zero():
             raise ZeroFamily("zero Laurent element has no leading coefficient")
         return self.terms[0][1]
-
-    def coefficient(self, e: int) -> GaussianRational:
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return GR_ZERO
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return LaurentPoly.make(self.terms + other.terms)
@@ -156,10 +150,6 @@ class LaurentPoint:
         return ProjPoint.make(self.u.evaluate(eps), self.v.evaluate(eps))
 
 
-def laurent_bracket(p: LaurentPoint, q: LaurentPoint) -> LaurentPoly:
-    return p.u * q.v - q.u * p.v
-
-
 def bracket_lead(p: LaurentPoint, q: LaurentPoint) -> tuple[int, GaussianRational] | None:
     """(valuation, leading coefficient) of [p, q], or None when it is zero: the term pairs
     of p.u q.v and q.u p.v are summed by exponent sum, lowest first, up to the first nonzero."""
@@ -207,15 +197,6 @@ class LaurentMoebius:
     def from_constant(cls, m: Moebius) -> "LaurentMoebius":
         return cls(*map(LaurentPoly.constant, (m.a, m.b, m.c, m.d)))
 
-    @classmethod
-    def from_three(cls, p0: LaurentPoint, p1: LaurentPoint, pinf: LaurentPoint) -> "LaurentMoebius":
-        """Family of charts sending (p0, p1, pinf) to (0, 1, inf) for each eps."""
-        k_01, k_num = laurent_bracket(p0, p1), laurent_bracket(p1, pinf)
-        if k_01.is_zero() or k_num.is_zero() or laurent_bracket(p0, pinf).is_zero():
-            raise DegenerateTriple("chart family requires pairwise distinct paths")
-        # [p1, p0] = -[p0, p1]; det = [p1, pinf] [p1, p0] [p0, pinf] is nonzero
-        return cls(p0.v * k_num, -(p0.u * k_num), -(pinf.v * k_01), pinf.u * k_01)
-
     def apply(self, p: LaurentPoint) -> LaurentPoint:
         return LaurentPoint.make(self.a * p.u + self.b * p.v, self.c * p.u + self.d * p.v)
 
@@ -260,23 +241,3 @@ class LaurentMap:
 
     def precompose(self, m: LaurentMoebius) -> "LaurentMap":
         return LaurentMap.make(*hom_substitute(self.num, self.den, m, LP_ZERO, LP_ONE))
-
-    def leading_limit(self) -> RationalMap:
-        """Divide by eps^(minimal valuation), set eps = 0, reduce over Q(i).
-
-        Raises ConstantLimit when the resulting map is constant.
-        """
-        v = min(c.valuation() for c in self.num + self.den if not c.is_zero())
-        num0 = Polynomial.make([c.coefficient(v) for c in self.num])
-        den0 = Polynomial.make([c.coefficient(v) for c in self.den])
-        if den0.is_zero():
-            raise ConstantLimit("limit map is identically infinity")
-        f = RationalMap.make(num0, den0)
-        if f.is_constant():
-            raise ConstantLimit("limit map is constant")
-        return f
-
-    def specialize(self, eps: Fraction) -> RationalMap:
-        return RationalMap.make(*(Polynomial.make([c.evaluate(eps) for c in cs])
-                                  for cs in (self.num, self.den)))
-

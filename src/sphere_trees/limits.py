@@ -37,7 +37,6 @@ from .errors import (
     NotRealizable,
     NotStabilized,
 )
-from .gaussian import GaussianRational
 from .laurent import (
     LP_ONE,
     LP_ZERO,
@@ -49,7 +48,6 @@ from .laurent import (
 )
 from .moduli import MarkedSphere, TreeOfSpheres, iso_of_spheres, tree_from_charts
 from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint
-from .rational import hom_apply
 from .trees import (
     MarkedTree,
     Partition,
@@ -457,16 +455,22 @@ def _cluster(values: Mapping[str, NumericPoint], tolerance: float) -> Partition:
 
 
 def _root_order(g: Sequence[LaurentPoly], p: LaurentPoint) -> int:
-    """The order of p = (u : v) as a root of the form G = sum g_i U^i V^(d-i), not zero:
-    the first k at which G's Hasse derivative in U, the form sum_i C(i, k) g_i U^(i-k) V^(d-i),
-    does not vanish at p; in V where v = 0, so with g reversed and u, v swapped."""
+    """The order of p = (u : v) as a root of the form G = sum g_i U^i V^(d-i), not zero: for
+    v != 0 the order of u as a root of G(X, v) = sum c_i X^i, c_i = g_i v^(d-i), so the count
+    of synthetic divisions by X - u, each one Horner pass that leaves its remainder in c_0,
+    before the first nonzero remainder; in V where v = 0, so with g reversed, u, v swapped."""
     u, v = p.u, p.v
     if v.is_zero():
         g, u, v = g[::-1], v, u
     d = len(g) - 1
+    vpow = [LP_ONE]
+    for _ in range(d):
+        vpow.append(vpow[-1] * v)
+    c = [g[i] * vpow[d - i] for i in range(d + 1)]
     for k in range(d):
-        hasse = [g[i].scale(GaussianRational(math.comb(i, k))) for i in range(k, d + 1)]
-        if not hom_apply(hasse, (), u, v, LP_ZERO, LP_ONE)[0].is_zero():
+        for j in range(len(c) - 2, -1, -1):
+            c[j] = c[j] + u * c[j + 1]
+        if not c.pop(0).is_zero():
             return k
     return d  # a nonzero form of degree d has no root of higher order
 

@@ -13,18 +13,13 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from sphere_trees.covers import MarkedSphereCover, Portrait, cover_from_marked
-from sphere_trees.gaussian import GaussianRational, gr
-from sphere_trees.laurent import (
-    LaurentMap,
-    LaurentMoebius,
-    LaurentPoint,
-    LaurentPoly,
-    laurent_bracket,
-)
+from sphere_trees.errors import DegenerateTriple
+from sphere_trees.gaussian import GR_ZERO, GaussianRational, gr
+from sphere_trees.laurent import LaurentMap, LaurentMoebius, LaurentPoint, LaurentPoly
 from sphere_trees.limits import CoverFamily, LaurentFamily, limit_cover
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres
 from sphere_trees.projective import Moebius, ProjPoint, moebius_from_three
-from sphere_trees.rational import RationalMap
+from sphere_trees.rational import Polynomial, RationalMap
 from sphere_trees.trees import (
     MarkedTree,
     edge_of,
@@ -59,14 +54,54 @@ def cross_ratio(p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint, p: ProjPoint) -> 
     return moebius_from_three(p0, p1, pinf).apply(p)
 
 
+def oracle_laurent_bracket(p: LaurentPoint, q: LaurentPoint) -> LaurentPoly:
+    """Oracle for `laurent.bracket_lead`: the bracket [p, q] = p.u q.v - q.u p.v, every
+    Laurent term of it."""
+    return p.u * q.v - q.u * p.v
+
+
 def laurent_cross_ratio(p0: LaurentPoint, p1: LaurentPoint, pinf: LaurentPoint,
                         p: LaurentPoint) -> LaurentPoint:
     """Oracle: the homogeneous cross-ratio ((p-p0)(p1-pinf) : (p-pinf)(p1-p0)),
     every Laurent term of it."""
     return LaurentPoint.make(
-        laurent_bracket(p, p0) * laurent_bracket(p1, pinf),
-        laurent_bracket(p, pinf) * laurent_bracket(p1, p0),
+        oracle_laurent_bracket(p, p0) * oracle_laurent_bracket(p1, pinf),
+        oracle_laurent_bracket(p, pinf) * oracle_laurent_bracket(p1, p0),
     )
+
+
+def oracle_laurent_from_three(p0: LaurentPoint, p1: LaurentPoint,
+                              pinf: LaurentPoint) -> LaurentMoebius:
+    """Oracle: the family of charts sending (p0, p1, pinf) to (0, 1, inf) for each eps."""
+    k_01, k_num = oracle_laurent_bracket(p0, p1), oracle_laurent_bracket(p1, pinf)
+    if k_01.is_zero() or k_num.is_zero() or oracle_laurent_bracket(p0, pinf).is_zero():
+        raise DegenerateTriple("chart family requires pairwise distinct paths")
+    # [p1, p0] = -[p0, p1]; det = [p1, pinf] [p1, p0] [p0, pinf] is nonzero
+    return LaurentMoebius(p0.v * k_num, -(p0.u * k_num), -(pinf.v * k_01), pinf.u * k_01)
+
+
+def oracle_specialize(f: LaurentMap, eps: Fraction) -> RationalMap:
+    """Oracle: the member of the map family at eps."""
+    return RationalMap.make(*(Polynomial.make([c.evaluate(eps) for c in cs])
+                              for cs in (f.num, f.den)))
+
+
+class ConstantLimit(Exception):
+    """A rescaling limit (`oracle_leading_limit`) degenerated to a constant map."""
+
+
+def oracle_leading_limit(f: LaurentMap) -> RationalMap:
+    """Oracle: divide the map family by eps^(minimal valuation), set eps = 0, reduce
+    over Q(i).  Raises ConstantLimit when the resulting map is constant."""
+    v = min(c.valuation() for c in f.num + f.den if not c.is_zero())
+    num0, den0 = (Polynomial.make([dict(c.terms).get(v, GR_ZERO) for c in cs])
+                  for cs in (f.num, f.den))
+    if den0.is_zero():
+        raise ConstantLimit("limit map is identically infinity")
+    limit = RationalMap.make(num0, den0)
+    if limit.is_constant():
+        raise ConstantLimit("limit map is constant")
+    return limit
 
 
 # a pool of distinct exact points with small numerators and denominators

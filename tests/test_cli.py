@@ -250,12 +250,13 @@ class TestErrors:
         (INVALID_CUBIC, INVALID_CUBIC_PROBLEMS)], ids=["unmarked-critical-point", "invalid-cubic"])
     def test_an_invalid_portrait_is_not_realizable(self, tmp_path, family, problems):
         # every path is a root of its form of the portrait's order; validate printed
-        # {"ok": true} on z^2 with its critical point 0 unmarked
+        # {"ok": true} on z^2 with its critical point 0 unmarked, and keeps the witness
         path = tmp_path / "family.json"
         path.write_text(json.dumps(ser.cover_family_to_json(square_root_family(*family, check=False))))
         r = run_cli("validate", str(path))
         assert r.returncode == 0
-        assert json.loads(r.stdout) == {"ok": False, "violations": ["NotRealizable: portrait is invalid"]}
+        assert json.loads(r.stdout) == {"ok": False, "violations": ["NotRealizable: portrait is invalid"],
+                                        "witness": problems}
         r = run_cli("limit-cover", str(path))
         assert r.returncode == 1
         assert json.loads(r.stdout) == {"error": "NotRealizable", "witness": problems}

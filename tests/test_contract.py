@@ -15,6 +15,7 @@ import copy
 import io
 import json
 import random
+import signal
 import time
 from fractions import Fraction
 from math import comb
@@ -42,20 +43,49 @@ DELETED = "<deleted>"  # a mutant that removes the key or list item instead
 CASE_SECONDS = 10.0
 
 
+class CaseTimeout(BaseException):
+    """A case ran past CASE_SECONDS.  Not an Exception, so the program's handlers let it
+    through: a TimeoutError is an OSError, which ``cli._load`` turns into a schema error."""
+
+
+def _time_out(signum, frame):
+    raise CaseTimeout
+
+
 def run_main(*args: str) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``cli.main(args)``, run in-process.
 
-    Records the command's elapsed time and fails it when that exceeds
-    CASE_SECONDS.  The time is read after the command returns, so the bound
-    reports a slow case but cannot stop a hang.
+    A real-time interval timer (``signal.setitimer(ITIMER_REAL)``) interrupts the command
+    once it has run CASE_SECONDS, and the case fails: a hang stops there instead of
+    stalling the suite.  The timer acts on this test process only, and it bounds time,
+    not memory.
     """
     out, err = io.StringIO(), io.StringIO()
-    started = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(args))
-    elapsed = time.perf_counter() - started
-    assert elapsed <= CASE_SECONDS, f"{args} took {elapsed:.1f} s, over {CASE_SECONDS} s"
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(args))
+    except CaseTimeout:
+        pytest.fail(f"{args} ran past {CASE_SECONDS} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_the_timer_stops_a_hang(monkeypatch):
+    def hang(argv):
+        while True:
+            pass
+
+    before = signal.getsignal(signal.SIGALRM)
+    monkeypatch.setattr(cli, "main", hang)
+    monkeypatch.setitem(globals(), "CASE_SECONDS", 0.05)
+    with pytest.raises(pytest.fail.Exception, match="ran past 0.05 s"):
+        run_main("validate", "hang.json")
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 def assert_contract(*args: str) -> int:

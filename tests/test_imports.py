@@ -1,15 +1,18 @@
 """Every name a module of the package imports is used in that module, and
-every module-level definition is reached from the package.
+every module-level definition and every method is reached from the package.
 
 The checks read the source with ``ast`` only.  ``__init__.py`` is exempt,
 since its imports are the package's re-exports, and so is the
 ``from __future__ import annotations`` switch.  A name counts as used when
 it appears as an identifier anywhere in the module, including inside a
-quoted annotation.  A function or class counts as reached when some source
-of the package names it, as an identifier or an attribute, outside its own
-body; the few that only the bench, the scripts or the tests reach are
-listed with the reason they stay.  No line of the package starts two
-comprehensions, generator expressions or lambdas of one kind.
+quoted annotation.  A function, class or method (dunders aside) counts as
+reached when some source of the package names it, as an identifier or an
+attribute, outside its own body.  The check is by name, so a method that
+shares its name with another definition counts as reached: it errs towards
+passing, never towards a false alarm.  The few definitions that only the
+bench, the scripts or the tests reach are listed with the reason they stay.
+No line of the package starts two comprehensions, generator expressions or
+lambdas of one kind.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ REACHED_FROM_OUTSIDE = {
     "enumerate_stable_trees": "the bench generators and the scripts",
     "is_admissible": "acceptance criteria 1 and 2; tree_from_partitions runs the same check",
     "laurent_leading_value": "the oracle for leading values that the ROADMAP keeps",
+    "GaussianRational.to_complex": "the bench generators and the tests build float snapshots",
+    "LaurentFamily.reparametrize": "the bench's degenerate workload; ROADMAP item 9 needs it",
+    "LaurentMap.from_exact": "the bench generators build constant cover families with it",
+    "NumericTreeOfSpheres.partitions": "the numeric bench workload and numeric_envelope.py "
+                                       "check the numeric limit with it",
     "synthesize_dyn": "acceptance criterion 9; ROADMAP item 5 decides its fate",
 }
 
@@ -68,20 +76,34 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _names(node: ast.AST) -> set:
+    return _used_names(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def unreached_definitions(sources: dict) -> list:
-    """(module, name) of each module-level function or class that no source names
-    outside the definition's own body."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    named = []  # (module, top-level statement, the names it uses)
-    for module, tree in trees.items():
-        for node in tree.body:
-            attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            named.append((module, node, _used_names(node) | attrs))
+    """(module, name) of each module-level function or class, and (module, "Class.method")
+    of each method of a module-level class but the dunders, that no source names outside
+    the definition's own body.  A method named elsewhere in its own class is reached."""
+    units = []  # (the definitions a piece of code lies in, the names it uses)
+    defined = []  # (module, qualified name, name, node)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node.name, node))
+            if not isinstance(node, ast.ClassDef):
+                units.append(({node}, _names(node)))
+                continue
+            header = node.decorator_list + node.bases + [k.value for k in node.keywords]
+            units.append(({node}, set().union(*map(_names, header))))
+            for stmt in node.body:
+                units.append(({node, stmt}, _names(stmt)))
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not (stmt.name.startswith("__") and stmt.name.endswith("__")):
+                    defined.append((module, f"{node.name}.{stmt.name}", stmt.name, stmt))
     return sorted(
-        (module, node.name) for module, tree in trees.items() if module != "__init__.py"
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not any(node.name in names for _, other, names in named if other is not node))
+        (module, qualified) for module, qualified, name, node in defined
+        if module != "__init__.py"
+        and not any(name in names for owners, names in units if node not in owners))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -136,5 +158,19 @@ def test_the_check_finds_an_unreached_definition():
                         '    return leftover()\n'),
                "b.py": ('from . import a\n'
                         'class Caller:\n'
-                        '    value = a.used()\n')}
-    assert unreached_definitions(sources) == [("a.py", "leftover"), ("b.py", "Caller")]
+                        '    value = a.used()\n'),
+               "c.py": ('@decorate\n'
+                        'class Point:\n'
+                        '    def __add__(self, other):\n'
+                        '        return self.make()\n'
+                        '    @classmethod\n'
+                        '    def make(cls):\n'
+                        '        return cls.sibling()\n'
+                        '    def sibling(self):\n'
+                        '        return 1\n'
+                        '    def unused(self):\n'
+                        '        return self.unused()\n'
+                        'def decorate(cls):\n'
+                        '    return Point\n')}
+    assert unreached_definitions(sources) == [
+        ("a.py", "leftover"), ("b.py", "Caller"), ("c.py", "Point.unused")]

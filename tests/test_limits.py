@@ -23,12 +23,18 @@ from conftest import (
     INF,
     LINF,
     TWISTS,
+    ConstantLimit,
     degenerate_family_split_fiber,
     degenerate_family_three_vertex,
     degenerate_family_two_vertex,
     lconst,
     lpoly,
+    oracle_laurent_bracket,
+    oracle_laurent_from_three,
+    oracle_leading_limit,
+    oracle_specialize,
     pt,
+    random_laurent,
     random_laurent_moebius,
     random_marking,
     random_moebius,
@@ -49,7 +55,6 @@ from sphere_trees.covers import (
 from sphere_trees.errors import (
     AdmissibilityFailure,
     CollisionAtEpsilon,
-    ConstantLimit,
     InconsistentClustering,
     InvalidFamily,
     NotRealizable,
@@ -60,11 +65,9 @@ from sphere_trees.laurent import (
     LP_ONE,
     LP_ZERO,
     LaurentMap,
-    LaurentMoebius,
     LaurentPoint,
     LaurentPoly,
     bracket_lead,
-    laurent_bracket,
 )
 from sphere_trees.limits import (
     CoverFamily,
@@ -74,10 +77,10 @@ from sphere_trees.limits import (
     limit_tree,
     numeric_limit_tree,
 )
-from sphere_trees.moduli import embed, marking_dict, sphere_as_tree, spheres_iso
+from sphere_trees.moduli import embed, marking_dict, project, sphere_as_tree, spheres_iso
 from sphere_trees.moduli import MarkedSphere, tree_from_charts, vertex_chart
 from sphere_trees.plumbing import plumb_family
-from sphere_trees.rational import local_degree
+from sphere_trees.rational import hom_apply, local_degree, poly_mul
 from sphere_trees.trees import (
     AdmissibilityViolation,
     is_admissible,
@@ -137,7 +140,7 @@ def per_triple_limit_tree(fam: LaurentFamily):
     labels = sorted(fam.labels)
     lead = {}
     for (x, p), (y, q) in combinations(fam.paths, 2):
-        b = laurent_bracket(p, q)
+        b = oracle_laurent_bracket(p, q)
         val, c = b.valuation(), b.leading()
         lead[(x, y)], lead[(y, x)] = (val, c), (val, -c)
     charts = {}
@@ -384,6 +387,17 @@ class TestLimitTree:
         monkeypatch.setattr(limits, "_limit_chart", counted)
         t = limit_tree(fam)
         assert len(calls) == len(t.shape.internal)
+
+    def test_forgetting_labels_commutes_with_the_limit(self):
+        # the continuity of the forgetful map: the limit of the family restricted to a
+        # subset of its labels is the projection of the family's limit to that subset
+        rng = random.Random("forget")
+        for k in range(60):
+            n = 5 + k % 10
+            fam = plumbed_family(n, "twist" if k // 10 % 2 else "plain", rng)
+            sub = rng.sample(sorted(fam.labels), rng.randint(3, n))
+            restricted = LaurentFamily.make({x: fam.path(x) for x in sub})
+            assert spheres_iso(limit_tree(restricted), project(limit_tree(fam), sub)), (n, sub)
 
     def test_reparametrization_invariance(self, eps_family):
         assert spheres_iso(limit_tree(eps_family),
@@ -930,10 +944,55 @@ class TestCoverFamilyDegrees:
         # at eps = 1/7 the path of a is the critical point 0, of local degree 2
         fam = critical_at_one_seventh()
         eps = Fraction(1, 7)
-        f, a = fam.map_family.specialize(eps), fam.y_family.path("a").evaluate(eps)
+        f, a = oracle_specialize(fam.map_family, eps), fam.y_family.path("a").evaluate(eps)
         assert local_degree(f, a) == 2 and fam.portrait.deg("a") == 1
         cover = limit_cover(fam)
         assert validate_cover(cover, expected_portrait=fam.portrait) == []
+
+
+def oracle_root_order(g, p: LaurentPoint) -> int:
+    """The Hasse-derivative form, kept as an oracle for limits._root_order: the first k at
+    which the form sum_i C(i, k) g_i U^(i-k) V^(d-i) does not vanish at p; in V where v = 0,
+    so with g reversed and u, v swapped."""
+    u, v = p.u, p.v
+    if v.is_zero():
+        g, u, v = g[::-1], v, u
+    d = len(g) - 1
+    for k in range(d):
+        hasse = [g[i].scale(gr(math.comb(i, k))) for i in range(k, d + 1)]
+        if not hom_apply(hasse, (), u, v, LP_ZERO, LP_ONE)[0].is_zero():
+            return k
+    return d
+
+
+def random_laurent_point(rng: random.Random) -> LaurentPoint:
+    while True:
+        u, v = random_laurent(rng), random_laurent(rng)
+        if not (u.is_zero() and v.is_zero()):
+            return LaurentPoint.make(u, v)
+
+
+class TestRootOrder:
+    def test_agrees_with_the_hasse_derivatives_on_prescribed_roots(self):
+        # G = c prod_a (v_a U - u_a V), roots drawn with repeats from a pool that holds
+        # infinity, so orders above 1 and roots at infinity occur; each root's order is
+        # its multiplicity, and every other point's is 0
+        rng, orders = random.Random(31), []
+        for _ in range(60):
+            pool = [LINF] + [random_laurent_point(rng) for _ in range(3)]
+            roots = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            c = LP_ZERO
+            while c.is_zero():
+                c = random_laurent(rng)
+            g = [c]
+            for a in roots:
+                g = poly_mul(g, [-a.u, a.v], LP_ZERO)
+            for p in pool + [random_laurent_point(rng)]:
+                order = sum(bracket_lead(a, p) is None for a in roots)
+                assert limits._root_order(g, p) == oracle_root_order(g, p) == order
+                orders.append((order, p.v.is_zero()))
+        assert {(k, True) for k in range(4)} <= set(orders)
+        assert {(k, False) for k in range(4)} <= set(orders)
 
 
 def lexicographic_limit_cover(fam: CoverFamily):
@@ -948,12 +1007,12 @@ def lexicographic_limit_cover(fam: CoverFamily):
     vmap, maps = dict(fam.portrait.fmap), {}
     for v in sorted(source.shape.internal):
         triple = representative_triple(partition_at(source.shape, v))
-        phi = LaurentMoebius.from_three(*(fam.y_family.path(x) for x in triple))
+        phi = oracle_laurent_from_three(*(fam.y_family.path(x) for x in triple))
         conjugated = fam.map_family.precompose(phi.inverse())
         for ztriple in combinations(sorted(fam.z_family.labels), 3):
-            m = LaurentMoebius.from_three(*(fam.z_family.path(c) for c in ztriple))
+            m = oracle_laurent_from_three(*(fam.z_family.path(c) for c in ztriple))
             try:
-                limit = conjugated.postcompose(m).leading_limit()
+                limit = oracle_leading_limit(conjugated.postcompose(m))
             except ConstantLimit:
                 continue
             w = separating_vertex(target.shape, ztriple)

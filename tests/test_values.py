@@ -20,10 +20,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DATA_DIR, z_squared_map
+from conftest import DATA_DIR, oracle_laurent_from_three, z_squared_map
 from sphere_trees import serialize as ser
 from sphere_trees.covers import MarkedSphereCover, edge_table
-from sphere_trees.laurent import LaurentMoebius
 from sphere_trees.limits import LaurentFamily, numeric_limit_tree
 from sphere_trees.moduli import TreeOfSpheres, embed, marking_dict, vertex_charts
 from sphere_trees.trees import AdmissibilityViolation, MarkedTree, adjacency, branches, is_admissible
@@ -53,7 +52,7 @@ def instances() -> dict:
         "RationalMap": cover.maps[0][1],
         "LaurentPoly": p0.u,
         "LaurentPoint": p0,
-        "LaurentMoebius": LaurentMoebius.from_three(p0, p1, pinf),
+        "LaurentMoebius": oracle_laurent_from_three(p0, p1, pinf),
         "LaurentMap": cover_fam.map_family,
         "MarkedTree": load("star_tree.json"),
         "AdmissibilityViolation": is_admissible(
