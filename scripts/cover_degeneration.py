@@ -43,8 +43,8 @@ def walk(family, title):
     assert validate_cover(cover, expected_portrait=family.portrait) == []
     for v in sorted(cover.source.shape.internal):
         f = cover.map_at(v)
-        num = " + ".join(f"({c})z^{i}" for i, c in enumerate(f.num.coeffs) if not c.is_zero())
-        den = " + ".join(f"({c})z^{i}" for i, c in enumerate(f.den.coeffs) if not c.is_zero())
+        num = " + ".join(f"({c})z^{i}" for i, c in enumerate(f.num) if not c.is_zero())
+        den = " + ".join(f"({c})z^{i}" for i, c in enumerate(f.den) if not c.is_zero())
         print(f"fiber map at {v} -> {cover.vm[v]}: ({num}) / ({den or '1'})")
     rebuilt = reconstruct_cover(cover.source, extract_portrait(cover))
     print("reconstruction from the source tree alone:",

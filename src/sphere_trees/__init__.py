@@ -2,7 +2,7 @@
 
 from .gaussian import GaussianRational, gr
 from .projective import Moebius, ProjPoint, moebius_from_three
-from .rational import Polynomial, RationalMap, local_degree
+from .rational import RationalMap, local_degree
 from .laurent import (
     LaurentMap,
     LaurentMoebius,

@@ -37,10 +37,10 @@ from .errors import (
     SphereTreesError,
     UnitOnDivisor,
 )
-from .gaussian import GR_ONE
+from .gaussian import GR_ONE, GR_ZERO
 from .moduli import MarkedSphere, TreeOfSpheres, iso_of_spheres, sphere_as_tree
 from .projective import P_INF, P_ONE, P_ZERO, ProjPoint
-from .rational import Polynomial, RationalMap, local_degree
+from .rational import RationalMap, local_degree, poly_mul
 from .trees import (
     MarkedTree,
     Vertex,
@@ -281,17 +281,17 @@ def rational_from_divisors(zeros: Iterable[ProjPoint], poles: Iterable[ProjPoint
                                   witness=[str(p) for p in set(zeros) & set(poles)])
     if unit_point in zeros or unit_point in poles:
         raise UnitOnDivisor("normalization point lies on the divisor")
-    num = den = Polynomial.make([GR_ONE])
+    num = den = [GR_ONE]
     for p in zeros:
         if not p.is_infinity():
-            num = num * Polynomial.make([-p.to_affine(), GR_ONE])
+            num = poly_mul(num, [-p.to_affine(), GR_ONE], GR_ZERO)
     for p in poles:
         if not p.is_infinity():
-            den = den * Polynomial.make([-p.to_affine(), GR_ONE])
+            den = poly_mul(den, [-p.to_affine(), GR_ONE], GR_ZERO)
     # already reduced: products of monic linear factors over disjoint supports are
     # coprime, and den is monic, so neither RationalMap.make gcd is needed
-    value = RationalMap(num, den).apply(unit_point).to_affine()  # finite, nonzero
-    return RationalMap(num.scale(value.inverse()), den)
+    value = RationalMap(tuple(num), tuple(den)).apply(unit_point).to_affine()  # finite, nonzero
+    return RationalMap(tuple(c / value for c in num), tuple(den))
 
 
 # ---------------------------------------------------------------------------

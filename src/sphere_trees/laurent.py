@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .errors import ZeroFamily
 from .gaussian import GR_ONE, GaussianRational, sum_of_products
 from .projective import Moebius, ProjPoint
-from .rational import RationalMap, hom_apply, hom_postcompose, hom_substitute
+from .rational import RationalMap, hom_apply, hom_postcompose, hom_substitute, trim
 from .values import value
 
 
@@ -204,13 +204,6 @@ class LaurentMoebius:
         return LaurentMoebius.make(self.d, -self.b, -self.c, self.a)
 
 
-def _trim(coeffs: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return tuple(cs)
-
-
 @value
 class LaurentMap:
     """A rational map whose polynomial coefficients are Laurent polynomials."""
@@ -220,14 +213,14 @@ class LaurentMap:
 
     @classmethod
     def make(cls, num: Sequence[LaurentPoly], den: Sequence[LaurentPoly]) -> "LaurentMap":
-        num_t, den_t = _trim(num), _trim(den)
+        num_t, den_t = trim(num), trim(den)
         if not num_t and not den_t:
             raise ValueError("zero Laurent map")
         return cls(num_t, den_t)
 
     @classmethod
     def from_exact(cls, f: RationalMap) -> "LaurentMap":
-        return cls.make(*([LaurentPoly.constant(c) for c in p.coeffs] for p in (f.num, f.den)))
+        return cls.make(*([LaurentPoly.constant(c) for c in cs] for cs in (f.num, f.den)))
 
     @property
     def degree(self) -> int:

@@ -139,23 +139,26 @@ def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
 
     With r the smallest label and v the bracket valuations of the family's
     lead table, g(x, y) = v(x, y) - v(x, r) - v(y, r) is an ultrametric on
-    the other labels whose balls are the vertices.  A ball of minimum m
-    splits into the classes of g > m, which with the labels outside it form
-    the vertex's partition, marked by its representative triple's chart.
+    the other labels whose balls are the vertices, read only where a split
+    compares it.  A ball of minimum m splits into the classes of g > m,
+    which with the labels outside it form the vertex's partition, marked by
+    its representative triple's chart.
     """
     labels, lead = sorted(fam.labels), fam.lead
     r = labels[0]
-    g = {(x, y): v - lead[(x, r)][0] - lead[(y, r)][0]
-         for (x, y), (v, _) in lead.items() if r not in (x, y)}
+    vr = {x: lead[x, r][0] for x in labels[1:]}
+
+    def g(x: str, y: str) -> int:
+        return lead[x, y][0] - vr[x] - vr[y]
     charts = {}
     balls = [labels[1:]]
     while balls:
         ball = balls.pop()
         # in an ultrametric the minimum over pairs is met at any fixed point
-        m = min(g[ball[0], y] for y in ball[1:])
+        m = min(g(ball[0], y) for y in ball[1:])
         children: dict[str, list[str]] = {}  # keyed by the first member
         for x in ball:
-            children.setdefault(next((c for c in children if g[c, x] > m), x), []).append(x)
+            children.setdefault(next((c for c in children if g(c, x) > m), x), []).append(x)
         partition = frozenset(map(frozenset, [*children.values(), fam.labels.difference(ball)]))
         charts[partition] = _limit_chart(map(min, partition), lead, representative_triple(partition))
         balls.extend(c for c in children.values() if len(c) > 1)

@@ -1,7 +1,8 @@
 """Exact univariate polynomials over Q(i) and rational self-maps of the sphere.
 
-Rational maps are stored reduced (numerator and denominator coprime via the
-exact Euclidean gcd) and scaled so the denominator is monic, which makes
+Polynomials are coefficient lists, ascending by exponent.  Rational maps are
+stored as two trimmed tuples, reduced (numerator and denominator coprime via
+the exact Euclidean gcd) and scaled so the denominator is monic, which makes
 equality structural.  Images and local degrees (exact root multiplicities, never
 root isolation) come from Horner's rule on unreduced triples, one gcd per image.
 """
@@ -14,69 +15,6 @@ from typing import Sequence
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, horner, reduced, sub_product, triples
 from .projective import Moebius, ProjPoint
 from .values import value
-
-
-@value
-class Polynomial:
-    """Coefficients ascending by exponent; trailing zeros stripped."""
-
-    coeffs: tuple[GaussianRational, ...]
-
-    @classmethod
-    def make(cls, coeffs: Sequence[GaussianRational]) -> "Polynomial":
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        return cls(tuple(cs))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    def leading(self) -> GaussianRational:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial.make(poly_mul(self.coeffs, other.coeffs, GR_ZERO))
-
-    def scale(self, c: GaussianRational) -> "Polynomial":
-        return Polynomial.make([x * c for x in self.coeffs])
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [GR_ZERO] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.leading()
-        while len(rem) >= len(other.coeffs) and rem:
-            factor = rem[-1] / dlead
-            shift = len(rem) - len(other.coeffs)
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * c
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return Polynomial.make(quo), Polynomial.make(rem)
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero():
-            b = b.scale(b.leading().inverse())  # monic divisors keep the remainders small
-            a, b = b, a.divmod(b)[1]
-        return a if a.is_zero() else a.scale(a.leading().inverse())
-
-    def evaluate(self, x: GaussianRational) -> GaussianRational:
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def root_multiplicity(g: list[tuple], r: GaussianRational) -> int:
@@ -98,6 +36,14 @@ def root_multiplicity(g: list[tuple], r: GaussianRational) -> int:
 # and over Q(i)[eps^+-1] share the loops.  Each output coefficient is one sum:
 # its (x, y) factor pairs are collected first, then zero.dot(pairs) reduces it
 # once (once per exponent over Q(i)[eps^+-1]).
+
+
+def trim(coeffs: Sequence) -> tuple:
+    """The coefficients as a tuple, trailing zeros stripped."""
+    cs = list(coeffs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
 
 
 def poly_mul(p: Sequence, q: Sequence, zero) -> list:
@@ -159,29 +105,51 @@ def hom_postcompose(num: Sequence, den: Sequence, m, zero) -> tuple:
             [zero.dot(((m.c, x), (m.d, y))) for x, y in pairs])
 
 
+def poly_divmod(p: Sequence[GaussianRational], d: Sequence[GaussianRational]) -> tuple[list, list]:
+    """Quotient and remainder of p by a nonzero d."""
+    rem, inv = list(p), d[-1].inverse()
+    quo = [GR_ZERO] * max(0, len(rem) - len(d) + 1)
+    while len(rem) >= len(d):
+        factor = rem.pop() * inv  # the top coefficient cancels exactly
+        shift = len(rem) - len(d) + 1
+        quo[shift] = factor
+        for i in range(len(d) - 1):
+            rem[shift + i] = rem[shift + i] - factor * d[i]
+        while rem and rem[-1].is_zero():
+            rem.pop()
+    return quo, rem
+
+
+def poly_gcd(p: Sequence[GaussianRational], q: Sequence[GaussianRational]) -> list:
+    """Monic greatest common divisor of p and a nonzero q."""
+    while q:
+        inv = q[-1].inverse()  # monic divisors keep the remainders small
+        p, q = [c * inv for c in q], p
+        q = poly_divmod(q, p)[1]
+    return p
+
+
 @value
 class RationalMap:
-    num: Polynomial
-    den: Polynomial
+    num: tuple[GaussianRational, ...]
+    den: tuple[GaussianRational, ...]
 
     @classmethod
-    def make(cls, num: Polynomial, den: Polynomial) -> "RationalMap":
-        if den.is_zero():
+    def make(cls, num: Sequence[GaussianRational], den: Sequence[GaussianRational]) -> "RationalMap":
+        num, den = trim(num), trim(den)
+        if not den:
             raise ValueError("rational map with zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.leading().inverse()
-        return cls(num.scale(lead), den.scale(lead))
+        g = poly_gcd(num, den)
+        if len(g) > 1:
+            num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+        inv = den[-1].inverse()
+        return cls(*(tuple([c * inv for c in cs]) for cs in (num, den)))
 
-    @classmethod
-    def from_coeffs(cls, num: Sequence[GaussianRational], den: Sequence[GaussianRational]) -> "RationalMap":
-        return cls.make(Polynomial.make(num), Polynomial.make(den))
+    from_coeffs = make
 
     @property
     def degree(self) -> int:
-        return max(self.num.degree, self.den.degree, 0)
+        return max(len(self.num) - 1, len(self.den) - 1, 0)
 
     def is_constant(self) -> bool:
         return self.degree == 0
@@ -189,7 +157,7 @@ class RationalMap:
     def apply(self, p: ProjPoint) -> ProjPoint:
         """(num_d : den_d) at infinity, d the longer degree, else (num(u) : den(u)) by
         `horner`: only `ProjPoint.make`, `ratio`, `of` and `infinity` build points, so v = 1."""
-        num, den = self.num.coeffs, self.den.coeffs
+        num, den = self.num, self.den
         if p.is_infinity():
             return ProjPoint.make(*list(zip_longest(num, den, fillvalue=GR_ZERO))[-1])
         r = p.u
@@ -201,13 +169,11 @@ class RationalMap:
 
     def postcompose(self, m: Moebius) -> "RationalMap":
         """m after self."""
-        return RationalMap.from_coeffs(
-            *hom_postcompose(self.num.coeffs, self.den.coeffs, m, GR_ZERO))
+        return RationalMap.make(*hom_postcompose(self.num, self.den, m, GR_ZERO))
 
     def precompose(self, m: Moebius) -> "RationalMap":
         """self after m, by homogeneous substitution."""
-        return RationalMap.from_coeffs(
-            *hom_substitute(self.num.coeffs, self.den.coeffs, m, GR_ZERO, GR_ONE))
+        return RationalMap.make(*hom_substitute(self.num, self.den, m, GR_ZERO, GR_ONE))
 
 
 def local_degree(f: RationalMap, p: ProjPoint, q: ProjPoint | None = None) -> int:
@@ -221,8 +187,8 @@ def local_degree(f: RationalMap, p: ProjPoint, q: ProjPoint | None = None) -> in
         raise ValueError("local degree of a constant map is undefined")
     if q is None:
         q = f.apply(p)
-    g = triples(f.den.coeffs) if q.is_infinity() else [
-        sub_product(n, q.u, d) for n, d in zip_longest(f.num.coeffs, f.den.coeffs, fillvalue=GR_ZERO)]
+    g = triples(f.den) if q.is_infinity() else [
+        sub_product(n, q.u, d) for n, d in zip_longest(f.num, f.den, fillvalue=GR_ZERO)]
     while g and not (g[-1][0] or g[-1][1]):
         g.pop()
     if not g:  # pragma: no cover - impossible for reduced nonconstant maps

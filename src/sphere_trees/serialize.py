@@ -33,7 +33,7 @@ from .laurent import LP_ZERO, LaurentMap, LaurentPoint, LaurentPoly
 from .limits import CoverFamily, LaurentFamily, NumericConfigSequence, NumericTreeOfSpheres
 from .moduli import Embedding, MarkedSphere, TreeOfSpheres
 from .projective import ProjPoint
-from .rational import Polynomial, RationalMap
+from .rational import RationalMap
 from .trees import MarkedTree, Vertex, vertex_key
 
 
@@ -54,6 +54,14 @@ _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
 # map takes seconds at degree 64, minutes at 200); the shipped data and the
 # benchmark use degree at most 4.
 MAX_MAP_DEGREE = 64
+
+# Largest work estimate d^2 t (s + 1) of a cover family: d its map degree, t the most
+# terms and s the largest exponent spread of a source path component.  Checking the
+# portrait finds each root order by Horner passes of d products by a path component,
+# over partial sums of up to d s terms.  Near 10^4 the slowest family tried took 0.3 s;
+# degree 32 with 10-term paths spread over 300 exponents (3 10^6) took 5-7 s.  The data,
+# tests and benchmark reach at most 4,002 (degree 1, paths spread over 2,000 exponents).
+MAX_COVER_FAMILY_WORK = 10 ** 4
 
 
 def canonical_dumps(payload: Any) -> str:
@@ -423,8 +431,8 @@ def portrait_from_json(obj: Any) -> Portrait:
 
 
 def rational_map_to_json(f: RationalMap) -> dict:
-    return {"num": [complex_to_json(c) for c in f.num.coeffs],
-            "den": [complex_to_json(c) for c in f.den.coeffs]}
+    return {"num": [complex_to_json(c) for c in f.num],
+            "den": [complex_to_json(c) for c in f.den]}
 
 
 def rational_map_from_json(obj: Any) -> RationalMap:
@@ -437,7 +445,7 @@ def rational_map_from_json(obj: Any) -> RationalMap:
         raise SchemaError(f"malformed rational map: {exc}") from exc
     if all(c.is_zero() for c in den):
         raise SchemaError("a rational map needs a nonzero denominator")
-    return RationalMap.make(Polynomial.make(num), Polynomial.make(den))
+    return RationalMap.make(num, den)
 
 
 def cover_to_json(c: TreeCover) -> dict:
@@ -483,6 +491,11 @@ def cover_family_from_json(obj: Any) -> CoverFamily:
         map_family = laurent_map_from_json(obj["map"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed cover family: {exc!r}") from exc
+    parts = [c.terms for _, p in y_family.paths for c in (p.u, p.v) if c.terms]
+    work = map_family.degree ** 2 * max(map(len, parts)) * (
+        max(t[-1][0] - t[0][0] for t in parts) + 1)
+    if work > MAX_COVER_FAMILY_WORK:
+        raise SchemaError(f"cover family work {work} exceeds the bound {MAX_COVER_FAMILY_WORK}")
     return CoverFamily.make(portrait, y_family, z_family, map_family)
 
 

@@ -8,7 +8,7 @@ is left out of eq, hash and repr; with ``init=False`` it starts as None.
 
 Why not ``dataclasses``: each CLI command is a fresh process.  Importing it
 (with ``inspect``, ``ast``, ``dis`` and ``tokenize``) took 9-13 ms of CPU,
-and each of the 21 classes 0.6-1.1 ms (six ``exec`` calls, a class rebuilt)
+and each value class 0.6-1.1 ms (six ``exec`` calls, a class rebuilt)
 against 0.16-0.26 ms for the one ``exec`` here (2-core x86-64 VM, Python 3.11).
 """
 

@@ -19,7 +19,7 @@ from sphere_trees.laurent import LaurentMap, LaurentMoebius, LaurentPoint, Laure
 from sphere_trees.limits import CoverFamily, LaurentFamily, limit_cover
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres
 from sphere_trees.projective import Moebius, ProjPoint, moebius_from_three
-from sphere_trees.rational import Polynomial, RationalMap
+from sphere_trees.rational import RationalMap, trim
 from sphere_trees.trees import (
     MarkedTree,
     edge_of,
@@ -82,8 +82,7 @@ def oracle_laurent_from_three(p0: LaurentPoint, p1: LaurentPoint,
 
 def oracle_specialize(f: LaurentMap, eps: Fraction) -> RationalMap:
     """Oracle: the member of the map family at eps."""
-    return RationalMap.make(*(Polynomial.make([c.evaluate(eps) for c in cs])
-                              for cs in (f.num, f.den)))
+    return RationalMap.make(*([c.evaluate(eps) for c in cs] for cs in (f.num, f.den)))
 
 
 class ConstantLimit(Exception):
@@ -94,9 +93,8 @@ def oracle_leading_limit(f: LaurentMap) -> RationalMap:
     """Oracle: divide the map family by eps^(minimal valuation), set eps = 0, reduce
     over Q(i).  Raises ConstantLimit when the resulting map is constant."""
     v = min(c.valuation() for c in f.num + f.den if not c.is_zero())
-    num0, den0 = (Polynomial.make([dict(c.terms).get(v, GR_ZERO) for c in cs])
-                  for cs in (f.num, f.den))
-    if den0.is_zero():
+    num0, den0 = (trim([dict(c.terms).get(v, GR_ZERO) for c in cs]) for cs in (f.num, f.den))
+    if not den0:
         raise ConstantLimit("limit map is identically infinity")
     limit = RationalMap.make(num0, den0)
     if limit.is_constant():

@@ -5,7 +5,8 @@ The sweep swaps single JSON values of the shipped ``data/`` files for values
 of the wrong type or out of range, or deletes them, and runs every subcommand
 that reads that kind of payload, in-process through ``cli.main``.  The
 regression cases below it pin one input for each crash the sweep used to find.
-Every command run here must also finish within ``CASE_SECONDS``.
+Every command run here must also finish within ``CASE_SECONDS``; a case that
+could also allocate without bound runs in a child process with a memory limit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import copy
 import io
 import json
 import random
+import resource
 import signal
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -32,6 +36,7 @@ from sphere_trees.laurent import LP_ONE, LP_ZERO, LaurentMap, LaurentPoint, Laur
 from sphere_trees.limits import CoverFamily, LaurentFamily
 from sphere_trees.moduli import MarkedSphere, embed, sphere_as_tree
 from sphere_trees.projective import ProjPoint
+from sphere_trees.rational import poly_mul
 
 ZERO = {"re": "0/1", "im": "0/1"}
 ONE = {"re": "1/1", "im": "0/1"}
@@ -72,6 +77,38 @@ def run_main(*args: str) -> tuple[int, str, str]:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     return code, out.getvalue(), err.getvalue()
+
+
+# The address space of a child case: an interpreter running a command needs well
+# under 100 MiB, and a case past the limit fails with MemoryError in the child.
+CHILD_MEMORY_BYTES = 512 << 20
+
+
+def run_child(*argv: str) -> subprocess.CompletedProcess:
+    """``argv`` as a child process, its address space capped at CHILD_MEMORY_BYTES by
+    ``resource.setrlimit(RLIMIT_AS)`` in the child before it starts, and killed after
+    CASE_SECONDS: a case that allocates without bound fails there, and the limit acts
+    on that child only."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY_BYTES, CHILD_MEMORY_BYTES))
+    try:
+        return subprocess.run(argv, capture_output=True, text=True, timeout=CASE_SECONDS,
+                              env={"PYTHONPATH": str(DATA_DIR.parent / "src")},
+                              preexec_fn=limit_memory)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{argv} ran past {CASE_SECONDS} s")
+
+
+def run_cli_child(*args: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python -m sphere_trees.cli args`` in `run_child`."""
+    done = run_child(sys.executable, "-m", "sphere_trees.cli", *args)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_the_child_memory_limit_stops_an_allocation():
+    done = run_child(sys.executable, "-c", f"bytearray({2 * CHILD_MEMORY_BYTES})")
+    assert done.returncode == 1 and "MemoryError" in done.stderr
+    assert resource.getrlimit(resource.RLIMIT_AS)[0] != CHILD_MEMORY_BYTES
 
 
 def test_the_timer_stops_a_hang(monkeypatch):
@@ -403,6 +440,64 @@ def test_a_dense_map_is_refused_fast(tmp_path):
         code, out, _ = run_main(*args)
         assert time.perf_counter() - started < 1.0, args
         assert (code, json.loads(out)) == expected, args
+
+
+def wide_path_family(d: int) -> dict:
+    """The shipped cover family with a map of degree d, each numerator coefficient of 3 terms
+    and den = 1, and each source path (u : 1), u of 10 terms: exponents are distinct draws
+    below 300, coefficients a/b + c i with a, b in 1..9 and c in -9..9."""
+    rng = random.Random(d)
+
+    def part(terms: int) -> LaurentPoly:
+        return LaurentPoly.make([(e, gr(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                                        rng.randint(-9, 9))) for e in rng.sample(range(300), terms)])
+    blob = json.loads((DATA_DIR / "cover_family_degenerate.json").read_text())
+    blob["map"] = ser.laurent_map_to_json(LaurentMap.make([part(3) for _ in range(d + 1)], [LP_ONE]))
+    blob["portrait"]["d"] = d
+    blob["y_family"]["paths"] = {y: ser.laurent_point_to_json(LaurentPoint.make(part(10), LP_ONE))
+                                 for y in blob["y_family"]["paths"]}
+    return blob
+
+
+@pytest.mark.parametrize("d", [32, 64])
+def test_a_wide_family_of_high_degree_is_refused_fast(tmp_path, d):
+    # its root orders took 4.7 s at degree 32 and 96 s at degree 64; the work estimate
+    # refuses it once the payload is read
+    path = write(tmp_path, wide_path_family(d))
+    for command in ("validate", "limit-cover"):
+        started = time.perf_counter()
+        code, out, err = run_cli_child(command, path)
+        assert time.perf_counter() - started < 1.0, command
+        assert (code, out) == (2, ""), (command, err)
+        assert f"exceeds the bound {ser.MAX_COVER_FAMILY_WORK}" in err, command
+
+
+def deep_root_family(d: int) -> dict:
+    """The map (z - u)^d, u = 1/2 + (1 + i) eps, over source paths u and infinity of local
+    degree d and u + 1 over 1: the root order at u takes d Horner passes.  Work estimate
+    4 d^2; the portrait lacks d - 1 points over 1."""
+    u = LaurentPoly.make([(0, gr(Fraction(1, 2))), (1, gr(1, 1))])
+    num = [LP_ONE]
+    for _ in range(d):
+        num = poly_mul(num, [-u, LP_ONE], LP_ZERO)
+    zero, inf, one = (LaurentPoint.make(LP_ZERO, LP_ONE), LaurentPoint.make(LP_ONE, LP_ZERO),
+                      LaurentPoint.make(LP_ONE, LP_ONE))
+    y = LaurentFamily.make({"y0": LaurentPoint.make(u, LP_ONE), "yinf": inf,
+                            "y1": LaurentPoint.make(u + LP_ONE, LP_ONE)})
+    z = LaurentFamily.make({"c0": zero, "cinf": inf, "c1": one})
+    portrait = Portrait.make({"y0": "c0", "yinf": "cinf", "y1": "c1"}, {"y0": d, "yinf": d, "y1": 1}, d)
+    return ser.cover_family_to_json(CoverFamily(portrait, y, z, LaurentMap.make(num, [LP_ONE])))
+
+
+@pytest.mark.parametrize("d, expected", [(48, 1), (64, 2)], ids=["inside", "outside"])
+def test_the_work_bound_on_a_root_of_high_order(tmp_path, d, expected):
+    # 9,216 is read, and its root orders, up to 48, all run; 16,384 is refused
+    assert (4 * d * d <= ser.MAX_COVER_FAMILY_WORK) == (expected == 1)
+    code, out, err = run_cli_child("limit-cover", write(tmp_path, deep_root_family(d)))
+    assert code == expected, err
+    if expected == 1:
+        assert json.loads(out) == {"error": "NotRealizable", "witness": [
+            f"fiber of 'c1' sums to 1, expected {d}"]}
 
 
 @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000 + "]" * 100_000],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
@@ -51,13 +52,15 @@ from sphere_trees.laurent import (
 )
 from sphere_trees.projective import Moebius, ProjPoint, moebius_from_three
 from sphere_trees.rational import (
-    Polynomial,
     RationalMap,
     hom_apply,
     hom_postcompose,
     hom_substitute,
     local_degree,
+    poly_divmod,
+    poly_gcd,
     poly_mul,
+    trim,
 )
 
 fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
@@ -179,27 +182,6 @@ class TestMoebiusGroup:
         assert m.compose(m.inverse()).is_identity()
 
 
-class TestPolynomial:
-    def test_divmod_and_gcd(self):
-        # (z - 1)(z - 2) and (z - 1)(z + 3)
-        p = Polynomial.make([gr(2), gr(-3), gr(1)])
-        q = Polynomial.make([gr(-3), gr(2), gr(1)])
-        g = p.gcd(q)
-        assert g == Polynomial.make([gr(-1), gr(1)])
-        quo, rem = p.divmod(g)
-        assert rem.is_zero() and quo == Polynomial.make([gr(-2), gr(1)])
-
-    def test_root_multiplicity(self):
-        p = Polynomial.make([gr(0), gr(0), gr(1)])  # z^2
-        assert rational.root_multiplicity(triples(p.coeffs), gr(0)) == 2
-        assert rational.root_multiplicity(triples(p.coeffs), gr(1)) == 0
-        # (z - 1/3)^40 (z - 2): each deflation reduces, so the quotients stay small
-        third = gr(Fraction(1, 3))
-        p = Polynomial.make(linear_product([third] * 40 + [gr(2)], GR_ONE))
-        assert rational.root_multiplicity(triples(p.coeffs), third) == 40
-        assert rational.root_multiplicity(triples(p.coeffs), gr(2)) == 1
-
-
 class TestLocalDegree:
     def test_z_squared(self):
         f = RationalMap.from_coeffs([gr(0), gr(0), gr(1)], [gr(1)])
@@ -319,7 +301,7 @@ class TestRationalMapKernel:
     @settings(max_examples=80)
     @given(rational_maps, gaussians)
     def test_apply_matches_horner(self, f, x):
-        expected = ProjPoint.make(f.num.evaluate(x), f.den.evaluate(x))
+        expected = ProjPoint.make(evaluate(f.num, x), evaluate(f.den, x))
         assert f.apply(ProjPoint.of(x)) == expected
 
     @settings(max_examples=80)
@@ -593,15 +575,15 @@ class TestKernelAgainstAccumulation:
 
 
 def oracle_apply(f: RationalMap, p: ProjPoint) -> ProjPoint:
-    return ProjPoint.make(*hom_apply(f.num.coeffs, f.den.coeffs, p.u, p.v, GR_ZERO, GR_ONE))
+    return ProjPoint.make(*hom_apply(f.num, f.den, p.u, p.v, GR_ZERO, GR_ONE))
 
 
-def oracle_root_multiplicity(g: Polynomial, r: GaussianRational) -> int:
-    linear = Polynomial.make([-r, GR_ONE])
+def oracle_root_multiplicity(g, r: GaussianRational) -> int:
+    linear = [-r, GR_ONE]
     mult = 0
-    while not g.is_zero():
-        quo, rem = g.divmod(linear)
-        if not rem.is_zero():
+    while g:
+        quo, rem = poly_divmod(g, linear)
+        if rem:
             break
         mult += 1
         g = quo
@@ -613,10 +595,9 @@ def oracle_local_degree(f: RationalMap, p: ProjPoint, q: ProjPoint | None = None
         raise ValueError("local degree of a constant map is undefined")
     if q is None:
         q = oracle_apply(f, p)
-    g = Polynomial.make([a - b for a, b in zip_longest(
-        f.num.scale(q.v).coeffs, f.den.scale(q.u).coeffs, fillvalue=GR_ZERO)])
+    g = trim([a * q.v - b * q.u for a, b in zip_longest(f.num, f.den, fillvalue=GR_ZERO)])
     if p.is_infinity():
-        return f.degree - g.degree
+        return f.degree - (len(g) - 1)
     return oracle_root_multiplicity(g, p.to_affine())
 
 
@@ -666,6 +647,69 @@ def maps_with_points(draw):
     return f, [INF, draw(big_points)] + divisor
 
 
+def evaluate(coeffs, x: GaussianRational) -> GaussianRational:
+    """Oracle: Horner's rule on reduced values."""
+    acc = GR_ZERO
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+small_roots = st.sampled_from([gr(a, b) for a in (-1, 0, Fraction(1, 2)) for b in (0, 1)])
+
+
+class TestListReduction:
+    def test_divmod_and_gcd(self):
+        # (z - 1)(z - 2) and 2 (z - 1)(z + 3)
+        p, q = [gr(2), gr(-3), gr(1)], [gr(-6), gr(4), gr(2)]
+        g = poly_gcd(p, q)
+        assert g == [gr(-1), gr(1)]
+        assert poly_divmod(p, g) == ([gr(-2), gr(1)], [])
+        assert poly_divmod(p, q) == ([gr(Fraction(1, 2))], [gr(5), gr(-5)])
+        assert poly_gcd([], q) == [gr(-3), gr(2), gr(1)] and poly_divmod([], g) == ([], [])
+        assert trim([gr(1), GR_ZERO, gr(2), GR_ZERO, GR_ZERO]) == (gr(1), GR_ZERO, gr(2))
+
+    def test_root_multiplicity(self):
+        p = [gr(0), gr(0), gr(1)]  # z^2
+        assert rational.root_multiplicity(triples(p), gr(0)) == 2
+        assert rational.root_multiplicity(triples(p), gr(1)) == 0
+        # (z - 1/3)^40 (z - 2): each deflation reduces, so the quotients stay small
+        third = gr(Fraction(1, 3))
+        p = linear_product([third] * 40 + [gr(2)], GR_ONE)
+        assert rational.root_multiplicity(triples(p), third) == 40
+        assert rational.root_multiplicity(triples(p), gr(2)) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small_roots, max_size=4), st.lists(small_roots, max_size=4),
+           st.lists(small_roots, max_size=3), gaussians, nonzero_big_gaussians)
+    def test_make_cancels_a_common_factor(self, zeros, poles, roots, lead, c):
+        # num = lead prod (z - zeros), den = prod (z - poles), h = c prod (z - roots):
+        # the reduced map drops h and the common zeros and poles, with a monic den
+        num, den = linear_product(zeros, lead), linear_product(poles, GR_ONE)
+        h = linear_product(roots, c)
+        f = RationalMap.make(num, den)
+        assert RationalMap.make(poly_mul(num, h, GR_ZERO), poly_mul(den, h, GR_ZERO)) == f
+        assert f.den[-1] == GR_ONE and trim(f.num) == f.num and trim(f.den) == f.den
+        if lead.is_zero():
+            assert f.num == () and f.den == (GR_ONE,)
+            return
+        common = Counter(zeros) & Counter(poles)
+        assert len(f.num) - 1 == len(zeros) - common.total()
+        assert len(f.den) - 1 == len(poles) - common.total()
+        for x in set(zeros + poles + roots):
+            assert not (evaluate(f.num, x).is_zero() and evaluate(f.den, x).is_zero()), x
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(big_gaussians, max_size=5), st.lists(big_gaussians, min_size=1, max_size=5),
+           st.lists(big_gaussians, min_size=1, max_size=3))
+    def test_make_of_a_multiple_is_make(self, num, den, h):
+        assume(trim(den) and trim(h))
+        f = RationalMap.make(num, den)
+        assert RationalMap.make(poly_mul(num, h, GR_ZERO), poly_mul(den, h, GR_ZERO)) == f
+        assert f.den[-1] == GR_ONE
+        assert len(poly_gcd(f.num, f.den)) == 1
+
+
 class TestTripleEvaluation:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
@@ -673,11 +717,11 @@ class TestTripleEvaluation:
            big_gaussians)
     def test_horner_is_evaluation_and_division(self, coeffs, r):
         # coeffs may end in a zero, (0, 0, c)
-        g = Polynomial.make([gr(Fraction(a, c), Fraction(b, c)) for a, b, c in coeffs])
+        g = trim([gr(Fraction(a, c), Fraction(b, c)) for a, b, c in coeffs])
         sums = [gr(Fraction(a, c), Fraction(b, c)) for a, b, c in horner(coeffs, r.a, r.b, r.c)]
-        assert sums[-1] == g.evaluate(r)
-        quo, rem = g.divmod(Polynomial.make([-r, GR_ONE]))
-        assert Polynomial.make(sums[-2::-1]) == quo and Polynomial.make(sums[-1:]) == rem
+        assert sums[-1] == evaluate(g, r)
+        quo, rem = poly_divmod(g, [-r, GR_ONE])
+        assert trim(sums[-2::-1]) == tuple(quo) and trim(sums[-1:]) == tuple(rem)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30), st.integers(1, 10**30),
@@ -707,7 +751,7 @@ class TestTripleEvaluation:
             assert q == oracle_apply(f, p)
             assert local_degree(f, p) == oracle_local_degree(f, p)
             assert local_degree(f, p, q) == oracle_local_degree(f, p, q)
-            assert rational.root_multiplicity(triples(f.num.coeffs), p.u) == \
+            assert rational.root_multiplicity(triples(f.num), p.u) == \
                 oracle_root_multiplicity(f.num, p.u)
         constant = RationalMap.from_coeffs([points[1].u], [GR_ONE])
         assert outcome(local_degree, constant, INF) == outcome(oracle_local_degree, constant, INF)
@@ -719,13 +763,13 @@ class TestTripleEvaluation:
         roots = data.draw(st.lists(big_gaussians, max_size=6 - k))
         h = linear_product(roots, data.draw(nonzero_big_gaussians))
         g = data.draw(st.lists(big_gaussians, min_size=1, max_size=7))
-        g_poly = Polynomial.make(g)
-        assume(not g_poly.is_zero() and not g_poly.evaluate(r).is_zero())
+        g = trim(g)
+        assume(g and not evaluate(g, r).is_zero())
         assume(all(s != r for s in roots))
         power = linear_product([r] * k, GR_ONE)
-        num = [a + b for a, b in zip_longest(g_poly.scale(c).coeffs, poly_mul(power, h, GR_ZERO),
+        num = [a + b for a, b in zip_longest([x * c for x in g], poly_mul(power, h, GR_ZERO),
                                              fillvalue=GR_ZERO)]
-        f = RationalMap.from_coeffs(num, g_poly.coeffs)
+        f = RationalMap.from_coeffs(num, g)
         assert 1 <= f.degree <= 6
         over = ProjPoint.of(c)
         assert f.apply(ProjPoint.of(r)) == over
@@ -875,7 +919,7 @@ class TestOneReductionPerPoint:
     def test_reductions_per_call(self, monkeypatch):
         rng = random.Random(8)
         calls = {"_raw": 0, "divmod": 0, "hom_apply": 0}
-        raw, divmod_, hom = GaussianRational._raw.__func__, Polynomial.divmod, rational.hom_apply
+        raw, divmod_, hom = GaussianRational._raw.__func__, rational.poly_divmod, rational.hom_apply
 
         def counting(name, fn):
             def wrapper(*args):
@@ -892,7 +936,7 @@ class TestOneReductionPerPoint:
         points = [INF, pt(0), pt(1)] + [ProjPoint.of(random_gaussian(rng)) for _ in range(10)]
         images = {(f, p): f.apply(p) for f in maps for p in points}
         monkeypatch.setattr(GaussianRational, "_raw", classmethod(counting("_raw", raw)))
-        monkeypatch.setattr(Polynomial, "divmod", counting("divmod", divmod_))
+        monkeypatch.setattr(rational, "poly_divmod", counting("divmod", divmod_))
         monkeypatch.setattr(rational, "hom_apply", counting("hom_apply", hom))
         for (f, p), q in images.items():
             for fn, args, most in ((f.apply, (p,), 1), (local_degree, (f, p, q), 0),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -1024,32 +1025,59 @@ def lexicographic_limit_cover(fam: CoverFamily):
     return TreeCover.make(source, target, vmap, maps)
 
 
+# Cover families by name, each built on first use, so that a fault in CoverFamily.make
+# fails the tests that use it instead of the collection of this module and test_cli.py.
 DEGENERATE_FAMILIES = sorted(name for name in dir(conftest) if name.startswith("degenerate_family_"))
-COVER_FAMILIES = [
-    *(pytest.param(getattr(conftest, name)(), id=name) for name in DEGENERATE_FAMILIES),
-    *(pytest.param(twisted_cover_family(getattr(conftest, name)(), FRACTIONAL, AFFINE),
-                   id=f"{name}_twisted") for name in DEGENERATE_FAMILIES),
-    *(pytest.param(z_squared_chain_family(c), id="chain_" + "".join(map(str, c)))
-      for c in CHAIN_CENTRES),
-]
+CHAIN_FAMILIES = {"chain_" + "".join(map(str, c)): c for c in CHAIN_CENTRES}
+COVER_FAMILIES = [*DEGENERATE_FAMILIES, *(f"{name}_twisted" for name in DEGENERATE_FAMILIES),
+                  *CHAIN_FAMILIES]
+RANDOM_TWIST_FAMILIES = [f"{name}_random{j}" for name in [*DEGENERATE_FAMILIES, *CHAIN_FAMILIES]
+                         for j in range(4)]
 
 
-def random_twist_families() -> list:
+@functools.cache
+def cover_family(name: str) -> CoverFamily:
+    if name in CHAIN_FAMILIES:
+        return z_squared_chain_family(CHAIN_FAMILIES[name])
+    if name.endswith("_twisted"):
+        return twisted_cover_family(cover_family(name.removesuffix("_twisted")), FRACTIONAL, AFFINE)
+    if name in RANDOM_TWIST_FAMILIES:
+        return random_twist_families()[name]
+    return getattr(conftest, name)()
+
+
+@functools.cache
+def random_twist_families() -> dict:
     """Four random Laurent twists, entries down to eps^-2, of each degenerate and chain family."""
     rng = random.Random(41)
-    out = []
-    names = DEGENERATE_FAMILIES + ["chain_" + "".join(map(str, c)) for c in CHAIN_CENTRES]
-    families = [getattr(conftest, name)() for name in DEGENERATE_FAMILIES]
-    families += [z_squared_chain_family(c) for c in CHAIN_CENTRES]
-    for name, fam in zip(names, families):
+    out = {}
+    for name in [*DEGENERATE_FAMILIES, *CHAIN_FAMILIES]:
         twists = [(random_laurent_moebius(rng), random_laurent_moebius(rng), rng.randint(1, 2))
                   for _ in range(4)]
-        out += [(f"{name}_random{j}", fam, twisted_cover_family(fam, *twist))
-                for j, twist in enumerate(twists)]
+        out.update((f"{name}_random{j}", twisted_cover_family(cover_family(name), *twist))
+                   for j, twist in enumerate(twists))
     return out
 
 
-RANDOM_TWIST_FAMILIES = random_twist_families()
+def test_a_fault_in_making_cover_families_fails_tests_not_the_collection():
+    # with CoverFamily.make broken, this module and test_cli.py, which imports from it,
+    # still import: the families above are built when a test first names them
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})",
+        "from sphere_trees import limits",
+        "def broken(cls, *args):",
+        "    raise limits.InvalidFamily('broken')",
+        "limits.CoverFamily.make = classmethod(broken)",
+        "import test_limits, test_cli",
+        "try:",
+        "    test_limits.cover_family(test_limits.RANDOM_TWIST_FAMILIES[0])",
+        "except limits.InvalidFamily as exc:",
+        "    print(exc)",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=os.environ, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "broken\n"), done.stderr
 
 
 class TestLimitCoverQuotient:
@@ -1067,22 +1095,25 @@ class TestLimitCoverQuotient:
     def test_random_twists_give_valid_isomorphic_limits(self):
         # the limit validates, keeps the family's portrait, is rebuilt from its source
         # and portrait, and is the plain family's limit up to isomorphism
+        twisted = random_twist_families()
         start, plains = time.perf_counter(), {}
-        for name, fam, twisted in RANDOM_TWIST_FAMILIES:
-            if id(fam) not in plains:
-                plains[id(fam)] = limit_cover(fam)
-            for cover in (plains[id(fam)], limit_cover(twisted)):
+        for name in RANDOM_TWIST_FAMILIES:
+            plain = name.rsplit("_random", 1)[0]
+            fam = cover_family(plain)
+            if plain not in plains:
+                plains[plain] = limit_cover(fam)
+            for cover in (plains[plain], limit_cover(twisted[name])):
                 assert validate_cover(cover, expected_portrait=fam.portrait) == []
                 portrait = extract_portrait(cover)
                 assert portrait == fam.portrait
                 assert cover_iso(reconstruct_cover(cover.source, portrait), cover)
-            assert cover_iso(cover, plains[id(fam)]), name
+            assert cover_iso(cover, plains[plain]), name
         assert time.perf_counter() - start < 30.0
 
-    @pytest.mark.parametrize("fam", COVER_FAMILIES + [
-        pytest.param(twisted, id=name) for name, _, twisted in RANDOM_TWIST_FAMILIES])
-    def test_agrees_with_lexicographic_search(self, fam):
+    @pytest.mark.parametrize("name", COVER_FAMILIES + RANDOM_TWIST_FAMILIES)
+    def test_agrees_with_lexicographic_search(self, name):
         # the oracle reads each fiber map off the family's map by Laurent products
+        fam = cover_family(name)
         cover, oracle = limit_cover(fam), lexicographic_limit_cover(fam)
         assert cover.vertex_map == oracle.vertex_map
         assert cover.maps == oracle.maps

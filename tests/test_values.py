@@ -48,7 +48,6 @@ def instances() -> dict:
     return {
         "ProjPoint": sphere.points[0][1],
         "Moebius": next(iter(vertex_charts(tree).values()))[1],
-        "Polynomial": z_squared_map().num,
         "RationalMap": cover.maps[0][1],
         "LaurentPoly": p0.u,
         "LaurentPoint": p0,
@@ -75,7 +74,6 @@ def instances() -> dict:
 FIELDS = {
     "ProjPoint": (("u", "v"),) * 3,
     "Moebius": (("a", "b", "c", "d"),) * 3,
-    "Polynomial": (("coeffs",),) * 3,
     "RationalMap": (("num", "den"),) * 3,
     "LaurentPoly": (("terms",),) * 3,
     "LaurentPoint": (("u", "v"),) * 3,
