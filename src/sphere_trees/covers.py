@@ -200,7 +200,8 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
             problems.append(f"internal vertex {v} does not map to a target internal vertex")
     if problems:
         return problems
-    for e in sorted(c.source.shape.edges, key=lambda e: tuple(sorted(map(vertex_key, e)))):
+    edges = sorted(c.source.shape.edges, key=lambda e: tuple(sorted(map(vertex_key, e))))
+    for e in edges:
         a, b = tuple(e)
         if vm[a] == vm[b] or edge_of(vm[a], vm[b]) not in c.target.shape.edges:
             problems.append(f"edge {sorted(map(str, e))} does not map to a target edge")
@@ -235,7 +236,7 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
     if problems:
         return problems
 
-    for e in sorted(c.source.shape.edges, key=lambda e: tuple(sorted(map(vertex_key, e)))):
+    for e in edges:
         a, b = tuple(e)
         if isinstance(a, int) and isinstance(b, int):
             da, db = edge_table(c, a)[b][1], edge_table(c, b)[a][1]
@@ -304,6 +305,15 @@ def reconstruct_cover(source: TreeOfSpheres, portrait: Portrait) -> TreeCover:
     Raises NotRealizable where the construction cannot proceed, or with the
     ``validate_cover`` violations of what it built.
     """
+    cover = _build_cover(source, portrait)
+    violations = validate_cover(cover, expected_portrait=portrait)
+    if violations:
+        raise NotRealizable("reconstructed object is not a valid cover", witness=violations)
+    return cover
+
+
+def _build_cover(source: TreeOfSpheres, portrait: Portrait) -> TreeCover:
+    """`reconstruct_cover` without its validation; `limit_cover` validates its move instead."""
     problems = validate_portrait(portrait, allow_degree_one=True)
     if problems:
         raise NotRealizable("portrait is invalid", witness=problems)
@@ -318,10 +328,6 @@ def reconstruct_cover(source: TreeOfSpheres, portrait: Portrait) -> TreeCover:
     except SphereTreesError as exc:
         raise NotRealizable(f"forced construction failed: {exc}",
                             witness=getattr(exc, "witness", None)) from exc
-    violations = validate_cover(cover, expected_portrait=portrait)
-    if violations:
-        raise NotRealizable("reconstructed object is not a valid cover",
-                            witness=violations)
     return cover
 
 

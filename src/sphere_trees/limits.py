@@ -25,7 +25,7 @@ from itertools import combinations, zip_longest
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .covers import Portrait, TreeCover, reconstruct_cover, validate_cover, validate_portrait
+from .covers import Portrait, TreeCover, _build_cover, validate_cover, validate_portrait
 from .errors import (
     AdmissibilityFailure,
     CollisionAtEpsilon,
@@ -36,6 +36,7 @@ from .errors import (
     NotAdmissible,
     NotRealizable,
     NotStabilized,
+    SchemaError,
 )
 from .laurent import (
     LP_ONE,
@@ -478,6 +479,12 @@ def _root_order(g: Sequence[LaurentPoly], p: LaurentPoint) -> int:
     return d  # a nonzero form of degree d has no root of higher order
 
 
+# Largest work estimate d^2 t (s + 1) of a cover family, d its map degree, t the most terms and
+# s the largest exponent spread of a source path component.  Its root orders took 0.3 s near
+# 10^4 and 5-7 s at 3 10^6; the data, tests and benchmark reach at most 4,002.
+MAX_COVER_FAMILY_WORK = 10 ** 4
+
+
 @value
 class CoverFamily:
     portrait: Portrait
@@ -493,7 +500,13 @@ class CoverFamily:
         `_root_order`, and the portrait is valid.  By the fiber sums the paths over z are then
         all d roots of G_z over the closure of Q(i)(eps), counted with multiplicity; so num and
         den are coprime, and the map has degree d, as a common root, a root of every G_z, would
-        be one path over two target labels, while paths are distinct."""
+        be one path over two target labels, while paths are distinct.  A family whose
+        work estimate passes `MAX_COVER_FAMILY_WORK` is refused first, as a SchemaError."""
+        parts = [c.terms for _, p in y_family.paths for c in (p.u, p.v) if c.terms]
+        work = map_family.degree ** 2 * max(map(len, parts)) * (
+            max(t[-1][0] - t[0][0] for t in parts) + 1)
+        if work > MAX_COVER_FAMILY_WORK:
+            raise SchemaError(f"cover family work {work} exceeds the bound {MAX_COVER_FAMILY_WORK}")
         if y_family.labels != portrait.y_labels or z_family.labels != portrait.z_labels:
             raise InvalidFamily("family label sets do not match the portrait")
         if map_family.degree != portrait.d:
@@ -524,12 +537,13 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
     """Limit of a degenerating cover family as a cover between limit trees.
 
     It is the one cover over the source limit with the portrait `CoverFamily.make`
-    checked against the map: `reconstruct_cover`, moved into the target limit's charts
-    by `iso_of_spheres` (vertex maps composed, each fiber map followed by the Moebius
-    map at its image).  InvariantBreach is raised when no such isomorphism exists.
+    checked against the map: the cover `reconstruct_cover` builds, moved into the target
+    limit's charts by `iso_of_spheres` (vertex maps composed, each fiber map followed by the
+    Moebius map at its image), then validated once; a move keeps every invariant.
+    InvariantBreach is raised when no such isomorphism exists, or with the violations.
     """
     source, target = limit_tree(fam.y_family), limit_tree(fam.z_family)
-    rebuilt = reconstruct_cover(source, fam.portrait)
+    rebuilt = _build_cover(source, fam.portrait)
     iso = iso_of_spheres(rebuilt.target, target)
     if iso is None:
         raise InvariantBreach("the rebuilt target is not the target limit tree")
@@ -538,6 +552,5 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
                            {v: f.postcompose(moebius[rebuilt.vm[v]]) for v, f in rebuilt.maps})
     violations = validate_cover(cover, expected_portrait=fam.portrait)
     if violations:
-        raise InvariantBreach("assembled limit is not a valid cover",
-                              witness=violations)
+        raise InvariantBreach("assembled limit is not a valid cover", witness=violations)
     return cover

@@ -137,11 +137,19 @@ class RationalMap:
     @classmethod
     def make(cls, num: Sequence[GaussianRational], den: Sequence[GaussianRational]) -> "RationalMap":
         num, den = trim(num), trim(den)
-        if not den:
-            raise ValueError("rational map with zero denominator")
-        g = poly_gcd(num, den)
+        g = poly_gcd(num, den) if den else []
         if len(g) > 1:
             num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+        return cls._monic(num, den)
+
+    @classmethod
+    def _monic(cls, num: Sequence[GaussianRational], den: Sequence[GaussianRational]) -> "RationalMap":
+        """num / den, taken as coprime: trimmed, den scaled monic, no gcd.  Re-charts by an
+        invertible m keep a reduced map reduced, so `postcompose` and `precompose` end here: a
+        common root would be one of (num, den) moved by m, or a pole of m, where the top stays."""
+        num, den = trim(num), trim(den)
+        if not den:
+            raise ValueError("rational map with zero denominator")
         inv = den[-1].inverse()
         return cls(*(tuple([c * inv for c in cs]) for cs in (num, den)))
 
@@ -169,11 +177,11 @@ class RationalMap:
 
     def postcompose(self, m: Moebius) -> "RationalMap":
         """m after self."""
-        return RationalMap.make(*hom_postcompose(self.num, self.den, m, GR_ZERO))
+        return RationalMap._monic(*hom_postcompose(self.num, self.den, m, GR_ZERO))
 
     def precompose(self, m: Moebius) -> "RationalMap":
         """self after m, by homogeneous substitution."""
-        return RationalMap.make(*hom_substitute(self.num, self.den, m, GR_ZERO, GR_ONE))
+        return RationalMap._monic(*hom_substitute(self.num, self.den, m, GR_ZERO, GR_ONE))
 
 
 def local_degree(f: RationalMap, p: ProjPoint, q: ProjPoint | None = None) -> int:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring as _quote
 from typing import Any, Optional
 
+from . import limits
 from .covers import Portrait, TreeCover
 from .dynamics import DynSystem
 from .errors import SchemaError
@@ -55,13 +56,7 @@ _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
 # benchmark use degree at most 4.
 MAX_MAP_DEGREE = 64
 
-# Largest work estimate d^2 t (s + 1) of a cover family: d its map degree, t the most
-# terms and s the largest exponent spread of a source path component.  Checking the
-# portrait finds each root order by Horner passes of d products by a path component,
-# over partial sums of up to d s terms.  Near 10^4 the slowest family tried took 0.3 s;
-# degree 32 with 10-term paths spread over 300 exponents (3 10^6) took 5-7 s.  The data,
-# tests and benchmark reach at most 4,002 (degree 1, paths spread over 2,000 exponents).
-MAX_COVER_FAMILY_WORK = 10 ** 4
+MAX_COVER_FAMILY_WORK = limits.MAX_COVER_FAMILY_WORK  # checked by CoverFamily.make
 
 
 def canonical_dumps(payload: Any) -> str:
@@ -344,7 +339,9 @@ def laurent_poly_from_json(obj: Any) -> LaurentPoly:
 
 
 def laurent_point_to_json(p: LaurentPoint) -> dict:
-    return {"u": laurent_poly_to_json(p.u), "v": laurent_poly_to_json(p.v)}
+    """The canonical components, shifted down to end at MAX_EXPONENT when they pass it."""
+    k = min(0, MAX_EXPONENT - max(c.terms[-1][0] for c in (p.u, p.v) if c.terms))
+    return {"u": laurent_poly_to_json(p.u.shift(k)), "v": laurent_poly_to_json(p.v.shift(k))}
 
 
 def laurent_point_from_json(obj: Any) -> LaurentPoint:
@@ -491,11 +488,6 @@ def cover_family_from_json(obj: Any) -> CoverFamily:
         map_family = laurent_map_from_json(obj["map"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed cover family: {exc!r}") from exc
-    parts = [c.terms for _, p in y_family.paths for c in (p.u, p.v) if c.terms]
-    work = map_family.degree ** 2 * max(map(len, parts)) * (
-        max(t[-1][0] - t[0][0] for t in parts) + 1)
-    if work > MAX_COVER_FAMILY_WORK:
-        raise SchemaError(f"cover family work {work} exceeds the bound {MAX_COVER_FAMILY_WORK}")
     return CoverFamily.make(portrait, y_family, z_family, map_family)
 
 

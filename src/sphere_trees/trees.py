@@ -51,10 +51,11 @@ class MarkedTree:
     leaves: frozenset
     internal: frozenset
     edges: frozenset
-    # derived lookups, filled on first use by adjacency and branches, so an
-    # unvalidated tree derives nothing until asked
+    # derived lookups, filled on first use by adjacency, branches and validate_tree,
+    # so an unvalidated tree derives nothing until asked
     _adjacency: Optional[Mapping] = field(init=False)
     _branches: Optional[Mapping] = field(init=False)
+    _problems: Optional[tuple] = field(init=False)
 
     @classmethod
     def make(cls, leaves: Iterable[str], internal: Iterable[int],
@@ -92,7 +93,13 @@ def neighbors(t: MarkedTree, v: Vertex) -> tuple:
 
 
 def validate_tree(t: MarkedTree) -> list[str]:
-    """Diagnostics for the stability invariants; empty list means valid."""
+    """Diagnostics for the stability invariants, computed once per tree; empty means valid."""
+    if t._problems is None:
+        object.__setattr__(t, "_problems", tuple(_tree_problems(t)))
+    return list(t._problems)
+
+
+def _tree_problems(t: MarkedTree) -> list[str]:
     problems: list[str] = []
     if len(t.leaves) < 3:
         problems.append(f"marked set has {len(t.leaves)} < 3 labels")

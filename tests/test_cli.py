@@ -19,6 +19,7 @@ from sphere_trees import cli
 from sphere_trees import serialize as ser
 from sphere_trees.dynamics import DynSystem, dyn_membership
 from sphere_trees.moduli import MarkedSphere
+from sphere_trees.trees import validate_tree
 from test_covers import leafless_centre, swapped_cubic
 from test_dynamics import dyn_z_squared, mismatch_cover, source_twisted
 from test_limits import (INVALID_CUBIC, INVALID_CUBIC_PROBLEMS, VANISHING_ROW_SNAPSHOTS, cubic_family,
@@ -321,7 +322,9 @@ class TestErrors:
         bad.write_text(json.dumps(blob))
         r = run_cli("validate", str(bad))
         assert r.returncode == 0
-        assert json.loads(r.stdout)["ok"] is False
+        # the tree is read with check=False, so it has no verdict until validate asks
+        problems = validate_tree(ser.tree_from_json(blob, check=False))
+        assert problems and json.loads(r.stdout) == {"ok": False, "violations": problems}
 
 
 class TestDeterminism:

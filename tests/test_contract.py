@@ -472,6 +472,18 @@ def test_a_wide_family_of_high_degree_is_refused_fast(tmp_path, d):
         assert f"exceeds the bound {ser.MAX_COVER_FAMILY_WORK}" in err, command
 
 
+def test_a_wide_family_of_high_degree_is_refused_in_process():
+    # CoverFamily.make itself checks the work estimate, before any form or root order:
+    # built directly, the degree-32 family took 7.1 s in its root orders
+    blob = wide_path_family(32)
+    parts = (ser.portrait_from_json(blob["portrait"]), ser.family_from_json(blob["y_family"]),
+             ser.family_from_json(blob["z_family"]), ser.laurent_map_from_json(blob["map"]))
+    started = time.perf_counter()
+    with pytest.raises(SchemaError, match=f"exceeds the bound {ser.MAX_COVER_FAMILY_WORK}$"):
+        CoverFamily.make(*parts)
+    assert time.perf_counter() - started < 1.0
+
+
 def deep_root_family(d: int) -> dict:
     """The map (z - u)^d, u = 1/2 + (1 + i) eps, over source paths u and infinity of local
     degree d and u + 1 over 1: the root order at u takes d Horner passes.  Work estimate

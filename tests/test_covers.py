@@ -34,7 +34,7 @@ from conftest import (
     z_squared_fiber_cover,
     z_squared_map,
 )
-from sphere_trees import covers, moduli
+from sphere_trees import covers, limits, moduli
 from sphere_trees import serialize as ser
 from sphere_trees.covers import (
     MarkedSphereCover,
@@ -62,6 +62,7 @@ from sphere_trees.errors import (
 from sphere_trees.gaussian import GR_ONE, GR_ZERO, gr
 from sphere_trees.limits import limit_cover
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres, sphere_as_tree, twist
+from sphere_trees.projective import Moebius
 from sphere_trees.rational import RationalMap, local_degree, poly_mul
 from sphere_trees.trees import MarkedTree, neighbors
 
@@ -280,6 +281,58 @@ class TestReconstruct:
                             {"y0": 1, "yinf": 2, "y1": 2, "ym1": 1}, 2)
         with pytest.raises(NotRealizable):
             reconstruct_cover(cover.source, bad)
+
+
+def shifted_at_first_vertex(cover: TreeCover) -> TreeCover:
+    """cover with the map at its smallest internal vertex followed by w -> w + 1, which
+    moves the edge point images off the target's marked points."""
+    v = min(cover.source.shape.internal)
+    maps = dict(cover.maps)
+    maps[v] = maps[v].postcompose(Moebius.make(GR_ONE, GR_ONE, GR_ZERO, GR_ONE))
+    return TreeCover.make(cover.source, cover.target, dict(cover.vertex_map), maps)
+
+
+def counted(monkeypatch) -> list:
+    """The covers validate_cover is called on from covers or limits, in call order."""
+    calls = []
+
+    def counting(cover, expected_portrait=None):
+        calls.append(cover)
+        return validate_cover(cover, expected_portrait)
+    for module in (covers, limits):
+        monkeypatch.setattr(module, "validate_cover", counting)
+    return calls
+
+
+class TestCertifiedOnce:
+    def test_a_limit_cover_is_validated_once(self, monkeypatch):
+        calls = counted(monkeypatch)
+        cover = limit_cover(degenerate_family_three_vertex())
+        assert len(calls) == 1 and calls[0] is cover
+
+    def test_reconstruct_cover_validates_what_it_builds(self, monkeypatch):
+        cover, portrait = z_squared_cover()
+        calls = counted(monkeypatch)
+        rebuilt = reconstruct_cover(cover.source, portrait)
+        assert len(calls) == 1 and calls[0] is rebuilt
+
+    def test_reconstruct_cover_refuses_an_invalid_build(self, monkeypatch):
+        cover, portrait = z_squared_cover()
+        bad = shifted_at_first_vertex(covers._build_cover(cover.source, portrait))
+        violations = validate_cover(bad, portrait)
+        assert violations
+        monkeypatch.setattr(covers, "_build_cover", lambda source, p: bad)
+        with pytest.raises(NotRealizable, match="not a valid cover") as info:
+            reconstruct_cover(cover.source, portrait)
+        assert info.value.witness == violations
+
+    def test_a_corrupt_rebuilt_cover_breaks_the_limit(self, monkeypatch):
+        build = covers._build_cover
+        monkeypatch.setattr(limits, "_build_cover",
+                            lambda source, p: shifted_at_first_vertex(build(source, p)))
+        with pytest.raises(InvariantBreach, match="assembled limit is not a valid cover") as info:
+            limit_cover(degenerate_family_three_vertex())
+        assert info.value.witness and all(isinstance(w, str) for w in info.value.witness)
 
 
 def reconstruction_inputs(cover, rng, rounds=6):

@@ -316,6 +316,45 @@ class TestRationalMapKernel:
         assert defined(lambda: f.postcompose(m)).apply(p) == m.apply(f.apply(p))
 
 
+class TestRechartingWithoutGcd:
+    """An invertible Moebius map keeps a reduced map reduced, so postcompose and
+    precompose only trim and scale; RationalMap.make of the same kernel lists, which
+    runs the gcd, is the oracle."""
+
+    @staticmethod
+    def oracles(f, m):
+        return (outcome(lambda: RationalMap.make(*hom_postcompose(f.num, f.den, m, GR_ZERO))),
+                outcome(lambda: RationalMap.make(*hom_substitute(f.num, f.den, m, GR_ZERO, GR_ONE))))
+
+    @settings(max_examples=120)
+    @given(rational_maps, moebius_strategy())
+    def test_matches_the_reducing_constructor(self, f, m):
+        assert (outcome(lambda: f.postcompose(m)), outcome(lambda: f.precompose(m))) \
+            == self.oracles(f, m)
+
+    @settings(max_examples=80)
+    @given(rational_maps, gaussians, gaussians)
+    def test_a_postcompose_that_cancels_the_top_coefficient(self, f, c, d):
+        # the row (y, -x) kills the top pair (x, y), so the numerator list gets shorter
+        x, y = list(zip_longest(f.num, f.den, fillvalue=GR_ZERO))[-1]
+        assume(not (y * d + x * c).is_zero())
+        m = Moebius.make(y, -x, c, d)
+        g = f.postcompose(m)
+        assert len(g.num) < max(len(f.num), len(f.den))
+        assert (g, outcome(lambda: f.precompose(m))) == self.oracles(f, m)
+
+    def test_degree_drop_and_the_constant_infinity(self):
+        f = RationalMap.make([GR_ZERO, GR_ZERO, GR_ONE], [GR_ONE, GR_ZERO, GR_ONE])
+        g = f.postcompose(Moebius.make(GR_ONE, -GR_ONE, GR_ZERO, GR_ONE))  # z^2/(z^2+1) - 1
+        assert (g.num, g.den) == ((-GR_ONE,), (GR_ONE, GR_ZERO, GR_ONE)) and g.degree == 2
+        # the constant 2 followed by 1 / (w - 2) is the constant infinity, not a map
+        two = RationalMap.make([gr(2)], [GR_ONE])
+        pole = Moebius.make(GR_ZERO, GR_ONE, GR_ONE, gr(-2))
+        assert outcome(lambda: two.postcompose(pole)) \
+            == "ValueError: rational map with zero denominator" == self.oracles(two, pole)[0]
+        assert two.precompose(pole) == two
+
+
 class TestLaurentMapKernel:
     @settings(max_examples=60, deadline=None)
     @given(laurent_maps, laurent_points)

@@ -87,6 +87,30 @@ class TestFamilies:
         blob = ser.cover_family_to_json(fam)
         assert ser.cover_family_from_json(blob) == fam
 
+    def test_a_path_spread_over_both_bounds_round_trips(self):
+        # its canonical form runs from eps^0 to eps^2000, so it is written shifted down
+        # by eps^1000, as it was read
+        bound = ser.MAX_EXPONENT
+        blob = {"labels": ["1", "2", "3"], "paths": {
+            "1": {"u": [[-bound, ONE], [bound, {"re": "2", "im": "1"}]], "v": [[0, ONE]]},
+            "2": {"u": [[0, ONE]], "v": [[-bound, ONE]]},
+            "3": {"u": [], "v": [[bound, ONE]]}}}
+        fam = ser.family_from_json(blob)
+        written = ser.family_to_json(fam)
+        assert ser.family_from_json(written) == fam
+        assert ser.family_to_json(ser.family_from_json(written)) == written
+        assert written["paths"]["1"] == {
+            "u": [[-bound, ser.complex_to_json(gr(1))], [bound, ser.complex_to_json(gr(2, 1))]],
+            "v": [[0, ser.complex_to_json(gr(1))]]}
+
+    def test_a_path_inside_the_bound_is_written_canonical(self):
+        # top exponent exactly MAX_EXPONENT: no shift, lowest exponent 0
+        bound = ser.MAX_EXPONENT
+        point = lpoly([(0, gr(1)), (bound, gr(3))])
+        assert ser.laurent_point_to_json(point) == {
+            "u": [[0, ser.complex_to_json(gr(1))], [bound, ser.complex_to_json(gr(3))]],
+            "v": [[0, ser.complex_to_json(gr(1))]]}
+
 
 ONE = {"re": "1", "im": "0"}
 

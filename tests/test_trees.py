@@ -78,6 +78,22 @@ class TestValidate:
                        frozenset([frozenset(["1", 0]), frozenset(["2", 0])]))
         assert any("< 3" in p for p in validate_tree(t))
 
+    def test_the_verdict_is_kept_and_each_call_gets_a_fresh_list(self, star):
+        t = MarkedTree(frozenset(["1", "2"]), frozenset([0]),
+                       frozenset([frozenset(["1", 0]), frozenset(["2", 0])]))
+        first = validate_tree(t)
+        first.append("mutated")
+        first.pop(0)
+        assert validate_tree(t) == ["marked set has 2 < 3 labels"]
+        ok = validate_tree(star)
+        ok.append("mutated")
+        assert validate_tree(star) == []
+
+    def test_the_makers_keep_the_verdict(self, star):
+        # MarkedTree.make and tree_from_partitions validate what they build, once
+        rebuilt = tree_from_partitions(tree_partitions(star))
+        assert star._problems == rebuilt._problems == ()
+
 
 class TestEnumerate:
     def test_fewer_than_three_labels_refused(self):
