@@ -16,7 +16,6 @@ from .trees import (
     enumerate_stable_trees,
     is_admissible,
     partition_at,
-    separating_vertex,
     tree_from_partitions,
     tree_partitions,
     trees_isomorphic,
@@ -31,7 +30,6 @@ from .moduli import (
     project,
     sphere_as_tree,
     spheres_iso,
-    t_chart,
 )
 from .covers import (
     MarkedSphereCover,

@@ -1,13 +1,15 @@
 """Marked spheres, trees of spheres, and the cross-ratio embedding.
 
 A tree of spheres is a stable tree together with, at each internal vertex,
-an injective assignment of its edges to exact points of a sphere.  The
-derived vertex markings, the normalized charts of separating triples,
-isomorphism, the embedding by all quadruple cross-ratios, canonical
-representatives, and restriction of the marking to a sub-label-set all live
-here.  ``iso_of_spheres`` is the one isomorphism decision and returns its
-witness; ``canonical_form`` and ``embed`` are outputs, and serve the tests
-and the benchmark as independent oracles for its verdicts.
+an injective assignment of its edges to exact points of a sphere; these
+per-edge rows are its only marking.  The label marking a_v of a vertex, which
+sends every label to the point of its branch, is read from the row when it
+is needed.  Isomorphism, the embedding by all quadruple cross-ratios (each
+triple charted at the vertex that separates it), canonical representatives,
+and restriction of the marking to a sub-label-set all live here.
+``iso_of_spheres`` is the one isomorphism decision and returns its witness;
+``canonical_form`` and ``embed`` are outputs, and serve the tests and the
+benchmark as independent oracles for its verdicts.
 
 Each tree of spheres keeps one chart table, built on first use by
 ``vertex_charts``: at every internal vertex, its partition and the vertex
@@ -39,7 +41,6 @@ from .trees import (
     partition_at,
     partition_sort_key,
     representative_triple,
-    separating_vertex,
     tree_from_partitions,
     vertex_key,
 )
@@ -81,9 +82,7 @@ class TreeOfSpheres:
     shape: MarkedTree
     marking: tuple  # sorted (vertex id, ((neighbor, ProjPoint), ...)) pairs
     rows: Mapping = field(init=False)
-    # derived label markings and chart table, filled on first use by
-    # marking_dict and vertex_charts
-    _markings: Optional[Mapping] = field(init=False)
+    # derived chart table, filled on first use by vertex_charts
     _charts: Optional[Mapping] = field(init=False)
 
     def __post_init__(self):
@@ -117,17 +116,10 @@ class TreeOfSpheres:
         return self.rows[v]
 
 
-def marking_dict(t: TreeOfSpheres, v: int) -> Mapping:
-    """The derived marking a_v: every label gets the point of its branch.
-
-    The markings of all internal vertices are computed once per tree.
-    """
-    if t._markings is None:
-        object.__setattr__(t, "_markings", MappingProxyType({
-            w: MappingProxyType(dict(sorted(
-                (x, p) for n, p in row.items() for x in branches(t.shape, w)[n])))
-            for w, row in t.rows.items()}))
-    return t._markings[v]
+def marking_dict(t: TreeOfSpheres, v: int) -> dict:
+    """The derived marking a_v: every label gets the point of its branch."""
+    beyond = branches(t.shape, v)
+    return {x: p for n, p in t.rows[v].items() for x in beyond[n]}
 
 
 def tree_from_charts(charts: Mapping[Partition, Mapping[str, ProjPoint]]) -> TreeOfSpheres:
@@ -171,19 +163,6 @@ def vertex_charts(t: TreeOfSpheres) -> Mapping:
     return t._charts
 
 
-def t_chart(t: TreeOfSpheres, triple: tuple[str, str, str]
-            ) -> tuple[int, Moebius, dict]:
-    """Separating vertex, normalizing chart, and the chart marking.
-
-    The chart is the vertex chart of the triple at its separating vertex;
-    the returned mapping is its composition with the vertex marking on
-    every label.
-    """
-    v = separating_vertex(t.shape, triple)
-    sigma = vertex_chart(t, v, triple)
-    return v, sigma, {x: sigma.apply(p) for x, p in marking_dict(t, v).items()}
-
-
 @value
 class Embedding:
     """All chart values (alpha_t(x)) indexed by (triple, label).
@@ -214,15 +193,24 @@ _ANHARMONIC = {
 
 
 def embed(t: TreeOfSpheres) -> Embedding:
+    """Each triple is charted at the one vertex where its labels get three
+    distinct points, the vertex that separates it; every label takes the
+    image of its branch's edge point."""
     labels = sorted(t.labels)
     out = {}
-    for combo in combinations(labels, 3):
-        _, _, base = t_chart(t, combo)
-        for perm, transform in _ANHARMONIC.items():
-            triple = (combo[perm[0]], combo[perm[1]], combo[perm[2]])
-            for x in labels:
-                p = base[x]
-                out[(triple, x)] = ProjPoint.make(*transform(p.u, p.v))
+    for v in t.shape.internal:
+        a_v, beyond = marking_dict(t, v), branches(t.shape, v)
+        for combo in combinations(labels, 3):
+            ends = [a_v[x] for x in combo]
+            if len(set(ends)) < 3:
+                continue
+            sigma = moebius_from_three(*ends)
+            for n, p in t.edge_points(v).items():
+                q = sigma.apply(p)
+                for perm, transform in _ANHARMONIC.items():
+                    image = ProjPoint.make(*transform(q.u, q.v))
+                    triple = (combo[perm[0]], combo[perm[1]], combo[perm[2]])
+                    out.update(((triple, x), image) for x in beyond[n])
     return Embedding(tuple(sorted(out.items())))
 
 

@@ -300,22 +300,6 @@ def block_of(p: Partition, x: str) -> Block:
     raise KeyError(x)
 
 
-def separating_vertex(t: MarkedTree, triple: tuple[str, str, str]) -> int:
-    """The unique internal vertex with the three labels in distinct branches."""
-    x0, x1, x2 = triple
-    if len({x0, x1, x2}) != 3:
-        raise ValueError("separating vertex requires three distinct labels")
-    hits = []
-    for v in sorted(t.internal):
-        p = partition_at(t, v)
-        if len({block_of(p, x0), block_of(p, x1), block_of(p, x2)}) == 3:
-            hits.append(v)
-    if len(hits) != 1:
-        raise InvalidFamily(
-            f"triple {triple} separated by {len(hits)} vertices in an invalid tree")
-    return hits[0]
-
-
 def representative_triple(p: Partition) -> tuple[str, str, str]:
     """Lexicographically smallest triple hitting three distinct blocks."""
     labels = sorted(frozenset().union(*p))

@@ -196,6 +196,12 @@ class TestErrors:
         assert r.returncode == 1
         assert json.loads(r.stdout) == {"error": "InvalidFamily", "witness": ["2", "3"]}
 
+    def test_a_collision_at_eps_names_its_labels(self):
+        # the path eps meets the constant path 1 at eps = 1
+        r = run_cli("sample", data("family_eps.json"), "--eps", "1")
+        assert r.returncode == 1
+        assert json.loads(r.stdout) == {"error": "CollisionAtEpsilon", "witness": ["2", "4"]}
+
     def test_underflowing_cross_ratio_is_refused(self, tmp_path):
         # a product of two brackets underflows to (0 : 0), though no two labels coincide
         seq = tmp_path / "vanishing_row.json"

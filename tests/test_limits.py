@@ -88,7 +88,6 @@ from sphere_trees.trees import (
     partition_at,
     partition_sort_key,
     representative_triple,
-    separating_vertex,
     tree_from_partitions,
     tree_partitions,
 )
@@ -1001,8 +1000,8 @@ def lexicographic_limit_cover(fam: CoverFamily):
 
     Target label triples are tried in lexicographic order until the map
     conjugated by the source chart and postcomposed with the triple's chart
-    family has a nonconstant leading limit; the triple's separating vertex is
-    the image, and the limit is moved into that vertex's marking.
+    family has a nonconstant leading limit; the vertex whose marking gives the
+    triple three distinct points, the one that separates it, is the image, and the limit is moved into that vertex's marking.
     """
     source, target = limit_tree(fam.y_family), limit_tree(fam.z_family)
     vmap, maps = dict(fam.portrait.fmap), {}
@@ -1016,7 +1015,8 @@ def lexicographic_limit_cover(fam: CoverFamily):
                 limit = oracle_leading_limit(conjugated.postcompose(m))
             except ConstantLimit:
                 continue
-            w = separating_vertex(target.shape, ztriple)
+            w = next(u for u in sorted(target.shape.internal)
+                     if len({marking_dict(target, u)[c] for c in ztriple}) == 3)
             maps[v] = limit.postcompose(vertex_chart(target, w, ztriple).inverse())
             vmap[v] = w
             break

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -31,8 +32,8 @@ from sphere_trees.moduli import (
     project,
     sphere_as_tree,
     spheres_iso,
-    t_chart,
     twist,
+    vertex_chart,
 )
 from sphere_trees.trees import (
     MarkedTree,
@@ -103,7 +104,7 @@ class TestMarkedSphere:
         assert marking_dict(two_vertex, 0) == {"1": pt(0), "2": pt(1), "3": INF, "4": INF}
         fresh = TreeOfSpheres(MarkedTree(shape.leaves, shape.internal, shape.edges),
                               two_vertex.marking)
-        assert fresh._markings is None and fresh._charts is None
+        assert fresh._charts is None
         assert fresh.shape._adjacency is None
         assert fresh.shape._branches is None
         assert fresh == two_vertex and hash(fresh) == hash(two_vertex)
@@ -117,16 +118,16 @@ class TestMarkedSphere:
         canonical_form(two_vertex)
         assert set(two_vertex._charts) == {0, 1}
         assert two_vertex == fresh and hash(two_vertex) == hash(fresh)
-        for obj, names in ((two_vertex, ["_markings", "_charts"]),
+        for obj, names in ((two_vertex, ["_charts"]),
                            (shape, ["_adjacency", "_branches"]),
                            (cover, ["vm", "_maps"]), (portrait, ["f_dict", "deg_dict"])):
             for name in names:
                 assert f"{name}=" not in repr(obj)
-        # the tables are read-only and built once: every call sees the same one
+        # a_v is read from the row on each call, so a caller's copy is its own
         a_0 = marking_dict(two_vertex, 0)
-        assert a_0 is marking_dict(two_vertex, 0)
-        with pytest.raises(TypeError):
-            a_0["1"] = pt(2)
+        a_0["1"] = pt(2)
+        assert marking_dict(two_vertex, 0)["1"] == pt(0)
+        # the tables are read-only
         with pytest.raises(TypeError):
             portrait.f_dict["y0"] = "z1"
         # the cover's edge table: empty until asked, outside repr, equality and
@@ -159,26 +160,42 @@ def test_no_module_level_caches():
         assert cached == [], (info.name, cached)
 
 
-class TestTChart:
-    def test_identity_marking(self):
-        t = sphere_as_tree(MarkedSphere.make({"1": pt(0), "2": pt(1), "3": INF}))
-        _, sigma, alpha = t_chart(t, ("1", "2", "3"))
-        assert sigma.is_identity()
-        assert alpha == {"1": pt(0), "2": pt(1), "3": INF}
-
-    def test_cross_ratio_marking(self):
-        t = sphere_as_tree(MarkedSphere.make(
-            {"1": pt(1), "2": pt(2), "3": pt(4), "4": pt(3)}))
-        _, _, alpha = t_chart(t, ("1", "2", "3"))
-        assert alpha["4"] == pt(4)
-
-    def test_two_vertex_collapses_far_branch(self, two_vertex):
-        v, _, alpha = t_chart(two_vertex, ("1", "2", "3"))
-        assert v == 0
-        assert alpha == {"1": pt(0), "2": pt(1), "3": INF, "4": INF}
+def chart_values(e, triple, labels):
+    return {x: e.value(triple, x) for x in labels}
 
 
 class TestEmbed:
+    def test_identity_chart(self):
+        # (1, 2, 3) already sits at (0, 1, inf): its chart leaves every point in place
+        marking = {"1": pt(0), "2": pt(1), "3": INF, "4": pt(2, 1)}
+        e = embed(sphere_as_tree(MarkedSphere.make(marking)))
+        assert chart_values(e, ("1", "2", "3"), marking) == marking
+
+    def test_cross_ratio_chart(self):
+        t = sphere_as_tree(MarkedSphere.make(
+            {"1": pt(1), "2": pt(2), "3": pt(4), "4": pt(3)}))
+        assert embed(t).value(("1", "2", "3"), "4") == pt(4)
+
+    def test_two_vertex_charts_each_triple_at_its_separating_vertex(self, two_vertex):
+        e, labels = embed(two_vertex), ["1", "2", "3", "4"]
+        # (1, 2, 3) is charted at vertex 0, where 3 and 4 share the far branch
+        assert chart_values(e, ("1", "2", "3"), labels) == {
+            "1": pt(0), "2": pt(1), "3": INF, "4": INF}
+        # (1, 3, 4) is charted at vertex 1, where 1 and 2 share the far branch
+        assert chart_values(e, ("1", "3", "4"), labels) == {
+            "1": pt(0), "2": pt(0), "3": pt(1), "4": INF}
+
+    def test_each_triple_is_charted_at_the_vertex_that_separates_it(self, tree_corpus):
+        for t in tree_corpus[:40]:
+            e, labels = embed(t), sorted(t.labels)
+            for triple in combinations(labels, 3):
+                hits = [v for v in t.shape.internal if len(
+                    {b for b in partition_at(t.shape, v) for x in triple if x in b}) == 3]
+                assert len(hits) == 1
+                sigma = vertex_chart(t, hits[0], triple)
+                assert chart_values(e, triple, labels) == {
+                    x: sigma.apply(p) for x, p in marking_dict(t, hits[0]).items()}
+
     def test_triple_forced(self):
         t = sphere_as_tree(MarkedSphere.make({"1": pt(0), "2": pt(1), "3": INF}))
         e = embed(t)
@@ -480,18 +497,18 @@ class TestProject:
         p = project(star4, ["1", "2", "4"])
         assert marking_dict(p, 0) == {"1": pt(0), "2": pt(1), "4": pt(5)}
 
-    def test_commuting_square(self, small_shapes):
-        rng = random.Random(99)
-        for shape in rng.sample(small_shapes[6], 10):
-            t = random_marking(shape, rng)
-            sub = sorted(rng.sample(sorted(t.labels), 4))
-            p = project(t, sub)
-            ep = embed(p)
+    def test_commuting_square(self):
+        # the forgetful map in cross-ratio coordinates: embedding a projection
+        # reads the same values as embedding the tree, on every 4-label set
+        rng = random.Random(2014)
+        for k in range(12):
+            t = random_marking(random_stable_shape(4 + k % 6, rng), rng)
+            if k % 2:
+                t = twist(t, {v: random_moebius(rng) for v in t.shape.internal})
             et = embed(t)
-            from itertools import permutations
-            for triple in permutations(sub, 3):
-                for x in sub:
-                    assert et.value(triple, x) == ep.value(triple, x)
+            for sub in combinations(sorted(t.labels), 4):
+                for (triple, x), value in embed(project(t, sub)).values:
+                    assert et.value(triple, x) == value, (k, sub, triple, x)
 
     def test_idempotent(self, two_vertex):
         p1 = project(two_vertex, ["1", "3", "4"])

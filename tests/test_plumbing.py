@@ -95,8 +95,9 @@ class TestSample:
             "2": LaurentPoint.from_poly(LaurentPoly.eps()),
             "3": LaurentPoint.from_poly(LaurentPoly.constant(gr(7))),
         })
-        with pytest.raises(CollisionAtEpsilon):
+        with pytest.raises(CollisionAtEpsilon, match="collide at eps = 1/2") as info:
             fam.evaluate(Fraction(1, 2))
+        assert info.value.witness == ["1", "2"]
 
     def test_collision_is_isolated(self):
         # a collision holds at finitely many eps: halving past it samples cleanly

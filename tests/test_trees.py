@@ -25,7 +25,6 @@ from sphere_trees.trees import (
     partition_at,
     partition_sort_key,
     representative_triple,
-    separating_vertex,
     tree_from_partitions,
     tree_partitions,
     trees_isomorphic,
@@ -210,14 +209,7 @@ class TestIsomorphism:
             trees_isomorphic(star, two_vertex)
 
 
-class TestSeparatingVertex:
-    def test_star_any_triple(self, star):
-        assert separating_vertex(star, ("1", "2", "3")) == 0
-
-    def test_two_vertex(self, two_vertex):
-        assert separating_vertex(two_vertex, ("1", "2", "3")) == 0
-        assert separating_vertex(two_vertex, ("1", "3", "4")) == 1
-
+class TestRepresentativeTriple:
     def test_representative_triple(self, two_vertex):
         assert representative_triple(partition_at(two_vertex, 0)) == ("1", "2", "3")
         assert representative_triple(partition_at(two_vertex, 1)) == ("1", "3", "4")

@@ -188,8 +188,7 @@ class TestDerivedFields:
         fresh = TreeOfSpheres(t.shape, t.marking)
         vertex_charts(t)
         marking_dict(t, min(t.shape.internal))
-        assert t._charts is not None and t._markings is not None
-        assert fresh._charts is None and fresh._markings is None
+        assert t._charts is not None and fresh._charts is None
         assert_same_value(t, fresh)
         assert fresh.rows == t.rows
 
