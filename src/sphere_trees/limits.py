@@ -53,7 +53,6 @@ from .trees import (
     MarkedTree,
     Partition,
     partition_at,
-    representative_triple,
     tree_from_partitions,
     tree_partitions,
 )
@@ -143,8 +142,9 @@ def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
     lead table, g(x, y) = v(x, y) - v(x, r) - v(y, r) is an ultrametric on
     the other labels whose balls are the vertices, read only where a split
     compares it.  A ball of minimum m splits into the classes of g > m,
-    which with the labels outside it form the vertex's partition, marked by
-    its representative triple's chart.
+    which with the labels outside it form the vertex's partition.  The blocks'
+    minima are r and the classes' first members, in ascending order, and the
+    first three are the representative triple whose chart marks the vertex.
     """
     labels, lead = sorted(fam.labels), fam.lead
     r = labels[0]
@@ -162,7 +162,7 @@ def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
         for x in ball:
             children.setdefault(next((c for c in children if g(c, x) > m), x), []).append(x)
         partition = frozenset(map(frozenset, [*children.values(), fam.labels.difference(ball)]))
-        charts[partition] = _limit_chart(map(min, partition), lead, representative_triple(partition))
+        charts[partition] = _limit_chart(minima := [r, *children], lead, tuple(minima[:3]))
         balls.extend(c for c in children.values() if len(c) > 1)
     return tree_from_charts(charts)
 

@@ -132,8 +132,9 @@ def tree_from_charts(charts: Mapping[Partition, Mapping[str, ProjPoint]]) -> Tre
     shape = tree_from_partitions(charts)
     marking = {}
     for i in shape.internal:
-        chart = charts[partition_at(shape, i)]
-        marking[i] = {n: chart[min(b)] for n, b in branches(shape, i).items()}
+        row = branches(shape, i)
+        chart = charts[frozenset(row.values())]
+        marking[i] = {n: chart[min(b)] for n, b in row.items()}
     return TreeOfSpheres.make(shape, marking)
 
 

@@ -4,7 +4,8 @@ A marked tree has the labels as its leaves and internal vertices of valence
 at least three.  Up to isomorphism fixing the labels, such a tree is the
 same data as an admissible set of partitions of the label set; both
 directions of that correspondence are implemented here, together with the
-small tree-walking utilities the rest of the package relies on.
+small tree-walking utilities the rest of the package relies on.  Only a tree
+built from edges derives its branches by a walk; partitions give them.
 
 Vertices are heterogeneous: leaves are label strings, internal vertices are
 opaque integers that never participate in equality of the classified data.
@@ -51,8 +52,8 @@ class MarkedTree:
     leaves: frozenset
     internal: frozenset
     edges: frozenset
-    # derived lookups, filled on first use by adjacency, branches and validate_tree,
-    # so an unvalidated tree derives nothing until asked
+    # derived lookups, set by tree_from_partitions, else filled on first use by adjacency,
+    # branches and validate_tree, so an unvalidated tree derives nothing until asked
     _adjacency: Optional[Mapping] = field(init=False)
     _branches: Optional[Mapping] = field(init=False)
     _problems: Optional[tuple] = field(init=False)
@@ -154,9 +155,10 @@ def branch(t: MarkedTree, v: Vertex, toward: Vertex) -> Block:
 
 
 def branches(t: MarkedTree, v: int) -> Mapping:
-    """The branch beyond each edge at v.
+    """The branch beyond each edge at v, in neighbors order.
 
-    One post-order pass from the smallest internal vertex fills the table for
+    tree_from_partitions sets the table from the blocks.  For a tree built from
+    edges, one post-order pass from the smallest internal vertex fills it for
     every internal vertex: each subtree's label set, and the labels outside it
     toward the parent; O(V·n) for V internal vertices and n labels.
     """
@@ -198,23 +200,24 @@ class AdmissibilityViolation:
 
 
 def _admissibility(parts: list, labels: frozenset
-                   ) -> tuple[Optional[AdmissibilityViolation], set]:
-    """The first violated condition of the sorted partitions, and their tree's
-    edges, both read from one index from each block to its partition's rank.
+                   ) -> tuple[Optional[AdmissibilityViolation], list]:
+    """The first violated condition of the sorted partitions, and at each rank
+    the row from each neighbour to the block beyond it, both read from one index
+    from each block to its partition's rank.
 
-    A non-singleton block is joined to the rank holding its complement, a
-    singleton to its leaf: Σdeg lookups.  The witness is the ordered scan's:
-    the first partition with a failing block and its smallest such block,
-    or the first pair of ranks sharing a block and their smallest shared one.
+    A singleton block {x} joins leaf x, any other block the rank holding its
+    complement: Σdeg lookups.  The witness is the ordered scan's: the first
+    partition with a failing block and its smallest such block, or the first
+    pair of ranks sharing a block and their smallest shared one.
     """
     for p in parts:
         if frozenset().union(*p) != labels or any(not b for b in p):
-            return AdmissibilityViolation(0, "not a partition of the label set", p), set()
+            return AdmissibilityViolation(0, "not a partition of the label set", p), []
         if sum(map(len, p)) != len(labels):
-            return AdmissibilityViolation(0, "blocks are not pairwise disjoint", p), set()
+            return AdmissibilityViolation(0, "blocks are not pairwise disjoint", p), []
     for p in parts:
         if len(p) < 3:
-            return AdmissibilityViolation(1, f"partition has {len(p)} < 3 blocks", p), set()
+            return AdmissibilityViolation(1, f"partition has {len(p)} < 3 blocks", p), []
     rank: dict[Block, int] = {}
     shared = []  # (first rank holding the block, a later rank holding it)
     for i, p in enumerate(parts):
@@ -222,27 +225,28 @@ def _admissibility(parts: list, labels: frozenset
             first = rank.setdefault(b, i)
             if first != i:
                 shared.append((first, i))
-    edges: set[Edge] = set()
+    rows: list[dict] = []
     missing = []  # (rank, block) of each block whose complement no partition holds
     for i, p in enumerate(parts):
+        rows.append(row := {})
         for b in p:
             if len(b) == 1:
-                edges.add(edge_of(i, next(iter(b))))
+                row[next(iter(b))] = b
             elif (j := rank.get(labels - b)) is None:
                 missing.append((i, b))
             else:
-                edges.add(edge_of(i, j))
+                row[j] = b
     if missing:
         i = min(i for i, _ in missing)
         b = min((b for k, b in missing if k == i), key=sorted)
         return AdmissibilityViolation(
             2, "non-singleton block has no partner partition containing its complement",
-            parts[i], b), edges
+            parts[i], b), []
     if shared:
         i, j = min(shared)
         b = min((b for b in parts[i] if b in parts[j]), key=sorted)
-        return AdmissibilityViolation(3, "distinct partitions share a block", parts[i], b), edges
-    return None, edges
+        return AdmissibilityViolation(3, "distinct partitions share a block", parts[i], b), []
+    return None, rows
 
 
 def is_admissible(ps: Iterable[Partition], labels: Optional[frozenset] = None
@@ -265,24 +269,34 @@ def tree_from_partitions(ps: Iterable[Partition]) -> MarkedTree:
     """Build the stable tree classified by an admissible partition set.
 
     Internal ids are the ranks of the partitions in canonical sort order, so
-    the construction is deterministic.  The admissibility check's block index
-    gives the edges, O(V·n) for V partitions of n labels, and the assembled
-    tree must give back the partition set.
+    the construction is deterministic.  The admissibility check's rows give
+    the edges, the adjacency and the branch table (rows in neighbors order),
+    O(V·n) for V partitions of n labels, and the tree must pass validate_tree.
+    It gives the partitions back without a walk.  Let B[i][j] be the block of
+    p_i joined to j.  Under conditions 0-3 the blocks of p_i are distinct edges
+    at i (two complements in one p_j would overlap in p_i's third block), and
+    once the tree is certified stable, induction from the leaves shows that
+    the labels beyond i -> j are labels - B[j][i] = B[i][j].
     """
     parts = sorted(set(ps), key=partition_sort_key)
     if not parts:
         raise NotAdmissible("empty partition set does not describe a tree")
     labels = frozenset().union(*parts[0])
-    violation, edges = _admissibility(parts, labels)
+    violation, rows = _admissibility(parts, labels)
     if violation is not None:
         raise NotAdmissible("partition set is not admissible", witness=violation)
-    t = MarkedTree(labels, frozenset(range(len(parts))), frozenset(edges))
+    t = MarkedTree(labels, frozenset(range(len(parts))),
+                   frozenset(edge_of(i, n) for i, row in enumerate(rows) for n in row))
     problems = validate_tree(t)
     if problems:
         raise NotAdmissible("partition set does not assemble into a stable tree",
                             witness=problems)
-    if tree_partitions(t) != frozenset(parts):
-        raise NotAdmissible("assembled tree does not reproduce the partition set")
+    table = {i: MappingProxyType(dict(sorted(row.items(), key=lambda nb: vertex_key(nb[0]))))
+             for i, row in enumerate(rows)}
+    adj = {n: (i,) for i, row in enumerate(rows) for n in row if isinstance(n, str)}
+    adj.update((i, tuple(row)) for i, row in table.items())
+    object.__setattr__(t, "_adjacency", MappingProxyType(adj))
+    object.__setattr__(t, "_branches", MappingProxyType(table))
     return t
 
 

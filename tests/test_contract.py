@@ -26,15 +26,16 @@ from math import comb
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, random_marking, random_moebius, random_stable_shape
 from sphere_trees import cli
 from sphere_trees import serialize as ser
 from sphere_trees.errors import SchemaError
 from sphere_trees.gaussian import gr
 from sphere_trees.covers import Portrait
 from sphere_trees.laurent import LP_ONE, LP_ZERO, LaurentMap, LaurentPoint, LaurentPoly
-from sphere_trees.limits import CoverFamily, LaurentFamily
+from sphere_trees.limits import CoverFamily, LaurentFamily, limit_tree
 from sphere_trees.moduli import MarkedSphere, embed, sphere_as_tree
+from sphere_trees.plumbing import plumb_family
 from sphere_trees.projective import ProjPoint
 from sphere_trees.rational import poly_mul
 
@@ -510,6 +511,17 @@ def test_the_work_bound_on_a_root_of_high_order(tmp_path, d, expected):
     if expected == 1:
         assert json.loads(out) == {"error": "NotRealizable", "witness": [
             f"fiber of 'c1' sums to 1, expected {d}"]}
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_the_limit_of_a_large_twisted_family_in_a_capped_child(tmp_path, n):
+    # label count, the first size in the sweep: a twisted plumbed family read, made
+    # and assembled within CASE_SECONDS and the memory cap, byte for byte in-process
+    rng = random.Random(f"size-sweep-{n}")
+    fam = plumb_family(random_marking(random_stable_shape(n, rng), rng)).twist(random_moebius(rng))
+    code, out, err = run_cli_child("limit", write(tmp_path, ser.family_to_json(fam)))
+    assert code == 0, err
+    assert out == ser.canonical_dumps(ser.tree_of_spheres_to_json(limit_tree(fam)))
 
 
 @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000 + "]" * 100_000],

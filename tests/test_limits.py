@@ -469,6 +469,34 @@ def test_seeded_trees_do_not_depend_on_the_hash_seed():
     assert outs[0] == outs[1]
 
 
+def test_assembled_trees_do_not_depend_on_the_hash_seed():
+    # the assembly reads frozenset blocks, whose order follows the hash seed; its
+    # outputs and its branch order must not
+    script = "\n".join([
+        "import random, sys",
+        f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})",
+        "from test_limits import dump, plumbed_family",
+        "from sphere_trees.limits import limit_tree",
+        "from sphere_trees.moduli import project",
+        "from sphere_trees.trees import branches, neighbors, vertex_key",
+        "for n in range(4, 16):",
+        "    rng = random.Random(f'hash-seed-{n}')",
+        "    for _ in range(3):",
+        "        t = limit_tree(plumbed_family(n, 'twist', rng))",
+        "        p = project(t, rng.sample(sorted(t.labels), rng.randint(3, n)))",
+        "        for s in (t, p):",
+        "            for v in s.shape.internal:",
+        "                ns = list(neighbors(s.shape, v))",
+        "                if not list(branches(s.shape, v)) == ns == sorted(ns, key=vertex_key):",
+        "                    sys.exit(f'branches out of neighbors order at n = {n}')",
+        "            print(dump(s), end=chr(0))",
+    ])
+    outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0].count(chr(0)) == 2 * 12 * 3
+
+
 # twelve snapshots a=0, b=1, c=2, d=3, e=inf, with b=1e-100 and c=1e-230 in the last
 VANISHING_ROW_SNAPSHOTS = [{"a": 0j, "b": 1 + 0j, "c": 2 + 0j, "d": 3 + 0j, "e": None}
                            for _ in range(11)] + [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +21,7 @@ from conftest import (
     z_squared_cover,
 )
 from sphere_trees import moduli
+from sphere_trees import serialize as ser
 from sphere_trees.covers import TreeCover, cover_iso, edge_table, extract_portrait
 from sphere_trees.dynamics import dyn_membership
 from sphere_trees.errors import InvalidFamily, LeafSetMismatch, MarkedSetTooSmall
@@ -530,6 +533,34 @@ class TestProject:
     def test_too_small(self, two_vertex):
         with pytest.raises(MarkedSetTooSmall):
             project(two_vertex, ["1", "2"])
+
+
+def project_scale_digests() -> list[str]:
+    """'n form i k sha256' of the project dump of each of three seeded random trees of
+    spheres per n in (16, 32, 64) and form, each projected to three random label subsets
+    of k labels; rewrite the pin with `PYTHONPATH=src:tests python3 -c "import
+    test_moduli as t; print(*t.project_scale_digests(), sep=chr(10))" >
+    tests/golden/project_scale.sha`"""
+    lines = []
+    for n in (16, 32, 64):
+        for form in ("plain", "twist"):
+            rng = random.Random(f"project-scale-{n}-{form}")
+            for i in range(3):
+                t = random_marking(random_stable_shape(n, rng), rng)
+                if form == "twist":
+                    t = twist(t, {v: random_moebius(rng) for v in sorted(t.shape.internal)})
+                for _ in range(3):
+                    sub = rng.sample(sorted(t.labels), rng.randint(3, n - 1))
+                    out = ser.canonical_dumps(ser.tree_of_spheres_to_json(project(t, sub)))
+                    digest = hashlib.sha256(out.encode()).hexdigest()
+                    lines.append(f"{n} {form} {i} {len(sub)} {digest}")
+    return lines
+
+
+def test_project_digests_are_pinned_at_scale():
+    # byte identity of project past TestProject's small trees
+    golden = pathlib.Path(__file__).parent / "golden" / "project_scale.sha"
+    assert project_scale_digests() == golden.read_text().splitlines()
 
 
 class TestCanonicalForm:

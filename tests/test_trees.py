@@ -17,6 +17,7 @@ from sphere_trees.errors import (
 from sphere_trees.trees import (
     AdmissibilityViolation,
     MarkedTree,
+    adjacency,
     branch,
     branches,
     enumerate_stable_trees,
@@ -314,12 +315,60 @@ def mutations(ps, rng):
             frozenset([b, *(c - b for c in q if c - b)])]
 
 
+def assert_walked_tables(t):
+    """The tables tree_from_partitions assembled for t, in order, against those the
+    walk in branches derives for the same tree built from its edges."""
+    walked = MarkedTree.make(t.leaves, t.internal, t.edges)
+    assert walked._branches is None
+    assert dict(adjacency(t)) == dict(adjacency(walked))
+    for v in t.internal:
+        assert list(branches(t, v).items()) == list(branches(walked, v).items())
+        assert dict(branches(t, v)) == {n: walked_branch(walked, v, n) for n in neighbors(t, v)}
+    assert tree_partitions(t) == tree_partitions(walked)
+    assert validate_tree(t) == validate_tree(walked) == []
+
+
+def contractions(ps):
+    """Each partition set of the tree with one internal edge {i, j} contracted: p_i
+    and p_j become one partition, without the block of each that holds the other."""
+    parts = sorted(ps, key=partition_sort_key)
+    labels = frozenset().union(*parts[0])
+    for p, q in combinations(parts, 2):
+        for b in sorted(p, key=lambda b: tuple(sorted(b))):
+            if labels - b in q:
+                yield [r for r in parts if r not in (p, q)] + [(p - {b}) | (q - {labels - b})]
+
+
 class TestAssemblyOracles:
     def test_round_trip_every_shape_four_to_seven_labels(self):
         for n in range(4, 8):
             for t in enumerate_stable_trees([str(i) for i in range(1, n + 1)]):
                 ps = tree_partitions(t)
-                assert tree_partitions(tree_from_partitions(ps)) == ps
+                built = tree_from_partitions(ps)
+                assert_walked_tables(built)
+                assert tree_partitions(built) == ps
+
+    def test_contracted_partition_sets_assemble_as_the_walk_does(self, small_shapes):
+        # admissible sets next to a tree's own, which mutations never yields
+        count = 0
+        for n in (4, 5, 6):
+            for t in small_shapes[n]:
+                for ps in contractions(tree_partitions(t)):
+                    assert is_admissible(ps) is None and ordered_is_admissible(ps) is None
+                    built = tree_from_partitions(ps)
+                    assert_walked_tables(built)
+                    assert tree_partitions(built) == frozenset(ps)
+                    count += 1
+        assert count > 500
+
+    def test_assembled_tables_equal_the_walk_on_random_shapes(self):
+        rng = random.Random(35)
+        for n in (12, 40, 90):
+            for _ in range(3):
+                ps = tree_partitions(random_stable_shape(n, rng))
+                built = tree_from_partitions(ps)
+                assert_walked_tables(built)
+                assert tree_partitions(built) == ps
 
     def test_branches_equal_walks(self, small_shapes):
         rng = random.Random(7)
