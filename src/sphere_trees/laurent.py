@@ -104,11 +104,6 @@ class LaurentPoly:
             raise ValueError("power substitution requires k >= 1")
         return LaurentPoly(tuple((e * k, c) for e, c in self.terms))
 
-    def evaluate(self, eps: Fraction) -> GaussianRational:
-        if eps <= 0:
-            raise ValueError("families are evaluated at eps > 0")
-        return GaussianRational.dot((c, GaussianRational(eps ** e)) for e, c in self.terms)
-
 
 LP_ZERO = LaurentPoly(())
 LP_ONE = LaurentPoly.constant(GR_ONE)
@@ -147,7 +142,19 @@ class LaurentPoint:
         return LaurentPoint.make(self.u.substitute_power(k), self.v.substitute_power(k))
 
     def evaluate(self, eps: Fraction) -> ProjPoint:
-        return ProjPoint.make(self.u.evaluate(eps), self.v.evaluate(eps))
+        """The point at eps = p / q > 0 on integers: lo and hi the extreme exponents of u and v,
+        each term c eps^e is scaled to c p^(e - lo) q^(hi - e), and the ratio reduced once."""
+        if eps <= 0:
+            raise ValueError("families are evaluated at eps > 0")
+        es = [e for part in (self.u, self.v) for e, _ in part.terms] or [0]
+        p, q, lo, hi, sums = eps.numerator, eps.denominator, min(es), max(es), []
+        for part in (self.u, self.v):
+            a, b, c = 0, 0, 1
+            for e, x in part.terms:
+                w = p ** (e - lo) * q ** (hi - e) * c
+                a, b, c = a * x.c + x.a * w, b * x.c + x.b * w, c * x.c
+            sums.append((a, b, c))
+        return ProjPoint.ratio(*sums)
 
 
 def bracket_lead(p: LaurentPoint, q: LaurentPoint) -> tuple[int, GaussianRational] | None:

@@ -14,7 +14,8 @@ limit's charts; the family's local degrees are checked against its map exactly.
 
 The numeric mode extrapolates one chart per vertex instead, found by a
 lexicographic scan of the unseparated triples, and refuses quadruples that do
-not settle within tolerance and snapshots in which two labels coincide.
+not settle within tolerance and snapshots in which two labels coincide.  A sequence
+checks every coordinate when made; a limit normalizes only the snapshots its ladders read.
 """
 
 from __future__ import annotations
@@ -175,13 +176,20 @@ NumericPoint = tuple[complex, complex]  # homogeneous, scaled to unit norm
 _NOT_FINITE = "snapshot coordinates must be finite with a finite modulus: "
 
 
-def _numeric_point(value) -> NumericPoint:
-    """Accepts a complex number, or None for infinity."""
+def _checked(value) -> complex | None:  # a snapshot coordinate; None is infinity
     if value is None:
-        return (1.0 + 0j, 0j)
+        return None
     z = complex(value)
     if not abs(z.real) + abs(z.imag) < math.inf:  # NaN, infinity, or |z| past the float range
         raise InvalidFamily(_NOT_FINITE + repr(z))
+    return z
+
+
+def _numeric_point(value) -> NumericPoint:
+    """Accepts a complex number, or None for infinity."""
+    z = _checked(value)
+    if z is None:
+        return (1.0 + 0j, 0j)
     n = abs(z)  # z / 1.0 is complex division, which may clear the sign of a zero part
     return (z / n, 1.0 / n) if n > 1.0 else (z / 1.0, 1.0)
 
@@ -203,7 +211,8 @@ def _cross_ratio_row(snap: Sequence[NumericPoint], i0: int, i1: int, i2: int) ->
     for a, b in snap:
         u = (a * b0 - a0 * b) * b1inf
         v = (a * bi - ai * b) * b10
-        n = max(abs(u), abs(v))
+        au, av = abs(u), abs(v)
+        n = av if av > au else au  # max(au, av), NaN included
         row.append((0j, 0j) if n == 0.0 else (u / n, v / n))
     return row
 
@@ -219,21 +228,24 @@ def _bs_extrapolate(ratios: Sequence[Sequence[float]], values: Sequence[complex]
 
     Rational extrapolation stays accurate when the sampled function has
     poles near the sampled range, which polynomial extrapolation does not.
-    Tableau row i needs only row i - 1 and the ladder's ratio table (``_eps_ratios``).
+    Tableau row i needs only row i - 1 and the ladder's ratio table (``_eps_ratios``): one
+    list holds both, row i written over row i - 1 a cell behind the read.  The first cell's
+    lag is 0, as t - 0 is t bit for bit; t + 0 where d == 0 clears a negative zero.
     """
-    prev: list = []
+    row: list = []
     for t, ratio in zip(values, ratios):
-        row, lag = [t], None  # lag: the entry of the previous row before p
-        for p, r in zip(prev, ratio):
+        lag = 0  # lag: the entry of row i - 1 before p
+        for k, r in enumerate(ratio):
+            p = row[k]
+            row[k] = t
             num = t - p
-            den2 = t if lag is None else t - lag
+            den2 = t - lag
             lag = p
             if den2 != 0:
                 d = r * (1 - num / den2) - 1
                 t = t + (num / d if d != 0 else 0)
-            row.append(t)
-        prev = row
-    return prev[-1]
+        row.append(t)
+    return row[-1]
 
 
 def _extrapolate(ratios: Sequence[Sequence[float]], pts: Sequence[NumericPoint]) -> NumericPoint:
@@ -250,7 +262,7 @@ class NumericConfigSequence:
     """Snapshots of a degenerating configuration at known parameter values."""
 
     labels: tuple
-    snapshots: tuple   # per snapshot: tuple of NumericPoint aligned with labels
+    snapshots: tuple   # per snapshot: checked coordinates aligned with labels, complex or None
     eps: tuple         # per-snapshot degeneration parameter, decreasing
     tolerance: float
     stability_window: int
@@ -277,7 +289,7 @@ class NumericConfigSequence:
                 raise InvalidFamily("snapshots do not share a label set")
             # from a list, not an iterator: a tuple grown from an iterator keeps its
             # spare slots, which held about 0.7 MiB more on the numeric bench
-            rows.append(tuple([_numeric_point(snap[x]) for x in labels]))
+            rows.append(tuple([_checked(snap[x]) for x in labels]))
         return cls(labels, tuple(rows), tuple(float(e) for e in eps),
                    float(tolerance), int(stability_window))
 
@@ -320,11 +332,11 @@ def _ladder_nodes(eps: Sequence[float], skip: int, order: Sequence[int] = ()) ->
     return nodes
 
 
-def _refuse_coincident(seq: NumericConfigSequence, used: set[int]) -> None:
-    """Refuse a used snapshot where labels y, z coincide: with any third label
-    w, the cross-ratio of the quadruple (y, z, w; y) is (0 : 0) there."""
-    for i in sorted(used, key=lambda i: seq.eps[i]):
-        for (y, p), (z, q) in combinations(zip(seq.labels, seq.snapshots[i]), 2):
+def _refuse_coincident(seq: NumericConfigSequence, points: Mapping[int, list]) -> None:
+    """Refuse a used snapshot, given as its normalized points, where labels y, z coincide:
+    with any third label w, the cross-ratio of the quadruple (y, z, w; y) is (0 : 0) there."""
+    for i in sorted(points, key=lambda i: seq.eps[i]):
+        for (y, p), (z, q) in combinations(zip(seq.labels, points[i]), 2):
             if p[0] * q[1] - q[0] * p[1] == 0:
                 w = next(x for x in seq.labels if x not in (y, z))
                 raise NotStabilized(
@@ -341,13 +353,14 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     smallest parameters; a chart is refused at once when a spread, the largest
     chordal distance from the first estimate to another, exceeds tolerance.
     Clustering must be transitive, and a snapshot with coincident labels is refused first.
-    A charted triple builds one cross-ratio row per snapshot some ladder uses, and
-    refuses the first, by ascending eps, where a product of brackets underflows to
-    (0 : 0); each ladder reads its series from those rows and its ratios from one table
-    per call, and the first label a ladder's chart divides by zero or past the float
-    range is refused at its first such snapshot.  The triple's own 0 and inf labels, exact
-    zeros of every row's numerator or denominator, are charted from ladder 0's last row
-    and as (1 : 0), the bits their tableaux would return with spread 0.0.
+    The snapshots some ladder uses, and only those, are normalized once per call; a charted
+    triple builds one cross-ratio row per such snapshot, and refuses the first, by ascending
+    eps, where a product of brackets underflows to (0 : 0); each ladder reads its series
+    from those rows and its ratios from one table per call, and the first label a ladder's
+    chart divides by zero or past the float range is refused at its first such snapshot.
+    The triple's own 0 and inf labels, exact zeros of every row's numerator or denominator,
+    are charted from ladder 0's last row and as (1 : 0), the bits their tableaux would
+    return with spread 0.0.
     """
     w = seq.stability_window
     labels = seq.labels
@@ -356,9 +369,9 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
                             witness={"snapshots": len(seq.snapshots), "window": w})
     order = sorted(range(len(seq.eps)), key=seq.eps.__getitem__)
     nodes = [_ladder_nodes(seq.eps, skip, order) for skip in range(w)]
-    used = {i for node_idx in nodes for i in node_idx}
-    _refuse_coincident(seq, used)
-    scan = [i for i in order if i in used]
+    points = {i: [_numeric_point(z) for z in seq.snapshots[i]] for i in set().union(*nodes)}
+    _refuse_coincident(seq, points)
+    scan = [i for i in order if i in points]
     ladders = [
         (_eps_ratios([seq.eps[i] for i in node_idx]), node_idx) for node_idx in nodes]
 
@@ -368,7 +381,7 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
         if any(len({side[x] for x in triple}) == 3 for side in sides):
             continue
         i0, i1, i2 = (labels.index(x) for x in triple)
-        rows = {i: _cross_ratio_row(seq.snapshots[i], i0, i1, i2) for i in used}
+        rows = {i: _cross_ratio_row(snap, i0, i1, i2) for i, snap in points.items()}
         for i in scan:
             if (0j, 0j) in rows[i]:
                 x = labels[rows[i].index((0j, 0j))]
@@ -425,6 +438,11 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
 def _cluster(values: Mapping[str, NumericPoint], tolerance: float) -> Partition:
     labels = sorted(values)
     parent = {x: x for x in labels}
+    norms = {x: (abs(u) ** 2 + abs(v) ** 2) ** 0.5 for x, (u, v) in values.items()}
+
+    def distance(x, y):  # chordal(values[x], values[y]), each norm taken once per chart
+        (a, b), (c, d) = values[x], values[y]
+        return 2.0 * abs(a * d - c * b) / (norms[x] * norms[y])
 
     def find(x):
         while parent[x] != x:
@@ -433,14 +451,14 @@ def _cluster(values: Mapping[str, NumericPoint], tolerance: float) -> Partition:
         return x
 
     for x, y in combinations(labels, 2):
-        if chordal(values[x], values[y]) <= tolerance:
+        if distance(x, y) <= tolerance:
             parent[find(x)] = find(y)
     blocks: dict[str, set] = {}
     for x in labels:
         blocks.setdefault(find(x), set()).add(x)
     for block in blocks.values():
         for x, y in combinations(sorted(block), 2):
-            if chordal(values[x], values[y]) > tolerance:
+            if distance(x, y) > tolerance:
                 raise InconsistentClustering(
                     "tolerance closeness is not transitive",
                     witness=[x, y])

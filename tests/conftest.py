@@ -80,9 +80,18 @@ def oracle_laurent_from_three(p0: LaurentPoint, p1: LaurentPoint,
     return LaurentMoebius(p0.v * k_num, -(p0.u * k_num), -(pinf.v * k_01), pinf.u * k_01)
 
 
+def oracle_laurent_evaluate(p: LaurentPoly, eps: Fraction) -> GaussianRational:
+    """Oracle for `LaurentPoint.evaluate`: the Laurent polynomial at eps > 0, term by term
+    over Fraction."""
+    if eps <= 0:
+        raise ValueError("families are evaluated at eps > 0")
+    return GaussianRational.dot((c, GaussianRational(eps ** e)) for e, c in p.terms)
+
+
 def oracle_specialize(f: LaurentMap, eps: Fraction) -> RationalMap:
     """Oracle: the member of the map family at eps."""
-    return RationalMap.make(*([c.evaluate(eps) for c in cs] for cs in (f.num, f.den)))
+    return RationalMap.make(*([oracle_laurent_evaluate(c, eps) for c in cs]
+                              for cs in (f.num, f.den)))
 
 
 class ConstantLimit(Exception):

@@ -27,7 +27,7 @@ from math import comb
 import pytest
 
 from conftest import DATA_DIR, random_marking, random_moebius, random_stable_shape
-from sphere_trees import cli
+from sphere_trees import cli, limits
 from sphere_trees import serialize as ser
 from sphere_trees.errors import SchemaError
 from sphere_trees.gaussian import gr
@@ -258,17 +258,26 @@ def test_malformed_numeric_sequence_is_schema_error(tmp_path, edit):
     assert code == 2 and err.startswith("schema error:")
 
 
+# snapshot 5 is read by no ladder and snapshot 90, the smallest eps, by ladder 0: make
+# checks every snapshot, and not only those numeric_limit_tree normalizes
+NON_FINITE_COORDINATES = [(i, value) for i in (5, 90) for value in (
+    [float("nan"), 0.0], [0.0, float("inf")], [1.7e308, 1.7e308])]
+
+
 @pytest.mark.parametrize("edit, args", [
     (None, ["--tolerance", "nan"]),
     (None, ["--tolerance", "inf"]),
     (lambda b: b["eps"].__setitem__(3, float("nan")), []),
     (lambda b: b["eps"].__setitem__(3, float("inf")), []),
-    (lambda b: b["snapshots"][5].__setitem__("1", [float("nan"), 0.0]), []),
-    (lambda b: b["snapshots"][5].__setitem__("1", [0.0, float("inf")]), []),
-    (lambda b: b["snapshots"][5].__setitem__("1", [1.7e308, 1.7e308]), []),
-], ids=["tolerance-nan", "tolerance-inf", "eps-nan", "eps-inf", "coordinate-nan",
-        "coordinate-inf", "modulus-beyond-float"])
+] + [(lambda b, i=i, value=value: b["snapshots"][i].__setitem__("1", value), [])
+     for i, value in NON_FINITE_COORDINATES],
+    ids=["tolerance-nan", "tolerance-inf", "eps-nan", "eps-inf", "coordinate-nan",
+         "coordinate-inf", "modulus-beyond-float", "coordinate-nan-at-90", "coordinate-inf-at-90",
+         "modulus-beyond-float-at-90"])
 def test_non_finite_numeric_input_is_refused(tmp_path, edit, args):
+    eps = numeric_blob()["eps"]
+    read = {i for skip in range(5) for i in limits._ladder_nodes(eps, skip)}
+    assert 5 not in read and 90 in read
     blob = numeric_blob()
     if edit is not None:
         edit(blob)

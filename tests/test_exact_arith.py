@@ -19,6 +19,7 @@ from conftest import (
     cross_ratio,
     laurent_cross_ratio,
     oracle_laurent_bracket,
+    oracle_laurent_evaluate,
     oracle_laurent_from_three,
     oracle_leading_limit,
     oracle_specialize,
@@ -29,7 +30,7 @@ from conftest import (
     random_moebius,
 )
 from sphere_trees import rational
-from sphere_trees.errors import DegenerateTriple, ZeroFamily
+from sphere_trees.errors import CollisionAtEpsilon, DegenerateTriple, ZeroFamily
 from sphere_trees.gaussian import (
     GR_ONE,
     GR_ZERO,
@@ -50,6 +51,7 @@ from sphere_trees.laurent import (
     bracket_lead,
     laurent_leading_value,
 )
+from sphere_trees.limits import LaurentFamily
 from sphere_trees.projective import Moebius, ProjPoint, moebius_from_three
 from sphere_trees.rational import (
     RationalMap,
@@ -243,7 +245,7 @@ class TestLaurent:
 
     def test_evaluate(self):
         p = LaurentPoly.make([(-1, gr(1)), (1, gr(2))])
-        assert p.evaluate(Fraction(1, 2)) == gr(3)
+        assert oracle_laurent_evaluate(p, Fraction(1, 2)) == gr(3)
 
     def test_map_specialize_and_limit(self):
         eps = LaurentPoly.eps()
@@ -294,7 +296,7 @@ def defined(fn):
 
 
 def specialize_moebius(m: LaurentMoebius, eps: Fraction) -> Moebius:
-    return Moebius.make(*(x.evaluate(eps) for x in (m.a, m.b, m.c, m.d)))
+    return Moebius.make(*(oracle_laurent_evaluate(x, eps) for x in (m.a, m.b, m.c, m.d)))
 
 
 class TestRationalMapKernel:
@@ -995,3 +997,61 @@ class TestOneReductionPerPoint:
                 fn(*args)
                 assert calls["_raw"] <= 3, (fn, m)
         assert calls["divmod"] == calls["hom_apply"] == 0
+
+
+# ---------------------------------------------------------------------------
+# sampling a family on integer triples
+
+
+wide_terms = st.lists(st.tuples(st.integers(-4, 4), big_gaussians), max_size=4)
+wide_eps = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+def oracle_point_evaluate(p: LaurentPoint, eps: Fraction):
+    """ProjPoint.make of the two Fraction oracle values, or its ValueError message."""
+    return outcome(ProjPoint.make, oracle_laurent_evaluate(p.u, eps),
+                   oracle_laurent_evaluate(p.v, eps))
+
+
+class TestPointEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(wide_terms, wide_terms, st.one_of(wide_eps, st.sampled_from(EPSILONS)))
+    def test_evaluate_matches_the_fraction_oracle(self, u, v, eps):
+        # negative exponents survive in a pair built without make, a component may be
+        # zero, eps may exceed 1, and its numerator and denominator reach 10^6
+        u, v = LaurentPoly.make(u), LaurentPoly.make(v)
+        assume(not (u.is_zero() and v.is_zero()))
+        for p in (LaurentPoint(u, v), LaurentPoint.make(u, v)):
+            assert outcome(p.evaluate, eps) == oracle_point_evaluate(p, eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_polys, laurent_polys, wide_eps)
+    def test_planted_collisions_keep_their_message_and_witness(self, a, b, r):
+        # "b" meets "a" = 0 at eps = r, and both components of "d" vanish there
+        assume(not a.is_zero() and not b.is_zero())
+        root = LaurentPoly.make([(0, GaussianRational(-r)), (1, GR_ONE)])
+        paths = {"a": LaurentPoint.make(LP_ZERO, LP_ONE),
+                 "b": LaurentPoint.make(root * a, LP_ONE),
+                 "c": LaurentPoint.make(LP_ONE, LP_ZERO)}
+        d = LaurentPoint.make(root * a, root * b)
+        assert oracle_point_evaluate(d, r) == "ValueError: (0 : 0) is not a projective point"
+        for extra, message, witness in [
+                ({}, f"family members collide at eps = {r}", ["a", "b"]),
+                ({"d": d}, "(0 : 0) is not a projective point", None)]:
+            with pytest.raises(CollisionAtEpsilon) as info:
+                LaurentFamily.make({**paths, **extra}).evaluate(r)
+            assert (str(info.value), info.value.witness) == (message, witness)
+
+    def test_a_point_reduces_once(self, monkeypatch):
+        rng = random.Random("point-evaluation")
+        raw, calls = GaussianRational._raw.__func__, []
+        monkeypatch.setattr(GaussianRational, "_raw",
+                            classmethod(lambda cls, *t: calls.append(t) or raw(cls, *t)))
+        for _ in range(50):
+            p = LaurentPoint(random_laurent(rng), random_laurent(rng))
+            if p.u.is_zero() and p.v.is_zero():
+                continue
+            for eps in (Fraction(1, 97), Fraction(7, 3)):
+                calls.clear()
+                p.evaluate(eps)
+                assert len(calls) <= 1

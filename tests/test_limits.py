@@ -198,12 +198,18 @@ def oracle_extrapolate(eps, pts):
     return limits._numeric_point(1.0 / w)
 
 
+def normalized(snap) -> list:
+    """A snapshot's checked coordinates as the points numeric_limit_tree charts."""
+    return [limits._numeric_point(z) for z in snap]
+
+
 def per_triple_numeric_limit_tree(seq: NumericConfigSequence):
     """The all-triples numeric engine, kept as an oracle for numeric_limit_tree.
 
     Every triple's chart is extrapolated; if any quadruple is unsettled the
     sequence is refused, otherwise every chart is clustered and each distinct
-    partition is marked by the chart of the first triple to give it.
+    partition is marked by the chart of the first triple to give it.  Every
+    snapshot is normalized, though the ladders read only some.
     """
     w = seq.stability_window
     labels = seq.labels
@@ -211,8 +217,9 @@ def per_triple_numeric_limit_tree(seq: NumericConfigSequence):
     if len(seq.snapshots) < w + 1:
         raise NotStabilized("not enough snapshots for the stability window")
     nodes = [limits._ladder_nodes(seq.eps, skip) for skip in range(w)]
-    limits._refuse_coincident(seq, {i for node_idx in nodes for i in node_idx})
-    ladders = [([seq.eps[i] for i in node_idx], [seq.snapshots[i] for i in node_idx])
+    snaps = [normalized(snap) for snap in seq.snapshots]
+    limits._refuse_coincident(seq, {i: snaps[i] for node_idx in nodes for i in node_idx})
+    ladders = [([seq.eps[i] for i in node_idx], [snaps[i] for i in node_idx])
                for node_idx in nodes]
 
     unsettled = []
@@ -450,6 +457,45 @@ def test_limit_tree_digests_are_pinned_at_scale():
     # byte identity of limit_tree past TestEnginesAgree's n <= 14
     golden = pathlib.Path(__file__).parent / "golden" / "limit_tree_scale.sha"
     assert scale_digests() == golden.read_text().splitlines()
+
+
+SAMPLE_EPS = (Fraction(1, 10), Fraction(1, 97), Fraction(1, 200), Fraction(3, 2), Fraction(7, 3))
+
+
+def sample_scale_digests() -> list[str]:
+    """'family eps sha256' of the marked_sphere_to_json dump of fam.evaluate(eps), or of
+    the CollisionAtEpsilon message and witness, for two seeded plumbed families per n in
+    (6, 12, 24) and form, eight random Laurent families with exponents -2..3 and one
+    family with a collision at 3/2 and a (0 : 0) path at 7/3, at each of SAMPLE_EPS;
+    rewrite the pin with `PYTHONPATH=src:tests python3 -c "import test_limits as t;
+    print(*t.sample_scale_digests(), sep=chr(10))" > tests/golden/sample_scale.sha`"""
+    families = []
+    for n in (6, 12, 24):
+        for form in ("plain", "twist", "reparametrize"):
+            rng = random.Random(f"sample-{n}-{form}")
+            families += [(f"{n}-{form}-{i}", plumbed_family(n, form, rng)) for i in range(2)]
+    rng = random.Random("sample-laurent")
+    families += [(f"laurent-{i}", random_laurent_family(4 + i % 4, rng)) for i in range(8)]
+    # labels 1 and 2 meet at eps = 3/2, and both components of 4 vanish at eps = 7/3
+    families.append(("planted", LaurentFamily.make({
+        "1": lconst(0), "2": lpoly([(0, gr(Fraction(-3, 2))), (1, gr(1))]), "3": LINF,
+        "4": LaurentPoint.make(LaurentPoly.make([(0, gr(Fraction(-7, 3))), (1, gr(1))]),
+                               LaurentPoly.make([(1, gr(Fraction(-7, 3))), (2, gr(1))]))})))
+    lines = []
+    for name, fam in families:
+        for eps in SAMPLE_EPS:
+            try:
+                out = ser.canonical_dumps(ser.marked_sphere_to_json(fam.evaluate(eps)))
+            except CollisionAtEpsilon as exc:
+                out = f"CollisionAtEpsilon {exc} {exc.witness!r}"
+            lines.append(f"{name} {eps} {hashlib.sha256(out.encode()).hexdigest()}")
+    return lines
+
+
+def test_sampled_spheres_are_pinned_at_scale():
+    # byte identity of LaurentFamily.evaluate, collisions included, past the CLI golden
+    golden = pathlib.Path(__file__).parent / "golden" / "sample_scale.sha"
+    assert sample_scale_digests() == golden.read_text().splitlines()
 
 
 def test_seeded_trees_do_not_depend_on_the_hash_seed():
@@ -698,7 +744,7 @@ class TestNumericLimit:
         # there: the per-triple oracle divides by zero, and the row is refused
         snaps = VANISHING_ROW_SNAPSHOTS
         seq = NumericConfigSequence.make(snaps, [1.0 / (k + 2) for k in range(len(snaps))])
-        row = limits._cross_ratio_row(seq.snapshots[-1], 0, 1, 2)
+        row = limits._cross_ratio_row(normalized(seq.snapshots[-1]), 0, 1, 2)
         assert row[0] == row[2] == (0j, 0j)
         with pytest.raises(ZeroDivisionError):
             per_triple_numeric_limit_tree(seq)
@@ -718,7 +764,7 @@ class TestNumericLimit:
         # into nan, and the first such snapshot by ascending eps is refused
         seq = NumericConfigSequence.make(*pole_snapshots(at, big))
         for i, e in enumerate(seq.eps):
-            v = limits._cross_ratio_row(seq.snapshots[i], 0, 1, 2)[3][1]
+            v = limits._cross_ratio_row(normalized(seq.snapshots[i]), 0, 1, 2)[3][1]
             assert (abs(v) < sys.float_info.min) == (e in at)
             assert (v == 0) == (e in at and big == 1e200)
         with pytest.raises(ZeroDivisionError if big == 1e200 else InvalidFamily):
@@ -729,20 +775,25 @@ class TestNumericLimit:
         assert info.value.witness == {"quadruple": ["a", "b", "c", "d"], "eps": min(at)}
 
     def test_snapshot_points_are_normalized_bit_for_bit(self):
-        # make normalizes every point inline: against z / n, 1 / n with n = max(|z|, 1),
-        # signed zeros included, with the same refusals and messages
+        # make keeps every coordinate as the checked complex or None, and _numeric_point
+        # normalizes it against z / n, 1 / n with n = max(|z|, 1), signed zeros included;
+        # make refuses with the same messages
         parts = [0.0, -0.0, 0.5, -1.0, 1e-300, -1e9, 1e308]
         values = [None, 0, 2, -0.5] + [complex(a, b) for a in parts for b in parts
                                        if abs(a) + abs(b) < float("inf")]
         labels = [f"x{i:03d}" for i in range(len(values))]
         seq = NumericConfigSequence.make([dict(zip(labels, values))] * 2, [1.0, 0.5])
-        for value, point in zip(values, seq.snapshots[1]):
+        for value, coordinate in zip(values, seq.snapshots[1]):
+            point = limits._numeric_point(coordinate)
             if value is None:
+                assert coordinate is None
                 assert repr(point) == repr((1.0 + 0j, 0j))
                 continue
             z = complex(value)
+            assert type(coordinate) is complex and repr(coordinate) == repr(z)
             n = max(abs(z), 1.0)
             assert repr(point) == repr((z / n, 1.0 / n))
+            assert repr(limits._numeric_point(value)) == repr(point)
         big = complex(1e308, 1e308)
         for snaps, refusal in [
             ([{"a": 0j, "b": big, "c": None}], f"snapshot coordinates must be finite with a "
@@ -811,8 +862,10 @@ class TestNumericLimit:
                 pts = [(v, u) for u, v in pts]
             assert outcome(limits._extrapolate, ratios, pts) == outcome(oracle_extrapolate, eps, pts)
 
-        # den2 == 0: a zero first sample; d == 0: values 1/eps at eps doubling
-        for eps, vals in [([0.25, 0.5], [0j, 0j]), ([0.125, 0.25, 0.5, 1.0], [8 + 0j, 4, 2, 1])]:
+        # den2 == 0: a zero first sample; d == 0: values 1/eps at eps doubling, and again
+        # with negative zero imaginary parts, which t + 0 clears to (2+0j)
+        for eps, vals in [([0.25, 0.5], [0j, 0j]), ([0.125, 0.25, 0.5, 1.0], [8 + 0j, 4, 2, 1]),
+                          ([0.125, 0.25, 0.5, 1.0], [complex(x, -0.0) for x in (8, 4, 2, 1)])]:
             assert repr(limits._bs_extrapolate(limits._eps_ratios(eps), vals)) \
                 == repr(oracle_bs_extrapolate(eps, vals))
         assert (0.125 / 0.25) * (1 - (4 - 8) / 4) - 1 == 0

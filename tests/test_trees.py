@@ -296,8 +296,9 @@ def walked_branch(t, v, toward):
 
 
 def mutations(ps, rng):
-    """Drop a partition, merge two blocks, move a label, and repeat a block
-    of one partition in another."""
+    """Drop a partition, merge two blocks, move a label, repeat a block of one
+    partition in another, and swap two labels in every partition, which keeps
+    the set admissible."""
     parts = sorted(ps, key=partition_sort_key)
     i = rng.randrange(len(parts))
     p, rest = parts[i], parts[:i] + parts[i + 1:]
@@ -313,6 +314,9 @@ def mutations(ps, rng):
         b = rng.choice(blocks)
         yield parts[:i] + [p] + [r for r in rest if r != q] + [
             frozenset([b, *(c - b for c in q if c - b)])]
+    x, y = rng.sample(sorted(frozenset().union(*p)), 2)
+    swap = {x: y, y: x}
+    yield [frozenset(frozenset(swap.get(z, z) for z in c) for c in r) for r in parts]
 
 
 def assert_walked_tables(t):
@@ -384,7 +388,7 @@ class TestAssemblyOracles:
 
     def test_mutated_partition_sets_give_the_ordered_witness(self, small_shapes):
         rng = random.Random(21)
-        seen = set()
+        seen, admissible = set(), 0
         for n in (4, 5, 6):
             for t in small_shapes[n]:
                 for ps in mutations(tree_partitions(t), rng):
@@ -392,13 +396,17 @@ class TestAssemblyOracles:
                     got = is_admissible(ps)
                     assert got == expected
                     if expected is None:
-                        assert tree_partitions(tree_from_partitions(ps)) == frozenset(ps)
+                        built = tree_from_partitions(ps)
+                        assert tree_partitions(built) == frozenset(ps)
+                        assert_walked_tables(built)
+                        admissible += 1
                         continue
                     seen.add(expected.condition)
                     with pytest.raises(NotAdmissible) as info:
                         tree_from_partitions(ps)
                     assert info.value.witness == expected
         assert seen == {0, 1, 2, 3}
+        assert admissible > 0
 
     def test_condition_three_names_the_smallest_shared_block(self):
         ps = [fs(["1"], ["2"], ["3", "4"]),
