@@ -8,6 +8,8 @@ degree ledger sum(local_degree - 1) = 2 deg - 2 that every critical point is
 a marked point, so no root isolation is ever needed.  Each cover computes
 the image and local degree at every edge point once (`edge_table`); the
 validation, the portrait and the isomorphism check all read that table.
+Beside it each cover keeps its validation verdict and extracted portrait,
+so a second `validate_cover` only compares against its expected portrait.
 
 Reconstruction builds the unique cover with a given source tree and leaf
 portrait in one loop over the whole source.  Each round peels one target
@@ -37,10 +39,10 @@ from .errors import (
     SphereTreesError,
     UnitOnDivisor,
 )
-from .gaussian import GR_ONE, GR_ZERO
+from .gaussian import GaussianRational, horner, linear_product, quotient
 from .moduli import MarkedSphere, TreeOfSpheres, iso_of_spheres, sphere_as_tree
 from .projective import P_INF, P_ONE, P_ZERO, ProjPoint
-from .rational import RationalMap, local_degree, poly_mul
+from .rational import RationalMap, local_degree
 from .trees import (
     MarkedTree,
     Vertex,
@@ -118,8 +120,9 @@ class TreeCover:
     maps: tuple        # sorted (internal id, RationalMap) pairs
     vm: Mapping = field(init=False)
     _maps: Mapping = field(init=False)
-    # derived, filled on first use by edge_table
+    # derived, filled on first use by edge_table and validate_cover
     _edges: Optional[Mapping] = field(init=False)
+    _verdict: Optional[tuple] = field(init=False)  # (diagnostics, portrait or None)
 
     def __post_init__(self):
         object.__setattr__(self, "vm", MappingProxyType(dict(self.vertex_map)))
@@ -179,18 +182,40 @@ def global_degree(c: TreeCover) -> int:
 
 
 def extract_portrait(c: TreeCover) -> Portrait:
+    if c._verdict is not None and c._verdict[1] is not None:
+        return c._verdict[1]
     fmap = {y: c.vm[y] for y in c.source.labels}
     degmap = {y: leaf_degree(c, y) for y in c.source.labels}
     return Portrait.make(fmap, degmap, global_degree(c))
 
 
 def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -> list[str]:
-    """All cover invariants as diagnostics; empty list means valid."""
+    """All cover invariants as diagnostics; empty list means valid.  Everything but the
+    comparison with expected_portrait is computed once per cover and kept with the
+    extracted portrait, which is None where validation stops before extracting it."""
+    if c._verdict is None:
+        object.__setattr__(c, "_verdict", _cover_problems(c))
+    problems, portrait = c._verdict
+    problems, e = list(problems), expected_portrait
+    if portrait is not None and e is not None:  # one line per differing leaf datum, and one for d
+        for y in sorted(portrait.y_labels | e.y_labels):
+            for what, got, want in (("image", portrait.f_dict, e.f_dict),
+                                    ("local degree", portrait.deg_dict, e.deg_dict)):
+                if got.get(y) != want.get(y):
+                    problems.append(
+                        f"leaf {y!r}: {what} {got.get(y)!r}, expected {want.get(y)!r}")
+        if portrait.d != e.d:
+            problems.append(f"degree {portrait.d}, expected {e.d}")
+    return problems
+
+
+def _cover_problems(c: TreeCover) -> tuple:
+    """(diagnostics, extracted portrait or None) of `validate_cover`, without its comparison."""
     problems = []
     problems += [f"source: {p}" for p in validate_tree(c.source.shape)]
     problems += [f"target: {p}" for p in validate_tree(c.target.shape)]
     if problems:
-        return problems
+        return tuple(problems), None
     vm = c.vm
     for y in sorted(c.source.labels):
         if not isinstance(vm[y], str) or vm[y] not in c.target.labels:
@@ -199,14 +224,14 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
         if not isinstance(vm[v], int) or vm[v] not in c.target.shape.internal:
             problems.append(f"internal vertex {v} does not map to a target internal vertex")
     if problems:
-        return problems
+        return tuple(problems), None
     edges = sorted(c.source.shape.edges, key=lambda e: tuple(sorted(map(vertex_key, e))))
     for e in edges:
         a, b = tuple(e)
         if vm[a] == vm[b] or edge_of(vm[a], vm[b]) not in c.target.shape.edges:
             problems.append(f"edge {sorted(map(str, e))} does not map to a target edge")
     if problems:
-        return problems
+        return tuple(problems), None
 
     for v in sorted(c.source.shape.internal):
         f = c.map_at(v)
@@ -234,7 +259,7 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
             problems.append(
                 f"vertex {v}: degree ledger {ledger} != {2 * f.degree - 2}")
     if problems:
-        return problems
+        return tuple(problems), None
 
     for e in edges:
         a, b = tuple(e)
@@ -247,20 +272,8 @@ def validate_cover(c: TreeCover, expected_portrait: Optional[Portrait] = None) -
     try:
         portrait = extract_portrait(c)
     except InconsistentDegree as exc:
-        problems.append(str(exc))
-        return problems
-    problems += validate_portrait(portrait, allow_degree_one=True)
-    e = expected_portrait
-    if e is not None:  # one line per differing leaf datum, and one for d
-        for y in sorted(portrait.y_labels | e.y_labels):
-            for what, got, want in (("image", portrait.f_dict, e.f_dict),
-                                    ("local degree", portrait.deg_dict, e.deg_dict)):
-                if got.get(y) != want.get(y):
-                    problems.append(
-                        f"leaf {y!r}: {what} {got.get(y)!r}, expected {want.get(y)!r}")
-        if portrait.d != e.d:
-            problems.append(f"degree {portrait.d}, expected {e.d}")
-    return problems
+        return (*problems, str(exc)), None
+    return (*problems, *validate_portrait(portrait, allow_degree_one=True)), portrait
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +285,8 @@ def rational_from_divisors(zeros: Iterable[ProjPoint], poles: Iterable[ProjPoint
     """The unique map with the given zero/pole multisets and value 1 at unit_point.
 
     Points at infinity contribute through degree balancing instead of a
-    linear factor.
+    linear factor.  The factors c z - (a + b i) of the finite points multiply
+    as Gaussian-integer pairs (`linear_product`), with no gcd until the end.
     """
     zeros, poles = list(zeros), list(poles)
     if not zeros or len(zeros) != len(poles):
@@ -282,17 +296,22 @@ def rational_from_divisors(zeros: Iterable[ProjPoint], poles: Iterable[ProjPoint
                                   witness=[str(p) for p in set(zeros) & set(poles)])
     if unit_point in zeros or unit_point in poles:
         raise UnitOnDivisor("normalization point lies on the divisor")
-    num = den = [GR_ONE]
-    for p in zeros:
-        if not p.is_infinity():
-            num = poly_mul(num, [-p.to_affine(), GR_ONE], GR_ZERO)
-    for p in poles:
-        if not p.is_infinity():
-            den = poly_mul(den, [-p.to_affine(), GR_ONE], GR_ZERO)
-    # already reduced: products of monic linear factors over disjoint supports are
-    # coprime, and den is monic, so neither RationalMap.make gcd is needed
-    value = RationalMap(tuple(num), tuple(den)).apply(unit_point).to_affine()  # finite, nonzero
-    return RationalMap(tuple(c / value for c in num), tuple(den))
+    num = linear_product(p.u for p in zeros if not p.is_infinity())
+    den = linear_product(p.u for p in poles if not p.is_infinity())
+    if unit_point.is_infinity():  # unit not on the divisor: equal degrees, value the top ratio
+        (na, nb, nc), at_unit = (*num[-1], 1), (*den[-1], 1)
+    else:
+        r = unit_point.u
+        (na, nb, nc), at_unit = (horner([(x, y, 1) for x, y in cs], r.a, r.b, r.c)[-1]
+                                 for cs in (num, den))
+    top = den[-1][0]  # the product of the poles' denominators, so den / top is monic
+    # s = den(unit) / (top num(unit)), so that (s num) / (den / top) is 1 at the unit point
+    s = quotient(*at_unit, top * na, top * nb, nc)
+    # already reduced: products of linear factors over disjoint supports are coprime, so
+    # neither RationalMap.make gcd is needed; one reduction per output coefficient
+    return RationalMap(
+        tuple(GaussianRational._raw(x * s.a - y * s.b, x * s.b + y * s.a, s.c) for x, y in num),
+        tuple(GaussianRational._raw(x, y, top) for x, y in den))
 
 
 # ---------------------------------------------------------------------------

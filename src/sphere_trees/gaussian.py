@@ -188,6 +188,17 @@ def quotient(xa: int, xb: int, xc: int, ya: int, yb: int, yc: int) -> GaussianRa
                                  xc * (ya * ya + yb * yb))
 
 
+def linear_product(roots: Iterable[GaussianRational]) -> list[tuple]:
+    """The product of c z - (a + b i) over the roots (a + b i)/c, as Gaussian-integer
+    pairs ascending by exponent: its top pair is (the product of the c, 0)."""
+    p = [(1, 0)]
+    for r in roots:
+        a, b, c = r.a, r.b, r.c
+        p = [(c * x0 - a * x1 + b * y1, c * y0 - a * y1 - b * x1)
+             for (x0, y0), (x1, y1) in zip([(0, 0), *p], [*p, (0, 0)])]
+    return p
+
+
 def horner(coeffs: Sequence[tuple], ra: int, rb: int, rc: int) -> list[tuple]:
     """Running sums of Horner's rule at r = (ra + rb i)/rc on triples, coeffs ascending:
     the last is the value at r, the others the quotient by (z - r), top first."""

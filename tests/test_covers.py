@@ -220,10 +220,15 @@ class TestRationalFromDivisors:
             value = f.apply(unit).to_affine()
             return RationalMap.make(f.num, [c * value for c in f.den])
 
+        def coordinate(rng, wide):
+            den = rng.randint(1, 10**6) if wide else rng.randint(1, 3)
+            return Fraction(rng.randint(-4 * den, 4 * den), den)
+
         rng = random.Random(20)
-        for _ in range(3000):
-            support = sorted({INF} | {pt(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                                         Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        unit_at_inf = inf_on_divisor = wide_cases = 0
+        for case in range(3000):
+            wide = case % 12 == 0  # denominators up to 10**6 in one case of twelve
+            support = sorted({INF} | {pt(coordinate(rng, wide), coordinate(rng, wide))
                                       for _ in range(3)}, key=lambda q: q.sort_key())
             if len(support) < 3:
                 continue
@@ -236,6 +241,11 @@ class TestRationalFromDivisors:
             short += short[-1:] * abs(len(zeros) - len(poles))
             got, want = rational_from_divisors(zeros, poles, unit), oracle(zeros, poles, unit)
             assert got == want and repr(got) == repr(want)
+            unit_at_inf += unit == INF
+            inf_on_divisor += INF in zeros or INF in poles
+            wide_cases += wide and max(q.u.c for q in support if q != INF) > 1000
+        # the unit at infinity, and infinity among the zeros or the poles, both drawn often
+        assert unit_at_inf > 300 and inf_on_divisor > 1500 and wide_cases > 220
 
 
 class TestReconstruct:
@@ -333,6 +343,74 @@ class TestCertifiedOnce:
         with pytest.raises(InvariantBreach, match="assembled limit is not a valid cover") as info:
             limit_cover(degenerate_family_three_vertex())
         assert info.value.witness and all(isinstance(w, str) for w in info.value.witness)
+
+    # each cover keeps its verdict: the diagnostics before the portrait comparison and the
+    # extracted portrait; every call compares against its own expected portrait
+    def test_the_returned_list_is_fresh(self):
+        cover, portrait = z_squared_cover()
+        bad = shifted_at_first_vertex(cover)
+        violations = validate_cover(bad, portrait)
+        assert violations
+        validate_cover(bad, portrait).clear()
+        validate_cover(bad).append("extra")
+        assert validate_cover(bad, portrait) == violations
+        ok = validate_cover(cover, portrait)
+        ok.append("extra")
+        assert validate_cover(cover, portrait) == validate_cover(cover) == []
+
+    def test_each_call_compares_its_own_portrait(self):
+        cover, portrait = z_squared_fiber_cover(gr(2))
+        fresh = TreeCover(cover.source, cover.target, cover.vertex_map, cover.maps)
+        assert validate_cover(fresh, portrait) == []
+        other = Portrait.make(portrait.f_dict, {**portrait.deg_dict, "y0": 1}, 2)
+        assert validate_cover(fresh, other) == ["leaf 'y0': local degree 2, expected 1"]
+        assert validate_cover(fresh, portrait) == validate_cover(fresh) == []
+        assert extract_portrait(fresh) is extract_portrait(fresh) == portrait
+
+    def test_early_verdicts_ignore_the_expected_portrait(self, monkeypatch):
+        cover = limit_cover(degenerate_family_two_vertex())
+        portrait = extract_portrait(cover)
+        other = Portrait.make(portrait.f_dict, {**portrait.deg_dict, "y0": 2, "ye": 2}, 3)
+        sq = z_squared_map()
+        quartic = RationalMap.make(poly_mul(sq.num, sq.num, GR_ZERO), sq.den)
+        edge_broken = TreeCover.make(cover.source, cover.target, {**cover.vm, 1: 0}, dict(cover.maps))
+        inconsistent = TreeCover.make(cover.source, cover.target, cover.vm,
+                                      {**dict(cover.maps), 0: quartic})
+        with pytest.raises(InconsistentDegree):
+            global_degree(inconsistent)
+        for broken in (edge_broken, inconsistent):
+            lines = validate_cover(broken)
+            assert lines and validate_cover(broken, portrait) == lines
+            assert validate_cover(broken, other) == lines
+        assert "edge ['0', '1'] does not map to a target edge" in validate_cover(edge_broken)
+        # past every local check, a degree sum that differs is the last line, and no
+        # portrait is kept for the comparison
+        fresh = TreeCover(cover.source, cover.target, cover.vertex_map, cover.maps)
+
+        def differing(c):
+            raise InconsistentDegree("fiber degree sums differ across target vertices")
+        monkeypatch.setattr(covers, "global_degree", differing)
+        lines = ["fiber degree sums differ across target vertices"]
+        assert validate_cover(fresh, other) == validate_cover(fresh, portrait) == lines
+        assert validate_cover(fresh) == lines
+
+    def test_a_second_validation_recomputes_nothing(self, monkeypatch):
+        cover = limit_cover(z_squared_chain_family((1, 1, 2, 2, 0, 3, 4)))
+        portrait = extract_portrait(cover)
+        fresh = TreeCover(cover.source, cover.target, cover.vertex_map, cover.maps)
+        assert validate_cover(fresh, portrait) == []
+        calls = []
+        apply = RationalMap.apply
+        monkeypatch.setattr(RationalMap, "apply",
+                            lambda self, p: calls.append("apply") or apply(self, p))
+        for name in ("local_degree", "edge_table", "extract_portrait", "validate_tree"):
+            spied = getattr(covers, name)
+            monkeypatch.setattr(covers, name,
+                                lambda *args, _f=spied, _n=name: calls.append(_n) or _f(*args))
+        other = Portrait.make(portrait.f_dict, portrait.deg_dict, portrait.d + 1)
+        assert validate_cover(fresh, portrait) == validate_cover(fresh) == []
+        assert validate_cover(fresh, other) == [f"degree {portrait.d}, expected {portrait.d + 1}"]
+        assert calls == []
 
 
 def reconstruction_inputs(cover, rng, rounds=6):
