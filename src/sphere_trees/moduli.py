@@ -1,22 +1,22 @@
 """Marked spheres, trees of spheres, and the cross-ratio embedding.
 
-A tree of spheres is a stable tree together with, at each internal vertex,
-an injective assignment of its edges to exact points of a sphere; these
-per-edge rows are its only marking.  The label marking a_v of a vertex, which
-sends every label to the point of its branch, is read from the row when it
-is needed.  Isomorphism, the embedding by all quadruple cross-ratios (each
-triple charted at the vertex that separates it), canonical representatives,
-and restriction of the marking to a sub-label-set all live here.
-``iso_of_spheres`` is the one isomorphism decision and returns its witness;
-``canonical_form`` and ``embed`` are outputs, and serve the tests and the
-benchmark as independent oracles for its verdicts.
+A tree of spheres is a stable tree with, at each internal vertex, an
+injective row sending its edges, in neighbors order, to points of a sphere;
+the label marking a_v (each label to its branch's point) is read from it.
+Isomorphism, the cross-ratio embedding (each triple charted at the vertex
+that separates it), canonical forms and restriction to a sub-label-set live
+here.  ``iso_of_spheres`` is the one isomorphism decision, with a witness;
+``canonical_form`` and ``embed`` are outputs and oracles for its verdicts.
 
-Each tree of spheres keeps one chart table, built on first use by
-``vertex_charts``: at every internal vertex, its partition and the vertex
-chart of the partition's representative triple.  ``canonical_form`` and
-``iso_of_spheres`` both read it, so a tree is charted once however often it
-is classified or compared.  ``iso_of_spheres`` compares partition sets before
-it asks for the table, so trees of different shapes cost no chart.
+``TreeOfSpheres._assembled`` builds every tree and checks each row's
+injectivity.  ``make`` first checks rows against the shape's edges, for
+parsed and reconstructed trees; ``tree_from_charts``, ``canonical_form`` (on
+its source's renamed shape) and ``twist`` build rows on a certified shape.
+
+``vertex_charts`` builds each tree's chart table once, on first use: every
+internal vertex's partition and its representative triple's chart, read by
+``canonical_form`` and ``iso_of_spheres`` (which compares partition sets first,
+so trees of different shapes cost no chart).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     MarkedSetTooSmall,
     NotASubset,
 )
-from .projective import M_IDENTITY, Moebius, ProjPoint, moebius_from_three
+from .projective import Moebius, ProjPoint, moebius_from_three
 from .trees import (
     MarkedTree,
     Partition,
@@ -41,16 +41,17 @@ from .trees import (
     partition_at,
     partition_sort_key,
     representative_triple,
-    tree_from_partitions,
+    ranked_tree,
+    renumbered,
     vertex_key,
 )
 from .values import field, value
 
 
-def _sharing(row: Mapping) -> list:
-    """The least sorted list of keys, as strings, that share one point in row."""
+def _sharing(row: Iterable[tuple]) -> list:
+    """The least sorted list of keys, as strings, sharing one point in row's pairs."""
     keys_at: dict = {}
-    for key, p in row.items():
+    for key, p in row:
         keys_at.setdefault(p, []).append(str(key))
     return min(sorted(keys) for keys in keys_at.values() if len(keys) > 1)
 
@@ -70,7 +71,7 @@ class MarkedSphere:
             raise MarkedSetTooSmall("a marked sphere needs at least three labels")
         values = list(points.values())
         if len(set(values)) != len(values):
-            raise InvalidFamily("marking is not injective", witness=_sharing(points))
+            raise InvalidFamily("marking is not injective", witness=_sharing(points.items()))
         return cls(frozenset(points), tuple(sorted(points.items())))
 
     def point(self, x: str) -> ProjPoint:
@@ -91,6 +92,7 @@ class TreeOfSpheres:
 
     @classmethod
     def make(cls, shape: MarkedTree, marking: Mapping[int, Mapping] ) -> "TreeOfSpheres":
+        """Checks that each vertex's row assigns exactly its edges, injectively."""
         if set(marking) != set(shape.internal):
             raise InvalidFamily("marking must cover exactly the internal vertices")
         rows = []
@@ -98,15 +100,22 @@ class TreeOfSpheres:
             row = dict(marking[v])
             expected = set(neighbors(shape, v))
             if set(row) != expected:
+                cls._assembled(shape, rows)  # a fault at an earlier vertex is named first
                 raise InvalidFamily(
                     f"marking at vertex {v} must assign exactly its edges",
                     witness=sorted(map(str, expected)))
-            pts = list(row.values())
-            if len(set(pts)) != len(pts):
+            rows.append((v, tuple(sorted(row.items(), key=lambda kv: vertex_key(kv[0])))))
+        return cls._assembled(shape, tuple(rows))
+
+    @classmethod
+    def _assembled(cls, shape: MarkedTree, marking: tuple) -> "TreeOfSpheres":
+        """From (vertex, row) pairs by vertex, each row assigning the vertex's edges in
+        neighbors order, as the caller guarantees; only injectivity is checked here."""
+        for v, row in marking:
+            if len({p for _, p in row}) != len(row):
                 raise InvalidFamily(f"edge marking at vertex {v} is not injective",
                                     witness=_sharing(row))
-            rows.append((v, tuple(sorted(row.items(), key=lambda kv: vertex_key(kv[0])))))
-        return cls(shape, tuple(rows))
+        return cls(shape, marking)
 
     @property
     def labels(self) -> frozenset:
@@ -129,13 +138,10 @@ def tree_from_charts(charts: Mapping[Partition, Mapping[str, ProjPoint]]) -> Tre
     label to a point, constant on the blocks; the vertex of the partition marks
     each of its edges with the point of the smallest label beyond it.
     """
-    shape = tree_from_partitions(charts)
-    marking = {}
-    for i in shape.internal:
-        row = branches(shape, i)
-        chart = charts[frozenset(row.values())]
-        marking[i] = {n: chart[min(b)] for n, b in row.items()}
-    return TreeOfSpheres.make(shape, marking)
+    shape, parts = ranked_tree(charts)
+    return TreeOfSpheres._assembled(shape, tuple(
+        (i, tuple((n, chart[min(b)]) for n, b in branches(shape, i).items()))
+        for i, chart in enumerate(map(charts.__getitem__, parts))))
 
 
 def sphere_as_tree(s: MarkedSphere) -> TreeOfSpheres:
@@ -156,11 +162,9 @@ def vertex_charts(t: TreeOfSpheres) -> Mapping:
     """At each internal vertex v, (partition at v, vertex chart of its
     representative triple at v); computed once per tree."""
     if t._charts is None:
-        table = {}
-        for v in t.shape.internal:
-            p = partition_at(t.shape, v)
-            table[v] = (p, vertex_chart(t, v, representative_triple(p)))
-        object.__setattr__(t, "_charts", MappingProxyType(table))
+        parts = {v: partition_at(t.shape, v) for v in t.shape.internal}
+        object.__setattr__(t, "_charts", MappingProxyType({
+            v: (p, vertex_chart(t, v, representative_triple(p))) for v, p in parts.items()}))
     return t._charts
 
 
@@ -232,31 +236,18 @@ def canonical_form(t: TreeOfSpheres) -> TreeOfSpheres:
     table = vertex_charts(t)
     order = sorted(t.shape.internal, key=lambda v: partition_sort_key(table[v][0]))
     rename = {v: i for i, v in enumerate(order)}
-
-    def rn(v):
-        return rename[v] if isinstance(v, int) else v
-
-    shape = MarkedTree.make(
-        t.shape.leaves,
-        range(len(order)),
-        [tuple(rn(x) for x in e) for e in t.shape.edges],
-    )
-    marking = {}
-    for v in order:
+    marking = []
+    for i, v in enumerate(order):
         sigma = table[v][1]
-        marking[rename[v]] = {
-            rn(n): sigma.apply(p) for n, p in t.edge_points(v).items()
-        }
-    return TreeOfSpheres.make(shape, marking)
+        row = [(rename.get(n, n), sigma.apply(p)) for n, p in t.rows[v].items()]
+        marking.append((i, tuple(sorted(row, key=lambda kv: vertex_key(kv[0])))))
+    return TreeOfSpheres._assembled(renumbered(t.shape, rename), tuple(marking))
 
 
 def induced_partition(t: TreeOfSpheres, v: int, sub: frozenset) -> Optional[Partition]:
     """Partition of the sub-label-set at v, or None when fewer than 3 blocks."""
-    blocks = [b & sub for b in partition_at(t.shape, v)]
-    blocks = [b for b in blocks if b]
-    if len(blocks) < 3:
-        return None
-    return frozenset(blocks)
+    blocks = frozenset(b & sub for b in partition_at(t.shape, v)) - {frozenset()}
+    return blocks if len(blocks) >= 3 else None
 
 
 def project(t: TreeOfSpheres, sub: Iterable[str]) -> TreeOfSpheres:
@@ -287,12 +278,13 @@ def project(t: TreeOfSpheres, sub: Iterable[str]) -> TreeOfSpheres:
 
 
 def twist(t: TreeOfSpheres, maps: Mapping[int, Moebius]) -> TreeOfSpheres:
-    """Post-compose each vertex marking with a Moebius map (same class)."""
-    marking = {}
-    for v in t.shape.internal:
-        m = maps.get(v, M_IDENTITY)
-        marking[v] = {n: m.apply(p) for n, p in t.edge_points(v).items()}
-    return TreeOfSpheres.make(t.shape, marking)
+    """Post-compose each named vertex's marking with a Moebius map (same class)."""
+    if stray := set(maps) - t.shape.internal:
+        raise InvalidFamily("twist maps must be keyed by internal vertices",
+                            witness=sorted(map(str, stray)))
+    return TreeOfSpheres._assembled(t.shape, tuple(
+        (v, row if (m := maps.get(v)) is None else tuple((n, m.apply(p)) for n, p in row))
+        for v, row in t.marking))
 
 
 def iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres

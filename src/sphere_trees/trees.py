@@ -4,8 +4,8 @@ A marked tree has the labels as its leaves and internal vertices of valence
 at least three.  Up to isomorphism fixing the labels, such a tree is the
 same data as an admissible set of partitions of the label set; both
 directions of that correspondence are implemented here, together with the
-small tree-walking utilities the rest of the package relies on.  Only a tree
-built from edges derives its branches by a walk; partitions give them.
+small tree-walking utilities the rest of the package relies on.  Only trees
+built from edges walk for branches; partitions or a renumbered source give them.
 
 Vertices are heterogeneous: leaves are label strings, internal vertices are
 opaque integers that never participate in equality of the classified data.
@@ -278,6 +278,11 @@ def tree_from_partitions(ps: Iterable[Partition]) -> MarkedTree:
     once the tree is certified stable, induction from the leaves shows that
     the labels beyond i -> j are labels - B[j][i] = B[i][j].
     """
+    return ranked_tree(ps)[0]
+
+
+def ranked_tree(ps: Iterable[Partition]) -> tuple[MarkedTree, list]:
+    """tree_from_partitions and, by rank (internal id), the partition objects of ps."""
     parts = sorted(set(ps), key=partition_sort_key)
     if not parts:
         raise NotAdmissible("empty partition set does not describe a tree")
@@ -297,7 +302,22 @@ def tree_from_partitions(ps: Iterable[Partition]) -> MarkedTree:
     adj.update((i, tuple(row)) for i, row in table.items())
     object.__setattr__(t, "_adjacency", MappingProxyType(adj))
     object.__setattr__(t, "_branches", MappingProxyType(table))
-    return t
+    return t, parts
+
+
+def renumbered(t: MarkedTree, rename: Mapping[int, int]) -> MarkedTree:
+    """t with internal vertex v renamed rename[v]: a valid t's verdict and branch
+    table carry over, rows re-sorted; MarkedTree.make refuses an invalid t."""
+    edges = [frozenset(rename.get(x, x) for x in e) for e in t.edges]
+    if validate_tree(t):
+        return MarkedTree.make(t.leaves, rename.values(), edges)
+    out = MarkedTree(t.leaves, frozenset(rename.values()), frozenset(edges))
+    object.__setattr__(out, "_problems", ())
+    if t._branches is not None:
+        object.__setattr__(out, "_branches", MappingProxyType({rename[v]: MappingProxyType(
+            dict(sorted(((rename.get(n, n), b) for n, b in row.items()),
+                        key=lambda nb: vertex_key(nb[0])))) for v, row in t._branches.items()}))
+    return out
 
 
 def trees_isomorphic(t1: MarkedTree, t2: MarkedTree) -> bool:
@@ -307,22 +327,10 @@ def trees_isomorphic(t1: MarkedTree, t2: MarkedTree) -> bool:
     return tree_partitions(t1) == tree_partitions(t2)
 
 
-def block_of(p: Partition, x: str) -> Block:
-    for b in p:
-        if x in b:
-            return b
-    raise KeyError(x)
-
-
 def representative_triple(p: Partition) -> tuple[str, str, str]:
-    """Lexicographically smallest triple hitting three distinct blocks."""
-    labels = sorted(frozenset().union(*p))
-    x0 = labels[0]
-    b0 = block_of(p, x0)
-    x1 = next(x for x in labels if x not in b0)
-    b1 = block_of(p, x1)
-    x2 = next(x for x in labels if x not in b0 and x not in b1)
-    return (x0, x1, x2)
+    """Lexicographically smallest triple hitting three distinct blocks: the three
+    smallest block minima."""
+    return tuple(sorted(map(min, p))[:3])
 
 
 def enumerate_stable_trees(labels: Iterable[str]) -> Iterator[MarkedTree]:

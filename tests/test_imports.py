@@ -12,7 +12,8 @@ shares its name with another definition counts as reached: it errs towards
 passing, never towards a false alarm.  The few definitions that only the
 bench, the scripts or the tests reach are listed with the reason they stay.
 No line of the package starts two comprehensions, generator expressions or
-lambdas of one kind.
+lambdas of one kind.  A tree of spheres is constructed directly only in
+``TreeOfSpheres._assembled``, the one place its rows' injectivity is checked.
 """
 
 from __future__ import annotations
@@ -174,3 +175,51 @@ def test_the_check_finds_an_unreached_definition():
                         '    return Point\n')}
     assert unreached_definitions(sources) == [
         ("a.py", "leftover"), ("b.py", "Caller"), ("c.py", "Point.unused")]
+
+
+def raw_constructions(sources: dict, cls: str = "TreeOfSpheres",
+                      allowed: str = "_assembled") -> list:
+    """(module, enclosing function or "<module>") of each call of the class cls by
+    its name, or as ``cls`` inside its own body, outside its method allowed."""
+    found = []
+
+    def visit(node, module, owner, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, child.name, func)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, owner, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and (child.func.id == cls or child.func.id == "cls" and owner == cls) \
+                    and (owner, func) != (cls, allowed):
+                found.append((module, func or "<module>"))
+            visit(child, module, owner, func)
+
+    for module, source in sorted(sources.items()):
+        visit(ast.parse(source), module, None, None)
+    return found
+
+
+def test_trees_of_spheres_are_constructed_in_one_place():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert raw_constructions(sources) == []
+
+
+def test_the_check_finds_a_raw_construction():
+    sources = {"a.py": ('class TreeOfSpheres:\n'
+                        '    @classmethod\n'
+                        '    def _assembled(cls, shape, rows):\n'
+                        '        return cls(shape, rows)\n'
+                        '    @classmethod\n'
+                        '    def make(cls, shape, rows):\n'
+                        '        return cls(shape, sorted(rows))\n'
+                        'def twist(t):\n'
+                        '    return TreeOfSpheres(t.shape, t.marking)\n'
+                        'class Other:\n'
+                        '    def make(cls):\n'
+                        '        return cls()\n'),
+               "b.py": 'EMPTY = TreeOfSpheres(None, ())\n'}
+    assert raw_constructions(sources) == [("a.py", "make"), ("a.py", "twist"),
+                                          ("b.py", "<module>")]

@@ -20,11 +20,13 @@ from conftest import (
     random_stable_shape,
     z_squared_cover,
 )
-from sphere_trees import moduli
+from sphere_trees import moduli, trees
 from sphere_trees import serialize as ser
 from sphere_trees.covers import TreeCover, cover_iso, edge_table, extract_portrait
 from sphere_trees.dynamics import dyn_membership
 from sphere_trees.errors import InvalidFamily, LeafSetMismatch, MarkedSetTooSmall
+from sphere_trees.gaussian import gr
+from sphere_trees.limits import limit_tree
 from sphere_trees.moduli import (
     MarkedSphere,
     TreeOfSpheres,
@@ -35,14 +37,19 @@ from sphere_trees.moduli import (
     project,
     sphere_as_tree,
     spheres_iso,
+    tree_from_charts,
     twist,
     vertex_chart,
 )
+from sphere_trees.plumbing import plumb_family
+from sphere_trees.projective import Moebius
 from sphere_trees.trees import (
     MarkedTree,
+    branches,
     neighbors,
     partition_at,
     representative_triple,
+    validate_tree,
 )
 
 
@@ -572,3 +579,139 @@ class TestCanonicalForm:
         other = sphere_as_tree(MarkedSphere.make(
             {"1": pt(0), "2": pt(1), "3": INF, "4": pt(6)}))
         assert canonical_form(star4) != canonical_form(other)
+
+
+def caterpillar_shape(n: int) -> MarkedTree:
+    """Labels "1".."n" on a path of internal vertices 0..n-3: two labels at each
+    end of the path and one at every other vertex."""
+    labels = [str(i) for i in range(1, n + 1)]
+    edges = [(labels[0], 0), (labels[-1], n - 3)]
+    edges += [(labels[k + 1], k) for k in range(n - 2)]
+    edges += [(k, k + 1) for k in range(n - 3)]
+    return MarkedTree.make(labels, range(n - 2), edges)
+
+
+def assembly_corpus(rng: random.Random) -> list:
+    """Limit trees of plumbed families (plain, twisted, reparametrized) and of
+    plumbed caterpillars, and random markings of random and caterpillar shapes."""
+    out = []
+    for n in (4, 6, 9, 12):
+        for shape in (random_stable_shape(n, rng), caterpillar_shape(n)):
+            fam = plumb_family(random_marking(shape, rng))
+            out += [limit_tree(fam), limit_tree(fam.twist(random_moebius(rng))),
+                    limit_tree(fam.reparametrize(2)), random_marking(shape, rng)]
+    return out
+
+
+def assert_rebuilds(t: TreeOfSpheres) -> None:
+    """t is what the full constructors make of its own data, with a valid shape
+    whose derived tables are the ones a walk gives."""
+    shape = MarkedTree.make(t.shape.leaves, t.shape.internal, t.shape.edges)
+    again = TreeOfSpheres.make(shape, {v: dict(row) for v, row in t.marking})
+    assert again == t and repr(again.marking) == repr(t.marking)
+    assert validate_tree(t.shape) == [] and trees._tree_problems(t.shape) == []
+    for v in sorted(t.shape.internal):
+        assert list(branches(t.shape, v).items()) == list(branches(shape, v).items())
+        assert neighbors(t.shape, v) == neighbors(shape, v)
+
+
+class TestAssembledOnce:
+    """Limit assembly, canonical forms and twists build their trees without the
+    full checks of TreeOfSpheres.make, which parsed and reconstructed trees keep."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_construction_rebuilds_from_its_own_data(self, seed):
+        rng = random.Random(f"assembled-{seed}")
+        for t in assembly_corpus(rng):
+            charts = {partition_at(t.shape, v): marking_dict(t, v) for v in t.shape.internal}
+            labels = sorted(t.labels)
+            sub = rng.sample(labels, rng.randint(3, len(labels)))
+            maps = {v: random_moebius(rng) for v in t.shape.internal if rng.random() < 0.7}
+            made = [tree_from_charts(charts), canonical_form(t), twist(t, maps), project(t, sub)]
+            made.append(canonical_form(made[1]))
+            for result in [t] + made:
+                assert_rebuilds(result)
+            assert spheres_iso(made[0], t) and spheres_iso(made[2], t)
+            assert made[4] == made[1]
+
+    def test_a_chart_with_two_block_minima_at_one_point_is_refused(self):
+        # ranks: 0 is {1}{2}{3,4}, 1 is {1,2}{3}{4}; at vertex 1 the edge toward 0
+        # takes the point of "1", which the chart gives to "3" as well
+        blocks = [["1"], ["2"], ["3", "4"]], [["1", "2"], ["3"], ["4"]]
+        parts = [frozenset(map(frozenset, p)) for p in blocks]
+        charts = {parts[0]: {"1": pt(0), "2": pt(1), "3": INF, "4": INF},
+                  parts[1]: {"1": pt(0), "2": pt(0), "3": pt(0), "4": INF}}
+        with pytest.raises(InvalidFamily) as info:
+            tree_from_charts(charts)
+        assert str(info.value) == "edge marking at vertex 1 is not injective"
+        assert info.value.witness == ["0", "3"]
+
+    def test_make_names_the_first_vertex_at_fault(self, two_vertex):
+        shape = two_vertex.shape
+        collide = {"1": pt(0), "2": pt(0), 1: INF}
+        with pytest.raises(InvalidFamily) as info:
+            TreeOfSpheres.make(shape, {0: collide, 1: {"3": pt(0), 0: INF}})
+        assert str(info.value) == "edge marking at vertex 0 is not injective"
+        assert info.value.witness == ["1", "2"]
+        with pytest.raises(InvalidFamily) as info:
+            TreeOfSpheres.make(shape, {0: {"1": pt(0), 1: INF},
+                                       1: {"3": pt(0), "4": pt(0), 0: INF}})
+        assert str(info.value) == "marking at vertex 0 must assign exactly its edges"
+        assert info.value.witness == ["1", "1", "2"]  # leaves "1", "2" and vertex 1
+
+    def test_twist_refuses_keys_that_are_not_internal_vertices(self, two_vertex):
+        m = Moebius.make(gr(2), gr(0), gr(0), gr(1))
+        for maps, stray in [({"1": m}, ["1"]), ({0: m, 7: m, "3": m}, ["3", "7"])]:
+            with pytest.raises(InvalidFamily) as info:
+                twist(two_vertex, maps)
+            assert str(info.value) == "twist maps must be keyed by internal vertices"
+            assert info.value.witness == stray
+        assert twist(two_vertex, {}) == two_vertex
+        assert twist(two_vertex, {1: m}).edge_points(0) == two_vertex.edge_points(0)
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts of stability checks and of branch walks, that is branches asked of
+    a tree that has no branch table yet."""
+    counts = Counter()
+    problems, walk = trees._tree_problems, trees.branches
+
+    def counted_problems(t):
+        counts["problems"] += 1
+        return problems(t)
+
+    def counted_walk(t, v):
+        if t._branches is None:
+            counts["walks"] += 1
+        return walk(t, v)
+
+    monkeypatch.setattr(trees, "_tree_problems", counted_problems)
+    for module in (trees, moduli):
+        monkeypatch.setattr(module, "branches", counted_walk)
+    return counts
+
+
+class TestAssemblyWork:
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_limit_tree_checks_its_shape_once_and_walks_nothing(self, derivations, n):
+        rng = random.Random(n)
+        fam = plumb_family(random_marking(random_stable_shape(n, rng), rng))
+        derivations.clear()
+        t = limit_tree(fam)
+        assert derivations == {"problems": 1}
+        assert t.shape._problems == ()
+
+    def test_canonical_forms_and_twists_derive_nothing(self, derivations):
+        rng = random.Random("work")
+        sources = [limit_tree(plumb_family(random_marking(random_stable_shape(9, rng), rng))),
+                  random_marking(caterpillar_shape(9), rng)]
+        moduli.vertex_charts(sources[1])
+        derivations.clear()
+        for t in sources:
+            c = canonical_form(t)
+            twisted = twist(t, {v: random_moebius(rng) for v in t.shape.internal})
+            canonical_form(c)
+            twist(c, {0: random_moebius(rng)})
+            canonical_form(twisted)
+        assert derivations == {}

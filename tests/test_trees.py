@@ -215,6 +215,20 @@ class TestRepresentativeTriple:
         assert representative_triple(partition_at(two_vertex, 0)) == ("1", "2", "3")
         assert representative_triple(partition_at(two_vertex, 1)) == ("1", "3", "4")
 
+    def test_is_the_least_triple_hitting_three_blocks(self, small_shapes):
+        # the oracle scans every triple of sorted labels; labels up to "12" make
+        # string order differ from numeric order
+        rng = random.Random("triples")
+        shapes = [t for n in (3, 4, 5, 6) for t in small_shapes[n]]
+        shapes += [random_stable_shape(n, rng) for n in (9, 12) for _ in range(10)]
+        for t in shapes:
+            for v in t.internal:
+                p = partition_at(t, v)
+                side = {x: b for b in p for x in b}
+                least = next(c for c in combinations(sorted(t.leaves), 3)
+                             if len({side[x] for x in c}) == 3)
+                assert representative_triple(p) == least
+
 
 class TestProperties:
     def test_round_trip_small(self, small_shapes):
