@@ -50,6 +50,7 @@ from sphere_trees.trees import (
     partition_at,
     representative_triple,
     validate_tree,
+    vertex_key,
 )
 
 
@@ -568,6 +569,79 @@ def test_project_digests_are_pinned_at_scale():
     # byte identity of project past TestProject's small trees
     golden = pathlib.Path(__file__).parent / "golden" / "project_scale.sha"
     assert project_scale_digests() == golden.read_text().splitlines()
+
+
+def spine_shape(n: int, valence: int) -> MarkedTree:
+    """Labels "1".."n" on a path of internal vertices, each holding up to
+    valence - 2 labels (the ends one more), so that most vertices have high
+    valence; with valence >= n it is the star."""
+    labels = [str(i) for i in range(1, n + 1)]
+    groups, rest = [labels[:valence - 1]], labels[valence - 1:]
+    while len(rest) > valence - 1:
+        groups.append(rest[:valence - 2])
+        rest = rest[valence - 2:]
+    if rest:
+        groups.append(rest)
+    if len(groups) > 1 and len(groups[-1]) < 2:
+        groups[-1] = groups[-2][-1:] + groups[-1]
+        groups[-2] = groups[-2][:-1]
+    edges = [(x, k) for k, group in enumerate(groups) for x in group]
+    edges += [(k, k + 1) for k in range(len(groups) - 1)]
+    return MarkedTree.make(labels, range(len(groups)), edges)
+
+
+def trivalent_shape(n: int, rng: random.Random) -> MarkedTree:
+    """A stable tree on labels "1".."n" whose internal vertices are all
+    trivalent: each new label subdivides a random edge."""
+    labels = [str(i) for i in range(1, n + 1)]
+    edges = [(x, 0) for x in labels[:3]]
+    for k, x in enumerate(labels[3:], start=1):
+        a, b = edges.pop(rng.randrange(len(edges)))
+        edges += [(a, k), (k, b), (x, k)]
+    return MarkedTree.make(labels, range(n - 2), edges)
+
+
+def canonical_scale_digests() -> list[str]:
+    """'n shape i kind verdict sha256' for three seeded trees of spheres per n in
+    (16, 32, 64) and shape, each paired with a twist, a twist with one vertex
+    re-marked and a fresh marking of its shape: the canonical_form dump of the
+    tree (kind "self") or of its partner, then the spheres_iso verdict and the
+    sorted iso_of_spheres witness, hashed together; rewrite the pin with
+    `PYTHONPATH=src:tests python3 -c "import test_moduli as t;
+    print(*t.canonical_scale_digests(), sep=chr(10))" > tests/golden/canonical_scale.sha`"""
+    def dump(t: TreeOfSpheres) -> str:
+        return ser.canonical_dumps(ser.tree_of_spheres_to_json(canonical_form(t)))
+
+    lines = []
+    for n in (16, 32, 64):
+        for kind in ("random", "star", "spine", "trivalent"):
+            rng = random.Random(f"canonical-scale-{n}-{kind}")
+            for i in range(3):
+                shape = {"random": lambda: random_stable_shape(n, rng),
+                         "star": lambda: spine_shape(n, n + 1),
+                         "spine": lambda: spine_shape(n, rng.randint(5, 9)),
+                         "trivalent": lambda: trivalent_shape(n, rng)}[kind]()
+                a = random_marking(shape, rng)
+                twisted = twist(a, {v: random_moebius(rng) for v in sorted(a.shape.internal)})
+                pairs = [("self", a), ("twist", twisted),
+                         ("remark", _remark_one_vertex(twisted, rng)),
+                         ("fresh", random_marking(a.shape, rng))]
+                for name, b in pairs:
+                    iso = iso_of_spheres(a, b)
+                    verdict = spheres_iso(a, b)
+                    witness = None if iso is None else (
+                        sorted(iso[0].items(), key=lambda kv: vertex_key(kv[0])),
+                        sorted(iso[1].items()))
+                    out = f"{dump(b)}\n{verdict}\n{witness!r}"
+                    digest = hashlib.sha256(out.encode()).hexdigest()
+                    lines.append(f"{n} {kind} {i} {name} {verdict} {digest}")
+    return lines
+
+
+def test_canonical_and_iso_are_pinned_at_scale():
+    # byte identity of canonical_form and of the iso witness past the small corpora
+    golden = pathlib.Path(__file__).parent / "golden" / "canonical_scale.sha"
+    assert canonical_scale_digests() == golden.read_text().splitlines()
 
 
 class TestCanonicalForm:
