@@ -509,14 +509,11 @@ def cover_iso(c1: TreeCover, c2: TreeCover) -> bool:
     """
     if extract_portrait(c1) != extract_portrait(c2):
         raise PortraitMismatch("covers carry different portraits")
-    iso = iso_of_spheres(c1.source, c2.source)
-    if iso is None:
+    if (iso := iso_of_spheres(c1.source, c2.source)) is None:
         return False
-    yvmap, ymoeb = iso
-    ziso = iso_of_spheres(c1.target, c2.target)
-    if ziso is None:
+    if (ziso := iso_of_spheres(c1.target, c2.target)) is None:
         raise InvariantBreach("isomorphic sources over non-isomorphic targets")
-    zvmap, zmoeb = ziso
+    (yvmap, ymoeb), (zvmap, zmoeb) = iso, ziso
     for v1 in c1.source.shape.internal:
         w1 = c1.vm[v1]
         if w1 not in zmoeb or zvmap[w1] != c2.vm[yvmap[v1]]:

@@ -18,6 +18,7 @@ from .moduli import (
     induced_partition,
     iso_of_spheres,
     project,
+    spheres_iso,
     twist,
 )
 from .trees import partition_at
@@ -63,15 +64,11 @@ def validate_dyn(d: DynSystem) -> list[str]:
     return problems
 
 
-def _projections(c: TreeCover, sub: frozenset
-                 ) -> tuple[TreeOfSpheres, TreeOfSpheres, Optional[tuple[dict, dict]]]:
-    """Source and target projections on the labels, and an isomorphism from
-    the target projection onto the source projection (or None)."""
+def _projections(c: TreeCover, sub: frozenset) -> tuple[TreeOfSpheres, TreeOfSpheres]:
+    """Source and target projections on the labels."""
     if not sub <= c.source.labels & c.target.labels:
         raise NotASubset("labels must be marked in both the source and the target")
-    p_source = project(c.source, sub)
-    p_target = project(c.target, sub)
-    return p_source, p_target, iso_of_spheres(p_target, p_source)
+    return project(c.source, sub), project(c.target, sub)
 
 
 def dyn_membership(c: TreeCover, labels) -> tuple[bool, Optional[TreeOfSpheres]]:
@@ -80,10 +77,8 @@ def dyn_membership(c: TreeCover, labels) -> tuple[bool, Optional[TreeOfSpheres]]
     True iff the source and target projections are isomorphic; the source
     projection is returned as the witness dynamical tree.
     """
-    p_source, _, iso = _projections(c, frozenset(labels))
-    if iso is None:
-        return False, None
-    return True, p_source
+    p_source, p_target = _projections(c, frozenset(labels))
+    return (True, p_source) if spheres_iso(p_target, p_source) else (False, None)
 
 
 def synthesize_dyn(c: TreeCover, labels) -> Optional[DynSystem]:
@@ -95,10 +90,10 @@ def synthesize_dyn(c: TreeCover, labels) -> Optional[DynSystem]:
     onto the witness.
     """
     sub = frozenset(labels)
-    witness, p_target, iso = _projections(c, sub)
-    if iso is None:
+    witness, p_target = _projections(c, sub)
+    if (iso := iso_of_spheres(p_target, witness)) is None:
         return None
-    _, moeb_iso = iso
+    moeb_iso = iso[1]
     proj_vertex = {partition_at(p_target.shape, v): v for v in p_target.shape.internal}
     twists = {}
     for w in c.target.shape.internal:

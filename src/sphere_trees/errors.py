@@ -54,8 +54,8 @@ class AdmissibilityFailure(SphereTreesError):
 
 
 class NotStabilized(SphereTreesError):
-    """Snapshots did not settle; witness: each unsettled quadruple of a chart and its spread,
-    or a quadruple whose cross-ratio is (0 : 0) in a snapshot and that snapshot's eps."""
+    """Snapshots did not settle; witness: each unsettled quadruple, its spread and its farthest
+    ladder's index and anchor eps, or a quadruple that is (0 : 0) in a snapshot, and its eps."""
 
 
 class InconsistentClustering(SphereTreesError):

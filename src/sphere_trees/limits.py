@@ -407,8 +407,10 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
                 raise NotStabilized("a cross-ratio is a pole of its extrapolation chart in a snapshot",
                                     witness={"quadruple": [*triple, x], "eps": min(poles)}) from None
             spread = max(chordal(estimates[0], e) for e in estimates[1:])
-            if spread > seq.tolerance:
-                unsettled.append({"quadruple": [*triple, x], "spread": spread})
+            if spread > seq.tolerance:  # name the ladder whose estimate lies farthest out
+                k = max(range(1, w), key=lambda k: chordal(estimates[0], estimates[k]))
+                unsettled.append({"quadruple": [*triple, x], "spread": spread,
+                                  "ladder": k, "anchor_eps": seq.eps[nodes[k][0]]})
             chart[x] = estimates[0]
         if unsettled:
             raise NotStabilized("quadruples did not settle within tolerance",
@@ -555,8 +557,7 @@ def limit_cover(fam: CoverFamily) -> TreeCover:
     """
     source, target = limit_tree(fam.y_family), limit_tree(fam.z_family)
     rebuilt = _build_cover(source, fam.portrait)
-    iso = iso_of_spheres(rebuilt.target, target)
-    if iso is None:
+    if (iso := iso_of_spheres(rebuilt.target, target)) is None:
         raise InvariantBreach("the rebuilt target is not the target limit tree")
     vmap, moebius = iso
     cover = TreeCover.make(source, target, {v: vmap[w] for v, w in rebuilt.vertex_map},

@@ -3,20 +3,17 @@
 A tree of spheres is a stable tree with, at each internal vertex, an
 injective row sending its edges, in neighbors order, to points of a sphere;
 the label marking a_v (each label to its branch's point) is read from it.
-Isomorphism, the cross-ratio embedding (each triple charted at the vertex
-that separates it), canonical forms and restriction to a sub-label-set live
-here.  ``iso_of_spheres`` is the one isomorphism decision, with a witness;
-``canonical_form`` and ``embed`` are outputs and oracles for its verdicts.
+``TreeOfSpheres._assembled`` builds every tree and checks each row's injectivity;
+``make`` first checks rows against the shape's edges, for parsed and reconstructed trees.
 
-``TreeOfSpheres._assembled`` builds every tree and checks each row's
-injectivity.  ``make`` first checks rows against the shape's edges, for
-parsed and reconstructed trees; ``tree_from_charts``, ``canonical_form`` (on
-its source's renamed shape) and ``twist`` build rows on a certified shape.
-
-``vertex_charts`` builds each tree's chart table once, on first use: every
-internal vertex's partition and its representative triple's chart, read by
-``canonical_form`` and ``iso_of_spheres`` (which compares partition sets first,
-so trees of different shapes cost no chart).
+``vertex_charts`` fills each tree's chart table once: at every internal vertex, its
+partition, its representative triple's edges and its charted row, those edges at 0, 1
+and inf by construction and only the others through the triple's Moebius chart, so a
+trivalent vertex (M_{0,3} is a point) builds no map.  ``canonical_form`` renames the
+charted rows.  ``_iso_vertex_map`` decides isomorphism on partition sets, then charted
+rows; ``iso_of_spheres`` adds explicit Moebius maps for the callers that read them.
+The embedding (each triple charted at the vertex that separates it) and canonical
+forms are outputs and oracles for the verdicts.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from .errors import (
     MarkedSetTooSmall,
     NotASubset,
 )
-from .projective import Moebius, ProjPoint, moebius_from_three
+from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint, moebius_from_three
 from .trees import (
     MarkedTree,
     Partition,
@@ -159,12 +156,22 @@ def vertex_chart(t: TreeOfSpheres, v: int, triple: tuple[str, str, str]) -> Moeb
 
 
 def vertex_charts(t: TreeOfSpheres) -> Mapping:
-    """At each internal vertex v, (partition at v, vertex chart of its
-    representative triple at v); computed once per tree."""
+    """At each internal vertex v, computed once per tree: (partition at v, the edges toward
+    its representative triple, the charted row {neighbor: sigma(edge point)}, sigma) for
+    sigma the triple's vertex chart.  The triple's edges are charted 0, 1 and inf by
+    construction; a trivalent vertex has no other edge, so its sigma is None, never built."""
     if t._charts is None:
-        parts = {v: partition_at(t.shape, v) for v in t.shape.internal}
-        object.__setattr__(t, "_charts", MappingProxyType({
-            v: (p, vertex_chart(t, v, representative_triple(p))) for v, p in parts.items()}))
+        table = {}
+        for v in t.shape.internal:
+            beyond, row = branches(t.shape, v), t.rows[v]
+            triple = representative_triple(p := frozenset(beyond.values()))
+            edges = tuple(n for x in triple for n, b in beyond.items() if x in b)
+            charted = dict(zip(edges, (P_ZERO, P_ONE, P_INF)))
+            sigma = vertex_chart(t, v, triple) if len(row) > 3 else None
+            if sigma is not None:
+                charted.update((n, sigma.apply(q)) for n, q in row.items() if n not in charted)
+            table[v] = (p, edges, MappingProxyType(charted), sigma)
+        object.__setattr__(t, "_charts", MappingProxyType(table))
     return t._charts
 
 
@@ -220,28 +227,21 @@ def embed(t: TreeOfSpheres) -> Embedding:
 
 
 def spheres_iso(t1: TreeOfSpheres, t2: TreeOfSpheres) -> bool:
-    """Isomorphism of trees of spheres: does ``iso_of_spheres`` find one?"""
-    return iso_of_spheres(t1, t2) is not None
+    """Isomorphism of trees of spheres, decided on charted rows without a Moebius map."""
+    return _iso_vertex_map(t1, t2) is not None
 
 
 def canonical_form(t: TreeOfSpheres) -> TreeOfSpheres:
-    """Canonical representative of the isomorphism class.
-
-    Internal ids become the canonical ranks of their partitions and every
-    vertex is re-charted by the chart of the lexicographically smallest
-    triple it separates, so two trees are isomorphic iff their canonical
-    forms are equal.  It is an output and an oracle; ``iso_of_spheres``
-    decides isomorphism.
-    """
+    """Canonical representative of the isomorphism class: internal ids become the
+    canonical ranks of their partitions and every row is its charted row, in the chart of
+    the lexicographically smallest triple the vertex separates, so two trees are
+    isomorphic iff their canonical forms are equal."""
     table = vertex_charts(t)
     order = sorted(t.shape.internal, key=lambda v: partition_sort_key(table[v][0]))
     rename = {v: i for i, v in enumerate(order)}
-    marking = []
-    for i, v in enumerate(order):
-        sigma = table[v][1]
-        row = [(rename.get(n, n), sigma.apply(p)) for n, p in t.rows[v].items()]
-        marking.append((i, tuple(sorted(row, key=lambda kv: vertex_key(kv[0])))))
-    return TreeOfSpheres._assembled(renumbered(t.shape, rename), tuple(marking))
+    return TreeOfSpheres._assembled(renumbered(t.shape, rename), tuple(
+        (i, tuple(sorted(((rename.get(n, n), q) for n, q in table[v][2].items()),
+                         key=lambda kv: vertex_key(kv[0])))) for i, v in enumerate(order)))
 
 
 def induced_partition(t: TreeOfSpheres, v: int, sub: frozenset) -> Optional[Partition]:
@@ -287,33 +287,40 @@ def twist(t: TreeOfSpheres, maps: Mapping[int, Moebius]) -> TreeOfSpheres:
         for v, row in t.marking))
 
 
-def iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres
-                   ) -> Optional[tuple[dict, dict]]:
-    """Explicit isomorphism (vertex map, per-vertex Moebius) or None.
+def _iso_vertex_map(t1: TreeOfSpheres, t2: TreeOfSpheres) -> Optional[dict]:
+    """The one isomorphism decision: the vertex map of an isomorphism t1 -> t2, or None.
 
-    This decides isomorphism of trees of spheres and witnesses it.  The
-    vertex map matches internal vertices through their partitions and is the
-    identity on labels; each Moebius is pinned by the vertex charts of a
-    representative triple, read from both trees' chart tables, and must
-    carry every edge point of its vertex to the edge point of the image
-    edge.  Every edge point is the marked point of the labels beyond it, so
-    this checks the whole label marking.
-    """
+    Internal vertices are matched through their partitions, whose sets are compared
+    first, so trees of different shapes cost no chart; labels map to themselves.  Then
+    each vertex's charted row must be carried onto its image's, since for the charts s1,
+    s2 of one representative triple, s2^-1 . s1 (q) = p iff s1(q) = s2(p); a trivalent
+    row is (0, 1, inf) on the edges toward the same blocks in both trees."""
     if t1.labels != t2.labels:
         raise LeafSetMismatch("trees of spheres are marked by different label sets")
     parts1 = {v: partition_at(t1.shape, v) for v in t1.shape.internal}
     parts2 = {partition_at(t2.shape, v): v for v in t2.shape.internal}
     if frozenset(parts1.values()) != frozenset(parts2):
         return None
-    charts1, charts2 = vertex_charts(t1), vertex_charts(t2)
+    charts2 = vertex_charts(t2)
     vmap: dict = ({x: x for x in t1.labels}
                   | {v: parts2[p] for v, p in parts1.items()})
-    mmap: dict = {}
-    for v1 in parts1:
-        v2 = vmap[v1]  # same partition, so both charts are of one representative triple
-        iso = charts2[v2][1].inverse().compose(charts1[v1][1])
-        row2 = t2.edge_points(v2)
-        if any(iso.apply(q) != row2[vmap[n]] for n, q in t1.edge_points(v1).items()):
+    for v1, (_, _, row1, sigma) in vertex_charts(t1).items():
+        row2 = charts2[vmap[v1]][2]
+        if sigma is not None and any(row2[vmap[n]] != q for n, q in row1.items()):
             return None
-        mmap[v1] = iso
-    return vmap, mmap
+    return vmap
+
+
+def iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres) -> Optional[tuple[dict, dict]]:
+    """Explicit isomorphism (vertex map, per-vertex Moebius) or None, for the callers that
+    read the maps: ``_iso_vertex_map`` decides, then each map is s2^-1 . s1 for the
+    charts of the representative triple, the kept sigma or, at a trivalent vertex, one
+    built here.  It carries every edge point of its vertex, the marked point of the
+    labels beyond it, to the edge point of the image edge."""
+    if (vmap := _iso_vertex_map(t1, t2)) is None:
+        return None
+
+    def chart(t: TreeOfSpheres, v: int) -> Moebius:
+        p, _, _, sigma = vertex_charts(t)[v]
+        return sigma if sigma is not None else vertex_chart(t, v, representative_triple(p))
+    return vmap, {v: chart(t2, vmap[v]).inverse().compose(chart(t1, v)) for v in t1.shape.internal}

@@ -572,17 +572,27 @@ class TestNumericLimit:
         t = numeric_limit_tree(NumericConfigSequence.make(snaps, eps))
         assert tree_partitions(t.shape) == tree_partitions(limit_tree(eps_family).shape)
 
-    def test_random_walk_not_stabilized(self):
+    def test_random_walk_not_stabilized(self, monkeypatch):
         rng = random.Random(1)
         snaps = [{"1": complex(rng.random(), rng.random()), "2": 1 + 0j,
                   "3": None, "4": 5 + 0j} for _ in range(30)]
+        eps = [1.0 / (i + 10) for i in range(30)]
+        estimates, extrapolate = [], limits._extrapolate
+        monkeypatch.setattr(limits, "_extrapolate",
+                            lambda *a: estimates.append(extrapolate(*a)) or estimates[-1])
         with pytest.raises(NotStabilized) as info:
-            numeric_limit_tree(NumericConfigSequence.make(
-                snaps, [1.0 / (i + 10) for i in range(30)]))
+            numeric_limit_tree(NumericConfigSequence.make(snaps, eps))
         # the first chart fails: only label 4 moves against its random triple
         [entry] = info.value.witness
         assert entry["quadruple"] == ["1", "2", "3", "4"]
         assert 1e-6 < entry["spread"] <= 2.0
+        # it names the ladder farthest from ladder 0 and that ladder's anchor, the
+        # (k+1)-th smallest eps; label 4's estimates are the last five
+        gaps = [limits.chordal(estimates[-5], e) for e in estimates[-4:]]
+        assert entry["spread"] == max(gaps)
+        assert entry["ladder"] == 1 + gaps.index(max(gaps))
+        assert entry["anchor_eps"] == sorted(eps)[entry["ladder"]]
+        assert set(entry) == {"quadruple", "spread", "ladder", "anchor_eps"}
 
     def test_coincident_labels_refused(self):
         # labels 2 and 4 round to the same float in the snapshot nearest the limit

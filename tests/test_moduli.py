@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+import conftest
 from conftest import (
     INF,
     POINT_POOL,
@@ -26,7 +27,7 @@ from sphere_trees.covers import TreeCover, cover_iso, edge_table, extract_portra
 from sphere_trees.dynamics import dyn_membership
 from sphere_trees.errors import InvalidFamily, LeafSetMismatch, MarkedSetTooSmall
 from sphere_trees.gaussian import gr
-from sphere_trees.limits import limit_tree
+from sphere_trees.limits import limit_cover, limit_tree
 from sphere_trees.moduli import (
     MarkedSphere,
     TreeOfSpheres,
@@ -355,6 +356,7 @@ class TestChartTable:
 
     @pytest.mark.parametrize("n", [4, 7, 10, 13])
     def test_each_vertex_is_charted_once(self, chart_calls, n):
+        # a trivalent vertex carries no moduli, so only the others build a chart
         rng = random.Random(7300 + n)
         for _ in range(3):
             trees = _classify_item(n, rng)
@@ -363,7 +365,8 @@ class TestChartTable:
             assert verdicts[:2] == [True, True]
             assert verdicts == [canon[0] == c for c in canon[1:]]
             assert chart_calls == Counter({(id(t), v): 1 for t in trees
-                                           for v in t.shape.internal})
+                                           for v in t.shape.internal
+                                           if len(neighbors(t.shape, v)) > 3})
             chart_calls.clear()
 
     def test_table_holds_partition_and_representative_chart(self):
@@ -372,10 +375,85 @@ class TestChartTable:
             table = moduli.vertex_charts(t)
             assert table is moduli.vertex_charts(t)
             for v in t.shape.internal:
-                p = partition_at(t.shape, v)
-                assert table[v] == (p, moduli.vertex_chart(t, v, representative_triple(p)))
+                p, beyond = partition_at(t.shape, v), branches(t.shape, v)
+                sigma = moduli.vertex_chart(t, v, representative_triple(p))
+                edges = tuple(next(n for n, b in beyond.items() if x in b)
+                              for x in representative_triple(p))
+                row = {n: sigma.apply(q) for n, q in t.edge_points(v).items()}
+                kept = sigma if len(beyond) > 3 else None
+                assert table[v] == (p, edges, row, kept)
+                with pytest.raises(TypeError):
+                    table[v][2][edges[0]] = INF
             with pytest.raises(TypeError):
                 table[0] = table[min(t.shape.internal)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_charted_rows_are_the_representative_charts(self, seed):
+        # at every edge point, the three triple edges included, on random, star,
+        # spine and all-trivalent shapes
+        rng = random.Random(f"charted-rows-{seed}")
+        for n in (4, 7, 12, 20):
+            for shape in (random_stable_shape(n, rng), spine_shape(n, n + 1),
+                          spine_shape(n, 5), trivalent_shape(n, rng)):
+                t = random_marking(shape, rng)
+                for v, (p, edges, row, _) in moduli.vertex_charts(t).items():
+                    sigma = vertex_chart(t, v, representative_triple(p))
+                    assert [row[e] for e in edges] == [pt(0), pt(1), INF]
+                    assert row == {n: sigma.apply(q) for n, q in t.edge_points(v).items()}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_moved_edge_point_off_the_triple(self, seed):
+        # pairs differing at one edge point of a vertex of valence >= 4, not on its
+        # representative triple's edges: the decision, the explicit iso and the
+        # old iso agree, and so do the canonical forms
+        rng = random.Random(f"moved-point-{seed}")
+        seen = Counter()
+        for n in (5, 8, 12, 16):
+            for shape in (random_stable_shape(n, rng), spine_shape(n, n + 1),
+                          spine_shape(n, 5)):
+                a = random_marking(shape, rng)
+                high = [v for v in sorted(shape.internal) if len(neighbors(shape, v)) > 3]
+                if not high:
+                    continue
+                v = rng.choice(high)
+                _, edges, _, _ = moduli.vertex_charts(a)[v]
+                n_moved = rng.choice([e for e in neighbors(shape, v) if e not in edges])
+                marking = {w: dict(a.edge_points(w)) for w in shape.internal}
+                used = set(marking[v].values())
+                marking[v][n_moved] = rng.choice([q for q in POINT_POOL if q not in used])
+                b = twist(TreeOfSpheres.make(shape, marking),
+                          {w: random_moebius(rng) for w in shape.internal})
+                for x, y in ((a, b), (b, a)):
+                    got = iso_of_spheres(x, y)
+                    assert got == oracle_iso_of_spheres(x, y)
+                    assert spheres_iso(x, y) == (got is not None) == (
+                        canonical_form(x) == canonical_form(y))
+                seen[spheres_iso(a, b)] += 1
+        assert seen[False] and not seen[True]
+
+    def test_limit_cover_builds_each_chart_once(self, chart_calls):
+        # the explicit maps reuse the charts the decision kept, and a trivalent
+        # vertex's chart is built only for its map
+        for fam in (conftest.degenerate_family_two_vertex(),
+                    conftest.degenerate_family_three_vertex(),
+                    conftest.degenerate_family_extra_fiber()):
+            cover = limit_cover(fam)
+            assert chart_calls and set(chart_calls.values()) == {1}
+            assert len(chart_calls) == 2 * len(cover.target.shape.internal)
+            chart_calls.clear()
+
+    def test_trivalent_trees_are_decided_without_moebius_maps(self, monkeypatch):
+        rng = random.Random(7600)
+        pairs = [(random_marking(shape, rng), random_marking(shape, rng))
+                 for shape in (trivalent_shape(n, rng) for n in (3, 6, 11, 24))]
+
+        def refuse(*args):
+            raise AssertionError("a Moebius map was built or applied")
+        monkeypatch.setattr(moduli, "moebius_from_three", refuse)
+        monkeypatch.setattr(Moebius, "apply", refuse)
+        for a, b in pairs:
+            assert spheres_iso(a, b) and spheres_iso(b, a)
+            assert canonical_form(a) == canonical_form(b)
 
     def test_partition_mismatch_builds_no_chart(self, monkeypatch, two_vertex):
         def refuse(t, v, triple):

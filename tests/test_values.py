@@ -24,7 +24,7 @@ from conftest import DATA_DIR, oracle_laurent_from_three, z_squared_map
 from sphere_trees import serialize as ser
 from sphere_trees.covers import MarkedSphereCover, edge_table
 from sphere_trees.limits import LaurentFamily, numeric_limit_tree
-from sphere_trees.moduli import TreeOfSpheres, embed, marking_dict, vertex_charts
+from sphere_trees.moduli import TreeOfSpheres, embed, marking_dict, vertex_chart, vertex_charts
 from sphere_trees.trees import AdmissibilityViolation, MarkedTree, adjacency, branches, is_admissible
 
 
@@ -47,7 +47,7 @@ def instances() -> dict:
     sphere = fam.evaluate(Fraction(1, 100))
     return {
         "ProjPoint": sphere.points[0][1],
-        "Moebius": next(iter(vertex_charts(tree).values()))[1],
+        "Moebius": vertex_chart(tree, 0, ("1", "2", "3")),
         "RationalMap": cover.maps[0][1],
         "LaurentPoly": p0.u,
         "LaurentPoint": p0,
