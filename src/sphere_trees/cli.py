@@ -2,20 +2,24 @@
 
 Exit codes: 0 for results (including negative verdicts), 1 for domain
 errors (reported as {"error": <code>, "witness": ...}), 2 for schema,
-usage, and parse errors.  Only `limit` takes `--tolerance` and `--window`,
+usage, and parse errors, and for a stdout that cannot be written (a reader
+that closed the pipe).  Only `limit` takes `--tolerance` and `--window`,
 and only on a numeric sequence; `iso` on two dynamical systems decides
 conjugacy.
 
 Each command is one row of `COMMANDS`: its function, help, positional inputs
 and options.  Every command also takes `--out <path>`, which writes the same
 bytes as stdout.  A command function returns its payload, and `main` writes
-it: `main` is the one writer of stdout.
+it: `main` is the one writer of stdout, and returns the exit code without exiting.
+`run`, the entry of `python -m sphere_trees.cli` and of `sphere-trees`, flushes
+the output and ends the process without interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -230,8 +234,8 @@ _PARSER = build_parser()  # once per process: a build costs more than most comma
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    except SystemExit as exc:  # argparse printed the help or a usage error
+        return _emit("", 2 if exc.code not in (0, None) else 0)
     try:
         text = ser.canonical_dumps(args.func(args))
         if args.out:
@@ -241,15 +245,36 @@ def main(argv: Optional[list[str]] = None) -> int:
             except OSError as exc:
                 raise SchemaError(f"cannot write {args.out}: {exc}") from exc
     except SchemaError as exc:
-        sys.stderr.write(f"schema error: {exc}\n")
-        return 2
+        return _emit("", 2, f"schema error: {exc}\n")
     except SphereTreesError as exc:
         payload = {"error": exc.code, "witness": _jsonable(exc.witness)}
-        sys.stdout.write(ser.canonical_dumps(payload))
-        sys.stderr.write(f"{exc.code}: {exc}\n")
-        return 1
-    sys.stdout.write(text)
-    return 0
+        return _emit(ser.canonical_dumps(payload), 1, f"{exc.code}: {exc}\n")
+    return _emit(text, 0)
+
+
+def _emit(text: str, code: int, note: str = "") -> int:
+    """Write and flush `text` on stdout, then `note` on stderr; returns `code`,
+    or 2 when stdout cannot be written."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk; later flushes go nowhere
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        sys.stderr.write(f"schema error: cannot write stdout: {exc}\n")
+        return 2
+    sys.stderr.write(note)
+    return code
+
+
+def run() -> None:
+    """`main`, then a flush and an exit that skip teardown (a seventh of a command's CPU);
+    if `main` or a flush raises, the interpreter exits as usual."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 def _jsonable(witness) -> object:
@@ -269,4 +294,4 @@ def _jsonable(witness) -> object:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -400,8 +400,9 @@ def _fiber_maps(source: TreeOfSpheres, seen: dict, fiber: list, z0: frozenset):
         for n in sorted(ends, key=vertex_key):
             if ends[n][0] not in attach:
                 attach[ends[n][0]] = f.apply(pts[n])
-        ivalues = {f.apply(p) for p in internal_pts.values()}
-        edge_mult.update(((w, n), local_degree(f, p)) for n, p in internal_pts.items())
+        images = {n: f.apply(p) for n, p in internal_pts.items()}
+        ivalues = set(images.values())
+        edge_mult.update(((w, n), local_degree(f, internal_pts[n], q)) for n, q in images.items())
         if len(ivalues) > 1:
             raise NotRealizable(
                 f"vertex {w}: internal edges map to several points")

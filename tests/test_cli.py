@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import pathlib
@@ -20,6 +21,7 @@ from sphere_trees import serialize as ser
 from sphere_trees.dynamics import DynSystem, dyn_membership
 from sphere_trees.moduli import MarkedSphere
 from sphere_trees.trees import validate_tree
+from test_contract import star_of_spheres
 from test_covers import leafless_centre, swapped_cubic
 from test_dynamics import dyn_z_squared, mismatch_cover, source_twisted
 from test_limits import (INVALID_CUBIC, INVALID_CUBIC_PROBLEMS, VANISHING_ROW_SNAPSHOTS, cubic_family,
@@ -415,6 +417,80 @@ class TestOut:
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr.startswith(f"schema error: cannot write {out}: ")
         assert "Traceback" not in r.stderr
+
+
+class TestProcessEntry:
+    """`python -m sphere_trees.cli` runs `cli.run`: `main`, a flush of stdout and
+    stderr, and an exit without interpreter teardown."""
+
+    @pytest.mark.parametrize("args, code, out, err", [
+        (["limit", "family_eps.json"], 0, (GOLDEN / "limit_family_eps.out").read_text(), ""),
+        (["limit", "coincident.json"], 1, '{\n  "error": "InvalidFamily",\n  "witness": [\n'
+         '    "2",\n    "3"\n  ]\n}\n', "InvalidFamily: paths of '2' and '3' coincide\n"),
+        (["iso", "star_tree.json", "star_spheres.json"], 2, "",
+         "schema error: cannot compare 'tree' with 'tree_of_spheres'\n"),
+        (["limit", "family_eps.json", "--out", "out.json"], 0,
+         (GOLDEN / "limit_family_eps.out").read_text(), ""),
+    ], ids=["result", "domain-error", "schema-error", "out"])
+    def test_process_prints_what_main_returns(self, tmp_path, capsys, args, code, out, err):
+        (tmp_path / "coincident.json").write_text(coincident_family())
+        argv = [str(tmp_path / a) if a in ("coincident.json", "out.json") else
+                data(a) if a.endswith(".json") else a for a in args]
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout, r.stderr) == (code, out, err)
+        if "--out" in args:
+            assert (tmp_path / "out.json").read_text() == out
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("args, read", [(["embed", "star.json"], 10), (["validate", "--help"], 0)],
+                             ids=["result", "help"])
+    def test_closed_stdout_is_schema_error(self, tmp_path, args, read):
+        # embed on 12 labels prints about 1 MB, more than a pipe holds, so the
+        # write is still under way when the reader closes the pipe; the help
+        # text waits in stdout's buffer until the pipe is already closed
+        tree = tmp_path / "star.json"
+        tree.write_text(json.dumps(star_of_spheres(12)))
+        argv = [str(tree) if a == tree.name else a for a in args]
+        proc = subprocess.Popen([sys.executable, "-m", "sphere_trees.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == "schema error: cannot write stdout: [Errno 32] Broken pipe\n"
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_main_returns_and_never_ends_the_process(self, tmp_path, capsys):
+        (tmp_path / "coincident.json").write_text(coincident_family())
+        codes = [cli.main(["validate", data("star_tree.json")]),
+                 cli.main(["limit", str(tmp_path / "coincident.json")]),
+                 cli.main(["validate", str(tmp_path / "missing.json")]),
+                 cli.main(["validate", "--help"])]
+        assert codes == [0, 1, 2, 0]
+        assert capsys.readouterr().out.startswith('{\n  "ok": true\n}\n{\n  "error": ')
+
+    def test_run_skips_interpreter_teardown(self):
+        # an exit hook runs at interpreter teardown, which run() skips
+        script = ("import atexit, sys; atexit.register(print, 'teardown');"
+                  f" sys.argv[1:] = ['validate', {data('star_tree.json')!r}];"
+                  " from sphere_trees.cli import run; run()")
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        assert (r.returncode, r.stdout, r.stderr) == (0, '{\n  "ok": true\n}\n', "")
+
+    def test_console_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        module, _, entry = pyproject["project"]["scripts"]["sphere-trees"].partition(":")
+        assert module == cli.__name__
+        source = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+        [block] = [node for node in source.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(stmt) for stmt in block.body] == [f"{entry}()"]
+        assert callable(getattr(cli, entry))
 
 
 class TestRefusedKinds:

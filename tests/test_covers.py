@@ -572,13 +572,14 @@ class TestLocalDegreeTable:
     @pytest.mark.parametrize("centres", [(0, 0, 1), (1, 1, 2, 2, 0, 3, 4)])
     def test_reconstruction_reads_internal_edge_degrees_only(self, monkeypatch, centres):
         # the construction needs local degrees only at internal edges; the
-        # rebuilt cover's own table supplies the rest, once per edge point
+        # rebuilt cover's own table supplies the rest, once per edge point.
+        # Each call is handed the image its caller already computed.
         cover = limit_cover(z_squared_chain_family(centres))
         portrait = extract_portrait(cover)
         calls = []
 
         def counted(f, p, *image):
-            calls.append((f, p))
+            calls.append((f, p, image))
             return local_degree(f, p, *image)
         monkeypatch.setattr(covers, "local_degree", counted)
         rebuilt = reconstruct_cover(cover.source, portrait)
@@ -586,6 +587,7 @@ class TestLocalDegreeTable:
         edge_points = sum(len(rebuilt.source.edge_points(v)) for v in shape.internal)
         internal_edges = sum(1 for e in shape.edges if all(isinstance(x, int) for x in e))
         assert len(calls) == edge_points + internal_edges
+        assert all(image == (f.apply(p),) for f, p, image in calls)
 
 
 class TestCoverIso:
