@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
@@ -79,11 +80,13 @@ from sphere_trees.limits import (
     numeric_limit_tree,
 )
 from sphere_trees.moduli import embed, marking_dict, project, sphere_as_tree, spheres_iso
-from sphere_trees.moduli import MarkedSphere, tree_from_charts, vertex_chart
+from sphere_trees.moduli import MarkedSphere, TreeOfSpheres, tree_from_charts, vertex_chart
 from sphere_trees.plumbing import plumb_family
+from sphere_trees.projective import ProjPoint
 from sphere_trees.rational import hom_apply, local_degree, poly_mul
 from sphere_trees.trees import (
     AdmissibilityViolation,
+    MarkedTree,
     is_admissible,
     partition_at,
     partition_sort_key,
@@ -395,6 +398,26 @@ class TestLimitTree:
         t = limit_tree(fam)
         assert len(calls) == len(t.shape.internal)
 
+    @pytest.mark.parametrize("n", [4, 12, 32])
+    def test_every_check_runs_once_per_tree(self, monkeypatch, n):
+        # admissibility, the shape's stability and each row's injectivity: the last
+        # hashes every edge point once, and nothing else in limit_tree hashes a point
+        fam = plumbed_family(n, "twist", random.Random(f"checks-{n}"))
+        calls = []
+
+        def count(owner, name, wrap=lambda f: f):
+            f = getattr(owner, name)
+            monkeypatch.setattr(owner, name, wrap(lambda *a: calls.append(name) or f(*a)))
+
+        count(trees, "_admissibility")
+        count(trees, "validate_tree")
+        count(TreeOfSpheres, "_assembled", staticmethod)
+        count(ProjPoint, "__hash__")
+        t = limit_tree(fam)
+        assert calls.count("_admissibility") == calls.count("validate_tree") == 1
+        assert calls.count("_assembled") == 1
+        assert calls.count("__hash__") == sum(len(row) for _, row in t.marking)
+
     def test_forgetting_labels_commutes_with_the_limit(self):
         # the continuity of the forgetful map: the limit of the family restricted to a
         # subset of its labels is the projection of the family's limit to that subset
@@ -439,24 +462,127 @@ class TestEnginesAgree:
         assert n == 3 or max(sizes) > 1
 
 
-def scale_digests() -> list[str]:
-    """'n form i sha256' of the limit_tree dump of each of three seeded plumbed families
-    per n in (16, 24, 32, 64) and form; rewrite the pin with `PYTHONPATH=src:tests python3 -c
-    "import test_limits as t; print(*t.scale_digests(), sep=chr(10))" > tests/golden/limit_tree_scale.sha`"""
-    lines = []
+@functools.cache
+def scale_families() -> tuple:
+    """('n form i', family) for three seeded plumbed families per n in (16, 24, 32, 64)
+    and form."""
+    out = []
     for n in (16, 24, 32, 64):
         for form in ("plain", "twist", "reparametrize"):
             rng = random.Random(f"scale-{n}-{form}")
-            for i in range(3):
-                digest = hashlib.sha256(dump(limit_tree(plumbed_family(n, form, rng))).encode())
-                lines.append(f"{n} {form} {i} {digest.hexdigest()}")
-    return lines
+            out += [(f"{n} {form} {i}", plumbed_family(n, form, rng)) for i in range(3)]
+    return tuple(out)
+
+
+def limit_digests(families) -> list[str]:
+    """'name sha256' of the limit_tree dump of each (name, family)."""
+    return [f"{name} {hashlib.sha256(dump(limit_tree(fam)).encode()).hexdigest()}"
+            for name, fam in families]
+
+
+def scale_digests() -> list[str]:
+    """The limit digests of scale_families; rewrite the pin with `PYTHONPATH=src:tests python3 -c
+    "import test_limits as t; print(*t.scale_digests(), sep=chr(10))" > tests/golden/limit_tree_scale.sha`"""
+    return limit_digests(scale_families())
 
 
 def test_limit_tree_digests_are_pinned_at_scale():
     # byte identity of limit_tree past TestEnginesAgree's n <= 14
     golden = pathlib.Path(__file__).parent / "golden" / "limit_tree_scale.sha"
     assert scale_digests() == golden.read_text().splitlines()
+
+
+def path_shape(groups: list) -> MarkedTree:
+    """The labels of each group at one internal vertex, the vertices on a path in group order."""
+    edges = [(x, k) for k, group in enumerate(groups) for x in group]
+    edges += [(k, k + 1) for k in range(len(groups) - 1)]
+    return MarkedTree.make([x for group in groups for x in group], range(len(groups)), edges)
+
+
+def caterpillar(labels: list) -> MarkedTree:
+    """The labels in order along a path of trivalent vertices, two at each end."""
+    return path_shape([labels[:2], *([x] for x in labels[2:-2]), labels[-2:]])
+
+
+@functools.cache
+def shape_families() -> tuple:
+    """('n shape form', family) of plumbed families per n in (8, 32, 64): caterpillars with
+    labels in spine order ("spine", names sort along the path) and shuffled, the star and
+    the two-vertex tree, each plain and under a constant Moebius twist.  Chains and wide
+    stars take the split's two branches most: a ball's labels mostly join its first
+    member's class, or mostly start classes of their own."""
+    out = []
+    for n in (8, 32, 64):
+        names = [f"x{k:02d}" for k in range(n)]
+        rng = random.Random(f"shapes-{n}")
+        shapes = {"spine": caterpillar(names), "shuffled": caterpillar(rng.sample(names, n)),
+                  "star": path_shape([names]), "two": path_shape([names[:n // 2], names[n // 2:]])}
+        for kind, shape in shapes.items():
+            fam = plumb_family(random_marking(shape, rng))
+            out += [(f"{n} {kind} plain", fam), (f"{n} {kind} twist", fam.twist(random_moebius(rng)))]
+    return tuple(out)
+
+
+def shape_digests() -> list[str]:
+    """The limit digests of shape_families; rewrite the pin with `PYTHONPATH=src:tests python3 -c
+    "import test_limits as t; print(*t.shape_digests(), sep=chr(10))" > tests/golden/limit_tree_shapes.sha`"""
+    return limit_digests(shape_families())
+
+
+def test_limit_tree_digests_are_pinned_on_chains_and_stars():
+    golden = pathlib.Path(__file__).parent / "golden" / "limit_tree_shapes.sha"
+    assert shape_digests() == golden.read_text().splitlines()
+
+
+class CountingLead(Mapping):
+    """A family's lead table that records each key read, in order of first read."""
+
+    def __init__(self, lead: Mapping):
+        self.lead, self.read = lead, {}
+
+    def __getitem__(self, key):
+        self.read[key] = None
+        return self.lead[key]
+
+    def __iter__(self):
+        return iter(self.lead)
+
+    def __len__(self):
+        return len(self.lead)
+
+
+def read_pairs(fam: LaurentFamily) -> tuple[dict, TreeOfSpheres]:
+    """The keys of fam.lead that limit_tree reads, and its tree."""
+    lead = CountingLead(fam.lead)
+    t = limit_tree(LaurentFamily(fam.labels, fam.paths, lead))
+    return lead.read, t
+
+
+def pair_digests() -> list[str]:
+    """'family keys pairs sha256' of the lead keys (x, y) that limit_tree reads, sorted, and
+    the count of unordered pairs among them: caterpillars in spine order at n = 32 and 64
+    and shuffled at n = 64 (three seeds), and the n = 64 plumbed families of the scale pin,
+    plain and twisted; rewrite the pin with `PYTHONPATH=src:tests python3 -c "import
+    test_limits as t; print(*t.pair_digests(), sep=chr(10))" > tests/golden/limit_tree_pairs.sha`"""
+    shapes, scale = dict(shape_families()), dict(scale_families())
+    families = [("spine-32", shapes["32 spine plain"]), ("spine-64", shapes["64 spine plain"])]
+    for seed in range(3):
+        rng = random.Random(f"pairs-{seed}")
+        names = rng.sample([f"x{k:02d}" for k in range(64)], 64)
+        families.append((f"shuffled-64-{seed}", plumb_family(random_marking(caterpillar(names), rng))))
+    families += [("random-64-plain", scale["64 plain 0"]), ("random-64-twist", scale["64 twist 0"])]
+    lines = []
+    for name, fam in families:
+        keys = sorted(read_pairs(fam)[0])
+        digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+        lines.append(f"{name} {len(keys)} {len(set(map(frozenset, keys)))} {digest}")
+    return lines
+
+
+def test_limit_tree_reads_the_pinned_pairs():
+    # the split's bracket reads, which a change of how a ball splits must account for
+    golden = pathlib.Path(__file__).parent / "golden" / "limit_tree_pairs.sha"
+    assert pair_digests() == golden.read_text().splitlines()
 
 
 SAMPLE_EPS = (Fraction(1, 10), Fraction(1, 97), Fraction(1, 200), Fraction(3, 2), Fraction(7, 3))
