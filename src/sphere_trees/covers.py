@@ -293,7 +293,7 @@ def rational_from_divisors(zeros: Iterable[ProjPoint], poles: Iterable[ProjPoint
         raise InvalidFamily("zeros and poles must have equal positive total multiplicity")
     if set(zeros) & set(poles):
         raise OverlappingDivisors("zero and pole supports intersect",
-                                  witness=[str(p) for p in set(zeros) & set(poles)])
+                                  witness=sorted(map(str, set(zeros) & set(poles))))
     if unit_point in zeros or unit_point in poles:
         raise UnitOnDivisor("normalization point lies on the divisor")
     num = linear_product(p.u for p in zeros if not p.is_infinity())

@@ -6,11 +6,11 @@ of a cross-ratio depends only on the valuation and leading coefficient of
 the pairwise brackets [p_x, p_y]: valuations add and leading coefficients
 multiply.  The family reads them once, from the lowest terms up, when it is
 made.  The valuations alone form an ultrametric whose balls are the vertices
-of the limit tree, the tree the labels span in the Berkovich line, and each
-vertex is marked by one limit chart.  A degenerating marked rational map has
-as its limit the cover over the source limit tree with the family's portrait,
-which is rebuilt from the two (`reconstruct_cover`) and moved into the target
-limit's charts; the family's local degrees are checked against its map exactly.
+of the limit tree, the tree the labels span in the Berkovich line; each ball is
+split on one row, its first member's, and marked by one limit chart.  The limit
+of a degenerating marked rational map is the cover over the source limit tree
+with the family's portrait, rebuilt from the two (`reconstruct_cover`) and moved
+into the target limit's charts; the family's local degrees are checked exactly.
 
 The numeric mode extrapolates one chart per vertex instead, found by a
 lexicographic scan of the unseparated triples, and refuses quadruples that do
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import combinations, islice, zip_longest
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -39,6 +39,7 @@ from .errors import (
     NotStabilized,
     SchemaError,
 )
+from .gaussian import scaled, triples
 from .laurent import (
     LP_ONE,
     LP_ZERO,
@@ -118,8 +119,8 @@ def _limit_chart(labels: Iterable[str], lead: Mapping, triple: tuple[str, str, s
     """Limits of the cross-ratios [x, t0][t1, tinf] : [x, tinf][t1, t0] of the
     chart sending the triple to (0, 1, inf), from the brackets' leading terms."""
     t0, t1, tinf = triple
-    v_num, c_num = lead[(t1, tinf)]
-    v_den, c_den = lead[(t1, t0)]
+    (v_num, c_num), (v_den, c_den) = lead[(t1, tinf)], lead[(t1, t0)]
+    num, den = triples((c_num, c_den))
     out = {t0: P_ZERO, t1: P_ONE, tinf: P_INF}
     for x in labels:
         if x in out:
@@ -132,7 +133,7 @@ def _limit_chart(labels: Iterable[str], lead: Mapping, triple: tuple[str, str, s
         elif vu < vv:
             out[x] = P_INF
         else:
-            out[x] = ProjPoint.make(c0 * c_num, ci * c_den)
+            out[x] = ProjPoint.ratio(scaled(c0, num), scaled(ci, den))
     return out
 
 
@@ -142,10 +143,10 @@ def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
     With r the smallest label and v the bracket valuations of the family's
     lead table, g(x, y) = v(x, y) - v(x, r) - v(y, r) is an ultrametric on
     the other labels whose balls are the vertices, read only where a split
-    compares it.  A ball of minimum m splits into the classes of g > m,
-    which with the labels outside it form the vertex's partition.  The blocks'
-    minima are r and the classes' first members, in ascending order, and the
-    first three are the representative triple whose chart marks the vertex.
+    compares it.  A ball's classes of g > m, m the least entry of its first member's
+    row, read once, and the labels outside it are the vertex's blocks: labels above m
+    join that member, the rest are compared with later classes' first members.  The
+    blocks' minima (r, then first members) ascend; the first three chart the vertex.
     """
     labels, lead = sorted(fam.labels), fam.lead
     r = labels[0]
@@ -158,10 +159,18 @@ def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
     while balls:
         ball = balls.pop()
         # in an ultrametric the minimum over pairs is met at any fixed point
-        m = min(g(ball[0], y) for y in ball[1:])
-        children: dict[str, list[str]] = {}  # keyed by the first member
-        for x in ball:
-            children.setdefault(next((c for c in children if g(c, x) > m), x), []).append(x)
+        m = min(row := [g(ball[0], y) for y in ball[1:]])
+        children = {ball[0]: (mine := ball[:1])}  # keyed by the first member
+        for x, gx in zip(ball[1:], row):
+            if gx > m:
+                mine.append(x)
+                continue
+            for c, members in islice(children.items(), 1, None):
+                if g(c, x) > m:
+                    members.append(x)
+                    break
+            else:
+                children[x] = [x]
         partition = frozenset(map(frozenset, [*children.values(), fam.labels.difference(ball)]))
         charts[partition] = _limit_chart(minima := [r, *children], lead, tuple(minima[:3]))
         balls.extend(c for c in children.values() if len(c) > 1)

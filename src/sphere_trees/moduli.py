@@ -3,8 +3,8 @@
 A tree of spheres is a stable tree with, at each internal vertex, an
 injective row sending its edges, in neighbors order, to points of a sphere;
 the label marking a_v (each label to its branch's point) is read from it.
-``TreeOfSpheres._assembled`` builds every tree and checks each row's injectivity;
-``make`` first checks rows against the shape's edges, for parsed and reconstructed trees.
+``TreeOfSpheres._assembled`` builds every tree and checks rows' injectivity, ``make`` first
+checks parsed and reconstructed rows against the shape, ``rows`` maps them on first read.
 
 ``vertex_charts`` fills each tree's chart table once: at every internal vertex, its
 partition, its representative triple's edges and its charted row, those edges at 0, 1
@@ -79,13 +79,16 @@ class MarkedSphere:
 class TreeOfSpheres:
     shape: MarkedTree
     marking: tuple  # sorted (vertex id, ((neighbor, ProjPoint), ...)) pairs
-    rows: Mapping = field(init=False)
-    # derived chart table, filled on first use by vertex_charts
+    # derived tables, filled on first use: the rows by rows, the chart table by vertex_charts
+    _rows: Optional[Mapping] = field(init=False)
     _charts: Optional[Mapping] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", MappingProxyType({
-            v: MappingProxyType(dict(row)) for v, row in self.marking}))
+    @property
+    def rows(self) -> Mapping:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", MappingProxyType({
+                v: MappingProxyType(dict(row)) for v, row in self.marking}))
+        return self._rows
 
     @classmethod
     def make(cls, shape: MarkedTree, marking: Mapping[int, Mapping] ) -> "TreeOfSpheres":

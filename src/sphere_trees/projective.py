@@ -52,6 +52,9 @@ class ProjPoint:
             raise ValueError("point at infinity has no affine value")
         return self.u
 
+    def __hash__(self):  # one frame over the six integers, not one per coordinate
+        return hash((self.u.a, self.u.b, self.u.c, self.v.a, self.v.b, self.v.c))
+
     def sort_key(self) -> tuple:
         # infinity sorts last; finite points by coordinates
         return (1,) if self.is_infinity() else (0,) + self.u.sort_key()

@@ -44,7 +44,7 @@ def edge_of(a: Vertex, b: Vertex) -> Edge:
 
 
 def partition_sort_key(p: Partition) -> tuple:
-    return tuple(sorted(tuple(sorted(b)) for b in p))
+    return tuple(sorted(map(tuple, map(sorted, p))))
 
 
 @value
@@ -211,7 +211,7 @@ def _admissibility(parts: list, labels: frozenset
     pair of ranks sharing a block and their smallest shared one.
     """
     for p in parts:
-        if frozenset().union(*p) != labels or any(not b for b in p):
+        if frozenset().union(*p) != labels or frozenset() in p:
             return AdmissibilityViolation(0, "not a partition of the label set", p), []
         if sum(map(len, p)) != len(labels):
             return AdmissibilityViolation(0, "blocks are not pairwise disjoint", p), []
@@ -269,9 +269,9 @@ def tree_from_partitions(ps: Iterable[Partition]) -> MarkedTree:
     """Build the stable tree classified by an admissible partition set.
 
     Internal ids are the ranks of the partitions in canonical sort order, so
-    the construction is deterministic.  The admissibility check's rows give
-    the edges, the adjacency and the branch table (rows in neighbors order),
-    O(V·n) for V partitions of n labels, and the tree must pass validate_tree.
+    the construction is deterministic.  The admissibility check's rows give the edges
+    (an internal one from its lower rank only), the adjacency and the branch table (rows
+    in neighbors order), O(V·n) for V partitions of n labels; the tree must pass validate_tree.
     It gives the partitions back without a walk.  Let B[i][j] be the block of
     p_i joined to j.  Under conditions 0-3 the blocks of p_i are distinct edges
     at i (two complements in one p_j would overlap in p_i's third block), and
@@ -290,15 +290,15 @@ def ranked_tree(ps: Iterable[Partition]) -> tuple[MarkedTree, list]:
     violation, rows = _admissibility(parts, labels)
     if violation is not None:
         raise NotAdmissible("partition set is not admissible", witness=violation)
-    t = MarkedTree(labels, frozenset(range(len(parts))),
-                   frozenset(edge_of(i, n) for i, row in enumerate(rows) for n in row))
+    adj = {n: (i,) for i, row in enumerate(rows) for n in row if isinstance(n, str)}
+    t = MarkedTree(labels, frozenset(range(len(parts))), frozenset(
+        frozenset((i, n)) for i, row in enumerate(rows) for n in row if n in adj or n > i))
     problems = validate_tree(t)
     if problems:
         raise NotAdmissible("partition set does not assemble into a stable tree",
                             witness=problems)
-    table = {i: MappingProxyType(dict(sorted(row.items(), key=lambda nb: vertex_key(nb[0]))))
-             for i, row in enumerate(rows)}
-    adj = {n: (i,) for i, row in enumerate(rows) for n in row if isinstance(n, str)}
+    table = dict(enumerate(MappingProxyType({n: row[n] for n in sorted(row, key=vertex_key)})
+                           for row in rows))
     adj.update((i, tuple(row)) for i, row in table.items())
     object.__setattr__(t, "_adjacency", MappingProxyType(adj))
     object.__setattr__(t, "_branches", MappingProxyType(table))

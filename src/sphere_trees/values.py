@@ -2,9 +2,9 @@
 
 ``@value`` gives a class of annotated fields a slot each and the methods of
 ``@dataclass(frozen=True, slots=True)``: eq and hash over the tuple of fields
-(eq only within one class), repr ``Name(f=..., ...)``, AttributeError on
-assignment, copy and pickle by the init fields.  A derived ``x: T = field()``
-is left out of eq, hash and repr; with ``init=False`` it starts as None.
+(eq only within one class) unless the class defines its own, repr ``Name(f=...)``,
+AttributeError on assignment, copy and pickle by the init fields.  A derived
+``x: T = field()`` is left out of eq, hash and repr; with ``init=False`` it starts as None.
 
 Why not ``dataclasses``: each CLI command is a fresh process.  Importing it
 (with ``inspect``, ``ast``, ``dis`` and ``tokenize``) took 9-13 ms of CPU,
@@ -55,7 +55,7 @@ def __hash__(self):
     return hash({mine})
 """, scope)
     for method in ("__init__", "__eq__", "__hash__"):
-        setattr(new, method, scope[method])
+        setattr(new, method, ns.get(method) or scope[method])
     return new
 
 

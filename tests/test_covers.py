@@ -191,6 +191,12 @@ class TestRationalFromDivisors:
         with pytest.raises(OverlappingDivisors):
             rational_from_divisors([pt(0)], [pt(0)], pt(1))
 
+    def test_overlap_witness_is_sorted(self):
+        shared = [INF, pt(3), pt(-1, 2), pt(2)]
+        with pytest.raises(OverlappingDivisors) as info:
+            rational_from_divisors(shared + [pt(5)], [pt(7)] + shared[::-1], pt(1))
+        assert info.value.witness == ["-1+2i", "2", "3", "inf"]
+
     def test_unit_on_divisor_rejected(self):
         with pytest.raises(UnitOnDivisor):
             rational_from_divisors([pt(0)], [INF], pt(0))

@@ -551,11 +551,11 @@ class CountingLead(Mapping):
         return len(self.lead)
 
 
-def read_pairs(fam: LaurentFamily) -> tuple[dict, TreeOfSpheres]:
-    """The keys of fam.lead that limit_tree reads, and its tree."""
+def read_pairs(fam: LaurentFamily) -> dict:
+    """The keys of fam.lead that limit_tree reads, in order of first read."""
     lead = CountingLead(fam.lead)
-    t = limit_tree(LaurentFamily(fam.labels, fam.paths, lead))
-    return lead.read, t
+    limit_tree(LaurentFamily(fam.labels, fam.paths, lead))
+    return lead.read
 
 
 def pair_digests() -> list[str]:
@@ -573,7 +573,7 @@ def pair_digests() -> list[str]:
     families += [("random-64-plain", scale["64 plain 0"]), ("random-64-twist", scale["64 twist 0"])]
     lines = []
     for name, fam in families:
-        keys = sorted(read_pairs(fam)[0])
+        keys = sorted(read_pairs(fam))
         digest = hashlib.sha256(repr(keys).encode()).hexdigest()
         lines.append(f"{name} {len(keys)} {len(set(map(frozenset, keys)))} {digest}")
     return lines

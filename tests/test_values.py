@@ -3,9 +3,10 @@ immutability and repr, each checked on one real instance.
 
 The field lists are written out here rather than read from the classes, so
 the checks pin the behaviour itself: equality first compares classes and
-then the tuples of compared fields, the hash is the hash of that tuple,
-assignment raises AttributeError, and the repr names the class and its
-repr fields in order.  Derived and cache fields take no part in any of it.
+then the tuples of compared fields, the hash is the hash of that tuple
+(ProjPoint's, of its coordinates' six integers), assignment raises
+AttributeError, and the repr names the class and its repr fields in order.
+Derived and cache fields take no part in any of it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 from conftest import DATA_DIR, oracle_laurent_from_three, z_squared_map
 from sphere_trees import serialize as ser
 from sphere_trees.covers import MarkedSphereCover, edge_table
-from sphere_trees.limits import LaurentFamily, numeric_limit_tree
+from sphere_trees.limits import LaurentFamily, limit_tree, numeric_limit_tree
 from sphere_trees.moduli import TreeOfSpheres, embed, marking_dict, vertex_chart, vertex_charts
 from sphere_trees.trees import AdmissibilityViolation, MarkedTree, adjacency, branches, is_admissible
 
@@ -94,6 +95,9 @@ FIELDS = {
     "CoverFamily": (("portrait", "y_family", "z_family", "map_family"),) * 3,
 }
 
+# classes that keep their own hash, over the same compared data
+OWN_HASH = {"ProjPoint": lambda p: hash((p.u.a, p.u.b, p.u.c, p.v.a, p.v.b, p.v.c))}
+
 # the other classes hold GaussianRational scalars, which neither deepcopy nor pickle
 DEEP_COPIES = {"AdmissibilityViolation", "LaurentPoly", "MarkedTree", "NumericConfigSequence",
                "Portrait"}
@@ -124,7 +128,8 @@ class TestValueClass:
 
     def test_hash_is_the_hash_of_the_compared_fields(self, values, name):
         x = values[name]
-        assert hash(x) == hash(tuple(getattr(x, f) for f in FIELDS[name][1]))
+        fields = tuple(getattr(x, f) for f in FIELDS[name][1])
+        assert hash(x) == (OWN_HASH[name](x) if name in OWN_HASH else hash(fields))
 
     def test_not_equal_to_its_tuple_or_another_class(self, values, name):
         x = values[name]
@@ -191,6 +196,18 @@ class TestDerivedFields:
         assert t._charts is not None and fresh._charts is None
         assert_same_value(t, fresh)
         assert fresh.rows == t.rows
+
+    @pytest.mark.parametrize("read", ["rows", "edge_points", "vertex_charts"])
+    def test_tree_of_spheres_rows_are_derived_on_first_read(self, values, read):
+        t = limit_tree(values["LaurentFamily"])
+        ser.tree_of_spheres_to_json(t)
+        before = (hash(t), repr(t), t.__reduce__())
+        assert t._rows is None  # neither the limit nor the writer builds the table
+        {"rows": lambda: t.rows, "vertex_charts": lambda: vertex_charts(t),
+         "edge_points": lambda: t.edge_points(min(t.shape.internal))}[read]()
+        assert t._rows == {v: dict(row) for v, row in t.marking}
+        assert (hash(t), repr(t), t.__reduce__()) == before
+        assert_same_value(t, TreeOfSpheres(t.shape, t.marking))
 
     def test_cover_caches(self):
         c = load("cover_z2.json")
