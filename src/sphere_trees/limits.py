@@ -15,7 +15,8 @@ into the target limit's charts; the family's local degrees are checked exactly.
 The numeric mode extrapolates one chart per vertex instead, found by a
 lexicographic scan of the unseparated triples, and refuses quadruples that do
 not settle within tolerance and snapshots in which two labels coincide.  A sequence
-checks every coordinate when made; a limit normalizes only the snapshots its ladders read.
+checks every coordinate when made; a limit normalizes only the snapshots its ladders read,
+and its ladders' Bulirsch-Stoer tableaux share one table of their node windows.
 """
 
 from __future__ import annotations
@@ -226,44 +227,46 @@ def _cross_ratio_row(snap: Sequence[NumericPoint], i0: int, i1: int, i2: int) ->
     return row
 
 
-def _eps_ratios(eps: Sequence[float]) -> list:
-    """The ratio table of one ladder: row i lists eps[i - k] / eps[i] for k = 1..i."""
-    return [
-        [eps[i - k] / eps[i] for k in range(1, i + 1)] for i in range(len(eps))]
+def _window_table(eps: Sequence[float], ladders: Sequence[tuple]) -> tuple:
+    """The ladders' Bulirsch-Stoer tableaux as one table of their node windows W, shortest
+    first: leaves (snapshot indices), cells (slots of T(W[1:]), T(W[:-1]) and T(W[1:-1]) or of
+    the 0 after the leaves, and eps[W[0]] / eps[W[-1]]), and each ladder's estimate's slot."""
+    leaves = sorted(set().union(*ladders))
+    slot = {(i,): s for s, i in enumerate(leaves)}
+    windows = dict.fromkeys([idx[j:j + m] for m in range(2, max(map(len, ladders)) + 1)
+                             for idx in ladders for j in range(len(idx) - m + 1)])
+    slot.update({win: s for s, win in enumerate(windows, len(leaves) + 1)})
+    cells = [(slot[win[1:]], slot[win[:-1]], slot.get(win[1:-1], len(leaves)),
+              eps[win[0]] / eps[win[-1]]) for win in windows]
+    return leaves, cells, [slot[idx] for idx in ladders]
 
 
-def _bs_extrapolate(ratios: Sequence[Sequence[float]], values: Sequence[complex]) -> complex:
-    """Rational (Bulirsch-Stoer) extrapolation of the values to eps = 0.
-
-    Rational extrapolation stays accurate when the sampled function has
-    poles near the sampled range, which polynomial extrapolation does not.
-    Tableau row i needs only row i - 1 and the ladder's ratio table (``_eps_ratios``): one
-    list holds both, row i written over row i - 1 a cell behind the read.  The first cell's
-    lag is 0, as t - 0 is t bit for bit; t + 0 where d == 0 clears a negative zero.
-    """
-    row: list = []
-    for t, ratio in zip(values, ratios):
-        lag = 0  # lag: the entry of row i - 1 before p
-        for k, r in enumerate(ratio):
-            p = row[k]
-            row[k] = t
-            num = t - p
-            den2 = t - lag
-            lag = p
+def _label_estimates(eps: Sequence[float], ladders: Sequence[tuple], tables: dict,
+                     rows: Mapping[int, list], ix: int) -> list[NumericPoint]:
+    """Each ladder's rational extrapolation, which poles near the samples do not spoil, of
+    label ix's chart by u / v where |u| <= |v| at its first node, else by v / u.  The ladders of
+    one direction run one window table, cached in tables by their indices; estimates are
+    normalized in ladder order.  t - 0 is t bit for bit; t + 0 where d == 0 clears a -0."""
+    flips = [abs(rows[idx[0]][ix][0]) > abs(rows[idx[0]][ix][1]) for idx in ladders]
+    raw = [0j] * len(ladders)
+    for flip in {*flips}:
+        subset = tuple([k for k, f in enumerate(flips) if f == flip])
+        if (table := tables.get(subset)) is None:
+            table = tables[subset] = _window_table(eps, [ladders[k] for k in subset])
+        leaves, cells, roots = table
+        vals = [rows[i][ix][flip] / rows[i][ix][1 - flip] for i in leaves] + [0]
+        for a, b, c, r in cells:
+            t = vals[a]
+            num = t - vals[b]
+            den2 = t - vals[c]
             if den2 != 0:
                 d = r * (1 - num / den2) - 1
                 t = t + (num / d if d != 0 else 0)
-        row.append(t)
-    return row[-1]
-
-
-def _extrapolate(ratios: Sequence[Sequence[float]], pts: Sequence[NumericPoint]) -> NumericPoint:
-    # extrapolate in the affine chart suggested by the sample nearest the limit
-    u, v = pts[0]
-    if abs(u) <= abs(v):
-        return _numeric_point(_bs_extrapolate(ratios, [p[0] / p[1] for p in pts]))
-    w = _bs_extrapolate(ratios, [p[1] / p[0] for p in pts])
-    return (1.0 + 0j, 0j) if w == 0 else _numeric_point(1.0 / w)
+            vals.append(t)
+        for k, s in zip(subset, roots):
+            raw[k] = vals[s]
+    return [((1.0 + 0j, 0j) if t == 0 else _numeric_point(1.0 / t)) if f else _numeric_point(t)
+            for f, t in zip(flips, raw)]
 
 
 @value
@@ -356,20 +359,19 @@ def _refuse_coincident(seq: NumericConfigSequence, points: Mapping[int, list]) -
 def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     """Numeric counterpart of limit_tree on sampled snapshots.
 
-    One extrapolated chart per vertex, found by a lexicographic scan of the
-    unseparated triples, those no collected partition splits into three blocks.
-    Each quadruple has one estimate per ladder anchored at the stability_window
-    smallest parameters; a chart is refused at once when a spread, the largest
-    chordal distance from the first estimate to another, exceeds tolerance.
-    Clustering must be transitive, and a snapshot with coincident labels is refused first.
-    The snapshots some ladder uses, and only those, are normalized once per call; a charted
-    triple builds one cross-ratio row per such snapshot, and refuses the first, by ascending
-    eps, where a product of brackets underflows to (0 : 0); each ladder reads its series
-    from those rows and its ratios from one table per call, and the first label a ladder's
-    chart divides by zero or past the float range is refused at its first such snapshot.
-    The triple's own 0 and inf labels, exact zeros of every row's numerator or denominator,
-    are charted from ladder 0's last row and as (1 : 0), the bits their tableaux would
-    return with spread 0.0.
+    One extrapolated chart per vertex, found by a lexicographic scan of the unseparated
+    triples, those no collected partition splits into three blocks.  Each quadruple has one
+    estimate per ladder anchored at the stability_window smallest parameters; a chart is
+    refused at once when a spread, the largest chordal distance from the first estimate to
+    another, exceeds tolerance.  Clustering must be transitive, and a snapshot with coincident
+    labels is refused first.  The snapshots some ladder uses, and only those, are normalized
+    once per call; a charted triple builds one cross-ratio row per such snapshot, and refuses
+    the first, by ascending eps, where a product of brackets underflows to (0 : 0).  The
+    ladders share one table of their node windows per call and chart direction, so a label
+    divides each row entry and computes each tableau cell once; the first label a ladder's
+    chart divides by zero or past the float range is refused at its first such snapshot.  The
+    triple's own 0 and inf labels, exact zeros of every row's numerator or denominator, are
+    charted from ladder 0's last row and as (1 : 0), the bits their tableaux would return.
     """
     w = seq.stability_window
     labels = seq.labels
@@ -377,12 +379,11 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
         raise NotStabilized("not enough snapshots for the stability window",
                             witness={"snapshots": len(seq.snapshots), "window": w})
     order = sorted(range(len(seq.eps)), key=seq.eps.__getitem__)
-    nodes = [_ladder_nodes(seq.eps, skip, order) for skip in range(w)]
+    nodes = [tuple(_ladder_nodes(seq.eps, skip, order)) for skip in range(w)]
     points = {i: [_numeric_point(z) for z in seq.snapshots[i]] for i in set().union(*nodes)}
     _refuse_coincident(seq, points)
     scan = [i for i in order if i in points]
-    ladders = [
-        (_eps_ratios([seq.eps[i] for i in node_idx]), node_idx) for node_idx in nodes]
+    tables: dict = {}  # the window table of each ladder subset that charts a label one way
 
     charts: dict[Partition, dict[str, NumericPoint]] = {}
     sides: list[dict[str, int]] = []  # block index of each label, per partition
@@ -402,11 +403,10 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
             if x in chart:
                 continue
             try:
-                estimates = [
-                    _extrapolate(ratios, [rows[i][ix] for i in node_idx]) for ratios, node_idx in ladders]
+                estimates = _label_estimates(seq.eps, nodes, tables, rows, ix)
             except (ZeroDivisionError, InvalidFamily):  # a chart divides by 0, or by a subnormal
                 poles = []
-                for _, idx in ladders:  # charted by u / v where |u| <= |v| at the first node, else v / u
+                for idx in nodes:  # charted by u / v where |u| <= |v| at the first node, else v / u
                     k = abs(rows[idx[0]][ix][0]) <= abs(rows[idx[0]][ix][1])  # the divisor's index
                     quotients = {seq.eps[i]: rows[i][ix][1 - k] / rows[i][ix][k] if rows[i][ix][k] else math.inf
                                  for i in idx}

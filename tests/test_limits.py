@@ -171,7 +171,8 @@ def oracle_cross_ratio(p0, p1, pinf, p):
 
 
 def oracle_bs_extrapolate(eps, values):
-    """The full n x n Bulirsch-Stoer tableau, kept as an oracle for limits._bs_extrapolate."""
+    """The full n x n Bulirsch-Stoer tableau of one ladder, cell by cell, the per-ladder
+    reference for the cells of limits._window_table."""
     n = len(eps)
     tableau = [[0j] * n for _ in range(n)]
     for i in range(n):
@@ -189,7 +190,8 @@ def oracle_bs_extrapolate(eps, values):
 
 
 def oracle_extrapolate(eps, pts):
-    """limits._extrapolate on the oracle tableau, dividing the parameters per call."""
+    """One ladder's estimate on the oracle tableau, charted by u / v where |u| <= |v| at its
+    first point, else by v / u: the per-ladder reference for limits._label_estimates."""
     u, v = pts[0]
     if abs(u) <= abs(v):
         vals = [p[0] / p[1] for p in pts]
@@ -199,6 +201,50 @@ def oracle_extrapolate(eps, pts):
     if w == 0:
         return (1.0 + 0j, 0j)
     return limits._numeric_point(1.0 / w)
+
+
+def random_coordinate(rng: random.Random, kinds: int = 5):
+    """A snapshot coordinate: None, a signed zero, a part up to 1e9, or kinds - 3 in
+    kinds a Gaussian of deviation 3."""
+    kind = rng.randrange(kinds)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0]))
+    if kind == 2:
+        return complex(rng.uniform(-1e9, 1e9), rng.uniform(-1e9, 1e9))
+    return complex(rng.gauss(0, 3), rng.gauss(0, 3))
+
+
+def one_ladder(eps, pts):
+    """limits._label_estimates on one ladder over all of eps, for one label with these points."""
+    return limits._label_estimates(eps, [tuple(range(len(eps)))], {},
+                                   {i: [p] for i, p in enumerate(pts)}, 0)[0]
+
+
+def ladder_outcome(eps, ladders, rows, ix) -> str:
+    """The per-ladder oracle's outcome for label ix: its estimates; else ZeroDivisionError
+    where some ladder's series divides by zero, else the first ladder's InvalidFamily."""
+    outs = []
+    for idx in ladders:
+        try:
+            outs.append(oracle_extrapolate([eps[i] for i in idx], [rows[i][ix] for i in idx]))
+        except (ZeroDivisionError, InvalidFamily) as exc:
+            outs.append(exc)
+    errors = [e for e in outs if isinstance(e, Exception)]
+    if any(isinstance(e, ZeroDivisionError) for e in errors):
+        return "ZeroDivisionError"
+    return f"InvalidFamily: {errors[0]}" if errors else repr(outs)
+
+
+def table_outcome(eps, ladders, tables, rows, ix) -> str:
+    """limits._label_estimates' outcome for label ix, in ladder_outcome's terms."""
+    try:
+        return repr(limits._label_estimates(eps, ladders, tables, rows, ix))
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+    except InvalidFamily as exc:
+        return f"InvalidFamily: {exc}"
 
 
 def normalized(snap) -> list:
@@ -703,9 +749,9 @@ class TestNumericLimit:
         snaps = [{"1": complex(rng.random(), rng.random()), "2": 1 + 0j,
                   "3": None, "4": 5 + 0j} for _ in range(30)]
         eps = [1.0 / (i + 10) for i in range(30)]
-        estimates, extrapolate = [], limits._extrapolate
-        monkeypatch.setattr(limits, "_extrapolate",
-                            lambda *a: estimates.append(extrapolate(*a)) or estimates[-1])
+        estimates, label_estimates = [], limits._label_estimates
+        monkeypatch.setattr(limits, "_label_estimates",
+                            lambda *a: estimates.append(label_estimates(*a)) or estimates[-1])
         with pytest.raises(NotStabilized) as info:
             numeric_limit_tree(NumericConfigSequence.make(snaps, eps))
         # the first chart fails: only label 4 moves against its random triple
@@ -714,7 +760,7 @@ class TestNumericLimit:
         assert 1e-6 < entry["spread"] <= 2.0
         # it names the ladder farthest from ladder 0 and that ladder's anchor, the
         # (k+1)-th smallest eps; label 4's estimates are the last five
-        gaps = [limits.chordal(estimates[-5], e) for e in estimates[-4:]]
+        gaps = [limits.chordal(estimates[-1][0], e) for e in estimates[-1][1:]]
         assert entry["spread"] == max(gaps)
         assert entry["ladder"] == 1 + gaps.index(max(gaps))
         assert entry["anchor_eps"] == sorted(eps)[entry["ladder"]]
@@ -793,21 +839,27 @@ class TestNumericLimit:
 
     @pytest.mark.parametrize("n", [5, 8, 11])
     def test_one_extrapolated_chart_per_vertex(self, monkeypatch, n):
-        # one extrapolation per (ladder, quadruple) of a charted triple but those of its
-        # own 0 and inf labels, which are charted exactly, and one cross-ratio row per
-        # (charted triple, snapshot some ladder uses)
-        calls, rows = [], []
-        extrapolate, cross_ratio_row = limits._extrapolate, limits._cross_ratio_row
+        # one table run of w estimates per quadruple of a charted triple but those of its
+        # own 0 and inf labels, which are charted exactly, each ladder subset's table built
+        # once, and one cross-ratio row per (charted triple, snapshot some ladder uses)
+        calls, built, rows = [], [], []
+        label_estimates, window_table = limits._label_estimates, limits._window_table
+        cross_ratio_row = limits._cross_ratio_row
 
         def counted(*args):
-            calls.append(None)
-            return extrapolate(*args)
+            calls.append(label_estimates(*args))
+            return calls[-1]
+
+        def counted_table(eps, ladders):
+            built.append(tuple(ladders))
+            return window_table(eps, ladders)
 
         def counted_row(*args):
             rows.append(args[1:])
             return cross_ratio_row(*args)
 
-        monkeypatch.setattr(limits, "_extrapolate", counted)
+        monkeypatch.setattr(limits, "_label_estimates", counted)
+        monkeypatch.setattr(limits, "_window_table", counted_table)
         monkeypatch.setattr(limits, "_cross_ratio_row", counted_row)
         rng = random.Random(f"numeric-charts-{n}")
         seq = None
@@ -815,6 +867,7 @@ class TestNumericLimit:
             fam = plumbed_family(n, "twist", rng)
             seq = NumericConfigSequence.make(*snapshots(fam))
             calls.clear()
+            built.clear()
             rows.clear()
             try:
                 t = numeric_limit_tree(seq)
@@ -822,7 +875,9 @@ class TestNumericLimit:
                 seq = None
         vertices = len(t.shape.internal)
         assert vertices > 1
-        assert len(calls) == seq.stability_window * (n - 2) * vertices
+        assert len(calls) == (n - 2) * vertices
+        assert all(len(estimates) == seq.stability_window for estimates in calls)
+        assert len(set(built)) == len(built) >= 1
         used = {i for skip in range(seq.stability_window)
                 for i in limits._ladder_nodes(seq.eps, skip)}
         assert len(rows) == vertices * len(used)
@@ -831,32 +886,21 @@ class TestNumericLimit:
     def test_exact_charts_of_a_triples_zero_and_infinity(self):
         # y0 and yinf of a charted triple are exact zeros u and v of every cross-ratio row,
         # so numeric_limit_tree charts them without extrapolating: y0 from ladder 0's last
-        # row and yinf as (1 : 0).  Bit for bit against _extrapolate on ladder 0, with
+        # row and yinf as (1 : 0).  Bit for bit against _label_estimates' ladder 0, with
         # spread 0.0 over all five ladders, on random snapshots with signed zeros,
         # infinite labels, magnitudes up to 1e9 and near-coincident labels
         rng = random.Random("numeric-exact-charts")
 
-        def coordinate():
-            kind = rng.randrange(5)
-            if kind == 0:
-                return None
-            if kind == 1:
-                return complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0]))
-            if kind == 2:
-                return complex(rng.uniform(-1e9, 1e9), rng.uniform(-1e9, 1e9))
-            return complex(rng.gauss(0, 3), rng.gauss(0, 3))
-
         exact = 0
         for _ in range(300):
             eps = sorted(1.0 / k for k in rng.sample(range(10, 201), rng.randint(6, 20)))
-            ladders = [(limits._eps_ratios([eps[i] for i in idx]), idx)
-                       for idx in (limits._ladder_nodes(eps, skip) for skip in range(5))]
+            ladders = [tuple(limits._ladder_nodes(eps, skip)) for skip in range(5)]
             m = rng.randint(3, 7)
             snaps = []
             for _ in eps:
                 values = [None] * m
                 while len(set(values)) < m:  # coincident labels are refused before charting
-                    values = [coordinate() for _ in range(m)]
+                    values = [random_coordinate(rng) for _ in range(m)]
                     base = rng.randrange(m)
                     if values[base] is not None:  # a near-coincident label
                         values[rng.randrange(m)] = values[base] + rng.choice([1e-15, 1e-9])
@@ -866,10 +910,9 @@ class TestNumericLimit:
             if any((0j, 0j) in (row[i0], row[i2]) for row in rows):
                 continue  # the guard: these charts are extrapolated
             exact += 1
-            u, v = rows[ladders[0][1][-1]][i0]
+            u, v = rows[ladders[0][-1]][i0]
             for ix, chart in ((i0, limits._numeric_point(u / v)), (i2, (1.0 + 0j, 0j))):
-                estimates = [limits._extrapolate(ratios, [rows[i][ix] for i in idx])
-                             for ratios, idx in ladders]
+                estimates = limits._label_estimates(eps, ladders, {}, rows, ix)
                 assert repr(chart) == repr(estimates[0])
                 assert max(limits.chordal(estimates[0], e) for e in estimates[1:]) == 0.0
         assert exact > 250
@@ -941,7 +984,7 @@ class TestNumericLimit:
                 NumericConfigSequence.make(snaps, [1.0, 0.5][:len(snaps)])
             assert str(info.value) == refusal
 
-    def test_rows_and_one_row_extrapolation_match_the_oracle(self):
+    def test_rows_and_one_ladder_tables_match_the_oracle(self):
         # bit for bit, signed zeros included, against the four-bracket cross-ratio
         # and the n x n tableau: infinite points, labels equal to a triple point,
         # near-coincident labels, and series through the den2 == 0 and d == 0 branches
@@ -953,18 +996,8 @@ class TestNumericLimit:
             except ZeroDivisionError:
                 return "ZeroDivisionError"
 
-        def coordinate():
-            kind = rng.randrange(6)
-            if kind == 0:
-                return None
-            if kind == 1:
-                return complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0]))
-            if kind == 2:
-                return complex(rng.uniform(-1e9, 1e9), rng.uniform(-1e9, 1e9))
-            return complex(rng.gauss(0, 3), rng.gauss(0, 3))
-
         for _ in range(300):
-            values = [coordinate() for _ in range(rng.randint(3, 8))]
+            values = [random_coordinate(rng, 6) for _ in range(rng.randint(3, 8))]
             base = rng.randrange(len(values))
             if values[base] is not None:  # a near-coincident label
                 values.append(values[base] + complex(rng.choice([1e-15, 1e-9]), 0.0))
@@ -990,21 +1023,135 @@ class TestNumericLimit:
                 vals = [rng.choice([1 + 0j, 2j]) / e for e in eps]
             else:
                 vals = [complex(rng.gauss(0, 1), 0.0) + 1e-12 * rng.random() * e for e in eps]
-            ratios = limits._eps_ratios(eps)
-            assert repr(limits._bs_extrapolate(ratios, vals)) \
-                == repr(oracle_bs_extrapolate(eps, vals))
             pts = [limits._numeric_point(v) for v in vals]
             if rng.random() < 0.5:
                 pts = [(v, u) for u, v in pts]
-            assert outcome(limits._extrapolate, ratios, pts) == outcome(oracle_extrapolate, eps, pts)
+            assert outcome(one_ladder, eps, pts) == outcome(oracle_extrapolate, eps, pts)
 
-        # den2 == 0: a zero first sample; d == 0: values 1/eps at eps doubling, and again
-        # with negative zero imaginary parts, which t + 0 clears to (2+0j)
-        for eps, vals in [([0.25, 0.5], [0j, 0j]), ([0.125, 0.25, 0.5, 1.0], [8 + 0j, 4, 2, 1]),
-                          ([0.125, 0.25, 0.5, 1.0], [complex(x, -0.0) for x in (8, 4, 2, 1)])]:
-            assert repr(limits._bs_extrapolate(limits._eps_ratios(eps), vals)) \
-                == repr(oracle_bs_extrapolate(eps, vals))
-        assert (0.125 / 0.25) * (1 - (4 - 8) / 4) - 1 == 0
+        # den2 == 0: a zero first sample; d == 0: values 1/(16 eps) at eps doubling, and again
+        # with negative zero imaginary parts, which t + 0 clears; charted by u / v as (v : 1)
+        for eps, vals in [([0.25, 0.5], [0j, 0j]),
+                          ([0.125, 0.25, 0.5, 1.0], [0.5 + 0j, 0.25, 0.125, 0.0625]),
+                          ([0.125, 0.25, 0.5, 1.0], [complex(x, -0.0) for x in (0.5, 0.25, 0.125, 0.0625)])]:
+            pts = [(complex(v), 1.0 + 0j) for v in vals]
+            assert [p[0] / p[1] for p in pts] == vals
+            assert repr(one_ladder(eps, pts)) == repr(oracle_extrapolate(eps, pts))
+        assert (0.125 / 0.25) * (1 - (0.25 - 0.5) / 0.25) - 1 == 0
+
+    def test_window_tables_match_the_per_ladder_oracle(self):
+        # each label's five estimates, bit for bit, against each ladder's full tableau, on
+        # random snapshots with signed zeros, infinite labels, magnitudes up to 1e9 and
+        # near-coincident labels; a zero divisor in any ladder raises ZeroDivisionError,
+        # else the first ladder's estimate that is not finite its InvalidFamily
+        rng = random.Random("numeric-window-tables")
+
+        mixed = 0
+        for _ in range(200):
+            eps = sorted(1.0 / k for k in rng.sample(range(10, 201), rng.randint(6, 20)))
+            ladders = [tuple(limits._ladder_nodes(eps, skip)) for skip in range(5)]
+            m = rng.randint(3, 7)
+            snaps = []
+            for _ in eps:
+                values = [random_coordinate(rng) for _ in range(m)]
+                base = rng.randrange(m)
+                if values[base] is not None:  # a near-coincident label
+                    values[rng.randrange(m)] = values[base] + rng.choice([1e-15, 1e-9])
+                snaps.append([limits._numeric_point(v) for v in values])
+            i0, i1, i2 = sorted(rng.sample(range(m), 3))
+            rows = [limits._cross_ratio_row(snap, i0, i1, i2) for snap in snaps]
+            tables: dict = {}
+            for ix in range(m):
+                assert table_outcome(eps, ladders, tables, rows, ix) \
+                    == ladder_outcome(eps, ladders, rows, ix)
+            mixed += len(tables) > 1
+        assert mixed > 0
+
+        # planted on the bench grid: labels a, b, c at 0, 1, inf chart d as itself
+        eps = [1.0 / k for k in range(10, 201)]
+        ladders = [tuple(limits._ladder_nodes(eps, skip)) for skip in range(5)]
+
+        def planted(d, at=()):  # d at eps = 1/k, with (b, d) replaced at k in at
+            return [{"a": 0j, "b": at[k][0], "c": None, "d": at[k][1]} if k in at else
+                    {"a": 0j, "b": 1 + 0j, "c": None, "d": d(1.0 / k)} for k in range(10, 201)]
+
+        def charted(snaps):  # the sequence, its rows, and d's outcome with the tables it ran
+            seq = NumericConfigSequence.make(snaps, eps)
+            rows = {i: limits._cross_ratio_row(normalized(seq.snapshots[i]), 0, 1, 2)
+                    for i in set().union(*ladders)}
+            tables: dict = {}
+            return seq, rows, tables, table_outcome(eps, ladders, tables, rows, 3)
+
+        # |d| crosses 1 between the anchors 1/198 and 1/197: ladders 0-2 chart d by u / v,
+        # ladders 3 and 4 by v / u, each direction in its own table
+        a = complex(math.cos(0.7), math.sin(0.7))
+        seq, rows, tables, got = charted(planted(lambda e: a * (1 + 100 * (e - 1 / 197.5))))
+        assert abs(abs(a) - 1) < 1e-15
+        assert got == ladder_outcome(eps, ladders, rows, 3)
+        assert sorted(tables) == [(0, 1, 2), (3, 4)]
+        assert numeric_dump(numeric_limit_tree(seq)) \
+            == numeric_dump(per_triple_numeric_limit_tree(seq))
+
+        # a zero divisor at 1/143, a node of ladder 4 alone: the pole is refused as before
+        seq, rows, _, got = charted(planted(lambda e: 0.5 + 0.25j,
+                                            {143: (complex(1e-200), complex(1e200))}))
+        assert got == ladder_outcome(eps, ladders, rows, 3) == "ZeroDivisionError"
+        assert ladder_outcome(eps, ladders[:4], rows, 3).startswith("[")
+        with pytest.raises(NotStabilized) as info:
+            numeric_limit_tree(seq)
+        assert str(info.value) == "a cross-ratio is a pole of its extrapolation chart in a snapshot"
+        assert info.value.witness == {"quadruple": ["a", "b", "c", "d"], "eps": 1.0 / 143}
+
+        # d = +-1e308 at 1/76 and 1/55, adjacent nodes of ladder 4 alone: finite quotients
+        # whose difference overflows, so ladder 4's tableau ends in nan and it is refused
+        seq, rows, _, got = charted(planted(lambda e: 0.5 + 0.25j, {
+            76: (1 + 0j, complex(1e308)), 55: (1 + 0j, complex(-1e308))}))
+        refusal = "InvalidFamily: " + limits._NOT_FINITE + repr(complex("nan+nanj"))
+        assert got == ladder_outcome(eps, ladders, rows, 3) == refusal
+        assert ladder_outcome(eps, ladders[:4], rows, 3).startswith("[")
+        with pytest.raises(InvalidFamily) as info:
+            numeric_limit_tree(seq)
+        assert "InvalidFamily: " + str(info.value) == refusal
+
+    def test_the_window_table_on_the_bench_grid(self):
+        # five ladders at window 5 on eps = 1/k, k = 10..200: 27 leaves and 131 cells,
+        # against 45 series values and 180 cells in per-ladder tableaux; each cell reads
+        # slots before its own, and the ladders' estimates are the last five cells
+        eps = [1.0 / k for k in range(10, 201)]
+        ladders = [tuple(limits._ladder_nodes(eps, skip)) for skip in range(5)]
+        assert sum(map(len, ladders)) == 45
+        assert sum(len(idx) * (len(idx) - 1) // 2 for idx in ladders) == 180
+        leaves, cells, roots = limits._window_table(eps, ladders)
+        assert (len(leaves), len(cells)) == (27, 131)
+        assert leaves == sorted(set().union(*ladders))
+        for s, (a, b, c, _) in enumerate(cells, len(leaves) + 1):
+            assert max(a, b, c) < s
+        assert sorted(roots) == list(range(len(leaves) + len(cells) - 4, len(leaves) + len(cells) + 1))
+
+    @pytest.mark.parametrize("n", [5, 8, 11])
+    def test_returned_markings_lie_within_tolerance_of_the_exact_charts(self, n):
+        # every label's point at every vertex of a returned tree lies within the
+        # sequence's tolerance, in chordal distance, of the exact limit chart at the
+        # vertex's representative triple; None is the point at infinity
+        rng = random.Random(f"numeric-markings-{n}")
+        returned = 0
+        for form in ("plain", "twist") * 3:
+            fam = plumbed_family(n, form, rng)
+            seq = NumericConfigSequence.make(*snapshots(fam))
+            try:
+                t = numeric_limit_tree(seq)
+            except (NotStabilized, InconsistentClustering, AdmissibilityFailure):
+                continue
+            returned += 1
+            labels = sorted(fam.labels)
+            for v, row in t.marking:
+                exact = limits._limit_chart(
+                    labels, fam.lead, representative_triple(partition_at(t.shape, v)))
+                for x, affine in row:
+                    p = exact[x]
+                    q = None if p.is_infinity() else p.to_affine().to_complex()
+                    gap = limits.chordal(limits._numeric_point(affine), limits._numeric_point(q))
+                    assert gap <= seq.tolerance, (v, x, gap)
+        assert returned > 0
 
 
 class TestLimitCover:
