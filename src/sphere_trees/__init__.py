@@ -22,7 +22,6 @@ from .trees import (
     validate_tree,
 )
 from .moduli import (
-    Embedding,
     MarkedSphere,
     TreeOfSpheres,
     canonical_form,

@@ -2,9 +2,11 @@
 
 A cover together with a tree over a shared sub-label-set is a dynamical
 system when that tree is compatible with both the source and the target,
-i.e. equals their projections on the nose.  Whether some compatible tree
-exists at all is decided on isomorphism classes: the two projections must be
-isomorphic, and the source projection then serves as a witness.
+i.e. equals their projections on the nose: both sides are projections, whose
+internal vertices are ranked by partition, so compatibility is value equality
+and builds no Moebius map.  Whether some compatible tree exists at all is
+decided on isomorphism classes: the two projections must be isomorphic, and
+the source projection then serves as a witness.
 """
 
 from __future__ import annotations
@@ -36,16 +38,15 @@ class DynSystem:
 
 
 def compatible(t_x: TreeOfSpheres, t_y: TreeOfSpheres) -> bool:
-    """Does t_x equal the projection of t_y on the nose?
+    """Is t_x the projection of t_y, T_X = pi_X(T_Y), on the nose?
 
-    It does iff the explicit isomorphism onto the projection exists and is
-    the identity at every vertex: the markings agree pointwise, not merely
-    up to Moebius changes.
+    Projecting t_x onto its own labels renames its internal vertices by partition rank
+    and keeps every row, so the two projections are equal values exactly when the trees
+    have the same partitions and the same edge points at each of them.
     """
     if not t_x.labels <= t_y.labels:
         raise NotASubset("the first tree is not marked by a subset")
-    iso = iso_of_spheres(t_x, project(t_y, t_x.labels))
-    return iso is not None and all(m.is_identity() for m in iso[1].values())
+    return project(t_x, t_x.labels) == project(t_y, t_x.labels)
 
 
 def validate_dyn(d: DynSystem) -> list[str]:

@@ -369,7 +369,8 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
     the first, by ascending eps, where a product of brackets underflows to (0 : 0).  The
     ladders share one table of their node windows per call and chart direction, so a label
     divides each row entry and computes each tableau cell once; the first label a ladder's
-    chart divides by zero or past the float range is refused at its first such snapshot.  The
+    chart divides by zero or past the float range is refused at its first such snapshot, one
+    whose tableau overflows on finite quotients naming the first ladder that does.  The
     triple's own 0 and inf labels, exact zeros of every row's numerator or denominator, are
     charted from ladder 0's last row and as (1 : 0), the bits their tableaux would return.
     """
@@ -411,10 +412,16 @@ def numeric_limit_tree(seq: NumericConfigSequence) -> NumericTreeOfSpheres:
                     quotients = {seq.eps[i]: rows[i][ix][1 - k] / rows[i][ix][k] if rows[i][ix][k] else math.inf
                                  for i in idx}
                     poles += [e for e, q in quotients.items() if not abs(q.real) + abs(q.imag) < math.inf]
-                if not poles:  # every quotient is finite: the overflow is the tableau's own
-                    raise
-                raise NotStabilized("a cross-ratio is a pole of its extrapolation chart in a snapshot",
-                                    witness={"quadruple": [*triple, x], "eps": min(poles)}) from None
+                if poles:
+                    raise NotStabilized("a cross-ratio is a pole of its extrapolation chart in a snapshot",
+                                        witness={"quadruple": [*triple, x], "eps": min(poles)}) from None
+                for k, idx in enumerate(nodes):  # every quotient is finite: name the first ladder
+                    try:  # whose own tableau overflows
+                        _label_estimates(seq.eps, (idx,), {}, rows, ix)
+                    except InvalidFamily:
+                        raise NotStabilized("an extrapolation tableau overflows the float range", witness={
+                            "quadruple": [*triple, x], "ladder": k, "anchor_eps": seq.eps[idx[0]]}) from None
+                raise
             spread = max(chordal(estimates[0], e) for e in estimates[1:])
             if spread > seq.tolerance:  # name the ladder whose estimate lies farthest out
                 k = max(range(1, w), key=lambda k: chordal(estimates[0], estimates[k]))

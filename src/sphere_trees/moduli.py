@@ -12,13 +12,14 @@ and inf by construction and only the others through the triple's Moebius chart, 
 trivalent vertex (M_{0,3} is a point) builds no map.  ``canonical_form`` renames the
 charted rows.  ``_iso_vertex_map`` decides isomorphism on partition sets, then charted
 rows; ``iso_of_spheres`` adds explicit Moebius maps for the callers that read them.
-The embedding (each triple charted at the vertex that separates it) and canonical
-forms are outputs and oracles for the verdicts.
+The embedding, a plain mapping from (ordered triple, label) to the label's point in the
+chart of the vertex that separates the triple, and canonical forms are outputs and
+oracles for the verdicts.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import permutations, product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -178,55 +179,20 @@ def vertex_charts(t: TreeOfSpheres) -> Mapping:
     return t._charts
 
 
-@value
-class Embedding:
-    """All chart values (alpha_t(x)) indexed by (triple, label).
-
-    Values where the label lies in the triple are the forced 0/1/inf, so the
-    table is total and embeds three-label trees as well.
-    """
-
-    values: tuple  # sorted (((x0, x1, xinf), x), ProjPoint)
-    mapping: Mapping = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", MappingProxyType(dict(self.values)))
-
-    def value(self, triple: tuple[str, str, str], x: str) -> ProjPoint:
-        return self.mapping[(triple, x)]
-
-
-# chart changes induced by permuting a normalized triple, on (u : v)
-_ANHARMONIC = {
-    (0, 1, 2): lambda u, v: (u, v),          # identity
-    (0, 2, 1): lambda u, v: (u, u - v),      # z / (z - 1)
-    (1, 0, 2): lambda u, v: (v - u, v),      # 1 - z
-    (1, 2, 0): lambda u, v: (u - v, u),      # (z - 1) / z
-    (2, 0, 1): lambda u, v: (v, v - u),      # 1 / (1 - z)
-    (2, 1, 0): lambda u, v: (v, u),          # 1 / z
-}
-
-
-def embed(t: TreeOfSpheres) -> Embedding:
-    """Each triple is charted at the one vertex where its labels get three
-    distinct points, the vertex that separates it; every label takes the
-    image of its branch's edge point."""
-    labels = sorted(t.labels)
+def embed(t: TreeOfSpheres) -> dict:
+    """The cross-ratio embedding {(triple, label): point}: each ordered triple is charted at
+    the vertex that separates it, its labels in three distinct branches, by the Moebius map
+    sending their edge points to (0, 1, inf), one map per ordered triple of edges, and every
+    label takes the image of its branch's edge point."""
     out = {}
     for v in t.shape.internal:
-        a_v, beyond = marking_dict(t, v), branches(t.shape, v)
-        for combo in combinations(labels, 3):
-            ends = [a_v[x] for x in combo]
-            if len(set(ends)) < 3:
-                continue
-            sigma = moebius_from_three(*ends)
-            for n, p in t.edge_points(v).items():
-                q = sigma.apply(p)
-                for perm, transform in _ANHARMONIC.items():
-                    image = ProjPoint.make(*transform(q.u, q.v))
-                    triple = (combo[perm[0]], combo[perm[1]], combo[perm[2]])
-                    out.update(((triple, x), image) for x in beyond[n])
-    return Embedding(tuple(sorted(out.items())))
+        row, beyond = t.rows[v], branches(t.shape, v)
+        for edges in permutations(row, 3):
+            sigma = moebius_from_three(*(row[n] for n in edges))
+            images = [(beyond[n], sigma.apply(p)) for n, p in row.items()]
+            for triple in product(*(sorted(beyond[n]) for n in edges)):
+                out.update(((triple, x), q) for b, q in images for x in b)
+    return out
 
 
 def spheres_iso(t1: TreeOfSpheres, t2: TreeOfSpheres) -> bool:

@@ -97,9 +97,6 @@ class Moebius:
         return ProjPoint.ratio(product_sum(self.a, p.u, self.b, p.v),
                                product_sum(self.c, p.u, self.d, p.v))
 
-    def __call__(self, p: ProjPoint) -> ProjPoint:
-        return self.apply(p)
-
     def compose(self, other: "Moebius") -> "Moebius":
         """Matrix product: (self . other)(p) == self(other(p))."""
         return Moebius.of_triples(
@@ -111,9 +108,6 @@ class Moebius:
 
     def inverse(self) -> "Moebius":
         return Moebius.make(self.d, -self.b, -self.c, self.a)
-
-    def is_identity(self) -> bool:
-        return self == M_IDENTITY
 
 
 M_IDENTITY = Moebius(GR_ONE, GR_ZERO, GR_ZERO, GR_ONE)

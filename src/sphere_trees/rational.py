@@ -172,9 +172,6 @@ class RationalMap:
         return ProjPoint.ratio(horner(triples(num), r.a, r.b, r.c)[-1] if num else (0, 0, 1),
                                horner(triples(den), r.a, r.b, r.c)[-1])
 
-    def __call__(self, p: ProjPoint) -> ProjPoint:
-        return self.apply(p)
-
     def postcompose(self, m: Moebius) -> "RationalMap":
         """m after self."""
         return RationalMap._monic(*hom_postcompose(self.num, self.den, m, GR_ZERO))

@@ -23,16 +23,15 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
-from . import limits
 from .covers import Portrait, TreeCover
 from .dynamics import DynSystem
 from .errors import SchemaError
 from .gaussian import GaussianRational
 from .laurent import LP_ZERO, LaurentMap, LaurentPoint, LaurentPoly
 from .limits import CoverFamily, LaurentFamily, NumericConfigSequence, NumericTreeOfSpheres
-from .moduli import Embedding, MarkedSphere, TreeOfSpheres
+from .moduli import MarkedSphere, TreeOfSpheres
 from .projective import ProjPoint
 from .rational import RationalMap
 from .trees import MarkedTree, Vertex, vertex_key
@@ -55,8 +54,6 @@ _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
 # map takes seconds at degree 64, minutes at 200); the shipped data and the
 # benchmark use degree at most 4.
 MAX_MAP_DEGREE = 64
-
-MAX_COVER_FAMILY_WORK = limits.MAX_COVER_FAMILY_WORK  # checked by CoverFamily.make
 
 
 def canonical_dumps(payload: Any) -> str:
@@ -309,11 +306,8 @@ def marked_sphere_from_json(obj: Any) -> MarkedSphere:
     return MarkedSphere.make(points)
 
 
-def embedding_to_json(e: Embedding) -> list:
-    return [
-        {"quad": [t[0], t[1], t[2], x], "value": point_to_json(p)}
-        for (t, x), p in e.values
-    ]
+def embedding_to_json(e: Mapping) -> list:
+    return [{"quad": [*t, x], "value": point_to_json(p)} for (t, x), p in sorted(e.items())]
 
 
 # ---------------------------------------------------------------------------

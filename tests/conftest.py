@@ -7,6 +7,7 @@ import pathlib
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,13 +18,14 @@ from sphere_trees.errors import DegenerateTriple
 from sphere_trees.gaussian import GR_ZERO, GaussianRational, gr
 from sphere_trees.laurent import LaurentMap, LaurentMoebius, LaurentPoint, LaurentPoly
 from sphere_trees.limits import CoverFamily, LaurentFamily, limit_cover
-from sphere_trees.moduli import MarkedSphere, TreeOfSpheres
-from sphere_trees.projective import Moebius, ProjPoint, moebius_from_three
+from sphere_trees.moduli import MarkedSphere, TreeOfSpheres, iso_of_spheres, marking_dict, project
+from sphere_trees.projective import M_IDENTITY, Moebius, ProjPoint, moebius_from_three
 from sphere_trees.rational import RationalMap, trim
 from sphere_trees.trees import (
     MarkedTree,
     edge_of,
     enumerate_stable_trees,
+    branches,
     neighbors,
     vertex_key,
 )
@@ -52,6 +54,46 @@ def lpoly(terms) -> LaurentPoint:
 def cross_ratio(p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint, p: ProjPoint) -> ProjPoint:
     """Oracle: the image of p under the chart normalizing (p0, p1, pinf) to (0, 1, inf)."""
     return moebius_from_three(p0, p1, pinf).apply(p)
+
+
+# chart changes induced by permuting a normalized triple, on (u : v)
+_ANHARMONIC = {
+    (0, 1, 2): lambda u, v: (u, v),          # identity
+    (0, 2, 1): lambda u, v: (u, u - v),      # z / (z - 1)
+    (1, 0, 2): lambda u, v: (v - u, v),      # 1 - z
+    (1, 2, 0): lambda u, v: (u - v, u),      # (z - 1) / z
+    (2, 0, 1): lambda u, v: (v, v - u),      # 1 / (1 - z)
+    (2, 1, 0): lambda u, v: (v, u),          # 1 / z
+}
+
+
+def oracle_embed(t: TreeOfSpheres) -> dict:
+    """Oracle for `moduli.embed`: each unordered triple of labels with three distinct
+    points in a_v is charted once at v, and the other five orders of it are read off that
+    chart through the anharmonic group."""
+    labels = sorted(t.labels)
+    out = {}
+    for v in t.shape.internal:
+        a_v, beyond = marking_dict(t, v), branches(t.shape, v)
+        for combo in combinations(labels, 3):
+            ends = [a_v[x] for x in combo]
+            if len(set(ends)) < 3:
+                continue
+            sigma = moebius_from_three(*ends)
+            for n, p in t.edge_points(v).items():
+                q = sigma.apply(p)
+                for perm, transform in _ANHARMONIC.items():
+                    image = ProjPoint.make(*transform(q.u, q.v))
+                    triple = (combo[perm[0]], combo[perm[1]], combo[perm[2]])
+                    out.update(((triple, x), image) for x in beyond[n])
+    return out
+
+
+def oracle_compatible(t_x: TreeOfSpheres, t_y: TreeOfSpheres) -> bool:
+    """Oracle for `dynamics.compatible`: the explicit isomorphism onto t_y's projection
+    exists and its Moebius map at every vertex is the identity."""
+    iso = iso_of_spheres(t_x, project(t_y, t_x.labels))
+    return iso is not None and all(m == M_IDENTITY for m in iso[1].values())
 
 
 def oracle_laurent_bracket(p: LaurentPoint, q: LaurentPoint) -> LaurentPoly:
@@ -151,25 +193,27 @@ def random_stable_shape(n: int, rng: random.Random) -> MarkedTree:
     return MarkedTree.make(labels, internal, edges)
 
 
+def relabel_tree(t: TreeOfSpheres, shift: int) -> TreeOfSpheres:
+    """The same tree of spheres with every internal vertex id shifted."""
+    def rn(v):
+        return v + shift if isinstance(v, int) else v
+    shape = MarkedTree.make(
+        t.shape.leaves, [v + shift for v in t.shape.internal],
+        [tuple(rn(x) for x in e) for e in t.shape.edges])
+    marking = {v + shift: {rn(n): p for n, p in t.edge_points(v).items()}
+               for v in t.shape.internal}
+    return TreeOfSpheres.make(shape, marking)
+
+
 def relabel_internal_ids(cover, source_shift: int = 10, target_shift: int = 20):
     """The same cover with every internal vertex id shifted."""
     from sphere_trees.covers import TreeCover
 
-    def relabel(t: TreeOfSpheres, shift: int) -> TreeOfSpheres:
-        def rn(v):
-            return v + shift if isinstance(v, int) else v
-        shape = MarkedTree.make(
-            t.shape.leaves, [v + shift for v in t.shape.internal],
-            [tuple(rn(x) for x in e) for e in t.shape.edges])
-        marking = {v + shift: {rn(n): p for n, p in t.edge_points(v).items()}
-                   for v in t.shape.internal}
-        return TreeOfSpheres.make(shape, marking)
-
     def rn_pair(v, shift):
         return v + shift if isinstance(v, int) else v
 
-    source = relabel(cover.source, source_shift)
-    target = relabel(cover.target, target_shift)
+    source = relabel_tree(cover.source, source_shift)
+    target = relabel_tree(cover.target, target_shift)
     vm = {rn_pair(a, source_shift): rn_pair(b, target_shift)
           for a, b in cover.vertex_map}
     maps = {v + source_shift: f for v, f in cover.maps}

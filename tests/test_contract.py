@@ -305,7 +305,7 @@ def test_embed_above_the_label_bound_is_schema_error(tmp_path):
     assert str(cli.MAX_EMBED_LABELS) in err
     # the in-process oracle is not bounded
     big = ser.tree_of_spheres_from_json(star_of_spheres(n))
-    assert len(embed(big).values) == 6 * comb(n, 3) * n
+    assert len(embed(big)) == 6 * comb(n, 3) * n
     # the bound admits every tree of spheres shipped in data/ and the n = 10
     # trees of the classify benchmark
     shipped = [json.loads(p.read_text()) for p in DATA_DIR.glob("*.json")]
@@ -479,7 +479,7 @@ def test_a_wide_family_of_high_degree_is_refused_fast(tmp_path, d):
         code, out, err = run_cli_child(command, path)
         assert time.perf_counter() - started < 1.0, command
         assert (code, out) == (2, ""), (command, err)
-        assert f"exceeds the bound {ser.MAX_COVER_FAMILY_WORK}" in err, command
+        assert f"exceeds the bound {limits.MAX_COVER_FAMILY_WORK}" in err, command
 
 
 def test_a_wide_family_of_high_degree_is_refused_in_process():
@@ -489,7 +489,7 @@ def test_a_wide_family_of_high_degree_is_refused_in_process():
     parts = (ser.portrait_from_json(blob["portrait"]), ser.family_from_json(blob["y_family"]),
              ser.family_from_json(blob["z_family"]), ser.laurent_map_from_json(blob["map"]))
     started = time.perf_counter()
-    with pytest.raises(SchemaError, match=f"exceeds the bound {ser.MAX_COVER_FAMILY_WORK}$"):
+    with pytest.raises(SchemaError, match=f"exceeds the bound {limits.MAX_COVER_FAMILY_WORK}$"):
         CoverFamily.make(*parts)
     assert time.perf_counter() - started < 1.0
 
@@ -514,7 +514,7 @@ def deep_root_family(d: int) -> dict:
 @pytest.mark.parametrize("d, expected", [(48, 1), (64, 2)], ids=["inside", "outside"])
 def test_the_work_bound_on_a_root_of_high_order(tmp_path, d, expected):
     # 9,216 is read, and its root orders, up to 48, all run; 16,384 is refused
-    assert (4 * d * d <= ser.MAX_COVER_FAMILY_WORK) == (expected == 1)
+    assert (4 * d * d <= limits.MAX_COVER_FAMILY_WORK) == (expected == 1)
     code, out, err = run_cli_child("limit-cover", write(tmp_path, deep_root_family(d)))
     assert code == expected, err
     if expected == 1:

@@ -6,7 +6,17 @@ import random
 
 import pytest
 
-from conftest import INF, pt, random_moebius, z_squared_map
+from conftest import (
+    INF,
+    POINT_POOL,
+    oracle_compatible,
+    pt,
+    random_marking,
+    random_moebius,
+    random_stable_shape,
+    relabel_tree,
+    z_squared_map,
+)
 from sphere_trees.covers import (
     MarkedSphereCover,
     Portrait,
@@ -23,13 +33,15 @@ from sphere_trees.dynamics import (
 from sphere_trees.errors import NotASubset
 from sphere_trees.moduli import (
     MarkedSphere,
+    TreeOfSpheres,
     marking_dict,
     project,
     sphere_as_tree,
     spheres_iso,
     twist,
 )
-from sphere_trees.trees import partition_at
+from sphere_trees.projective import M_IDENTITY
+from sphere_trees.trees import partition_at, vertex_key
 
 
 def dyn_z_squared(fourth=-1):
@@ -92,18 +104,33 @@ def pointwise_compatible(t_x, t_y) -> bool:
                for p, v in parts_x.items())
 
 
+def remark_one_point(t, rng):
+    """t with one edge point of one internal vertex moved to a point the row lacks."""
+    v = rng.choice(sorted(t.shape.internal))
+    marking = {w: dict(t.edge_points(w)) for w in t.shape.internal}
+    n = rng.choice(sorted(marking[v], key=vertex_key))
+    marking[v][n] = rng.choice([p for p in POINT_POOL if p not in marking[v].values()])
+    return TreeOfSpheres.make(t.shape, marking)
+
+
 class TestCompatibleCorpus:
+    """compatible is value equality of projections; the explicit isomorphism with an
+    identity map at every vertex (oracle_compatible) and the pointwise comparison of
+    derived markings are its oracles."""
+
     def test_projections_are_compatible_and_twists_are_not(self, tree_corpus):
         rng = random.Random(31)
         for t in tree_corpus:
             labels = sorted(t.labels)
             t_x = project(t, rng.sample(labels, rng.randint(3, len(labels))))
             assert compatible(t_x, t) and pointwise_compatible(t_x, t)
+            assert oracle_compatible(t_x, t) and compatible(relabel_tree(t_x, 7), t)
             m = random_moebius(rng)
-            while m.is_identity():
+            while m == M_IDENTITY:
                 m = random_moebius(rng)
             bent = twist(t_x, {rng.choice(sorted(t_x.shape.internal)): m})
             assert not compatible(bent, t) and not pointwise_compatible(bent, t)
+            assert not oracle_compatible(bent, t)
 
     def test_agrees_with_pointwise_rule_on_corpus_pairs(self, tree_corpus):
         pairs = agree = 0
@@ -111,9 +138,36 @@ class TestCompatibleCorpus:
             for t_y in tree_corpus[:40]:
                 if t_x.labels <= t_y.labels:
                     got = compatible(t_x, t_y)
-                    assert got == pointwise_compatible(t_x, t_y)
+                    assert got == pointwise_compatible(t_x, t_y) == oracle_compatible(t_x, t_y)
                     pairs, agree = pairs + 1, agree + got
         assert pairs > 100 and agree >= 40  # each tree is compatible with itself
+
+    def test_single_point_perturbations_break_compatibility(self, tree_corpus):
+        # same partitions, one edge point moved: never compatible, even where the moved
+        # tree is isomorphic to the projection (a trivalent vertex has no moduli)
+        rng = random.Random(43)
+        isomorphic = 0
+        for t in tree_corpus[:200]:
+            labels = sorted(t.labels)
+            t_x = remark_one_point(project(t, rng.sample(labels, rng.randint(3, len(labels)))), rng)
+            assert not compatible(t_x, t) and not oracle_compatible(t_x, t)
+            assert not compatible(relabel_tree(t_x, 7), t)
+            isomorphic += spheres_iso(t_x, project(t, t_x.labels))
+        assert isomorphic > 20
+
+    def test_agrees_with_the_identity_rule_on_random_trees(self):
+        rng = random.Random(47)
+        seen = set()
+        for n in range(4, 11):
+            for _ in range(6):
+                t = random_marking(random_stable_shape(n, rng), rng)
+                p = project(t, rng.sample(sorted(t.labels), rng.randint(3, n)))
+                for t_x in (p, remark_one_point(p, rng),
+                            twist(p, {v: random_moebius(rng) for v in p.shape.internal})):
+                    got = compatible(t_x, t)
+                    assert got == oracle_compatible(t_x, t) == pointwise_compatible(t_x, t)
+                    seen.add(got)
+        assert seen == {True, False}
 
 
 class TestValidateDyn:

@@ -52,7 +52,7 @@ from sphere_trees.laurent import (
     laurent_leading_value,
 )
 from sphere_trees.limits import LaurentFamily
-from sphere_trees.projective import Moebius, ProjPoint, moebius_from_three
+from sphere_trees.projective import M_IDENTITY, Moebius, ProjPoint, moebius_from_three
 from sphere_trees.rational import (
     RationalMap,
     hom_apply,
@@ -115,7 +115,7 @@ class TestProjPoint:
 
 class TestMoebiusFromThree:
     def test_identity_on_standard_triple(self):
-        assert moebius_from_three(pt(0), pt(1), INF).is_identity()
+        assert moebius_from_three(pt(0), pt(1), INF) == M_IDENTITY
 
     def test_inversion(self):
         m = moebius_from_three(INF, pt(1), pt(0))
@@ -181,7 +181,7 @@ class TestMoebiusGroup:
     @settings(max_examples=60)
     @given(moebius_strategy())
     def test_inverse(self, m):
-        assert m.compose(m.inverse()).is_identity()
+        assert m.compose(m.inverse()) == M_IDENTITY
 
 
 class TestLocalDegree:

@@ -79,7 +79,7 @@ from sphere_trees.limits import (
     limit_tree,
     numeric_limit_tree,
 )
-from sphere_trees.moduli import embed, marking_dict, project, sphere_as_tree, spheres_iso
+from sphere_trees.moduli import canonical_form, embed, marking_dict, project, sphere_as_tree, spheres_iso
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres, tree_from_charts, vertex_chart
 from sphere_trees.plumbing import plumb_family
 from sphere_trees.projective import ProjPoint
@@ -369,7 +369,7 @@ class TestLimitTree:
         from itertools import permutations
         from conftest import laurent_cross_ratio
         from sphere_trees.laurent import laurent_leading_value
-        values = embed(limit_tree(fam)).mapping
+        values = embed(limit_tree(fam))
         paths = dict(fam.paths)
         for triple in permutations(sorted(paths), 3):
             for x in sorted(paths):
@@ -536,6 +536,17 @@ def test_limit_tree_digests_are_pinned_at_scale():
     # byte identity of limit_tree past TestEnginesAgree's n <= 14
     golden = pathlib.Path(__file__).parent / "golden" / "limit_tree_scale.sha"
     assert scale_digests() == golden.read_text().splitlines()
+
+
+def test_limit_trees_are_their_canonical_forms():
+    # internal ids ranked by partition, each row in the chart of its vertex's representative
+    # triple: what lets dynamics.compatible compare projections as values
+    families = [fam for name, fam in scale_families() if int(name.split()[0]) <= 32]
+    families += [fam for name, fam in shape_families() if int(name.split()[0]) <= 32]
+    assert len(families) >= 40
+    for fam in families:
+        t = limit_tree(fam)
+        assert t == canonical_form(t)
 
 
 def path_shape(groups: list) -> MarkedTree:
@@ -1102,15 +1113,19 @@ class TestNumericLimit:
         assert info.value.witness == {"quadruple": ["a", "b", "c", "d"], "eps": 1.0 / 143}
 
         # d = +-1e308 at 1/76 and 1/55, adjacent nodes of ladder 4 alone: finite quotients
-        # whose difference overflows, so ladder 4's tableau ends in nan and it is refused
+        # whose difference overflows, so ladder 4's tableau ends in nan; the numeric mode
+        # refuses to stabilize, naming the quadruple, ladder 4 and its anchor eps
         seq, rows, _, got = charted(planted(lambda e: 0.5 + 0.25j, {
             76: (1 + 0j, complex(1e308)), 55: (1 + 0j, complex(-1e308))}))
         refusal = "InvalidFamily: " + limits._NOT_FINITE + repr(complex("nan+nanj"))
         assert got == ladder_outcome(eps, ladders, rows, 3) == refusal
         assert ladder_outcome(eps, ladders[:4], rows, 3).startswith("[")
-        with pytest.raises(InvalidFamily) as info:
+        with pytest.raises(NotStabilized) as info:
             numeric_limit_tree(seq)
-        assert "InvalidFamily: " + str(info.value) == refusal
+        assert str(info.value) == "an extrapolation tableau overflows the float range"
+        assert info.value.witness == {"quadruple": ["a", "b", "c", "d"], "ladder": 4,
+                                      "anchor_eps": eps[ladders[4][0]]}
+        assert eps[ladders[4][0]] == 1.0 / 196
 
     def test_the_window_table_on_the_bench_grid(self):
         # five ladders at window 5 on eps = 1/k, k = 10..200: 27 leaves and 131 cells,

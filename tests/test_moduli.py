@@ -15,6 +15,7 @@ import conftest
 from conftest import (
     INF,
     POINT_POOL,
+    oracle_embed,
     pt,
     random_marking,
     random_moebius,
@@ -49,6 +50,7 @@ from sphere_trees.trees import (
     branches,
     neighbors,
     partition_at,
+    partition_sort_key,
     representative_triple,
     validate_tree,
     vertex_key,
@@ -106,8 +108,6 @@ class TestMarkedSphere:
         assert copy.edge_points(1) == {"3": pt(0), "4": pt(1), 0: INF}
         sphere = MarkedSphere.make({"1": pt(0), "2": pt(1), "3": INF})
         assert "mapping" not in repr(sphere) and sphere.mapping == dict(sphere.points)
-        e = embed(two_vertex)
-        assert hash(e) == hash(embed(copy)) and e.mapping == dict(e.values)
         # so are the tables filled on first use, and those of covers and portraits
         shape = two_vertex.shape
         assert neighbors(shape, 0) == ("1", "2", 1)
@@ -173,7 +173,7 @@ def test_no_module_level_caches():
 
 
 def chart_values(e, triple, labels):
-    return {x: e.value(triple, x) for x in labels}
+    return {x: e[triple, x] for x in labels}
 
 
 class TestEmbed:
@@ -186,7 +186,7 @@ class TestEmbed:
     def test_cross_ratio_chart(self):
         t = sphere_as_tree(MarkedSphere.make(
             {"1": pt(1), "2": pt(2), "3": pt(4), "4": pt(3)}))
-        assert embed(t).value(("1", "2", "3"), "4") == pt(4)
+        assert embed(t)[("1", "2", "3"), "4"] == pt(4)
 
     def test_two_vertex_charts_each_triple_at_its_separating_vertex(self, two_vertex):
         e, labels = embed(two_vertex), ["1", "2", "3", "4"]
@@ -211,17 +211,17 @@ class TestEmbed:
     def test_triple_forced(self):
         t = sphere_as_tree(MarkedSphere.make({"1": pt(0), "2": pt(1), "3": INF}))
         e = embed(t)
-        assert e.value(("1", "2", "3"), "1") == pt(0)
-        assert e.value(("1", "2", "3"), "2") == pt(1)
-        assert e.value(("1", "2", "3"), "3") == INF
+        assert e[("1", "2", "3"), "1"] == pt(0)
+        assert e[("1", "2", "3"), "2"] == pt(1)
+        assert e[("1", "2", "3"), "3"] == INF
 
     def test_star_value(self, star4):
-        assert embed(star4).value(("1", "2", "3"), "4") == pt(5)
+        assert embed(star4)[("1", "2", "3"), "4"] == pt(5)
 
     def test_two_vertex_values(self, two_vertex):
         e = embed(two_vertex)
-        assert e.value(("1", "2", "3"), "4") == INF
-        assert e.value(("3", "4", "1"), "2") == INF
+        assert e[("1", "2", "3"), "4"] == INF
+        assert e[("3", "4", "1"), "2"] == INF
 
     def test_single_vertex_is_classical_cross_ratio(self):
         from itertools import permutations
@@ -233,7 +233,28 @@ class TestEmbed:
             for x in sorted(points):
                 expected = cross_ratio(points[triple[0]], points[triple[1]],
                                        points[triple[2]], points[x])
-                assert e.value(triple, x) == expected
+                assert e[triple, x] == expected
+
+    def test_matches_the_anharmonic_oracle_on_the_corpus(self, tree_corpus):
+        for t in tree_corpus:
+            assert embed(t) == oracle_embed(t)
+
+    def test_matches_the_anharmonic_oracle_on_twisted_random_trees(self):
+        rng = random.Random(4310)
+        for n in range(3, 11):
+            for _ in range(3):
+                t = random_marking(random_stable_shape(n, rng), rng)
+                t = twist(t, {v: random_moebius(rng) for v in t.shape.internal})
+                e = embed(t)
+                assert e == oracle_embed(t) and len(e) == n * (n - 1) * (n - 2) * n
+
+    def test_matches_the_anharmonic_oracle_on_limit_trees(self):
+        rng = random.Random(4311)
+        for n in range(4, 10):
+            fam = plumb_family(random_marking(random_stable_shape(n, rng), rng))
+            for fam in (fam, fam.twist(random_moebius(rng)), fam.reparametrize(2)):
+                t = limit_tree(fam)
+                assert embed(t) == oracle_embed(t)
 
 
 class TestSpheresIso:
@@ -570,6 +591,25 @@ class TestProject:
         p = project(two_vertex, ["1", "2", "3", "4"])
         assert spheres_iso(p, two_vertex)
 
+    def test_full_set_renumbers_by_partition_rank_and_keeps_every_row(self):
+        # the identity dynamics.compatible relies on: projecting a tree onto its own labels
+        # renames internal vertices by the rank of their partitions and moves no point
+        rng = random.Random(4312)
+        for n in range(3, 13):
+            for twisted in (False, True):
+                t = random_marking(random_stable_shape(n, rng), rng)
+                if twisted:
+                    t = twist(t, {v: random_moebius(rng) for v in t.shape.internal})
+                order = sorted(t.shape.internal,
+                               key=lambda v: partition_sort_key(partition_at(t.shape, v)))
+                rank = {v: i for i, v in enumerate(order)} | {x: x for x in t.labels}
+                shape = MarkedTree.make(t.labels, range(len(order)),
+                                        [tuple(rank[x] for x in e) for e in t.shape.edges])
+                expected = TreeOfSpheres.make(shape, {
+                    rank[v]: {rank[m]: p for m, p in t.edge_points(v).items()} for v in order})
+                assert project(t, t.labels) == expected
+                assert project(t, t.labels).marking == expected.marking
+
     def test_drops_unseparated_vertex(self):
         shape = MarkedTree.make(
             ["1", "2", "3", "4", "5"], [0, 1],
@@ -596,8 +636,8 @@ class TestProject:
                 t = twist(t, {v: random_moebius(rng) for v in t.shape.internal})
             et = embed(t)
             for sub in combinations(sorted(t.labels), 4):
-                for (triple, x), value in embed(project(t, sub)).values:
-                    assert et.value(triple, x) == value, (k, sub, triple, x)
+                for (triple, x), value in embed(project(t, sub)).items():
+                    assert et[triple, x] == value, (k, sub, triple, x)
 
     def test_idempotent(self, two_vertex):
         p1 = project(two_vertex, ["1", "3", "4"])

@@ -25,7 +25,7 @@ from conftest import DATA_DIR, oracle_laurent_from_three, z_squared_map
 from sphere_trees import serialize as ser
 from sphere_trees.covers import MarkedSphereCover, edge_table
 from sphere_trees.limits import LaurentFamily, limit_tree, numeric_limit_tree
-from sphere_trees.moduli import TreeOfSpheres, embed, marking_dict, vertex_chart, vertex_charts
+from sphere_trees.moduli import TreeOfSpheres, marking_dict, vertex_chart, vertex_charts
 from sphere_trees.trees import AdmissibilityViolation, MarkedTree, adjacency, branches, is_admissible
 
 
@@ -59,7 +59,6 @@ def instances() -> dict:
             [frozenset({frozenset({"a"}), frozenset({"b", "c"})})]),
         "MarkedSphere": sphere,
         "TreeOfSpheres": tree,
-        "Embedding": embed(tree),
         "Portrait": load("portrait_z2.json"),
         "TreeCover": cover,
         "MarkedSphereCover": MarkedSphereCover(z_squared_map(), sphere, sphere),
@@ -84,7 +83,6 @@ FIELDS = {
     "AdmissibilityViolation": (("condition", "detail", "partition", "block"),) * 3,
     "MarkedSphere": (("labels", "points"),) * 3,
     "TreeOfSpheres": (("shape", "marking"),) * 3,
-    "Embedding": (("values",),) * 3,
     "Portrait": (("y_labels", "z_labels", "fmap", "degmap", "d"),) * 3,
     "TreeCover": (("source", "target", "vertex_map", "maps"),) * 3,
     "MarkedSphereCover": (("f", "y", "z"),) * 3,
@@ -219,7 +217,6 @@ class TestDerivedFields:
 
     def test_derived_mappings_are_rebuilt(self, values):
         for name, attr, source in [("MarkedSphere", "mapping", "points"),
-                                   ("Embedding", "mapping", "values"),
                                    ("LaurentFamily", "mapping", "paths"),
                                    ("Portrait", "f_dict", "fmap"),
                                    ("Portrait", "deg_dict", "degmap")]:
