@@ -47,6 +47,7 @@ from sphere_trees.serialize import (
     cover_to_json,
     portrait_to_json,
     tree_of_spheres_to_json,
+    witness_to_json,
 )
 from workloads import identify_targets
 
@@ -82,7 +83,7 @@ def run(fam: CoverFamily, digest, steps_digest) -> float:
     try:
         limit = limit_cover(fam)
     except SphereTreesError as exc:
-        outcome = {"error": exc.code, "witness": exc.witness}
+        outcome = {"error": exc.code, "witness": witness_to_json(exc.witness)}
         limit = None
     else:
         outcome = cover_to_json(limit)
@@ -106,7 +107,7 @@ def downstream(limit) -> dict:
         member, witness = dyn_membership(dyn, sorted(dyn.target.labels))
         out["member"] = [member, None if witness is None else tree_of_spheres_to_json(witness)]
     except SphereTreesError as exc:
-        out["error"] = {"error": exc.code, "witness": exc.witness}
+        out["error"] = {"error": exc.code, "witness": witness_to_json(exc.witness)}
     return out
 
 

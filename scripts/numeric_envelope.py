@@ -35,7 +35,7 @@ import generators as gen
 from sphere_trees.errors import AdmissibilityFailure, InconsistentClustering, NotStabilized
 from sphere_trees.limits import NumericConfigSequence, numeric_limit_tree
 from sphere_trees.plumbing import plumb_family
-from sphere_trees.serialize import canonical_dumps, numeric_tree_to_json
+from sphere_trees.serialize import canonical_dumps, numeric_tree_to_json, witness_to_json
 from sphere_trees.trees import tree_partitions
 
 TOLERANCE = 1e-6
@@ -61,7 +61,8 @@ def main() -> None:
             try:
                 result = numeric_limit_tree(seq)
             except REFUSALS as exc:
-                result, outcome = None, {"error": exc.code, "witness": exc.witness}
+                result = None
+                outcome = {"error": exc.code, "witness": witness_to_json(exc.witness)}
             times.append(time.process_time() - started)
             if result is None:
                 refused += 1

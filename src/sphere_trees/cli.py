@@ -31,7 +31,7 @@ from .errors import SchemaError, SphereTreesError
 from .limits import limit_cover, limit_tree, numeric_limit_tree
 from .moduli import embed, project, spheres_iso
 from .plumbing import plumb_family
-from .trees import AdmissibilityViolation, trees_isomorphic, validate_tree
+from .trees import trees_isomorphic, validate_tree
 
 
 def _load(path: str) -> Any:
@@ -76,7 +76,8 @@ def _cmd_validate(args) -> Any:
         raise
     except SphereTreesError as exc:
         out = {"ok": False, "violations": [f"{exc.code}: {exc}"]}
-        return out if exc.witness is None else {**out, "witness": _jsonable(exc.witness)}
+        witness = ser.witness_to_json(exc.witness)
+        return out if witness is None else {**out, "witness": witness}
     return {"ok": True} if not problems else {"ok": False, "violations": problems}
 
 
@@ -247,7 +248,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SchemaError as exc:
         return _emit("", 2, f"schema error: {exc}\n")
     except SphereTreesError as exc:
-        payload = {"error": exc.code, "witness": _jsonable(exc.witness)}
+        payload = {"error": exc.code, "witness": ser.witness_to_json(exc.witness)}
         return _emit(ser.canonical_dumps(payload), 1, f"{exc.code}: {exc}\n")
     return _emit(text, 0)
 
@@ -275,22 +276,6 @@ def run() -> None:
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)
-
-
-def _jsonable(witness) -> object:
-    if witness is None or isinstance(witness, (str, int, float, bool)):
-        return witness
-    if isinstance(witness, (list, tuple)):
-        return [_jsonable(w) for w in witness]
-    if isinstance(witness, dict):
-        return {str(k): _jsonable(v) for k, v in witness.items()}
-    if isinstance(witness, (set, frozenset)):
-        return sorted(_jsonable(w) if isinstance(w, (set, frozenset)) else str(w)
-                      for w in witness)
-    if isinstance(witness, AdmissibilityViolation):
-        return {"condition": witness.condition, "detail": witness.detail,
-                "partition": _jsonable(witness.partition), "block": _jsonable(witness.block)}
-    return str(witness)
 
 
 if __name__ == "__main__":

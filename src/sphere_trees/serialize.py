@@ -34,7 +34,7 @@ from .limits import CoverFamily, LaurentFamily, NumericConfigSequence, NumericTr
 from .moduli import MarkedSphere, TreeOfSpheres
 from .projective import ProjPoint
 from .rational import RationalMap
-from .trees import MarkedTree, Vertex, vertex_key
+from .trees import AdmissibilityViolation, MarkedTree, Vertex, vertex_key
 
 
 # Largest |exponent| of eps a parsed Laurent polynomial may carry.  Sampling
@@ -103,6 +103,24 @@ def _write(o: Any, nl: str, put) -> None:
         put(nl + "}")
     else:  # a number, bool, None or empty container: the C encoder writes it as json.dumps does
         put(json.dumps(o))
+
+
+def witness_to_json(witness: Any) -> Any:
+    """A domain error's witness as JSON data: sets sorted, keys as strings, and an
+    admissibility violation as its four fields; any other object as its str."""
+    if witness is None or isinstance(witness, (str, int, float, bool)):
+        return witness
+    if isinstance(witness, (list, tuple)):
+        return [witness_to_json(w) for w in witness]
+    if isinstance(witness, dict):
+        return {str(k): witness_to_json(v) for k, v in witness.items()}
+    if isinstance(witness, (set, frozenset)):
+        return sorted(witness_to_json(w) if isinstance(w, (set, frozenset)) else str(w)
+                      for w in witness)
+    if isinstance(witness, AdmissibilityViolation):
+        return {k: witness_to_json(getattr(witness, k))
+                for k in ("condition", "detail", "partition", "block")}
+    return str(witness)
 
 
 def _json_key(k: Any) -> str:
@@ -215,6 +233,19 @@ def check_label(x: Any) -> str:
     return x
 
 
+def _lists_exactly(obj: Any, labels) -> bool:
+    """Whether obj is a list of exactly these labels, each once."""
+    return isinstance(obj, list) and sorted(map(check_label, obj)) == sorted(labels)
+
+
+def _once(items: list, what: str) -> frozenset:
+    """A tree's list as a set, refused if an item repeats: it would name one vertex twice."""
+    seen = frozenset(items)
+    if len(seen) != len(items):
+        raise SchemaError(f"a tree lists {what} twice")
+    return seen
+
+
 def vertex_from_json(obj: Any) -> Vertex:
     if isinstance(obj, bool) or not isinstance(obj, (str, int)):
         raise SchemaError(f"vertices are label strings or internal integers: {obj!r}")
@@ -258,15 +289,14 @@ def tree_to_json(t: MarkedTree) -> dict:
 
 def tree_from_json(obj: Any, check: bool = True) -> MarkedTree:
     try:
-        leaves = [check_label(x) for x in obj["leaves"]]
-        internal = [int_from_json(v, "internal vertex") for v in obj["internal"]]
-        edges = [tuple(vertex_from_json(x) for x in e) for e in obj["edges"]]
+        leaves = _once([check_label(x) for x in obj["leaves"]], "a leaf")
+        internal = _once([int_from_json(v, "internal vertex") for v in obj["internal"]],
+                         "an internal vertex")
+        edges = _once([frozenset(vertex_from_json(x) for x in e) for e in obj["edges"]],
+                      "an edge")
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed tree object: {exc}") from exc
-    if check:
-        return MarkedTree.make(leaves, internal, edges)
-    return MarkedTree(frozenset(leaves), frozenset(internal),
-                      frozenset(frozenset(e) for e in edges))
+    return (MarkedTree.make if check else MarkedTree)(leaves, internal, edges)
 
 
 def tree_of_spheres_to_json(t: TreeOfSpheres) -> dict:
@@ -298,12 +328,20 @@ def marked_sphere_to_json(s: MarkedSphere) -> dict:
             "points": {x: point_to_json(p) for x, p in s.points}}
 
 
-def marked_sphere_from_json(obj: Any) -> MarkedSphere:
+def _labelled(obj: Any, key: str, read, what: str) -> dict:
+    """obj[key] read label by label, once obj["labels"] lists exactly its labels."""
     try:
-        points = {check_label(x): point_from_json(p) for x, p in obj["points"].items()}
+        items = {check_label(x): read(p) for x, p in obj[key].items()}
+        listed = obj["labels"]
     except (KeyError, TypeError, AttributeError) as exc:
-        raise SchemaError(f"malformed marked sphere: {exc}") from exc
-    return MarkedSphere.make(points)
+        raise SchemaError(f"malformed {what}: {exc}") from exc
+    if not _lists_exactly(listed, items):
+        raise SchemaError(f"'labels' must list exactly the labels of '{key}'")
+    return items
+
+
+def marked_sphere_from_json(obj: Any) -> MarkedSphere:
+    return MarkedSphere.make(_labelled(obj, "points", point_from_json, "marked sphere"))
 
 
 def embedding_to_json(e: Mapping) -> list:
@@ -351,12 +389,7 @@ def family_to_json(fam: LaurentFamily) -> dict:
 
 
 def family_from_json(obj: Any) -> LaurentFamily:
-    try:
-        paths = {check_label(x): laurent_point_from_json(p)
-                 for x, p in obj["paths"].items()}
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SchemaError(f"malformed Laurent family: {exc}") from exc
-    return LaurentFamily.make(paths)
+    return LaurentFamily.make(_labelled(obj, "paths", laurent_point_from_json, "Laurent family"))
 
 
 def laurent_map_to_json(m: LaurentMap) -> dict:
@@ -413,10 +446,10 @@ def portrait_from_json(obj: Any) -> Portrait:
         degmap = {check_label(a): int_from_json(k, "local degree")
                   for a, k in obj["deg"].items()}
         d = int_from_json(obj["d"], "degree")
-        ys, zs = sorted(map(check_label, obj["Y"])), sorted(map(check_label, obj["Z"]))
+        ys, zs = obj["Y"], obj["Z"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"malformed portrait: {exc}") from exc
-    if ys != sorted(fmap) or zs != sorted(set(fmap.values())):
+    if not (_lists_exactly(ys, fmap) and _lists_exactly(zs, set(fmap.values()))):
         raise SchemaError("'Y' and 'Z' must list exactly the labels of 'F' and of its image")
     return Portrait.make(fmap, degmap, d)
 
@@ -497,10 +530,10 @@ def dyn_from_json(obj: Any) -> DynSystem:
     try:
         cover = cover_from_json(obj["cover"])
         dyn_tree = tree_of_spheres_from_json(obj["dyn_tree"])
-        labels = frozenset(check_label(x) for x in obj["X"])
+        labels = obj["X"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed dynamical system: {exc}") from exc
-    if labels != dyn_tree.labels:
+    if not _lists_exactly(labels, dyn_tree.labels):
         raise SchemaError("'X' must list exactly the labels of the dynamical tree")
     return DynSystem(cover, dyn_tree)
 

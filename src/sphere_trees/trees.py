@@ -4,8 +4,10 @@ A marked tree has the labels as its leaves and internal vertices of valence
 at least three.  Up to isomorphism fixing the labels, such a tree is the
 same data as an admissible set of partitions of the label set; both
 directions of that correspondence are implemented here, together with the
-small tree-walking utilities the rest of the package relies on.  Only trees
-built from edges walk for branches; partitions or a renumbered source give them.
+small tree-walking utilities the rest of the package relies on.  Each tree is
+certified once: one built from partitions by the admissibility conditions, which
+already make a stable tree, one built from edges by the validation walk, which
+leaves it its adjacency and branch table.
 
 Vertices are heterogeneous: leaves are label strings, internal vertices are
 opaque integers that never participate in equality of the classified data.
@@ -52,8 +54,8 @@ class MarkedTree:
     leaves: frozenset
     internal: frozenset
     edges: frozenset
-    # derived lookups, set by tree_from_partitions, else filled on first use by adjacency,
-    # branches and validate_tree, so an unvalidated tree derives nothing until asked
+    # derived, set together by _install: by ranked_tree and renumbered, else by the walk of
+    # validate_tree, which adjacency and branches start; an invalid tree has no tables
     _adjacency: Optional[Mapping] = field(init=False)
     _branches: Optional[Mapping] = field(init=False)
     _problems: Optional[tuple] = field(init=False)
@@ -61,32 +63,37 @@ class MarkedTree:
     @classmethod
     def make(cls, leaves: Iterable[str], internal: Iterable[int],
              edges: Iterable[Iterable[Vertex]]) -> "MarkedTree":
-        t = cls(
-            frozenset(leaves),
-            frozenset(internal),
-            frozenset(frozenset(e) for e in edges),
-        )
-        problems = validate_tree(t)
-        if problems:
-            raise InvalidFamily("invalid marked tree", witness=problems)
-        return t
+        return _certified(cls(frozenset(leaves), frozenset(internal),
+                              frozenset(frozenset(e) for e in edges)))
 
     @property
     def vertices(self) -> frozenset:
         return self.leaves | self.internal
 
 
+def _certified(t: MarkedTree) -> MarkedTree:
+    """t, once validate_tree finds no problem; else InvalidFamily with the problems."""
+    problems = validate_tree(t)
+    if problems:
+        raise InvalidFamily("invalid marked tree", witness=problems)
+    return t
+
+
+def _install(t: MarkedTree, rows: Mapping) -> None:
+    """Give t, a valid tree, its verdict and tables from its branch rows {internal vertex:
+    {neighbor: labels beyond}}, each in neighbors order; a leaf's neighbor names it."""
+    table = {v: MappingProxyType(dict(sorted(row.items(), key=lambda nb: vertex_key(nb[0]))))
+             for v, row in rows.items()}
+    adj = {n: (v,) for v, row in table.items() for n in row if isinstance(n, str)}
+    adj.update((v, tuple(row)) for v, row in table.items())
+    object.__setattr__(t, "_problems", ())
+    object.__setattr__(t, "_adjacency", MappingProxyType(adj))
+    object.__setattr__(t, "_branches", MappingProxyType(table))
+
+
 def adjacency(t: MarkedTree) -> Mapping:
-    """Sorted neighbors of every vertex, computed once per tree."""
-    if t._adjacency is None:
-        adj: dict[Vertex, list] = {v: [] for v in t.vertices}
-        for e in t.edges:
-            a, b = tuple(e)
-            adj[a].append(b)
-            adj[b].append(a)
-        object.__setattr__(t, "_adjacency", MappingProxyType(
-            {v: tuple(sorted(ns, key=vertex_key)) for v, ns in adj.items()}))
-    return t._adjacency
+    """Sorted neighbors of every vertex; InvalidFamily for a tree that fails validate_tree."""
+    return t._adjacency if t._adjacency is not None else _certified(t)._adjacency
 
 
 def neighbors(t: MarkedTree, v: Vertex) -> tuple:
@@ -101,49 +108,54 @@ def validate_tree(t: MarkedTree) -> list[str]:
 
 
 def _tree_problems(t: MarkedTree) -> list[str]:
+    """validate_tree's diagnostics, from one walk that gives a valid tree without tables
+    its tables: a BFS from the smallest internal vertex decides connectivity, and its
+    reverse order gives each subtree's labels, O(V·n) for V vertices and n labels."""
     problems: list[str] = []
     if len(t.leaves) < 3:
         problems.append(f"marked set has {len(t.leaves)} < 3 labels")
     if t.leaves & t.internal:
         problems.append("leaf labels and internal ids overlap")
-    verts = t.leaves | t.internal
+    verts = t.vertices
     adj: dict[Vertex, list] = {v: [] for v in verts}
     first_edge = len(problems)
     for e in t.edges:
-        ends = tuple(e)
-        if len(ends) != 2:
-            problems.append(f"edge {sorted(map(str, ends))} does not have two endpoints")
-            continue
-        a, b = ends
-        if a not in verts or b not in verts:
-            problems.append(f"edge endpoint outside the vertex set: {sorted(map(str, ends))}")
-            continue
-        adj[a].append(b)
-        adj[b].append(a)
+        if len(e) != 2:
+            problems.append(f"edge {sorted(map(str, e))} does not have two endpoints")
+        elif not e <= verts:
+            problems.append(f"edge endpoint outside the vertex set: {sorted(map(str, e))}")
+        else:
+            a, b = e
+            adj[a].append(b)
+            adj[b].append(a)
     if problems:
         # sorted: t.edges is a frozenset, whose order depends on the hash seed
         problems[first_edge:] = sorted(problems[first_edge:])
         return problems
     if len(t.edges) != len(verts) - 1:
         problems.append("edge count does not match a tree")
-    # connectivity
-    if verts:
-        seen = set()
-        stack = [next(iter(verts))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v])
-        if seen != verts:
-            problems.append("graph is disconnected")
+    root = min(t.internal or t.leaves)  # there are at least three leaves
+    order, parent = [root], {root: None}
+    for w in order:
+        for n in adj[w]:
+            if n not in parent:
+                parent[n] = w
+                order.append(n)
+    if len(order) != len(verts):
+        problems.append("graph is disconnected")
     for x in sorted(t.leaves):
         if len(adj[x]) != 1:
             problems.append(f"leaf {x!r} has valence {len(adj[x])} != 1")
     for v in sorted(t.internal):
         if len(adj[v]) < 3:
             problems.append(f"internal vertex {v} has valence {len(adj[v])} < 3 (not stable)")
+    if not problems and t._branches is None:
+        below: dict[Vertex, Block] = {}
+        for w in reversed(order):
+            below[w] = frozenset((w,)) if isinstance(w, str) else frozenset().union(
+                *(below[n] for n in adj[w] if n != parent[w]))
+        _install(t, {w: dict((n, below[n] if n != parent[w] else t.leaves - below[w])
+                             for n in adj[w]) for w in t.internal})
     return problems
 
 
@@ -155,30 +167,9 @@ def branch(t: MarkedTree, v: Vertex, toward: Vertex) -> Block:
 
 
 def branches(t: MarkedTree, v: int) -> Mapping:
-    """The branch beyond each edge at v, in neighbors order.
-
-    tree_from_partitions sets the table from the blocks.  For a tree built from
-    edges, one post-order pass from the smallest internal vertex fills it for
-    every internal vertex: each subtree's label set, and the labels outside it
-    toward the parent; O(V·n) for V internal vertices and n labels.
-    """
-    if t._branches is None:
-        adj = adjacency(t)
-        root = min(t.internal)
-        parent, order = {root: None}, [root]
-        for w in order:
-            for n in adj[w]:
-                if n not in parent:
-                    parent[n] = w
-                    order.append(n)
-        below: dict[Vertex, Block] = {}
-        for w in reversed(order):
-            below[w] = frozenset((w,)) if isinstance(w, str) else frozenset().union(
-                *(below[n] for n in adj[w] if n != parent[w]))
-        object.__setattr__(t, "_branches", MappingProxyType({w: MappingProxyType(
-            {n: below[n] if n != parent[w] else t.leaves - below[w] for n in adj[w]})
-            for w in t.internal}))
-    return t._branches[v]
+    """The branch beyond each edge at v, in neighbors order; InvalidFamily for a tree
+    that fails validate_tree."""
+    return (t._branches if t._branches is not None else _certified(t)._branches)[v]
 
 
 def partition_at(t: MarkedTree, v: int) -> Partition:
@@ -251,12 +242,9 @@ def _admissibility(parts: list, labels: frozenset
 
 def is_admissible(ps: Iterable[Partition], labels: Optional[frozenset] = None
                   ) -> Optional[AdmissibilityViolation]:
-    """Check the admissibility conditions; None means admissible.
-
-    Returns the first violated condition (by index 0, 1, 2, 3) with a witness.
-    One index from each block to its partition's rank answers conditions 2
-    and 3, so the check costs O(V·n) for V partitions of n labels.
-    """
+    """The first violated admissibility condition (by index 0, 1, 2, 3) with a witness,
+    or None: one index from each block to its partition's rank answers conditions 2
+    and 3, so the check costs O(V·n) for V partitions of n labels."""
     parts = sorted(set(ps), key=partition_sort_key)
     if labels is None:
         if not parts:
@@ -266,23 +254,32 @@ def is_admissible(ps: Iterable[Partition], labels: Optional[frozenset] = None
 
 
 def tree_from_partitions(ps: Iterable[Partition]) -> MarkedTree:
-    """Build the stable tree classified by an admissible partition set.
-
-    Internal ids are the ranks of the partitions in canonical sort order, so
-    the construction is deterministic.  The admissibility check's rows give the edges
-    (an internal one from its lower rank only), the adjacency and the branch table (rows
-    in neighbors order), O(V·n) for V partitions of n labels; the tree must pass validate_tree.
-    It gives the partitions back without a walk.  Let B[i][j] be the block of
-    p_i joined to j.  Under conditions 0-3 the blocks of p_i are distinct edges
-    at i (two complements in one p_j would overlap in p_i's third block), and
-    once the tree is certified stable, induction from the leaves shows that
-    the labels beyond i -> j are labels - B[j][i] = B[i][j].
-    """
+    """The stable tree classified by an admissible partition set; its internal ids are
+    the ranks of the partitions in canonical sort order (see ranked_tree)."""
     return ranked_tree(ps)[0]
 
 
 def ranked_tree(ps: Iterable[Partition]) -> tuple[MarkedTree, list]:
-    """tree_from_partitions and, by rank (internal id), the partition objects of ps."""
+    """tree_from_partitions and, by rank (internal id), the partition objects of ps.
+
+    The admissibility check's rows give the edges (an internal one from its lower
+    rank only) and, through _install, the adjacency and the branch table, O(V·n) for
+    V partitions of n labels.  Conditions 0-3 alone make the tree stable, so it is
+    not walked.  Write L for the labels.
+    1. No partition holds both a block b and L - b: it would have only two blocks.
+       So a non-singleton b of p is joined to exactly one other partition q, the
+       one holding L - b (condition 3 makes it unique).
+    2. L - b is the union of at least two other blocks of p, so it is not a
+       singleton.  So q's row names p back: every internal edge is seen from both ends.
+    3. q's other blocks split b into at least two proper subsets.  So, descending
+       from any block, one reaches singletons: every label is a singleton block of
+       exactly one partition, and every internal vertex reaches every leaf.  The
+       graph is connected, leaves have valence 1, and the labels beyond p's edge
+       at b are b itself.
+    4. A path that never steps back enters strictly smaller blocks.  So there is no
+       cycle, and no two edges join one pair of vertices (else p = {b, b'} with
+       b | b' = L).  Each p has valence |p| >= 3 by condition 1.
+    """
     parts = sorted(set(ps), key=partition_sort_key)
     if not parts:
         raise NotAdmissible("empty partition set does not describe a tree")
@@ -290,33 +287,21 @@ def ranked_tree(ps: Iterable[Partition]) -> tuple[MarkedTree, list]:
     violation, rows = _admissibility(parts, labels)
     if violation is not None:
         raise NotAdmissible("partition set is not admissible", witness=violation)
-    adj = {n: (i,) for i, row in enumerate(rows) for n in row if isinstance(n, str)}
     t = MarkedTree(labels, frozenset(range(len(parts))), frozenset(
-        frozenset((i, n)) for i, row in enumerate(rows) for n in row if n in adj or n > i))
-    problems = validate_tree(t)
-    if problems:
-        raise NotAdmissible("partition set does not assemble into a stable tree",
-                            witness=problems)
-    table = dict(enumerate(MappingProxyType({n: row[n] for n in sorted(row, key=vertex_key)})
-                           for row in rows))
-    adj.update((i, tuple(row)) for i, row in table.items())
-    object.__setattr__(t, "_adjacency", MappingProxyType(adj))
-    object.__setattr__(t, "_branches", MappingProxyType(table))
+        frozenset((i, n)) for i, row in enumerate(rows) for n in row
+        if isinstance(n, str) or n > i))
+    _install(t, dict(enumerate(rows)))
     return t, parts
 
 
 def renumbered(t: MarkedTree, rename: Mapping[int, int]) -> MarkedTree:
-    """t with internal vertex v renamed rename[v]: a valid t's verdict and branch
-    table carry over, rows re-sorted; MarkedTree.make refuses an invalid t."""
-    edges = [frozenset(rename.get(x, x) for x in e) for e in t.edges]
-    if validate_tree(t):
-        return MarkedTree.make(t.leaves, rename.values(), edges)
-    out = MarkedTree(t.leaves, frozenset(rename.values()), frozenset(edges))
-    object.__setattr__(out, "_problems", ())
-    if t._branches is not None:
-        object.__setattr__(out, "_branches", MappingProxyType({rename[v]: MappingProxyType(
-            dict(sorted(((rename.get(n, n), b) for n, b in row.items()),
-                        key=lambda nb: vertex_key(nb[0])))) for v, row in t._branches.items()}))
+    """t with internal vertex v renamed rename[v]: t's verdict and tables carry over, rows
+    re-sorted; InvalidFamily for a t that fails validate_tree."""
+    rows = _certified(t)._branches
+    out = MarkedTree(t.leaves, frozenset(rename.values()), frozenset(
+        frozenset(rename.get(x, x) for x in e) for e in t.edges))
+    _install(out, {rename[v]: dict((rename.get(n, n), b) for n, b in row.items())
+                   for v, row in rows.items()})
     return out
 
 
@@ -343,21 +328,16 @@ def enumerate_stable_trees(labels: Iterable[str]) -> Iterator[MarkedTree]:
     labs = sorted(set(labels))
     if len(labs) < 3:
         raise MarkedSetTooSmall("stable trees need at least three labels")
-    base = MarkedTree.make(labs[:3], [0], [(labs[0], 0), (labs[1], 0), (labs[2], 0)])
-    current = [base]
+    current = [MarkedTree.make(labs[:3], [0], [(y, 0) for y in labs[:3]])]
     for x in labs[3:]:
         nxt: list[MarkedTree] = []
         for t in current:
             fresh = max(t.internal) + 1
             for v in sorted(t.internal):
-                nxt.append(MarkedTree.make(
-                    t.leaves | {x}, t.internal,
-                    set(t.edges) | {edge_of(x, v)}))
+                nxt.append(MarkedTree.make(t.leaves | {x}, t.internal, t.edges | {edge_of(x, v)}))
             for e in sorted(t.edges, key=lambda e: tuple(sorted(map(vertex_key, e)))):
-                a, b = tuple(e)
-                rest = set(t.edges) - {e}
-                rest |= {edge_of(a, fresh), edge_of(fresh, b), edge_of(x, fresh)}
-                nxt.append(MarkedTree.make(
-                    t.leaves | {x}, t.internal | {fresh}, rest))
+                a, b = e
+                rest = t.edges - {e} | {edge_of(a, fresh), edge_of(fresh, b), edge_of(x, fresh)}
+                nxt.append(MarkedTree.make(t.leaves | {x}, t.internal | {fresh}, rest))
         current = nxt
     return iter(current)

@@ -19,6 +19,8 @@ import sphere_trees
 from sphere_trees import cli
 from sphere_trees import serialize as ser
 from sphere_trees.dynamics import DynSystem, dyn_membership
+from sphere_trees.errors import AdmissibilityFailure
+from sphere_trees.limits import numeric_limit_tree
 from sphere_trees.moduli import MarkedSphere
 from sphere_trees.trees import validate_tree
 from test_contract import star_of_spheres
@@ -30,6 +32,14 @@ from test_limits import (INVALID_CUBIC, INVALID_CUBIC_PROBLEMS, VANISHING_ROW_SN
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 GOLDEN = ROOT / "tests" / "golden"
+
+# twelve identical snapshots, which at tolerance 0.8 cluster into partitions that are
+# not admissible
+INADMISSIBLE_SEQUENCE = {
+    "snapshots": [{"0": [1.4748, -0.1571], "1": [-0.5147, -0.4711],
+                   "2": [0.1192, -1.8655], "3": [-1.6374, 1.1766]}] * 12,
+    "eps": [1 / (k + 2) for k in range(12)]}
+INADMISSIBLE_GOLDEN = GOLDEN / "limit_numeric_inadmissible_tolerance_0.8_window_5.out"
 
 
 def run_cli(*args: str, hash_seed: str | None = None):
@@ -358,18 +368,24 @@ class TestDeterminism:
             assert r.stdout == golden.read_text()
 
     def test_admissibility_witness_does_not_depend_on_the_hash_seed(self, tmp_path):
-        # twelve identical snapshots cluster into partitions that are not admissible
-        snapshot = {"0": [1.4748, -0.1571], "1": [-0.5147, -0.4711],
-                    "2": [0.1192, -1.8655], "3": [-1.6374, 1.1766]}
         seq = tmp_path / "seq.json"
-        seq.write_text(json.dumps({"snapshots": [snapshot] * 12,
-                                   "eps": [1 / (k + 2) for k in range(12)]}))
-        golden = GOLDEN / "limit_numeric_inadmissible_tolerance_0.8_window_5.out"
+        seq.write_text(json.dumps(INADMISSIBLE_SEQUENCE))
         for seed in ("1", "2"):
             r = run_cli("limit", str(seq), "--tolerance", "0.8", "--window", "5",
                         hash_seed=seed)
             assert r.returncode == 1
-            assert r.stdout == golden.read_text()
+            assert r.stdout == INADMISSIBLE_GOLDEN.read_text()
+
+    def test_the_envelope_scripts_encode_a_refusal_as_the_cli_does(self):
+        # the scripts dumped the raw witness, an AdmissibilityViolation, which the JSON
+        # writer refuses; they and the CLI share serialize.witness_to_json
+        seq = ser.numeric_sequence_from_json(INADMISSIBLE_SEQUENCE, 0.8, 5)
+        with pytest.raises(AdmissibilityFailure) as info:
+            numeric_limit_tree(seq)
+        with pytest.raises(TypeError, match="AdmissibilityViolation is not JSON serializable"):
+            ser.canonical_dumps(info.value.witness)
+        outcome = {"error": info.value.code, "witness": ser.witness_to_json(info.value.witness)}
+        assert ser.canonical_dumps(outcome) == INADMISSIBLE_GOLDEN.read_text()
 
     def test_tree_diagnostics_do_not_depend_on_the_hash_seed(self, tmp_path):
         # without its internal vertex every edge of the star leaves the vertex

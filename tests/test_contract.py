@@ -639,3 +639,70 @@ def test_portrait_label_lists_match_its_map(tmp_path, key, value):
     portrait[key] = value
     code, out, err = run_main("validate", write(tmp_path, portrait))
     assert (code, out) == (2, "") and "'Y' and 'Z' must list exactly" in err
+
+
+def repeat_in_tree(blob, key):
+    """blob with one entry of its tree list `key` repeated; an edge is repeated twice,
+    once with its ends swapped."""
+    if key == "edges":
+        blob["edges"] += [blob["edges"][0], blob["edges"][0][::-1]]
+    else:
+        blob[key].append(blob[key][0])
+    return blob
+
+
+@pytest.mark.parametrize("key, what", [("leaves", "a leaf"), ("internal", "an internal vertex"),
+                                       ("edges", "an edge")])
+@pytest.mark.parametrize("name", ["two_vertex_tree.json", "two_vertex_spheres.json"])
+def test_tree_lists_name_each_vertex_and_edge_once(tmp_path, name, key, what):
+    # a repeat collapsed into the vertex and edge sets, so the payload validated
+    blob = repeat_in_tree(json.loads((DATA_DIR / name).read_text()), key)
+    code, out, err = run_main("validate", write(tmp_path, blob))
+    assert (code, out) == (2, "") and f"a tree lists {what} twice" in err
+    with pytest.raises(SchemaError, match=f"a tree lists {what} twice"):
+        ser.tree_from_json(blob, check=False)
+
+
+def test_tree_with_every_list_repeated_is_refused(tmp_path):
+    blob = json.loads((DATA_DIR / "two_vertex_tree.json").read_text())
+    blob["leaves"].append("3")
+    blob["internal"].append(0)
+    blob["edges"] += [["1", 0], [0, "1"]]
+    code, out, err = run_main("validate", write(tmp_path, blob))
+    assert (code, out) == (2, "") and "a tree lists a leaf twice" in err
+
+
+@pytest.mark.parametrize("labels", [["bogus"], [], ["1", "2", "3", "4", "4"], ["1", "2", "3"],
+                                    "1234"])
+def test_family_labels_list_its_paths(tmp_path, labels):
+    blob = json.loads((DATA_DIR / "family_eps.json").read_text())
+    assert blob["labels"] == ["1", "2", "3", "4"]
+    blob["labels"] = labels
+    path = write(tmp_path, blob)
+    for args in (["limit", path], ["sample", path, "--eps", "1/100"], ["validate", path]):
+        code, out, err = run_main(*args)
+        assert (code, out) == (2, "") and "'labels' must list exactly" in err, args
+    cover_family = json.loads((DATA_DIR / "cover_family_degenerate.json").read_text())
+    cover_family["y_family"]["labels"] = labels
+    code, out, err = run_main("limit-cover", write(tmp_path, cover_family))
+    assert (code, out) == (2, "") and "'labels' must list exactly" in err
+
+
+@pytest.mark.parametrize("labels", [["zz"], ["1", "2", "3", "4", "4"], ["1", "2", "3"]])
+def test_marked_sphere_labels_list_its_points(tmp_path, labels):
+    code, out, _ = run_main("sample", data("family_eps.json"), "--eps", "1/100")
+    blob = json.loads(out)
+    assert code == 0 and blob["labels"] == ["1", "2", "3", "4"]
+    code, out, _ = run_main("validate", write(tmp_path, blob))
+    assert (code, json.loads(out)) == (0, {"ok": True})
+    blob["labels"] = labels
+    code, out, err = run_main("validate", write(tmp_path, blob))
+    assert (code, out) == (2, "") and "'labels' must list exactly" in err
+
+
+@pytest.mark.parametrize("labels", [["p0", "p1", "pinf", "p1"], ["p0", "p1"], "p0"])
+def test_dyn_labels_list_its_tree_once(tmp_path, labels):
+    blob = json.loads((DATA_DIR / "dyn_z_squared.json").read_text())
+    blob["X"] = labels
+    code, out, err = run_main("validate", write(tmp_path, blob))
+    assert (code, out) == (2, "") and "'X' must list exactly" in err

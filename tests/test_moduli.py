@@ -891,7 +891,7 @@ class TestAssemblyWork:
         fam = plumb_family(random_marking(random_stable_shape(n, rng), rng))
         derivations.clear()
         t = limit_tree(fam)
-        assert derivations == {"problems": 1}
+        assert derivations == {}  # the admissibility check certifies the shape
         assert t.shape._problems == ()
 
     def test_canonical_forms_and_twists_derive_nothing(self, derivations):

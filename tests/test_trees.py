@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from conftest import random_stable_shape
 from sphere_trees.errors import (
+    InvalidFamily,
     InvalidIncidence,
     LeafSetMismatch,
     MarkedSetTooSmall,
@@ -30,6 +32,7 @@ from sphere_trees.trees import (
     tree_partitions,
     trees_isomorphic,
     validate_tree,
+    vertex_key,
 )
 
 
@@ -90,9 +93,30 @@ class TestValidate:
         assert validate_tree(star) == []
 
     def test_the_makers_keep_the_verdict(self, star):
-        # MarkedTree.make and tree_from_partitions validate what they build, once
+        # MarkedTree.make validates what it builds, tree_from_partitions certifies it by
+        # the admissibility conditions; each keeps the verdict
         rebuilt = tree_from_partitions(tree_partitions(star))
         assert star._problems == rebuilt._problems == ()
+
+    @pytest.mark.parametrize("edges", [
+        [("1", 0), ("2", 0), ("3", 1)],  # disconnected, valences too low
+        [("1", 0), ("2", 0), ("3", 0), (0, 1)],  # a valence-one internal vertex
+        [("1", "2", 0), ("3", 0), (0, 1)],  # an edge with three ends
+        [("1", 0), ("2", 0), ("3", 0), ("1", 7)],  # an end outside the vertex set
+    ])
+    def test_an_invalid_tree_refuses_its_tables_as_make_does(self, edges):
+        leaves, internal = frozenset(["1", "2", "3"]), frozenset([0, 1])
+        with pytest.raises(InvalidFamily) as made:
+            MarkedTree.make(leaves, internal, edges)
+        t = MarkedTree(leaves, internal, frozenset(map(frozenset, edges)))
+        asks = [adjacency, lambda t: neighbors(t, 0), lambda t: branches(t, 0),
+                lambda t: branch(t, 0, "1"), lambda t: partition_at(t, 0), tree_partitions]
+        for ask in asks:
+            with pytest.raises(InvalidFamily) as info:
+                ask(t)
+            assert str(info.value) == str(made.value) == "invalid marked tree"
+            assert info.value.witness == made.value.witness == validate_tree(t) != []
+        assert t._adjacency is None and t._branches is None
 
 
 class TestEnumerate:
@@ -335,15 +359,68 @@ def mutations(ps, rng):
 
 def assert_walked_tables(t):
     """The tables tree_from_partitions assembled for t, in order, against those the
-    walk in branches derives for the same tree built from its edges."""
+    validation walk in MarkedTree.make leaves the same tree built from its edges."""
     walked = MarkedTree.make(t.leaves, t.internal, t.edges)
-    assert walked._branches is None
+    assert walked._branches is not None and walked._adjacency is not None
     assert dict(adjacency(t)) == dict(adjacency(walked))
     for v in t.internal:
         assert list(branches(t, v).items()) == list(branches(walked, v).items())
         assert dict(branches(t, v)) == {n: walked_branch(walked, v, n) for n in neighbors(t, v)}
     assert tree_partitions(t) == tree_partitions(walked)
     assert validate_tree(t) == validate_tree(walked) == []
+
+
+def assert_edges_seen_from_both_ends(t):
+    """Each vertex's neighbors, in order, are the other ends of its edges: the installed
+    adjacency read against the edges, without the installer."""
+    ends = {v: [] for v in t.vertices}
+    for a, b in map(tuple, t.edges):
+        ends[a].append(b)
+        ends[b].append(a)
+    assert dict(adjacency(t)) == {v: tuple(sorted(ns, key=vertex_key)) for v, ns in ends.items()}
+
+
+def set_partitions(labels):
+    """Every partition of the list labels, as a frozenset of blocks."""
+    if not labels:
+        yield frozenset()
+        return
+    for p in set_partitions(labels[1:]):
+        yield p | {frozenset(labels[:1])}
+        for b in p:
+            yield (p - {b}) | {b | {labels[0]}}
+
+
+def grown_partition_set(pool, labels, rng):
+    """Partitions drawn from pool at random: a first one, then for most non-singleton
+    blocks b a random partition holding labels - b, at most len(labels) in all.  Such a
+    set is rarely near a single tree's set, and often breaks condition 3."""
+    ps = [rng.choice(pool)]
+    for p in ps:
+        for b in sorted(p, key=sorted):
+            holders = [q for q in pool if labels - b in q]
+            if len(b) > 1 and holders and len(ps) < len(labels) and rng.random() < 0.9:
+                ps.append(rng.choice(holders))
+    return ps
+
+
+def assembles_or_is_refused(ps) -> bool:
+    """Whether ps is admissible.  An admissible ps assembles into a tree that
+    MarkedTree.make accepts from its edges, with the walk's tables, each edge seen from
+    both ends, and ps as its partition set; any other ps is refused with the witness
+    of the ordered scan."""
+    expected = ordered_is_admissible(ps)
+    assert is_admissible(ps) == expected
+    if expected is None:
+        built = tree_from_partitions(ps)
+        assert_walked_tables(built)
+        assert_edges_seen_from_both_ends(built)
+        assert tree_partitions(built) == frozenset(ps)
+        return True
+    with pytest.raises(NotAdmissible) as info:
+        tree_from_partitions(ps)
+    assert info.value.witness == expected
+    return False
 
 
 def contractions(ps):
@@ -421,6 +498,32 @@ class TestAssemblyOracles:
                     assert info.value.witness == expected
         assert seen == {0, 1, 2, 3}
         assert admissible > 0
+
+    def test_every_set_of_four_label_partitions_assembles_or_is_refused(self):
+        # the 7 partitions of 4 labels with at least 3 blocks: 6 with one pair, and
+        # the singletons; the admissible subsets are the sets of the 4 stable trees
+        pool = [p for p in set_partitions(["1", "2", "3", "4"]) if len(p) >= 3]
+        sets = [ps for k in range(1, 8) for ps in combinations(pool, k)]
+        assert len(pool) == 7 and len(sets) == 127
+        assert Counter(map(assembles_or_is_refused, sets)) == {True: 4, False: 123}
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_partition_sets_assemble_or_are_refused(self, n):
+        rng = random.Random(f"partition-sets-{n}")
+        labels = frozenset(str(i) for i in range(n))
+        pool = [p for p in set_partitions(sorted(labels)) if len(p) >= 3]
+        conditions = Counter()
+        for _ in range(2000):
+            ps = grown_partition_set(pool, labels, rng)
+            admissible = assembles_or_is_refused(ps)
+            conditions[None if admissible else is_admissible(ps).condition] += 1
+        assert conditions[None] >= 50 and conditions[3] >= 100, conditions
+
+    def test_assembled_adjacency_lists_every_edge_from_both_ends(self, small_shapes):
+        rng = random.Random("both-ends")
+        for t in small_shapes[5] + small_shapes[6] + [random_stable_shape(40, rng)]:
+            assert_edges_seen_from_both_ends(t)
+            assert_edges_seen_from_both_ends(tree_from_partitions(tree_partitions(t)))
 
     def test_condition_three_names_the_smallest_shared_block(self):
         ps = [fs(["1"], ["2"], ["3", "4"]),
