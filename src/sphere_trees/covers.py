@@ -10,6 +10,7 @@ the image and local degree at every edge point once (`edge_table`); the
 validation, the portrait and the isomorphism check all read that table.
 Beside it each cover keeps its validation verdict and extracted portrait,
 so a second `validate_cover` only compares against its expected portrait.
+Rows are read in the neighbors order their trees store, edges in `sorted_edges` order.
 
 Reconstruction builds the unique cover with a given source tree and leaf
 portrait in one loop over the whole source.  Each round peels one target
@@ -46,8 +47,8 @@ from .rational import RationalMap, local_degree
 from .trees import (
     MarkedTree,
     Vertex,
-    edge_of,
     neighbors,
+    sorted_edges,
     validate_tree,
     vertex_key,
 )
@@ -225,10 +226,9 @@ def _cover_problems(c: TreeCover) -> tuple:
             problems.append(f"internal vertex {v} does not map to a target internal vertex")
     if problems:
         return tuple(problems), None
-    edges = sorted(c.source.shape.edges, key=lambda e: tuple(sorted(map(vertex_key, e))))
+    edges = sorted_edges(c.source.shape)
     for e in edges:
-        a, b = tuple(e)
-        if vm[a] == vm[b] or edge_of(vm[a], vm[b]) not in c.target.shape.edges:
+        if frozenset(vm[x] for x in e) not in c.target.shape.edges:
             problems.append(f"edge {sorted(map(str, e))} does not map to a target edge")
     if problems:
         return tuple(problems), None
@@ -247,7 +247,7 @@ def _cover_problems(c: TreeCover) -> tuple:
                     f"vertex {v}: image of the edge point toward {n!r} is not the "
                     f"marked point toward {vm[n]!r}")
         # full fibers over every attaching point of the target vertex
-        for q_neighbor, q in sorted(tgt_pts.items(), key=lambda kv: vertex_key(kv[0])):
+        for q_neighbor, q in tgt_pts.items():
             total = sum(k for image, k in table.values() if image == q)
             if total != f.degree:
                 problems.append(
@@ -261,13 +261,12 @@ def _cover_problems(c: TreeCover) -> tuple:
     if problems:
         return tuple(problems), None
 
-    for e in edges:
-        a, b = tuple(e)
-        if isinstance(a, int) and isinstance(b, int):
+    for a, b in edges:
+        if isinstance(a, int):  # an internal edge: a leaf's edge lists the leaf first
             da, db = edge_table(c, a)[b][1], edge_table(c, b)[a][1]
             if da != db:
                 problems.append(
-                    f"edge {sorted(map(str, e))}: local degrees {da} != {db} disagree")
+                    f"edge {sorted(map(str, (a, b)))}: local degrees {da} != {db} disagree")
 
     try:
         portrait = extract_portrait(c)
@@ -388,18 +387,16 @@ def _fiber_maps(source: TreeOfSpheres, seen: dict, fiber: list, z0: frozenset):
             raise NotRealizable(
                 f"vertex {w}: zero/pole fibers have multiplicities "
                 f"{len(zeros)} and {len(poles)}")
-        if unit_leaf is not None:
-            units = sorted((pts[n] for n, (z, _) in ends.items() if z == unit_leaf),
-                           key=ProjPoint.sort_key)
-        else:
-            units = sorted(internal_pts.values(), key=ProjPoint.sort_key)
-        if not units:
+        units = (internal_pts.values() if unit_leaf is None
+                 else [pts[n] for n, (z, _) in ends.items() if z == unit_leaf])
+        unit = min(units, key=ProjPoint.sort_key, default=None)
+        if unit is None:
             raise NotRealizable(f"vertex {w}: no candidate point for the unit slot")
-        f = rational_from_divisors(zeros, poles, units[0])
+        f = rational_from_divisors(zeros, poles, unit)
         maps[w] = f
-        for n in sorted(ends, key=vertex_key):
-            if ends[n][0] not in attach:
-                attach[ends[n][0]] = f.apply(pts[n])
+        for n, p in pts.items():
+            if n in ends and ends[n][0] not in attach:
+                attach[ends[n][0]] = f.apply(p)
         images = {n: f.apply(p) for n, p in internal_pts.items()}
         ivalues = set(images.values())
         edge_mult.update(((w, n), local_degree(f, internal_pts[n], q)) for n, q in images.items())

@@ -41,7 +41,6 @@ from .trees import (
     representative_triple,
     ranked_tree,
     renumbered,
-    vertex_key,
 )
 from .values import field, value
 
@@ -98,14 +97,12 @@ class TreeOfSpheres:
             raise InvalidFamily("marking must cover exactly the internal vertices")
         rows = []
         for v in sorted(shape.internal):
-            row = dict(marking[v])
-            expected = set(neighbors(shape, v))
-            if set(row) != expected:
+            row, ns = dict(marking[v]), neighbors(shape, v)
+            if set(row) != set(ns):
                 cls._assembled(shape, rows)  # a fault at an earlier vertex is named first
-                raise InvalidFamily(
-                    f"marking at vertex {v} must assign exactly its edges",
-                    witness=sorted(map(str, expected)))
-            rows.append((v, tuple(sorted(row.items(), key=lambda kv: vertex_key(kv[0])))))
+                raise InvalidFamily(f"marking at vertex {v} must assign exactly its edges",
+                                    witness=sorted(map(str, ns)))
+            rows.append((v, tuple((n, row[n]) for n in ns)))
         return cls._assembled(shape, tuple(rows))
 
     @classmethod
@@ -207,10 +204,11 @@ def canonical_form(t: TreeOfSpheres) -> TreeOfSpheres:
     isomorphic iff their canonical forms are equal."""
     table = vertex_charts(t)
     order = sorted(t.shape.internal, key=lambda v: partition_sort_key(table[v][0]))
-    rename = {v: i for i, v in enumerate(order)}
-    return TreeOfSpheres._assembled(renumbered(t.shape, rename), tuple(
-        (i, tuple(sorted(((rename.get(n, n), q) for n, q in table[v][2].items()),
-                         key=lambda kv: vertex_key(kv[0])))) for i, v in enumerate(order)))
+    shape = renumbered(t.shape, {v: i for i, v in enumerate(order)})
+    # each charted row read in its renamed neighbors order; order[n] is the vertex renamed n
+    return TreeOfSpheres._assembled(shape, tuple(
+        (i, tuple((n, table[v][2][n if isinstance(n, str) else order[n]])
+                  for n in neighbors(shape, i))) for i, v in enumerate(order)))
 
 
 def induced_partition(t: TreeOfSpheres, v: int, sub: frozenset) -> Optional[Partition]:

@@ -1,16 +1,16 @@
 """Canonical JSON encodings for every value the CLI reads or writes.
 
-Scalars are reduced fraction strings "p/q" with positive q; complex scalars
-are {"re", "im"} objects; points are homogeneous {"u", "v"} pairs with the
-canonical representative (v = 1, or u = 1 for infinity).  Leaves appear as
-label strings and internal vertices as integers; where JSON forces string
-keys, an internal vertex id n is written "#n".  Labels must not start with
-"#" or "@" (those prefixes are reserved for internal ids and cut leaves).
+Scalars are reduced fraction strings "p/q" with positive q, written from each
+scalar's integer triple; complex scalars are {"re", "im"} objects; points are
+homogeneous {"u", "v"} pairs with the canonical representative (v = 1, or u = 1
+for infinity).  Leaves are label strings and internal vertices integers; where
+JSON forces string keys, an internal vertex id n is written "#n".  Labels must
+not start with "#" or "@", the prefixes of internal ids and cut leaves.
 
-Output is canonicalized by sorted keys and a fixed layout, so identical
-values serialize to identical bytes: exactly ``json.dumps(payload,
-sort_keys=True, indent=2, ensure_ascii=False)`` plus a newline, written in
-one pass.
+Output is canonicalized by sorted keys and a fixed layout, so identical values
+serialize to identical bytes: exactly ``json.dumps(payload, sort_keys=True,
+indent=2, ensure_ascii=False)`` plus a newline, written in one pass.  Edges and
+rows are read in the order each tree stores them (``trees.sorted_edges``).
 
 ``KINDS`` is the one table of payload kinds: the keys that name each kind
 and its reader.  ``detect_kind`` and ``READERS`` are read off it, so a new
@@ -23,6 +23,7 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote
+from math import gcd
 from typing import Any, Mapping, Optional
 
 from .covers import Portrait, TreeCover
@@ -34,7 +35,7 @@ from .limits import CoverFamily, LaurentFamily, NumericConfigSequence, NumericTr
 from .moduli import MarkedSphere, TreeOfSpheres
 from .projective import ProjPoint
 from .rational import RationalMap
-from .trees import AdmissibilityViolation, MarkedTree, Vertex, vertex_key
+from .trees import AdmissibilityViolation, MarkedTree, Vertex, sorted_edges
 
 
 # Largest |exponent| of eps a parsed Laurent polynomial may carry.  Sampling
@@ -137,13 +138,6 @@ def _json_key(k: Any) -> str:
 # scalars and points
 
 
-def fraction_to_json(f: Fraction) -> str:
-    try:
-        return f"{f.numerator}/{f.denominator}"
-    except ValueError as exc:
-        raise SchemaError("a result exceeds the int-to-str digit limit") from exc
-
-
 def parse_rational(text: str) -> Fraction:
     """Fraction(text), but a decimal exponent beyond MAX_DECIMAL_EXPONENT raises
     ValueError before Fraction expands it."""
@@ -177,7 +171,11 @@ def float_from_json(x: Any, what: str) -> float:
 
 
 def complex_to_json(c: GaussianRational) -> dict:
-    return {"re": fraction_to_json(c.re), "im": fraction_to_json(c.im)}
+    g, h = gcd(c.a, c.c), gcd(c.b, c.c)
+    try:
+        return {"re": f"{c.a // g}/{c.c // g}", "im": f"{c.b // h}/{c.c // h}"}
+    except ValueError as exc:
+        raise SchemaError("a result exceeds the int-to-str digit limit") from exc
 
 
 def _canonical_fraction(s: Any) -> Optional[tuple[int, int]]:
@@ -276,23 +274,25 @@ def vertex_from_key(s: Any) -> Vertex:
 
 
 def tree_to_json(t: MarkedTree) -> dict:
-    edges = sorted(
-        (sorted(e, key=vertex_key) for e in t.edges),
-        key=lambda e: (vertex_key(e[0]), vertex_key(e[1])),
-    )
     return {
         "leaves": sorted(t.leaves),
         "internal": sorted(t.internal),
-        "edges": [list(e) for e in edges],
+        "edges": [list(e) for e in sorted_edges(t)],
     }
+
+
+def _listed(x: Any) -> list:
+    if not isinstance(x, list):
+        raise SchemaError(f"a tree's leaves, internal vertices, edges and each edge are lists: {x!r}")
+    return x
 
 
 def tree_from_json(obj: Any, check: bool = True) -> MarkedTree:
     try:
-        leaves = _once([check_label(x) for x in obj["leaves"]], "a leaf")
-        internal = _once([int_from_json(v, "internal vertex") for v in obj["internal"]],
+        leaves = _once([check_label(x) for x in _listed(obj["leaves"])], "a leaf")
+        internal = _once([int_from_json(v, "internal vertex") for v in _listed(obj["internal"])],
                          "an internal vertex")
-        edges = _once([frozenset(vertex_from_json(x) for x in e) for e in obj["edges"]],
+        edges = _once([frozenset(map(vertex_from_json, _listed(e))) for e in _listed(obj["edges"])],
                       "an edge")
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed tree object: {exc}") from exc
@@ -300,12 +300,9 @@ def tree_from_json(obj: Any, check: bool = True) -> MarkedTree:
 
 
 def tree_of_spheres_to_json(t: TreeOfSpheres) -> dict:
-    out = tree_to_json(t.shape)
-    out["marking"] = {
+    return {**tree_to_json(t.shape), "marking": {
         vertex_to_key(v): {vertex_to_key(n): point_to_json(p) for n, p in row}
-        for v, row in t.marking
-    }
-    return out
+        for v, row in t.marking}}
 
 
 def tree_of_spheres_from_json(obj: Any) -> TreeOfSpheres:
@@ -569,14 +566,9 @@ def numeric_sequence_from_json(obj: Any, tolerance: float, window: int
 
 
 def numeric_tree_to_json(t: NumericTreeOfSpheres) -> dict:
-    out = tree_to_json(t.shape)
-    out["marking"] = {
-        vertex_to_key(v): {
-            x: "inf" if z is None else [z.real, z.imag] for x, z in row
-        }
-        for v, row in t.marking
-    }
-    return out
+    return {**tree_to_json(t.shape), "marking": {
+        vertex_to_key(v): {x: "inf" if z is None else [z.real, z.imag] for x, z in row}
+        for v, row in t.marking}}
 
 
 # ---------------------------------------------------------------------------

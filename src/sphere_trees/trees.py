@@ -100,6 +100,14 @@ def neighbors(t: MarkedTree, v: Vertex) -> tuple:
     return adjacency(t)[v]
 
 
+def sorted_edges(t: MarkedTree) -> list:
+    """Every edge as its ends (a, b) by vertex_key, the pairs in that order: each leaf's
+    edge, then each internal vertex's to larger ids; InvalidFamily for an invalid tree."""
+    adj = adjacency(t)
+    inner = [(v, n) for v in sorted(t.internal) for n in adj[v] if isinstance(n, int) and n > v]
+    return [(x, adj[x][0]) for x in sorted(t.leaves)] + inner
+
+
 def validate_tree(t: MarkedTree) -> list[str]:
     """Diagnostics for the stability invariants, computed once per tree; empty means valid."""
     if t._problems is None:
@@ -335,9 +343,8 @@ def enumerate_stable_trees(labels: Iterable[str]) -> Iterator[MarkedTree]:
             fresh = max(t.internal) + 1
             for v in sorted(t.internal):
                 nxt.append(MarkedTree.make(t.leaves | {x}, t.internal, t.edges | {edge_of(x, v)}))
-            for e in sorted(t.edges, key=lambda e: tuple(sorted(map(vertex_key, e)))):
-                a, b = e
-                rest = t.edges - {e} | {edge_of(a, fresh), edge_of(fresh, b), edge_of(x, fresh)}
+            for a, b in sorted_edges(t):
+                rest = t.edges - {edge_of(a, b)} | {edge_of(a, fresh), edge_of(fresh, b), edge_of(x, fresh)}
                 nxt.append(MarkedTree.make(t.leaves | {x}, t.internal | {fresh}, rest))
         current = nxt
     return iter(current)

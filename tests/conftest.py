@@ -89,6 +89,20 @@ def oracle_embed(t: TreeOfSpheres) -> dict:
     return out
 
 
+def oracle_edge_order(t: MarkedTree) -> list:
+    """Oracle for `trees.sorted_edges`: each edge's ends sorted by vertex_key, then the
+    pairs sorted, as the tree writer, the cover check and the tree enumeration once
+    sorted the edge set each for itself."""
+    return [tuple(e) for e in sorted((sorted(e, key=vertex_key) for e in t.edges),
+                                     key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))]
+
+
+def assert_rows_in_neighbors_order(t: TreeOfSpheres) -> None:
+    """Every row of t, as stored and as read, lists its vertex's edges in neighbors order."""
+    for v, row in t.marking:
+        assert tuple(n for n, _ in row) == tuple(t.rows[v]) == neighbors(t.shape, v), v
+
+
 def oracle_compatible(t_x: TreeOfSpheres, t_y: TreeOfSpheres) -> bool:
     """Oracle for `dynamics.compatible`: the explicit isomorphism onto t_y's projection
     exists and its Moebius map at every vertex is the identity."""

@@ -672,6 +672,34 @@ def test_tree_with_every_list_repeated_is_refused(tmp_path):
     assert (code, out) == (2, "") and "a tree lists a leaf twice" in err
 
 
+def tree_list_as(blob, key, form):
+    """blob with its tree list `key` (or, for "edge", its edge ["1", 0]) written in the
+    JSON form `form` instead of a list."""
+    if key == "edge":
+        i = blob["edges"].index(["1", 0])
+        blob["edges"][i] = "10" if form == "string" else {"1": 0}
+    else:
+        items = blob[key]
+        blob[key] = ("".join(map(str, items)) if form == "string"
+                     else {str(x): None for x in items})
+    return blob
+
+
+@pytest.mark.parametrize("key, form", [("leaves", "string"), ("leaves", "object"),
+                                       ("internal", "string"), ("edges", "object"),
+                                       ("edge", "string"), ("edge", "object")])
+@pytest.mark.parametrize("name", ["two_vertex_tree.json", "two_vertex_spheres.json"])
+def test_tree_lists_are_json_lists(tmp_path, name, key, form):
+    # the reader iterated what it found: leaves "1234" read as four labels and the tree
+    # validated, and an edge "10" read as the labels "1" and "0", so the payload was taken
+    # for an invalid tree rather than refused as malformed
+    blob = tree_list_as(json.loads((DATA_DIR / name).read_text()), key, form)
+    code, out, err = run_main("validate", write(tmp_path, blob))
+    assert (code, out) == (2, "") and "each edge are lists" in err
+    with pytest.raises(SchemaError, match="each edge are lists"):
+        ser.tree_from_json(blob, check=False)
+
+
 @pytest.mark.parametrize("labels", [["bogus"], [], ["1", "2", "3", "4", "4"], ["1", "2", "3"],
                                     "1234"])
 def test_family_labels_list_its_paths(tmp_path, labels):

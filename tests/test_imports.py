@@ -14,6 +14,8 @@ bench, the scripts or the tests reach are listed with the reason they stay.
 No line of the package starts two comprehensions, generator expressions or
 lambdas of one kind.  A tree of spheres is constructed directly only in
 ``TreeOfSpheres._assembled``, the one place its rows' injectivity is checked.
+``vertex_key`` is named only in ``trees.py``, which stores every row and reads every
+edge in its order, and in ``TreeCover.make``, which orders a vertex mapping.
 """
 
 from __future__ import annotations
@@ -223,3 +225,49 @@ def test_the_check_finds_a_raw_construction():
                "b.py": 'EMPTY = TreeOfSpheres(None, ())\n'}
     assert raw_constructions(sources) == [("a.py", "make"), ("a.py", "twist"),
                                           ("b.py", "<module>")]
+
+
+# where vertex_key may be named outside trees.py: TreeCover.make orders a vertex mapping,
+# not a tree table
+VERTEX_KEY_ALLOWED = {("covers.py", "TreeCover.make")}
+
+
+def references(sources: dict, name: str) -> list:
+    """(module, enclosing "Class.function", function or "<module>") of each use of name
+    as an identifier or an attribute; import lines do not count."""
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == name \
+                    or isinstance(child, ast.Attribute) and child.attr == name:
+                found.append((module, where or "<module>"))
+            visit(child, module, where)
+
+    for module, source in sorted(sources.items()):
+        visit(ast.parse(source), module, None)
+    return found
+
+
+def test_tree_tables_are_read_in_their_stored_order():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")
+               if p.name != "trees.py"}
+    assert [r for r in references(sources, "vertex_key") if r not in VERTEX_KEY_ALLOWED] == []
+
+
+def test_the_check_finds_a_sort_by_vertex_key():
+    sources = {"a.py": ('from .trees import vertex_key\n'
+                        'class TreeCover:\n'
+                        '    def make(cls, vm):\n'
+                        '        return sorted(vm, key=vertex_key)\n'
+                        '    def rows(self, row):\n'
+                        '        return sorted(row, key=lambda n: trees.vertex_key(n))\n'
+                        'def edges(t):\n'
+                        '    return sorted(t.edges, key=lambda e: sorted(map(vertex_key, e)))\n'),
+               "b.py": 'KEY = vertex_key\n'}
+    assert references(sources, "vertex_key") == [
+        ("a.py", "TreeCover.make"), ("a.py", "TreeCover.rows"), ("a.py", "edges"),
+        ("b.py", "<module>")]

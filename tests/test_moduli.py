@@ -15,6 +15,7 @@ import conftest
 from conftest import (
     INF,
     POINT_POOL,
+    assert_rows_in_neighbors_order,
     oracle_embed,
     pt,
     random_marking,
@@ -24,7 +25,13 @@ from conftest import (
 )
 from sphere_trees import moduli, trees
 from sphere_trees import serialize as ser
-from sphere_trees.covers import TreeCover, cover_iso, edge_table, extract_portrait
+from sphere_trees.covers import (
+    TreeCover,
+    cover_iso,
+    edge_table,
+    extract_portrait,
+    reconstruct_cover,
+)
 from sphere_trees.dynamics import dyn_membership
 from sphere_trees.errors import InvalidFamily, LeafSetMismatch, MarkedSetTooSmall
 from sphere_trees.gaussian import gr
@@ -860,6 +867,38 @@ class TestAssembledOnce:
             assert info.value.witness == stray
         assert twist(two_vertex, {}) == two_vertex
         assert twist(two_vertex, {1: m}).edge_points(0) == two_vertex.edge_points(0)
+
+
+class TestRowsInNeighborsOrder:
+    """Every constructor leaves each row in neighbors order, which the writer, the
+    cover check and the reconstruction read without sorting it again."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_trees_of_spheres(self, seed):
+        rng = random.Random(f"rows-{seed}")
+        for t in assembly_corpus(rng):  # limit_tree and make, over random shapes
+            labels = sorted(t.labels)
+            maps = {v: random_moebius(rng) for v in t.shape.internal if rng.random() < 0.7}
+            # make given each row backwards, and ids past 9, where str and int order part
+            backwards = TreeOfSpheres.make(t.shape, {v: dict(reversed(row)) for v, row in t.marking})
+            made = [t, backwards, conftest.relabel_tree(t, 7), canonical_form(t), twist(t, maps),
+                    project(t, rng.sample(labels, rng.randint(3, len(labels))))]
+            made.append(canonical_form(made[2]))
+            for result in made:
+                assert_rows_in_neighbors_order(result)
+            assert backwards == t and made[-1] == made[3]
+
+    def test_cover_targets(self, cover_corpus):
+        families = [conftest.degenerate_family_two_vertex(),
+                    conftest.degenerate_family_three_vertex(),
+                    conftest.degenerate_family_split_fiber(),
+                    conftest.degenerate_family_double_fold()]
+        covers = [limit_cover(fam) for fam in families]
+        rebuilt = [reconstruct_cover(c.source, extract_portrait(c)) for c in cover_corpus]
+        for cover in covers + rebuilt:
+            assert_rows_in_neighbors_order(cover.source)
+            assert_rows_in_neighbors_order(cover.target)
+        assert any(len(c.target.shape.internal) > 1 for c in covers + rebuilt)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,17 +17,18 @@ from conftest import (
     degenerate_family_two_vertex,
     lconst,
     lpoly,
+    oracle_edge_order,
     pt,
     z_squared_cover,
 )
 from sphere_trees import serialize as ser
 from sphere_trees.dynamics import DynSystem, dyn_membership
-from sphere_trees.errors import SchemaError
+from sphere_trees.errors import InvalidFamily, SchemaError
 from sphere_trees.gaussian import GaussianRational, gr
 from sphere_trees.limits import LaurentFamily
 from sphere_trees.moduli import MarkedSphere, TreeOfSpheres
 from sphere_trees.projective import ProjPoint
-from sphere_trees.trees import MarkedTree
+from sphere_trees.trees import MarkedTree, adjacency
 
 
 @pytest.fixture
@@ -42,10 +43,23 @@ def two_vertex_spheres():
 
 class TestScalars:
     def test_fraction_format(self):
-        assert ser.fraction_to_json(Fraction(3)) == "3/1"
-        assert ser.fraction_to_json(Fraction(-2, 4)) == "-1/2"
+        assert ser.complex_to_json(gr(3, Fraction(-2, 4))) == {"re": "3/1", "im": "-1/2"}
+        assert ser.complex_to_json(gr(Fraction(-2, 4), 3)) == {"re": "-1/2", "im": "3/1"}
         assert ser.fraction_from_json("7") == Fraction(7)
         assert ser.fraction_from_json("-2/6") == Fraction(-1, 3)
+
+    @given(st.one_of(st.integers(-9, 9), st.integers()),
+           st.one_of(st.integers(-9, 9), st.integers()),
+           st.one_of(st.integers(1, 9), st.integers(1, 10 ** 60)))
+    @example(0, 0, 5)
+    @example(-(10 ** 40), 10 ** 40 + 1, 10 ** 40)
+    @settings(max_examples=300, deadline=None)
+    def test_parts_are_the_fractions_of_the_triple(self, a, b, c):
+        # each part reduced from the triple by its own gcd, as Fraction spells it
+        z = GaussianRational._raw(a, b, c)
+        re, im = Fraction(a, c), Fraction(b, c)
+        assert ser.complex_to_json(z) == {"re": f"{re.numerator}/{re.denominator}",
+                                          "im": f"{im.numerator}/{im.denominator}"}
 
     def test_point_round_trip(self):
         for p in (pt(0), pt(Fraction(5, 3), Fraction(-1, 2)), INF):
@@ -73,6 +87,18 @@ class TestTrees:
         with pytest.raises(SchemaError):
             ser.tree_from_json({"leaves": ["#1", "2", "3"], "internal": [0],
                                 "edges": [["#1", 0], ["2", 0], ["3", 0]]})
+
+    def test_edges_are_written_in_the_sorted_edge_order(self, tree_corpus):
+        for t in tree_corpus:
+            assert ser.tree_to_json(t.shape)["edges"] == list(map(list, oracle_edge_order(t.shape)))
+
+    def test_writing_an_invalid_tree_raises_as_adjacency_does(self):
+        # a tree read without its check, its edge to "3" missing
+        t = ser.tree_from_json({"leaves": ["1", "2", "3"], "internal": [0],
+                                "edges": [["1", 0], ["2", 0]]}, check=False)
+        for call in (adjacency, ser.tree_to_json):
+            with pytest.raises(InvalidFamily, match="invalid marked tree"):
+                call(t)
 
 
 class TestFamilies:
@@ -177,8 +203,9 @@ class TestBounds:
                 ser.laurent_map_from_json(blob)
 
     def test_unprintable_fraction_is_schema_error(self):
-        with pytest.raises(SchemaError):
-            ser.fraction_to_json(Fraction(1, 10 ** 5000))
+        for z in (gr(Fraction(1, 10 ** 5000)), gr(0, 10 ** 5000)):
+            with pytest.raises(SchemaError, match="digit limit"):
+                ser.complex_to_json(z)
 
 
 class TestCovers:

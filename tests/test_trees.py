@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_stable_shape
+from conftest import oracle_edge_order, random_stable_shape
 from sphere_trees.errors import (
     InvalidFamily,
     InvalidIncidence,
@@ -28,6 +28,7 @@ from sphere_trees.trees import (
     partition_at,
     partition_sort_key,
     representative_triple,
+    sorted_edges,
     tree_from_partitions,
     tree_partitions,
     trees_isomorphic,
@@ -134,6 +135,59 @@ class TestEnumerate:
         assert sorted(len(t.internal) for t in trees) == [1, 2, 2, 2]
         assert len({tree_partitions(t) for t in trees}) == 4
         assert all(validate_tree(t) == [] for t in trees)
+
+
+def oracle_enumerate(labels):
+    """enumerate_stable_trees as written with its own sort of each tree's edge set."""
+    labs = sorted(set(labels))
+    current = [MarkedTree.make(labs[:3], [0], [(y, 0) for y in labs[:3]])]
+    for x in labs[3:]:
+        nxt = []
+        for t in current:
+            fresh = max(t.internal) + 1
+            nxt += [MarkedTree.make(t.leaves | {x}, t.internal, t.edges | {frozenset((x, v))})
+                    for v in sorted(t.internal)]
+            for a, b in oracle_edge_order(t):
+                rest = t.edges - {frozenset((a, b))} | {
+                    frozenset((a, fresh)), frozenset((fresh, b)), frozenset((x, fresh))}
+                nxt.append(MarkedTree.make(t.leaves | {x}, t.internal | {fresh}, rest))
+        current = nxt
+    return current
+
+
+class TestSortedEdges:
+    """sorted_edges, the one edge order of the tree writer, the cover check and the
+    enumeration, against the sort each of them once made of the edge set."""
+
+    def test_matches_the_sorted_edge_set_on_the_corpus(self, tree_corpus):
+        for t in tree_corpus:
+            assert sorted_edges(t.shape) == oracle_edge_order(t.shape)
+
+    def test_matches_the_sorted_edge_set_on_random_trees(self):
+        rng = random.Random("sorted-edges")
+        for n in range(3, 41):
+            for _ in range(4):
+                t = random_stable_shape(n, rng)
+                # internal ids past 9, where string and integer order part, and ranked ids
+                shifted = MarkedTree.make(t.leaves, [v + 7 for v in t.internal], [
+                    [x + 7 if isinstance(x, int) else x for x in e] for e in t.edges])
+                for u in (t, shifted, tree_from_partitions(tree_partitions(t))):
+                    assert sorted_edges(u) == oracle_edge_order(u)
+                    assert len(sorted_edges(u)) == len(u.edges)
+
+    def test_matches_on_every_tree_of_six_labels(self):
+        trees = list(enumerate_stable_trees("123456"))
+        assert len(trees) == len({tree_partitions(t) for t in trees}) == 236
+        for t in trees:
+            assert sorted_edges(t) == oracle_edge_order(t)
+        assert trees == oracle_enumerate("123456")
+
+    def test_an_invalid_tree_refuses_its_edges_as_adjacency_does(self):
+        t = MarkedTree(frozenset("123"), frozenset({0}),
+                       frozenset({frozenset(("1", 0)), frozenset(("2", 0))}))
+        for read in (adjacency, sorted_edges):
+            with pytest.raises(InvalidFamily, match="invalid marked tree"):
+                read(t)
 
 
 class TestBranch:
