@@ -132,6 +132,34 @@ def random_laurent_family(n: int, rng: random.Random) -> LaurentFamily:
             continue
 
 
+def oracle_lead_table(fam: LaurentFamily) -> dict:
+    """(x, y): (valuation, leading coefficient) of the bracket [p_x, p_y], read off its full
+    expansion, for both orders of every pair of labels."""
+    lead = {}
+    for (x, p), (y, q) in combinations(fam.paths, 2):
+        b = oracle_laurent_bracket(p, q)
+        val, c = b.valuation(), b.leading()
+        lead[(x, y)], lead[(y, x)] = (val, c), (val, -c)
+    return lead
+
+
+def oracle_lead_chart(labels, lead: Mapping, triple: tuple[str, str, str]) -> dict:
+    """The limits of the cross-ratios [x, t0][t1, tinf] : [x, tinf][t1, t0] of the chart
+    sending the triple to (0, 1, inf), from the brackets' leading terms: valuations add and
+    leading coefficients multiply, as Laurent polynomials over Q(i) form a domain."""
+    t0, t1, tinf = triple
+    (v_num, c_num), (v_den, c_den) = lead[(t1, tinf)], lead[(t1, t0)]
+    out = {t0: ProjPoint.of(0), t1: ProjPoint.of(1), tinf: ProjPoint.infinity()}
+    for x in labels:
+        if x in out:
+            continue
+        (v0, c0), (vi, ci) = lead[(x, t0)], lead[(x, tinf)]
+        vu, vv = v0 + v_num, vi + v_den
+        out[x] = ProjPoint.of(0) if vu > vv else ProjPoint.infinity() if vu < vv else \
+            ProjPoint.make(c0 * c_num, ci * c_den)
+    return out
+
+
 def per_triple_limit_tree(fam: LaurentFamily):
     """The per-triple engine, kept as an oracle for limit_tree.
 
@@ -141,14 +169,10 @@ def per_triple_limit_tree(fam: LaurentFamily):
     brackets' leading terms are read off their full expansions.
     """
     labels = sorted(fam.labels)
-    lead = {}
-    for (x, p), (y, q) in combinations(fam.paths, 2):
-        b = oracle_laurent_bracket(p, q)
-        val, c = b.valuation(), b.leading()
-        lead[(x, y)], lead[(y, x)] = (val, c), (val, -c)
+    lead = oracle_lead_table(fam)
     charts = {}
     for triple in combinations(labels, 3):
-        chart = limits._limit_chart(labels, lead, triple)
+        chart = oracle_lead_chart(labels, lead, triple)
         fibers: dict = {}
         for x, q in chart.items():
             fibers.setdefault(q, set()).add(x)
@@ -571,6 +595,116 @@ class TestEnginesAgree:
             assert dump(t) == dump(per_triple_limit_tree(fam))
             sizes.add(len(t.shape.internal))
         assert n == 3 or max(sizes) > 1
+
+
+def laurent_path(u: list, v: list = ((0, 1),)) -> LaurentPoint:
+    """(u : v) from [(exponent, coefficient), ...] lists of integer or gr coefficients."""
+    return LaurentPoint.make(*(LaurentPoly.make([(e, gr(c) if isinstance(c, int) else c)
+                                                 for e, c in terms]) for terms in (u, v)))
+
+
+def corner_families() -> dict:
+    """Families at the corners of the coefficient trie: paths tending to infinity while 0, 1
+    and 2 are limits too (the chart (u : v) -> (v : u - 3 v)), every path with one limit,
+    finite or infinite, and a top ball in two groups, at depth 0 or deeper, with a lone
+    label, or with the paths at infinity as one group."""
+    eps = [(1, 1)]
+    return {
+        "infinity-after-0-1-2": {
+            "a": laurent_path([]), "b": laurent_path(eps), "c": laurent_path([(0, 1)]),
+            "d": laurent_path([(0, 1), (1, 1)]), "e": laurent_path([(0, 2)]),
+            "f": laurent_path([(0, 2), (2, 1)]), "g": laurent_path([(0, 1)], []),
+            "h": laurent_path([(0, 1)], eps), "i": laurent_path([(0, 1)], [(1, 2)])},
+        "infinity-after-0-1-2-deep": {
+            "a": laurent_path([]), "b": laurent_path([(0, 1)]), "c": laurent_path([(0, 2)]),
+            "d": laurent_path([(0, 1)], [(2, 1)]), "e": laurent_path([(0, 1)], [(2, 1), (3, 1)]),
+            "f": laurent_path([(0, 1), (1, 5)], [(2, 1), (3, -1)])},
+        "one-limit": {
+            "a": laurent_path([(0, 1)]), "b": laurent_path([(0, 1), (1, 1)]),
+            "c": laurent_path([(0, 1), (1, 2)]), "d": laurent_path([(0, 1), (1, 1), (2, 1)]),
+            "e": laurent_path([(0, 1), (3, 1)])},
+        "one-limit-infinity": {
+            "a": laurent_path([(0, 1)], []), "b": laurent_path([(0, 1)], eps),
+            "c": laurent_path([(0, 1)], [(1, 2)]), "d": laurent_path([(0, 1)], [(1, 1), (2, 1)]),
+            "e": laurent_path([(0, 1), (1, 1)], [(3, 1)])},
+        "top-two": {
+            "a": laurent_path([]), "b": laurent_path(eps), "c": laurent_path([(1, 2)]),
+            "d": laurent_path([(0, 1)]), "e": laurent_path([(0, 1), (1, 1)]),
+            "f": laurent_path([(0, 1), (1, 2)])},
+        "top-two-lone": {
+            "a": laurent_path([]), "b": laurent_path([(0, 1)]), "c": laurent_path([(0, 1), (1, 1)]),
+            "d": laurent_path([(0, 1), (1, 2)])},
+        "top-two-deep": {
+            "a": laurent_path([(0, 1)]), "b": laurent_path([(0, 1), (3, 1)]),
+            "c": laurent_path([(0, 1), (3, 2)]), "d": laurent_path([(0, 1), (2, 1)]),
+            "e": laurent_path([(0, 1), (2, 1), (3, 1)]), "f": laurent_path([(0, 1), (2, 1), (3, 2)])},
+        "top-two-infinity": {
+            "a": laurent_path([]), "b": laurent_path(eps), "c": laurent_path([(1, 2)]),
+            "d": laurent_path([(0, 1)], []), "e": laurent_path([(0, 1)], eps),
+            "f": laurent_path([(0, 1)], [(1, 2)])},
+    }
+
+
+def random_corner_family(n: int, rng: random.Random) -> LaurentFamily:
+    """n paths b + x eps + y eps^2, b in {0, 1, 2, i}, or (1 : x eps + y eps^2), x and y in
+    -1..1: limits at 0, 1, 2 and infinity, and long shared prefixes."""
+    while True:
+        paths = {}
+        for k in range(n):
+            x, y = rng.randint(-1, 1), rng.randint(-1, 1)
+            base = rng.choice([0, 1, 2, gr(0, 1), None])
+            if base is None:
+                paths[f"p{k}"] = laurent_path([(0, 1)], [(1, x), (2, y)])
+            else:
+                paths[f"p{k}"] = laurent_path([(0, base), (1, x), (2, y)])
+        try:
+            return LaurentFamily.make(paths)
+        except InvalidFamily:  # two paths coincide; draw again
+            continue
+
+
+class TestTrieCorners:
+    """limit_tree against the per-triple engine where the coefficient trie turns a corner."""
+
+    @pytest.mark.parametrize("name", list(corner_families()))
+    def test_corner_families(self, name):
+        fam = LaurentFamily.make(corner_families()[name])
+        t = limit_tree(fam)
+        assert dump(t) == dump(per_triple_limit_tree(fam))
+        if name.startswith("top-two") and name != "top-two-lone":
+            assert len(t.shape.internal) == 2
+
+    def test_random_corner_families(self):
+        rng = random.Random("trie-corners")
+        for _ in range(60):
+            fam = random_corner_family(rng.randint(3, 9), rng)
+            assert dump(limit_tree(fam)) == dump(per_triple_limit_tree(fam))
+
+
+def planted_coincidences(rng: random.Random) -> dict:
+    """Distinct corner paths under shuffled names, with two or three groups of further
+    labels planted on some of them, each a copy of its path times a common factor 1 + k eps
+    or 2 - eps^2 (so not equal as stored)."""
+    fam = random_corner_family(rng.randint(3, 7), rng)
+    names = rng.sample([f"{c}{k}" for c in "abcdefgh" for k in range(3)], 24)
+    paths = {names.pop(): p for _, p in fam.paths}
+    for x in rng.sample(sorted(paths), rng.randint(2, min(3, len(paths)))):
+        for _ in range(rng.randint(1, 2)):
+            w = LaurentPoly.make(rng.choice([[(0, gr(1)), (1, gr(rng.randint(1, 3)))],
+                                             [(0, gr(2)), (2, gr(-1))]]))
+            paths[names.pop()] = LaurentPoint.make(paths[x].u * w, paths[x].v * w)
+    return paths
+
+
+def test_planted_coincidences_name_the_least_pair():
+    rng = random.Random("planted-coincidences")
+    for _ in range(40):
+        paths = planted_coincidences(rng)
+        x, y = min((x, y) for x, y in combinations(sorted(paths), 2)
+                   if oracle_laurent_bracket(paths[x], paths[y]).is_zero())
+        with pytest.raises(InvalidFamily) as info:
+            LaurentFamily.make(paths)
+        assert (str(info.value), info.value.witness) == (f"paths of {x!r} and {y!r} coincide", [x, y])
 
 
 @functools.cache
@@ -1222,10 +1356,10 @@ class TestNumericLimit:
             except (NotStabilized, InconsistentClustering, AdmissibilityFailure):
                 continue
             returned += 1
-            labels = sorted(fam.labels)
+            labels, lead = sorted(fam.labels), oracle_lead_table(fam)
             for v, row in t.marking:
-                exact = limits._limit_chart(
-                    labels, fam.lead, representative_triple(partition_at(t.shape, v)))
+                exact = oracle_lead_chart(
+                    labels, lead, representative_triple(partition_at(t.shape, v)))
                 for x, affine in row:
                     p = exact[x]
                     q = None if p.is_infinity() else p.to_affine().to_complex()
