@@ -9,7 +9,6 @@ and rational maps of a family carry Laurent-polynomial coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import ZeroFamily
@@ -155,20 +154,6 @@ class LaurentPoint:
                 a, b, c = a * x.c + x.a * w, b * x.c + x.b * w, c * x.c
             sums.append((a, b, c))
         return ProjPoint.ratio(*sums)
-
-
-def bracket_lead(p: LaurentPoint, q: LaurentPoint) -> tuple[int, GaussianRational] | None:
-    """(valuation, leading coefficient) of [p, q], or None when it is zero: the term pairs
-    of p.u q.v and q.u p.v are summed by exponent sum, lowest first, up to the first nonzero."""
-    pairs: dict[int, list] = {}
-    for xs, ys, sign in ((p.u.terms, q.v.terms, 1), (q.u.terms, p.v.terms, -1)):
-        for (e, x), (f, y) in product(xs, ys):
-            pairs.setdefault(e + f, []).append((sign, x, y))
-    for s in sorted(pairs):
-        c = sum_of_products(pairs[s])
-        if not c.is_zero():
-            return s, c
-    return None
 
 
 def laurent_leading_value(q: LaurentPoint) -> ProjPoint:

@@ -1,16 +1,14 @@
 """Limit stable trees of degenerating families, exactly and numerically.
 
 A degenerating one-parameter configuration is a Laurent family: one Laurent
-point per label.  Laurent polynomials over Q(i) form a domain, so the limit
-of a cross-ratio depends only on the valuation and leading coefficient of
-the pairwise brackets [p_x, p_y]: valuations add and leading coefficients
-multiply.  The family reads them once, from the lowest terms up, when it is
-made.  The valuations alone form an ultrametric whose balls are the vertices
-of the limit tree, the tree the labels span in the Berkovich line; each ball is
-split on one row, its first member's, and marked by one limit chart.  The limit
-of a degenerating marked rational map is the cover over the source limit tree
-with the family's portrait, rebuilt from the two (`reconstruct_cover`) and moved
-into the target limit's charts; the family's local degrees are checked exactly.
+point per label.  Over C((eps)) its limit tree is the tree of closed disks the
+points span, so the trie of their power series: a family reads each path once, as
+a series in one chart, when it is made, and a ball of labels is a vertex where
+its groups by the next coefficient and the labels outside it make three blocks or
+more; one limit chart marks it.  The limit of a degenerating marked rational map
+is the cover over the source limit tree with the family's portrait, rebuilt from
+the two (`reconstruct_cover`) and moved into the target limit's charts; the
+family's local degrees are checked exactly.
 
 The numeric mode extrapolates one chart per vertex instead, found by a
 lexicographic scan of the unseparated triples, and refuses quadruples that do
@@ -23,9 +21,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, islice, zip_longest
+from itertools import combinations, count, zip_longest
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .covers import Portrait, TreeCover, _build_cover, validate_cover, validate_portrait
 from .errors import (
@@ -40,7 +38,7 @@ from .errors import (
     NotStabilized,
     SchemaError,
 )
-from .gaussian import scaled, triples
+from .gaussian import GaussianRational, gr, reduced
 from .laurent import (
     LP_ONE,
     LP_ZERO,
@@ -48,7 +46,7 @@ from .laurent import (
     LaurentMoebius,
     LaurentPoint,
     LaurentPoly,
-    bracket_lead,
+    laurent_leading_value,
 )
 from .moduli import MarkedSphere, TreeOfSpheres, iso_of_spheres, tree_from_charts
 from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint
@@ -66,11 +64,50 @@ from .values import field, value
 # exact families
 
 
+def _series(items: Sequence[tuple[str, LaurentPoint]]) -> tuple[dict, dict]:
+    """Each path's power series, an iterator of its coefficients, and its top exponent, with
+    paths (u : v) shifted to valuation 0 and, if one tends to infinity, charted (v : u - a v),
+    a the first of 0, 1, 2, ... that is no path's limit: then none does."""
+    ends = {x: [c.terms[i][0] for c in (p.u, p.v) if c.terms for i in (0, -1)] for x, p in items}
+    parts = {x: (p.u.shift(-min(ends[x])), p.v.shift(-min(ends[x]))) for x, p in items}
+    if any(not v.terms or v.terms[0][0] for _, v in parts.values()):
+        limits = {laurent_leading_value(p) for _, p in items}
+        a = gr(next(k for k in count() if ProjPoint.of(k) not in limits))
+        parts = {x: (v, u - v.scale(a)) for x, (u, v) in parts.items()}
+    return ({x: _coefficients(u, v) for x, (u, v) in parts.items()},
+            {x: max(e) - min(e) for x, e in ends.items()})
+
+
+def _coefficients(u: LaurentPoly, v: LaurentPoly) -> Iterator[tuple]:
+    """The coefficients c_k of u / v, u of valuation >= 0 and v of valuation 0, as reduced triples,
+    fraction-free: u and v times den conj(den v_0), den the lcm of their denominators, are Gaussian
+    integral with v_0 = N > 0, and D_k = c_k N^(k+1) = u_k N^k - sum_(e >= 1) v_e N^(e-1) D_(k-e)."""
+    den, w = math.lcm(*(c.c for part in (u, v) for _, c in part.terms)), v.terms[0][1]
+
+    def cleared(c: GaussianRational, k: int = 1) -> tuple:  # c den conj(den w) k
+        p, q, m = w.a * (den // w.c), -w.b * (den // w.c), den // c.c * k
+        return (c.a * p - c.b * q) * m, (c.a * q + c.b * p) * m
+    n = cleared(w)[0]
+    us, vs = {e: cleared(c) for e, c in u.terms}, [(e, *cleared(c, n ** (e - 1))) for e, c in v.terms[1:]]
+    ds, nk = [], 1  # D_0 .. D_(k-1), N^k
+    for k in count():
+        a, b = us.get(k, (0, 0))
+        a, b = a * nk, b * nk
+        for e, x, y in vs:
+            if e > k:
+                break
+            if (d := ds[k - e]) != (0, 0):
+                a, b = a - x * d[0] + y * d[1], b - x * d[1] - y * d[0]
+        ds.append((a, b))
+        nk *= n
+        yield reduced((a, b, nk)) if a or b else (0, 0, 1)
+
+
 @value
 class LaurentFamily:
     labels: frozenset
     paths: tuple  # sorted (label, LaurentPoint) pairs
-    lead: Mapping = field()  # (x, y): (v, c) of [p_x, p_y]; (y, x): (v, -c)
+    vertices: tuple = field()  # per limit vertex: partition, sorted (block minimum, (a, b, c))
     mapping: Mapping = field(init=False)
 
     def __post_init__(self):
@@ -78,16 +115,35 @@ class LaurentFamily:
 
     @classmethod
     def make(cls, paths: Mapping[str, LaurentPoint]) -> "LaurentFamily":
+        """The family, with its limit tree's vertices read off the trie of its series: a ball of
+        labels at depth k, sharing c_0 .. c_(k-1), is grouped by c_k; one group past depth top_p +
+        top_q of its two highest paths is coincident, as their bracket vanishes, and refused."""
         if len(paths) < 3:
             raise MarkedSetTooSmall("a family needs at least three labels")
         items = sorted(paths.items())
-        lead = {}
-        for (x, p), (y, q) in combinations(items, 2):
-            b = bracket_lead(p, q)
-            if b is None:
-                raise InvalidFamily(f"paths of {x!r} and {y!r} coincide", witness=[x, y])
-            lead[(x, y)], lead[(y, x)] = b, (b[0], -b[1])
-        return cls(frozenset(paths), tuple(items), MappingProxyType(lead))
+        series, tops = _series(items)
+        labels, vertices, coincident, balls = frozenset(paths), [], [], [([x for x, _ in items], 0)]
+        while balls:
+            ball, k = balls.pop()
+            bound, groups = sum(sorted(tops[x] for x in ball)[-2:]), {}
+            while len(groups) < 2 and k <= bound:
+                groups, k = {}, k + 1
+                for x in ball:
+                    groups.setdefault(next(series[x]), []).append(x)
+            if len(groups) < 2:
+                coincident.append(tuple(ball[:2]))
+                continue
+            blocks = {g[0]: (g, c) for c, g in groups.items()}  # block minimum: block, ball point
+            if outside := labels.difference(ball):
+                blocks[min(outside)] = (outside, (1, 0, 0))  # (a + b i : c), infinity (1 : 0)
+            if len(blocks) > 2:  # the ball of all labels in two groups is no vertex
+                vertices.append((frozenset(frozenset(b) for b, _ in blocks.values()),
+                                 tuple(sorted((x, c) for x, (_, c) in blocks.items()))))
+            balls.extend((g, k) for g in groups.values() if len(g) > 1)
+        if coincident:
+            x, y = min(coincident)
+            raise InvalidFamily(f"paths of {x!r} and {y!r} coincide", witness=[x, y])
+        return cls(labels, tuple(items), tuple(vertices))
 
     def path(self, x: str) -> LaurentPoint:
         return self.mapping[x]
@@ -116,66 +172,24 @@ class LaurentFamily:
                                      witness=exc.witness) from exc
 
 
-def _limit_chart(labels: Iterable[str], lead: Mapping, triple: tuple[str, str, str]) -> dict:
-    """Limits of the cross-ratios [x, t0][t1, tinf] : [x, tinf][t1, t0] of the
-    chart sending the triple to (0, 1, inf), from the brackets' leading terms."""
-    t0, t1, tinf = triple
-    (v_num, c_num), (v_den, c_den) = lead[(t1, tinf)], lead[(t1, t0)]
-    num, den = triples((c_num, c_den))
-    out = {t0: P_ZERO, t1: P_ONE, tinf: P_INF}
-    for x in labels:
-        if x in out:
-            continue
-        v0, c0 = lead[(x, t0)]
-        vi, ci = lead[(x, tinf)]
-        vu, vv = v0 + v_num, vi + v_den
-        if vu > vv:
-            out[x] = P_ZERO
-        elif vu < vv:
-            out[x] = P_INF
-        else:
-            out[x] = ProjPoint.ratio(scaled(c0, num), scaled(ci, den))
+def _limit_chart(minima: Sequence[tuple[str, tuple]]) -> dict:
+    """The cross-ratios [x, t0][t1, tinf] : [x, tinf][t1, t0] of the block minima's ball points
+    (a + b i : c), sending the three smallest to (0, 1, inf), each reduced once."""
+    def bracket(p: tuple, q: tuple) -> tuple:  # [p, q] = p.u q.v - q.u p.v, for real v
+        return p[0] * q[2] - q[0] * p[2], p[1] * q[2] - q[1] * p[2]
+    (t0, p0), (t1, p1), (tinf, pinf), *rest = minima
+    (na, nb), (da, db), out = bracket(p1, pinf), bracket(p1, p0), {t0: P_ZERO, t1: P_ONE, tinf: P_INF}
+    for x, p in rest:
+        (xa, xb), (ya, yb) = bracket(p, p0), bracket(p, pinf)
+        out[x] = ProjPoint.ratio((xa * na - xb * nb, xa * nb + xb * na, 1),
+                                 (ya * da - yb * db, ya * db + yb * da, 1))
     return out
 
 
 def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
-    """The exact limit stable tree of a degenerating Laurent family.
-
-    With r the smallest label and v the bracket valuations of the family's
-    lead table, g(x, y) = v(x, y) - v(x, r) - v(y, r) is an ultrametric on
-    the other labels whose balls are the vertices, read only where a split
-    compares it.  A ball's classes of g > m, m the least entry of its first member's
-    row, read once, and the labels outside it are the vertex's blocks: labels above m
-    join that member, the rest are compared with later classes' first members.  The
-    blocks' minima (r, then first members) ascend; the first three chart the vertex.
-    """
-    labels, lead = sorted(fam.labels), fam.lead
-    r = labels[0]
-    vr = {x: lead[x, r][0] for x in labels[1:]}
-
-    def g(x: str, y: str) -> int:
-        return lead[x, y][0] - vr[x] - vr[y]
-    charts = {}
-    balls = [labels[1:]]
-    while balls:
-        ball = balls.pop()
-        # in an ultrametric the minimum over pairs is met at any fixed point
-        m = min(row := [g(ball[0], y) for y in ball[1:]])
-        children = {ball[0]: (mine := ball[:1])}  # keyed by the first member
-        for x, gx in zip(ball[1:], row):
-            if gx > m:
-                mine.append(x)
-                continue
-            for c, members in islice(children.items(), 1, None):
-                if g(c, x) > m:
-                    members.append(x)
-                    break
-            else:
-                children[x] = [x]
-        partition = frozenset(map(frozenset, [*children.values(), fam.labels.difference(ball)]))
-        charts[partition] = _limit_chart(minima := [r, *children], lead, tuple(minima[:3]))
-        balls.extend(c for c in children.values() if len(c) > 1)
-    return tree_from_charts(charts)
+    """The exact limit stable tree of a degenerating Laurent family: one limit chart marks
+    each vertex `LaurentFamily.make` read off the trie of the family's series."""
+    return tree_from_charts({partition: _limit_chart(minima) for partition, minima in fam.vertices})
 
 
 # ---------------------------------------------------------------------------

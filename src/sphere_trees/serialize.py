@@ -353,18 +353,29 @@ def laurent_poly_to_json(p: LaurentPoly) -> list:
     return [[e, complex_to_json(c)] for e, c in p.terms]
 
 
-def laurent_poly_from_json(obj: Any) -> LaurentPoly:
+def _indexed(obj: Any, what: str, lo: int, hi: int, read) -> dict:
+    """A [[index, value], ...] list as {index: read(value)}, each index an integer, at least
+    lo, at most hi in absolute value, and listed once: a repeated one would be summed or dropped."""
     if not isinstance(obj, list):
-        raise SchemaError(f"Laurent polynomials are [[exp, coeff], ...] lists: {obj!r}")
-    terms = []
+        raise SchemaError(f"expected a [[{what}, value], ...] list: {obj!r}")
+    out = {}
     for item in obj:
         if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError(f"bad Laurent term: {item!r}")
-        e = int_from_json(item[0], "Laurent exponent")
-        if abs(e) > MAX_EXPONENT:
-            raise SchemaError(f"Laurent exponent {e} exceeds the bound {MAX_EXPONENT}")
-        terms.append((e, complex_from_json(item[1])))
-    return LaurentPoly.make(terms)
+            raise SchemaError(f"bad [{what}, value] entry: {item!r}")
+        k = int_from_json(item[0], what)
+        if abs(k) > hi:
+            raise SchemaError(f"{what} {k} exceeds the bound {hi}")
+        if k < lo:
+            raise SchemaError(f"negative {what}: {k}")
+        if k in out:
+            raise SchemaError(f"{what} {k} is listed twice")
+        out[k] = read(item[1])
+    return out
+
+
+def laurent_poly_from_json(obj: Any) -> LaurentPoly:
+    return LaurentPoly.make(_indexed(obj, "Laurent exponent", -MAX_EXPONENT, MAX_EXPONENT,
+                                     complex_from_json).items())
 
 
 def laurent_point_to_json(p: LaurentPoint) -> dict:
@@ -398,21 +409,8 @@ def laurent_map_to_json(m: LaurentMap) -> dict:
 
 def laurent_map_from_json(obj: Any) -> LaurentMap:
     def side(rows):
-        if not isinstance(rows, list):
-            raise SchemaError("Laurent map sides are [[degree, poly], ...] lists")
-        coeffs = {}
-        for item in rows:
-            if not isinstance(item, list) or len(item) != 2:
-                raise SchemaError(f"bad Laurent map coefficient: {item!r}")
-            k = int_from_json(item[0], "coefficient index")
-            if k < 0:
-                raise SchemaError(f"negative coefficient index: {k}")
-            if k > MAX_MAP_DEGREE:
-                raise SchemaError(
-                    f"coefficient index {k} exceeds the bound {MAX_MAP_DEGREE}")
-            coeffs[k] = laurent_poly_from_json(item[1])
-        top = max(coeffs, default=-1)
-        return [coeffs.get(i, LP_ZERO) for i in range(top + 1)]
+        coeffs = _indexed(rows, "coefficient index", 0, MAX_MAP_DEGREE, laurent_poly_from_json)
+        return [coeffs.get(i, LP_ZERO) for i in range(max(coeffs, default=-1) + 1)]
 
     try:
         num, den = side(obj["num"]), side(obj["den"])
@@ -458,6 +456,8 @@ def rational_map_to_json(f: RationalMap) -> dict:
 
 def rational_map_from_json(obj: Any) -> RationalMap:
     try:
+        if not isinstance(obj["num"], list) or not isinstance(obj["den"], list):
+            raise SchemaError("rational map sides are lists of coefficients")
         if (top := max(len(obj["num"]), len(obj["den"])) - 1) > MAX_MAP_DEGREE:
             raise SchemaError(f"coefficient index {top} exceeds the bound {MAX_MAP_DEGREE}")
         num = [complex_from_json(c) for c in obj["num"]]

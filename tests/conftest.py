@@ -111,8 +111,8 @@ def oracle_compatible(t_x: TreeOfSpheres, t_y: TreeOfSpheres) -> bool:
 
 
 def oracle_laurent_bracket(p: LaurentPoint, q: LaurentPoint) -> LaurentPoly:
-    """Oracle for `laurent.bracket_lead`: the bracket [p, q] = p.u q.v - q.u p.v, every
-    Laurent term of it."""
+    """Oracle: the bracket [p, q] = p.u q.v - q.u p.v, every Laurent term of it, zero
+    exactly where the paths coincide."""
     return p.u * q.v - q.u * p.v
 
 

@@ -243,6 +243,44 @@ def test_malformed_value_is_schema_error(parse, blob):
         parse(blob)
 
 
+@pytest.mark.parametrize("value", [{}, {"0": ONE}, ONE], ids=["empty-object", "object", "coefficient"])
+@pytest.mark.parametrize("side", ["num", "den"])
+def test_rational_map_sides_are_lists(tmp_path, side, value):
+    # "num": {} used to read as the empty list, so as the constant map 0
+    blob = json.loads((DATA_DIR / "cover_z2.json").read_text())
+    blob["maps"]["#0"][side] = value
+    code, out, err = run_main("validate", write(tmp_path, blob))
+    assert (code, out) == (2, "") and err == "schema error: rational map sides are lists of coefficients\n"
+
+
+MINUS_ONE = {"re": "-1/1", "im": "0/1"}
+
+
+@pytest.mark.parametrize("parse, blob, what", [
+    (ser.laurent_poly_from_json, [[0, ONE], [0, MINUS_ONE]], "Laurent exponent 0"),
+    (ser.laurent_poly_from_json, [[-3, ONE], [2, ONE], [-3, ONE]], "Laurent exponent -3"),
+    (ser.laurent_map_from_json, {"num": [[1, [[0, ONE]]], [1, [[1, ONE]]]], "den": [[0, [[0, ONE]]]]},
+     "coefficient index 1"),
+], ids=["exponent-summing-to-zero", "exponent", "map-index"])
+def test_repeated_key_in_laurent_data_is_schema_error(parse, blob, what):
+    # exponents used to be summed, so [[0, 1], [0, -1]] read as 0, and of two equal
+    # coefficient indices the later one was kept
+    with pytest.raises(SchemaError, match=f"^{what} is listed twice$"):
+        parse(blob)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("family_eps.json", lambda b: b["paths"]["4"]["u"].append(b["paths"]["4"]["u"][0])),
+    ("cover_family_degenerate.json", lambda b: b["map"]["num"].append([2, [[1, ONE]]])),
+], ids=["family-path", "cover-family-map"])
+def test_repeated_key_in_a_laurent_payload_is_schema_error(tmp_path, name, edit):
+    blob = json.loads((DATA_DIR / name).read_text())
+    edit(blob)
+    for args in commands(ser.detect_kind(blob), name, write(tmp_path, blob)):
+        code, out, err = run_main(*args)
+        assert (code, out) == (2, "") and "is listed twice" in err, args
+
+
 @pytest.mark.parametrize("edit", [
     lambda b: b.update(snapshots=None),
     lambda b: b["eps"].__setitem__(0, "x"),
@@ -531,6 +569,30 @@ def test_the_limit_of_a_large_twisted_family_in_a_capped_child(tmp_path, n):
     code, out, err = run_cli_child("limit", write(tmp_path, ser.family_to_json(fam)))
     assert code == 0, err
     assert out == ser.canonical_dumps(ser.tree_of_spheres_to_json(limit_tree(fam)))
+
+
+def sparse_gap_family(coincident: bool) -> dict:
+    """64 labels on the paths 1 + c_x eps^1000, c_x distinct, so every series shares 1000
+    coefficients; with coincident, x47 takes the path of x31."""
+    paths = {f"x{k:02d}": LaurentPoint.from_poly(LaurentPoly.make([(0, gr(1)), (1000, gr(k + 1, k % 5))]))
+             for k in range(64)}
+    if coincident:
+        paths["x47"] = paths["x31"]
+    return {"labels": sorted(paths), "paths": {x: ser.laurent_point_to_json(p) for x, p in paths.items()}}
+
+
+@pytest.mark.parametrize("coincident", [False, True], ids=["distinct", "coincident-pair"])
+def test_the_limit_of_paths_sharing_a_long_prefix_in_a_capped_child(tmp_path, coincident):
+    # the trie reads every series to depth 1000, and a coincident pair's to depth 2000, within
+    # CASE_SECONDS and the memory cap, byte for byte in-process
+    path = write(tmp_path, sparse_gap_family(coincident))
+    code, out, err = run_cli_child("limit", path)
+    assert (code, out) == run_main("limit", path)[:2], err
+    if coincident:
+        assert code == 1 and json.loads(out) == {"error": "InvalidFamily", "witness": ["x31", "x47"]}
+    else:
+        fam = ser.family_from_json(sparse_gap_family(False))
+        assert code == 0 and out == ser.canonical_dumps(ser.tree_of_spheres_to_json(limit_tree(fam)))
 
 
 @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000 + "]" * 100_000],

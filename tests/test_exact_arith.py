@@ -29,7 +29,7 @@ from conftest import (
     random_laurent_moebius,
     random_moebius,
 )
-from sphere_trees import rational
+from sphere_trees import limits, rational
 from sphere_trees.errors import CollisionAtEpsilon, DegenerateTriple, ZeroFamily
 from sphere_trees.gaussian import (
     GR_ONE,
@@ -48,7 +48,6 @@ from sphere_trees.laurent import (
     LaurentMoebius,
     LaurentPoint,
     LaurentPoly,
-    bracket_lead,
     laurent_leading_value,
 )
 from sphere_trees.limits import LaurentFamily
@@ -389,50 +388,64 @@ class TestLaurentMapKernel:
     @given(laurent_maps, laurent_moebii, laurent_points)
     def test_precompose_is_substitution(self, f, m, p):
         left = defined(lambda: f.precompose(m).evaluate(p))
-        assert bracket_lead(left, defined(lambda: f.evaluate(m.apply(p)))) is None
+        assert oracle_laurent_bracket(left, defined(lambda: f.evaluate(m.apply(p)))).is_zero()
 
     @settings(max_examples=60, deadline=None)
     @given(laurent_maps, laurent_moebii, laurent_points)
     def test_postcompose_is_composition(self, f, m, p):
         left = defined(lambda: f.postcompose(m).evaluate(p))
-        assert bracket_lead(left, defined(lambda: m.apply(f.evaluate(p)))) is None
+        assert oracle_laurent_bracket(left, defined(lambda: m.apply(f.evaluate(p)))).is_zero()
 
 
 # ---------------------------------------------------------------------------
-# bracket leading terms, read from the lowest exponent up
+# power series of paths: two agree up to their bracket's valuation
 
 
-def expanded_lead(p: LaurentPoint, q: LaurentPoint):
-    """The oracle for bracket_lead: expand [p, q] in full, read its lowest term."""
+def shared_coefficients(p: LaurentPoint, q: LaurentPoint) -> int | None:
+    """How many leading coefficients the series of p and q share in the chart of
+    limits._series, or None where they share every one up to the bracket's degree bound."""
+    series, tops = limits._series([("p", p), ("q", q)])
+    for k, a, b in zip(range(tops["p"] + tops["q"] + 1), series["p"], series["q"]):
+        if a != b:
+            return k
+    return None
+
+
+def expanded_valuation(p: LaurentPoint, q: LaurentPoint) -> int | None:
+    """The oracle: the valuation of [p, q] expanded in full, each path shifted to valuation
+    0 first; None where the bracket is zero."""
     b = oracle_laurent_bracket(p, q)
-    return None if b.is_zero() else (b.valuation(), b.leading())
+    shift = sum(min(c.valuation() for c in (x.u, x.v) if not c.is_zero()) for x in (p, q))
+    return None if b.is_zero() else b.valuation() - shift
 
 
-class TestBracketLead:
+class TestSeries:
     @settings(max_examples=150, deadline=None)
     @given(laurent_points, laurent_points)
-    def test_matches_expanded_bracket(self, p, q):
-        assert bracket_lead(p, q) == expanded_lead(p, q)
+    def test_shared_coefficients_are_the_bracket_valuation(self, p, q):
+        assert shared_coefficients(p, q) == expanded_valuation(p, q)
 
-    # [p, p + eps^k r] = eps^k [p, r]: every product term below the
-    # bracket's valuation cancels, and r = 0 gives equal points
+    # [p, p + eps^k r] = eps^k [p, r]: the series share at least k coefficients, and r = 0
+    # gives equal points
     @settings(max_examples=150, deadline=None)
     @given(laurent_points, laurent_polys, laurent_polys, st.integers(0, 4))
     def test_forced_cancellations(self, p, ru, rv, k):
         q = defined(lambda: LaurentPoint.make(p.u + ru.shift(k), p.v + rv.shift(k)))
-        assert bracket_lead(p, q) == expanded_lead(p, q)
-        assert (bracket_lead(p, q) is None) == (ru * p.v == p.u * rv)
+        assert shared_coefficients(p, q) == expanded_valuation(p, q)
+        assert (shared_coefficients(p, q) is None) == (ru * p.v == p.u * rv)
 
-    # (u w : v w) is the point (u : v); the raw pair keeps every product term
+    # (u w : v w) is the point (u : v), though the stored pair keeps the factor w
     @settings(max_examples=100, deadline=None)
     @given(laurent_points, laurent_polys)
-    def test_equal_points_give_none(self, p, w):
+    def test_equal_points_share_every_coefficient(self, p, w):
         if w.is_zero():
             reject()
         q = LaurentPoint(p.u * w, p.v * w)
-        assert bracket_lead(p, q) is None and bracket_lead(q, p) is None
-        assert bracket_lead(p, p) is None
+        assert shared_coefficients(p, q) is None and shared_coefficients(q, p) is None
+        assert shared_coefficients(p, p) is None
 
+
+class TestFromThree:
     @settings(max_examples=100, deadline=None)
     @given(laurent_points, laurent_points, laurent_points)
     def test_from_three_matrix(self, p0, p1, pinf):

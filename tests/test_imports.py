@@ -37,7 +37,6 @@ REACHED_FROM_OUTSIDE = {
     "cover_from_marked": "acceptance criterion 9 and scripts/make_examples.py",
     "enumerate_stable_trees": "the bench generators and the scripts",
     "is_admissible": "acceptance criteria 1 and 2; tree_from_partitions runs the same check",
-    "laurent_leading_value": "the oracle for leading values that the ROADMAP keeps",
     "GaussianRational.to_complex": "the bench generators and the tests build float snapshots",
     "LaurentFamily.reparametrize": "the bench's degenerate workload; ROADMAP item 9 needs it",
     "LaurentMap.from_exact": "the bench generators build constant cover families with it",

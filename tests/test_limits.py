@@ -13,7 +13,7 @@ import sys
 import time
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -69,7 +69,6 @@ from sphere_trees.laurent import (
     LaurentMap,
     LaurentPoint,
     LaurentPoly,
-    bracket_lead,
 )
 from sphere_trees.limits import (
     CoverFamily,
@@ -426,30 +425,35 @@ class TestLimitTree:
         assert calls == []
 
     @staticmethod
-    def assert_lead_is_the_brackets(fam):
-        for (x, p), (y, q) in combinations(fam.paths, 2):
-            v, c = bracket_lead(p, q)
-            assert fam.lead[(x, y)] == (v, c) and fam.lead[(y, x)] == (v, -c)
-        assert len(fam.lead) == len(fam.labels) * (len(fam.labels) - 1)
+    def assert_series_split_at_the_brackets(fam):
+        # two paths' series in the trie's chart agree up to their bracket's valuation, so the
+        # trie's balls are the bracket ultrametric's
+        lead = oracle_lead_table(fam)
+        depth = {x: 1 + max(lead[x, y][0] for y in fam.labels - {x}) for x in fam.labels}
+        series = {x: list(islice(it, depth[x])) for x, it in limits._series(fam.paths)[0].items()}
+        for x, y in combinations(sorted(fam.labels), 2):
+            v = lead[x, y][0]
+            assert series[x][:v] == series[y][:v] and series[x][v] != series[y][v], (x, y)
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     @pytest.mark.parametrize("form", ["plain", "twist", "reparametrize"])
-    def test_lead_table_on_plumbed_families(self, n, form):
-        self.assert_lead_is_the_brackets(plumbed_family(n, form, random.Random(f"lead-{n}-{form}")))
+    def test_series_split_at_the_brackets_on_plumbed_families(self, n, form):
+        self.assert_series_split_at_the_brackets(
+            plumbed_family(n, form, random.Random(f"lead-{n}-{form}")))
 
-    def test_lead_table_on_random_laurent_families(self):
+    def test_series_split_at_the_brackets_on_random_laurent_families(self):
         rng = random.Random("lead-laurent")
         for n in range(3, 11):
-            self.assert_lead_is_the_brackets(random_laurent_family(n, rng))
+            self.assert_series_split_at_the_brackets(random_laurent_family(n, rng))
+        for paths in corner_families().values():
+            self.assert_series_split_at_the_brackets(LaurentFamily.make(paths))
 
     @pytest.mark.parametrize("n", [4, 8, 12])
-    def test_brackets_are_read_once_when_the_family_is_made(self, monkeypatch, n):
+    def test_series_are_read_once_when_the_family_is_made(self, monkeypatch, n):
         fam = plumbed_family(n, "twist", random.Random(f"once-{n}"))
-        calls = []
-        lead = limits.bracket_lead
-        monkeypatch.setattr(limits, "bracket_lead", lambda p, q: calls.append(None) or lead(p, q))
+        calls = counted_coefficients(monkeypatch)
         made = LaurentFamily.make(dict(fam.paths))
-        assert len(calls) == n * (n - 1) // 2
+        assert len(calls) == n
         calls.clear()
         assert dump(limit_tree(made)) == dump(limit_tree(fam))
         assert calls == []
@@ -606,8 +610,10 @@ def laurent_path(u: list, v: list = ((0, 1),)) -> LaurentPoint:
 def corner_families() -> dict:
     """Families at the corners of the coefficient trie: paths tending to infinity while 0, 1
     and 2 are limits too (the chart (u : v) -> (v : u - 3 v)), every path with one limit,
-    finite or infinite, and a top ball in two groups, at depth 0 or deeper, with a lone
-    label, or with the paths at infinity as one group."""
+    finite or infinite, a top ball in two groups, at depth 0 or deeper, with a lone
+    label, or with the paths at infinity as one group, and pairs that split only at the sum
+    of their top exponents: 1 / (1 - eps^k) against 1 + eps^k + ..., their bracket a power
+    of eps."""
     eps = [(1, 1)]
     return {
         "infinity-after-0-1-2": {
@@ -642,6 +648,11 @@ def corner_families() -> dict:
             "a": laurent_path([]), "b": laurent_path(eps), "c": laurent_path([(1, 2)]),
             "d": laurent_path([(0, 1)], []), "e": laurent_path([(0, 1)], eps),
             "f": laurent_path([(0, 1)], [(1, 2)])},
+        "split-at-the-degree-bound": {
+            "a": laurent_path([(0, 1)], [(0, 1), (1, -1)]), "b": laurent_path([(0, 1), (1, 1)]),
+            "c": laurent_path([(0, 1), (1, 1), (2, 1), (3, 1)]),
+            "d": laurent_path([(0, 1)], [(0, 1), (2, -1)]), "e": laurent_path([(0, 1), (2, 1)]),
+            "f": laurent_path([])},
     }
 
 
@@ -790,55 +801,46 @@ def test_limit_tree_digests_are_pinned_on_chains_and_stars():
     assert shape_digests() == golden.read_text().splitlines()
 
 
-class CountingLead(Mapping):
-    """A family's lead table that records each key read, in order of first read."""
+def counted_coefficients(monkeypatch) -> list:
+    """One entry per series limits._series starts, counting the coefficients it yields."""
+    calls, coefficients = [], limits._coefficients
 
-    def __init__(self, lead: Mapping):
-        self.lead, self.read = lead, {}
+    def counted(u, v):
+        calls.append(0)
+        k = len(calls) - 1
+        for c in coefficients(u, v):
+            calls[k] += 1
+            yield c
 
-    def __getitem__(self, key):
-        self.read[key] = None
-        return self.lead[key]
-
-    def __iter__(self):
-        return iter(self.lead)
-
-    def __len__(self):
-        return len(self.lead)
+    monkeypatch.setattr(limits, "_coefficients", counted)
+    return calls
 
 
-def read_pairs(fam: LaurentFamily) -> dict:
-    """The keys of fam.lead that limit_tree reads, in order of first read."""
-    lead = CountingLead(fam.lead)
-    limit_tree(LaurentFamily(fam.labels, fam.paths, lead))
-    return lead.read
-
-
-def pair_digests() -> list[str]:
-    """'family keys pairs sha256' of the lead keys (x, y) that limit_tree reads, sorted, and
-    the count of unordered pairs among them: caterpillars in spine order at n = 32 and 64
-    and shuffled at n = 64 (three seeds), and the n = 64 plumbed families of the scale pin,
-    plain and twisted; rewrite the pin with `PYTHONPATH=src:tests python3 -c "import
-    test_limits as t; print(*t.pair_digests(), sep=chr(10))" > tests/golden/limit_tree_pairs.sha`"""
+def trie_families() -> list:
+    """Caterpillars in spine order at n = 32 and 64 and shuffled at n = 64 (three seeds),
+    and the n = 64 plumbed families of the scale pin, plain and twisted."""
     shapes, scale = dict(shape_families()), dict(scale_families())
     families = [("spine-32", shapes["32 spine plain"]), ("spine-64", shapes["64 spine plain"])]
     for seed in range(3):
         rng = random.Random(f"pairs-{seed}")
         names = rng.sample([f"x{k:02d}" for k in range(64)], 64)
         families.append((f"shuffled-64-{seed}", plumb_family(random_marking(caterpillar(names), rng))))
-    families += [("random-64-plain", scale["64 plain 0"]), ("random-64-twist", scale["64 twist 0"])]
-    lines = []
-    for name, fam in families:
-        keys = sorted(read_pairs(fam))
-        digest = hashlib.sha256(repr(keys).encode()).hexdigest()
-        lines.append(f"{name} {len(keys)} {len(set(map(frozenset, keys)))} {digest}")
-    return lines
+    return families + [("random-64-plain", scale["64 plain 0"]), ("random-64-twist", scale["64 twist 0"])]
 
 
-def test_limit_tree_reads_the_pinned_pairs():
-    # the split's bracket reads, which a change of how a ball splits must account for
-    golden = pathlib.Path(__file__).parent / "golden" / "limit_tree_pairs.sha"
-    assert pair_digests() == golden.read_text().splitlines()
+TRIE_COEFFICIENTS = {"spine-32": 496, "spine-64": 2016, "shuffled-64-0": 2016, "shuffled-64-1": 2016,
+                     "shuffled-64-2": 2016, "random-64-plain": 277, "random-64-twist": 406}
+
+
+def test_make_computes_the_pinned_coefficients(monkeypatch):
+    # the trie's reads: each label's series up to the depth of its last split
+    calls = counted_coefficients(monkeypatch)
+    counts = {}
+    for name, fam in trie_families():
+        calls.clear()
+        LaurentFamily.make(dict(fam.paths))
+        counts[name] = sum(calls)
+    assert counts == TRIE_COEFFICIENTS
 
 
 SAMPLE_EPS = (Fraction(1, 10), Fraction(1, 97), Fraction(1, 200), Fraction(3, 2), Fraction(7, 3))
@@ -1566,7 +1568,7 @@ class TestRootOrder:
             for a in roots:
                 g = poly_mul(g, [-a.u, a.v], LP_ZERO)
             for p in pool + [random_laurent_point(rng)]:
-                order = sum(bracket_lead(a, p) is None for a in roots)
+                order = sum(oracle_laurent_bracket(a, p).is_zero() for a in roots)
                 assert limits._root_order(g, p) == oracle_root_order(g, p) == order
                 orders.append((order, p.v.is_zero()))
         assert {(k, True) for k in range(4)} <= set(orders)

@@ -87,7 +87,7 @@ FIELDS = {
     "TreeCover": (("source", "target", "vertex_map", "maps"),) * 3,
     "MarkedSphereCover": (("f", "y", "z"),) * 3,
     "DynSystem": (("cover", "dyn_tree"),) * 3,
-    "LaurentFamily": (("labels", "paths", "lead"), ("labels", "paths"), ("labels", "paths")),
+    "LaurentFamily": (("labels", "paths", "vertices"), ("labels", "paths"), ("labels", "paths")),
     "NumericConfigSequence": (("labels", "snapshots", "eps", "tolerance", "stability_window"),) * 3,
     "NumericTreeOfSpheres": (("shape", "marking"),) * 3,
     "CoverFamily": (("portrait", "y_family", "z_family", "map_family"),) * 3,
@@ -224,11 +224,11 @@ class TestDerivedFields:
             assert dict(getattr(x, attr)) == dict(getattr(x, source))
             assert f"{attr}=" not in repr(x)
 
-    def test_family_lead_is_not_compared(self, values):
+    def test_family_vertices_are_not_compared(self, values):
         fam = values["LaurentFamily"]
-        other = LaurentFamily(fam.labels, fam.paths, {})
+        other = LaurentFamily(fam.labels, fam.paths, ())
         assert_same_value(fam, other)
-        assert "lead=" not in repr(fam)
+        assert "vertices=" not in repr(fam)
 
 
 def test_admissibility_violation_defaults_and_keywords():
