@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pathlib
 import random
@@ -483,14 +484,38 @@ class TestDeepChains:
         assert cover_iso(rebuilt, cover)
 
 
+def split_label_input() -> tuple:
+    """(source, portrait) with one vertex whose two leaves over the fourth target label,
+    the one no chart slot pins, land at different images (4 and 9 under z^2): not
+    realizable, and the refusal names the leaf whose image differs from the first."""
+    source = sphere_as_tree(MarkedSphere.make({
+        "y0": pt(0), "yinf": INF, "y1": pt(1), "ym1": pt(-1), "yw1": pt(2), "yw2": pt(3)}))
+    portrait = Portrait.make(
+        {"y0": "z0", "yinf": "zinf", "y1": "z1", "ym1": "z1", "yw1": "zw", "yw2": "zw"},
+        {"y0": 2, "yinf": 2, "y1": 1, "ym1": 1, "yw1": 1, "yw2": 1}, 2)
+    return source, portrait
+
+
+def reconstruct_outcome(source, portrait) -> str:
+    """The sha256 of the rebuilt cover's canonical JSON, or the error code and its
+    witness as one line of JSON."""
+    try:
+        dump = ser.canonical_dumps(ser.cover_to_json(reconstruct_cover(source, portrait)))
+    except SphereTreesError as exc:
+        witness = json.dumps(ser.witness_to_json(exc.witness), sort_keys=True,
+                             ensure_ascii=False)
+        return f"{exc.code} {witness}"
+    return hashlib.sha256(dump.encode()).hexdigest()
+
+
 def reconstruct_digests() -> list[str]:
     """'base i kind outcome' of reconstruct_cover on each input around a corpus of
     covers: the limit covers of the degenerate families and of the z^2 chains, the
     branching cubic, and the covers bench's patterns at seeds 1-3, each followed by its
-    ``reconstruction_inputs`` at one fixed seed.  The outcome is the sha256 of the rebuilt
-    cover's canonical JSON, or the error code.  Rewrite the pin with `PYTHONPATH=src:tests
-    python3 -c "import test_covers as t; print(*t.reconstruct_digests(), sep=chr(10))"
-    > tests/golden/reconstruct_corpus.sha`"""
+    ``reconstruction_inputs`` at one fixed seed, and last the planted
+    ``split_label_input``.  Each outcome is a ``reconstruct_outcome``.  Rewrite the pin
+    with `PYTHONPATH=src:tests python3 -c "import test_covers as t;
+    print(*t.reconstruct_digests(), sep=chr(10))" > tests/golden/reconstruct_corpus.sha`"""
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))
     import generators as gen
@@ -509,16 +534,9 @@ def reconstruct_digests() -> list[str]:
                    limit_cover(gen.cover_family(d, pattern, rng)))
                   for d, pattern in Covers.PATTERNS]
     rng = random.Random(2718)
-    lines = []
-    for name, cover in bases:
-        for i, (kind, src, p) in enumerate(reconstruction_inputs(cover, rng)):
-            try:
-                dump = ser.canonical_dumps(ser.cover_to_json(reconstruct_cover(src, p)))
-                outcome = hashlib.sha256(dump.encode()).hexdigest()
-            except SphereTreesError as exc:
-                outcome = exc.code
-            lines.append(f"{name} {i} {kind} {outcome}")
-    return lines
+    lines = [f"{name} {i} {kind} {reconstruct_outcome(src, p)}" for name, cover in bases
+             for i, (kind, src, p) in enumerate(reconstruction_inputs(cover, rng))]
+    return [*lines, f"split_label 0 planted {reconstruct_outcome(*split_label_input())}"]
 
 
 def test_reconstructions_are_pinned():
