@@ -17,15 +17,16 @@ portrait in one loop over the whole source.  Each round peels one target
 vertex: the labels beside a peripheral unpeeled source vertex name it, its
 fiber is every unpeeled vertex carrying one of those labels, its chart is
 pinned from the discovered attaching points, and the fiber maps follow from
-their zero/pole divisors.  The target tree is assembled once, after the last
-fiber.  It checks only what it needs to proceed;
+their zero/pole divisors.  A peeled vertex is named by its peel index, never
+by a label, so the rebuilt cover commutes with order-preserving renaming.
+The target tree is assembled once, after the last fiber.  It checks only
+what it needs to proceed;
 `validate_cover` is the one certifier, of reconstructed covers and of covers
 lifted from marked spheres alike.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -352,24 +353,24 @@ def _build_cover(source: TreeOfSpheres, portrait: Portrait) -> TreeCover:
 def _fiber_maps(source: TreeOfSpheres, seen: dict, fiber: list, z0: frozenset):
     """Maps f_w for every vertex in the fiber of the newly pinned target vertex.
 
-    ``seen[w]`` gives the target label and local degree of each leaf and cut
-    edge of w, keyed by neighbour; a cut edge leads to a vertex peeled
-    earlier.  The other edges of w, its internal edges, lead to unpeeled
-    vertices.  The chart is pinned with leaf edges at 0 and infinity (their
-    multiplicities are portrait data); the unit slot takes the third leaf edge
-    when one exists and the internal edge otherwise.  Returns the maps, the
-    attaching points of the new target vertex read off the leaf and cut edges,
-    the image of the internal edges, and their local degrees.  It checks only what
-    it needs to proceed; ``validate_cover`` certifies leaf images, degrees and
-    full fibers.
+    ``seen[w]`` gives the end (a target label, or the index of an earlier
+    peel for a cut edge) and local degree of each leaf and cut edge of w,
+    keyed by neighbour; its other edges, the internal ones, lead to unpeeled
+    vertices.  The chart takes the ends of ``z0`` in order, peel indices
+    first, then labels in string order: the first at 0, the third (or the
+    second of two) at infinity, and the second at 1 when there are three or
+    more, else the internal edge.  Returns the maps, the attaching points
+    of the new target vertex keyed by end, the image of the internal edges,
+    and their local degrees.  It checks only what it needs to proceed;
+    ``validate_cover`` certifies leaf images, degrees and full fibers.
     """
-    zs = sorted(z0)
+    zs = sorted(z0, key=lambda z: (isinstance(z, str), z))
     zero_z, pole_z = zs[0], zs[-1] if len(zs) == 2 else zs[2]
     unit_leaf = zs[1] if len(zs) >= 3 else None
 
     maps: dict[int, RationalMap] = {}
     edge_mult: dict[tuple[int, int], int] = {}
-    attach: dict[str, ProjPoint] = {zero_z: P_ZERO, pole_z: P_INF}
+    attach: dict = {zero_z: P_ZERO, pole_z: P_INF}
     if unit_leaf is not None:
         attach[unit_leaf] = P_ONE
     internal_value: Optional[ProjPoint] = None
@@ -419,25 +420,23 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
     vertex map, maps).
 
     Each round takes v0, the smallest unpeeled internal vertex with at most
-    one unpeeled internal neighbour.  The target labels on its leaf and cut
-    edges name one target vertex, whose fiber is every unpeeled vertex that
-    carries one of those labels, in every component of the unpeeled part at
-    once.  Once peeled, that target vertex is a label "@t<i>" on the cut edges
-    toward its fiber, distinct from every remaining target label.  When v0
-    has no unpeeled internal neighbour, all unpeeled vertices form the last
-    fiber, and each must see every remaining label.  The target is assembled
-    once, with ids in reverse peel order; each "@t<i>" label becomes the edge
-    to the vertex of the peel that made it.
+    one unpeeled internal neighbour.  The ends of its leaf and cut edges
+    name one target vertex, whose fiber is every unpeeled vertex that
+    carries one of those ends, in every component of the unpeeled part at
+    once.  The cut edges toward a fiber then end at its peel index j.  When
+    v0 has no unpeeled internal neighbour, all unpeeled vertices form the
+    last fiber, and each must see every remaining end.  The target is
+    assembled once, with ids in reverse peel order; end j becomes the edge
+    to the vertex of peel j.
     """
     shape = source.shape
     unpeeled = set(shape.internal)
-    # leaf and cut edges of each unpeeled vertex: neighbour -> (target label, local degree)
+    # leaf and cut edges of each unpeeled vertex: neighbour -> (end, local degree)
     seen = {
         v: {n: (fmap[n], degmap[n]) for n in neighbors(shape, v) if isinstance(n, str)}
         for v in unpeeled}
-    live = set(zlabels)  # the remaining target labels, "@t<i>" labels included
-    owner: dict[str, int] = {}  # live "@t<i>" label -> the peel that made it
-    peels = []  # (fiber, attaching points keyed by label or earlier peel, internal value)
+    live = set(zlabels)  # the remaining ends: target labels and peel indices
+    peels = []  # (fiber, attaching points keyed by end, internal value)
     maps: dict[int, RationalMap] = {}
     while True:
         v0 = min(v for v in unpeeled
@@ -458,8 +457,6 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
                 raise NotRealizable("two fiber vertices of the peeled target vertex are adjacent")
         fiber_maps, attach, internal_value, edge_mult = _fiber_maps(source, seen, fiber, z0)
         maps.update(fiber_maps)
-        for z in z0 & owner.keys():
-            attach[owner.pop(z)] = attach.pop(z)
         peels.append((fiber, attach, internal_value))
         if last:
             break
@@ -467,14 +464,13 @@ def _reconstruct(source: TreeOfSpheres, fmap: dict, degmap: dict,
             raise NotRealizable("fiber vertices have no internal edge to continue along")
         if len(z0) == 2 and internal_value != P_ONE:  # pragma: no cover - forced by pinning
             raise InvariantBreach("unit-slot internal edge did not land at 1")
-        sentinel = next(f"@t{i}" for i in count() if f"@t{i}" not in live)
-        live = (live - z0) | {sentinel}
-        owner[sentinel] = len(peels) - 1
+        j = len(peels) - 1
+        live = (live - z0) | {j}
         unpeeled.difference_update(fiber)
         for w in fiber:
             for u in neighbors(shape, w):
                 if u in unpeeled:
-                    seen[u][w] = (sentinel, edge_mult[w, u])
+                    seen[u][w] = (j, edge_mult[w, u])
 
     top = len(peels) - 1
     vmap: dict[Vertex, Vertex] = dict(fmap)

@@ -5,7 +5,7 @@ scalar's integer triple; complex scalars are {"re", "im"} objects; points are
 homogeneous {"u", "v"} pairs with the canonical representative (v = 1, or u = 1
 for infinity).  Leaves are label strings and internal vertices integers; where
 JSON forces string keys, an internal vertex id n is written "#n".  Labels must
-not start with "#" or "@", the prefixes of internal ids and cut leaves.
+not start with "#", the prefix of internal ids; no other prefix is reserved.
 
 Output is canonicalized by sorted keys and a fixed layout, so identical values
 serialize to identical bytes: exactly ``json.dumps(payload, sort_keys=True,
@@ -226,8 +226,8 @@ def point_from_json(obj: Any):
 
 
 def check_label(x: Any) -> str:
-    if not isinstance(x, str) or not x or x[0] in "#@":
-        raise SchemaError(f"labels are nonempty strings not starting with '#' or '@': {x!r}")
+    if not isinstance(x, str) or not x or x[0] == "#":
+        raise SchemaError(f"labels are nonempty strings not starting with '#': {x!r}")
     return x
 
 

@@ -13,7 +13,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from sphere_trees.covers import MarkedSphereCover, Portrait, cover_from_marked
+from sphere_trees.covers import MarkedSphereCover, Portrait, TreeCover, cover_from_marked
 from sphere_trees.errors import DegenerateTriple
 from sphere_trees.gaussian import GR_ZERO, GaussianRational, gr
 from sphere_trees.laurent import LaurentMap, LaurentMoebius, LaurentPoint, LaurentPoly
@@ -625,3 +625,29 @@ def twisted_cover_family(fam: CoverFamily, source: LaurentMoebius, target: Laure
 
 # collision centres of z_squared_chain_family: source chains of depth 3, 4 and 6
 CHAIN_CENTRES = [(0, 0, 1), (1, 1, 0), (1, 1, 2, 2, 0, 3, 4)]
+
+
+def renamed_spheres(t: TreeOfSpheres, sigma: dict) -> TreeOfSpheres:
+    """t with each label x renamed sigma[x]; internal ids and points are kept."""
+    def rn(v):
+        return sigma.get(v, v)
+    shape = MarkedTree.make(map(rn, t.shape.leaves), t.shape.internal,
+                            [map(rn, e) for e in t.shape.edges])
+    return TreeOfSpheres.make(shape, {v: {rn(n): p for n, p in row} for v, row in t.marking})
+
+
+def renamed_portrait(p: Portrait, sy: dict, sz: dict) -> Portrait:
+    """p with source labels renamed by sy and target labels by sz."""
+    return Portrait.make({sy[y]: sz[z] for y, z in p.fmap}, {sy[y]: k for y, k in p.degmap}, p.d)
+
+
+def renamed_cover(c: TreeCover, sy: dict, sz: dict) -> TreeCover:
+    """c with source labels renamed by sy and target labels by sz; ids and maps are kept."""
+    return TreeCover.make(renamed_spheres(c.source, sy), renamed_spheres(c.target, sz),
+                          {sy.get(a, a): sz.get(b, b) for a, b in c.vertex_map}, dict(c.maps))
+
+
+def shuffled(labels, rng: random.Random) -> dict:
+    """A random permutation of the labels, as a renaming."""
+    labels = sorted(labels)
+    return dict(zip(labels, rng.sample(labels, len(labels))))

@@ -692,6 +692,57 @@ def test_non_string_label_is_schema_error(tmp_path, label):
         assert (code, out) == (2, "") and err.startswith("schema error:"), key
 
 
+def prefixed(obj, labels, prefix: str):
+    """obj with each of the labels, as a key or as a string value, renamed prefix + label."""
+    if isinstance(obj, dict):
+        return {prefixed(k, labels, prefix): prefixed(v, labels, prefix) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [prefixed(x, labels, prefix) for x in obj]
+    return prefix + obj if isinstance(obj, str) and obj in labels else obj
+
+
+WRITERS = {"tree_of_spheres": ser.tree_of_spheres_to_json, "family": ser.family_to_json,
+           "portrait": ser.portrait_to_json}
+# (command, payloads, their labels): a tree of spheres, a Laurent family, and a source tree
+# with its portrait
+LABELLED_COMMANDS = [
+    ("validate", ["two_vertex_spheres.json"], {"1", "2", "3", "4"}),
+    ("limit", ["family_eps.json"], {"1", "2", "3", "4"}),
+    ("reconstruct", ["source_z2.json", "portrait_z2.json"],
+     {"a0", "a1", "a2", "a3", "b0", "b1", "b2"}),
+]
+
+
+@pytest.mark.parametrize("prefix", ["@", "@t"])
+@pytest.mark.parametrize("command, names, labels", LABELLED_COMMANDS,
+                         ids=[c for c, _, _ in LABELLED_COMMANDS])
+def test_labels_may_start_with_at(tmp_path, command, names, labels, prefix):
+    # "@" names nothing internal: such labels read, each payload writes back as it was
+    # read, and the result is the plain one renamed; a limit tree or cover reads back
+    blobs = [prefixed(json.loads((DATA_DIR / n).read_text()), labels, prefix) for n in names]
+    for blob in blobs:
+        kind = ser.detect_kind(blob)
+        assert WRITERS[kind](ser.READERS[kind](blob)) == blob
+    code, out, _ = run_main(command, *(write(tmp_path, b, f"at-{n}")
+                                       for b, n in zip(blobs, names)))
+    plain_code, plain_out, _ = run_main(command, *map(data, names))
+    assert (code, plain_code) == (0, 0)
+    assert json.loads(out) == prefixed(json.loads(plain_out), labels, prefix)
+    if command != "validate":
+        code, verdict, _ = run_main("validate", write(tmp_path, json.loads(out), "result.json"))
+        assert (code, json.loads(verdict)) == (0, {"ok": True})
+
+
+@pytest.mark.parametrize("command, names, labels", LABELLED_COMMANDS,
+                         ids=[c for c, _, _ in LABELLED_COMMANDS])
+def test_labels_starting_with_hash_are_schema_errors(tmp_path, command, names, labels):
+    # "#" is the prefix of internal vertex keys
+    paths = [write(tmp_path, prefixed(json.loads((DATA_DIR / n).read_text()), labels, "#"),
+                   f"hash-{n}") for n in names]
+    code, out, err = run_main(command, *paths)
+    assert (code, out) == (2, "") and "not starting with '#'" in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("Y", ["a0", "a1", "a2"]), ("Y", ["a0", "a1", "a2", "a3", "a9"]), ("Z", ["b0", "b1"]),
     ("Z", ["b0", "b1", "b2", "b2"]),

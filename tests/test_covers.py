@@ -30,6 +30,10 @@ from conftest import (
     pt,
     random_marking,
     random_moebius,
+    renamed_cover,
+    renamed_portrait,
+    renamed_spheres,
+    shuffled,
     z_squared_chain_family,
     z_squared_cover,
     z_squared_fiber_cover,
@@ -471,8 +475,8 @@ class TestReconstructOutcomes:
 
 
 class TestDeepChains:
-    # Each peel adds a sentinel target label for the peeled vertex; the
-    # sentinels that are live at once must stay distinct.
+    # Each peel names its target vertex by its peel index on the cut edges
+    # toward its fiber; the indices live at once stay apart from every label.
     @pytest.mark.parametrize("centres, depth", [
         ((0, 0, 1), 3), ((1, 1, 0), 4), ((1, 1, 2, 2, 0, 3, 4), 6)])
     def test_reconstruction_of_deep_source_chain(self, centres, depth):
@@ -482,6 +486,15 @@ class TestDeepChains:
         rebuilt = reconstruct_cover(cover.source, portrait)
         assert validate_cover(rebuilt, expected_portrait=portrait) == []
         assert cover_iso(rebuilt, cover)
+
+
+def bench_covers():
+    """The bench's cover generators and its covers workload, which holds the PLAN patterns."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import generators
+    from workloads import Covers
+    return generators, Covers
 
 
 def split_label_input() -> tuple:
@@ -496,11 +509,15 @@ def split_label_input() -> tuple:
     return source, portrait
 
 
+def cover_dump(c: TreeCover) -> str:
+    return ser.canonical_dumps(ser.cover_to_json(c))
+
+
 def reconstruct_outcome(source, portrait) -> str:
     """The sha256 of the rebuilt cover's canonical JSON, or the error code and its
     witness as one line of JSON."""
     try:
-        dump = ser.canonical_dumps(ser.cover_to_json(reconstruct_cover(source, portrait)))
+        dump = cover_dump(reconstruct_cover(source, portrait))
     except SphereTreesError as exc:
         witness = json.dumps(ser.witness_to_json(exc.witness), sort_keys=True,
                              ensure_ascii=False)
@@ -516,11 +533,7 @@ def reconstruct_digests() -> list[str]:
     ``split_label_input``.  Each outcome is a ``reconstruct_outcome``.  Rewrite the pin
     with `PYTHONPATH=src:tests python3 -c "import test_covers as t;
     print(*t.reconstruct_digests(), sep=chr(10))" > tests/golden/reconstruct_corpus.sha`"""
-    if str(BENCH) not in sys.path:
-        sys.path.insert(0, str(BENCH))
-    import generators as gen
-    from workloads import Covers
-
+    gen, Covers = bench_covers()
     bases = [(fam.__name__.removeprefix("degenerate_family_"), limit_cover(fam()))
              for fam in (degenerate_family_two_vertex, degenerate_family_symmetric,
                          degenerate_family_three_vertex, degenerate_family_extra_fiber,
@@ -557,6 +570,97 @@ def test_reconstructions_do_not_depend_on_the_hash_seed():
                            check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
             for seed in ("1", "2")]
     assert outs[0] == outs[1]
+
+
+def multi_peel_covers() -> list:
+    """Limit covers whose reconstruction peels several target vertices: the z^2 chains and
+    the covers bench's patterns."""
+    gen, Covers = bench_covers()
+    rng = random.Random(1)
+    return ([limit_cover(z_squared_chain_family(c)) for c in CHAIN_CENTRES]
+            + [limit_cover(gen.cover_family(d, pattern, rng)) for d, pattern in Covers.PATTERNS])
+
+
+class TestReconstructRenaming:
+    """A label only names a marked point: renaming the labels of a source and its portrait
+    renames the rebuilt cover.  An order-preserving renaming keeps its bytes, with labels
+    that sort before "@" ("0", "!") or after it ("x") alike."""
+
+    @pytest.fixture(scope="class")
+    def rebuilt(self):
+        pairs = []
+        for cover in multi_peel_covers():
+            portrait = extract_portrait(cover)
+            assert len(cover.target.shape.internal) >= 2
+            pairs.append((cover.source, portrait, reconstruct_cover(cover.source, portrait)))
+        return pairs
+
+    @pytest.mark.parametrize("prefix", ["0", "!", "x"])
+    def test_order_preserving_renaming_keeps_the_bytes(self, rebuilt, prefix):
+        for source, portrait, cover in rebuilt:
+            sy = {y: prefix + y for y in portrait.y_labels}
+            sz = {z: prefix + z for z in portrait.z_labels}
+            renamed = reconstruct_cover(renamed_spheres(source, sy),
+                                        renamed_portrait(portrait, sy, sz))
+            assert cover_dump(renamed) == cover_dump(renamed_cover(cover, sy, sz))
+
+    def test_shuffled_renaming_gives_an_isomorphic_cover(self, rebuilt):
+        rng = random.Random("reconstruct-renaming")
+        for source, portrait, cover in rebuilt:
+            for _ in range(3):
+                sy, sz = shuffled(portrait.y_labels, rng), shuffled(portrait.z_labels, rng)
+                renamed_p = renamed_portrait(portrait, sy, sz)
+                renamed = reconstruct_cover(renamed_spheres(source, sy), renamed_p)
+                expected = renamed_cover(cover, sy, sz)
+                assert validate_cover(expected, renamed_p) == []
+                assert cover_iso(renamed, expected) and cover_iso(expected, renamed), (sy, sz)
+
+
+def peels_met(target: TreeOfSpheres) -> int:
+    """The most earlier peels attached to one vertex of a rebuilt target.  Its ids run in
+    reverse peel order, so an internal neighbour with a larger id is an earlier peel."""
+    shape = target.shape
+    return max(sum(isinstance(n, int) and n > w for n in neighbors(shape, w))
+               for w in shape.internal)
+
+
+def branching_covers() -> list:
+    """(d, pattern, limit cover, rebuilt cover) for random ``cover_family`` patterns, drawn
+    at a fixed seed, whose rebuilt target has two or more peels meeting at one vertex:
+    96 at d = 2 with 5 to 7 fibres, and 32 at d = 4 with 3 or 4."""
+    gen, _ = bench_covers()
+    rng, found = random.Random("branching"), {}
+    for d, lengths, wanted in ((2, (5, 7), 96), (4, (3, 4), 32)):
+        kept = 0
+        while kept < wanted:
+            pattern = tuple(rng.randrange(len(gen.CENTRES)) for _ in range(rng.randint(*lengths)))
+            if (d, pattern) in found:
+                continue
+            limit = limit_cover(gen.cover_family(d, pattern, rng))
+            rebuilt = reconstruct_cover(limit.source, extract_portrait(limit))
+            if peels_met(rebuilt.target) >= 2:
+                found[d, pattern] = (limit, rebuilt)
+                kept += 1
+    return [(d, pattern, *pair) for (d, pattern), pair in found.items()]
+
+
+def branching_digests(items: list) -> list[str]:
+    """'d<d>-<pattern> digest' for each ``branching_covers`` item: the sha256 of the rebuilt
+    cover's canonical JSON.  Rewrite the pin with `PYTHONPATH=src:tests python3 -c "import
+    test_covers as t; print(*t.branching_digests(t.branching_covers()), sep=chr(10))"
+    > tests/golden/reconstruct_branching.sha`"""
+    return [f"d{d}-{''.join(map(str, pattern))} "
+            f"{hashlib.sha256(cover_dump(rebuilt).encode()).hexdigest()}"
+            for d, pattern, _, rebuilt in items]
+
+
+def test_branching_reconstructions_are_pinned():
+    # where peels meet, the chart of the vertex they meet at pins its ends in peel order
+    items = branching_covers()
+    for _, _, limit, rebuilt in items:
+        assert validate_cover(rebuilt) == [] and cover_iso(rebuilt, limit)
+    golden = GOLDEN / "reconstruct_branching.sha"
+    assert branching_digests(items) == golden.read_text().splitlines()
 
 
 class TestLocalDegreeTable:

@@ -41,6 +41,10 @@ from conftest import (
     random_marking,
     random_moebius,
     random_stable_shape,
+    renamed_cover,
+    renamed_portrait,
+    renamed_spheres,
+    shuffled,
     twisted_cover_family,
     z_squared_chain_family,
 )
@@ -518,21 +522,6 @@ def renamed_family(fam: LaurentFamily, sigma: dict) -> LaurentFamily:
     return LaurentFamily.make({sigma[x]: p for x, p in fam.paths})
 
 
-def renamed_spheres(t: TreeOfSpheres, sigma: dict) -> TreeOfSpheres:
-    """t with each label x renamed sigma[x]; internal ids and points are kept."""
-    def rn(v):
-        return sigma.get(v, v)
-    shape = MarkedTree.make(map(rn, t.shape.leaves), t.shape.internal,
-                            [map(rn, e) for e in t.shape.edges])
-    return TreeOfSpheres.make(shape, {v: {rn(n): p for n, p in row} for v, row in t.marking})
-
-
-def shuffled(labels, rng: random.Random) -> dict:
-    """A random permutation of the labels, as a renaming."""
-    labels = sorted(labels)
-    return dict(zip(labels, rng.sample(labels, len(labels))))
-
-
 class TestRenaming:
     """The exact engine reads label order: the smallest label anchors its charts,
     triples are representative and ids are ranked.  Renaming the labels must still
@@ -565,15 +554,11 @@ class TestRenaming:
         limit = limit_cover(fam)
         for _ in range(5):
             sy, sz = shuffled(fam.y_family.labels, rng), shuffled(fam.z_family.labels, rng)
-            p = fam.portrait
-            portrait = Portrait.make({sy[y]: sz[z] for y, z in p.fmap},
-                                     {sy[y]: k for y, k in p.degmap}, p.d)
+            portrait = renamed_portrait(fam.portrait, sy, sz)
             renamed = limit_cover(CoverFamily.make(portrait, renamed_family(fam.y_family, sy),
                                                    renamed_family(fam.z_family, sz),
                                                    fam.map_family))
-            expected = TreeCover.make(
-                renamed_spheres(limit.source, sy), renamed_spheres(limit.target, sz),
-                {sy.get(a, a): sz.get(b, b) for a, b in limit.vertex_map}, dict(limit.maps))
+            expected = renamed_cover(limit, sy, sz)
             assert validate_cover(expected, portrait) == []
             assert cover_iso(renamed, expected) and cover_iso(expected, renamed), (sy, sz)
 
