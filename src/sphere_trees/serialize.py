@@ -3,9 +3,10 @@
 Scalars are reduced fraction strings "p/q" with positive q, written from each
 scalar's integer triple; complex scalars are {"re", "im"} objects; points are
 homogeneous {"u", "v"} pairs with the canonical representative (v = 1, or u = 1
-for infinity).  Leaves are label strings and internal vertices integers; where
-JSON forces string keys, an internal vertex id n is written "#n".  Labels must
-not start with "#", the prefix of internal ids; no other prefix is reserved.
+for infinity).  Any spelling of a value reads; a point whose v is the canonical 1
+is read from u alone.  Leaves are label strings and internal vertices integers;
+where JSON forces string keys, an internal vertex id n is written "#n".  Labels
+must not start with "#", the prefix of internal ids; no other prefix is reserved.
 
 Output is canonicalized by sorted keys and a fixed layout, so identical values
 serialize to identical bytes: exactly ``json.dumps(payload, sort_keys=True,
@@ -29,7 +30,7 @@ from typing import Any, Mapping, Optional
 from .covers import Portrait, TreeCover
 from .dynamics import DynSystem
 from .errors import SchemaError
-from .gaussian import GaussianRational
+from .gaussian import GR_ONE, GaussianRational
 from .laurent import LP_ZERO, LaurentMap, LaurentPoint, LaurentPoly
 from .limits import CoverFamily, LaurentFamily, NumericConfigSequence, NumericTreeOfSpheres
 from .moduli import MarkedSphere, TreeOfSpheres
@@ -62,7 +63,9 @@ def canonical_dumps(payload: Any) -> str:
 
     CPython's C encoder does not indent, so json.dumps falls back to an
     encoder built from Python generators; this writer produces the same text
-    in one recursive pass and escapes strings with the C escaper.
+    in one recursive pass and escapes strings with the C escaper.  A complex
+    scalar, a plain dict of exactly "im" and "re" with plain str values, takes
+    one put; a subclass, another key or another value type the general route.
     """
     out: list = []
     _write(payload, "\n", out.append)
@@ -76,7 +79,10 @@ _INLINE = {str: _quote, int: int.__repr__}
 
 def _write(o: Any, nl: str, put) -> None:
     """Append the JSON text of o to put; nl is the newline and indent of o's line."""
-    if isinstance(o, str):
+    if type(o) is dict and len(o) == 2 and type(o.get("im")) is str and type(o.get("re")) is str:
+        inner = nl + "  "  # a complex scalar, the commonest object, in one put
+        put(f'{{{inner}"im": {_quote(o["im"])},{inner}"re": {_quote(o["re"])}{nl}}}')
+    elif isinstance(o, str):
         put(_quote(o))
     elif isinstance(o, (list, tuple)) and o:
         inner = nl + "  "
@@ -195,7 +201,7 @@ def _canonical_fraction(s: Any) -> Optional[tuple[int, int]]:
 
 def _complex_triple(obj: Any) -> tuple:
     """The scalar obj = n1/d1 + (n2/d2) i as the unreduced triple (n1 d2, n2 d1, d1 d2)."""
-    if not isinstance(obj, dict) or obj.keys() != {"re", "im"}:
+    if not isinstance(obj, dict) or len(obj) != 2 or "re" not in obj or "im" not in obj:
         raise SchemaError(f"complex scalars are {{'re', 'im'}} objects, got {obj!r}")
     re, im = _canonical_fraction(obj["re"]), _canonical_fraction(obj["im"])
     if re is None or im is None:
@@ -212,10 +218,17 @@ def point_to_json(p) -> dict:
     return {"u": complex_to_json(p.u), "v": complex_to_json(p.v)}
 
 
+# v as point_to_json writes it at every finite point
+_V_ONE = {"re": "1/1", "im": "0/1"}
+
+
 def point_from_json(obj: Any):
-    if not isinstance(obj, dict) or set(obj) != {"u", "v"}:
+    """(u : v) for any spelling of u and v; the canonical v = 1 reads u alone."""
+    if not isinstance(obj, dict) or len(obj) != 2 or "u" not in obj or "v" not in obj:
         raise SchemaError(f"points are {{'u', 'v'}} objects, got {obj!r}")
     try:
+        if obj["v"] == _V_ONE:
+            return ProjPoint(complex_from_json(obj["u"]), GR_ONE)
         return ProjPoint.ratio(_complex_triple(obj["u"]), _complex_triple(obj["v"]))
     except ValueError as exc:
         raise SchemaError(f"(0 : 0) is not a point: {obj!r}") from exc

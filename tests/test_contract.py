@@ -619,6 +619,20 @@ def test_decimal_exponent_beyond_the_bound_is_refused(tmp_path, value):
     assert run_main("validate", write(tmp_path, blob))[0] == 0
 
 
+@pytest.mark.parametrize("value", MUTANTS, ids=repr)
+def test_bad_u_beside_the_canonical_v_is_schema_error(tmp_path, value):
+    # a point whose v is the one the writer emits is read from u alone: a bad u there
+    # is still refused by every command that reads the tree
+    blob = json.loads((DATA_DIR / "star_spheres.json").read_text())
+    assert blob["marking"]["#0"]["1"]["v"] == ONE
+    blob["marking"]["#0"]["1"]["u"] = value
+    path = write(tmp_path, blob)
+    for args in commands("tree_of_spheres", "star_spheres.json", path):
+        code, out, err = run_main(*args)
+        assert (code, out) == (2, "") and err.startswith("schema error:"), (args, err)
+        assert "Traceback" not in err, args
+
+
 # ---------------------------------------------------------------------------
 # internal vertex keys have one spelling, and labels are strings
 

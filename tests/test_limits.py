@@ -1332,27 +1332,38 @@ class TestNumericLimit:
     def test_returned_markings_lie_within_tolerance_of_the_exact_charts(self, n):
         # every label's point at every vertex of a returned tree lies within the
         # sequence's tolerance, in chordal distance, of the exact limit chart at the
-        # vertex's representative triple; None is the point at infinity
-        rng = random.Random(f"numeric-markings-{n}")
-        returned = 0
+        # vertex's representative triple; None is the point at infinity.  Each family
+        # also runs under a shuffled renaming, which moves the representative triples:
+        # a tree returned there has the renamed exact partitions and lies within
+        # tolerance of the exact charts in the new names, though a verdict may differ
+        rng, names = random.Random(f"numeric-markings-{n}"), random.Random(f"numeric-renamed-{n}")
+        returned = {"as drawn": 0, "renamed": 0}
         for form in ("plain", "twist") * 3:
             fam = plumbed_family(n, form, rng)
-            seq = NumericConfigSequence.make(*snapshots(fam))
-            try:
-                t = numeric_limit_tree(seq)
-            except (NotStabilized, InconsistentClustering, AdmissibilityFailure):
-                continue
-            returned += 1
-            labels, lead = sorted(fam.labels), oracle_lead_table(fam)
-            for v, row in t.marking:
-                exact = oracle_lead_chart(
-                    labels, lead, representative_triple(partition_at(t.shape, v)))
-                for x, affine in row:
-                    p = exact[x]
-                    q = None if p.is_infinity() else p.to_affine().to_complex()
-                    gap = limits.chordal(limits._numeric_point(affine), limits._numeric_point(q))
-                    assert gap <= seq.tolerance, (v, x, gap)
-        assert returned > 0
+            exact_partitions = tree_partitions(limit_tree(fam).shape)
+            sigma = shuffled(fam.labels, names)
+            for naming, renaming in (("as drawn", {x: x for x in fam.labels}), ("renamed", sigma)):
+                named = renamed_family(fam, renaming)
+                seq = NumericConfigSequence.make(*snapshots(named))
+                try:
+                    t = numeric_limit_tree(seq)
+                except (NotStabilized, InconsistentClustering, AdmissibilityFailure):
+                    continue
+                returned[naming] += 1
+                assert t.partitions() == frozenset(
+                    frozenset(frozenset(renaming[x] for x in block) for block in partition)
+                    for partition in exact_partitions), (naming, renaming)
+                labels, lead = sorted(named.labels), oracle_lead_table(named)
+                for v, row in t.marking:
+                    exact = oracle_lead_chart(
+                        labels, lead, representative_triple(partition_at(t.shape, v)))
+                    for x, affine in row:
+                        p = exact[x]
+                        q = None if p.is_infinity() else p.to_affine().to_complex()
+                        gap = limits.chordal(limits._numeric_point(affine),
+                                             limits._numeric_point(q))
+                        assert gap <= seq.tolerance, (naming, v, x, gap)
+        assert returned["as drawn"] > 0 and returned["renamed"] > 0, returned
 
 
 class TestLimitCover:
