@@ -78,7 +78,7 @@ def main() -> None:
         {"a0": 2, "a1": 1, "a2": 2, "a3": 1}, 2)
     write("portrait_z2.json", ser.portrait_to_json(portrait))
 
-    zsq = RationalMap.from_coeffs([gr(0), gr(0), gr(1)], [gr(1)])
+    zsq = RationalMap.make([gr(0), gr(0), gr(1)], [gr(1)])
     y = MarkedSphere.make({"a0": pt(0), "a1": pt(1), "a2": INF, "a3": pt(-1)})
     z = MarkedSphere.make({"b0": pt(0), "b1": pt(1), "b2": INF})
     cover = cover_from_marked(MarkedSphereCover(zsq, y, z), portrait)

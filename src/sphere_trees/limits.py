@@ -49,7 +49,7 @@ from .laurent import (
     laurent_leading_value,
 )
 from .moduli import MarkedSphere, TreeOfSpheres, iso_of_spheres, tree_from_charts
-from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint
+from .projective import Moebius, ProjPoint, cross_ratio_chart
 from .trees import (
     MarkedTree,
     Partition,
@@ -172,24 +172,10 @@ class LaurentFamily:
                                      witness=exc.witness) from exc
 
 
-def _limit_chart(minima: Sequence[tuple[str, tuple]]) -> dict:
-    """The cross-ratios [x, t0][t1, tinf] : [x, tinf][t1, t0] of the block minima's ball points
-    (a + b i : c), sending the three smallest to (0, 1, inf), each reduced once."""
-    def bracket(p: tuple, q: tuple) -> tuple:  # [p, q] = p.u q.v - q.u p.v, for real v
-        return p[0] * q[2] - q[0] * p[2], p[1] * q[2] - q[1] * p[2]
-    (t0, p0), (t1, p1), (tinf, pinf), *rest = minima
-    (na, nb), (da, db), out = bracket(p1, pinf), bracket(p1, p0), {t0: P_ZERO, t1: P_ONE, tinf: P_INF}
-    for x, p in rest:
-        (xa, xb), (ya, yb) = bracket(p, p0), bracket(p, pinf)
-        out[x] = ProjPoint.ratio((xa * na - xb * nb, xa * nb + xb * na, 1),
-                                 (ya * da - yb * db, ya * db + yb * da, 1))
-    return out
-
-
 def limit_tree(fam: LaurentFamily) -> TreeOfSpheres:
     """The exact limit stable tree of a degenerating Laurent family: one limit chart marks
     each vertex `LaurentFamily.make` read off the trie of the family's series."""
-    return tree_from_charts({partition: _limit_chart(minima) for partition, minima in fam.vertices})
+    return tree_from_charts({partition: cross_ratio_chart(minima) for partition, minima in fam.vertices})
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ the label marking a_v (each label to its branch's point) is read from it.
 checks parsed and reconstructed rows against the shape, ``rows`` maps them on first read.
 
 ``vertex_charts`` fills each tree's chart table once: at every internal vertex, its
-partition, its representative triple's edges and its charted row, those edges at 0, 1
-and inf by construction and only the others through the triple's Moebius chart, so a
-trivalent vertex (M_{0,3} is a point) builds no map.  ``canonical_form`` renames the
-charted rows.  ``_iso_vertex_map`` decides isomorphism on partition sets, then charted
-rows; ``iso_of_spheres`` adds explicit Moebius maps for the callers that read them.
+partition and its row charted at its representative triple by ``cross_ratio_chart``, which
+charts the limit engine's vertices too, so no vertex builds a Moebius map to be charted.
+``canonical_form`` renames the charted rows.  ``_iso_vertex_map`` decides isomorphism on
+partition sets, then charted rows; ``iso_of_spheres`` builds explicit Moebius maps for the
+callers that read them.
 The embedding, a plain mapping from (ordered triple, label) to the label's point in the
 chart of the vertex that separates the triple, and canonical forms are outputs and
 oracles for the verdicts.
@@ -30,7 +30,7 @@ from .errors import (
     MarkedSetTooSmall,
     NotASubset,
 )
-from .projective import P_INF, P_ONE, P_ZERO, Moebius, ProjPoint, moebius_from_three
+from .projective import Moebius, ProjPoint, cross_ratio_chart, moebius_from_three
 from .trees import (
     MarkedTree,
     Partition,
@@ -157,21 +157,18 @@ def vertex_chart(t: TreeOfSpheres, v: int, triple: tuple[str, str, str]) -> Moeb
 
 
 def vertex_charts(t: TreeOfSpheres) -> Mapping:
-    """At each internal vertex v, computed once per tree: (partition at v, the edges toward
-    its representative triple, the charted row {neighbor: sigma(edge point)}, sigma) for
-    sigma the triple's vertex chart.  The triple's edges are charted 0, 1 and inf by
-    construction; a trivalent vertex has no other edge, so its sigma is None, never built."""
+    """At each internal vertex v, computed once per tree: (partition at v, the charted row
+    {neighbor: cross-ratio of its edge point}), the edges toward v's representative triple
+    sent to 0, 1 and inf, by ``cross_ratio_chart``: no Moebius map is built."""
     if t._charts is None:
         table = {}
         for v in t.shape.internal:
-            beyond, row = branches(t.shape, v), t.rows[v]
+            beyond = branches(t.shape, v)
             triple = representative_triple(p := frozenset(beyond.values()))
-            edges = tuple(n for x in triple for n, b in beyond.items() if x in b)
-            charted = dict(zip(edges, (P_ZERO, P_ONE, P_INF)))
-            sigma = vertex_chart(t, v, triple) if len(row) > 3 else None
-            if sigma is not None:
-                charted.update((n, sigma.apply(q)) for n, q in row.items() if n not in charted)
-            table[v] = (p, edges, MappingProxyType(charted), sigma)
+            row = {n: (1, 0, 0) if q.is_infinity() else (q.u.a, q.u.b, q.u.c)
+                   for n, q in t.rows[v].items()}
+            first = [(n, row.pop(n)) for x in triple for n, b in beyond.items() if x in b]
+            table[v] = (p, MappingProxyType(cross_ratio_chart(first + list(row.items()))))
         object.__setattr__(t, "_charts", MappingProxyType(table))
     return t._charts
 
@@ -207,7 +204,7 @@ def canonical_form(t: TreeOfSpheres) -> TreeOfSpheres:
     shape = renumbered(t.shape, {v: i for i, v in enumerate(order)})
     # each charted row read in its renamed neighbors order; order[n] is the vertex renamed n
     return TreeOfSpheres._assembled(shape, tuple(
-        (i, tuple((n, table[v][2][n if isinstance(n, str) else order[n]])
+        (i, tuple((n, table[v][1][n if isinstance(n, str) else order[n]])
                   for n in neighbors(shape, i))) for i, v in enumerate(order)))
 
 
@@ -271,23 +268,21 @@ def _iso_vertex_map(t1: TreeOfSpheres, t2: TreeOfSpheres) -> Optional[dict]:
     charts2 = vertex_charts(t2)
     vmap: dict = ({x: x for x in t1.labels}
                   | {v: parts2[p] for v, p in parts1.items()})
-    for v1, (_, _, row1, sigma) in vertex_charts(t1).items():
-        row2 = charts2[vmap[v1]][2]
-        if sigma is not None and any(row2[vmap[n]] != q for n, q in row1.items()):
+    for v1, (_, row1) in vertex_charts(t1).items():
+        row2 = charts2[vmap[v1]][1]
+        if len(row1) > 3 and any(row2[vmap[n]] != q for n, q in row1.items()):
             return None
     return vmap
 
 
 def iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres) -> Optional[tuple[dict, dict]]:
     """Explicit isomorphism (vertex map, per-vertex Moebius) or None, for the callers that
-    read the maps: ``_iso_vertex_map`` decides, then each map is s2^-1 . s1 for the
-    charts of the representative triple, the kept sigma or, at a trivalent vertex, one
-    built here.  It carries every edge point of its vertex, the marked point of the
-    labels beyond it, to the edge point of the image edge."""
+    read the maps: ``_iso_vertex_map`` decides, then each map is s2^-1 . s1 for the vertex
+    charts of the representative triple, built here at every vertex of both trees.  It
+    carries every edge point of its vertex, the marked point of the labels beyond it, to
+    the edge point of the image edge."""
     if (vmap := _iso_vertex_map(t1, t2)) is None:
         return None
-
-    def chart(t: TreeOfSpheres, v: int) -> Moebius:
-        p, _, _, sigma = vertex_charts(t)[v]
-        return sigma if sigma is not None else vertex_chart(t, v, representative_triple(p))
-    return vmap, {v: chart(t2, vmap[v]).inverse().compose(chart(t1, v)) for v in t1.shape.internal}
+    triples = {v: representative_triple(p) for v, (p, _) in vertex_charts(t1).items()}
+    return vmap, {v: vertex_chart(t2, vmap[v], triple).inverse().compose(vertex_chart(t1, v, triple))
+                  for v, triple in triples.items()}

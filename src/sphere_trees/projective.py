@@ -10,6 +10,8 @@ Maps are built, composed and applied on unreduced Gaussian-integer triples
 
 from __future__ import annotations
 
+from typing import Hashable, Sequence
+
 from .errors import DegenerateTriple
 from .gaussian import (GR_ONE, GR_ZERO, GaussianRational, Rationalish, gr, product_sum, quotient, scaled,
                        triples)
@@ -134,3 +136,18 @@ def moebius_from_three(p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint) -> Moebius
         scaled(pinf.v, k_den),
         scaled(pinf.u, (-k_den[0], -k_den[1], k_den[2])),
     )
+
+
+def cross_ratio_chart(points: Sequence[tuple[Hashable, tuple]]) -> dict:
+    """The chart of (key, (a, b, c)) pairs, each the point (a + b i : c) with real c and
+    infinity (1, 0, 0), sending the first three points t0, t1, tinf, pairwise distinct, to
+    (0, 1, inf) and every other x to [x, t0][t1, tinf] : [x, tinf][t1, t0], reduced once."""
+    def bracket(p: tuple, q: tuple) -> tuple:  # [p, q] = p.u q.v - q.u p.v, for real v
+        return p[0] * q[2] - q[0] * p[2], p[1] * q[2] - q[1] * p[2]
+    (t0, p0), (t1, p1), (tinf, pinf), *rest = points
+    (na, nb), (da, db), out = bracket(p1, pinf), bracket(p1, p0), {t0: P_ZERO, t1: P_ONE, tinf: P_INF}
+    for x, p in rest:
+        (xa, xb), (ya, yb) = bracket(p, p0), bracket(p, pinf)
+        out[x] = ProjPoint.ratio((xa * na - xb * nb, xa * nb + xb * na, 1),
+                                 (ya * da - yb * db, ya * db + yb * da, 1))
+    return out

@@ -153,7 +153,7 @@ class RationalMap:
         inv = den[-1].inverse()
         return cls(*(tuple([c * inv for c in cs]) for cs in (num, den)))
 
-    from_coeffs = make
+    from_coeffs = make  # the name the benchmark's generators call
 
     @property
     def degree(self) -> int:

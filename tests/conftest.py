@@ -264,7 +264,7 @@ def tree_corpus(small_shapes) -> list:
 
 
 def z_squared_map() -> RationalMap:
-    return RationalMap.from_coeffs([gr(0), gr(0), gr(1)], [gr(1)])
+    return RationalMap.make([gr(0), gr(0), gr(1)], [gr(1)])
 
 
 def z_squared_cover():
@@ -292,7 +292,7 @@ def z_squared_fiber_cover(c: GaussianRational):
 
 def chebyshev_cover(extended: bool = False):
     """The cubic z^3 - 3z with its rational critical fibers marked."""
-    f = RationalMap.from_coeffs([gr(0), gr(-3), gr(0), gr(1)], [gr(1)])
+    f = RationalMap.make([gr(0), gr(-3), gr(0), gr(1)], [gr(1)])
     fmap = {"a2": "b2", "am1": "b2", "am2": "bm2", "a1": "bm2", "ainf": "binf"}
     deg = {"a2": 1, "am1": 2, "am2": 1, "a1": 2, "ainf": 3}
     ypts = {"a2": pt(2), "am1": pt(-1), "am2": pt(-2), "a1": pt(1), "ainf": INF}
@@ -513,11 +513,11 @@ def branching_cubic_cover():
         "a3": "zm3", "b3": "zm3", "c2a": "z2", "c2b": "z2", "d2": "z2",
         "c3": "z3", "d3": "z3", "c4": "z4", "d4": "z4",
     }
-    identity = RationalMap.from_coeffs([gr(0), gr(1)], [gr(1)])
+    identity = RationalMap.make([gr(0), gr(1)], [gr(1)])
     maps = {
         0: identity,
-        1: RationalMap.from_coeffs([gr(0), gr("-2/3"), gr("1/3")], [gr(1)]),
-        2: RationalMap.from_coeffs([gr(0), gr(0), gr(-3)], [gr(-4), gr(0), gr(1)]),
+        1: RationalMap.make([gr(0), gr("-2/3"), gr("1/3")], [gr(1)]),
+        2: RationalMap.make([gr(0), gr(0), gr(-3)], [gr(-4), gr(0), gr(1)]),
         3: identity,
     }
     return TreeCover.make(source, target, vertex_map, maps)

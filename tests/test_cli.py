@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import DATA_DIR, INF, pt, relabel_internal_ids
+from conftest import DATA_DIR, INF, pt, relabel_internal_ids, renamed_cover, z_squared_cover
 import sphere_trees
 from sphere_trees import cli
 from sphere_trees import serialize as ser
@@ -193,6 +193,27 @@ class TestErrors:
         bad.write_text("{not json")
         r = run_cli("validate", str(bad))
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("kind", ["cover", "dyn"])
+    def test_iso_on_different_portraits(self, tmp_path, kind):
+        # covers whose portraits differ, and dynamical systems on different label sets
+        if kind == "cover":
+            cover, _ = z_squared_cover()
+            swapped = renamed_cover(cover, {"y0": "y1", "y1": "y0", "yinf": "yinf", "ym1": "ym1"}, {})
+            blobs = [ser.cover_to_json(c) for c in (cover, swapped)]
+        else:
+            cover = mismatch_cover(2)
+            blobs = [ser.dyn_to_json(DynSystem(cover, dyn_membership(cover, labels)[1]))
+                     for labels in (["p0", "p1", "pinf"], ["p0", "p1", "pc"])]
+        paths = []
+        for k, blob in enumerate(blobs):
+            paths.append(tmp_path / f"{kind}{k}.json")
+            paths[-1].write_text(json.dumps(blob))
+        for pair in (paths, paths[::-1]):
+            r = run_cli("iso", *map(str, pair))
+            assert (r.returncode, r.stdout) == (1, '{\n  "error": "PortraitMismatch",\n  "witness": null\n}\n')
+            assert json.loads(r.stdout) == {"error": "PortraitMismatch", "witness": None}
+            assert r.stderr.startswith("PortraitMismatch: ") and "Traceback" not in r.stderr
 
     def test_domain_error_payload(self, tmp_path):
         # admissibility failure: non-admissible partitions cannot build a tree

@@ -21,6 +21,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -29,7 +30,7 @@ import pytest
 from conftest import DATA_DIR, random_marking, random_moebius, random_stable_shape
 from sphere_trees import cli, limits
 from sphere_trees import serialize as ser
-from sphere_trees.errors import SchemaError
+from sphere_trees.errors import SchemaError, SphereTreesError
 from sphere_trees.gaussian import gr
 from sphere_trees.covers import Portrait
 from sphere_trees.laurent import LP_ONE, LP_ZERO, LaurentMap, LaurentPoint, LaurentPoly
@@ -212,6 +213,87 @@ def test_mutation_sweep(tmp_path, name):
                 except Exception as exc:  # collect every escape, not only the first
                     escaped.append((where, value, args[0], f"{type(exc).__name__}: {exc}"))
     assert not escaped, escaped[:10]
+
+
+def json_shape(obj):
+    """Containers, keys and list lengths, with lists as multisets and scalars as one leaf."""
+    if isinstance(obj, dict):
+        return frozenset((key, json_shape(value)) for key, value in obj.items())
+    if isinstance(obj, list):
+        return tuple(sorted(Counter(map(json_shape, obj)).items(), key=repr))
+    return "leaf"
+
+
+# The readers keep values, not spellings: they drop zero Laurent terms, trim trailing zero
+# coefficients (a Laurent map's unlisted indices are zero), divide out a common scalar and
+# read every spelling of a rational as its value.  Only the first two change a payload's
+# shape; these normalizers apply them.
+def _is_zero(scalar) -> bool:
+    return ser.complex_from_json(scalar).is_zero()
+
+
+def _nonzero_terms(poly: list) -> list:
+    return [term for term in poly if not _is_zero(term[1])]
+
+
+def _trimmed(coefficients: list, is_zero) -> list:
+    while coefficients and is_zero(coefficients[-1]):
+        coefficients = coefficients[:-1]
+    return coefficients
+
+
+def _normal_family(fam: dict) -> dict:
+    return {**fam, "paths": {x: {k: _nonzero_terms(poly) for k, poly in path.items()}
+                             for x, path in fam["paths"].items()}}
+
+
+def _normal_laurent_side(rows: list) -> list:
+    polys = {i: _nonzero_terms(poly) for i, poly in rows}
+    dense = [[i, polys.get(i, [])] for i in range(max(polys, default=-1) + 1)]
+    return _trimmed(dense, lambda row: not row[1])
+
+
+def _normal_cover(cover: dict) -> dict:
+    return {**cover, "maps": {v: {side: _trimmed(f[side], _is_zero) for side in f}
+                              for v, f in cover["maps"].items()}}
+
+
+NORMAL_FORMS = {
+    "dyn": lambda d: {**d, "cover": _normal_cover(d["cover"])},
+    "cover": _normal_cover,
+    "cover_family": lambda f: {**f, "y_family": _normal_family(f["y_family"]),
+                               "z_family": _normal_family(f["z_family"]),
+                               "map": {side: _normal_laurent_side(rows)
+                                       for side, rows in f["map"].items()}},
+    "family": _normal_family,
+}
+WRITERS = {"dyn": ser.dyn_to_json, "cover": ser.cover_to_json,
+           "cover_family": ser.cover_family_to_json, "family": ser.family_to_json,
+           "portrait": ser.portrait_to_json, "tree_of_spheres": ser.tree_of_spheres_to_json,
+           "marked_sphere": ser.marked_sphere_to_json, "tree": ser.tree_to_json}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA_DIR.glob("*.json")
+                                        if p.name != "numeric_sequence.json"))
+def test_readers_write_back_the_shape_they_read(name):
+    # a reader that accepts a payload must have read all of it: write(read(m)) has m's
+    # shape, up to the normalizations above, for the payload and each mutant it accepts
+    # at paths to depth 5 (depth 3 reaches no scalar of a Laurent term or a map)
+    base = json.loads((DATA_DIR / name).read_text())
+    kind = ser.detect_kind(base)
+    read, write, normal = ser.READERS[kind], WRITERS[kind], NORMAL_FORMS.get(kind, lambda m: m)
+    accepted, changed = 0, []
+    for where in value_paths(base, 5):
+        for value in [base] if not where else MUTANTS + [DELETED]:
+            blob = mutated(base, where, value)
+            try:
+                obj = read(blob)
+            except SphereTreesError:
+                continue
+            accepted += 1
+            if json_shape(write(obj)) != json_shape(normal(blob)):
+                changed.append((where, value))
+    assert accepted and not changed, changed[:10]
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +797,6 @@ def prefixed(obj, labels, prefix: str):
     return prefix + obj if isinstance(obj, str) and obj in labels else obj
 
 
-WRITERS = {"tree_of_spheres": ser.tree_of_spheres_to_json, "family": ser.family_to_json,
-           "portrait": ser.portrait_to_json}
 # (command, payloads, their labels): a tree of spheres, a Laurent family, and a source tree
 # with its portrait
 LABELLED_COMMANDS = [

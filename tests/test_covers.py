@@ -61,6 +61,7 @@ from sphere_trees.errors import (
     InvariantBreach,
     NotRealizable,
     OverlappingDivisors,
+    PortraitMismatch,
     SphereTreesError,
     UnitOnDivisor,
 )
@@ -101,7 +102,7 @@ class TestValidateCover:
 
     def test_wrong_map_caught(self):
         cover, _ = z_squared_cover()
-        cube = RationalMap.from_coeffs([gr(0)] * 3 + [gr(1)], [gr(1)])
+        cube = RationalMap.make([gr(0)] * 3 + [gr(1)], [gr(1)])
         broken = TreeCover.make(cover.source, cover.target, cover.vm, {0: cube})
         assert validate_cover(broken) != []
 
@@ -110,7 +111,7 @@ class TestValidateCover:
         # replace the deeper map by one with a different edge degree
         v = 1
         w = cover.vm[v]
-        bad = RationalMap.from_coeffs([gr(0), gr(1)], [gr(1)])
+        bad = RationalMap.make([gr(0), gr(1)], [gr(1)])
         broken = TreeCover.make(cover.source, cover.target, cover.vm,
                                 {**dict(cover.maps), v: bad})
         assert validate_cover(broken) != []
@@ -118,7 +119,7 @@ class TestValidateCover:
     def test_degree_one_isomorphism_cover(self):
         sphere = MarkedSphere.make({"a": pt(0), "b": pt(1), "c": INF})
         t = sphere_as_tree(sphere)
-        ident = RationalMap.from_coeffs([gr(0), gr(1)], [gr(1)])
+        ident = RationalMap.make([gr(0), gr(1)], [gr(1)])
         cover = TreeCover.make(t, t, {"a": "a", "b": "b", "c": "c", 0: 0}, {0: ident})
         assert validate_cover(cover) == []
         assert global_degree(cover) == 1
@@ -127,7 +128,7 @@ class TestValidateCover:
     def test_constant_vertex_map_is_a_diagnostic(self, v):
         # the per-cover table skips a constant map instead of failing on it
         cover = limit_cover(degenerate_family_two_vertex())
-        constant = RationalMap.from_coeffs([gr(2)], [gr(1)])
+        constant = RationalMap.make([gr(2)], [gr(1)])
         broken = TreeCover.make(cover.source, cover.target, cover.vm,
                                 {**dict(cover.maps), v: constant})
         assert f"map at vertex {v} is constant" in validate_cover(broken)
@@ -168,14 +169,14 @@ class TestCoverFromMarked:
 
     def test_constant_map_is_invalid_family(self):
         y, z, portrait = self.spheres()
-        constant = RationalMap.from_coeffs([gr(0)], [gr(1)])
+        constant = RationalMap.make([gr(0)], [gr(1)])
         with pytest.raises(InvalidFamily) as info:
             cover_from_marked(MarkedSphereCover(constant, y, z), portrait)
         assert "map at vertex 0 is constant" in info.value.witness
 
     def test_witness_is_the_validation(self):
         y, z, portrait = self.spheres()
-        cube = RationalMap.from_coeffs([gr(0)] * 3 + [gr(1)], [gr(1)])
+        cube = RationalMap.make([gr(0)] * 3 + [gr(1)], [gr(1)])
         with pytest.raises(InvalidFamily) as info:
             cover_from_marked(MarkedSphereCover(cube, y, z), portrait)
         lifted = TreeCover.make(sphere_as_tree(y), sphere_as_tree(z),
@@ -276,7 +277,7 @@ class TestReconstruct:
 
     def test_identity_covers_round_trip(self, tree_corpus):
         # validate_cover accepts degree 1, so reconstruction must rebuild it
-        ident = RationalMap.from_coeffs([gr(0), gr(1)], [gr(1)])
+        ident = RationalMap.make([gr(0), gr(1)], [gr(1)])
         trees = [t for t in tree_corpus if len(t.shape.internal) > 1][:8]
         assert len(trees) == 8
         for t in trees:
@@ -744,6 +745,22 @@ class TestCoverIso:
         z = MarkedSphere.make({"z0": pt(0), "zinf": INF, "z1": pt(1), "zc": pt(4)})
         c2 = cover_from_marked(MarkedSphereCover(z_squared_map(), y, z), portrait)
         assert not cover_iso(c1, c2)
+
+    @pytest.mark.parametrize("other", ["fiber", "swapped-labels"])
+    def test_different_portraits_are_refused(self, other):
+        # z^2 against z^2 with one more marked fiber, and against z^2 with y0 and y1
+        # trading names: same label sets, but y0 now lies over z1 with degree 1
+        cover, _ = z_squared_cover()
+        if other == "fiber":
+            second, _ = z_squared_fiber_cover(gr(2))
+        else:
+            second = renamed_cover(cover, {"y0": "y1", "y1": "y0", "yinf": "yinf", "ym1": "ym1"}, {})
+        assert validate_cover(second) == []
+        assert extract_portrait(cover) != extract_portrait(second)
+        for a, b in ((cover, second), (second, cover)):
+            with pytest.raises(PortraitMismatch, match="covers carry different portraits") as info:
+                cover_iso(a, b)
+            assert info.value.witness is None
 
     def test_chebyshev_self(self):
         cover, portrait = chebyshev_cover()

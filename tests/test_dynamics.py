@@ -30,7 +30,7 @@ from sphere_trees.dynamics import (
     dyn_membership,
     validate_dyn,
 )
-from sphere_trees.errors import NotASubset
+from sphere_trees.errors import NotASubset, PortraitMismatch
 from sphere_trees.moduli import (
     MarkedSphere,
     TreeOfSpheres,
@@ -234,6 +234,19 @@ class TestConjugacy:
         _, w1 = dyn_membership(c1, ["p0", "p1", "pinf"])
         _, w2 = dyn_membership(c2, ["p0", "p1", "pinf"])
         assert not dyn_conjugate(DynSystem(c1, w1), DynSystem(c2, w2))
+
+    def test_different_label_sets_are_refused(self):
+        # one cover, two dynamical label sets, each a member
+        cover = mismatch_cover(2)
+        systems = []
+        for labels in (["p0", "p1", "pinf"], ["p0", "p1", "pc"]):
+            member, witness = dyn_membership(cover, labels)
+            assert member
+            systems.append(DynSystem(cover, witness))
+        for a, b in (systems, systems[::-1]):
+            with pytest.raises(PortraitMismatch, match="different label sets") as info:
+                dyn_conjugate(a, b)
+            assert info.value.witness is None
 
     def test_permuted_internal_ids(self):
         from conftest import relabel_internal_ids

@@ -51,7 +51,7 @@ from sphere_trees.laurent import (
     laurent_leading_value,
 )
 from sphere_trees.limits import LaurentFamily
-from sphere_trees.projective import M_IDENTITY, Moebius, ProjPoint, moebius_from_three
+from sphere_trees.projective import M_IDENTITY, Moebius, ProjPoint, cross_ratio_chart, moebius_from_three
 from sphere_trees.rational import (
     RationalMap,
     hom_apply,
@@ -185,7 +185,7 @@ class TestMoebiusGroup:
 
 class TestLocalDegree:
     def test_z_squared(self):
-        f = RationalMap.from_coeffs([gr(0), gr(0), gr(1)], [gr(1)])
+        f = RationalMap.make([gr(0), gr(0), gr(1)], [gr(1)])
         assert local_degree(f, pt(0)) == 2
         assert local_degree(f, pt(1)) == 1
         assert local_degree(f, INF) == 2
@@ -200,8 +200,8 @@ class TestLocalDegree:
         assert sum(local_degree(f2, p) for p in (pt(0), pt(3))) == 3
 
     def test_normalization_structural_equality(self):
-        f = RationalMap.from_coeffs([gr(0), gr(2)], [gr(2)])
-        assert f == RationalMap.from_coeffs([gr(0), gr(1)], [gr(1)])
+        f = RationalMap.make([gr(0), gr(2)], [gr(2)])
+        assert f == RationalMap.make([gr(0), gr(1)], [gr(1)])
 
 
 class TestLaurent:
@@ -263,7 +263,7 @@ class TestLaurent:
 EPSILONS = (Fraction(1, 3), Fraction(1, 7))
 coeff_lists = st.lists(gaussians, min_size=1, max_size=4)
 rational_maps = st.builds(
-    lambda num, den: None if all(c.is_zero() for c in den) else RationalMap.from_coeffs(num, den),
+    lambda num, den: None if all(c.is_zero() for c in den) else RationalMap.make(num, den),
     coeff_lists, coeff_lists).filter(lambda f: f is not None)
 laurent_polys = st.lists(st.tuples(st.integers(-2, 2), gaussians), max_size=3).map(LaurentPoly.make)
 laurent_coeffs = st.lists(laurent_polys, min_size=1, max_size=3)
@@ -690,11 +690,11 @@ def maps_with_points(draw):
         num = draw(st.lists(big_gaussians, min_size=1, max_size=7))
         den = draw(st.lists(big_gaussians, min_size=1, max_size=7))
         assume(any(not c.is_zero() for c in den))
-        f, divisor = RationalMap.from_coeffs(num, den), []
+        f, divisor = RationalMap.make(num, den), []
     else:
         zeros = draw(st.lists(big_gaussians, max_size=3))
         poles = draw(st.lists(big_gaussians, max_size=3))
-        f = RationalMap.from_coeffs(linear_product(zeros, draw(nonzero_big_gaussians)),
+        f = RationalMap.make(linear_product(zeros, draw(nonzero_big_gaussians)),
                                     linear_product(poles, GR_ONE))
         divisor = [ProjPoint.of(x) for x in zeros + poles]
     assume(not f.is_constant())
@@ -807,7 +807,7 @@ class TestTripleEvaluation:
             assert local_degree(f, p, q) == oracle_local_degree(f, p, q)
             assert rational.root_multiplicity(triples(f.num), p.u) == \
                 oracle_root_multiplicity(f.num, p.u)
-        constant = RationalMap.from_coeffs([points[1].u], [GR_ONE])
+        constant = RationalMap.make([points[1].u], [GR_ONE])
         assert outcome(local_degree, constant, INF) == outcome(oracle_local_degree, constant, INF)
 
     @settings(max_examples=150, deadline=None)
@@ -823,7 +823,7 @@ class TestTripleEvaluation:
         power = linear_product([r] * k, GR_ONE)
         num = [a + b for a, b in zip_longest([x * c for x in g], poly_mul(power, h, GR_ZERO),
                                              fillvalue=GR_ZERO)]
-        f = RationalMap.from_coeffs(num, g)
+        f = RationalMap.make(num, g)
         assert 1 <= f.degree <= 6
         over = ProjPoint.of(c)
         assert f.apply(ProjPoint.of(r)) == over
@@ -964,6 +964,21 @@ class TestMoebiusOnTriples:
         assert moebius_outcome(moebius_from_three, *triple) == \
             moebius_outcome(oracle_from_three, *triple)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(pt(0)), st.just(pt(1)), big_points), min_size=3,
+                    max_size=6, unique=True),
+           st.integers(0, 3), st.lists(st.integers(-3, 3).filter(bool), min_size=7, max_size=7))
+    def test_cross_ratio_chart(self, finite, at, scales):
+        # infinity first, second, third or among the others; each point an unreduced
+        # triple (k a, k b, k c) for a nonzero integer k
+        points = finite[:at] + [INF] + finite[at:]
+        chart = cross_ratio_chart([
+            (x, (k, 0, 0) if p.is_infinity() else (k * p.u.a, k * p.u.b, k * p.u.c))
+            for x, p, k in zip("abcdefg", points, scales)])
+        sigma = moebius_from_three(*points[:3])
+        assert chart == {x: sigma.apply(p) for x, p in zip("abcdefg", points)}
+        assert list(chart) == list("abcdefg"[:len(points)])
+
 
 class TestOneReductionPerPoint:
     """Images and local degrees reduce once per returned point, Moebius maps once
@@ -982,7 +997,7 @@ class TestOneReductionPerPoint:
             return wrapper
         maps = []
         while len(maps) < 30:
-            f = RationalMap.from_coeffs(random_coeffs(rng, random_gaussian, GR_ZERO) or [GR_ZERO],
+            f = RationalMap.make(random_coeffs(rng, random_gaussian, GR_ZERO) or [GR_ZERO],
                                         random_coeffs(rng, random_gaussian, GR_ZERO) or [GR_ONE])
             if not f.is_constant():
                 maps.append(f)

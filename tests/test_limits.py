@@ -466,13 +466,13 @@ class TestLimitTree:
     def test_one_chart_per_vertex(self, monkeypatch, n):
         fam = plumbed_family(n, "twist", random.Random(f"charts-{n}"))
         calls = []
-        chart = limits._limit_chart
+        chart = limits.cross_ratio_chart
 
         def counted(*args):
             calls.append(None)
             return chart(*args)
 
-        monkeypatch.setattr(limits, "_limit_chart", counted)
+        monkeypatch.setattr(limits, "cross_ratio_chart", counted)
         t = limit_tree(fam)
         assert len(calls) == len(t.shape.internal)
 

@@ -361,6 +361,13 @@ def oracle_iso_of_spheres(t1: TreeOfSpheres, t2: TreeOfSpheres):
     return vmap, mmap
 
 
+def triple_edges(t: TreeOfSpheres, v: int) -> list:
+    """The edges at v toward its representative triple's labels, in the triple's order."""
+    beyond = branches(t.shape, v)
+    return [next(n for n, b in beyond.items() if x in b)
+            for x in representative_triple(partition_at(t.shape, v))]
+
+
 def _classify_item(n: int, rng: random.Random) -> list:
     """A tree, two Moebius twists of it and a fresh marking of its shape."""
     base = random_marking(random_stable_shape(n, rng), rng)
@@ -384,7 +391,8 @@ class TestChartTable:
 
     @pytest.mark.parametrize("n", [4, 7, 10, 13])
     def test_each_vertex_is_charted_once(self, chart_calls, n):
-        # a trivalent vertex carries no moduli, so only the others build a chart
+        # the decision and the canonical forms read the chart tables and build no vertex
+        # chart; each explicit isomorphism builds one per vertex of each of its trees
         rng = random.Random(7300 + n)
         for _ in range(3):
             trees = _classify_item(n, rng)
@@ -392,10 +400,12 @@ class TestChartTable:
             verdicts = [spheres_iso(trees[0], t) for t in trees[1:]]
             assert verdicts[:2] == [True, True]
             assert verdicts == [canon[0] == c for c in canon[1:]]
-            assert chart_calls == Counter({(id(t), v): 1 for t in trees
-                                           for v in t.shape.internal
-                                           if len(neighbors(t.shape, v)) > 3})
-            chart_calls.clear()
+            assert not chart_calls
+            for t in trees[1:3]:
+                assert iso_of_spheres(trees[0], t) is not None
+                assert chart_calls == Counter({(id(s), v): 1 for s in (trees[0], t)
+                                               for v in s.shape.internal})
+                chart_calls.clear()
 
     def test_table_holds_partition_and_representative_chart(self):
         rng = random.Random(7400)
@@ -403,15 +413,12 @@ class TestChartTable:
             table = moduli.vertex_charts(t)
             assert table is moduli.vertex_charts(t)
             for v in t.shape.internal:
-                p, beyond = partition_at(t.shape, v), branches(t.shape, v)
+                p = partition_at(t.shape, v)
                 sigma = moduli.vertex_chart(t, v, representative_triple(p))
-                edges = tuple(next(n for n, b in beyond.items() if x in b)
-                              for x in representative_triple(p))
                 row = {n: sigma.apply(q) for n, q in t.edge_points(v).items()}
-                kept = sigma if len(beyond) > 3 else None
-                assert table[v] == (p, edges, row, kept)
+                assert table[v] == (p, row)
                 with pytest.raises(TypeError):
-                    table[v][2][edges[0]] = INF
+                    table[v][1][triple_edges(t, v)[0]] = INF
             with pytest.raises(TypeError):
                 table[0] = table[min(t.shape.internal)]
 
@@ -424,9 +431,9 @@ class TestChartTable:
             for shape in (random_stable_shape(n, rng), spine_shape(n, n + 1),
                           spine_shape(n, 5), trivalent_shape(n, rng)):
                 t = random_marking(shape, rng)
-                for v, (p, edges, row, _) in moduli.vertex_charts(t).items():
+                for v, (p, row) in moduli.vertex_charts(t).items():
                     sigma = vertex_chart(t, v, representative_triple(p))
-                    assert [row[e] for e in edges] == [pt(0), pt(1), INF]
+                    assert [row[e] for e in triple_edges(t, v)] == [pt(0), pt(1), INF]
                     assert row == {n: sigma.apply(q) for n, q in t.edge_points(v).items()}
 
     @pytest.mark.parametrize("seed", range(3))
@@ -444,7 +451,7 @@ class TestChartTable:
                 if not high:
                     continue
                 v = rng.choice(high)
-                _, edges, _, _ = moduli.vertex_charts(a)[v]
+                edges = triple_edges(a, v)
                 n_moved = rng.choice([e for e in neighbors(shape, v) if e not in edges])
                 marking = {w: dict(a.edge_points(w)) for w in shape.internal}
                 used = set(marking[v].values())
@@ -460,8 +467,8 @@ class TestChartTable:
         assert seen[False] and not seen[True]
 
     def test_limit_cover_builds_each_chart_once(self, chart_calls):
-        # the explicit maps reuse the charts the decision kept, and a trivalent
-        # vertex's chart is built only for its map
+        # the decision builds no vertex chart; the explicit maps build one at every
+        # vertex of both trees
         for fam in (conftest.degenerate_family_two_vertex(),
                     conftest.degenerate_family_three_vertex(),
                     conftest.degenerate_family_extra_fiber()):
@@ -482,6 +489,28 @@ class TestChartTable:
         for a, b in pairs:
             assert spheres_iso(a, b) and spheres_iso(b, a)
             assert canonical_form(a) == canonical_form(b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_vertex_builds_a_moebius_map(self, monkeypatch, seed):
+        # the chart tables, the decision and the canonical forms of trees of every
+        # valence, twisted and remarked, construct and apply no Moebius map
+        rng = random.Random(f"no-moebius-{seed}")
+        items = [_classify_item(n, rng) for n in (4, 7, 12, 20)]
+        items += [[random_marking(shape, rng) for _ in range(2)]
+                  for shape in (spine_shape(12, 13), spine_shape(12, 5))]
+        expected = [[oracle_iso_of_spheres(ts[0], t) is not None for t in ts] for ts in items]
+
+        def refuse(*args):
+            raise AssertionError("a Moebius map was built or applied")
+        for owner, name in ((Moebius, "of_triples"), (Moebius, "apply"),
+                            (moduli, "moebius_from_three"), (moduli, "vertex_chart")):
+            monkeypatch.setattr(owner, name, refuse)
+        for ts, verdicts in zip(items, expected):
+            tables = [moduli.vertex_charts(t) for t in ts]
+            assert all(len(table) == len(t.shape.internal) for t, table in zip(ts, tables))
+            assert [spheres_iso(ts[0], t) for t in ts] == verdicts
+            assert [canonical_form(ts[0]) == canonical_form(t) for t in ts] == verdicts
+        assert any(not v for vs in expected for v in vs)
 
     def test_partition_mismatch_builds_no_chart(self, monkeypatch, two_vertex):
         def refuse(t, v, triple):

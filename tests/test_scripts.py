@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
@@ -91,3 +93,50 @@ def test_make_examples_regenerates_data(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == shipped
     for name in shipped:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(items_per_s: float, p50_ms: float, digest: str = "ab", failed: int = 0) -> str:
+    """What bench/run.py prints: notes, then a JSON report line and a JSON result line."""
+    report = {"report": {"workload": "classify", "output_sha256": digest, "failed": failed}}
+    result = {"correct": True, "attempted": 45, "failed": failed, "metrics": {
+        "items_per_s": {"value": items_per_s, "unit": "1/s"},
+        "item_p50_ms": {"value": p50_ms, "unit": "ms"}}}
+    return f"a note\n{json.dumps(report)}\n{json.dumps(result)}\n"
+
+
+BENCH_METRICS = [{"name": "items_per_s", "better": "higher"}, {"name": "item_p50_ms", "better": "lower"}]
+
+
+def test_bench_pairs_summary():
+    # wins are strict, judged by each metric's direction; quartiles are the parent's
+    bench_pairs = load_script("bench_pairs.py")
+    runs = [((100.0, 3.0), (110.0, 2.5)), ((120.0, 2.0), (120.0, 2.5)),
+            ((90.0, 4.0), (95.0, 3.0)), ((110.0, 3.5), (100.0, 3.5))]
+    pairs = [tuple(bench_pairs.parse_run(canned_run(*side)) for side in pair) for pair in runs]
+    assert bench_pairs.summary(BENCH_METRICS, pairs) == [
+        "pairs: 4; parent median [quartiles] -> change median, pairs won",
+        "items_per_s: 105 [97.5-112.5] -> 105, 2/4 won",
+        "item_p50_ms: 3.25 [2.75-3.625] -> 2.75, 2/4 won",
+        "output_sha256 equal in every pair: yes",
+        "failed equal in every pair: yes",
+    ]
+
+
+def test_bench_pairs_summary_flags_unequal_outputs():
+    bench_pairs = load_script("bench_pairs.py")
+    pairs = [(bench_pairs.parse_run(canned_run(100.0, 3.0)),
+              bench_pairs.parse_run(canned_run(101.0, 2.9, digest="cd", failed=1)))]
+    assert bench_pairs.summary(BENCH_METRICS, pairs) == [
+        "pairs: 1; parent median [quartiles] -> change median, pairs won",
+        "items_per_s: 100 [100-100] -> 101, 1/1 won",
+        "item_p50_ms: 3 [3-3] -> 2.9, 1/1 won",
+        "output_sha256 equal in every pair: no",
+        "failed equal in every pair: no",
+    ]
